@@ -36,7 +36,7 @@ from .corpus import ClassWeights
 from .errors import CheckpointError
 from .features import FEATURE_SLOTS
 from .lexicon import NUCLEUS_TAGS
-from .model import ModelConfig, Params
+from .model import ModelConfig, Params, init_params
 
 FORMAT_ATTENTION = "stressnet-checkpoint"
 FORMAT_ORDINAL = "stressnet-or"
@@ -77,6 +77,21 @@ def save_container(path: str, format_tag: str, meta: dict,
             fh.write(blob)
 
 
+def _array_entry(path: str, entry) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """(name, dtype, shape) of one header array entry, validated."""
+    if not isinstance(entry, dict) or not {"name", "dtype", "shape"} <= set(entry):
+        raise CheckpointError(f"{path}: malformed array entry {entry!r}")
+    dtype = _DTYPES.get(entry["dtype"])
+    if dtype is None:
+        raise CheckpointError(f"{path}: unknown dtype {entry['dtype']!r}")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape):
+        raise CheckpointError(
+            f"{path}: array {entry['name']!r} has bad shape {shape!r}")
+    return entry["name"], dtype, tuple(shape)
+
+
 def load_container(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -84,22 +99,25 @@ def load_container(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: bad header ({exc})")
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("version") != 1:
             raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
         fmt = header.get("format")
         if fmt not in (FORMAT_ATTENTION, FORMAT_ORDINAL, FORMAT_FOREST):
             raise CheckpointError(f"{path}: unknown format tag {fmt!r}")
+        if not isinstance(header.get("meta"), dict):
+            raise CheckpointError(f"{path}: header has no meta object")
+        if not isinstance(header.get("arrays"), list):
+            raise CheckpointError(f"{path}: header has no array list")
         arrays: dict[str, np.ndarray] = {}
         for entry in header["arrays"]:
-            dtype = _DTYPES.get(entry["dtype"])
-            if dtype is None:
-                raise CheckpointError(f"{path}: unknown dtype {entry['dtype']!r}")
-            shape = tuple(entry["shape"])
+            name, dtype, shape = _array_entry(path, entry)
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * dtype.itemsize)
             if len(raw) != count * dtype.itemsize:
-                raise CheckpointError(f"{path}: truncated array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+                raise CheckpointError(f"{path}: truncated array {name!r}")
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after declared arrays")
     return fmt, header["meta"], arrays
@@ -118,15 +136,23 @@ def save_model(path: str, params: Params, config: ModelConfig,
     save_container(path, FORMAT_ATTENTION, meta, arrays)
 
 
-def load_model(path: str) -> tuple[Params, ModelConfig, ClassWeights | None]:
-    fmt, meta, arrays = load_container(path)
-    if fmt != FORMAT_ATTENTION:
-        raise CheckpointError(f"{path}: expected {FORMAT_ATTENTION}, found {fmt}")
+def _model_from(meta: dict, arrays: dict[str, np.ndarray],
+                ) -> tuple[Params, ModelConfig, ClassWeights | None]:
     config = ModelConfig.from_dict(meta["model_config"])
+    expected = {k: v.shape for k, v in
+                init_params(config, np.random.default_rng(0)).items()}
+    if meta.get("has_class_weights"):
+        expected["class_weights"] = (len(NUCLEUS_TAGS), 3)
+    if {k: v.shape for k, v in arrays.items()} != expected:
+        raise ValueError("array names or shapes do not fit the model config")
     weights = None
     if meta.get("has_class_weights"):
         weights = ClassWeights(arrays.pop("class_weights"))
     return arrays, config, weights
+
+
+def load_model(path: str) -> tuple[Params, ModelConfig, ClassWeights | None]:
+    return _build(path, *load_container(path), FORMAT_ATTENTION)
 
 
 # --- baselines ----------------------------------------------------------------
@@ -138,12 +164,14 @@ def save_ordinal(path: str, model: OrdinalModel, feature_mode: str) -> None:
     })
 
 
-def load_ordinal(path: str) -> tuple[OrdinalModel, str]:
-    fmt, meta, arrays = load_container(path)
-    if fmt != FORMAT_ORDINAL:
-        raise CheckpointError(f"{path}: expected {FORMAT_ORDINAL}, found {fmt}")
+def _ordinal_from(meta: dict, arrays: dict[str, np.ndarray],
+                  ) -> tuple[OrdinalModel, str]:
     return (OrdinalModel(arrays["coefficients"], arrays["thresholds"]),
             meta["feature_mode"])
+
+
+def load_ordinal(path: str) -> tuple[OrdinalModel, str]:
+    return _build(path, *load_container(path), FORMAT_ORDINAL)
 
 
 def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
@@ -163,10 +191,8 @@ def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
     })
 
 
-def load_forest(path: str) -> tuple[ForestModel, str]:
-    fmt, meta, arrays = load_container(path)
-    if fmt != FORMAT_FOREST:
-        raise CheckpointError(f"{path}: expected {FORMAT_FOREST}, found {fmt}")
+def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
+                 ) -> tuple[ForestModel, str]:
     offsets = arrays["tree_offsets"]
     trees = []
     for t in range(len(offsets) - 1):
@@ -183,14 +209,38 @@ def load_forest(path: str) -> tuple[ForestModel, str]:
     return model, meta["feature_mode"]
 
 
+def load_forest(path: str) -> tuple[ForestModel, str]:
+    return _build(path, *load_container(path), FORMAT_FOREST)
+
+
+_BUILDERS = {
+    FORMAT_ATTENTION: _model_from,
+    FORMAT_ORDINAL: _ordinal_from,
+    FORMAT_FOREST: _forest_from,
+}
+
+
+def _build(path: str, fmt: str, meta: dict, arrays: dict[str, np.ndarray],
+           expected: str):
+    """Build the model of a parsed container; a meta or array set that
+    does not fit its format is a CheckpointError."""
+    if fmt != expected:
+        raise CheckpointError(f"{path}: expected {expected}, found {fmt}")
+    try:
+        return _BUILDERS[fmt](meta, arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: malformed {fmt} checkpoint ({type(exc).__name__}: {exc})")
+
+
 def load_any(path: str):
-    """(kind, model payload, feature_mode, class weights or None)."""
-    fmt, meta, _ = load_container(path)
+    """(kind, model payload, feature_mode, class weights or None); the file
+    is read once."""
+    fmt, meta, arrays = load_container(path)
+    model = _build(path, fmt, meta, arrays, fmt)
     if fmt == FORMAT_ATTENTION:
-        params, config, weights = load_model(path)
+        params, config, weights = model
         return "attention", (params, config), config.feature_mode, weights
     if fmt == FORMAT_ORDINAL:
-        model, mode = load_ordinal(path)
-        return "ordinal", model, mode, None
-    model, mode = load_forest(path)
-    return "forest", model, mode, None
+        return ("ordinal", *model, None)
+    return ("forest", *model, None)

@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .corpus import (
     synth_corpus,
 )
 from .dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
-from .errors import ConfigError, StressnetError
+from .errors import ConfigError, InvalidConfig, StressnetError
 from .evaluation import evaluate, pca_type_embeddings, render_report
 from .features import (
     extract_features,
@@ -50,7 +49,7 @@ from .model import (
     ModelConfig,
     TrainConfig,
     feature_dim,
-    predict_instance,
+    predict_instances,
     train as train_model,
 )
 
@@ -211,8 +210,11 @@ def _featurize_one(f: str, audio_dir: str | None, lex, dsp_cfg: DspConfig,
         base = audio_dir or str(Path(f).parent)
         audio = str(Path(base) / audio)
     samples, rate = read_wav(audio)
-    pitch = estimate_pitch(samples, rate, dsp_cfg)
-    intensity = compute_intensity(samples, rate, dsp_cfg)
+    try:
+        pitch = estimate_pitch(samples, rate, dsp_cfg)
+        intensity = compute_intensity(samples, rate, dsp_cfg)
+    except InvalidConfig as exc:
+        raise ConfigError(f"bad dsp config for {audio}: {exc}")
 
     raw_by_word = []
     for word in alignment.words:
@@ -247,21 +249,16 @@ def _cmd_featurize(args, config) -> int:
         raise ConfigError(f"unknown normalization_pool {pool!r}")
     try:
         dsp_cfg = DspConfig.from_dict(config.get("dsp", {}))
-    except TypeError as exc:
+    except (TypeError, InvalidConfig) as exc:
         raise ConfigError(f"bad dsp config: {exc}")
     files = _alignment_files(args.alignments)
-    threads = max(1, getattr(args, "threads", 1) or 1)
     records = []
     n_excluded = 0
-    # utterances are independent; results are collected in input order so
-    # the output does not depend on the worker count
-    with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-        futures = [pool_exec.submit(_featurize_one, f, args.audio_dir, lex,
-                                    dsp_cfg, pool, scope) for f in files]
-        for fut in futures:
-            instances, exclusions = fut.result()
-            records.extend(instance_to_record(inst) for inst in instances)
-            n_excluded += len(exclusions)
+    for f in files:
+        instances, exclusions = _featurize_one(f, args.audio_dir, lex,
+                                               dsp_cfg, pool, scope)
+        records.extend(instance_to_record(inst) for inst in instances)
+        n_excluded += len(exclusions)
     write_feature_table(records, args.out)
     _write_manifest(Path(args.out).parent, "featurize", {
         "alignments": args.alignments, "out": args.out,
@@ -384,8 +381,7 @@ def _predict_all(path: str, instances: list[WordInstance]):
     preds, probs = [], []
     if kind == "attention":
         params, cfg = payload
-        for inst in instances:
-            per_syll = predict_instance(params, cfg, inst)
+        for per_syll in predict_instances(params, cfg, instances):
             preds.append([lvl for lvl, _ in per_syll])
             probs.append([p for _, p in per_syll])
     else:
@@ -472,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON run-config file; flags override it")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker thread cap for per-utterance stages; "
-                             "never affects results")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySignal, InvalidSpan, UnsupportedRate
+from .errors import EmptySignal, InvalidConfig, InvalidSpan, UnsupportedRate
 
 UNVOICED = float("nan")
 MIN_SAMPLE_RATE = 8000.0
@@ -28,6 +28,16 @@ class DspConfig:
     f_min: float = 75.0
     f_max: float = 600.0
     voicing_threshold: float = 0.45
+
+    def __post_init__(self):
+        if not self.window_s > 0:
+            raise InvalidConfig(f"window_s must be > 0, got {self.window_s}")
+        if not self.hop_s > 0:
+            raise InvalidConfig(f"hop_s must be > 0, got {self.hop_s}")
+        if not 0 < self.f_min < self.f_max:
+            raise InvalidConfig(
+                f"need 0 < f_min < f_max, got f_min={self.f_min}, "
+                f"f_max={self.f_max}")
 
     @staticmethod
     def from_dict(d: dict) -> "DspConfig":
@@ -78,6 +88,10 @@ def _validate_signal(samples: np.ndarray, sample_rate: float) -> np.ndarray:
 def _frame_grid(n_samples: int, sample_rate: float, cfg: DspConfig):
     win = int(round(cfg.window_s * sample_rate))
     hop = int(round(cfg.hop_s * sample_rate))
+    if win < 1 or hop < 1:
+        raise InvalidConfig(
+            f"window_s {cfg.window_s} and hop_s {cfg.hop_s} must each span "
+            f"at least one sample at {sample_rate} Hz")
     starts = np.arange(0, n_samples - win + 1, hop)
     centers = (starts + win / 2.0) / sample_rate
     return win, hop, starts, centers
@@ -99,6 +113,10 @@ def estimate_pitch(samples, sample_rate: float,
     lag_min = max(2, int(np.floor(sample_rate / cfg.f_max)))
     lag_max = int(np.ceil(sample_rate / cfg.f_min))
     lag_max = min(lag_max, win - 2)
+    if lag_max < lag_min:
+        raise InvalidConfig(
+            f"window_s {cfg.window_s} is too short for f_max {cfg.f_max} "
+            f"at {sample_rate} Hz")
 
     window = np.hanning(win)
     nfft = 1 << int(np.ceil(np.log2(2 * win)))

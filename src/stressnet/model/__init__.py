@@ -28,6 +28,7 @@ from .training import (
     evaluate_batch,
     make_batch,
     predict_instance,
+    predict_instances,
     train,
 )
 
@@ -38,5 +39,5 @@ __all__ = [
     "medium_config", "Params", "backward", "embed", "forward",
     "init_params", "loss_and_grads", "loss_from_logits", "position_weights",
     "Adam", "Batch", "evaluate_batch", "make_batch", "predict_instance",
-    "train",
+    "predict_instances", "train",
 ]

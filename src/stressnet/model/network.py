@@ -109,23 +109,37 @@ def _softmax_backward(dA: np.ndarray, A: np.ndarray) -> np.ndarray:
     return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
 
 
-def _dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+def _dropout_mask(rng: np.random.Generator, shape, p: float,
+                  max_positions: int) -> np.ndarray:
+    """Inverted-dropout mask for a (B, P, D) tensor.
+
+    Draws are made for all max_positions slots and cut to P, so slot i
+    gets the same draw whatever width its batch was trimmed to.
+    """
+    B, P, D = shape
+    full = rng.random((B, max_positions, D))[:, :P]
+    return (full >= p).astype(np.float64) / (1.0 - p)
 
 
 # --- embedding ---------------------------------------------------------------
 
 def embed(features: np.ndarray, types: np.ndarray, mask: np.ndarray,
           params: Params, config: ModelConfig) -> np.ndarray:
-    """Eq-style input sum -> (B, P, D); padded rows are exact zeros."""
+    """Eq-style input sum -> (B, P, D); padded rows are exact zeros.
+
+    Any P up to config.max_positions is accepted; slot i always takes
+    position embedding row i, so a batch cut to its longest word embeds
+    its valid slots exactly as the full-width batch does.
+    """
     B, P, K = features.shape
     if K != config.feature_dim:
         raise ShapeError(
             f"feature dim {K} does not match mode {config.feature_mode!r} "
             f"(expected {config.feature_dim})")
-    if P != config.max_positions:
-        raise ShapeError(f"expected {config.max_positions} slots, got {P}")
-    V = features @ params["C"] + params["E_pos"][None, :, :]
+    if P > config.max_positions:
+        raise ShapeError(
+            f"{P} slots exceed max_positions {config.max_positions}")
+    V = features @ params["C"] + params["E_pos"][None, :P, :]
     if config.uses_type_embedding:
         V = V + params["E_type"][types]
     return V * mask[..., None]
@@ -171,7 +185,8 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
         ctxh = A @ vh
         ctx = ctxh.transpose(0, 2, 1, 3).reshape(B, P, H * dh)
         o = ctx @ params[pre + "attn.Wo"] + params[pre + "attn.bo"]
-        drop1 = _dropout_mask(rng, o.shape, config.dropout) if use_dropout else None
+        drop1 = _dropout_mask(rng, o.shape, config.dropout,
+                              config.max_positions) if use_dropout else None
         if drop1 is not None:
             o = o * drop1
         x_mid = x + o
@@ -181,7 +196,8 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
         u = f_in @ params[pre + "ffn.W1"] + params[pre + "ffn.b1"]
         r = np.maximum(u, 0.0)
         f = r @ params[pre + "ffn.W2"] + params[pre + "ffn.b2"]
-        drop2 = _dropout_mask(rng, f.shape, config.dropout) if use_dropout else None
+        drop2 = _dropout_mask(rng, f.shape, config.dropout,
+                              config.max_positions) if use_dropout else None
         if drop2 is not None:
             f = f * drop2
         x_out = x_mid + f
@@ -320,7 +336,8 @@ def backward(params: Params, cache: dict, dlogits: np.ndarray,
     dV = dx * mask[..., None]
     feats = cache["embed_in"]
     grads["C"] = np.einsum("bpk,bpd->kd", feats * mask[..., None], dV)
-    grads["E_pos"] = dV.sum(axis=0)
+    # rows past P stay exact zeros: no slot of this batch used them
+    grads["E_pos"][:P] = dV.sum(axis=0)
     if config.uses_type_embedding:
         dE = np.zeros_like(params["E_type"])
         np.add.at(dE, cache["types"].reshape(-1), dV.reshape(-1, config.d_model))

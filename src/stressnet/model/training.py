@@ -11,7 +11,6 @@ from ..errors import (
     DivergedAtEpoch,
     InvalidConfig,
     NumericalInstability,
-    ShapeError,
 )
 from ..lexicon import StressLevel
 from .config import ModelConfig, TrainConfig
@@ -29,33 +28,49 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# words per forward call when scoring; memory grows as chunk x P^2 x heads
+SCORE_CHUNK = 512
+
+
+def _used_slots(mask: np.ndarray) -> int:
+    """One past the last slot any row of the mask uses (at least 1)."""
+    return int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
+
 
 @dataclass
 class Batch:
-    features: np.ndarray  # (N, 17, K)
-    types: np.ndarray     # (N, 17)
-    mask: np.ndarray      # (N, 17)
-    labels: np.ndarray    # (N, 17)
-    weights: np.ndarray   # (N, 17)
+    """Stacked word instances, cut to P = the batch's longest word."""
+
+    features: np.ndarray  # (N, P, K)
+    types: np.ndarray     # (N, P)
+    mask: np.ndarray      # (N, P)
+    labels: np.ndarray    # (N, P)
+    weights: np.ndarray   # (N, P)
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def take(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.features[idx], self.types[idx], self.mask[idx],
-                     self.labels[idx], self.weights[idx])
+        """The rows idx, trimmed to the longest word among them."""
+        mask = self.mask[idx]
+        P = _used_slots(mask)
+        return Batch(self.features[idx, :P], self.types[idx, :P], mask[:, :P],
+                     self.labels[idx, :P], self.weights[idx, :P])
 
 
 def make_batch(instances: list[WordInstance], config: ModelConfig,
                weight_table: np.ndarray | None = None) -> Batch:
-    """Stack instances into arrays, slicing features to the config's K."""
+    """Stack instances into arrays, slicing features to the config's K and
+    the slots to the longest word."""
     if not instances:
         raise InvalidConfig("no instances")
     K = config.feature_dim
-    features = np.stack([inst.features[:, :K] for inst in instances])
-    types = np.stack([inst.type_indices for inst in instances])
     mask = np.stack([inst.mask for inst in instances])
-    labels = np.stack([inst.labels for inst in instances])
+    P = _used_slots(mask)
+    features = np.stack([inst.features[:P, :K] for inst in instances])
+    types = np.stack([inst.type_indices[:P] for inst in instances])
+    labels = np.stack([inst.labels[:P] for inst in instances])
+    mask = mask[:, :P]
     weights = position_weights(weight_table, types, labels, mask)
     return Batch(features, types, mask, labels, weights)
 
@@ -162,26 +177,30 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
     return best_params, class_weights, history
 
 
+def predict_instances(params: Params, config: ModelConfig,
+                      instances: list[WordInstance],
+                      ) -> list[list[tuple[StressLevel, np.ndarray]]]:
+    """Per instance, per valid syllable: (argmax stress level, 3 class
+    probabilities), in input order.
+
+    Scores SCORE_CHUNK words per forward pass, each chunk trimmed to its
+    longest word. Ties break toward the lowest class index; padded slots
+    yield nothing.
+    """
+    out = []
+    for start in range(0, len(instances), SCORE_CHUNK):
+        chunk = instances[start:start + SCORE_CHUNK]
+        batch = make_batch(chunk, config)
+        _, probs, _, _ = forward(params, batch.features, batch.types,
+                                 batch.mask, config)
+        for row, inst in zip(probs, chunk):
+            out.append([(StressLevel(int(p.argmax())), p)
+                        for p in row[:inst.valid_count]])
+    return out
+
+
 def predict_instance(params: Params, config: ModelConfig,
                      instance: WordInstance,
                      ) -> list[tuple[StressLevel, np.ndarray]]:
-    """Per valid syllable: (argmax stress level, 3 class probabilities).
-
-    Ties break toward the lowest class index; padded slots yield nothing.
-    """
-    K = config.feature_dim
-    if instance.features.shape[1] < K:
-        raise ShapeError(
-            f"instance has {instance.features.shape[1]} feature slots, "
-            f"mode needs {K}")
-    _, probs, _, _ = forward(
-        params,
-        instance.features[None, :, :K],
-        instance.type_indices[None, :],
-        instance.mask[None, :],
-        config)
-    out = []
-    for i in range(instance.valid_count):
-        p = probs[0, i]
-        out.append((StressLevel(int(p.argmax())), p))
-    return out
+    """predict_instances for one word."""
+    return predict_instances(params, config, [instance])[0]

@@ -108,6 +108,42 @@ class TestModelCheckpoint:
         assert load_any(f_path)[0] == "forest"
         assert load_any(m_path)[0] == "attention"
 
+    def test_load_any_parses_each_file_once(self, tmp_path, monkeypatch):
+        import stressnet.checkpoint as checkpoint_mod
+
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(0, 1, (60, 12)), rng.integers(0, 3, 60)
+        paths = [str(tmp_path / name) for name in ("o.ckpt", "f.ckpt", "m.ckpt")]
+        save_ordinal(paths[0], train_ordinal(X, y, seed=1),
+                     SYLLABLE_NUCLEUS_NUMERICAL)
+        save_forest(paths[1], train_forest(X, y, n_trees=2, seed=1),
+                    SYLLABLE_NUCLEUS_NUMERICAL)
+        cfg = medium_config()
+        save_model(paths[2], init_params(cfg, rng), cfg,
+                   ClassWeights(np.ones((16, 3))))
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_container(path)
+
+        monkeypatch.setattr(checkpoint_mod, "load_container", counting)
+        for path in paths:
+            load_any(path)
+        assert calls == paths
+
+    def test_parameters_must_fit_model_config(self, tmp_path):
+        cfg = medium_config()
+        params = init_params(cfg, np.random.default_rng(7))
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, dict(params, **{"head.b": np.zeros(4)}), cfg, None)
+        with pytest.raises(CheckpointError):
+            load_model(path)
+        del params["head.W"]
+        save_model(path, params, cfg, None)
+        with pytest.raises(CheckpointError):
+            load_any(path)
+
 
 class TestBaselineCheckpoints:
     def test_ordinal_round_trip(self, tmp_path):

@@ -48,6 +48,55 @@ class TestErrorsAndExitCodes:
         assert code == 4
 
 
+def edit_checkpoint_header(path, edit):
+    """Apply edit to a checkpoint's JSON header in place, keeping the arrays."""
+    header_line, arrays = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + arrays)
+
+
+class TestMalformedCheckpoints:
+    """A checkpoint that does not parse or fit is a data error, exit 4."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        from stressnet.checkpoint import save_model
+        from stressnet.model import init_params, medium_config
+
+        cfg = medium_config()
+        path = tmp_path / "m.ckpt"
+        save_model(str(path), init_params(cfg, np.random.default_rng(0)),
+                   cfg, None)
+        return path
+
+    def check_data_error(self, ckpt, tmp_path, capsys):
+        code = run("pca", "--model", str(ckpt), "--out", str(tmp_path / "p.json"))
+        assert code == 4
+        assert "CheckpointError" in capsys.readouterr().err
+
+    def test_model_config_extra_key(self, ckpt, tmp_path, capsys):
+        edit_checkpoint_header(
+            ckpt, lambda h: h["meta"]["model_config"].update(extra=1))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+    def test_model_config_missing_key(self, ckpt, tmp_path, capsys):
+        edit_checkpoint_header(
+            ckpt, lambda h: h["meta"]["model_config"].pop("d_model"))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+    def test_header_without_arrays(self, ckpt, tmp_path, capsys):
+        edit_checkpoint_header(ckpt, lambda h: h.pop("arrays"))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+    def test_negative_array_shape(self, ckpt, tmp_path, capsys):
+        def negate(header):
+            header["arrays"][0]["shape"] = [-d for d in header["arrays"][0]["shape"]]
+        edit_checkpoint_header(ckpt, negate)
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> split -> train(attn + rf) artifacts shared by CLI tests."""
@@ -206,3 +255,20 @@ class TestFeaturize:
         assert f0[3] > 0 > f1[3]          # syllable intensity mean
         assert f0[5] < f1[5]              # 0.30 s vs 0.35 s duration
         assert np.isclose(f0[0], -f1[0])  # two-syllable normalization
+
+    @pytest.mark.parametrize("dsp", [
+        {"hop_s": 1e-6},                 # rounds to zero samples at 16 kHz
+        {"hop_s": 0.0},
+        {"window_s": -0.04},
+        {"window_s": 0.0005},            # too short for the pitch lag band
+        {"f_min": 700.0, "f_max": 600.0},
+        {"f_min": 0.0},
+    ])
+    def test_bad_dsp_config_is_config_error(self, tmp_path, capsys, dsp):
+        apath = self.make_audio_and_alignment(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dsp": dsp}))
+        code = run("--config", str(cfg), "featurize", "--alignments",
+                   str(apath), "--out", str(tmp_path / "features.jsonl"))
+        assert code == 3
+        assert "dsp" in capsys.readouterr().err

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from stressnet.dsp import (
+    DspConfig,
     IntensityTrack,
     PitchTrack,
     compute_intensity,
     estimate_pitch,
     segment_stats,
 )
-from stressnet.errors import EmptySignal, InvalidSpan, UnsupportedRate
+from stressnet.errors import (
+    EmptySignal,
+    InvalidConfig,
+    InvalidSpan,
+    UnsupportedRate,
+)
 
 SR = 16000
 
@@ -16,6 +22,32 @@ SR = 16000
 def sine(freq, dur=0.5, amp=1.0, sr=SR):
     t = np.arange(int(dur * sr)) / sr
     return amp * np.sin(2 * np.pi * freq * t)
+
+
+class TestDspConfig:
+    @pytest.mark.parametrize("bad", [
+        {"window_s": 0.0}, {"window_s": -0.04}, {"window_s": float("nan")},
+        {"hop_s": 0.0}, {"hop_s": -0.01},
+        {"f_min": 0.0}, {"f_min": -75.0},
+        {"f_min": 700.0, "f_max": 600.0}, {"f_min": 300.0, "f_max": 300.0},
+    ])
+    def test_out_of_range_values_rejected(self, bad):
+        with pytest.raises(InvalidConfig):
+            DspConfig.from_dict(bad)
+
+    def test_hop_under_one_sample_rejected_at_signal_rate(self):
+        cfg = DspConfig(hop_s=1e-6)
+        with pytest.raises(InvalidConfig):
+            estimate_pitch(sine(220.0), SR, cfg)
+        with pytest.raises(InvalidConfig):
+            compute_intensity(sine(220.0), SR, cfg)
+        # 7e-5 s is 1.12 samples at 16 kHz: one sample after rounding
+        assert len(compute_intensity(sine(220.0, dur=0.1), SR,
+                                     DspConfig(hop_s=7e-5))) > 0
+
+    def test_window_too_short_for_lag_band_rejected(self):
+        with pytest.raises(InvalidConfig):
+            estimate_pitch(sine(220.0), SR, DspConfig(window_s=0.0005))
 
 
 class TestEstimatePitch:

@@ -21,8 +21,10 @@ from stressnet.model import (
     large_config,
     loss_and_grads,
     loss_from_logits,
+    make_batch,
     medium_config,
     predict_instance,
+    predict_instances,
     train,
 )
 
@@ -420,3 +422,94 @@ class TestPredict:
         params["head.b"][:] = 0.0
         preds = predict_instance(params, cfg, train_set[0])
         assert all(level == StressLevel.NON_STRESS for level, _ in preds)
+
+
+def pad_to_full_width(feats, types, mask, labels, weights, width=17):
+    """The same words laid out over `width` slots, padding as make_batch does."""
+    extra = width - mask.shape[1]
+    return (np.pad(feats, ((0, 0), (0, extra), (0, 0))),
+            np.pad(types, ((0, 0), (0, extra)), constant_values=PAD_TYPE_INDEX),
+            np.pad(mask, ((0, 0), (0, extra))),
+            np.pad(labels, ((0, 0), (0, extra)), constant_values=-1),
+            np.pad(weights, ((0, 0), (0, extra))))
+
+
+class TestTrimmedBatches:
+    """A batch cut to its longest word computes what the 17-slot one does."""
+
+    def test_embed_accepts_fewer_slots_and_rejects_more(self):
+        cfg = tiny_config()
+        params = init_params(cfg, np.random.default_rng(40))
+        full = random_instance_batch(np.random.default_rng(41), 3, 12,
+                                     max_positions=5)
+        feats, types, mask, _, _ = pad_to_full_width(*full)
+        V_full = embed(feats, types, mask, params, cfg)
+        V_trim = embed(*full[:3], params, cfg)
+        assert V_trim.shape == (3, 5, cfg.d_model)
+        assert np.array_equal(V_trim, V_full[:, :5])
+        with pytest.raises(ShapeError):
+            embed(np.zeros((1, 18, 12)), np.zeros((1, 18), dtype=int),
+                  np.ones((1, 18), dtype=bool), params, cfg)
+
+    @pytest.mark.parametrize("make_cfg", [medium_config, large_config])
+    def test_logits_loss_and_gradients_match_full_width(self, make_cfg):
+        cfg = make_cfg(dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(42))
+        trimmed = random_instance_batch(np.random.default_rng(43), 9, 12,
+                                        max_positions=7)
+        full = pad_to_full_width(*trimmed)
+        P = trimmed[2].shape[1]
+        logits_t, probs_t, _, _ = forward(params, *trimmed[:3], cfg)
+        logits_f, probs_f, _, _ = forward(params, *full[:3], cfg)
+        assert np.abs(logits_t - logits_f[:, :P]).max() < 1e-12
+        assert np.abs(probs_t - probs_f[:, :P]).max() < 1e-12
+        # dropout on: slot i must draw the same mask at either width
+        loss_t, grads_t, _ = loss_and_grads(
+            params, *trimmed, cfg, train=True, rng=np.random.default_rng(44))
+        loss_f, grads_f, _ = loss_and_grads(
+            params, *full, cfg, train=True, rng=np.random.default_rng(44))
+        assert abs(loss_t - loss_f) < 1e-12
+        assert set(grads_t) == set(grads_f)
+        for key in grads_f:
+            assert np.abs(grads_t[key] - grads_f[key]).max() < 1e-12, key
+        assert np.all(grads_t["E_pos"][P:] == 0.0)
+
+    def test_make_batch_and_take_trim_to_longest_word(self, small_corpus):
+        train_set, _ = small_corpus
+        batch = make_batch(train_set, tiny_config())
+        longest = max(inst.valid_count for inst in train_set)
+        assert longest < 17
+        assert batch.mask.shape == (len(train_set), longest)
+        assert batch.features.shape == (len(train_set), longest, 12)
+        idx = np.array([i for i, inst in enumerate(train_set)
+                        if inst.valid_count <= 2][:5])
+        sub = batch.take(idx)
+        assert sub.mask.shape == (len(idx), 2)
+        for arr, full in zip((sub.features, sub.types, sub.mask, sub.labels,
+                              sub.weights),
+                             (batch.features, batch.types, batch.mask,
+                              batch.labels, batch.weights)):
+            assert np.array_equal(arr, full[idx, :2])
+
+    def test_batched_scorer_matches_one_word_forward(self, small_corpus,
+                                                     monkeypatch):
+        import stressnet.model.training as training_mod
+
+        _, test_set = small_corpus
+        cfg = medium_config(dropout=0.0)
+        params = init_params(cfg, np.random.default_rng(45))
+        # several chunks, the last one short
+        monkeypatch.setattr(training_mod, "SCORE_CHUNK", 7)
+        scored = predict_instances(params, cfg, test_set)
+        assert len(scored) == len(test_set)
+        for inst, per_syll in zip(test_set, scored):
+            _, probs, _, _ = forward(params, inst.features[None],
+                                     inst.type_indices[None],
+                                     inst.mask[None], cfg)
+            assert len(per_syll) == inst.valid_count
+            for i, (level, p) in enumerate(per_syll):
+                assert np.abs(p - probs[0, i]).max() < 1e-12
+                assert level == StressLevel(int(p.argmax()))
+        one = predict_instance(params, cfg, test_set[3])
+        assert [lvl for lvl, _ in one] == [lvl for lvl, _ in scored[3]]
+        assert predict_instances(params, cfg, []) == []
