@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import WordInstance
 from .errors import DegenerateData, InvalidConfig, ShapeError
 from .lexicon import StressLevel
 
-# stress level -> ordinal rank and back
+# stress level -> ordinal rank
 _LEVEL_TO_RANK = {StressLevel.NON_STRESS: 0, StressLevel.SECONDARY: 1,
                   StressLevel.PRIMARY: 2}
-_RANK_TO_LEVEL = {r: lv for lv, r in _LEVEL_TO_RANK.items()}
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -49,10 +49,7 @@ class OrdinalModel:
         c0 = _sigmoid(self.thresholds[0] - z)
         c1 = _sigmoid(self.thresholds[1] - z)
         rank_probs = np.stack([c0, c1 - c0, 1.0 - c1], axis=1)
-        out = np.empty_like(rank_probs)
-        for rank in range(3):
-            out[:, int(_RANK_TO_LEVEL[rank])] = rank_probs[:, rank]
-        return out
+        return rank_probs[:, [_LEVEL_TO_RANK[lv] for lv in StressLevel]]
 
 
 def _ordinal_nll_grad(beta: np.ndarray, theta: np.ndarray, X: np.ndarray,
@@ -275,29 +272,25 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
     return ForestModel(trees, n_trees, max_depth, m)
 
 
-# --- shared prediction --------------------------------------------------------
+# --- shared scoring -----------------------------------------------------------
 
-def predict_baseline(model, x: np.ndarray) -> tuple[StressLevel, np.ndarray]:
-    """Class + per-class scores for one feature vector.
+def flatten(instances: list[WordInstance], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One row per valid syllable, in word order: features[:k] as (n, k)
+    and the gold labels as (n,). No instances give (0, k) and (0,)."""
+    if not instances:
+        return np.zeros((0, k)), np.zeros(0, dtype=np.int64)
+    return (np.concatenate([inst.features[:inst.valid_count, :k]
+                            for inst in instances]),
+            np.concatenate([inst.labels[:inst.valid_count]
+                            for inst in instances]))
 
-    Ordinal models return cumulative-logit probabilities; forests return
-    vote shares. Ties break toward the lowest class index.
-    """
+
+def scores(model, X: np.ndarray) -> np.ndarray:
+    """(n, 3) class scores in StressLevel order for n syllable rows: ordinal
+    probabilities or forest vote shares. Their argmax breaks ties toward
+    the lowest class."""
     if isinstance(model, OrdinalModel):
-        scores = model.class_probs(x)[0]
-    elif isinstance(model, ForestModel):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        scores = model.vote_shares(x)[0]
-    else:
-        raise ShapeError(f"unknown baseline model type {type(model)!r}")
-    return StressLevel(int(np.argmax(scores))), scores
-
-
-def predict_batch(model, X: np.ndarray) -> np.ndarray:
-    """Vectorized class predictions (as integer StressLevel values)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if isinstance(model, OrdinalModel):
-        scores = model.class_probs(X)
-    else:
-        scores = model.vote_shares(X)
-    return scores.argmax(axis=1)
+        return model.class_probs(X)
+    if isinstance(model, ForestModel):
+        return model.vote_shares(X)
+    raise ShapeError(f"unknown baseline model type {type(model)!r}")

@@ -292,18 +292,8 @@ def _cmd_split(args, config) -> int:
     return 0
 
 
-def _flatten(instances: list[WordInstance], k: int):
-    X, y = [], []
-    for inst in instances:
-        for i in range(inst.valid_count):
-            X.append(inst.features[i, :k])
-            y.append(int(inst.labels[i]))
-    return np.asarray(X), np.asarray(y)
-
-
 def _cmd_train(args, config) -> int:
-    records = read_feature_table(args.train)
-    instances = instances_from_table(records)
+    instances = instances_from_table(read_feature_table(args.train))
     feature_mode = args.feature_mode or config.get("feature_mode", ALL_FEATURES)
     if feature_mode not in FEATURE_MODES:
         raise ConfigError(f"unknown feature mode {feature_mode!r}")
@@ -314,7 +304,7 @@ def _cmd_train(args, config) -> int:
             raise ConfigError(
                 "baselines take numerical features only; "
                 "use syllable_numerical or syllable_nucleus_numerical")
-        X, y = _flatten(instances, feature_dim(feature_mode))
+        X, y = baselines.flatten(instances, feature_dim(feature_mode))
         if args.model == "or":
             model = baselines.train_ordinal(X, y, seed=seed)
             checkpoint.save_ordinal(args.out, model, feature_mode)
@@ -376,50 +366,40 @@ def _cmd_train(args, config) -> int:
 
 
 def _predict_all(path: str, instances: list[WordInstance]):
-    """Predictions per instance for any checkpoint kind."""
+    """Per instance, the argmax stress levels and the (valid_count, 3)
+    class scores of its syllables, for any checkpoint kind; each kind
+    scores the whole file in one batched call."""
     kind, payload, feature_mode, weights = checkpoint.load_any(path)
-    preds, probs = [], []
     if kind == "attention":
         params, cfg = payload
-        for per_syll in predict_instances(params, cfg, instances):
-            preds.append([lvl for lvl, _ in per_syll])
-            probs.append([p for _, p in per_syll])
+        probs = predict_instances(params, cfg, instances)
     else:
-        k = feature_dim(feature_mode)
-        for inst in instances:
-            X = inst.features[:inst.valid_count, :k]
-            if kind == "ordinal":
-                scores = payload.class_probs(X)
-            else:
-                scores = payload.vote_shares(X)
-            preds.append([StressLevel(int(s.argmax())) for s in scores])
-            probs.append(list(scores))
+        X, _ = baselines.flatten(instances, feature_dim(feature_mode))
+        ends = np.cumsum([inst.valid_count for inst in instances], dtype=np.int64)
+        # the last piece, past the final word's end, is always empty
+        probs = np.split(baselines.scores(payload, X), ends)[:-1]
+    preds = [[StressLevel(int(c)) for c in p.argmax(axis=1)] for p in probs]
     return preds, probs, weights
 
 
 def _cmd_predict(args, config) -> int:
-    records = read_feature_table(args.input)
-    instances = instances_from_table(records)
+    instances = instances_from_table(read_feature_table(args.input))
     preds, probs, _ = _predict_all(args.model, instances)
     with open(args.out, "w", encoding="utf-8") as fh:
         for inst, p, pr in zip(instances, preds, probs):
             fh.write(json.dumps({
                 "utterance_id": inst.utterance_id,
                 "word": inst.word,
-                "syllables": [
-                    {"position": i,
-                     "stress_pred": int(p[i]),
-                     "probs": [float(x) for x in pr[i]]}
-                    for i in range(inst.valid_count)
-                ],
+                "syllables": [{"position": i, "stress_pred": int(level),
+                               "probs": row.tolist()}
+                              for i, (level, row) in enumerate(zip(p, pr))],
             }, sort_keys=True) + "\n")
     print(f"predict: {len(instances)} word instances -> {args.out}")
     return 0
 
 
 def _cmd_eval(args, config) -> int:
-    records = read_feature_table(args.data)
-    instances = instances_from_table(records)
+    instances = instances_from_table(read_feature_table(args.data))
     preds, _, weights = _predict_all(args.model, instances)
     table = weights.table if weights is not None else None
     report = evaluate(preds, instances, table)

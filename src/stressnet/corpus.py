@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     AlignmentFormat,
+    FormatError,
     InvalidConfig,
     InvalidSpans,
     ShapeError,
@@ -223,6 +224,8 @@ def build_instance(record: WordRecord) -> WordInstance:
             raise ShapeError(f"{record.word!r}: position {i} out of range")
         if obs.features.shape != (N_FEATURES,):
             raise ShapeError(f"{record.word!r}: feature vector shape {obs.features.shape}")
+        if obs.nucleus_tag not in TAG_TO_INDEX:
+            raise FormatError(f"{record.word!r}: unknown nucleus tag {obs.nucleus_tag!r}")
         features[i] = obs.features
         types[i] = TAG_TO_INDEX[obs.nucleus_tag]
         mask[i] = True

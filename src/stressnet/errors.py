@@ -94,7 +94,7 @@ class InsufficientDimensions(StressnetError):
 
 
 class FormatError(StressnetError):
-    """Unknown render or file format tag."""
+    """Unknown render or file format tag, or a malformed feature table."""
 
 
 # --- io / cli --------------------------------------------------------------

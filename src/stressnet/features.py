@@ -22,13 +22,14 @@ null)}]}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dsp import IntensityTrack, PitchTrack, SegmentStats, Track, segment_stats
-from .errors import InvalidSpan, SpanOutOfRange
+from .errors import FormatError, InvalidSpan, SpanOutOfRange
 from .lexicon import StressLevel
 
 FEATURE_SLOTS = (
@@ -156,22 +157,58 @@ def write_feature_table(records: Sequence[WordRecord], path: str) -> None:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _field(doc: dict, key: str, *types: type):
+    """doc[key], whose exact type must be one of types (so a bool is no int)."""
+    value = doc.get(key, ...)  # a missing key gives Ellipsis, which fits no type
+    if type(value) not in types:
+        raise FormatError(f"{key!r} is missing or of the wrong type")
+    return value
+
+
+def _feature_vector(values: list) -> np.ndarray:
+    try:
+        ok = (len(values) == N_FEATURES and set(map(type, values)) <= {int, float}
+              and all(map(math.isfinite, values)))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise FormatError(f"'features' must be {N_FEATURES} finite numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
+def _syllable(doc) -> SyllableObservation:
+    if type(doc) is not dict:
+        raise FormatError("a syllable is not a JSON object")
+    stress = _field(doc, "stress", int, type(None))
+    if stress not in (None, 0, 1, 2):
+        raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
+    return SyllableObservation(
+        features=_feature_vector(_field(doc, "features", list)),
+        nucleus_tag=_field(doc, "nucleus", str),
+        position=_field(doc, "position", int),
+        stress=None if stress is None else StressLevel(stress),
+    )
+
+
+def _record(line: bytes) -> WordRecord:
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not valid JSON ({exc})")
+    if type(doc) is not dict:
+        raise FormatError("the line is not a JSON object")
+    return WordRecord(_field(doc, "utterance_id", str), _field(doc, "word", str),
+                      [_syllable(syl) for syl in _field(doc, "syllables", list)])
+
+
 def read_feature_table(path: str) -> list[WordRecord]:
-    records: list[WordRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            syllables = [
-                SyllableObservation(
-                    features=np.asarray(s["features"], dtype=np.float64),
-                    nucleus_tag=s["nucleus"],
-                    position=int(s["position"]),
-                    stress=None if s["stress"] is None else StressLevel(s["stress"]),
-                )
-                for s in doc["syllables"]
-            ]
-            records.append(WordRecord(doc["utterance_id"], doc["word"], syllables))
+    """Parse a feature table; a malformed line is a FormatError at path:line."""
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    records.append(_record(line))
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
     return records

@@ -16,7 +16,7 @@ from typing import Iterable, TextIO
 from .errors import EmptyLexicon, NoNucleus, UnknownVowel
 
 
-class StressLevel(IntEnum):
+class StressLevel(IntEnum):  # values are the CMUdict stress digits
     NON_STRESS = 0
     PRIMARY = 1
     SECONDARY = 2
@@ -43,15 +43,6 @@ TAG_TO_INDEX = {tag: i for i, tag in enumerate(NUCLEUS_TAGS)}
 
 _ALTERNATE_RE = re.compile(r"^(.*)\((\d+)\)$")
 _STRIP_RE = re.compile(r"[^A-Z0-9'\-\.]")
-
-
-def stress_from_digit(digit: int) -> StressLevel:
-    """Map a CMUdict stress digit to a StressLevel (bijection on {0,1,2})."""
-    return StressLevel(digit)
-
-
-def digit_from_stress(stress: StressLevel) -> int:
-    return int(stress)
 
 
 @dataclass(frozen=True)
@@ -145,7 +136,7 @@ def syllabify(entry: PronEntry) -> Syllabification:
             onset=tuple(entry.phonemes[onset_start:idx]),
             nucleus_tag=nucleus_type_of(vowel, digit),
             coda=tuple(coda),
-            stress=stress_from_digit(digit),
+            stress=StressLevel(digit),
             nucleus_phoneme=phon,
         ))
     return Syllabification(tuple(syllables))

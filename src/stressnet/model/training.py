@@ -12,7 +12,6 @@ from ..errors import (
     InvalidConfig,
     NumericalInstability,
 )
-from ..lexicon import StressLevel
 from .config import ModelConfig, TrainConfig
 from .network import (
     Params,
@@ -178,14 +177,12 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
 
 
 def predict_instances(params: Params, config: ModelConfig,
-                      instances: list[WordInstance],
-                      ) -> list[list[tuple[StressLevel, np.ndarray]]]:
-    """Per instance, per valid syllable: (argmax stress level, 3 class
-    probabilities), in input order.
+                      instances: list[WordInstance]) -> list[np.ndarray]:
+    """Per instance, the (valid_count, 3) class probabilities of its
+    syllables, in input order.
 
     Scores SCORE_CHUNK words per forward pass, each chunk trimmed to its
-    longest word. Ties break toward the lowest class index; padded slots
-    yield nothing.
+    longest word. Padded slots yield nothing.
     """
     out = []
     for start in range(0, len(instances), SCORE_CHUNK):
@@ -193,14 +190,11 @@ def predict_instances(params: Params, config: ModelConfig,
         batch = make_batch(chunk, config)
         _, probs, _, _ = forward(params, batch.features, batch.types,
                                  batch.mask, config)
-        for row, inst in zip(probs, chunk):
-            out.append([(StressLevel(int(p.argmax())), p)
-                        for p in row[:inst.valid_count]])
+        out.extend(row[:inst.valid_count] for row, inst in zip(probs, chunk))
     return out
 
 
 def predict_instance(params: Params, config: ModelConfig,
-                     instance: WordInstance,
-                     ) -> list[tuple[StressLevel, np.ndarray]]:
+                     instance: WordInstance) -> np.ndarray:
     """predict_instances for one word."""
     return predict_instances(params, config, [instance])[0]

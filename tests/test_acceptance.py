@@ -46,7 +46,7 @@ from stressnet.model import (
     train,
 )
 from stressnet.model.network import loss_from_logits
-from stressnet.baselines import predict_batch, train_forest, train_ordinal
+from stressnet.baselines import flatten, scores, train_forest, train_ordinal
 
 
 def report(criterion, ok, detail):
@@ -260,15 +260,6 @@ def test_criterion_6_dsp_accuracy():
                   f"{silence_ok}, {elapsed:.1f}s")
 
 
-def _syllable_matrix(instances, k=12):
-    X, y = [], []
-    for inst in instances:
-        for i in range(inst.valid_count):
-            X.append(inst.features[i, :k])
-            y.append(int(inst.labels[i]))
-    return np.asarray(X), np.asarray(y)
-
-
 def test_criterion_7_separable_oracle_learning(lexicon):
     t0 = time.monotonic()
     _, recs = synth_corpus(lexicon, 320, GenConfig(noise=0.0), seed=11)
@@ -301,12 +292,12 @@ def test_criterion_7_separable_oracle_learning(lexicon):
         TrainConfig(epochs=30, seed=21, learning_rate=3e-3))
     table = weights.table if weights is not None else None
     _, attn_acc = evaluate_batch(params, make_batch(test_set, cfg, table), cfg)
-    Xtr, ytr = _syllable_matrix(train_all)
-    Xte, yte = _syllable_matrix(test_set)
-    rf_acc = float((predict_batch(
-        train_forest(Xtr, ytr, n_trees=50, seed=21), Xte) == yte).mean())
-    or_acc = float((predict_batch(
-        train_ordinal(Xtr, ytr, seed=21), Xte) == yte).mean())
+    Xtr, ytr = flatten(train_all, 12)
+    Xte, yte = flatten(test_set, 12)
+    rf_acc = float((scores(train_forest(Xtr, ytr, n_trees=50, seed=21),
+                           Xte).argmax(axis=1) == yte).mean())
+    or_acc = float((scores(train_ordinal(Xtr, ytr, seed=21),
+                           Xte).argmax(axis=1) == yte).mean())
     gap = attn_acc - max(rf_acc, or_acc)
     ctx_ok = gap >= 0.10
     ok = sep_ok and ctx_ok
@@ -330,12 +321,12 @@ def test_criterion_8_moderate_noise_ordering(lexicon):
             TrainConfig(epochs=30, seed=seed, learning_rate=3e-3))
         table = weights.table if weights is not None else None
         _, attn = evaluate_batch(params, make_batch(test_set, cfg, table), cfg)
-        Xtr, ytr = _syllable_matrix(train_all)
-        Xte, yte = _syllable_matrix(test_set)
-        rf = float((predict_batch(
-            train_forest(Xtr, ytr, n_trees=50, seed=seed), Xte) == yte).mean())
-        om = float((predict_batch(
-            train_ordinal(Xtr, ytr, seed=seed), Xte) == yte).mean())
+        Xtr, ytr = flatten(train_all, 12)
+        Xte, yte = flatten(test_set, 12)
+        rf = float((scores(train_forest(Xtr, ytr, n_trees=50, seed=seed),
+                           Xte).argmax(axis=1) == yte).mean())
+        om = float((scores(train_ordinal(Xtr, ytr, seed=seed),
+                           Xte).argmax(axis=1) == yte).mean())
         results.append((seed, attn, rf, om))
     ok = all(attn >= rf >= om for _, attn, rf, om in results)
     detail = "; ".join(f"seed {s}: attn {a:.3f} >= rf {r:.3f} >= or {o:.3f}"

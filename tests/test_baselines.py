@@ -4,8 +4,8 @@ import pytest
 from stressnet.baselines import (
     ForestModel,
     OrdinalModel,
-    predict_baseline,
-    predict_batch,
+    flatten,
+    scores,
     train_forest,
     train_ordinal,
 )
@@ -25,12 +25,7 @@ def ordinal_1d_data(rng, n=600):
 
 def corpus_syllables(lexicon, noise=0.0, n_utts=60, seed=2):
     _, recs = synth_corpus(lexicon, n_utts, GenConfig(noise=noise), seed=seed)
-    X, y = [], []
-    for inst in instances_from_table(recs):
-        for i in range(inst.valid_count):
-            X.append(inst.features[i])
-            y.append(int(inst.labels[i]))
-    return np.asarray(X), np.asarray(y)
+    return flatten(instances_from_table(recs), 12)
 
 
 class TestOrdinal:
@@ -38,7 +33,7 @@ class TestOrdinal:
         rng = np.random.default_rng(0)
         X, y = ordinal_1d_data(rng)
         model = train_ordinal(X[:400], y[:400], seed=1)
-        assert (predict_batch(model, X[400:]) == y[400:]).mean() == 1.0
+        assert (scores(model, X[400:]).argmax(axis=1) == y[400:]).mean() == 1.0
 
     def test_heavy_regularization_collapses_to_majority(self):
         rng = np.random.default_rng(1)
@@ -47,7 +42,7 @@ class TestOrdinal:
         y[:300] = int(StressLevel.NON_STRESS)
         model = train_ordinal(X, y, lam=1e6, seed=0)
         assert np.abs(model.coefficients).max() < 1e-2
-        preds = predict_batch(model, X)
+        preds = scores(model, X).argmax(axis=1)
         majority = np.bincount(y, minlength=3).argmax()
         assert (preds == majority).mean() > 0.99
 
@@ -104,7 +99,7 @@ class TestOrdinal:
         rank_of = {int(StressLevel.NON_STRESS): 0,
                    int(StressLevel.SECONDARY): 1,
                    int(StressLevel.PRIMARY): 2}
-        ranks = [rank_of[int(p)] for p in predict_batch(model, grid)]
+        ranks = [rank_of[int(p)] for p in scores(model, grid).argmax(axis=1)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
     def test_zero_coefficients_constant_predictions(self):
@@ -118,7 +113,7 @@ class TestForest:
     def test_noiseless_corpus_training_accuracy(self, lexicon):
         X, y = corpus_syllables(lexicon, noise=0.0)
         model = train_forest(X, y, n_trees=20, seed=1)
-        assert (predict_batch(model, X) == y).mean() == 1.0
+        assert (scores(model, X).argmax(axis=1) == y).mean() == 1.0
 
     def test_single_tree_full_depth_is_a_decision_tree(self):
         rng = np.random.default_rng(6)
@@ -145,12 +140,12 @@ class TestForest:
         n = len(y)
         X_train, y_train = X[:n // 2], y[:n // 2]
         X_test = X[n // 2:]
-        before = predict_batch(train_forest(X_train, y_train, n_trees=15,
-                                            seed=5), X_test)
+        before = scores(train_forest(X_train, y_train, n_trees=15,
+                                     seed=5), X_test).argmax(axis=1)
         Xt = X.copy()
         Xt[:, 3] = np.exp(0.25 * Xt[:, 3])  # strictly monotone on one feature
-        after = predict_batch(train_forest(Xt[:n // 2], y_train, n_trees=15,
-                                           seed=5), Xt[n // 2:])
+        after = scores(train_forest(Xt[:n // 2], y_train, n_trees=15,
+                                    seed=5), Xt[n // 2:]).argmax(axis=1)
         assert np.array_equal(before, after)
 
     def test_leaf_counts_nonzero(self, lexicon):
@@ -171,9 +166,9 @@ class TestPredictBaseline:
         X = np.vstack([rng.normal(-3, 0.1, (50, 2)), rng.normal(3, 0.1, (50, 2))])
         y = np.array([0] * 50 + [1] * 50)
         model = train_forest(X, y, n_trees=9, seed=8)
-        level, scores = predict_baseline(model, np.array([3.0, 3.0]))
-        assert level == StressLevel.PRIMARY
-        assert scores[1] == 1.0
+        (row,) = scores(model, np.array([[3.0, 3.0]]))
+        assert row.argmax() == StressLevel.PRIMARY
+        assert row[1] == 1.0
 
     def test_tie_vote_lowest_class(self):
         # hand-built forest with two trees voting for different classes
@@ -184,11 +179,46 @@ class TestPredictBaseline:
             return TreeNodes(np.array([-1]), np.array([0.0]),
                              np.array([-1]), np.array([-1]), counts)
         model = ForestModel([stump(2), stump(1)], 2, 1, 1)
-        level, scores = predict_baseline(model, np.zeros(3))
-        assert level == StressLevel.PRIMARY  # classes 1 and 2 tie -> lower
-        assert scores[1] == scores[2] == 0.5
+        (row,) = scores(model, np.zeros((1, 3)))
+        assert row.argmax() == StressLevel.PRIMARY  # classes 1 and 2 tie -> lower
+        assert row[1] == row[2] == 0.5
 
     def test_shape_error(self):
         model = OrdinalModel(np.zeros(4), np.array([-1.0, 1.0]))
         with pytest.raises(ShapeError):
-            predict_baseline(model, np.zeros(7))
+            scores(model, np.zeros((1, 7)))
+
+    def test_unknown_model_type_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            scores(object(), np.zeros((2, 3)))
+
+    def test_scores_all_rows_at_once_as_row_by_row(self, lexicon):
+        X, y = corpus_syllables(lexicon, noise=1.0, n_utts=10)
+        forest = train_forest(X, y, n_trees=5, seed=3)
+        ordinal = train_ordinal(X, y, seed=3)
+        batched_rf, batched_or = scores(forest, X), scores(ordinal, X)
+        assert batched_rf.shape == batched_or.shape == (len(y), 3)
+        for i in range(len(y)):
+            assert np.array_equal(batched_rf[i], forest.vote_shares(X[i])[0])
+            assert np.abs(batched_or[i] - ordinal.class_probs(X[i])[0]).max() < 1e-12
+        assert scores(forest, np.zeros((0, 12))).shape == (0, 3)
+        assert scores(ordinal, np.zeros((0, 12))).shape == (0, 3)
+
+
+class TestFlatten:
+    def test_one_row_per_valid_syllable_in_word_order(self, lexicon):
+        _, recs = synth_corpus(lexicon, 3, GenConfig(noise=0.5), seed=4)
+        instances = instances_from_table(recs)
+        X, y = flatten(instances, 6)
+        assert X.shape == (sum(inst.valid_count for inst in instances), 6)
+        row = 0
+        for inst in instances:
+            for i in range(inst.valid_count):
+                assert np.array_equal(X[row], inst.features[i, :6])
+                assert y[row] == inst.labels[i]
+                row += 1
+
+    def test_no_instances_give_zero_rows(self):
+        X, y = flatten([], 12)
+        assert X.shape == (0, 12)
+        assert y.shape == (0,)

@@ -272,3 +272,149 @@ class TestFeaturize:
                    str(apath), "--out", str(tmp_path / "features.jsonl"))
         assert code == 3
         assert "dsp" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def baseline_ckpts(pipeline):
+    """The pipeline's rf checkpoint plus an or one on the 6 syllable features."""
+    root, out, _, rf = pipeline
+    ordinal = str(root / "or.ckpt")
+    assert run("train", "--model", "or", "--train",
+               str(out / "splits" / "train.jsonl"), "--out", ordinal,
+               "--feature-mode", "syllable_numerical", "--seed", "5") == 0
+    return {"rf": rf, "or": ordinal}
+
+
+def per_word_reference(ckpt, table):
+    """predict's output lines, scoring one word per call as a reference."""
+    from stressnet.checkpoint import load_any
+    from stressnet.corpus import instances_from_table
+    from stressnet.model import feature_dim
+
+    kind, model, feature_mode, _ = load_any(ckpt)
+    score = model.vote_shares if kind == "forest" else model.class_probs
+    lines = []
+    for inst in instances_from_table(read_feature_table(table)):
+        probs = score(inst.features[:inst.valid_count, :feature_dim(feature_mode)])
+        lines.append(json.dumps({
+            "utterance_id": inst.utterance_id,
+            "word": inst.word,
+            "syllables": [{"position": i, "stress_pred": int(p.argmax()),
+                           "probs": [float(x) for x in p]}
+                          for i, p in enumerate(probs)],
+        }, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+class TestBaselineCheckpoints:
+    """eval/predict on or and rf checkpoints score every syllable of a file
+    in one call and give what scoring word by word gives."""
+
+    def test_forest_predict_matches_per_word_bytes(self, pipeline,
+                                                   baseline_ckpts):
+        root, out, _, _ = pipeline
+        table = str(out / "splits" / "test.jsonl")
+        preds = root / "rf_preds.jsonl"
+        assert run("predict", "--model", baseline_ckpts["rf"], "--input",
+                   table, "--out", str(preds)) == 0
+        assert preds.read_text() == per_word_reference(baseline_ckpts["rf"], table)
+
+    def test_ordinal_predict_matches_per_word_scores(self, pipeline,
+                                                     baseline_ckpts):
+        root, out, _, _ = pipeline
+        table = str(out / "splits" / "test.jsonl")
+        preds = root / "or_preds.jsonl"
+        assert run("predict", "--model", baseline_ckpts["or"], "--input",
+                   table, "--out", str(preds)) == 0
+        got = [json.loads(l) for l in preds.read_text().splitlines()]
+        want = [json.loads(l) for l in
+                per_word_reference(baseline_ckpts["or"], table).splitlines()]
+        assert len(got) == len(want) == len(read_feature_table(table))
+        for g, w in zip(got, want):
+            assert (g["utterance_id"], g["word"]) == (w["utterance_id"], w["word"])
+            assert len(g["syllables"]) == len(w["syllables"])
+            for gs, ws in zip(g["syllables"], w["syllables"]):
+                assert gs["stress_pred"] == ws["stress_pred"]
+                assert np.abs(np.subtract(gs["probs"], ws["probs"])).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["rf", "or"])
+    def test_empty_input(self, tmp_path, capsys, baseline_ckpts, kind):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        preds = tmp_path / "preds.jsonl"
+        assert run("predict", "--model", baseline_ckpts[kind], "--input",
+                   str(empty), "--out", str(preds)) == 0
+        assert preds.read_text() == ""
+        assert run("eval", "--model", baseline_ckpts[kind], "--data",
+                   str(empty), "--out", str(tmp_path / "report")) == 4
+        assert "AlignmentError" in capsys.readouterr().err
+
+
+def _edit(path, *value):
+    """A mutation that sets the field at path (keys into the record) to
+    value, or deletes it when no value is given."""
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        if value:
+            doc[last] = value[0]
+        else:
+            del doc[last]
+    return mutate
+
+
+SYL = ("syllables", 0)
+MALFORMED_LINES = {
+    "bad_json": '{"utterance_id": "u", "word": ',
+    "non_object": "[1, 2, 3]",
+    "missing_utterance_id": _edit(("utterance_id",)),
+    "utterance_id_not_string": _edit(("utterance_id",), 7),
+    "missing_word": _edit(("word",)),
+    "word_not_string": _edit(("word",), ["a"]),
+    "missing_syllables": _edit(("syllables",)),
+    "syllables_not_list": _edit(("syllables",), {"position": 0}),
+    "syllable_not_object": _edit(SYL, 3),
+    "missing_features": _edit(SYL + ("features",)),
+    "features_not_list": _edit(SYL + ("features",), "1.0"),
+    "eleven_features": lambda doc: doc["syllables"][0]["features"].pop(),
+    "feature_not_number": _edit(SYL + ("features", 4), "x"),
+    "nan_feature": _edit(SYL + ("features", 0), float("nan")),
+    "infinite_feature": _edit(SYL + ("features", 2), float("-inf")),
+    "missing_nucleus": _edit(SYL + ("nucleus",)),
+    "nucleus_not_string": _edit(SYL + ("nucleus",), 1),
+    "unknown_nucleus": _edit(SYL + ("nucleus",), "zz"),
+    "missing_position": _edit(SYL + ("position",)),
+    "position_not_int": _edit(SYL + ("position",), "0"),
+    "missing_stress": _edit(SYL + ("stress",)),
+    "stress_not_int": _edit(SYL + ("stress",), "1"),
+    "stress_out_of_range": _edit(SYL + ("stress",), 3),
+}
+
+
+class TestMalformedFeatureTables:
+    """Every malformed feature-table line is a FormatError, exit 4, with no
+    traceback; read_feature_table names the file and line."""
+
+    @pytest.mark.parametrize("kind", ["rf", "or"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+    def test_predict_exits_4(self, pipeline, baseline_ckpts, tmp_path,
+                             capsys, case, kind):
+        _, out, _, _ = pipeline
+        good = (out / "splits" / "test.jsonl").read_text().splitlines()[0]
+        bad = MALFORMED_LINES[case]
+        if callable(bad):
+            doc = json.loads(good)
+            bad(doc)
+            bad = json.dumps(doc)
+        table = tmp_path / "bad.jsonl"
+        table.write_text(good + "\n" + bad + "\n")
+        capsys.readouterr()
+        code = run("predict", "--model", baseline_ckpts[kind], "--input",
+                   str(table), "--out", str(tmp_path / "preds.jsonl"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "FormatError" in err and "Traceback" not in err
+        where = (repr(json.loads(good)["word"]) if case == "unknown_nucleus"
+                 else f"{table}:2")
+        assert where in err

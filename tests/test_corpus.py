@@ -322,22 +322,13 @@ class TestSynthCorpus:
     def test_large_noise_approaches_majority_rate(self, lexicon):
         # noise at 3x the class gaps drowns the class structure; a strong
         # per-syllable classifier ends up near the majority-class rate
-        from stressnet.baselines import predict_batch, train_forest
+        from stressnet.baselines import flatten, scores, train_forest
         _, recs = synth_corpus(lexicon, 200, GenConfig(noise=3.0), seed=17)
         train_set, test_set = split(instances_from_table(recs), 0.7, seed=17)
-
-        def flatten(instances):
-            X, y = [], []
-            for inst in instances:
-                for i in range(inst.valid_count):
-                    X.append(inst.features[i])
-                    y.append(int(inst.labels[i]))
-            return np.asarray(X), np.asarray(y)
-
-        Xtr, ytr = flatten(train_set)
-        Xte, yte = flatten(test_set)
+        Xtr, ytr = flatten(train_set, 12)
+        Xte, yte = flatten(test_set, 12)
         majority = np.bincount(ytr, minlength=3).argmax()
         majority_rate = float((yte == majority).mean())
-        acc = float((predict_batch(
-            train_forest(Xtr, ytr, n_trees=40, seed=17), Xte) == yte).mean())
+        acc = float((scores(train_forest(Xtr, ytr, n_trees=40, seed=17),
+                            Xte).argmax(axis=1) == yte).mean())
         assert abs(acc - majority_rate) < 0.05

@@ -1,14 +1,21 @@
+import copy
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stressnet.corpus import instances_from_table
 from stressnet.dsp import IntensityTrack, PitchTrack
-from stressnet.errors import InvalidSpan, SpanOutOfRange
+from stressnet.errors import InvalidSpan, SpanOutOfRange, StressnetError
 from stressnet.features import (
     FEATURE_SLOTS,
     RawSyllableFeatures,
     extract_features,
     normalize_sentence,
+    read_feature_table,
 )
 
 HOP = 0.01
@@ -144,3 +151,83 @@ class TestNormalizeSentence:
         out = normalize_sentence([raw(*v) for v in rows])
         stacked = np.stack(out)
         assert np.all(np.abs(stacked.mean(axis=0)) < 1e-6)
+
+
+# --- feature table fuzzing ----------------------------------------------------
+
+VALID_RECORD = {
+    "utterance_id": "u1",
+    "word": "overcome",
+    "syllables": [
+        {"position": i, "features": [0.1 * (i + 1)] * 12, "nucleus": tag,
+         "stress": stress}
+        for i, (tag, stress) in enumerate([("ow", 2), ("er", 0), ("ah", 1)])
+    ],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_records(draw):
+    """VALID_RECORD with one field, syllable or feature dropped or replaced."""
+    doc = copy.deepcopy(VALID_RECORD)
+    where = draw(st.sampled_from(["record", "syllable", "features"]))
+    if where == "record":
+        container = doc
+        key = draw(st.sampled_from(["utterance_id", "word", "syllables"]))
+    else:
+        i = draw(st.integers(0, 2))
+        if where == "syllable":
+            container = doc["syllables"][i]
+            key = draw(st.sampled_from(
+                ["position", "features", "nucleus", "stress"]))
+        else:
+            container = doc["syllables"][i]["features"]
+            key = draw(st.integers(0, 11))
+    if draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(json_values)
+    return json.dumps(doc).encode()
+
+
+def read_instances(lines: list[bytes]):
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        return instances_from_table(read_feature_table(path))
+    finally:
+        os.unlink(path)
+
+
+class TestFeatureTableFuzz:
+    """Whatever a feature table holds, reading it either works or raises a
+    StressnetError."""
+
+    def test_valid_record_reads(self):
+        (inst,) = read_instances([json.dumps(VALID_RECORD).encode()])
+        assert inst.valid_count == 3
+        assert [int(x) for x in inst.labels[:3]] == [2, 0, 1]
+
+    @given(st.lists(st.text(max_size=40).map(str.encode)
+                    | st.binary(max_size=40), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_lines(self, lines):
+        try:
+            read_instances(lines)
+        except StressnetError:
+            pass
+
+    @given(st.lists(mutated_records(), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_records(self, lines):
+        try:
+            read_instances(lines)
+        except StressnetError:
+            pass

@@ -10,7 +10,6 @@ from stressnet.lexicon import (
     StressLevel,
     nucleus_type_of,
     parse_dictionary,
-    stress_from_digit,
     syllabify,
 )
 
@@ -138,4 +137,4 @@ class TestFullDictionary:
 
 @given(st.integers(min_value=0, max_value=2))
 def test_stress_digit_bijection(digit):
-    assert int(stress_from_digit(digit)) == digit
+    assert int(StressLevel(digit)) == digit

@@ -401,12 +401,9 @@ class TestPredict:
         cfg = tiny_config()
         params = init_params(cfg, np.random.default_rng(23))
         inst = train_set[0]
-        preds = predict_instance(params, cfg, inst)
-        assert len(preds) == inst.valid_count
-        for level, probs in preds:
-            assert isinstance(level, StressLevel)
-            assert probs.shape == (3,)
-            assert probs.sum() == pytest.approx(1.0)
+        probs = predict_instance(params, cfg, inst)
+        assert probs.shape == (inst.valid_count, 3)
+        assert probs.sum(axis=1) == pytest.approx(np.ones(inst.valid_count))
 
     def test_argmax_and_tie_rule(self):
         probs = np.array([0.2, 0.5, 0.3])
@@ -420,8 +417,8 @@ class TestPredict:
         params = init_params(cfg, np.random.default_rng(24))
         params["head.W"][:] = 0.0
         params["head.b"][:] = 0.0
-        preds = predict_instance(params, cfg, train_set[0])
-        assert all(level == StressLevel.NON_STRESS for level, _ in preds)
+        probs = predict_instance(params, cfg, train_set[0])
+        assert np.all(probs.argmax(axis=1) == StressLevel.NON_STRESS)
 
 
 def pad_to_full_width(feats, types, mask, labels, weights, width=17):
@@ -502,14 +499,12 @@ class TestTrimmedBatches:
         monkeypatch.setattr(training_mod, "SCORE_CHUNK", 7)
         scored = predict_instances(params, cfg, test_set)
         assert len(scored) == len(test_set)
-        for inst, per_syll in zip(test_set, scored):
+        for inst, p in zip(test_set, scored):
             _, probs, _, _ = forward(params, inst.features[None],
                                      inst.type_indices[None],
                                      inst.mask[None], cfg)
-            assert len(per_syll) == inst.valid_count
-            for i, (level, p) in enumerate(per_syll):
-                assert np.abs(p - probs[0, i]).max() < 1e-12
-                assert level == StressLevel(int(p.argmax()))
+            assert p.shape == (inst.valid_count, 3)
+            assert np.abs(p - probs[0, :inst.valid_count]).max() < 1e-12
         one = predict_instance(params, cfg, test_set[3])
-        assert [lvl for lvl, _ in one] == [lvl for lvl, _ in scored[3]]
+        assert np.array_equal(one.argmax(axis=1), scored[3].argmax(axis=1))
         assert predict_instances(params, cfg, []) == []
