@@ -275,14 +275,12 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
 # --- shared scoring -----------------------------------------------------------
 
 def flatten(instances: list[WordInstance], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One row per valid syllable, in word order: features[:k] as (n, k)
+    """One row per syllable, in word order: features[:k] as (n, k)
     and the gold labels as (n,). No instances give (0, k) and (0,)."""
     if not instances:
         return np.zeros((0, k)), np.zeros(0, dtype=np.int64)
-    return (np.concatenate([inst.features[:inst.valid_count, :k]
-                            for inst in instances]),
-            np.concatenate([inst.labels[:inst.valid_count]
-                            for inst in instances]))
+    return (np.concatenate([inst.features[:, :k] for inst in instances]),
+            np.concatenate([inst.labels for inst in instances]))
 
 
 def scores(model, X: np.ndarray) -> np.ndarray:

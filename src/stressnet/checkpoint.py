@@ -28,6 +28,8 @@ format flattens all trees into contiguous node arrays indexed by
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -81,15 +83,17 @@ def _array_entry(path: str, entry) -> tuple[str, np.dtype, tuple[int, ...]]:
     """(name, dtype, shape) of one header array entry, validated."""
     if not isinstance(entry, dict) or not {"name", "dtype", "shape"} <= set(entry):
         raise CheckpointError(f"{path}: malformed array entry {entry!r}")
-    dtype = _DTYPES.get(entry["dtype"])
+    name = entry["name"]
+    if type(name) is not str:
+        raise CheckpointError(f"{path}: array name {name!r} is not a string")
+    dtype = _DTYPES.get(entry["dtype"]) if type(entry["dtype"]) is str else None
     if dtype is None:
         raise CheckpointError(f"{path}: unknown dtype {entry['dtype']!r}")
     shape = entry["shape"]
     if not isinstance(shape, list) or not all(
             type(d) is int and d >= 0 for d in shape):
-        raise CheckpointError(
-            f"{path}: array {entry['name']!r} has bad shape {shape!r}")
-    return entry["name"], dtype, tuple(shape)
+        raise CheckpointError(f"{path}: array {name!r} has bad shape {shape!r}")
+    return name, dtype, tuple(shape)
 
 
 def load_container(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
@@ -97,7 +101,7 @@ def load_container(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
             raise CheckpointError(f"{path}: bad header ({exc})")
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
@@ -110,16 +114,25 @@ def load_container(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: header has no meta object")
         if not isinstance(header.get("arrays"), list):
             raise CheckpointError(f"{path}: header has no array list")
-        arrays: dict[str, np.ndarray] = {}
+        declared: dict[str, tuple[np.dtype, tuple[int, ...], int]] = {}
         for entry in header["arrays"]:
             name, dtype, shape = _array_entry(path, entry)
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
-                raise CheckpointError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after declared arrays")
+            if name in declared:
+                raise CheckpointError(f"{path}: array {name!r} declared twice")
+            # a Python int product, so no declared shape can wrap around
+            declared[name] = dtype, shape, math.prod(shape) * dtype.itemsize
+        total = sum(nbytes for _, _, nbytes in declared.values())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if total != left:
+            raise CheckpointError(
+                f"{path}: header declares {total} array bytes, file holds {left}")
+        arrays: dict[str, np.ndarray] = {}
+        for name, (dtype, shape, nbytes) in declared.items():
+            raw = np.frombuffer(fh.read(nbytes), dtype=dtype)
+            try:
+                arrays[name] = raw.reshape(shape).copy()
+            except ValueError as exc:  # over 64 dimensions, or a huge empty shape
+                raise CheckpointError(f"{path}: array {name!r}: {exc}")
     return fmt, header["meta"], arrays
 
 
@@ -151,10 +164,6 @@ def _model_from(meta: dict, arrays: dict[str, np.ndarray],
     return arrays, config, weights
 
 
-def load_model(path: str) -> tuple[Params, ModelConfig, ClassWeights | None]:
-    return _build(path, *load_container(path), FORMAT_ATTENTION)
-
-
 # --- baselines ----------------------------------------------------------------
 
 def save_ordinal(path: str, model: OrdinalModel, feature_mode: str) -> None:
@@ -168,10 +177,6 @@ def _ordinal_from(meta: dict, arrays: dict[str, np.ndarray],
                   ) -> tuple[OrdinalModel, str]:
     return (OrdinalModel(arrays["coefficients"], arrays["thresholds"]),
             meta["feature_mode"])
-
-
-def load_ordinal(path: str) -> tuple[OrdinalModel, str]:
-    return _build(path, *load_container(path), FORMAT_ORDINAL)
 
 
 def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
@@ -209,10 +214,6 @@ def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
     return model, meta["feature_mode"]
 
 
-def load_forest(path: str) -> tuple[ForestModel, str]:
-    return _build(path, *load_container(path), FORMAT_FOREST)
-
-
 _BUILDERS = {
     FORMAT_ATTENTION: _model_from,
     FORMAT_ORDINAL: _ordinal_from,
@@ -220,12 +221,9 @@ _BUILDERS = {
 }
 
 
-def _build(path: str, fmt: str, meta: dict, arrays: dict[str, np.ndarray],
-           expected: str):
+def _build(path: str, fmt: str, meta: dict, arrays: dict[str, np.ndarray]):
     """Build the model of a parsed container; a meta or array set that
     does not fit its format is a CheckpointError."""
-    if fmt != expected:
-        raise CheckpointError(f"{path}: expected {expected}, found {fmt}")
     try:
         return _BUILDERS[fmt](meta, arrays)
     except (KeyError, TypeError, ValueError) as exc:
@@ -237,7 +235,7 @@ def load_any(path: str):
     """(kind, model payload, feature_mode, class weights or None); the file
     is read once."""
     fmt, meta, arrays = load_container(path)
-    model = _build(path, fmt, meta, arrays, fmt)
+    model = _build(path, fmt, meta, arrays)
     if fmt == FORMAT_ATTENTION:
         params, config, weights = model
         return "attention", (params, config), config.feature_mode, weights

@@ -24,12 +24,12 @@ from . import baselines, bundled_dictionary_path, checkpoint
 from .corpus import (
     GenConfig,
     WordInstance,
-    instance_to_record,
     instances_from_table,
     label_utterance,
     load_alignment,
+    require_gold,
     save_alignment,
-    split as split_instances,
+    split as split_utterances,
     synth_corpus,
 )
 from .dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
@@ -41,7 +41,7 @@ from .features import (
     read_feature_table,
     write_feature_table,
 )
-from .lexicon import NUCLEUS_TAGS, StressLevel, load_dictionary, syllabify
+from .lexicon import StressLevel, load_dictionary, syllabify
 from .model import (
     ALL_FEATURES,
     FEATURE_MODES,
@@ -169,21 +169,19 @@ def _cmd_label(args, config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = _alignment_files(args.alignments)
-    n_instances = 0
+    n_words = 0
     with open(out / "labels.jsonl", "w", encoding="utf-8") as lab_fh, \
             open(out / "exclusions.jsonl", "w", encoding="utf-8") as exc_fh:
         for f in files:
             alignment = load_alignment(f)
-            instances, exclusions = label_utterance(
+            records, exclusions = label_utterance(
                 alignment, lex, exclusion_scope=scope)
-            for inst in instances:
+            for rec in records:
                 lab_fh.write(json.dumps({
-                    "utterance_id": inst.utterance_id,
-                    "word": inst.word,
-                    "stresses": [int(inst.labels[i])
-                                 for i in range(inst.valid_count)],
-                    "nuclei": [NUCLEUS_TAGS[inst.type_indices[i]]
-                               for i in range(inst.valid_count)],
+                    "utterance_id": rec.utterance_id,
+                    "word": rec.word,
+                    "stresses": [int(obs.stress) for obs in rec.syllables],
+                    "nuclei": [obs.nucleus_tag for obs in rec.syllables],
                 }, sort_keys=True) + "\n")
             for exc in exclusions:
                 exc_fh.write(json.dumps({
@@ -191,12 +189,12 @@ def _cmd_label(args, config) -> int:
                     "word": exc.word,
                     "reason": exc.reason,
                 }, sort_keys=True) + "\n")
-            n_instances += len(instances)
+            n_words += len(records)
     _write_manifest(out, "label", {
         "alignments": args.alignments, "exclusion_scope": scope,
         "dict": _dict_path(args, config),
     }, files + [_dict_path(args, config)])
-    print(f"label: {n_instances} labeled word instances -> {out}")
+    print(f"label: {n_words} labeled word instances -> {out}")
     return 0
 
 
@@ -255,9 +253,9 @@ def _cmd_featurize(args, config) -> int:
     records = []
     n_excluded = 0
     for f in files:
-        instances, exclusions = _featurize_one(f, args.audio_dir, lex,
-                                               dsp_cfg, pool, scope)
-        records.extend(instance_to_record(inst) for inst in instances)
+        labeled, exclusions = _featurize_one(f, args.audio_dir, lex,
+                                             dsp_cfg, pool, scope)
+        records.extend(labeled)
         n_excluded += len(exclusions)
     write_feature_table(records, args.out)
     _write_manifest(Path(args.out).parent, "featurize", {
@@ -272,18 +270,12 @@ def _cmd_featurize(args, config) -> int:
 
 def _cmd_split(args, config) -> int:
     records = read_feature_table(args.features)
-    instances = instances_from_table(records)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    train_set, test_set = split_instances(instances, args.train_fraction, seed)
-    train_ids = {inst.utterance_id for inst in train_set}
+    train_set, test_set = split_utterances(records, args.train_fraction, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_feature_table(
-        [r for r in records if r.utterance_id in train_ids],
-        str(out / "train.jsonl"))
-    write_feature_table(
-        [r for r in records if r.utterance_id not in train_ids],
-        str(out / "test.jsonl"))
+    write_feature_table(train_set, str(out / "train.jsonl"))
+    write_feature_table(test_set, str(out / "test.jsonl"))
     _write_manifest(out, "split", {
         "features": args.features, "train_fraction": args.train_fraction,
         "seed": seed,
@@ -294,6 +286,7 @@ def _cmd_split(args, config) -> int:
 
 def _cmd_train(args, config) -> int:
     instances = instances_from_table(read_feature_table(args.train))
+    require_gold(instances)
     feature_mode = args.feature_mode or config.get("feature_mode", ALL_FEATURES)
     if feature_mode not in FEATURE_MODES:
         raise ConfigError(f"unknown feature mode {feature_mode!r}")
@@ -324,25 +317,26 @@ def _cmd_train(args, config) -> int:
         train_doc["seed"] = seed
         try:
             train_cfg = TrainConfig.from_dict(train_doc)
-        except TypeError as exc:
+        except (TypeError, InvalidConfig) as exc:
             raise ConfigError(f"bad train config: {exc}")
 
-        if args.model in PRESETS:
-            model_cfg = PRESETS[args.model](
-                feature_mode, dropout=args.dropout if args.dropout is not None else 0.1)
-        else:
-            model_doc = dict(config.get("model", {}))
-            model_doc.pop("preset", None)
-            model_doc["feature_mode"] = feature_mode
-            if args.dropout is not None:
-                model_doc["dropout"] = args.dropout
-            try:
+        try:
+            if args.model in PRESETS:
+                model_cfg = PRESETS[args.model](
+                    feature_mode,
+                    dropout=args.dropout if args.dropout is not None else 0.1)
+            else:
+                model_doc = dict(config.get("model", {}))
+                model_doc.pop("preset", None)
+                model_doc["feature_mode"] = feature_mode
+                if args.dropout is not None:
+                    model_doc["dropout"] = args.dropout
                 model_cfg = ModelConfig.from_dict(model_doc)
-            except TypeError as exc:
-                raise ConfigError(f"bad model config: {exc}")
+        except (TypeError, InvalidConfig) as exc:
+            raise ConfigError(f"bad model config: {exc}")
 
         if train_cfg.validation_fraction > 0:
-            tr, val = split_instances(
+            tr, val = split_utterances(
                 instances, 1.0 - train_cfg.validation_fraction, seed)
         else:
             tr, val = instances, []

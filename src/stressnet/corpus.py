@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import (
     AlignmentFormat,
-    FormatError,
     InvalidConfig,
     InvalidSpans,
+    LabelError,
     ShapeError,
     SplitTooSmall,
 )
@@ -47,7 +47,6 @@ from .features import (
 )
 from .lexicon import (
     NUCLEUS_TAGS,
-    PAD_TYPE_INDEX,
     TAG_TO_INDEX,
     Lexicon,
     StressLevel,
@@ -97,6 +96,8 @@ class UtteranceAlignment:
 
 
 def _require(doc: dict, key: str, ctx: str):
+    if not isinstance(doc, dict):
+        raise AlignmentFormat(f"{ctx}: not a JSON object")
     if key not in doc:
         raise AlignmentFormat(f"{ctx}: missing field {key!r}")
     return doc[key]
@@ -107,7 +108,7 @@ def _span(doc: dict, ctx: str) -> tuple[float, float]:
     end = _require(doc, "end_s", ctx)
     try:
         start, end = float(start), float(end)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise AlignmentFormat(f"{ctx}: start_s/end_s must be numbers")
     if not (math.isfinite(start) and math.isfinite(end)) or start >= end:
         raise InvalidSpans(f"{ctx}: bad span [{start}, {end})")
@@ -122,6 +123,8 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
         raise AlignmentFormat(f"{source}: unsupported schema {doc.get('schema')!r}")
     utt_id = str(_require(doc, "utterance_id", source))
     audio_path = doc.get("audio_path")
+    if not isinstance(audio_path, (str, type(None))):
+        raise AlignmentFormat(f"{source}: 'audio_path' must be a string or null")
     words_doc = _require(doc, "words", source)
     if not isinstance(words_doc, list):
         raise AlignmentFormat(f"{source}: 'words' must be a list")
@@ -154,8 +157,8 @@ def load_alignment(path: str) -> UtteranceAlignment:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AlignmentFormat(f"{path}: not valid JSON ({exc})")
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise AlignmentFormat(f"{path}: not valid UTF-8 JSON ({exc})")
     return parse_alignment(doc, source=path)
 
 
@@ -195,64 +198,45 @@ def save_alignment(al: UtteranceAlignment, path: str) -> None:
 
 @dataclass
 class WordInstance:
-    """One padded training/eval sample: 17 syllable slots.
+    """One word as arrays over its n syllables, in position order.
 
-    Slots at index >= valid_count carry zero features, the PAD type index,
-    mask False, and the IGNORE label.
+    There are no padded slots: training.make_batch pads a batch to its
+    longest word.
     """
 
     utterance_id: str
     word: str
-    features: np.ndarray      # (17, 12) float64
-    type_indices: np.ndarray  # (17,) int64
-    mask: np.ndarray          # (17,) bool
-    labels: np.ndarray        # (17,) int64, IGNORE_LABEL where padded/unknown
-    valid_count: int
+    features: np.ndarray      # (n, 12) float64
+    type_indices: np.ndarray  # (n,) int64
+    labels: np.ndarray        # (n,) int64, IGNORE_LABEL where unknown
+
+    @property
+    def valid_count(self) -> int:
+        return len(self.labels)
 
 
 def build_instance(record: WordRecord) -> WordInstance:
-    n = len(record.syllables)
-    if not 1 <= n <= MAX_SYLLABLES:
-        raise ShapeError(f"{record.word!r}: {n} syllables not in 1..{MAX_SYLLABLES}")
-    features = np.zeros((MAX_SYLLABLES, N_FEATURES))
-    types = np.full(MAX_SYLLABLES, PAD_TYPE_INDEX, dtype=np.int64)
-    mask = np.zeros(MAX_SYLLABLES, dtype=bool)
-    labels = np.full(MAX_SYLLABLES, IGNORE_LABEL, dtype=np.int64)
-    for obs in record.syllables:
-        i = obs.position
-        if not 0 <= i < n:
-            raise ShapeError(f"{record.word!r}: position {i} out of range")
-        if obs.features.shape != (N_FEATURES,):
-            raise ShapeError(f"{record.word!r}: feature vector shape {obs.features.shape}")
-        if obs.nucleus_tag not in TAG_TO_INDEX:
-            raise FormatError(f"{record.word!r}: unknown nucleus tag {obs.nucleus_tag!r}")
-        features[i] = obs.features
-        types[i] = TAG_TO_INDEX[obs.nucleus_tag]
-        mask[i] = True
-        labels[i] = IGNORE_LABEL if obs.stress is None else int(obs.stress)
-    if mask[:n].sum() != n:
-        raise ShapeError(f"{record.word!r}: syllable positions not contiguous from 0")
-    return WordInstance(record.utterance_id, record.word,
-                        features, types, mask, labels, n)
+    """Pack a valid record into arrays: one read by read_feature_table or
+    built by this program, syllables in position order."""
+    sylls = record.syllables
+    return WordInstance(
+        record.utterance_id, record.word,
+        np.array([obs.features for obs in sylls], dtype=np.float64),
+        np.array([TAG_TO_INDEX[obs.nucleus_tag] for obs in sylls], dtype=np.int64),
+        np.array([IGNORE_LABEL if obs.stress is None else int(obs.stress)
+                  for obs in sylls], dtype=np.int64))
 
 
 def instances_from_table(records: list[WordRecord]) -> list[WordInstance]:
     return [build_instance(r) for r in records]
 
 
-def instance_to_record(inst: WordInstance) -> WordRecord:
-    """Back-convert a labeled instance to a feature-table record."""
-    obs = [
-        SyllableObservation(
-            features=inst.features[i],
-            nucleus_tag=NUCLEUS_TAGS[inst.type_indices[i]],
-            position=i,
-            stress=(None if inst.labels[i] < 0
-                    else StressLevel(int(inst.labels[i]))),
-        )
-        for i in range(inst.valid_count)
-    ]
-    return WordRecord(inst.utterance_id, inst.word, obs)
+def require_gold(instances: list[WordInstance]) -> None:
+    """LabelError naming the first word with a syllable of unknown stress."""
+    for inst in instances:
+        if (inst.labels == IGNORE_LABEL).any():
+            raise LabelError(f"{inst.utterance_id}: {inst.word!r} has a "
+                             "syllable without a gold stress label")
 
 
 # --- labeling ---------------------------------------------------------------
@@ -278,7 +262,7 @@ def _match_variant(lexicon: Lexicon, text: str, n_syllables: int):
 def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
                     word_features: list[list[np.ndarray]] | None = None,
                     exclusion_scope: str = "word",
-                    ) -> tuple[list[WordInstance], list[Exclusion]]:
+                    ) -> tuple[list[WordRecord], list[Exclusion]]:
     """Attach gold stress labels and nucleus types to an utterance's words.
 
     For each word, pronunciation variants are tried in dictionary order and
@@ -296,7 +280,7 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
     if word_features is not None and len(word_features) != len(alignment.words):
         raise ShapeError("word_features does not match alignment word count")
 
-    instances: list[WordInstance] = []
+    records: list[WordRecord] = []
     exclusions: list[Exclusion] = []
     fatal = False
     for wi, word in enumerate(alignment.words):
@@ -322,37 +306,37 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
                 position=i,
                 stress=s.stress,
             ))
-        instances.append(build_instance(
-            WordRecord(alignment.utterance_id, word.text, obs)))
+        records.append(WordRecord(alignment.utterance_id, word.text, obs))
 
     if fatal and exclusion_scope == "utterance":
         exclusions.extend(
-            Exclusion(inst.utterance_id, inst.word, UTTERANCE_EXCLUDED)
-            for inst in instances)
-        instances = []
-    return instances, exclusions
+            Exclusion(rec.utterance_id, rec.word, UTTERANCE_EXCLUDED)
+            for rec in records)
+        records = []
+    return records, exclusions
 
 
 # --- split ------------------------------------------------------------------
 
-def split(instances: list[WordInstance], train_fraction: float = 0.7,
-          seed: int = 0) -> tuple[list[WordInstance], list[WordInstance]]:
-    """Seeded train/test split at utterance granularity.
+def split(words: list, train_fraction: float = 0.7,
+          seed: int = 0) -> tuple[list, list]:
+    """Seeded train/test split at utterance granularity of word records or
+    instances; only their utterance_id is read, and input order is kept.
 
     Utterance ids are sorted before shuffling so membership depends only on
     the id set and the seed, not on input order.
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise InvalidConfig(f"train_fraction {train_fraction} not in [0, 1]")
-    utt_ids = sorted({inst.utterance_id for inst in instances})
+    utt_ids = sorted({w.utterance_id for w in words})
     if len(utt_ids) < 2:
         raise SplitTooSmall(f"need at least 2 utterances, got {len(utt_ids)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(utt_ids))
     n_train = int(round(train_fraction * len(utt_ids)))
     train_ids = {utt_ids[i] for i in order[:n_train]}
-    train = [inst for inst in instances if inst.utterance_id in train_ids]
-    test = [inst for inst in instances if inst.utterance_id not in train_ids]
+    train = [w for w in words if w.utterance_id in train_ids]
+    test = [w for w in words if w.utterance_id not in train_ids]
     return train, test
 
 
@@ -389,8 +373,7 @@ def compute_class_weights(train: list[WordInstance]) -> ClassWeights:
         raise InvalidConfig("empty training set")
     counts = np.zeros((len(NUCLEUS_TAGS), 3))
     for inst in train:
-        for i in range(inst.valid_count):
-            counts[inst.type_indices[i], inst.labels[i]] += 1.0
+        np.add.at(counts, (inst.type_indices, inst.labels), 1.0)
     table = np.ones((len(NUCLEUS_TAGS), 3))
     for t in range(len(NUCLEUS_TAGS)):
         total = counts[t].sum()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import WordInstance
+from .corpus import WordInstance, require_gold
 from .errors import AlignmentError, FormatError, InsufficientDimensions
 from .lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, StressLevel
 
@@ -34,14 +34,16 @@ def evaluate(predictions: list[list[StressLevel]],
              weight_table: np.ndarray | None = None) -> EvalReport:
     """Score per-syllable predictions against gold labels.
 
-    predictions[i][j] is the predicted level for the j-th valid syllable of
-    instances[i]. weighted_accuracy is weight-normalized correct mass,
+    predictions[i][j] is the predicted level for the j-th syllable of
+    instances[i], and every syllable needs a gold label (LabelError
+    otherwise). weighted_accuracy is weight-normalized correct mass,
     sum(w_i * correct_i) / sum(w_i) with w_i looked up by the syllable's
     nucleus type and real label; it is None without a weight table.
     """
     if len(predictions) != len(instances):
         raise AlignmentError(
             f"{len(predictions)} prediction lists for {len(instances)} instances")
+    require_gold(instances)
     confusion = np.zeros((3, 3), dtype=np.int64)
     per_type = {tag: np.zeros((3, 3), dtype=np.int64) for tag in NUCLEUS_TAGS}
     weight_sum = 0.0
@@ -125,21 +127,6 @@ def report_to_dict(report: EvalReport) -> dict:
         "n_syllables": report.n_syllables,
         "n_words": report.n_words,
     }
-
-
-def report_from_dict(doc: dict) -> EvalReport:
-    return EvalReport(
-        accuracy=float(doc["accuracy"]),
-        weighted_accuracy=(None if doc["weighted_accuracy"] is None
-                           else float(doc["weighted_accuracy"])),
-        confusion=np.asarray(doc["confusion"], dtype=np.int64),
-        per_type_confusion={
-            tag: np.asarray(m, dtype=np.int64)
-            for tag, m in doc["per_type_confusion"].items()
-        },
-        n_syllables=int(doc["n_syllables"]),
-        n_words=int(doc["n_words"]),
-    )
 
 
 def _matrix_lines(m: np.ndarray, indent: str = "  ") -> list[str]:

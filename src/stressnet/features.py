@@ -16,7 +16,9 @@ linear projection.
 The feature table interface is line-delimited JSON, one object per word
 instance: {"utterance_id", "word", "syllables": [{"position", "features"
 (12 floats, slot order above), "nucleus" (tag), "stress" (0/1/2 or
-null)}]}.
+null)}]}. A word has 1 to MAX_SYLLABLES syllables whose positions are
+0..n-1, each used once; read_feature_table is the one place that checks
+this, and it returns each word's syllables in position order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .dsp import IntensityTrack, PitchTrack, SegmentStats, Track, segment_stats
 from .errors import FormatError, InvalidSpan, SpanOutOfRange
-from .lexicon import StressLevel
+from .lexicon import TAG_TO_INDEX, StressLevel
 
 FEATURE_SLOTS = (
     "syl_pitch_mean", "syl_pitch_max", "syl_voiced_dur_s",
@@ -182,9 +184,12 @@ def _syllable(doc) -> SyllableObservation:
     stress = _field(doc, "stress", int, type(None))
     if stress not in (None, 0, 1, 2):
         raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
+    nucleus = _field(doc, "nucleus", str)
+    if nucleus not in TAG_TO_INDEX:
+        raise FormatError(f"unknown nucleus tag {nucleus!r}")
     return SyllableObservation(
         features=_feature_vector(_field(doc, "features", list)),
-        nucleus_tag=_field(doc, "nucleus", str),
+        nucleus_tag=nucleus,
         position=_field(doc, "position", int),
         stress=None if stress is None else StressLevel(stress),
     )
@@ -197,12 +202,20 @@ def _record(line: bytes) -> WordRecord:
         raise FormatError(f"not valid JSON ({exc})")
     if type(doc) is not dict:
         raise FormatError("the line is not a JSON object")
-    return WordRecord(_field(doc, "utterance_id", str), _field(doc, "word", str),
-                      [_syllable(syl) for syl in _field(doc, "syllables", list)])
+    utterance_id, word = _field(doc, "utterance_id", str), _field(doc, "word", str)
+    syllables = sorted(map(_syllable, _field(doc, "syllables", list)),
+                       key=lambda obs: obs.position)
+    n = len(syllables)
+    if not 1 <= n <= MAX_SYLLABLES:
+        raise FormatError(f"{n} syllables, not 1 to {MAX_SYLLABLES}")
+    if [obs.position for obs in syllables] != list(range(n)):
+        raise FormatError(f"syllable positions are not 0..{n - 1}, each once")
+    return WordRecord(utterance_id, word, syllables)
 
 
 def read_feature_table(path: str) -> list[WordRecord]:
-    """Parse a feature table; a malformed line is a FormatError at path:line."""
+    """Parse a feature table; a malformed line or an invalid word is a
+    FormatError at path:line."""
     records = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):

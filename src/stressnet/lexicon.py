@@ -152,9 +152,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, word: str) -> bool:
-        return self._normalize(word) in self._entries
-
     @staticmethod
     def _normalize(word: str) -> str:
         word = word.upper()

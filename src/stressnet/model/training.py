@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import ClassWeights, WordInstance, compute_class_weights
+from ..corpus import IGNORE_LABEL, ClassWeights, WordInstance, compute_class_weights
 from ..errors import (
     DivergedAtEpoch,
     InvalidConfig,
     NumericalInstability,
 )
+from ..lexicon import PAD_TYPE_INDEX
 from .config import ModelConfig, TrainConfig
 from .network import (
     Params,
@@ -59,17 +60,21 @@ class Batch:
 
 def make_batch(instances: list[WordInstance], config: ModelConfig,
                weight_table: np.ndarray | None = None) -> Batch:
-    """Stack instances into arrays, slicing features to the config's K and
-    the slots to the longest word."""
+    """Stack instances into arrays padded to the longest word, features
+    sliced to the config's K. A padded slot has zero features, the PAD
+    type, the IGNORE label and mask False."""
     if not instances:
         raise InvalidConfig("no instances")
     K = config.feature_dim
-    mask = np.stack([inst.mask for inst in instances])
-    P = _used_slots(mask)
-    features = np.stack([inst.features[:P, :K] for inst in instances])
-    types = np.stack([inst.type_indices[:P] for inst in instances])
-    labels = np.stack([inst.labels[:P] for inst in instances])
-    mask = mask[:, :P]
+    counts = np.array([inst.valid_count for inst in instances])
+    mask = np.arange(counts.max()) < counts[:, None]
+    # boolean-mask assignment fills row by row, each word's slots in order
+    features = np.zeros(mask.shape + (K,))
+    features[mask] = np.concatenate([inst.features[:, :K] for inst in instances])
+    types = np.full(mask.shape, PAD_TYPE_INDEX, dtype=np.int64)
+    types[mask] = np.concatenate([inst.type_indices for inst in instances])
+    labels = np.full(mask.shape, IGNORE_LABEL, dtype=np.int64)
+    labels[mask] = np.concatenate([inst.labels for inst in instances])
     weights = position_weights(weight_table, types, labels, mask)
     return Batch(features, types, mask, labels, weights)
 

@@ -96,6 +96,27 @@ class TestMalformedCheckpoints:
         edit_checkpoint_header(ckpt, negate)
         self.check_data_error(ckpt, tmp_path, capsys)
 
+    def test_array_name_not_a_string(self, ckpt, tmp_path, capsys):
+        edit_checkpoint_header(
+            ckpt, lambda h: h["arrays"][0].update(name=["E_type"]))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+    def test_repeated_array_name(self, ckpt, tmp_path, capsys):
+        # a second E_type entry, its bytes appended: a last-one-wins reader
+        # would load it without complaint
+        header_line, arrays = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        (entry,) = [e for e in header["arrays"] if e["name"] == "E_type"]
+        header["arrays"].append(entry)
+        ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                         + arrays + bytes(8 * int(np.prod(entry["shape"]))))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+    @pytest.mark.parametrize("shape", [[2**40, 2**40], [2**70]])
+    def test_shape_beyond_int64_or_file(self, ckpt, tmp_path, capsys, shape):
+        edit_checkpoint_header(ckpt, lambda h: h["arrays"][0].update(shape=shape))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -389,6 +410,12 @@ MALFORMED_LINES = {
     "missing_stress": _edit(SYL + ("stress",)),
     "stress_not_int": _edit(SYL + ("stress",), "1"),
     "stress_out_of_range": _edit(SYL + ("stress",), 3),
+    "no_syllables": _edit(("syllables",), []),
+    "eighteen_syllables": lambda doc: doc.update(syllables=[
+        dict(doc["syllables"][0], position=i) for i in range(18)]),
+    "repeated_position": _edit(("syllables", 1, "position"), 0),
+    "position_gap": lambda doc: doc["syllables"][-1].update(
+        position=len(doc["syllables"])),
 }
 
 
@@ -415,6 +442,100 @@ class TestMalformedFeatureTables:
         err = capsys.readouterr().err
         assert code == 4
         assert "FormatError" in err and "Traceback" not in err
-        where = (repr(json.loads(good)["word"]) if case == "unknown_nucleus"
-                 else f"{table}:2")
-        assert where in err
+        assert f"{table}:2" in err
+
+
+class TestUnlabeledSyllables:
+    """A syllable whose stress is null can be predicted, but a model cannot
+    train on it or be scored against it."""
+
+    @pytest.fixture
+    def table(self, pipeline, tmp_path):
+        """The test table with every stress of its fourth word nulled."""
+        _, out, _, _ = pipeline
+        lines = (out / "splits" / "test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[3])
+        for syl in doc["syllables"]:
+            syl["stress"] = None
+        lines[3] = json.dumps(doc)
+        path = tmp_path / "nulled.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path, doc["word"]
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--model", "{attn}", "--data", "{table}", "--out", "{tmp}/r"],
+        ["eval", "--model", "{rf}", "--data", "{table}", "--out", "{tmp}/r"],
+        ["train", "--model", "rf", "--feature-mode", "syllable_numerical",
+         "--n-trees", "2", "--train", "{table}", "--out", "{tmp}/m.ckpt"],
+        ["train", "--model", "or", "--feature-mode", "syllable_numerical",
+         "--train", "{table}", "--out", "{tmp}/m.ckpt"],
+        ["train", "--model", "attn-medium", "--epochs", "1",
+         "--train", "{table}", "--out", "{tmp}/m.ckpt"],
+    ], ids=["eval-attn", "eval-rf", "train-rf", "train-or", "train-attn"])
+    def test_gold_label_required(self, pipeline, table, tmp_path, capsys,
+                                 command):
+        _, _, attn, rf = pipeline
+        path, word = table
+        argv = [a.format(attn=attn, rf=rf, table=path, tmp=tmp_path)
+                for a in command]
+        capsys.readouterr()
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "LabelError" in err and repr(word) in err
+        assert "Traceback" not in err
+
+    def test_predict_accepts_null_stress(self, pipeline, table, tmp_path):
+        _, _, attn, _ = pipeline
+        path, _ = table
+        preds = tmp_path / "preds.jsonl"
+        assert run("predict", "--model", attn, "--input", str(path),
+                   "--out", str(preds)) == 0
+        assert len(preds.read_text().splitlines()) == len(
+            path.read_text().splitlines())
+
+
+class TestTrainConfigErrors:
+    """Out-of-range training settings are configuration errors, exit 3."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "-1"], ["--batch-size", "0"], ["--dropout", "1.5"],
+        ["--val-fraction", "1.0"], ["--learning-rate", "0"],
+    ])
+    def test_out_of_range_flag(self, pipeline, tmp_path, capsys, flags):
+        _, out, _, _ = pipeline
+        code = run("train", "--model", "attn-medium", "--train",
+                   str(out / "splits" / "train.jsonl"),
+                   "--out", str(tmp_path / "m.ckpt"), *flags)
+        assert code == 3
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        {"d_model": 0, "n_heads": 1, "n_layers": 1},
+        {"d_model": 4, "n_heads": 2, "n_layers": 1, "dropout": -0.5},
+    ])
+    def test_bad_custom_model(self, pipeline, tmp_path, capsys, model):
+        _, out, _, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        code = run("--config", str(cfg), "train", "--model", "attn-custom",
+                   "--train", str(out / "splits" / "train.jsonl"),
+                   "--out", str(tmp_path / "m.ckpt"))
+        assert code == 3
+        assert "model config" in capsys.readouterr().err
+
+    def test_custom_model_trains(self, pipeline, tmp_path):
+        from stressnet.checkpoint import load_any
+
+        _, out, _, _ = pipeline
+        model = {"d_model": 4, "n_heads": 2, "n_layers": 1, "ffn_hidden": 8,
+                 "dropout": 0.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        ckpt = tmp_path / "m.ckpt"
+        assert run("--config", str(cfg), "train", "--model", "attn-custom",
+                   "--train", str(out / "splits" / "train.jsonl"),
+                   "--out", str(ckpt), "--epochs", "1") == 0
+        kind, (_, config), _, _ = load_any(str(ckpt))
+        assert kind == "attention"
+        assert model.items() <= config.to_dict().items()

@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from stressnet.corpus import (
     GenConfig,
     build_instance,
     compute_class_weights,
-    instance_to_record,
     instances_from_table,
     label_utterance,
     load_alignment,
@@ -27,9 +28,10 @@ from stressnet.errors import (
     InvalidConfig,
     InvalidSpans,
     SplitTooSmall,
+    StressnetError,
 )
 from stressnet.features import SyllableObservation, WordRecord
-from stressnet.lexicon import PAD_TYPE_INDEX, StressLevel
+from stressnet.lexicon import TAG_TO_INDEX, StressLevel
 
 
 def make_word(text, n_syllables, start=0.0, dur=0.2):
@@ -98,14 +100,90 @@ class TestAlignmentSchema:
         with pytest.raises(AlignmentFormat):
             load_alignment(str(path))
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(words=[5]),
+        lambda doc: doc["words"][0].update(syllables=[7]),
+        lambda doc: doc["words"][0]["syllables"][0].update(nucleus=5),
+        lambda doc: doc["words"][0]["syllables"][0].update(start_s=10**400),
+        lambda doc: doc.update(audio_path=["a.wav"]),
+    ], ids=["word", "syllable", "nucleus", "huge_time", "audio_path"])
+    def test_wrong_json_type(self, edit):
+        doc = make_alignment([("maybe", 2)])
+        edit(doc)
+        with pytest.raises(AlignmentFormat):
+            parse_alignment(doc)
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"schema": 1, "utterance_id": "caf\xe9"}'.encode("latin-1"))
+        with pytest.raises(AlignmentFormat):
+            load_alignment(str(path))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_alignments(draw):
+    """A valid alignment document with one field dropped or replaced."""
+    doc = make_alignment([("overcome", 3), ("maybe", 2)])
+    containers = [doc]
+    for word in doc["words"]:
+        containers.append(word)
+        for syl in word["syllables"]:
+            containers += [syl, syl["nucleus"]]
+    container = draw(st.sampled_from(containers))
+    key = draw(st.sampled_from(sorted(container)))
+    if draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(json_values)
+    return json.dumps(doc).encode()
+
+
+def load_alignment_bytes(blob: bytes):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        return load_alignment(path)
+    finally:
+        os.unlink(path)
+
+
+class TestAlignmentFuzz:
+    """Whatever an alignment file holds, load_alignment either parses it
+    or raises a StressnetError."""
+
+    @given(st.binary(max_size=80) | st.text(max_size=80).map(str.encode))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, blob):
+        try:
+            load_alignment_bytes(blob)
+        except StressnetError:
+            pass
+
+    @given(mutated_alignments())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_documents(self, blob):
+        try:
+            load_alignment_bytes(blob)
+        except StressnetError:
+            pass
+
 
 class TestLabelUtterance:
     def test_overcome_labels(self, lexicon):
         al = parse_alignment(make_alignment([("overcome", 3)]))
-        instances, exclusions = label_utterance(al, lexicon)
+        records, exclusions = label_utterance(al, lexicon)
         assert not exclusions
-        (inst,) = instances
-        assert [int(inst.labels[i]) for i in range(3)] == [2, 0, 1]
+        (rec,) = records
+        assert [int(obs.stress) for obs in rec.syllables] == [2, 0, 1]
+        assert [obs.position for obs in rec.syllables] == [0, 1, 2]
 
     def test_monosyllabic_excluded(self, lexicon):
         al = parse_alignment(make_alignment([("cat", 1), ("maybe", 2)]))
@@ -130,10 +208,10 @@ class TestLabelUtterance:
         # SEPARATE has a 3-syllable and a 2-syllable variant
         al3 = parse_alignment(make_alignment([("separate", 3)]))
         al2 = parse_alignment(make_alignment([("separate", 2)]))
-        (i3,), _ = label_utterance(al3, lexicon)
-        (i2,), _ = label_utterance(al2, lexicon)
-        assert i3.valid_count == 3
-        assert i2.valid_count == 2
+        (r3,), _ = label_utterance(al3, lexicon)
+        (r2,), _ = label_utterance(al2, lexicon)
+        assert len(r3.syllables) == 3
+        assert len(r2.syllables) == 2
 
     def test_exclusion_scope_utterance(self, lexicon):
         al = parse_alignment(make_alignment([("zyxxyz", 2), ("maybe", 2)]))
@@ -152,24 +230,17 @@ class TestLabelUtterance:
 
 
 class TestBuildInstance:
-    def observation(self, position, stress=StressLevel.PRIMARY):
-        return SyllableObservation(np.ones(12), "iy", position, stress)
-
     def test_padding_invariant(self):
-        rec = WordRecord("u", "w", [self.observation(0), self.observation(1)])
+        """An instance holds its n syllables in position order, no padding."""
+        rec = WordRecord("u", "w", [
+            SyllableObservation(np.full(12, 1.0), "iy", 0, StressLevel.PRIMARY),
+            SyllableObservation(np.full(12, 2.0), "ax", 1, None)])
         inst = build_instance(rec)
         assert inst.valid_count == 2
-        assert not inst.mask[2:].any()
-        assert np.all(inst.features[2:] == 0.0)
-        assert np.all(inst.type_indices[2:] == PAD_TYPE_INDEX)
-        assert np.all(inst.labels[2:] == -1)
-
-    def test_round_trip_record(self):
-        rec = WordRecord("u", "w", [self.observation(0), self.observation(1)])
-        back = instance_to_record(build_instance(rec))
-        assert back.word == "w"
-        assert len(back.syllables) == 2
-        assert back.syllables[1].stress == StressLevel.PRIMARY
+        assert inst.features.shape == (2, 12)
+        assert inst.features[:, 0].tolist() == [1.0, 2.0]
+        assert inst.type_indices.tolist() == [TAG_TO_INDEX["iy"], TAG_TO_INDEX["ax"]]
+        assert inst.labels.tolist() == [int(StressLevel.PRIMARY), -1]
 
 
 class TestSplit:
@@ -247,7 +318,6 @@ class TestClassWeights:
         ])
         cw = compute_class_weights([build_instance(rec)])
         # "oy" never appears
-        from stressnet.lexicon import TAG_TO_INDEX
         assert np.all(cw.table[TAG_TO_INDEX["oy"]] == 1.0)
 
     def test_table_from_corpus_max_normalized(self, lexicon):
@@ -311,13 +381,18 @@ class TestSynthCorpus:
             assert stresses.count(int(StressLevel.NON_STRESS)) == 1
 
     def test_padding_invariant_property(self, lexicon):
+        """Every instance holds exactly its record's syllables, in order."""
         _, recs = synth_corpus(lexicon, 6, GenConfig(noise=0.5), seed=8)
-        for inst in instances_from_table(recs):
-            n = inst.valid_count
-            assert inst.mask[:n].all() and not inst.mask[n:].any()
-            assert np.all(inst.features[n:] == 0.0)
-            assert np.all(inst.type_indices[n:] == PAD_TYPE_INDEX)
-            assert np.all(inst.labels[n:] == -1)
+        for rec, inst in zip(recs, instances_from_table(recs)):
+            n = len(rec.syllables)
+            assert inst.valid_count == n
+            assert inst.features.shape == (n, 12)
+            assert inst.type_indices.shape == inst.labels.shape == (n,)
+            for i, obs in enumerate(rec.syllables):
+                assert obs.position == i
+                assert np.array_equal(inst.features[i], obs.features)
+                assert inst.type_indices[i] == TAG_TO_INDEX[obs.nucleus_tag]
+                assert inst.labels[i] == int(obs.stress)
 
     def test_large_noise_approaches_majority_rate(self, lexicon):
         # noise at 3x the class gaps drowns the class structure; a strong

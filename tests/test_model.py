@@ -478,6 +478,15 @@ class TestTrimmedBatches:
         assert longest < 17
         assert batch.mask.shape == (len(train_set), longest)
         assert batch.features.shape == (len(train_set), longest, 12)
+        for row, inst in enumerate(train_set):
+            n = inst.valid_count
+            assert np.array_equal(batch.features[row, :n], inst.features)
+            assert np.array_equal(batch.types[row, :n], inst.type_indices)
+            assert np.array_equal(batch.labels[row, :n], inst.labels)
+            assert batch.mask[row, :n].all() and not batch.mask[row, n:].any()
+            assert np.all(batch.features[row, n:] == 0.0)
+            assert np.all(batch.types[row, n:] == PAD_TYPE_INDEX)
+            assert np.all(batch.labels[row, n:] == -1)
         idx = np.array([i for i, inst in enumerate(train_set)
                         if inst.valid_count <= 2][:5])
         sub = batch.take(idx)
@@ -500,9 +509,11 @@ class TestTrimmedBatches:
         scored = predict_instances(params, cfg, test_set)
         assert len(scored) == len(test_set)
         for inst, p in zip(test_set, scored):
-            _, probs, _, _ = forward(params, inst.features[None],
-                                     inst.type_indices[None],
-                                     inst.mask[None], cfg)
+            one = make_batch([inst], cfg)
+            feats, types, mask, _, _ = pad_to_full_width(
+                one.features, one.types, one.mask, one.labels, one.weights)
+            assert mask.shape == (1, 17)
+            _, probs, _, _ = forward(params, feats, types, mask, cfg)
             assert p.shape == (inst.valid_count, 3)
             assert np.abs(p - probs[0, :inst.valid_count]).max() < 1e-12
         one = predict_instance(params, cfg, test_set[3])
