@@ -35,10 +35,10 @@ import numpy as np
 
 from .baselines import ForestModel, OrdinalModel, TreeNodes
 from .corpus import ClassWeights
-from .errors import CheckpointError
+from .errors import CheckpointError, InvalidConfig
 from .features import FEATURE_SLOTS
 from .lexicon import NUCLEUS_TAGS
-from .model import ModelConfig, Params, init_params
+from .model import ModelConfig, Params, feature_dim, init_params
 
 FORMAT_ATTENTION = "stressnet-checkpoint"
 FORMAT_ORDINAL = "stressnet-or"
@@ -198,17 +198,32 @@ def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
 
 def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
                  ) -> tuple[ForestModel, str]:
-    offsets = arrays["tree_offsets"]
-    trees = []
-    for t in range(len(offsets) - 1):
-        lo, hi = int(offsets[t]), int(offsets[t + 1])
-        trees.append(TreeNodes(
-            feature=arrays["nodes_feature"][lo:hi],
-            threshold=arrays["nodes_threshold"][lo:hi],
-            left=arrays["nodes_left"][lo:hi],
-            right=arrays["nodes_right"][lo:hi],
-            counts=arrays["nodes_counts"][lo:hi],
-        ))
+    feature, threshold = arrays["nodes_feature"], arrays["nodes_threshold"]
+    left, right = arrays["nodes_left"], arrays["nodes_right"]
+    counts, offsets = arrays["nodes_counts"], arrays["tree_offsets"]
+    if any(a.dtype.kind != "i" for a in (feature, left, right, offsets)):
+        raise ValueError("node indices and tree_offsets must be integers")
+    n = len(feature)
+    if not (feature.shape == threshold.shape == left.shape == right.shape
+            == (n,) and counts.shape == (n, 3)):
+        raise ValueError("node arrays differ in shape")
+    if offsets.ndim != 1 or len(offsets) < 2:
+        raise ValueError("tree_offsets must list at least one tree")
+    sizes = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != n or (sizes < 1).any():
+        raise ValueError("tree_offsets do not split the nodes into trees")
+    # tree-local node ids, and the size of each node's tree
+    local = np.arange(n) - np.repeat(offsets[:-1], sizes)
+    size = np.repeat(sizes, sizes)
+    inner = feature >= 0
+    good = ((feature < feature_dim(meta["feature_mode"]))
+            & (local < left) & (left < size) & (local < right) & (right < size))
+    if (inner & ~good).any():
+        raise ValueError("an inner node reads a feature or child out of range")
+    trees = [TreeNodes(feature=feature[lo:hi], threshold=threshold[lo:hi],
+                       left=left[lo:hi], right=right[lo:hi],
+                       counts=counts[lo:hi])
+             for lo, hi in zip(offsets[:-1], offsets[1:])]
     model = ForestModel(trees, int(meta["n_trees"]), int(meta["max_depth"]),
                         int(meta["features_per_split"]))
     return model, meta["feature_mode"]
@@ -226,7 +241,7 @@ def _build(path: str, fmt: str, meta: dict, arrays: dict[str, np.ndarray]):
     does not fit its format is a CheckpointError."""
     try:
         return _BUILDERS[fmt](meta, arrays)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise CheckpointError(
             f"{path}: malformed {fmt} checkpoint ({type(exc).__name__}: {exc})")
 

@@ -57,6 +57,8 @@ _CONFIG_KEYS = {
     "dict_path", "feature_mode", "exclusion_scope", "normalization_pool",
     "dsp", "gen", "train", "model", "seed",
 }
+# keys whose values are settings objects of their own
+_CONFIG_SECTIONS = {"dsp", "gen", "train", "model"}
 
 
 def _load_config(path: str | None) -> dict:
@@ -75,6 +77,11 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ConfigError(
             f"config file {path} has unknown keys: {sorted(unknown)}")
+    for key in sorted(_CONFIG_SECTIONS & set(doc)):
+        if not isinstance(doc[key], dict):
+            raise ConfigError(
+                f"config file {path}: section {key!r} must be a JSON object, "
+                f"got {doc[key]!r:.40}")
     return doc
 
 

@@ -40,6 +40,27 @@ class TestErrorsAndExitCodes:
                    "--out", str(tmp_path / "o"))
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["abc", None, [1, 2], 3],
+                             ids=["string", "null", "list", "number"])
+    @pytest.mark.parametrize("section,argv", [
+        ("gen", ["synth", "--n", "2", "--out", "{tmp}/o"]),
+        ("train", ["train", "--model", "attn-medium", "--train",
+                   "{tmp}/t.jsonl", "--out", "{tmp}/m.ckpt"]),
+        ("model", ["train", "--model", "attn-custom", "--train",
+                   "{tmp}/t.jsonl", "--out", "{tmp}/m.ckpt"]),
+        ("dsp", ["featurize", "--alignments", "{tmp}/a", "--out",
+                 "{tmp}/f.jsonl"]),
+    ])
+    def test_section_not_an_object(self, tmp_path, capsys, section, argv,
+                                   value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: value}))
+        code = run("--config", str(cfg),
+                   *[a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"section {section!r}" in err and "Traceback" not in err
+
     def test_bad_alignment_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "a.json"
         bad.write_text('{"schema": 1}')
@@ -55,6 +76,30 @@ def edit_checkpoint_header(path, edit):
     edit(header)
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
                      + arrays)
+
+
+def _set(name, index, value):
+    """An edit that sets one element of a checkpoint array."""
+    def edit(arrays):
+        arrays[name][index] = value
+    return edit
+
+
+FOREST_EDITS = {
+    "left_child_far_outside": _set("nodes_left", 0, 1000000),
+    "right_child_is_the_node": _set("nodes_right", 0, 0),
+    "left_child_in_next_tree": lambda a: a["nodes_left"].__setitem__(
+        0, a["tree_offsets"][1]),
+    "feature_past_mode_width": _set("nodes_feature", 0, 12),
+    "offsets_decreasing": lambda a: a["tree_offsets"].__setitem__(
+        slice(1, 3), a["tree_offsets"][2:0:-1]),
+    "offsets_past_nodes": lambda a: a["tree_offsets"].__setitem__(
+        -1, a["tree_offsets"][-1] + 5),
+    "float_child_indices": lambda a: a.update(
+        nodes_left=a["nodes_left"].astype(np.float64)),
+    "counts_not_per_class": lambda a: a.update(
+        nodes_counts=a["nodes_counts"][:, :2]),
+}
 
 
 class TestMalformedCheckpoints:
@@ -116,6 +161,24 @@ class TestMalformedCheckpoints:
     def test_shape_beyond_int64_or_file(self, ckpt, tmp_path, capsys, shape):
         edit_checkpoint_header(ckpt, lambda h: h["arrays"][0].update(shape=shape))
         self.check_data_error(ckpt, tmp_path, capsys)
+
+
+    @pytest.mark.parametrize("case", sorted(FOREST_EDITS))
+    def test_forest_node_arrays(self, pipeline, tmp_path, capsys, case):
+        from stressnet.checkpoint import load_container, save_container
+
+        _, out, _, rf = pipeline
+        fmt, meta, arrays = load_container(rf)
+        assert arrays["nodes_feature"][0] >= 0  # the first root is split
+        FOREST_EDITS[case](arrays)
+        bad = tmp_path / "rf.ckpt"
+        save_container(str(bad), fmt, meta, arrays)
+        code = run("predict", "--model", str(bad), "--input",
+                   str(out / "splits" / "test.jsonl"),
+                   "--out", str(tmp_path / "preds.jsonl"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "CheckpointError" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +340,29 @@ class TestFeaturize:
         assert f0[5] < f1[5]              # 0.30 s vs 0.35 s duration
         assert np.isclose(f0[0], -f1[0])  # two-syllable normalization
 
+    def test_wav_shorter_than_one_window(self, tmp_path, capsys):
+        from scipy.io import wavfile
+        sr = 16000
+        t = np.arange(600) / sr  # 37.5 ms: no 40 ms frame fits
+        wavfile.write(str(tmp_path / "short.wav"), sr,
+                      (0.5 * np.sin(2 * np.pi * 200.0 * t) * 32767)
+                      .astype(np.int16))
+        apath = tmp_path / "short.json"
+        apath.write_text(json.dumps({
+            "schema": 1, "utterance_id": "short", "audio_path": "short.wav",
+            "words": [{"text": "maybe", "syllables": [
+                {"start_s": 0.0, "end_s": 0.02,
+                 "nucleus": {"start_s": 0.005, "end_s": 0.015}},
+                {"start_s": 0.02, "end_s": 0.035,
+                 "nucleus": {"start_s": 0.025, "end_s": 0.03}},
+            ]}],
+        }))
+        code = run("featurize", "--alignments", str(apath),
+                   "--out", str(tmp_path / "features.jsonl"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "SpanOutOfRange" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("dsp", [
         {"hop_s": 1e-6},                 # rounds to zero samples at 16 kHz
         {"hop_s": 0.0},
@@ -284,6 +370,8 @@ class TestFeaturize:
         {"window_s": 0.0005},            # too short for the pitch lag band
         {"f_min": 700.0, "f_max": 600.0},
         {"f_min": 0.0},
+        {"voicing_threshold": "abc"},
+        {"voicing_threshold": None},
     ])
     def test_bad_dsp_config_is_config_error(self, tmp_path, capsys, dsp):
         apath = self.make_audio_and_alignment(tmp_path)

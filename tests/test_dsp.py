@@ -35,6 +35,13 @@ class TestDspConfig:
         with pytest.raises(InvalidConfig):
             DspConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("threshold", [
+        "abc", None, [0.45], True, float("nan"), float("inf"),
+    ], ids=["string", "null", "list", "bool", "nan", "inf"])
+    def test_voicing_threshold_must_be_a_finite_number(self, threshold):
+        with pytest.raises(InvalidConfig):
+            DspConfig.from_dict({"voicing_threshold": threshold})
+
     def test_hop_under_one_sample_rejected_at_signal_rate(self):
         cfg = DspConfig(hop_s=1e-6)
         with pytest.raises(InvalidConfig):
@@ -91,6 +98,23 @@ class TestEstimatePitch:
     def test_empty_signal(self):
         with pytest.raises(EmptySignal):
             estimate_pitch(np.array([]), SR)
+
+    def test_nan_sample_leaves_only_its_frames_unvoiced(self):
+        x = sine(200.0)
+        x[3000] = np.nan  # inside the frames starting at 2400 .. 2880
+        f0 = estimate_pitch(x, SR).values
+        hit = np.zeros(len(f0), dtype=bool)
+        hit[15:19] = True
+        assert not np.isfinite(f0[hit]).any()
+        assert np.isfinite(f0[~hit]).all()
+
+    def test_lag_band_of_one_lag(self):
+        # 7-sample window: lag_min = lag_max = 5
+        cfg = DspConfig(window_s=0.00045, f_max=3000.0)
+        f0 = estimate_pitch(sine(2500.0), SR, cfg).values
+        voiced = f0[np.isfinite(f0)]
+        assert voiced.size > 0
+        assert np.all((voiced >= cfg.f_min) & (voiced <= cfg.f_max))
 
     def test_low_rate_rejected(self):
         with pytest.raises(UnsupportedRate):
@@ -177,3 +201,138 @@ class TestSegmentStats:
         # frame centers at 5, 15, 25 ms; [0, 0.015) holds only the first
         stats = segment_stats(track, 0.0, 0.015)
         assert stats.mean == pytest.approx(-10.0)
+
+
+# --- block path against a per-frame reference -----------------------------
+
+def reference_pitch(samples, sr, nfft, cfg=DspConfig()):
+    """The per-frame pitch loop the block path replaced, with the FFT
+    length as a parameter; used only as a test oracle."""
+    samples = np.asarray(samples, dtype=np.float64)
+    win = int(round(cfg.window_s * sr))
+    hop = int(round(cfg.hop_s * sr))
+    starts = np.arange(0, len(samples) - win + 1, hop)
+    lag_min = max(2, int(np.floor(sr / cfg.f_max)))
+    lag_max = min(int(np.ceil(sr / cfg.f_min)), win - 2)
+    window = np.hanning(win)
+    wspec = np.abs(np.fft.rfft(window, nfft)) ** 2
+    r_win = np.fft.irfft(wspec)[:lag_max + 2]
+    r_win /= r_win[0]
+    f0 = np.full(len(starts), np.nan)
+    for i, s in enumerate(starts):
+        frame = samples[s:s + win]
+        frame = frame - frame.mean()
+        energy = float(np.dot(frame, frame))
+        if energy < 1e-12 * win:
+            continue
+        spec = np.abs(np.fft.rfft(frame * window, nfft)) ** 2
+        r = np.fft.irfft(spec)[:lag_max + 2]
+        if r[0] <= 0.0:
+            continue
+        r = (r / r[0]) / r_win
+        band = r[lag_min:lag_max + 1]
+        best = float(band.max())
+        if best < cfg.voicing_threshold:
+            continue
+        interior = np.zeros(band.shape, dtype=bool)
+        interior[1:-1] = (band[1:-1] >= band[:-2]) & (band[1:-1] >= band[2:])
+        interior[0] = band[0] >= band[1]
+        interior[-1] = band[-1] >= band[-2]
+        candidates = np.nonzero(interior & (band >= best - 0.02))[0]
+        lag = lag_min + int(candidates[0])
+        y0, y1, y2 = r[lag - 1], r[lag], r[lag + 1]
+        denom = y0 - 2.0 * y1 + y2
+        delta = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
+        delta = float(np.clip(delta, -0.5, 0.5))
+        f0_hz = sr / (lag + delta)
+        if cfg.f_min <= f0_hz <= cfg.f_max:
+            f0[i] = f0_hz
+    return f0
+
+
+def reference_intensity(samples, sr, cfg=DspConfig()):
+    """The per-frame intensity loop the block path replaced."""
+    win = int(round(cfg.window_s * sr))
+    hop = int(round(cfg.hop_s * sr))
+    starts = np.arange(0, len(samples) - win + 1, hop)
+    db = np.full(len(starts), -120.0)
+    for i, s in enumerate(starts):
+        frame = samples[s:s + win]
+        rms = float(np.sqrt(np.mean(frame * frame)))
+        if rms >= 1e-6:
+            db[i] = 20.0 * np.log10(rms)
+    return db
+
+
+def fft_lengths(sr, cfg=DspConfig()):
+    """(the block path's FFT length, the 2 * win length it replaced)."""
+    win = int(round(cfg.window_s * sr))
+    lag_max = min(int(np.ceil(sr / cfg.f_min)), win - 2)
+    return (int(2 ** np.ceil(np.log2(win + lag_max + 1))),
+            int(2 ** np.ceil(np.log2(2 * win))))
+
+
+RATES = [8000, 11025, 16000, 22050, 44100]
+FRAME_COUNTS = [0, 1, 63, 64, 65, 129]
+
+
+def block_signals(sr, n_frames, cfg=DspConfig()):
+    """Named test signals spanning exactly n_frames frames."""
+    win, hop = int(round(cfg.window_s * sr)), int(round(cfg.hop_s * sr))
+    n = win - 1 if n_frames == 0 else win + (n_frames - 1) * hop
+    t = np.arange(n) / sr
+    rng = np.random.default_rng(n_frames * 100003 + sr)
+    # a tone whose pitch and level change every few frames
+    glide = 0.6 * np.sin(2 * np.pi * np.cumsum(110.0 + 250.0 * (t % 0.3)) / sr)
+    signals = {
+        "silence": np.zeros(n),
+        "tone_110": np.sin(2 * np.pi * 110.0 * t),
+        "tone_400": 0.3 * np.sin(2 * np.pi * 400.0 * t),
+        "glide": glide * (1.0 + 0.5 * np.sin(2 * np.pi * 3.0 * t)),
+    }
+    for level in (1e-7, 1e-6, 1e-5, 1e-3, 1.0):
+        signals[f"noise_{level:g}"] = level * rng.standard_normal(n)
+    return signals
+
+
+class TestBlockPath:
+    """The block trackers give what the per-frame loops give."""
+
+    @pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+    @pytest.mark.parametrize("sr", RATES)
+    def test_bit_identical_at_equal_fft_length(self, sr, n_frames):
+        nfft, _ = fft_lengths(sr)
+        for name, x in block_signals(sr, n_frames).items():
+            pitch = estimate_pitch(x, sr)
+            intensity = compute_intensity(x, sr)
+            assert len(pitch) == len(intensity) == n_frames, name
+            assert np.array_equal(pitch.values, reference_pitch(x, sr, nfft),
+                                  equal_nan=True), name
+            assert np.array_equal(intensity.values,
+                                  reference_intensity(x, sr)), name
+
+    # at 55 ms and 16 kHz, win + 1 would round up to 1024 points, too few
+    # for the 1095 that lags up to lag_max + 1 need
+    @pytest.mark.parametrize("window_s", [0.04, 0.055])
+    @pytest.mark.parametrize("sr", RATES)
+    def test_shorter_fft_moves_f0_by_rounding_only(self, sr, window_s):
+        cfg = DspConfig(window_s=window_s)
+        nfft, old_nfft = fft_lengths(sr, cfg)
+        assert nfft <= old_nfft
+        n_voiced = 0
+        for n_frames in (65, 129):
+            for name, x in block_signals(sr, n_frames, cfg).items():
+                got = estimate_pitch(x, sr, cfg).values
+                want = reference_pitch(x, sr, old_nfft, cfg)
+                voiced = np.isfinite(want)
+                assert np.array_equal(np.isfinite(got), voiced), name
+                assert np.all(np.abs(got[voiced] - want[voiced])
+                              <= 1e-12 * want[voiced]), name
+                n_voiced += int(voiced.sum())
+        assert n_voiced > 0
+
+    def test_frames_are_centred_on_the_hop_grid(self):
+        track = estimate_pitch(np.zeros(SR), SR)
+        assert len(track) == 97
+        assert np.array_equal(track.times_s,
+                              (np.arange(97) * 160 + 320.0) / SR)
