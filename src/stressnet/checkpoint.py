@@ -38,7 +38,7 @@ from .corpus import ClassWeights
 from .errors import CheckpointError, InvalidConfig
 from .features import FEATURE_SLOTS
 from .lexicon import NUCLEUS_TAGS
-from .model import ModelConfig, Params, feature_dim, init_params
+from .model import ModelConfig, Params, feature_dim, param_layout
 
 FORMAT_ATTENTION = "stressnet-checkpoint"
 FORMAT_ORDINAL = "stressnet-or"
@@ -152,16 +152,18 @@ def save_model(path: str, params: Params, config: ModelConfig,
 def _model_from(meta: dict, arrays: dict[str, np.ndarray],
                 ) -> tuple[Params, ModelConfig, ClassWeights | None]:
     config = ModelConfig.from_dict(meta["model_config"])
-    expected = {k: v.shape for k, v in
-                init_params(config, np.random.default_rng(0)).items()}
+    layout = param_layout(config)
+    expected = dict(layout)
     if meta.get("has_class_weights"):
         expected["class_weights"] = (len(NUCLEUS_TAGS), 3)
     if {k: v.shape for k, v in arrays.items()} != expected:
         raise ValueError("array names or shapes do not fit the model config")
-    weights = None
-    if meta.get("has_class_weights"):
-        weights = ClassWeights(arrays.pop("class_weights"))
-    return arrays, config, weights
+    if any(a.dtype != np.dtype("<f8") for a in arrays.values()):
+        raise ValueError("attention checkpoint arrays must be <f8")
+    weights = (ClassWeights(arrays["class_weights"])
+               if meta.get("has_class_weights") else None)
+    flat = np.concatenate([arrays[name].ravel() for name, _ in layout])
+    return Params(layout, flat), config, weights
 
 
 # --- baselines ----------------------------------------------------------------

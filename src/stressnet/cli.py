@@ -59,6 +59,14 @@ _CONFIG_KEYS = {
 }
 # keys whose values are settings objects of their own
 _CONFIG_SECTIONS = {"dsp", "gen", "train", "model"}
+# scalar keys: the type each must have, and the values of enumerated ones
+_CONFIG_TYPES = {"seed": int, "dict_path": str, "feature_mode": str,
+                 "exclusion_scope": str, "normalization_pool": str}
+_CONFIG_CHOICES = {
+    "feature_mode": FEATURE_MODES,
+    "exclusion_scope": ("word", "utterance"),
+    "normalization_pool": ("sentence", "multisyllabic_only"),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -69,7 +77,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -82,13 +90,33 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(
                 f"config file {path}: section {key!r} must be a JSON object, "
                 f"got {doc[key]!r:.40}")
+    for key, kind in _CONFIG_TYPES.items():
+        # the exact type, so a bool is no seed
+        if key in doc and type(doc[key]) is not kind:
+            raise ConfigError(
+                f"config file {path}: {key!r} must be of type {kind.__name__}, "
+                f"got {doc[key]!r:.40}")
+    for key, choices in _CONFIG_CHOICES.items():
+        if key in doc and doc[key] not in choices:
+            raise ConfigError(
+                f"config file {path}: unknown {key} {doc[key]!r:.40}")
+    if "dict_path" in doc and not os.path.isfile(doc["dict_path"]):
+        raise ConfigError(
+            f"config file {path}: dict_path {doc['dict_path']!r:.80} is not a file")
     return doc
+
+
+def _seed(args, config: dict) -> int:
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _dict_path(args, config: dict) -> str:
     if getattr(args, "dict", None):
         return args.dict
-    if config.get("dict_path"):
+    if "dict_path" in config:
         return config["dict_path"]
     return os.environ.get("STRESSNET_DICT", bundled_dictionary_path())
 
@@ -147,7 +175,7 @@ def _cmd_synth(args, config) -> int:
         gen = GenConfig.from_dict(gen_doc)
     except TypeError as exc:
         raise ConfigError(f"bad gen config: {exc}")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     out = Path(args.out)
     (out / "alignments").mkdir(parents=True, exist_ok=True)
     alignments, records = synth_corpus(lex, args.n, gen, seed=seed)
@@ -250,8 +278,6 @@ def _cmd_featurize(args, config) -> int:
     lex = load_dictionary(_dict_path(args, config))
     scope = args.exclusion_scope or config.get("exclusion_scope", "word")
     pool = args.normalization_pool or config.get("normalization_pool", "sentence")
-    if pool not in ("sentence", "multisyllabic_only"):
-        raise ConfigError(f"unknown normalization_pool {pool!r}")
     try:
         dsp_cfg = DspConfig.from_dict(config.get("dsp", {}))
     except (TypeError, InvalidConfig) as exc:
@@ -277,7 +303,7 @@ def _cmd_featurize(args, config) -> int:
 
 def _cmd_split(args, config) -> int:
     records = read_feature_table(args.features)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     train_set, test_set = split_utterances(records, args.train_fraction, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -295,9 +321,7 @@ def _cmd_train(args, config) -> int:
     instances = instances_from_table(read_feature_table(args.train))
     require_gold(instances)
     feature_mode = args.feature_mode or config.get("feature_mode", ALL_FEATURES)
-    if feature_mode not in FEATURE_MODES:
-        raise ConfigError(f"unknown feature mode {feature_mode!r}")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
 
     if args.model in ("or", "rf"):
         if feature_mode == ALL_FEATURES:

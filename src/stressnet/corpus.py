@@ -348,13 +348,6 @@ class ClassWeights:
 
     table: np.ndarray  # (16, 3) float64
 
-    def weight(self, type_index: int, stress: int) -> float:
-        return float(self.table[type_index, stress])
-
-    @staticmethod
-    def uniform() -> "ClassWeights":
-        return ClassWeights(np.ones((len(NUCLEUS_TAGS), 3)))
-
 
 def weights_from_proportions(p: np.ndarray) -> np.ndarray:
     """(p / max p) ** 0.7 along the last axis; max p must be positive."""

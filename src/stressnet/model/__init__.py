@@ -20,6 +20,7 @@ from .network import (
     init_params,
     loss_and_grads,
     loss_from_logits,
+    param_layout,
     position_weights,
 )
 from .training import (
@@ -36,7 +37,7 @@ __all__ = [
     "ALL_FEATURES", "FEATURE_MODES", "PRESETS",
     "SYLLABLE_NUCLEUS_NUMERICAL", "SYLLABLE_NUMERICAL",
     "ModelConfig", "TrainConfig", "feature_dim", "large_config",
-    "medium_config", "Params", "backward", "embed", "forward",
+    "medium_config", "Params", "backward", "embed", "forward", "param_layout",
     "init_params", "loss_and_grads", "loss_from_logits", "position_weights",
     "Adam", "Batch", "evaluate_batch", "make_batch", "predict_instance",
     "predict_instances", "train",

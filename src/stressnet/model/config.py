@@ -17,6 +17,14 @@ ALL_FEATURES = "all_features"                          # K=12 + type embedding
 FEATURE_MODES = (SYLLABLE_NUMERICAL, SYLLABLE_NUCLEUS_NUMERICAL, ALL_FEATURES)
 
 
+def _require_ints(config, names: tuple[str, ...]) -> None:
+    """Count fields must be Python ints; a float or a bool is rejected."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
 def feature_dim(feature_mode: str) -> int:
     if feature_mode == SYLLABLE_NUMERICAL:
         return 6
@@ -46,6 +54,8 @@ class ModelConfig:
     require_divisible_heads: bool = False
 
     def __post_init__(self):
+        _require_ints(self, ("d_model", "n_heads", "n_layers", "ffn_hidden",
+                             "max_positions"))
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
             raise InvalidConfig("d_model, n_heads and n_layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -122,6 +132,7 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        _require_ints(self, ("epochs", "batch_size"))
         if self.learning_rate <= 0:
             raise InvalidConfig("learning_rate must be > 0")
         if self.batch_size < 1:

@@ -13,11 +13,19 @@ before the softmax, so padded slots receive exactly zero attention weight
 and contribute nothing to any valid slot. A final layer norm feeds one
 shared linear head producing 3 logits per slot.
 
+All parameters, and likewise all gradients, live in one float64 vector,
+params.flat; a Params maps each name to its C-order view. param_layout
+lists names and shapes in storage order, which is also init_params' draw
+order: E_pos, E_type (all-features mode only), C, each layer's blocks,
+final_ln, head.
+
 Everything runs in float64; gradients are exact (verified against central
 finite differences in the test suite).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,53 +35,58 @@ from .config import ModelConfig
 
 LN_EPS = 1e-5
 
-Params = dict[str, np.ndarray]
-
 
 # --- parameters --------------------------------------------------------------
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in storage and init order."""
+    D, Hd, F = config.d_model, config.n_heads * config.head_dim, config.ffn_dim
+    layout = [("E_pos", (config.max_positions, D))]
+    if config.uses_type_embedding:
+        layout.append(("E_type", (PAD_TYPE_INDEX + 1, D)))
+    layout.append(("C", (config.feature_dim, D)))
+    for l in range(config.n_layers):
+        pre = f"layers.{l}."
+        layout += [(pre + name, shape) for name, shape in (
+            ("ln1.gamma", (D,)), ("ln1.beta", (D,)), ("attn.Wq", (D, Hd)),
+            ("attn.Wk", (D, Hd)), ("attn.Wv", (D, Hd)), ("attn.bq", (Hd,)),
+            ("attn.bk", (Hd,)), ("attn.bv", (Hd,)), ("attn.Wo", (Hd, D)),
+            ("attn.bo", (D,)), ("ln2.gamma", (D,)), ("ln2.beta", (D,)),
+            ("ffn.W1", (D, F)), ("ffn.b1", (F,)), ("ffn.W2", (F, D)),
+            ("ffn.b2", (D,)))]
+    layout += [("final_ln.gamma", (D,)), ("final_ln.beta", (D,)),
+               ("head.W", (D, config.n_classes)), ("head.b", (config.n_classes,))]
+    return layout
+
+
+class Params(dict):
+    """Parameter name -> array, each array a view of the float64 vector
+    ``flat`` in layout order. flat is zero-filled unless given."""
+
+    def __init__(self, layout: list[tuple[str, tuple[int, ...]]],
+                 flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for _, shape in layout]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        pieces = np.split(self.flat, np.cumsum(sizes)[:-1])
+        super().__init__((name, piece.reshape(shape))
+                         for (name, shape), piece in zip(layout, pieces))
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     """Seeded initialization: Xavier-uniform weight matrices, N(0, 0.02)
     embeddings (PAD type row pinned to zero), zero biases, unit LN gains."""
-    D, Hd, F = config.d_model, config.n_heads * config.head_dim, config.ffn_dim
-    K = config.feature_dim
-    p: Params = {}
-    p["E_pos"] = rng.normal(0.0, 0.02, size=(config.max_positions, D))
+    p = Params(param_layout(config))
+    for name, arr in p.items():
+        if name.startswith("E_"):
+            arr[:] = rng.normal(0.0, 0.02, size=arr.shape)
+        elif arr.ndim == 2:  # C and every W: limit sqrt(6 / (fan_in + fan_out))
+            limit = np.sqrt(6.0 / sum(arr.shape))
+            arr[:] = rng.uniform(-limit, limit, size=arr.shape)
+        elif name.endswith("gamma"):
+            arr[:] = 1.0
     if config.uses_type_embedding:
-        p["E_type"] = rng.normal(0.0, 0.02, size=(PAD_TYPE_INDEX + 1, D))
         p["E_type"][PAD_TYPE_INDEX] = 0.0
-    p["C"] = _xavier(rng, K, D)
-    for l in range(config.n_layers):
-        pre = f"layers.{l}."
-        p[pre + "ln1.gamma"] = np.ones(D)
-        p[pre + "ln1.beta"] = np.zeros(D)
-        for name in ("Wq", "Wk", "Wv"):
-            p[pre + "attn." + name] = _xavier(rng, D, Hd)
-        p[pre + "attn.bq"] = np.zeros(Hd)
-        p[pre + "attn.bk"] = np.zeros(Hd)
-        p[pre + "attn.bv"] = np.zeros(Hd)
-        p[pre + "attn.Wo"] = _xavier(rng, Hd, D)
-        p[pre + "attn.bo"] = np.zeros(D)
-        p[pre + "ln2.gamma"] = np.ones(D)
-        p[pre + "ln2.beta"] = np.zeros(D)
-        p[pre + "ffn.W1"] = _xavier(rng, D, F)
-        p[pre + "ffn.b1"] = np.zeros(F)
-        p[pre + "ffn.W2"] = _xavier(rng, F, D)
-        p[pre + "ffn.b2"] = np.zeros(D)
-    p["final_ln.gamma"] = np.ones(D)
-    p["final_ln.beta"] = np.zeros(D)
-    p["head.W"] = _xavier(rng, D, config.n_classes)
-    p["head.b"] = np.zeros(config.n_classes)
     return p
-
-
-def zeros_like_params(params: Params) -> Params:
-    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 # --- primitive forward/backward ----------------------------------------------
@@ -86,15 +99,15 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return gamma * xhat + beta, (xhat, inv, gamma)
 
 
-def _layer_norm_backward(dy: np.ndarray, cache):
+def _layer_norm_backward(dy: np.ndarray, cache, grads: Params, pre: str):
+    """dx; writes the gain and bias gradients to grads[pre + "gamma"/"beta"]."""
     xhat, inv, gamma = cache
-    dgamma = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    dbeta = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    grads[pre + "gamma"][:] = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    grads[pre + "beta"][:] = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dgamma, dbeta
+    return inv * (dxhat - m1 - xhat * m2)
 
 
 def _masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
@@ -150,11 +163,11 @@ def embed(features: np.ndarray, types: np.ndarray, mask: np.ndarray,
 def forward(params: Params, features: np.ndarray, types: np.ndarray,
             mask: np.ndarray, config: ModelConfig, *,
             train: bool = False, rng: np.random.Generator | None = None,
-            need_cache: bool = False, collect_attention: bool = False):
-    """Run the encoder; returns (logits, probs, cache, attention).
+            need_cache: bool = False):
+    """Run the encoder; returns (logits, probs, cache).
 
-    cache is None unless need_cache; attention is a list of per-layer
-    (B, H, P, P) weight tensors when collect_attention is set.
+    cache is None unless need_cache; it holds each layer's (B, H, P, P)
+    attention weights as cache["layers"][l]["A"].
     """
     B, P = mask.shape
     H, dh = config.n_heads, config.head_dim
@@ -166,7 +179,6 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
 
     x = embed(features, types, mask, params, config)
     cache: dict = {"embed_in": features, "layers": []} if need_cache else None
-    attention: list[np.ndarray] = [] if collect_attention else None
 
     for l in range(config.n_layers):
         pre = f"layers.{l}."
@@ -180,8 +192,6 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
         vh = v.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
         scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
         A = _masked_softmax(scores, key_mask)
-        if collect_attention:
-            attention.append(A)
         ctxh = A @ vh
         ctx = ctxh.transpose(0, 2, 1, 3).reshape(B, P, H * dh)
         o = ctx @ params[pre + "attn.Wo"] + params[pre + "attn.bo"]
@@ -220,7 +230,7 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
     if need_cache:
         cache.update({"lnf": lnf_cache, "xf": xf, "types": types, "mask": mask,
                       "key_mask": key_mask, "probs": probs})
-    return logits, probs, cache, attention
+    return logits, probs, cache
 
 
 # --- loss --------------------------------------------------------------------
@@ -270,43 +280,41 @@ def loss_from_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
 def backward(params: Params, cache: dict, dlogits: np.ndarray,
              config: ModelConfig) -> Params:
     """Exact reverse-mode gradients of the scalar loss w.r.t. every
-    parameter. The PAD row of the type embedding is forced to zero."""
+    parameter, written into one zeroed Params. The PAD row of the type
+    embedding is forced to zero."""
     B, P, _ = dlogits.shape
     H, dh = config.n_heads, config.head_dim
     scale = 1.0 / np.sqrt(dh)
-    grads = zeros_like_params(params)
+    grads = Params(param_layout(config))
     mask = cache["mask"]
 
     xf = cache["xf"]
-    grads["head.W"] = xf.reshape(-1, config.d_model).T @ dlogits.reshape(-1, 3)
-    grads["head.b"] = dlogits.sum(axis=(0, 1))
+    grads["head.W"][:] = xf.reshape(-1, config.d_model).T @ dlogits.reshape(-1, 3)
+    grads["head.b"][:] = dlogits.sum(axis=(0, 1))
     dxf = dlogits @ params["head.W"].T
-    dx, dg, db = _layer_norm_backward(dxf, cache["lnf"])
-    grads["final_ln.gamma"], grads["final_ln.beta"] = dg, db
+    dx = _layer_norm_backward(dxf, cache["lnf"], grads, "final_ln.")
 
     for l in reversed(range(config.n_layers)):
         pre = f"layers.{l}."
         c = cache["layers"][l]
         # feed-forward block
         df = dx if c["drop2"] is None else dx * c["drop2"]
-        grads[pre + "ffn.W2"] = c["r"].reshape(-1, config.ffn_dim).T \
+        grads[pre + "ffn.W2"][:] = c["r"].reshape(-1, config.ffn_dim).T \
             @ df.reshape(-1, config.d_model)
-        grads[pre + "ffn.b2"] = df.sum(axis=(0, 1))
+        grads[pre + "ffn.b2"][:] = df.sum(axis=(0, 1))
         dr = df @ params[pre + "ffn.W2"].T
         du = dr * (c["u"] > 0.0)
-        grads[pre + "ffn.W1"] = c["f_in"].reshape(-1, config.d_model).T \
+        grads[pre + "ffn.W1"][:] = c["f_in"].reshape(-1, config.d_model).T \
             @ du.reshape(-1, config.ffn_dim)
-        grads[pre + "ffn.b1"] = du.sum(axis=(0, 1))
+        grads[pre + "ffn.b1"][:] = du.sum(axis=(0, 1))
         df_in = du @ params[pre + "ffn.W1"].T
-        dx_ln, dg, db = _layer_norm_backward(df_in, c["ln2"])
-        grads[pre + "ln2.gamma"], grads[pre + "ln2.beta"] = dg, db
-        dx = dx + dx_ln
+        dx = dx + _layer_norm_backward(df_in, c["ln2"], grads, pre + "ln2.")
 
         # attention block
         do = dx if c["drop1"] is None else dx * c["drop1"]
-        grads[pre + "attn.Wo"] = c["ctx"].reshape(-1, H * dh).T \
+        grads[pre + "attn.Wo"][:] = c["ctx"].reshape(-1, H * dh).T \
             @ do.reshape(-1, config.d_model)
-        grads[pre + "attn.bo"] = do.sum(axis=(0, 1))
+        grads[pre + "attn.bo"][:] = do.sum(axis=(0, 1))
         dctx = do @ params[pre + "attn.Wo"].T
         dctxh = dctx.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
         dA = dctxh @ c["vh"].transpose(0, 1, 3, 2)
@@ -318,31 +326,28 @@ def backward(params: Params, cache: dict, dlogits: np.ndarray,
         dk = dkh.transpose(0, 2, 1, 3).reshape(B, P, H * dh)
         dv = dvh.transpose(0, 2, 1, 3).reshape(B, P, H * dh)
         a_in2 = c["a_in"].reshape(-1, config.d_model)
-        grads[pre + "attn.Wq"] = a_in2.T @ dq.reshape(-1, H * dh)
-        grads[pre + "attn.Wk"] = a_in2.T @ dk.reshape(-1, H * dh)
-        grads[pre + "attn.Wv"] = a_in2.T @ dv.reshape(-1, H * dh)
-        grads[pre + "attn.bq"] = dq.sum(axis=(0, 1))
-        grads[pre + "attn.bk"] = dk.sum(axis=(0, 1))
-        grads[pre + "attn.bv"] = dv.sum(axis=(0, 1))
+        grads[pre + "attn.Wq"][:] = a_in2.T @ dq.reshape(-1, H * dh)
+        grads[pre + "attn.Wk"][:] = a_in2.T @ dk.reshape(-1, H * dh)
+        grads[pre + "attn.Wv"][:] = a_in2.T @ dv.reshape(-1, H * dh)
+        grads[pre + "attn.bq"][:] = dq.sum(axis=(0, 1))
+        grads[pre + "attn.bk"][:] = dk.sum(axis=(0, 1))
+        grads[pre + "attn.bv"][:] = dv.sum(axis=(0, 1))
         da_in = (dq @ params[pre + "attn.Wq"].T
                  + dk @ params[pre + "attn.Wk"].T
                  + dv @ params[pre + "attn.Wv"].T)
-        dx_ln, dg, db = _layer_norm_backward(da_in, c["ln1"])
-        grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = dg, db
-        dx = dx + dx_ln
+        dx = dx + _layer_norm_backward(da_in, c["ln1"], grads, pre + "ln1.")
 
     # embedding backward; padded rows were zeroed in embed, so their
     # upstream gradient must not reach any parameter
     dV = dx * mask[..., None]
     feats = cache["embed_in"]
-    grads["C"] = np.einsum("bpk,bpd->kd", feats * mask[..., None], dV)
+    grads["C"][:] = np.einsum("bpk,bpd->kd", feats * mask[..., None], dV)
     # rows past P stay exact zeros: no slot of this batch used them
     grads["E_pos"][:P] = dV.sum(axis=0)
     if config.uses_type_embedding:
-        dE = np.zeros_like(params["E_type"])
+        dE = grads["E_type"]
         np.add.at(dE, cache["types"].reshape(-1), dV.reshape(-1, config.d_model))
         dE[PAD_TYPE_INDEX] = 0.0
-        grads["E_type"] = dE
     return grads
 
 
@@ -352,7 +357,7 @@ def loss_and_grads(params: Params, features: np.ndarray, types: np.ndarray,
                    rng: np.random.Generator | None = None,
                    ) -> tuple[float, Params, np.ndarray]:
     """One forward/backward pass; returns (loss, gradients, probabilities)."""
-    logits, probs, cache, _ = forward(
+    logits, probs, cache = forward(
         params, features, types, mask, config,
         train=train, rng=rng, need_cache=True)
     total, dlogits = loss_from_logits(logits, labels, mask, weights)

@@ -20,8 +20,8 @@ from .network import (
     init_params,
     loss_and_grads,
     loss_from_logits,
+    param_layout,
     position_weights,
-    zeros_like_params,
 )
 
 ADAM_BETA1 = 0.9
@@ -82,29 +82,27 @@ def make_batch(instances: list[WordInstance], config: ModelConfig,
 class Adam:
     def __init__(self, params: Params, lr: float):
         self.lr = lr
-        self.m = zeros_like_params(params)
-        self.v = zeros_like_params(params)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
     def step(self, params: Params, grads: Params) -> None:
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        for key, g in grads.items():
-            m = self.m[key]
-            v = self.v[key]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            params[key] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+        g = grads.flat
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        params.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 def evaluate_batch(params: Params, batch: Batch, config: ModelConfig,
                    ) -> tuple[float, float]:
     """(mean loss, accuracy) over valid slots, dropout off."""
-    logits, _, _, _ = forward(params, batch.features, batch.types,
-                              batch.mask, config)
+    logits, _, _ = forward(params, batch.features, batch.types,
+                           batch.mask, config)
     loss, _ = loss_from_logits(logits, batch.labels, batch.mask, batch.weights)
     pred = logits.argmax(axis=-1)
     correct = (pred == batch.labels) & batch.mask
@@ -142,7 +140,7 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
 
     history: list[dict] = []
     best_acc = -1.0
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = params.flat.copy()
     n = len(train_batch)
     bs = train_config.batch_size
     for epoch in range(train_config.epochs):
@@ -177,8 +175,8 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
         })
         if val_acc > best_acc:
             best_acc = val_acc
-            best_params = {k: v.copy() for k, v in params.items()}
-    return best_params, class_weights, history
+            best_flat = params.flat.copy()
+    return Params(param_layout(model_config), best_flat), class_weights, history
 
 
 def predict_instances(params: Params, config: ModelConfig,
@@ -193,8 +191,8 @@ def predict_instances(params: Params, config: ModelConfig,
     for start in range(0, len(instances), SCORE_CHUNK):
         chunk = instances[start:start + SCORE_CHUNK]
         batch = make_batch(chunk, config)
-        _, probs, _, _ = forward(params, batch.features, batch.types,
-                                 batch.mask, config)
+        _, probs, _ = forward(params, batch.features, batch.types,
+                              batch.mask, config)
         out.extend(row[:inst.valid_count] for row, inst in zip(probs, chunk))
     return out
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from stressnet import bundled_dictionary_path
 from stressnet.lexicon import PAD_TYPE_INDEX, load_dictionary
@@ -24,3 +25,11 @@ def random_instance_batch(rng, n, k, min_valid=2, max_positions=17):
         feats[b, valid:] = 0.0
     weights = np.where(mask, rng.uniform(0.2, 1.0, (n, max_positions)), 0.0)
     return feats, types, mask, labels, weights
+
+
+# any JSON document, for fuzzing the readers of JSON input
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)

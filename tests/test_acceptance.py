@@ -67,7 +67,7 @@ def _fd_worst(cfg, seed, n_samples, eps=1e-4):
         rng, 4, cfg.feature_dim)
 
     def loss_and_signs(ps):
-        logits, _, cache, _ = forward(ps, feats, types, mask, cfg,
+        logits, _, cache = forward(ps, feats, types, mask, cfg,
                                       need_cache=True)
         loss, _ = loss_from_logits(logits, labels, mask, weights)
         return loss, [c["u"] > 0 for c in cache["layers"]]
@@ -120,13 +120,13 @@ def test_criterion_2_mask_invariance():
     worst = 0.0
     for chunk in range(4):
         feats, types, mask, _, _ = random_instance_batch(rng, 250, 12)
-        base, _, _, _ = forward(params, feats, types, mask, cfg)
+        base, _, _ = forward(params, feats, types, mask, cfg)
         feats2 = feats.copy()
         types2 = types.copy()
         pad = ~mask
         feats2[pad] = rng.normal(0.0, 100.0, feats2[pad].shape)
         types2[pad] = rng.integers(0, PAD_TYPE_INDEX + 1, int(pad.sum()))
-        pert, _, _, _ = forward(params, feats2, types2, mask, cfg)
+        pert, _, _ = forward(params, feats2, types2, mask, cfg)
         worst = max(worst, float(np.abs(base[mask] - pert[mask]).max()))
     ok = worst <= 1e-9
     report(2, ok, f"1000 instances, padded-slot perturbations move "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import json_values
 from stressnet.baselines import train_forest, train_ordinal
 from stressnet.checkpoint import (
     FORMAT_ATTENTION,
@@ -148,6 +149,22 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError):
             load_any(path)
 
+    def test_arrays_must_be_float64(self, tmp_path):
+        cfg = medium_config()
+        params = init_params(cfg, np.random.default_rng(8))
+        path = str(tmp_path / "m.ckpt")
+        # shapes fit; only the declared dtype is "<i8"
+        save_model(path, dict(params, E_pos=params["E_pos"].astype(np.int64)),
+                   cfg, None)
+        with pytest.raises(CheckpointError, match="<f8"):
+            load_any(path)
+        save_model(path, params, cfg,
+                   ClassWeights(np.ones((16, 3), dtype=np.int64)))
+        with pytest.raises(CheckpointError, match="<f8"):
+            load_any(path)
+        save_model(path, params, cfg, ClassWeights(np.ones((16, 3))))
+        assert load_any(path)[0] == "attention"
+
 
 class TestBaselineCheckpoints:
     def test_ordinal_round_trip(self, tmp_path):
@@ -174,12 +191,6 @@ class TestBaselineCheckpoints:
 
 
 # --- container fuzzing --------------------------------------------------------
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda kids: (st.lists(kids, max_size=3)
-                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
-    max_leaves=6)
 
 array_entries = st.fixed_dictionaries({
     "name": st.sampled_from(["a", "b"]) | json_values,

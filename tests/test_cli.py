@@ -3,9 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import json_values
+from stressnet import bundled_dictionary_path
 from stressnet.cli import run_subcommand
 from stressnet.features import read_feature_table
+from stressnet.model import FEATURE_MODES
 
 
 def run(*argv):
@@ -32,6 +36,13 @@ class TestErrorsAndExitCodes:
                    "synth", "--n", "1", "--out", str(tmp_path / "o"))
         assert code == 3
         assert "absent.json" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        code = run("--config", str(cfg), "synth", "--n", "1",
+                   "--out", str(tmp_path / "o"))
+        assert code == 3
 
     def test_unknown_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -160,6 +171,14 @@ class TestMalformedCheckpoints:
     @pytest.mark.parametrize("shape", [[2**40, 2**40], [2**70]])
     def test_shape_beyond_int64_or_file(self, ckpt, tmp_path, capsys, shape):
         edit_checkpoint_header(ckpt, lambda h: h["arrays"][0].update(shape=shape))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+    @pytest.mark.parametrize("field,value", [
+        ("d_model", 5.0), ("n_layers", 3.5), ("max_positions", True)])
+    def test_model_config_count_not_an_int(self, ckpt, tmp_path, capsys,
+                                           field, value):
+        edit_checkpoint_header(
+            ckpt, lambda h: h["meta"]["model_config"].update({field: value}))
         self.check_data_error(ckpt, tmp_path, capsys)
 
 
@@ -612,6 +631,23 @@ class TestTrainConfigErrors:
         assert code == 3
         assert "model config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,model", [
+        ({"train": {"epochs": 2.5}}, "attn-medium"),
+        ({"train": {"batch_size": 2.5}}, "attn-medium"),
+        ({"model": {"d_model": 2.5, "n_heads": 1, "n_layers": 1}}, "attn-custom"),
+    ], ids=["epochs", "batch_size", "d_model"])
+    def test_count_field_not_an_int(self, pipeline, tmp_path, capsys, doc,
+                                    model):
+        _, out, _, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run("--config", str(cfg), "train", "--model", model,
+                   "--train", str(out / "splits" / "train.jsonl"),
+                   "--out", str(tmp_path / "m.ckpt"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "must be an integer" in err and "Traceback" not in err
+
     def test_custom_model_trains(self, pipeline, tmp_path):
         from stressnet.checkpoint import load_any
 
@@ -627,3 +663,76 @@ class TestTrainConfigErrors:
         kind, (_, config), _, _ = load_any(str(ckpt))
         assert kind == "attention"
         assert model.items() <= config.to_dict().items()
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A four-utterance synth corpus and a scratch directory for outputs."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert run("synth", "--n", "4", "--seed", "3", "--out",
+               str(root / "corpus")) == 0
+    (root / "empty").mkdir()
+    return root
+
+
+# per scalar config key: a subcommand that reads it, and values that work
+SCALAR_KEY_RUNS = {
+    "seed": (["split", "--features", "{r}/corpus/features.jsonl",
+              "--out", "{r}/split"], st.integers(0, 2**70)),
+    "dict_path": (["lexicon", "lookup", "overcome"],
+                  st.just(bundled_dictionary_path())),
+    "feature_mode": (["train", "--model", "or", "--train",
+                      "{r}/corpus/features.jsonl", "--out", "{r}/or.ckpt"],
+                     st.sampled_from(FEATURE_MODES)),
+    "exclusion_scope": (["label", "--alignments", "{r}/corpus/alignments",
+                         "--out", "{r}/labels"],
+                        st.sampled_from(["word", "utterance"])),
+    "normalization_pool": (["featurize", "--alignments", "{r}/empty",
+                            "--out", "{r}/features.jsonl"],
+                           st.sampled_from(["sentence", "multisyllabic_only"])),
+}
+
+
+class TestConfigScalars:
+    """Each scalar run-config key works or is a configuration error, exit 3."""
+
+    @pytest.mark.parametrize("doc,argv", [
+        ({"seed": "abc"}, ["synth", "--n", "1", "--out", "{r}/o"]),
+        ({"seed": True}, ["split", "--features", "{r}/corpus/features.jsonl",
+                          "--out", "{r}/o"]),
+        ({"seed": -1}, ["split", "--features", "{r}/corpus/features.jsonl",
+                        "--out", "{r}/o"]),
+        ({"dict_path": 5}, ["synth", "--n", "1", "--out", "{r}/o"]),
+        ({"dict_path": "absent.txt"}, ["lexicon", "lookup", "overcome"]),
+        ({"exclusion_scope": "bogus"}, ["label", "--alignments",
+                                        "{r}/corpus/alignments", "--out", "{r}/o"]),
+        ({"feature_mode": 3}, ["synth", "--n", "1", "--out", "{r}/o"]),
+        ({"normalization_pool": ["sentence"]}, ["lexicon", "lookup", "overcome"]),
+    ], ids=["seed-str", "seed-bool", "seed-negative", "dict-int", "dict-absent",
+            "scope-unknown", "mode-int", "pool-list"])
+    def test_ill_typed_or_unknown_value(self, tiny_corpus, tmp_path, capsys,
+                                        doc, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run("--config", str(cfg),
+                   *[a.format(r=tiny_corpus) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{next(iter(doc))}" in err and "Traceback" not in err
+
+    def test_negative_seed_flag(self, tiny_corpus, capsys):
+        code = run("split", "--features", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--seed", "-1", "--out", str(tiny_corpus / "o"))
+        assert code == 3
+
+    @pytest.mark.parametrize("key", sorted(SCALAR_KEY_RUNS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_json_value(self, tiny_corpus, key, data):
+        argv, good = SCALAR_KEY_RUNS[key]
+        value = data.draw(good | json_values, label=key)
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run("--config", str(cfg),
+                   *[a.format(r=tiny_corpus) for a in argv])
+        assert code in (0, 3)

@@ -1,9 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_instance_batch
+from stressnet.checkpoint import FORMAT_ATTENTION, load_any, save_model
 from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
 from stressnet.errors import (
+    CheckpointError,
     InvalidConfig,
     LabelError,
     NumericalInstability,
@@ -12,8 +17,11 @@ from stressnet.errors import (
 from stressnet.lexicon import PAD_TYPE_INDEX, StressLevel
 from stressnet.model import (
     ALL_FEATURES,
+    FEATURE_MODES,
     SYLLABLE_NUMERICAL,
+    Adam,
     ModelConfig,
+    Params,
     TrainConfig,
     embed,
     forward,
@@ -23,10 +31,12 @@ from stressnet.model import (
     loss_from_logits,
     make_batch,
     medium_config,
+    param_layout,
     predict_instance,
     predict_instances,
     train,
 )
+from stressnet.model.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def tiny_config(**kw):
@@ -116,7 +126,7 @@ class TestForward:
         params = init_params(cfg, np.random.default_rng(3))
         batch = random_instance_batch(np.random.default_rng(4), 5, 12)
         feats, types, mask, _, _ = batch
-        _, probs, _, _ = forward(params, feats, types, mask, cfg)
+        _, probs, _ = forward(params, feats, types, mask, cfg)
         sums = probs.sum(axis=-1)
         assert np.all(np.abs(sums[mask] - 1.0) < 1e-9)
 
@@ -125,13 +135,13 @@ class TestForward:
         params = init_params(cfg, np.random.default_rng(5))
         feats, types, mask, _, _ = random_instance_batch(
             np.random.default_rng(6), 8, 12)
-        logits1, _, _, _ = forward(params, feats, types, mask, cfg)
+        logits1, _, _ = forward(params, feats, types, mask, cfg)
         rng = np.random.default_rng(7)
         feats2 = feats.copy()
         feats2[~mask] = rng.normal(0, 50, feats2[~mask].shape)
         types2 = types.copy()
         types2[~mask] = rng.integers(0, 17, int((~mask).sum()))
-        logits2, _, _, _ = forward(params, feats2, types2, mask, cfg)
+        logits2, _, _ = forward(params, feats2, types2, mask, cfg)
         assert np.abs(logits1[mask] - logits2[mask]).max() <= 1e-9
 
     def test_single_valid_attention_one_hot(self):
@@ -142,9 +152,8 @@ class TestForward:
         types[0, 0] = 4
         mask = np.zeros((1, 17), dtype=bool)
         mask[0, 0] = True
-        _, _, _, attn = forward(params, feats, types, mask, cfg,
-                                collect_attention=True)
-        for A in attn:
+        _, _, cache = forward(params, feats, types, mask, cfg, need_cache=True)
+        for A in (c["A"] for c in cache["layers"]):
             assert A[0, :, 0, 0] == pytest.approx(np.ones(cfg.n_heads))
             assert np.all(A[0, :, 0, 1:] == 0.0)
 
@@ -153,9 +162,8 @@ class TestForward:
         params = init_params(cfg, np.random.default_rng(9))
         feats, types, mask, _, _ = random_instance_batch(
             np.random.default_rng(10), 4, 12)
-        _, _, _, attn = forward(params, feats, types, mask, cfg,
-                                collect_attention=True)
-        for A in attn:
+        _, _, cache = forward(params, feats, types, mask, cfg, need_cache=True)
+        for A in (c["A"] for c in cache["layers"]):
             assert np.abs(A.sum(axis=-1) - 1.0).max() < 1e-9
             key_mask = mask[:, None, None, :]
             assert np.all(A[~np.broadcast_to(key_mask, A.shape)] == 0.0)
@@ -181,18 +189,18 @@ class TestForward:
         types[0, :n] = rng.integers(0, 16, n)
         mask = np.zeros((1, 17), dtype=bool)
         mask[0, :n] = True
-        logits, _, _, _ = forward(params, feats, types, mask, cfg)
+        logits, _, _ = forward(params, feats, types, mask, cfg)
         perm = rng.permutation(n)
         feats2, types2 = feats.copy(), types.copy()
         feats2[0, :n] = feats[0, perm]
         types2[0, :n] = types[0, perm]
-        logits2, _, _, _ = forward(params, feats2, types2, mask, cfg)
+        logits2, _, _ = forward(params, feats2, types2, mask, cfg)
         assert np.allclose(logits2[0, :n], logits[0, perm], atol=1e-9)
         # with position embeddings restored the outputs are, in general,
         # position-sensitive
         params2 = init_params(cfg, np.random.default_rng(13))
-        logits3, _, _, _ = forward(params2, feats, types, mask, cfg)
-        logits4, _, _, _ = forward(params2, feats2, types2, mask, cfg)
+        logits3, _, _ = forward(params2, feats, types, mask, cfg)
+        logits4, _, _ = forward(params2, feats2, types2, mask, cfg)
         assert not np.allclose(logits4[0, :n], logits3[0, perm], atol=1e-6)
 
 
@@ -256,7 +264,7 @@ def finite_difference_check(cfg, seed, n_samples=60, eps=1e-4):
         rng, 4, cfg.feature_dim)
 
     def loss_and_signs(ps):
-        logits, _, cache, _ = forward(ps, feats, types, mask, cfg,
+        logits, _, cache = forward(ps, feats, types, mask, cfg,
                                       need_cache=True)
         loss, _ = loss_from_logits(logits, labels, mask, weights)
         signs = [c["u"] > 0 for c in cache["layers"]]
@@ -339,6 +347,135 @@ def small_corpus(lexicon):
     instances = instances_from_table(recs)
     train_set, test_set = split(instances, 0.7, seed=1)
     return train_set, test_set
+
+
+# --- parameter storage ---------------------------------------------------------
+
+def oracle_init_params(config, rng):
+    """init_params as one dict of separately allocated arrays, drawn in
+    the documented order: the reference the flat storage must reproduce."""
+    def xavier(fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    D, Hd, F = config.d_model, config.n_heads * config.head_dim, config.ffn_dim
+    p = {"E_pos": rng.normal(0.0, 0.02, size=(config.max_positions, D))}
+    if config.uses_type_embedding:
+        p["E_type"] = rng.normal(0.0, 0.02, size=(PAD_TYPE_INDEX + 1, D))
+        p["E_type"][PAD_TYPE_INDEX] = 0.0
+    p["C"] = xavier(config.feature_dim, D)
+    for l in range(config.n_layers):
+        pre = f"layers.{l}."
+        p[pre + "ln1.gamma"] = np.ones(D)
+        p[pre + "ln1.beta"] = np.zeros(D)
+        for name in ("Wq", "Wk", "Wv"):
+            p[pre + "attn." + name] = xavier(D, Hd)
+        p[pre + "attn.bq"] = np.zeros(Hd)
+        p[pre + "attn.bk"] = np.zeros(Hd)
+        p[pre + "attn.bv"] = np.zeros(Hd)
+        p[pre + "attn.Wo"] = xavier(Hd, D)
+        p[pre + "attn.bo"] = np.zeros(D)
+        p[pre + "ln2.gamma"] = np.ones(D)
+        p[pre + "ln2.beta"] = np.zeros(D)
+        p[pre + "ffn.W1"] = xavier(D, F)
+        p[pre + "ffn.b1"] = np.zeros(F)
+        p[pre + "ffn.W2"] = xavier(F, D)
+        p[pre + "ffn.b2"] = np.zeros(D)
+    p["final_ln.gamma"] = np.ones(D)
+    p["final_ln.beta"] = np.zeros(D)
+    p["head.W"] = xavier(D, config.n_classes)
+    p["head.b"] = np.zeros(config.n_classes)
+    return p
+
+
+def oracle_adam_step(params, grads, m, v, t, lr):
+    """One Adam step array by array, in place; the flat Adam must match it."""
+    b1c = 1.0 - ADAM_BETA1 ** t
+    b2c = 1.0 - ADAM_BETA2 ** t
+    for key, g in grads.items():
+        m[key] *= ADAM_BETA1
+        m[key] += (1.0 - ADAM_BETA1) * g
+        v[key] *= ADAM_BETA2
+        v[key] += (1.0 - ADAM_BETA2) * g * g
+        params[key] -= lr * (m[key] / b1c) / (np.sqrt(v[key] / b2c) + ADAM_EPS)
+
+
+def assert_views_of_flat(params):
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+    assert sum(a.size for a in params.values()) == params.flat.size
+    for name, arr in params.items():
+        assert arr.base is params.flat, name
+        assert np.shares_memory(arr, params.flat), name
+
+
+class TestParamStorage:
+    @pytest.mark.parametrize("make_cfg", [medium_config, large_config])
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_init_matches_per_array_oracle(self, make_cfg, mode):
+        cfg = make_cfg(mode)
+        params = init_params(cfg, np.random.default_rng(17))
+        expected = oracle_init_params(cfg, np.random.default_rng(17))
+        assert list(params) == list(expected)
+        assert [(k, a.shape) for k, a in params.items()] == param_layout(cfg)
+        for key, arr in expected.items():
+            assert params[key].dtype == np.float64
+            assert np.array_equal(params[key], arr), key
+        assert_views_of_flat(params)
+
+    def test_adam_matches_per_array_oracle(self):
+        cfg = medium_config()
+        rng = np.random.default_rng(18)
+        params = init_params(cfg, np.random.default_rng(19))
+        ref = {k: a.copy() for k, a in params.items()}
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        opt = Adam(params, 3e-3)
+        for t in range(1, 6):
+            grads = Params(param_layout(cfg))
+            grads.flat[:] = rng.normal(0.0, 1.0, grads.flat.size)
+            opt.step(params, grads)
+            oracle_adam_step(ref, grads, m, v, t, 3e-3)
+            for key in ref:
+                assert np.array_equal(params[key], ref[key]), (t, key)
+        assert_views_of_flat(params)
+
+    def test_gradients_trained_and_loaded_params_are_views(self, small_corpus,
+                                                           tmp_path):
+        train_set, test_set = small_corpus
+        cfg = tiny_config(feature_mode=ALL_FEATURES)
+        params = init_params(cfg, np.random.default_rng(20))
+        feats, types, mask, labels, weights = random_instance_batch(
+            np.random.default_rng(21), 3, 12)
+        _, grads, _ = loss_and_grads(params, feats, types, mask, labels,
+                                     weights, cfg)
+        assert_views_of_flat(grads)
+        trained, cw, _ = train(train_set, test_set, cfg,
+                               TrainConfig(epochs=1, seed=2, batch_size=32))
+        assert_views_of_flat(trained)
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, trained, cfg, cw)
+        _, (loaded, _), _, _ = load_any(path)
+        assert_views_of_flat(loaded)
+        assert np.array_equal(loaded.flat, trained.flat)
+
+    def test_mismatched_header_rejected_before_allocation(self, tmp_path):
+        # no arrays, so the header agrees with the file's byte count; the
+        # model it declares would need about 189 MB of parameters
+        config = ModelConfig(d_model=700, n_heads=1, n_layers=4).to_dict()
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(json.dumps({
+            "format": FORMAT_ATTENTION, "version": 1, "arrays": [],
+            "meta": {"feature_mode": ALL_FEATURES, "model_config": config,
+                     "has_class_weights": False},
+        }, sort_keys=True).encode() + b"\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                load_any(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestTraining:
@@ -456,8 +593,8 @@ class TestTrimmedBatches:
                                         max_positions=7)
         full = pad_to_full_width(*trimmed)
         P = trimmed[2].shape[1]
-        logits_t, probs_t, _, _ = forward(params, *trimmed[:3], cfg)
-        logits_f, probs_f, _, _ = forward(params, *full[:3], cfg)
+        logits_t, probs_t, _ = forward(params, *trimmed[:3], cfg)
+        logits_f, probs_f, _ = forward(params, *full[:3], cfg)
         assert np.abs(logits_t - logits_f[:, :P]).max() < 1e-12
         assert np.abs(probs_t - probs_f[:, :P]).max() < 1e-12
         # dropout on: slot i must draw the same mask at either width
@@ -513,7 +650,7 @@ class TestTrimmedBatches:
             feats, types, mask, _, _ = pad_to_full_width(
                 one.features, one.types, one.mask, one.labels, one.weights)
             assert mask.shape == (1, 17)
-            _, probs, _, _ = forward(params, feats, types, mask, cfg)
+            _, probs, _ = forward(params, feats, types, mask, cfg)
             assert p.shape == (inst.valid_count, 3)
             assert np.abs(p - probs[0, :inst.valid_count]).max() < 1e-12
         one = predict_instance(params, cfg, test_set[3])
