@@ -173,7 +173,7 @@ def _cmd_synth(args, config) -> int:
         gen_doc["labeling"] = args.labeling
     try:
         gen = GenConfig.from_dict(gen_doc)
-    except TypeError as exc:
+    except (TypeError, InvalidConfig) as exc:
         raise ConfigError(f"bad gen config: {exc}")
     seed = _seed(args, config)
     out = Path(args.out)

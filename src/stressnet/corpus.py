@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,6 +381,44 @@ def compute_class_weights(train: list[WordInstance]) -> ClassWeights:
 
 # --- synthetic corpus -------------------------------------------------------
 
+LABELINGS = ("dictionary", "relative_duration")
+# Bounds on the generator settings. No useful corpus comes near them; they
+# keep every drawn duration, pitch and level finite, so that the sentence
+# means taken in normalize_sentence cannot overflow.
+MAX_WORDS_PER_UTTERANCE = 1000
+MAX_GEN_MAGNITUDE = 1e6
+
+# per real-valued GenConfig field: the range it must lie in besides
+# |value| <= MAX_GEN_MAGNITUDE, as text and as a test
+_ANY = ("", lambda v: True)
+_GEN_REAL_RULES = {
+    "duration_base_s": ("> 0 and ", lambda v: v > 0),
+    "duration_class_mult": ("> 0 and ", lambda v: v > 0),
+    "pitch_base_hz": ("> 0 and ", lambda v: v > 0),
+    "pitch_class_offset_hz": _ANY,
+    "intensity_base_db": _ANY,
+    "intensity_class_offset_db": _ANY,
+    "noise": (">= 0 and ", lambda v: v >= 0),
+    # keeps the per-type duration factor 1 + scale * U(-1, 1) positive
+    "type_offset_scale": ("in [0, 1) and ", lambda v: 0 <= v < 1),
+    "nucleus_duration_fraction": ("in (0, 1] and ", lambda v: 0 < v <= 1),
+    "nucleus_pitch_shift_hz": _ANY,
+    "nucleus_intensity_shift_db": _ANY,
+    "voiced_fraction": ("in [0, 1] and ", lambda v: 0 <= v <= 1),
+    "word_gap_s": (">= 0 and ", lambda v: v >= 0),
+}
+# fields that hold one value per stress class
+_PER_CLASS = ("duration_class_mult", "pitch_class_offset_hz",
+              "intensity_class_offset_db")
+
+
+def _gen_real_ok(value, test) -> bool:
+    """A real number, not a bool, within the magnitude bound (which NaN and
+    the infinities fail) and passing test."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= MAX_GEN_MAGNITUDE and test(value))
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Class-conditioned feature generator settings.
@@ -388,6 +427,8 @@ class GenConfig:
     Gaussian sigma is noise times the largest class offset of that slot,
     so noise=0 gives exact class constants and noise around 3 drowns the
     class structure.
+
+    Every field is checked on construction; a bad value is InvalidConfig.
     """
 
     n_words_range: tuple[int, int] = (8, 14)
@@ -405,6 +446,31 @@ class GenConfig:
     voiced_fraction: float = 0.8
     labeling: str = "dictionary"  # or "relative_duration"
     word_gap_s: float = 0.05
+
+    def __post_init__(self):
+        words = self.n_words_range
+        if not (isinstance(words, tuple) and len(words) == 2
+                and all(type(w) is int for w in words)
+                and 1 <= words[0] <= words[1] <= MAX_WORDS_PER_UTTERANCE):
+            raise InvalidConfig(
+                "n_words_range must be two integers lo, hi with "
+                f"1 <= lo <= hi <= {MAX_WORDS_PER_UTTERANCE}, got {words!r:.60}")
+        for name, (rule, test) in _GEN_REAL_RULES.items():
+            value = getattr(self, name)
+            if name in _PER_CLASS:
+                ok = (isinstance(value, tuple) and len(value) == 3
+                      and all(_gen_real_ok(v, test) for v in value))
+                what = "three numbers, one per stress class, each"
+            else:
+                ok = _gen_real_ok(value, test)
+                what = "a number"
+            if not ok:
+                raise InvalidConfig(
+                    f"{name} must be {what} {rule}at most "
+                    f"{MAX_GEN_MAGNITUDE:g} in magnitude, got {value!r:.60}")
+        if not (isinstance(self.labeling, str) and self.labeling in LABELINGS):
+            raise InvalidConfig(
+                f"labeling must be one of {LABELINGS}, got {self.labeling!r:.40}")
 
     def sigmas(self) -> tuple[float, float, float]:
         """(duration, pitch, intensity) noise sigmas."""
@@ -443,10 +509,6 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
     its stress class and nucleus type, then sentence-normalized exactly
     like real audio features. Returns alignments plus the feature table.
     """
-    if cfg.noise < 0:
-        raise InvalidConfig(f"noise must be >= 0, got {cfg.noise}")
-    if cfg.labeling not in ("dictionary", "relative_duration"):
-        raise InvalidConfig(f"unknown labeling mode {cfg.labeling!r}")
     rng = np.random.default_rng(seed)
     sigma_dur, sigma_pitch, sigma_int = cfg.sigmas()
 

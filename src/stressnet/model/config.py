@@ -133,14 +133,21 @@ class TrainConfig:
 
     def __post_init__(self):
         _require_ints(self, ("epochs", "batch_size"))
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise InvalidConfig("learning_rate must be a finite number > 0, "
+                                f"got {self.learning_rate!r:.40}")
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be >= 1")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise InvalidConfig("validation_fraction must be in [0, 1)")
+        # exactly a bool or None: 1 or "x" would pass a truth test
+        if (self.use_class_weights is not None
+                and type(self.use_class_weights) is not bool):
+            raise InvalidConfig(
+                "use_class_weights must be true, false or null, got "
+                f"{self.use_class_weights!r:.40}")
 
     def resolve_use_weights(self, model_config: ModelConfig) -> bool:
         if self.use_class_weights is None:

@@ -8,10 +8,19 @@ Input embedding per syllable i:
 with the type term dropped entirely in the numerical-only feature modes.
 Padded slots stay exact zero vectors. The encoder is pre-norm: each layer
 adds masked multi-head self-attention and a ReLU feed-forward block on a
-residual stream; attention scores toward padded keys are set to -inf
-before the softmax, so padded slots receive exactly zero attention weight
-and contribute nothing to any valid slot. A final layer norm feeds one
-shared linear head producing 3 logits per slot.
+residual stream; a key bias built once per forward pass adds -inf to
+attention scores toward padded keys before the softmax, so padded slots
+receive exactly zero attention weight and contribute nothing to any valid
+slot. A final layer norm feeds one shared linear head producing 3 logits
+per slot.
+
+Every reduction over the last axis (softmax over keys or classes, the
+layer-norm mean and variance, the loss's max and log-sum-exp, and their
+backward sums) goes through _sum_last and _max_last. NumPy reduces such a
+short axis (P <= 17 keys, D features) slowly; the helpers add whole slices
+in NumPy's own order, so every result is bit-identical to NumPy's and
+reruns keep byte-identical checkpoints and reports. A new last-axis
+reduction in the encoder must use them too.
 
 All parameters, and likewise all gradients, live in one float64 vector,
 params.flat; a Params maps each name to its C-order view. param_layout
@@ -25,6 +34,7 @@ finite differences in the test suite).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -65,11 +75,11 @@ class Params(dict):
 
     def __init__(self, layout: list[tuple[str, tuple[int, ...]]],
                  flat: np.ndarray | None = None):
-        sizes = [math.prod(shape) for _, shape in layout]
-        self.flat = np.zeros(sum(sizes)) if flat is None else flat
-        pieces = np.split(self.flat, np.cumsum(sizes)[:-1])
-        super().__init__((name, piece.reshape(shape))
-                         for (name, shape), piece in zip(layout, pieces))
+        ends = list(itertools.accumulate(math.prod(shape) for _, shape in layout))
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        super().__init__(
+            (name, self.flat[end - math.prod(shape):end].reshape(shape))
+            for (name, shape), end in zip(layout, ends))
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
@@ -89,13 +99,59 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     return p
 
 
+# --- last-axis reductions (see the module docstring) ---------------------------
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), bit for bit, for a C-contiguous a.
+
+    NumPy starts from +0.0 (so a row of -0.0 sums to +0.0) and adds fewer
+    than 8 elements left to right. From 8 up it keeps 8 partial sums, adds
+    each later full block of 8 into them, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then adds the tail left to
+    right. It splits an axis longer than 128 in halves first; such an axis
+    (only a custom model's D can be one) is left to NumPy itself.
+    """
+    n = a.shape[-1]
+    if n > 128:
+        return a.sum(axis=-1, keepdims=True)
+    if n < 8:
+        s = a[..., 0] + 0.0
+        for j in range(1, n):
+            s += a[..., j]
+        return s[..., None]
+    full = n - n % 8
+    r = a[..., :8]
+    for i in range(8, full, 8):
+        r = r + a[..., i:i + 8]
+    s = ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) \
+        + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+    for j in range(full, n):
+        s += a[..., j]
+    s += 0.0
+    return s[..., None]
+
+
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True) in value; NaN propagates as in NumPy.
+
+    Where -0.0 and +0.0 tie for the maximum, the sign of the zero may
+    differ from NumPy's. Every caller subtracts the maximum before exp,
+    where the sign of a zero cannot show.
+    """
+    m = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j], out=m)
+    return m[..., None]
+
+
 # --- primitive forward/backward ----------------------------------------------
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    """Layer norm over the last axis; mean and variance as np.mean/np.var."""
+    D = x.shape[-1]
+    xc = x - _sum_last(x) / D
+    inv = 1.0 / np.sqrt(_sum_last(xc * xc) / D + LN_EPS)
+    xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv, gamma)
 
 
@@ -104,22 +160,23 @@ def _layer_norm_backward(dy: np.ndarray, cache, grads: Params, pre: str):
     xhat, inv, gamma = cache
     grads[pre + "gamma"][:] = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     grads[pre + "beta"][:] = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    D = dy.shape[-1]
     dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = _sum_last(dxhat) / D
+    m2 = _sum_last(dxhat * xhat) / D
     return inv * (dxhat - m1 - xhat * m2)
 
 
-def _masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with masked keys receiving exact zero."""
-    neg = np.where(key_mask, scores, -np.inf)
-    m = neg.max(axis=-1, keepdims=True)
-    e = np.exp(neg - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis; a -inf entry gets exact zero weight."""
+    e = x - _max_last(x)
+    np.exp(e, out=e)
+    e /= _sum_last(e)
+    return e
 
 
 def _softmax_backward(dA: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
+    return A * (dA - _sum_last(dA * A))
 
 
 def _dropout_mask(rng: np.random.Generator, shape, p: float,
@@ -175,7 +232,8 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
     use_dropout = train and config.dropout > 0.0
     if use_dropout and rng is None:
         raise ShapeError("training forward needs an rng for dropout")
-    key_mask = mask[:, None, None, :]  # (B,1,1,P)
+    # added to every layer's scores: padded keys get -inf, so exact zero weight
+    key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]  # (B,1,1,P)
 
     x = embed(features, types, mask, params, config)
     cache: dict = {"embed_in": features, "layers": []} if need_cache else None
@@ -190,8 +248,10 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
         qh = q.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
         kh = k.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
         vh = v.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        A = _masked_softmax(scores, key_mask)
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += key_bias
+        A = _softmax(scores)
         ctxh = A @ vh
         ctx = ctxh.transpose(0, 2, 1, 3).reshape(B, P, H * dh)
         o = ctx @ params[pre + "attn.Wo"] + params[pre + "attn.bo"]
@@ -224,12 +284,10 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
     logits = xf @ params["head.W"] + params["head.b"]
     if not np.isfinite(logits[mask]).all():
         raise NumericalInstability("non-finite logits in forward pass")
-    lmax = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - lmax)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = _softmax(logits)
     if need_cache:
         cache.update({"lnf": lnf_cache, "xf": xf, "types": types, "mask": mask,
-                      "key_mask": key_mask, "probs": probs})
+                      "probs": probs})
     return logits, probs, cache
 
 
@@ -259,9 +317,8 @@ def loss_from_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise LabelError("batch has no valid positions")
-    lmax = logits.max(axis=-1, keepdims=True)
-    shifted = logits - lmax
-    logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - _max_last(logits)
+    logsumexp = np.log(_sum_last(np.exp(shifted)))
     logp = shifted - logsumexp
     b, p = np.where(mask)
     nll = -logp[b, p, labels[b, p]]

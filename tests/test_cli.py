@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import json_values
 from stressnet import bundled_dictionary_path
 from stressnet.cli import run_subcommand
+from stressnet.corpus import GenConfig
 from stressnet.features import read_feature_table
 from stressnet.model import FEATURE_MODES
 
@@ -608,6 +610,7 @@ class TestTrainConfigErrors:
     @pytest.mark.parametrize("flags", [
         ["--epochs", "-1"], ["--batch-size", "0"], ["--dropout", "1.5"],
         ["--val-fraction", "1.0"], ["--learning-rate", "0"],
+        ["--learning-rate", "nan"],
     ])
     def test_out_of_range_flag(self, pipeline, tmp_path, capsys, flags):
         _, out, _, _ = pipeline
@@ -735,4 +738,101 @@ class TestConfigScalars:
         cfg.write_text(json.dumps({key: value}))
         code = run("--config", str(cfg),
                    *[a.format(r=tiny_corpus) for a in argv])
+        assert code in (0, 3)
+
+
+# per gen field, values that work; the rest of the section keeps its defaults
+GEN_FIELD_VALUES = {
+    "n_words_range": st.tuples(st.integers(1, 4), st.integers(4, 9)).map(list),
+    "duration_base_s": st.floats(0.01, 1.0),
+    "duration_class_mult": st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+    "pitch_base_hz": st.floats(60.0, 400.0),
+    "pitch_class_offset_hz": st.lists(st.floats(-50.0, 50.0), min_size=3,
+                                      max_size=3),
+    "intensity_base_db": st.floats(-60.0, 0.0),
+    "intensity_class_offset_db": st.lists(st.floats(-10.0, 10.0), min_size=3,
+                                          max_size=3),
+    "noise": st.floats(0.0, 3.0),
+    "type_offset_scale": st.floats(0.0, 0.9),
+    "nucleus_duration_fraction": st.floats(0.1, 1.0),
+    "nucleus_pitch_shift_hz": st.floats(-20.0, 20.0),
+    "nucleus_intensity_shift_db": st.floats(-5.0, 5.0),
+    "voiced_fraction": st.floats(0.0, 1.0),
+    "labeling": st.sampled_from(["dictionary", "relative_duration"]),
+    "word_gap_s": st.floats(0.0, 0.5),
+}
+
+# per train field fuzzed through train --epochs 1, values that work; the
+# epoch count and the learning rate are left out: a huge count runs for
+# ever, and a huge rate diverges, a training outcome that exits 4
+TRAIN_FIELD_VALUES = {
+    "use_class_weights": st.sampled_from([True, False, None]),
+    "batch_size": st.integers(1, 2**40),
+    "seed": st.integers(0, 2**40),  # the --seed flag or config seed wins
+}
+
+
+class TestConfigSections:
+    """Each field of the gen and train sections works or is a
+    configuration error, exit 3."""
+
+    def test_every_gen_field_is_fuzzed(self):
+        assert set(GEN_FIELD_VALUES) == {
+            f.name for f in dataclasses.fields(GenConfig)}
+
+    @pytest.mark.parametrize("gen", [
+        {"noise": "x"}, {"n_words_range": [14, 8]},
+        {"n_words_range": ["a", "b"]}, {"voiced_fraction": "x"},
+        {"duration_base_s": "x"}, {"pitch_class_offset_hz": [1]},
+        {"type_offset_scale": None}, {"noise": -1}, {"labeling": "bogus"},
+        {"labeling": 3}, {"noise": float("nan")}, {"voiced_fraction": 2},
+        {"word_gap_s": -1},
+    ], ids=["noise-str", "words-reversed", "words-str", "voiced-str",
+            "duration-str", "pitch-offsets-short", "type-scale-null",
+            "noise-negative", "labeling-unknown", "labeling-int", "noise-nan",
+            "voiced-above-one", "gap-negative"])
+    def test_bad_gen_field(self, tiny_corpus, capsys, gen):
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({"gen": gen}))
+        code = run("--config", str(cfg), "synth", "--n", "1",
+                   "--out", str(tiny_corpus / "gen"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert next(iter(gen)) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["x", 1, 0, [True]])
+    def test_class_weight_switch_must_be_a_bool(self, tiny_corpus, capsys,
+                                                value):
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"use_class_weights": value}}))
+        code = run("--config", str(cfg), "train", "--model", "attn-medium",
+                   "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(tiny_corpus / "m.ckpt"), "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "use_class_weights" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", sorted(GEN_FIELD_VALUES))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_any_gen_field_value(self, tiny_corpus, field, data):
+        value = data.draw(GEN_FIELD_VALUES[field] | json_values, label=field)
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({"gen": {field: value}}))
+        out = tiny_corpus / "gen"
+        code = run("--config", str(cfg), "synth", "--n", "1", "--out", str(out))
+        assert code in (0, 3)
+        if code == 0:  # the table reader checks every feature is finite
+            assert read_feature_table(str(out / "features.jsonl"))
+
+    @pytest.mark.parametrize("field", sorted(TRAIN_FIELD_VALUES))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_any_train_field_value(self, tiny_corpus, field, data):
+        value = data.draw(TRAIN_FIELD_VALUES[field] | json_values, label=field)
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({"train": {field: value}}))
+        code = run("--config", str(cfg), "train", "--model", "attn-medium",
+                   "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(tiny_corpus / "m.ckpt"), "--epochs", "1")
         assert code in (0, 3)

@@ -36,6 +36,7 @@ from stressnet.model import (
     predict_instances,
     train,
 )
+from stressnet.model import network
 from stressnet.model.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -656,3 +657,126 @@ class TestTrimmedBatches:
         one = predict_instance(params, cfg, test_set[3])
         assert np.array_equal(one.argmax(axis=1), scored[3].argmax(axis=1))
         assert predict_instances(params, cfg, []) == []
+
+
+# --- encoder primitives against NumPy-reduction oracles -------------------------
+#
+# The encoder's softmax and layer norms reduce the last axis with
+# network._sum_last / _max_last. The oracles below reduce with NumPy's own
+# sum, mean, var and max; the primitives must give the same bits, signs of
+# zeros included.
+
+def oracle_layer_norm(x, gamma, beta):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + network.LN_EPS)
+    xhat = (x - mu) * inv
+    return gamma * xhat + beta, (xhat, inv, gamma)
+
+
+def oracle_layer_norm_backward(dy, cache, grads, pre):
+    xhat, inv, gamma = cache
+    grads[pre + "gamma"][:] = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    grads[pre + "beta"][:] = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2)
+
+
+def oracle_masked_softmax(scores, key_mask):
+    neg = np.where(key_mask, scores, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    e = np.exp(neg - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def oracle_softmax_backward(dA, A):
+    return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
+
+
+def wide_range(rng, shape):
+    """Normal draws scaled per row by 10**k, k in [-300, 300], and within a
+    row by up to e**±6; about a tenth of the entries and a few whole rows
+    are -0.0."""
+    rows = 10.0 ** rng.integers(-300, 301, shape[:-1] + (1,))
+    x = rng.normal(0.0, 1.0, shape) * np.exp(rng.uniform(-6, 6, shape)) * rows
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape[:-1]) < 0.05] = -0.0
+    return x
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestEncoderPrimitives:
+    @pytest.mark.parametrize("n", [*range(1, 34), 130])
+    def test_last_axis_reductions_match_numpy(self, n):
+        rng = np.random.default_rng(100 + n)
+        x = wide_range(rng, (3, 4, n))
+        assert_same_bits(network._sum_last(x), x.sum(axis=-1, keepdims=True))
+        assert_same_bits(network._sum_last(np.full((2, n), -0.0)),
+                         np.zeros((2, 1)))
+        # the max agrees in value; a tie of -0.0 with +0.0 may take either sign
+        x[0, 0, rng.integers(n)] = np.nan
+        assert np.array_equal(network._max_last(x),
+                              x.max(axis=-1, keepdims=True), equal_nan=True)
+
+    @pytest.mark.parametrize("P", range(1, 18))
+    def test_softmax_and_backward_match_oracle(self, P):
+        rng = np.random.default_rng(200 + P)
+        B, H = int(rng.integers(1, 70)), int(rng.integers(1, 13))
+        scores = wide_range(rng, (B, H, P, P))
+        mask = rng.random((B, P)) < 0.6
+        mask[:, 0] = True
+        mask[: B // 3, 1:] = False  # a single valid key
+        key_mask = mask[:, None, None, :]
+        key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
+        A = network._softmax(scores + key_bias)
+        assert_same_bits(A, oracle_masked_softmax(scores, key_mask))
+        dA = wide_range(rng, (B, H, P, P))
+        assert_same_bits(network._softmax_backward(dA, A),
+                         oracle_softmax_backward(dA, A))
+
+    @pytest.mark.parametrize("D", [1, 5, 8, 10, 20])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e300**2
+    def test_layer_norm_and_backward_match_oracle(self, D):
+        rng = np.random.default_rng(300 + D)
+        B, P = int(rng.integers(1, 70)), int(rng.integers(1, 18))
+        x = wide_range(rng, (B, P, D))
+        gamma, beta = rng.normal(0.0, 1.0, D), rng.normal(0.0, 1.0, D)
+        y, cache = network._layer_norm(x, gamma, beta)
+        y_ref, cache_ref = oracle_layer_norm(x, gamma, beta)
+        assert_same_bits(y, y_ref)
+        for got, want in zip(cache, cache_ref):
+            assert_same_bits(got, want)
+        dy = wide_range(rng, (B, P, D))
+        grads = {"g.gamma": np.zeros(D), "g.beta": np.zeros(D)}
+        grads_ref = {"g.gamma": np.zeros(D), "g.beta": np.zeros(D)}
+        assert_same_bits(network._layer_norm_backward(dy, cache, grads, "g."),
+                         oracle_layer_norm_backward(dy, cache, grads_ref, "g."))
+        for key in grads:
+            assert_same_bits(grads[key], grads_ref[key])
+
+    @pytest.mark.parametrize("make_cfg", [medium_config, large_config])
+    def test_training_is_bitwise_that_of_the_oracles(self, small_corpus,
+                                                     monkeypatch, make_cfg):
+        train_set, test_set = small_corpus
+        cfg = make_cfg(dropout=0.1)
+        tc = TrainConfig(epochs=2, seed=8, learning_rate=3e-3)
+        params, _, history = train(train_set, test_set, cfg, tc)
+        for name, oracle in [
+                ("_softmax", lambda x: oracle_masked_softmax(x, True)),
+                ("_softmax_backward", oracle_softmax_backward),
+                ("_layer_norm", oracle_layer_norm),
+                ("_layer_norm_backward", oracle_layer_norm_backward),
+                # what is left, the loss, reduces with NumPy too
+                ("_sum_last", lambda a: a.sum(axis=-1, keepdims=True)),
+                ("_max_last", lambda a: a.max(axis=-1, keepdims=True))]:
+            monkeypatch.setattr(network, name, oracle)
+        ref, _, ref_history = train(train_set, test_set, cfg, tc)
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        assert history == ref_history
