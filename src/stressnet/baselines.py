@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import WordInstance
-from .errors import DegenerateData, InvalidConfig, ShapeError
+from .errors import ConfigError, DegenerateData, ShapeError
 from .lexicon import StressLevel
 
 # stress level -> ordinal rank
@@ -260,7 +260,9 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
     if X.ndim != 2 or y.shape[0] != X.shape[0]:
         raise ShapeError("X must be (n, K) with matching labels")
     if n_trees < 1:
-        raise InvalidConfig("n_trees must be >= 1")
+        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    if max_depth < 0:
+        raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     m = int(np.ceil(np.sqrt(X.shape[1])))
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []

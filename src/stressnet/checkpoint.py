@@ -35,7 +35,7 @@ import numpy as np
 
 from .baselines import ForestModel, OrdinalModel, TreeNodes
 from .corpus import ClassWeights
-from .errors import CheckpointError, InvalidConfig
+from .errors import CheckpointError, ConfigError
 from .features import FEATURE_SLOTS
 from .lexicon import NUCLEUS_TAGS
 from .model import ModelConfig, Params, feature_dim, param_layout
@@ -151,7 +151,7 @@ def save_model(path: str, params: Params, config: ModelConfig,
 
 def _model_from(meta: dict, arrays: dict[str, np.ndarray],
                 ) -> tuple[Params, ModelConfig, ClassWeights | None]:
-    config = ModelConfig.from_dict(meta["model_config"])
+    config = ModelConfig(**meta["model_config"])
     layout = param_layout(config)
     expected = dict(layout)
     if meta.get("has_class_weights"):
@@ -243,7 +243,7 @@ def _build(path: str, fmt: str, meta: dict, arrays: dict[str, np.ndarray]):
     does not fit its format is a CheckpointError."""
     try:
         return _BUILDERS[fmt](meta, arrays)
-    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(
             f"{path}: malformed {fmt} checkpoint ({type(exc).__name__}: {exc})")
 

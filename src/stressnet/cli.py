@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 configuration error, 4 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,7 +34,7 @@ from .corpus import (
     synth_corpus,
 )
 from .dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
-from .errors import ConfigError, InvalidConfig, StressnetError
+from .errors import ConfigError, StressnetError
 from .evaluation import evaluate, pca_type_embeddings, render_report
 from .features import (
     extract_features,
@@ -106,6 +107,21 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _settings(cls, section: str, doc: dict, **flags):
+    """(settings, merged document): cls built from doc, one section of the
+    config file, with the flags that were given (not None) laid over it.
+    An unknown key, a missing field or a bad value is a ConfigError
+    naming the section."""
+    doc = {**doc, **{k: v for k, v in flags.items() if v is not None}}
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"bad {section} config: unknown keys {unknown}")
+    try:
+        return cls(**doc), doc
+    except (TypeError, ConfigError) as exc:  # TypeError: a missing field
+        raise ConfigError(f"bad {section} config: {exc}")
+
+
 def _seed(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     if seed < 0:
@@ -166,19 +182,12 @@ def _cmd_lexicon(args, config) -> int:
 
 def _cmd_synth(args, config) -> int:
     lex = load_dictionary(_dict_path(args, config))
-    gen_doc = dict(config.get("gen", {}))
-    if args.noise is not None:
-        gen_doc["noise"] = args.noise
-    if args.labeling is not None:
-        gen_doc["labeling"] = args.labeling
-    try:
-        gen = GenConfig.from_dict(gen_doc)
-    except (TypeError, InvalidConfig) as exc:
-        raise ConfigError(f"bad gen config: {exc}")
+    gen, gen_doc = _settings(GenConfig, "gen", config.get("gen", {}),
+                             noise=args.noise, labeling=args.labeling)
     seed = _seed(args, config)
+    alignments, records = synth_corpus(lex, args.n, gen, seed=seed)
     out = Path(args.out)
     (out / "alignments").mkdir(parents=True, exist_ok=True)
-    alignments, records = synth_corpus(lex, args.n, gen, seed=seed)
     for al in alignments:
         save_alignment(al, str(out / "alignments" / f"{al.utterance_id}.json"))
     write_feature_table(records, str(out / "features.jsonl"))
@@ -246,7 +255,7 @@ def _featurize_one(f: str, audio_dir: str | None, lex, dsp_cfg: DspConfig,
     try:
         pitch = estimate_pitch(samples, rate, dsp_cfg)
         intensity = compute_intensity(samples, rate, dsp_cfg)
-    except InvalidConfig as exc:
+    except ConfigError as exc:
         raise ConfigError(f"bad dsp config for {audio}: {exc}")
 
     raw_by_word = []
@@ -278,10 +287,7 @@ def _cmd_featurize(args, config) -> int:
     lex = load_dictionary(_dict_path(args, config))
     scope = args.exclusion_scope or config.get("exclusion_scope", "word")
     pool = args.normalization_pool or config.get("normalization_pool", "sentence")
-    try:
-        dsp_cfg = DspConfig.from_dict(config.get("dsp", {}))
-    except (TypeError, InvalidConfig) as exc:
-        raise ConfigError(f"bad dsp config: {exc}")
+    dsp_cfg, _ = _settings(DspConfig, "dsp", config.get("dsp", {}))
     files = _alignment_files(args.alignments)
     records = []
     n_excluded = 0
@@ -338,37 +344,21 @@ def _cmd_train(args, config) -> int:
             checkpoint.save_forest(args.out, model, feature_mode)
         print(f"train[{args.model}]: {len(y)} syllables -> {args.out}")
     else:
-        train_doc = dict(config.get("train", {}))
-        for key, val in (("epochs", args.epochs),
-                         ("batch_size", args.batch_size),
-                         ("learning_rate", args.learning_rate),
-                         ("validation_fraction", args.val_fraction)):
-            if val is not None:
-                train_doc[key] = val
-        train_doc["seed"] = seed
-        try:
-            train_cfg = TrainConfig.from_dict(train_doc)
-        except (TypeError, InvalidConfig) as exc:
-            raise ConfigError(f"bad train config: {exc}")
+        train_cfg, _ = _settings(
+            TrainConfig, "train", config.get("train", {}), epochs=args.epochs,
+            batch_size=args.batch_size, learning_rate=args.learning_rate,
+            validation_fraction=args.val_fraction, seed=seed)
+        model_doc = (dataclasses.asdict(PRESETS[args.model](feature_mode))
+                     if args.model in PRESETS else config.get("model", {}))
+        model_cfg, _ = _settings(ModelConfig, "model", model_doc,
+                                 feature_mode=feature_mode, dropout=args.dropout)
 
-        try:
-            if args.model in PRESETS:
-                model_cfg = PRESETS[args.model](
-                    feature_mode,
-                    dropout=args.dropout if args.dropout is not None else 0.1)
-            else:
-                model_doc = dict(config.get("model", {}))
-                model_doc.pop("preset", None)
-                model_doc["feature_mode"] = feature_mode
-                if args.dropout is not None:
-                    model_doc["dropout"] = args.dropout
-                model_cfg = ModelConfig.from_dict(model_doc)
-        except (TypeError, InvalidConfig) as exc:
-            raise ConfigError(f"bad model config: {exc}")
-
-        if train_cfg.validation_fraction > 0:
-            tr, val = split_utterances(
-                instances, 1.0 - train_cfg.validation_fraction, seed)
+        vf = train_cfg.validation_fraction
+        if vf > 0:
+            tr, val = split_utterances(instances, 1.0 - vf, seed)
+            if not tr:
+                raise ConfigError(
+                    f"validation_fraction {vf} leaves no training utterance")
         else:
             tr, val = instances, []
         if not val:

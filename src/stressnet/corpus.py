@@ -32,7 +32,9 @@ import numpy as np
 
 from .errors import (
     AlignmentFormat,
-    InvalidConfig,
+    ConfigError,
+    DegenerateData,
+    EmptyLexicon,
     InvalidSpans,
     LabelError,
     ShapeError,
@@ -277,7 +279,7 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
     zero, which suits label-only workflows.
     """
     if exclusion_scope not in ("word", "utterance"):
-        raise InvalidConfig(f"unknown exclusion_scope {exclusion_scope!r}")
+        raise ConfigError(f"unknown exclusion_scope {exclusion_scope!r}")
     if word_features is not None and len(word_features) != len(alignment.words):
         raise ShapeError("word_features does not match alignment word count")
 
@@ -328,7 +330,7 @@ def split(words: list, train_fraction: float = 0.7,
     the id set and the seed, not on input order.
     """
     if not 0.0 <= train_fraction <= 1.0:
-        raise InvalidConfig(f"train_fraction {train_fraction} not in [0, 1]")
+        raise ConfigError(f"train_fraction {train_fraction} not in [0, 1]")
     utt_ids = sorted({w.utterance_id for w in words})
     if len(utt_ids) < 2:
         raise SplitTooSmall(f"need at least 2 utterances, got {len(utt_ids)}")
@@ -364,7 +366,7 @@ def compute_class_weights(train: list[WordInstance]) -> ClassWeights:
     class so the loss stays defined on rare types.
     """
     if not train:
-        raise InvalidConfig("empty training set")
+        raise DegenerateData("empty training set")
     counts = np.zeros((len(NUCLEUS_TAGS), 3))
     for inst in train:
         np.add.at(counts, (inst.type_indices, inst.labels), 1.0)
@@ -382,41 +384,29 @@ def compute_class_weights(train: list[WordInstance]) -> ClassWeights:
 # --- synthetic corpus -------------------------------------------------------
 
 LABELINGS = ("dictionary", "relative_duration")
-# Bounds on the generator settings. No useful corpus comes near them; they
-# keep every drawn duration, pitch and level finite, so that the sentence
-# means taken in normalize_sentence cannot overflow.
-MAX_WORDS_PER_UTTERANCE = 1000
-MAX_GEN_MAGNITUDE = 1e6
+# Bound on the noise. No useful corpus comes near it; it keeps every drawn
+# duration, pitch and level finite, so that the sentence means taken in
+# normalize_sentence cannot overflow.
+MAX_NOISE = 1e6
 
-# per real-valued GenConfig field: the range it must lie in besides
-# |value| <= MAX_GEN_MAGNITUDE, as text and as a test
-_ANY = ("", lambda v: True)
-_GEN_REAL_RULES = {
-    "duration_base_s": ("> 0 and ", lambda v: v > 0),
-    "duration_class_mult": ("> 0 and ", lambda v: v > 0),
-    "pitch_base_hz": ("> 0 and ", lambda v: v > 0),
-    "pitch_class_offset_hz": _ANY,
-    "intensity_base_db": _ANY,
-    "intensity_class_offset_db": _ANY,
-    "noise": (">= 0 and ", lambda v: v >= 0),
-    # keeps the per-type duration factor 1 + scale * U(-1, 1) positive
-    "type_offset_scale": ("in [0, 1) and ", lambda v: 0 <= v < 1),
-    "nucleus_duration_fraction": ("in (0, 1] and ", lambda v: 0 < v <= 1),
-    "nucleus_pitch_shift_hz": _ANY,
-    "nucleus_intensity_shift_db": _ANY,
-    "voiced_fraction": ("in [0, 1] and ", lambda v: 0 <= v <= 1),
-    "word_gap_s": (">= 0 and ", lambda v: v >= 0),
-}
-# fields that hold one value per stress class
-_PER_CLASS = ("duration_class_mult", "pitch_class_offset_hz",
-              "intensity_class_offset_db")
-
-
-def _gen_real_ok(value, test) -> bool:
-    """A real number, not a bool, within the magnitude bound (which NaN and
-    the infinities fail) and passing test."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= MAX_GEN_MAGNITUDE and test(value))
+# The generator's fixed shape: words per utterance (inclusive range),
+# per-class duration, pitch and intensity targets (one value per stress
+# class, in StressLevel order), the spread of per-nucleus-type offsets,
+# the nucleus and voiced shares of a syllable, nucleus shifts and the gap
+# between words.
+N_WORDS_RANGE = (8, 14)
+DURATION_BASE_S = 0.15
+DURATION_CLASS_MULT = (1.0, 1.5, 1.25)
+PITCH_BASE_HZ = 120.0
+PITCH_CLASS_OFFSET_HZ = (0.0, 40.0, 15.0)
+INTENSITY_BASE_DB = -20.0
+INTENSITY_CLASS_OFFSET_DB = (0.0, 6.0, 3.0)
+TYPE_OFFSET_SCALE = 0.25
+VOICED_FRACTION = 0.8
+NUCLEUS_DURATION_FRACTION = 0.6
+NUCLEUS_PITCH_SHIFT_HZ = 5.0
+NUCLEUS_INTENSITY_SHIFT_DB = 1.0
+WORD_GAP_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -426,67 +416,33 @@ class GenConfig:
     noise is expressed in units of each slot's class gap: the per-slot
     Gaussian sigma is noise times the largest class offset of that slot,
     so noise=0 gives exact class constants and noise around 3 drowns the
-    class structure.
+    class structure. labeling picks the gold labels: the dictionary's, or
+    the relative_duration rule over drawn syllable durations.
 
-    Every field is checked on construction; a bad value is InvalidConfig.
+    Both fields are checked on construction; a bad value is a ConfigError.
     """
 
-    n_words_range: tuple[int, int] = (8, 14)
-    duration_base_s: float = 0.15
-    duration_class_mult: tuple[float, float, float] = (1.0, 1.5, 1.25)
-    pitch_base_hz: float = 120.0
-    pitch_class_offset_hz: tuple[float, float, float] = (0.0, 40.0, 15.0)
-    intensity_base_db: float = -20.0
-    intensity_class_offset_db: tuple[float, float, float] = (0.0, 6.0, 3.0)
     noise: float = 0.0
-    type_offset_scale: float = 0.25
-    nucleus_duration_fraction: float = 0.6
-    nucleus_pitch_shift_hz: float = 5.0
-    nucleus_intensity_shift_db: float = 1.0
-    voiced_fraction: float = 0.8
-    labeling: str = "dictionary"  # or "relative_duration"
-    word_gap_s: float = 0.05
+    labeling: str = "dictionary"
 
     def __post_init__(self):
-        words = self.n_words_range
-        if not (isinstance(words, tuple) and len(words) == 2
-                and all(type(w) is int for w in words)
-                and 1 <= words[0] <= words[1] <= MAX_WORDS_PER_UTTERANCE):
-            raise InvalidConfig(
-                "n_words_range must be two integers lo, hi with "
-                f"1 <= lo <= hi <= {MAX_WORDS_PER_UTTERANCE}, got {words!r:.60}")
-        for name, (rule, test) in _GEN_REAL_RULES.items():
-            value = getattr(self, name)
-            if name in _PER_CLASS:
-                ok = (isinstance(value, tuple) and len(value) == 3
-                      and all(_gen_real_ok(v, test) for v in value))
-                what = "three numbers, one per stress class, each"
-            else:
-                ok = _gen_real_ok(value, test)
-                what = "a number"
-            if not ok:
-                raise InvalidConfig(
-                    f"{name} must be {what} {rule}at most "
-                    f"{MAX_GEN_MAGNITUDE:g} in magnitude, got {value!r:.60}")
+        # a real number, not a bool; NaN and the infinities fail the bound
+        if (isinstance(self.noise, bool)
+                or not isinstance(self.noise, numbers.Real)
+                or not 0 <= self.noise <= MAX_NOISE):
+            raise ConfigError(
+                f"noise must be a number in [0, {MAX_NOISE:g}], "
+                f"got {self.noise!r:.60}")
         if not (isinstance(self.labeling, str) and self.labeling in LABELINGS):
-            raise InvalidConfig(
+            raise ConfigError(
                 f"labeling must be one of {LABELINGS}, got {self.labeling!r:.40}")
 
     def sigmas(self) -> tuple[float, float, float]:
         """(duration, pitch, intensity) noise sigmas."""
-        gap_dur = self.duration_base_s * (max(self.duration_class_mult) - 1.0)
-        gap_pitch = max(self.pitch_class_offset_hz)
-        gap_int = max(self.intensity_class_offset_db)
+        gap_dur = DURATION_BASE_S * (max(DURATION_CLASS_MULT) - 1.0)
+        gap_pitch = max(PITCH_CLASS_OFFSET_HZ)
+        gap_int = max(INTENSITY_CLASS_OFFSET_DB)
         return (self.noise * gap_dur, self.noise * gap_pitch, self.noise * gap_int)
-
-    @staticmethod
-    def from_dict(d: dict) -> "GenConfig":
-        d = dict(d)
-        for key in ("n_words_range", "duration_class_mult",
-                    "pitch_class_offset_hz", "intensity_class_offset_db"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return GenConfig(**d)
 
 
 def _relative_duration_labels(durations: np.ndarray) -> list[StressLevel]:
@@ -509,15 +465,17 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
     its stress class and nucleus type, then sentence-normalized exactly
     like real audio features. Returns alignments plus the feature table.
     """
+    if n_utterances < 1:
+        raise ConfigError(f"need at least 1 utterance, got {n_utterances}")
     rng = np.random.default_rng(seed)
     sigma_dur, sigma_pitch, sigma_int = cfg.sigmas()
 
     # per-type base offsets, drawn once per nucleus type from the seed
     n_types = len(NUCLEUS_TAGS)
-    type_dur_mult = 1.0 + cfg.type_offset_scale * rng.uniform(-1, 1, n_types)
-    type_pitch_off = cfg.type_offset_scale * max(cfg.pitch_class_offset_hz) \
+    type_dur_mult = 1.0 + TYPE_OFFSET_SCALE * rng.uniform(-1, 1, n_types)
+    type_pitch_off = TYPE_OFFSET_SCALE * max(PITCH_CLASS_OFFSET_HZ) \
         * rng.uniform(-1, 1, n_types)
-    type_int_off = cfg.type_offset_scale * max(cfg.intensity_class_offset_db) \
+    type_int_off = TYPE_OFFSET_SCALE * max(INTENSITY_CLASS_OFFSET_DB) \
         * rng.uniform(-1, 1, n_types)
 
     vocab = sorted(
@@ -525,14 +483,14 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
         if 2 <= lexicon.lookup(word)[0].vowel_count() <= MAX_SYLLABLES
     )
     if not vocab:
-        raise InvalidConfig("lexicon has no usable multi-syllable words")
+        raise EmptyLexicon("lexicon has no usable multi-syllable words")
 
     def noisy(x: float, sigma: float) -> float:
         return float(x + rng.normal(0.0, sigma)) if sigma > 0 else float(x)
 
     alignments: list[UtteranceAlignment] = []
     records: list[WordRecord] = []
-    lo, hi = cfg.n_words_range
+    lo, hi = N_WORDS_RANGE
     for u in range(n_utterances):
         utt_id = f"synth-{seed:04d}-{u:06d}"
         n_words = int(rng.integers(lo, hi + 1))
@@ -552,8 +510,8 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
             else:
                 stresses = syl.stresses()
                 base_durs = np.array([
-                    cfg.duration_base_s
-                    * cfg.duration_class_mult[int(s)]
+                    DURATION_BASE_S
+                    * DURATION_CLASS_MULT[int(s)]
                     * type_dur_mult[TAG_TO_INDEX[t]]
                     for s, t in zip(stresses, tags)
                 ])
@@ -564,27 +522,27 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
                 s = int(stress)
                 syl_dur = max(0.02, noisy(base_durs[i], sigma_dur))
                 if cfg.labeling == "relative_duration":
-                    pitch_mean = cfg.pitch_base_hz + type_pitch_off[ti]
-                    int_mean = cfg.intensity_base_db + type_int_off[ti]
+                    pitch_mean = PITCH_BASE_HZ + type_pitch_off[ti]
+                    int_mean = INTENSITY_BASE_DB + type_int_off[ti]
                 else:
-                    pitch_mean = (cfg.pitch_base_hz + cfg.pitch_class_offset_hz[s]
+                    pitch_mean = (PITCH_BASE_HZ + PITCH_CLASS_OFFSET_HZ[s]
                                   + type_pitch_off[ti])
-                    int_mean = (cfg.intensity_base_db
-                                + cfg.intensity_class_offset_db[s]
+                    int_mean = (INTENSITY_BASE_DB
+                                + INTENSITY_CLASS_OFFSET_DB[s]
                                 + type_int_off[ti])
                 syl_pitch_mean = noisy(pitch_mean, sigma_pitch)
                 syl_pitch_max = syl_pitch_mean + abs(noisy(0.0, sigma_pitch))
                 syl_int_mean = noisy(int_mean, sigma_int)
                 syl_int_max = syl_int_mean + abs(noisy(0.0, sigma_int))
                 syl_voiced = min(syl_dur, max(
-                    0.0, noisy(cfg.voiced_fraction * syl_dur, sigma_dur)))
+                    0.0, noisy(VOICED_FRACTION * syl_dur, sigma_dur)))
                 nuc_dur = min(syl_dur, max(
-                    0.01, noisy(cfg.nucleus_duration_fraction * syl_dur, sigma_dur)))
+                    0.01, noisy(NUCLEUS_DURATION_FRACTION * syl_dur, sigma_dur)))
                 nuc_pitch_mean = noisy(
-                    syl_pitch_mean + cfg.nucleus_pitch_shift_hz, sigma_pitch)
+                    syl_pitch_mean + NUCLEUS_PITCH_SHIFT_HZ, sigma_pitch)
                 nuc_pitch_max = nuc_pitch_mean + abs(noisy(0.0, sigma_pitch))
                 nuc_int_mean = noisy(
-                    syl_int_mean + cfg.nucleus_intensity_shift_db, sigma_int)
+                    syl_int_mean + NUCLEUS_INTENSITY_SHIFT_DB, sigma_int)
                 nuc_int_max = nuc_int_mean + abs(noisy(0.0, sigma_int))
                 nuc_voiced = min(nuc_dur, max(0.0, noisy(nuc_dur, sigma_dur)))
 
@@ -599,7 +557,7 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
                     round(clock, 6), round(clock + syl_dur, 6),
                     NucleusSpan(round(n0, 6), round(n0 + nuc_dur, 6), tag)))
                 clock += syl_dur
-            clock += cfg.word_gap_s
+            clock += WORD_GAP_S
             utt_words.append(AlignedWord(text, tuple(spans)))
             word_meta.append((text, list(zip(tags, stresses))))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptySignal, InvalidConfig, InvalidSpan, UnsupportedRate
+from .errors import ConfigError, EmptySignal, InvalidSpan, UnsupportedRate
 
 UNVOICED = float("nan")
 MIN_SAMPLE_RATE = 8000.0
@@ -35,6 +35,9 @@ _RMS_FLOOR = 1e-6
 # 35% slower, and a pitch call's peak allocation grows with the block
 # (2.5 MB at 64 frames, 10 MB at 256).
 _BLOCK_FRAMES = 64
+# Longest window or hop, in samples, taken as given. A longer one frames
+# any signal alike (no frame, or only the first); the cap keeps it finite.
+_MAX_SPAN = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -46,25 +49,22 @@ class DspConfig:
     voicing_threshold: float = 0.45
 
     def __post_init__(self):
+        # a bool is an int, and NaN fails every comparison, so neither may
+        # reach the frame grid or the voicing test
+        for name in ("window_s", "hop_s", "f_min", "f_max", "voicing_threshold"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(
+                    f"{name} must be a finite number, got {value!r:.40}")
         if not self.window_s > 0:
-            raise InvalidConfig(f"window_s must be > 0, got {self.window_s}")
+            raise ConfigError(f"window_s must be > 0, got {self.window_s}")
         if not self.hop_s > 0:
-            raise InvalidConfig(f"hop_s must be > 0, got {self.hop_s}")
+            raise ConfigError(f"hop_s must be > 0, got {self.hop_s}")
         if not 0 < self.f_min < self.f_max:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"need 0 < f_min < f_max, got f_min={self.f_min}, "
                 f"f_max={self.f_max}")
-        thr = self.voicing_threshold
-        # a bool is an int, and NaN fails every comparison, so neither
-        # may reach the voicing test
-        if (isinstance(thr, bool) or not isinstance(thr, numbers.Real)
-                or not math.isfinite(thr)):
-            raise InvalidConfig(
-                f"voicing_threshold must be a finite number, got {thr!r}")
-
-    @staticmethod
-    def from_dict(d: dict) -> "DspConfig":
-        return DspConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,18 @@ def _validate_signal(samples: np.ndarray, sample_rate: float) -> np.ndarray:
 def _frame_grid(samples: np.ndarray, sample_rate: float, cfg: DspConfig):
     """(win, frames, centers): frames is a (n_frames, win) view of samples,
     one row per hop, and centers holds each frame's center time."""
-    win = int(round(cfg.window_s * sample_rate))
-    hop = int(round(cfg.hop_s * sample_rate))
+    win = int(round(min(cfg.window_s * sample_rate, _MAX_SPAN)))
+    hop = int(round(min(cfg.hop_s * sample_rate, _MAX_SPAN)))
     if win < 1 or hop < 1:
-        raise InvalidConfig(
+        raise ConfigError(
             f"window_s {cfg.window_s} and hop_s {cfg.hop_s} must each span "
             f"at least one sample at {sample_rate} Hz")
+    if win > len(samples):
+        # no frame fits: sliding_window_view rejects such a window, and
+        # NumPy cannot shape even an empty (0, win) array for a huge win
+        return win, np.empty((0, 0)), np.empty(0)
     starts = np.arange(0, len(samples) - win + 1, hop)
     centers = (starts + win / 2.0) / sample_rate
-    if len(starts) == 0:
-        # sliding_window_view rejects a signal shorter than one window
-        return win, np.empty((0, win)), centers
     return win, sliding_window_view(samples, win)[::hop], centers
 
 
@@ -144,13 +145,17 @@ def estimate_pitch(samples, sample_rate: float,
     samples = _validate_signal(samples, sample_rate)
     win, frames, centers = _frame_grid(samples, sample_rate, cfg)
 
-    lag_min = max(2, int(np.floor(sample_rate / cfg.f_max)))
-    lag_max = int(np.ceil(sample_rate / cfg.f_min))
-    lag_max = min(lag_max, win - 2)
+    # floats until checked: a tiny f_min or f_max makes them infinite
+    lag_min = max(2, np.floor(sample_rate / cfg.f_max))
+    lag_max = min(np.ceil(sample_rate / cfg.f_min), win - 2)
     if lag_max < lag_min:
-        raise InvalidConfig(
+        raise ConfigError(
             f"window_s {cfg.window_s} is too short for f_max {cfg.f_max} "
             f"at {sample_rate} Hz")
+    lag_min, lag_max = int(lag_min), int(lag_max)
+    f0 = np.full(len(frames), UNVOICED)
+    if not len(frames):  # build no window for an empty grid
+        return PitchTrack(cfg.hop_s, centers, f0)
 
     window = np.hanning(win)
     # Lags 0 .. lag_max + 1 are read. A circular autocorrelation of length
@@ -162,7 +167,6 @@ def estimate_pitch(samples, sample_rate: float,
     r_win = np.fft.irfft(wspec)[:lag_max + 2]
     r_win /= r_win[0]
 
-    f0 = np.full(len(frames), UNVOICED)
     for lo, block in _blocks(frames):
         centred = block - block.mean(axis=1, keepdims=True)
         # row energies, summed as np.dot sums them (one BLAS ddot per row)

@@ -8,7 +8,8 @@ class StressnetError(Exception):
 # --- lexicon ---------------------------------------------------------------
 
 class EmptyLexicon(StressnetError):
-    """The dictionary source contained no entries."""
+    """The dictionary source contained no entries, or none that synth can
+    use (a word of 2 to 17 syllables)."""
 
 
 class NoNucleus(StressnetError):
@@ -51,10 +52,6 @@ class SplitTooSmall(StressnetError):
     """Fewer than two utterances; a train/test split is meaningless."""
 
 
-class InvalidConfig(StressnetError):
-    """A configuration value is out of its legal range."""
-
-
 # --- model -----------------------------------------------------------------
 
 class ShapeError(StressnetError):
@@ -80,7 +77,8 @@ class DivergedAtEpoch(StressnetError):
 # --- baselines -------------------------------------------------------------
 
 class DegenerateData(StressnetError):
-    """Training data with a single class; the fit is undefined."""
+    """Training data that no fit can use: no instances at all, or a single
+    class where a fit needs two. Exit 4, like every data error."""
 
 
 # --- eval ------------------------------------------------------------------
@@ -104,4 +102,7 @@ class CheckpointError(StressnetError):
 
 
 class ConfigError(StressnetError):
-    """Run configuration file missing, malformed, or with unknown keys."""
+    """A bad run setting, exit 3: a configuration file that is missing,
+    malformed or has unknown keys, or a setting of the file or a flag that
+    is ill-typed or out of range. Every settings object raises it where
+    the check is made."""

@@ -36,7 +36,6 @@ NUCLEUS_TAGS = (
     "ow", "uw", "ah", "ay",
     "aw", "oy", "ax", "er",
 )
-PAD_TAG = "<pad>"
 PAD_TYPE_INDEX = len(NUCLEUS_TAGS)  # 16
 
 TAG_TO_INDEX = {tag: i for i, tag in enumerate(NUCLEUS_TAGS)}

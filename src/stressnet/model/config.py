@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from ..errors import InvalidConfig
+from ..errors import ConfigError
 from ..features import MAX_SYLLABLES
 
 # feature modes: which slice of the 12 numerical slots is used and whether
@@ -22,7 +22,7 @@ def _require_ints(config, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(config, name)
         if type(value) is not int:
-            raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def feature_dim(feature_mode: str) -> int:
@@ -30,7 +30,7 @@ def feature_dim(feature_mode: str) -> int:
         return 6
     if feature_mode in (SYLLABLE_NUCLEUS_NUMERICAL, ALL_FEATURES):
         return 12
-    raise InvalidConfig(f"unknown feature mode {feature_mode!r}")
+    raise ConfigError(f"unknown feature mode {feature_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,13 @@ class ModelConfig:
         _require_ints(self, ("d_model", "n_heads", "n_layers", "ffn_hidden",
                              "max_positions"))
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
-            raise InvalidConfig("d_model, n_heads and n_layers must be >= 1")
+            raise ConfigError("d_model, n_heads and n_layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
-            raise InvalidConfig(f"dropout {self.dropout} not in [0, 1)")
+            raise ConfigError(f"dropout {self.dropout} not in [0, 1)")
         if self.feature_mode not in FEATURE_MODES:
-            raise InvalidConfig(f"unknown feature mode {self.feature_mode!r}")
+            raise ConfigError(f"unknown feature mode {self.feature_mode!r}")
         if self.require_divisible_heads and self.d_model % self.n_heads != 0:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"d_model={self.d_model} not divisible by heads={self.n_heads}")
 
     @property
@@ -87,20 +87,7 @@ class ModelConfig:
         return self.feature_mode == ALL_FEATURES
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "ffn_hidden": self.ffn_hidden,
-            "dropout": self.dropout,
-            "feature_mode": self.feature_mode,
-            "max_positions": self.max_positions,
-            "require_divisible_heads": self.require_divisible_heads,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
+        return asdict(self)
 
 
 def medium_config(feature_mode: str = ALL_FEATURES, **kw) -> ModelConfig:
@@ -134,18 +121,18 @@ class TrainConfig:
     def __post_init__(self):
         _require_ints(self, ("epochs", "batch_size"))
         if not 0 < self.learning_rate < math.inf:  # NaN fails too
-            raise InvalidConfig("learning_rate must be a finite number > 0, "
-                                f"got {self.learning_rate!r:.40}")
+            raise ConfigError("learning_rate must be a finite number > 0, "
+                              f"got {self.learning_rate!r:.40}")
         if self.batch_size < 1:
-            raise InvalidConfig("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise InvalidConfig("validation_fraction must be in [0, 1)")
+            raise ConfigError("validation_fraction must be in [0, 1)")
         # exactly a bool or None: 1 or "x" would pass a truth test
         if (self.use_class_weights is not None
                 and type(self.use_class_weights) is not bool):
-            raise InvalidConfig(
+            raise ConfigError(
                 "use_class_weights must be true, false or null, got "
                 f"{self.use_class_weights!r:.40}")
 
@@ -153,17 +140,3 @@ class TrainConfig:
         if self.use_class_weights is None:
             return model_config.uses_type_embedding
         return self.use_class_weights
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "use_class_weights": self.use_class_weights,
-            "validation_fraction": self.validation_fraction,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)

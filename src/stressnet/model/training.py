@@ -7,11 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import IGNORE_LABEL, ClassWeights, WordInstance, compute_class_weights
-from ..errors import (
-    DivergedAtEpoch,
-    InvalidConfig,
-    NumericalInstability,
-)
+from ..errors import DegenerateData, DivergedAtEpoch, NumericalInstability
 from ..lexicon import PAD_TYPE_INDEX
 from .config import ModelConfig, TrainConfig
 from .network import (
@@ -64,7 +60,7 @@ def make_batch(instances: list[WordInstance], config: ModelConfig,
     sliced to the config's K. A padded slot has zero features, the PAD
     type, the IGNORE label and mask False."""
     if not instances:
-        raise InvalidConfig("no instances")
+        raise DegenerateData("no instances")
     K = config.feature_dim
     counts = np.array([inst.valid_count for inst in instances])
     mask = np.arange(counts.max()) < counts[:, None]
@@ -121,7 +117,7 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
     Fully deterministic for a given seed.
     """
     if not train_set or not val_set:
-        raise InvalidConfig("train and validation sets must be non-empty")
+        raise DegenerateData("train and validation sets must be non-empty")
     use_weights = train_config.resolve_use_weights(model_config)
     if use_weights and class_weights is None:
         class_weights = compute_class_weights(train_set)
@@ -163,7 +159,10 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
             epoch_correct += int(((pred == mb.labels) & mb.mask).sum())
             epoch_valid += int(mb.mask.sum())
             epoch_loss += loss * int(mb.mask.sum())
-        val_loss, val_acc = evaluate_batch(params, val_batch, model_config)
+        try:
+            val_loss, val_acc = evaluate_batch(params, val_batch, model_config)
+        except NumericalInstability as exc:
+            raise DivergedAtEpoch(epoch, f"epoch {epoch}: {exc}")
         if not np.isfinite(val_loss):
             raise DivergedAtEpoch(epoch)
         history.append({

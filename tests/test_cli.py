@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import json_values
 from stressnet import bundled_dictionary_path
 from stressnet.cli import run_subcommand
+from stressnet import corpus
 from stressnet.corpus import GenConfig
+from stressnet.dsp import DspConfig
 from stressnet.features import read_feature_table
 from stressnet.model import FEATURE_MODES
 
@@ -393,6 +395,10 @@ class TestFeaturize:
         {"f_min": 0.0},
         {"voicing_threshold": "abc"},
         {"voicing_threshold": None},
+        {"window_s": float("inf")},
+        {"hop_s": float("inf")},
+        {"window_s": True},
+        {"window_size": 0.04},           # not a dsp setting
     ])
     def test_bad_dsp_config_is_config_error(self, tmp_path, capsys, dsp):
         apath = self.make_audio_and_alignment(tmp_path)
@@ -402,6 +408,30 @@ class TestFeaturize:
                    str(apath), "--out", str(tmp_path / "features.jsonl"))
         assert code == 3
         assert "dsp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window_s", [0.9, 1e300])
+    def test_window_longer_than_wav_is_out_of_range(self, tmp_path, capsys,
+                                                    window_s):
+        apath = self.make_audio_and_alignment(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dsp": {"window_s": window_s}}))
+        code = run("--config", str(cfg), "featurize", "--alignments",
+                   str(apath), "--out", str(tmp_path / "features.jsonl"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "SpanOutOfRange" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DspConfig)])
+    @given(value=st.floats(1e-4, 1e3) | st.floats() | json_values)
+    @settings(max_examples=40, deadline=None)
+    def test_any_dsp_field_value(self, tmp_path_factory, field, value):
+        root = tmp_path_factory.mktemp("dsp")
+        apath = self.make_audio_and_alignment(root)
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps({"dsp": {field: value}}))
+        code = run("--config", str(cfg), "featurize", "--alignments",
+                   str(apath), "--out", str(root / "features.jsonl"))
+        assert code in (0, 3, 4)
 
 
 @pytest.fixture(scope="module")
@@ -762,6 +792,16 @@ GEN_FIELD_VALUES = {
     "word_gap_s": st.floats(0.0, 0.5),
 }
 
+# gen fields that became corpus constants; GEN_FIELD_VALUES still fuzzes
+# them, and each must now be refused as an unknown key
+REMOVED_GEN_FIELDS = [
+    "n_words_range", "duration_base_s", "duration_class_mult",
+    "pitch_base_hz", "pitch_class_offset_hz", "intensity_base_db",
+    "intensity_class_offset_db", "type_offset_scale",
+    "nucleus_duration_fraction", "nucleus_pitch_shift_hz",
+    "nucleus_intensity_shift_db", "voiced_fraction", "word_gap_s",
+]
+
 # per train field fuzzed through train --epochs 1, values that work; the
 # epoch count and the learning rate are left out: a huge count runs for
 # ever, and a huge rate diverges, a training outcome that exits 4
@@ -778,7 +818,18 @@ class TestConfigSections:
 
     def test_every_gen_field_is_fuzzed(self):
         assert set(GEN_FIELD_VALUES) == {
-            f.name for f in dataclasses.fields(GenConfig)}
+            f.name for f in dataclasses.fields(GenConfig)} | set(REMOVED_GEN_FIELDS)
+
+    @pytest.mark.parametrize("field", REMOVED_GEN_FIELDS)
+    def test_removed_gen_field_is_unknown(self, tiny_corpus, capsys, field):
+        # set to its old default, which synth now reads as a constant
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({"gen": {field: getattr(corpus, field.upper())}}))
+        code = run("--config", str(cfg), "synth", "--n", "1",
+                   "--out", str(tiny_corpus / "gen"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert field in err and "Traceback" not in err
 
     @pytest.mark.parametrize("gen", [
         {"noise": "x"}, {"n_words_range": [14, 8]},
@@ -836,3 +887,79 @@ class TestConfigSections:
                    "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
                    "--out", str(tiny_corpus / "m.ckpt"), "--epochs", "1")
         assert code in (0, 3)
+
+
+class TestSettingsExitCodes:
+    """Every bad setting, from a flag or the config file, is a
+    configuration error, exit 3; a table with nothing to fit is exit 4."""
+
+    @pytest.mark.parametrize("argv", [
+        ["split", "--features", "{r}/corpus/features.jsonl",
+         "--train-fraction", "2", "--out", "{r}/o"],
+        ["split", "--features", "{r}/corpus/features.jsonl",
+         "--train-fraction", "nan", "--out", "{r}/o"],
+        ["train", "--model", "rf", "--n-trees", "0", "--feature-mode",
+         "syllable_numerical", "--train", "{r}/corpus/features.jsonl",
+         "--out", "{r}/rf.ckpt"],
+        ["train", "--model", "rf", "--max-depth", "-3", "--feature-mode",
+         "syllable_numerical", "--train", "{r}/corpus/features.jsonl",
+         "--out", "{r}/rf.ckpt"],
+        ["synth", "--n", "0", "--out", "{r}/o"],
+        ["synth", "--n", "-1", "--out", "{r}/o"],
+    ], ids=["fraction-2", "fraction-nan", "n-trees-0", "max-depth-negative",
+            "n-0", "n-negative"])
+    def test_out_of_range_flag(self, tiny_corpus, capsys, argv):
+        code = run(*[a.format(r=tiny_corpus) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "config error" in err and "Traceback" not in err
+
+    def test_validation_fraction_leaving_no_training_utterance(
+            self, tiny_corpus, capsys):
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"validation_fraction": 0.9}}))
+        code = run("--config", str(cfg), "train", "--model", "attn-medium",
+                   "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(tiny_corpus / "m.ckpt"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "validation_fraction" in err and "no training utterance" in err
+
+    def test_empty_table_is_a_data_error(self, tiny_corpus, capsys):
+        empty = tiny_corpus / "empty.jsonl"
+        empty.write_text("")
+        code = run("train", "--model", "attn-medium", "--val-fraction", "0",
+                   "--train", str(empty), "--out", str(tiny_corpus / "m.ckpt"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "DegenerateData" in err
+
+    @pytest.mark.parametrize("section,argv", [
+        ("dsp", ["featurize", "--alignments", "{r}/empty",
+                 "--out", "{r}/features.jsonl"]),
+        ("train", ["train", "--model", "attn-medium", "--train",
+                   "{r}/corpus/features.jsonl", "--out", "{r}/m.ckpt"]),
+        ("model", ["train", "--model", "attn-custom", "--train",
+                   "{r}/corpus/features.jsonl", "--out", "{r}/m.ckpt"]),
+    ])
+    def test_unknown_section_key(self, tiny_corpus, capsys, section, argv):
+        cfg = tiny_corpus / "cfg.json"
+        doc = {"d_model": 4, "n_heads": 2, "n_layers": 1} if section == "model" else {}
+        cfg.write_text(json.dumps({section: {**doc, "surprise_key": 1}}))
+        code = run("--config", str(cfg),
+                   *[a.format(r=tiny_corpus) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "surprise_key" in err and f"{section} config" in err
+
+    def test_divergence_in_the_validation_pass(self, tiny_corpus, capsys):
+        # one minibatch: the first step overflows the weights, so the
+        # epoch's validation forward pass is the first to see non-finite
+        # logits
+        code = run("train", "--model", "attn-medium", "--learning-rate",
+                   "1e300", "--epochs", "1", "--train",
+                   str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(tiny_corpus / "m.ckpt"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "DivergedAtEpoch" in err and "epoch 0" in err

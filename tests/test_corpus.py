@@ -25,7 +25,7 @@ from stressnet.corpus import (
 )
 from stressnet.errors import (
     AlignmentFormat,
-    InvalidConfig,
+    ConfigError,
     InvalidSpans,
     SplitTooSmall,
     StressnetError,
@@ -351,7 +351,7 @@ class TestSynthCorpus:
                     by_key[key] = obs.features
 
     def test_negative_noise_rejected(self, lexicon):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             synth_corpus(lexicon, 2, GenConfig(noise=-1.0), seed=0)
 
     def test_multi_syllable_only(self, lexicon):

@@ -10,8 +10,8 @@ from stressnet.dsp import (
     segment_stats,
 )
 from stressnet.errors import (
+    ConfigError,
     EmptySignal,
-    InvalidConfig,
     InvalidSpan,
     UnsupportedRate,
 )
@@ -30,31 +30,56 @@ class TestDspConfig:
         {"hop_s": 0.0}, {"hop_s": -0.01},
         {"f_min": 0.0}, {"f_min": -75.0},
         {"f_min": 700.0, "f_max": 600.0}, {"f_min": 300.0, "f_max": 300.0},
+        {"window_s": float("inf")}, {"hop_s": float("inf")},
+        {"window_s": True}, {"hop_s": "0.01"}, {"f_max": None},
     ])
     def test_out_of_range_values_rejected(self, bad):
-        with pytest.raises(InvalidConfig):
-            DspConfig.from_dict(bad)
+        with pytest.raises(ConfigError):
+            DspConfig(**bad)
 
     @pytest.mark.parametrize("threshold", [
         "abc", None, [0.45], True, float("nan"), float("inf"),
     ], ids=["string", "null", "list", "bool", "nan", "inf"])
     def test_voicing_threshold_must_be_a_finite_number(self, threshold):
-        with pytest.raises(InvalidConfig):
-            DspConfig.from_dict({"voicing_threshold": threshold})
+        with pytest.raises(ConfigError):
+            DspConfig(voicing_threshold=threshold)
 
     def test_hop_under_one_sample_rejected_at_signal_rate(self):
         cfg = DspConfig(hop_s=1e-6)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             estimate_pitch(sine(220.0), SR, cfg)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             compute_intensity(sine(220.0), SR, cfg)
         # 7e-5 s is 1.12 samples at 16 kHz: one sample after rounding
         assert len(compute_intensity(sine(220.0, dur=0.1), SR,
                                      DspConfig(hop_s=7e-5))) > 0
 
     def test_window_too_short_for_lag_band_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             estimate_pitch(sine(220.0), SR, DspConfig(window_s=0.0005))
+
+    @pytest.mark.parametrize("window_s", [0.6, 1e6, 1e300, 1e305])
+    def test_window_longer_than_signal_gives_no_frames(self, window_s):
+        # 1e6 s would be a 128 GB Hann window, and 1e305 s is infinite in
+        # samples; neither is built
+        cfg = DspConfig(window_s=window_s)
+        for track in (estimate_pitch(sine(220.0), SR, cfg),
+                      compute_intensity(sine(220.0), SR, cfg)):
+            assert len(track) == 0 and len(track.values) == 0
+
+    @pytest.mark.parametrize("f", [{"f_min": 1e-320}, {"f_max": 1e300}])
+    def test_extreme_pitch_band_limits(self, f):
+        # sample_rate / f_min overflows to inf; the band ends at the window
+        track = estimate_pitch(sine(220.0), SR, DspConfig(**f))
+        assert len(track) == len(estimate_pitch(sine(220.0), SR))
+
+    def test_band_above_a_tiny_f_max_rejected(self):
+        with pytest.raises(ConfigError):
+            estimate_pitch(sine(220.0), SR, DspConfig(f_min=1e-321, f_max=1e-320))
+
+    def test_hop_longer_than_signal_gives_one_frame(self):
+        track = compute_intensity(sine(220.0), SR, DspConfig(hop_s=1e300))
+        assert len(track) == 1
 
 
 class TestEstimatePitch:

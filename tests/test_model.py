@@ -9,7 +9,8 @@ from stressnet.checkpoint import FORMAT_ATTENTION, load_any, save_model
 from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
 from stressnet.errors import (
     CheckpointError,
-    InvalidConfig,
+    ConfigError,
+    DegenerateData,
     LabelError,
     NumericalInstability,
     ShapeError,
@@ -56,11 +57,17 @@ class TestConfig:
         assert medium_config().head_dim == 1
 
     def test_strict_divisibility_mode(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             ModelConfig(d_model=5, n_heads=6, n_layers=1,
                         require_divisible_heads=True)
         ModelConfig(d_model=6, n_heads=2, n_layers=1,
                     require_divisible_heads=True)
+
+    def test_no_instances_is_a_data_error(self):
+        with pytest.raises(DegenerateData):
+            make_batch([], tiny_config())
+        with pytest.raises(DegenerateData):
+            train([], [], tiny_config(), TrainConfig(epochs=1))
 
     def test_class_weight_resolution(self):
         tc = TrainConfig()
