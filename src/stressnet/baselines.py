@@ -166,81 +166,103 @@ class ForestModel:
         return votes / len(self.trees)
 
 
-def _gini_best_split(X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
-    """Best (feature, threshold) by Gini impurity decrease, or None.
+_CLASSES = np.arange(3)[:, None, None]
 
-    Candidate thresholds are the left-hand observed values at class
-    boundaries; the split predicate is x <= threshold.
+
+def _split_node(X: np.ndarray, y: np.ndarray, lists: np.ndarray,
+                total: np.ndarray, cand: np.ndarray):
+    """The node's best split on one of the candidate features, or None.
+
+    (X, y) is the tree's sample; lists (K, n) holds the node's sample ids
+    for each feature in split order, total its class counts, and cand the
+    candidates in ascending order. Each candidate's best split is the one
+    of least weighted child Gini impurity, first in value order, between
+    two consecutive distinct values; the threshold is the left value and
+    the predicate x <= threshold. A candidate must beat the earlier ones
+    by more than 1e-12, and the best split must beat the node's own
+    impurity by as much. Returns (feature, threshold, left, right), each
+    child as its (lists, class counts).
+
+    Keep the Gini arithmetic in this order: the tests require trees equal,
+    bit for bit, to those of a grower that sorts each candidate per node.
     """
-    n = y.shape[0]
-    total = np.bincount(y, minlength=3).astype(np.float64)
-    best = None
-    best_score = np.inf  # weighted child impurity; lower is better
-    for f in feature_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        onehot = np.zeros((n, 3))
-        onehot[np.arange(n), ys] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        # split after position i is valid when xs[i] < xs[i+1]
-        valid = np.nonzero(xs[:-1] < xs[1:])[0]
-        if valid.size == 0:
-            continue
-        nl = (valid + 1).astype(np.float64)
-        nr = n - nl
-        cl = cum[valid]
-        cr = total[None, :] - cl
-        gini_l = 1.0 - ((cl / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((cr / nr[:, None]) ** 2).sum(axis=1)
-        score = (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmin(score))
-        if score[k] < best_score - 1e-12:
-            best_score = score[k]
-            best = (int(f), float(xs[valid[k]]))
-    if best is None:
+    rows = lists[cand]  # (m, n): each candidate's samples in value order
+    n = rows.shape[1]
+    xs = X[rows, cand[:, None]]
+    # class counts left of the split after each position: (3, m, n - 1)
+    cl = np.cumsum(y[rows[:, :-1]] == _CLASSES, axis=2, dtype=np.float64)
+    nl = np.arange(1.0, n)
+    nr = n - nl
+    q = cl / nl
+    q *= q
+    gini_l = 1.0 - (q[0] + q[1] + q[2])
+    np.subtract(total[:, None, None], cl, out=q)  # class counts on the right
+    q /= nr
+    q *= q
+    gini_r = 1.0 - (q[0] + q[1] + q[2])
+    score = np.where(xs[:, :-1] < xs[:, 1:],
+                     (nl * gini_l + nr * gini_r) / n, np.inf)
+    at = score.argmin(axis=1)
+    best, best_score = -1, np.inf
+    for j, s in enumerate(score.min(axis=1).tolist()):
+        if s < best_score - 1e-12:
+            best, best_score = j, s
+    if best < 0 or best_score >= 1.0 - ((total / n) ** 2).sum() - 1e-12:
         return None
-    parent_gini = 1.0 - ((total / n) ** 2).sum()
-    if best_score >= parent_gini - 1e-12:
-        return None
-    return best
+    k = at[best]
+    in_left = np.zeros(X.shape[0], dtype=bool)
+    in_left[rows[best, :k + 1]] = True
+    goes_left = in_left[lists]
+    left_total = cl[:, best, k].astype(np.int64)
+    K = lists.shape[0]
+    return (int(cand[best]), float(xs[best, k]),
+            (lists[goes_left].reshape(K, k + 1), left_total),
+            (lists[~goes_left].reshape(K, n - k - 1), total - left_total))
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, m_features: int,
                rng: np.random.Generator) -> TreeNodes:
+    """One Gini tree on the sample (X, y), its nodes numbered in pre-order.
+
+    A node that is impure and above max_depth draws m_features candidate
+    features and splits as _split_node finds, or stays a leaf.
+
+    Each feature is sorted once per tree (SLIQ's presorted attribute
+    lists, Mehta et al. 1996): a node holds, for every feature, its sample
+    ids ordered by value and then by id, which is the order a stable sort
+    of the node's own rows gives, and a split keeps that order in both
+    children. An explicit stack grows the left child first; only pending
+    right siblings wait on it, and they hold disjoint samples.
+    """
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     counts: list[np.ndarray] = []
-
-    def new_node(idx: np.ndarray) -> int:
+    # (sample ids per feature, class counts, depth, the parent's child
+    #  list to link into, the parent)
+    stack = [(np.argsort(X.T, axis=1, kind="stable"),
+              np.bincount(y, minlength=3), 0, None, -1)]
+    while stack:
+        lists, total, depth, link, parent = stack.pop()
         node = len(feature)
+        if link is not None:
+            link[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        counts.append(np.bincount(y[idx], minlength=3).astype(np.int64))
-        return node
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        node = new_node(idx)
-        c = counts[node]
-        if depth >= max_depth or int((c > 0).sum()) <= 1:
-            return node
+        counts.append(total)
+        if depth >= max_depth or np.count_nonzero(total) <= 1:
+            continue
         cand = rng.choice(X.shape[1], size=m_features, replace=False)
-        found = _gini_best_split(X[idx], y[idx], np.sort(cand))
+        cand.sort()
+        found = _split_node(X, y, lists, total, cand)
         if found is None:
-            return node
-        f, thr = found
-        go_left = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
-        return node
-
-    build(np.arange(X.shape[0]), 0)
+            continue
+        feature[node], threshold[node], left_child, right_child = found
+        stack.append((*right_child, depth + 1, right, node))
+        stack.append((*left_child, depth + 1, left, node))
     return TreeNodes(
         np.asarray(feature, dtype=np.int64),
         np.asarray(threshold, dtype=np.float64),

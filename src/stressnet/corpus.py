@@ -16,8 +16,8 @@ Alignment documents are JSON, one utterance per file:
 
 Times are seconds as decimals. Syllable spans must be ordered and
 non-overlapping within a word, and each nucleus span must sit inside its
-syllable span. The nucleus "tag" is informational; gold labels and types
-always come from the lexicon.
+syllable span. The nucleus "tag", a string or null, is informational;
+gold labels and types always come from the lexicon.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -151,7 +152,11 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
             n0, n1 = _span(ndoc, f"{sctx}.nucleus")
             if n0 < s0 or n1 > s1:
                 raise InvalidSpans(f"{sctx}: nucleus span outside syllable span")
-            sylls.append(SyllableSpan(s0, s1, NucleusSpan(n0, n1, ndoc.get("tag"))))
+            tag = ndoc.get("tag")
+            if not isinstance(tag, (str, type(None))):
+                raise AlignmentFormat(
+                    f"{sctx}.nucleus: 'tag' must be a string or null")
+            sylls.append(SyllableSpan(s0, s1, NucleusSpan(n0, n1, tag)))
         words.append(AlignedWord(text, tuple(sylls)))
     return UtteranceAlignment(utt_id, audio_path, tuple(words))
 
@@ -191,10 +196,43 @@ def alignment_to_doc(al: UtteranceAlignment) -> dict:
     }
 
 
+def _json_text(text: str | None) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already encoded items, each on its own line below
+    a bracket at the given indent, as json.dumps(..., indent=1) lays it."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def save_alignment(al: UtteranceAlignment, path: str) -> None:
+    """Write the bytes json.dump(alignment_to_doc(al), fh, sort_keys=True,
+    indent=1) and a newline would write. An indent makes json use its
+    pure-Python encoder, so the fixed schema is laid out here instead:
+    times as the repr of a float, text as JSON's ASCII string."""
+    words = []
+    for w in al.words:
+        sylls = [
+            "    {\n"
+            f'     "end_s": {float(s.end_s)!r},\n'
+            '     "nucleus": {\n'
+            f'      "end_s": {float(s.nucleus.end_s)!r},\n'
+            f'      "start_s": {float(s.nucleus.start_s)!r},\n'
+            f'      "tag": {_json_text(s.nucleus.tag)}\n'
+            "     },\n"
+            f'     "start_s": {float(s.start_s)!r}\n'
+            "    }"
+            for s in w.syllables]
+        words.append(f'  {{\n   "syllables": {_json_list(sylls, "   ")},\n'
+                     f'   "text": {_json_text(w.text)}\n  }}')
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(alignment_to_doc(al), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "audio_path": {_json_text(al.audio_path)},\n'
+                 ' "schema": 1,\n'
+                 f' "utterance_id": {_json_text(al.utterance_id)},\n'
+                 f' "words": {_json_list(words, " ")}\n}}\n')
 
 
 # --- word instances ---------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from ..errors import ConfigError
@@ -23,6 +24,15 @@ def _require_ints(config, names: tuple[str, ...]) -> None:
         value = getattr(config, name)
         if type(value) is not int:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_reals(config, names: tuple[str, ...]) -> None:
+    """Real-valued fields must be numbers; a bool, which Python counts as
+    an int, is rejected."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r:.40}")
 
 
 def feature_dim(feature_mode: str) -> int:
@@ -56,6 +66,7 @@ class ModelConfig:
     def __post_init__(self):
         _require_ints(self, ("d_model", "n_heads", "n_layers", "ffn_hidden",
                              "max_positions"))
+        _require_reals(self, ("dropout",))
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
             raise ConfigError("d_model, n_heads and n_layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -120,6 +131,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _require_ints(self, ("epochs", "batch_size"))
+        _require_reals(self, ("learning_rate", "validation_fraction"))
         if not 0 < self.learning_rate < math.inf:  # NaN fails too
             raise ConfigError("learning_rate must be a finite number > 0, "
                               f"got {self.learning_rate!r:.40}")

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stressnet.baselines import (
     ForestModel,
     OrdinalModel,
+    TreeNodes,
+    _grow_tree,
     flatten,
     scores,
     train_forest,
@@ -23,9 +26,9 @@ def ordinal_1d_data(rng, n=600):
     return X, y
 
 
-def corpus_syllables(lexicon, noise=0.0, n_utts=60, seed=2):
+def corpus_syllables(lexicon, noise=0.0, n_utts=60, seed=2, k=12):
     _, recs = synth_corpus(lexicon, n_utts, GenConfig(noise=noise), seed=seed)
-    return flatten(instances_from_table(recs), 12)
+    return flatten(instances_from_table(recs), k)
 
 
 class TestOrdinal:
@@ -222,3 +225,153 @@ class TestFlatten:
         X, y = flatten([], 12)
         assert X.shape == (0, 12)
         assert y.shape == (0,)
+
+
+# --- the tree grower against the per-node oracle ------------------------------
+#
+# baselines._grow_tree sorts each feature once per tree. The oracle below is
+# the grower it replaced: it sorts the node's rows for every candidate at
+# every node. Both must give the same trees, bit for bit, and leave the
+# generator in the same state.
+
+def oracle_gini_best_split(X, y, feature_ids):
+    n = y.shape[0]
+    total = np.bincount(y, minlength=3).astype(np.float64)
+    best = None
+    best_score = np.inf
+    for f in feature_ids:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        onehot = np.zeros((n, 3))
+        onehot[np.arange(n), ys] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        valid = np.nonzero(xs[:-1] < xs[1:])[0]
+        if valid.size == 0:
+            continue
+        nl = (valid + 1).astype(np.float64)
+        nr = n - nl
+        cl = cum[valid]
+        cr = total[None, :] - cl
+        gini_l = 1.0 - ((cl / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((cr / nr[:, None]) ** 2).sum(axis=1)
+        score = (nl * gini_l + nr * gini_r) / n
+        k = int(np.argmin(score))
+        if score[k] < best_score - 1e-12:
+            best_score = score[k]
+            best = (int(f), float(xs[valid[k]]))
+    if best is None:
+        return None
+    parent_gini = 1.0 - ((total / n) ** 2).sum()
+    if best_score >= parent_gini - 1e-12:
+        return None
+    return best
+
+
+def oracle_grow_tree(X, y, max_depth, m_features, rng):
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    def new_node(idx):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(np.bincount(y[idx], minlength=3).astype(np.int64))
+        return node
+
+    def build(idx, depth):
+        node = new_node(idx)
+        c = counts[node]
+        if depth >= max_depth or int((c > 0).sum()) <= 1:
+            return node
+        cand = rng.choice(X.shape[1], size=m_features, replace=False)
+        found = oracle_gini_best_split(X[idx], y[idx], np.sort(cand))
+        if found is None:
+            return node
+        f, thr = found
+        go_left = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = build(idx[go_left], depth + 1)
+        right[node] = build(idx[~go_left], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return TreeNodes(
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.stack(counts).astype(np.int64),
+    )
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+
+
+def assert_grows_as_oracle(X, y, max_depth, m_features, n_trees=3, seed=0):
+    """Grow n_trees bootstrap trees as train_forest does, with _grow_tree
+    and with the oracle, and compare the bytes of every node array and the
+    generator state after each tree."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = X.shape[0]
+    for s in np.random.SeedSequence(seed).spawn(n_trees):
+        rng, rng_oracle = np.random.default_rng(s), np.random.default_rng(s)
+        boot = rng.integers(0, n, n)
+        rng_oracle.integers(0, n, n)
+        got = _grow_tree(X[boot], y[boot], max_depth, m_features, rng)
+        want = oracle_grow_tree(X[boot], y[boot], max_depth, m_features,
+                                rng_oracle)
+        for name in TREE_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+
+class TestGrowerOracle:
+    @pytest.mark.parametrize("max_depth", [0, 1, 12])
+    @pytest.mark.parametrize("m", ["one", "all"])
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_synth_sets(self, lexicon, k, m, max_depth):
+        X, y = corpus_syllables(lexicon, noise=0.75, n_utts=40, seed=k, k=k)
+        assert_grows_as_oracle(X, y, max_depth, 1 if m == "one" else k,
+                               seed=max_depth)
+
+    @pytest.mark.parametrize("y", [[1], [0, 2], [2, 2]], ids=["n1", "n2", "n2-pure"])
+    def test_one_and_two_samples(self, y):
+        X = np.random.default_rng(len(y)).normal(0.0, 1.0, (len(y), 3))
+        assert_grows_as_oracle(X, y, 12, 2, n_trees=6)
+
+    def test_constant_column_and_single_class(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(0.0, 1.0, (300, 4))
+        X[:, 2] = 5.0
+        y = rng.integers(0, 3, 300)
+        assert_grows_as_oracle(X, y, 12, 1, n_trees=4)
+        assert_grows_as_oracle(X, y, 12, 4, n_trees=2)
+        assert_grows_as_oracle(X, np.full(300, 2), 12, 2)
+
+    def test_signed_zero_ties(self):
+        rng = np.random.default_rng(12)
+        X = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], (400, 3))
+        y = rng.integers(0, 3, 400)
+        assert_grows_as_oracle(X, y, 12, 1, n_trees=4)
+        assert_grows_as_oracle(X, y, 12, 3, n_trees=2)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_small_integer_features(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        k = data.draw(st.integers(1, 5), label="k")
+        X = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k,
+                                        max_size=k),
+                               min_size=n, max_size=n), label="X")
+        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                      label="y")
+        assert_grows_as_oracle(
+            X, y, data.draw(st.integers(0, 6), label="max_depth"),
+            data.draw(st.integers(1, k), label="m"), n_trees=2,
+            seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))

@@ -653,6 +653,7 @@ class TestTrainConfigErrors:
     @pytest.mark.parametrize("model", [
         {"d_model": 0, "n_heads": 1, "n_layers": 1},
         {"d_model": 4, "n_heads": 2, "n_layers": 1, "dropout": -0.5},
+        {"d_model": 4, "n_heads": 2, "n_layers": 1, "dropout": False},
     ])
     def test_bad_custom_model(self, pipeline, tmp_path, capsys, model):
         _, out, _, _ = pipeline
@@ -680,6 +681,23 @@ class TestTrainConfigErrors:
         err = capsys.readouterr().err
         assert code == 3
         assert "must be an integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("train", [
+        {"learning_rate": True}, {"validation_fraction": False},
+        {"validation_fraction": "0.1"},
+    ], ids=["learning_rate-true", "validation_fraction-false",
+            "validation_fraction-str"])
+    def test_bool_or_text_where_a_number_is_meant(self, pipeline, tmp_path,
+                                                  capsys, train):
+        _, out, _, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": train}))
+        code = run("--config", str(cfg), "train", "--model", "attn-medium",
+                   "--train", str(out / "splits" / "train.jsonl"),
+                   "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert next(iter(train)) in err and "Traceback" not in err
 
     def test_custom_model_trains(self, pipeline, tmp_path):
         from stressnet.checkpoint import load_any

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stressnet.corpus import (
     COUNT_MISMATCH,
@@ -12,6 +12,7 @@ from stressnet.corpus import (
     NOT_IN_LEXICON,
     UTTERANCE_EXCLUDED,
     GenConfig,
+    alignment_to_doc,
     build_instance,
     compute_class_weights,
     instances_from_table,
@@ -106,7 +107,10 @@ class TestAlignmentSchema:
         lambda doc: doc["words"][0]["syllables"][0].update(nucleus=5),
         lambda doc: doc["words"][0]["syllables"][0].update(start_s=10**400),
         lambda doc: doc.update(audio_path=["a.wav"]),
-    ], ids=["word", "syllable", "nucleus", "huge_time", "audio_path"])
+        lambda doc: doc["words"][0]["syllables"][0]["nucleus"].update(tag=3),
+        lambda doc: doc["words"][0]["syllables"][1]["nucleus"].update(tag=["ow"]),
+    ], ids=["word", "syllable", "nucleus", "huge_time", "audio_path",
+            "tag_number", "tag_list"])
     def test_wrong_json_type(self, edit):
         doc = make_alignment([("maybe", 2)])
         edit(doc)
@@ -174,6 +178,70 @@ class TestAlignmentFuzz:
             load_alignment_bytes(blob)
         except StressnetError:
             pass
+
+
+@st.composite
+def parsed_alignments(draw):
+    """An alignment that parse_alignment accepts: any text, times from
+    tiny to huge, audio path and nucleus tags present or null."""
+    text = st.text(max_size=6)
+    words = []
+    t = draw(st.floats(-1e6, 1e6))
+    for _ in range(draw(st.integers(0, 3))):
+        sylls = []
+        for _ in range(draw(st.integers(1, 3))):
+            start = t
+            t = start + draw(st.floats(1e-9, 1e9))
+            sylls.append({"start_s": start, "end_s": t, "nucleus": {
+                "start_s": start, "end_s": t, "tag": draw(st.none() | text)}})
+        words.append({"text": draw(text), "syllables": sylls})
+    doc = {"schema": 1, "utterance_id": draw(text),
+           "audio_path": draw(st.none() | text), "words": words}
+    try:
+        return parse_alignment(doc)
+    except InvalidSpans:  # a step too small to move a large time
+        assume(False)
+
+
+class TestSaveAlignment:
+    """save_alignment writes json.dump(alignment_to_doc(al),
+    sort_keys=True, indent=1) and a newline, byte for byte."""
+
+    @staticmethod
+    def assert_written_as_json(al):
+        fd, path = tempfile.mkstemp(suffix=".json")
+        os.close(fd)
+        try:
+            save_alignment(al, path)
+            with open(path, "rb") as fh:
+                written = fh.read()
+            assert load_alignment(path) == al
+        finally:
+            os.unlink(path)
+        expected = json.dumps(alignment_to_doc(al), sort_keys=True, indent=1)
+        assert written == (expected + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("gen", [
+        GenConfig(), GenConfig(noise=0.75),
+        GenConfig(labeling="relative_duration")])
+    def test_synth_alignments(self, lexicon, gen):
+        alignments, _ = synth_corpus(lexicon, 30, gen, seed=5)
+        for al in alignments:
+            self.assert_written_as_json(al)
+
+    def test_no_words_and_non_ascii_text(self):
+        self.assert_written_as_json(parse_alignment(
+            {"schema": 1, "utterance_id": "u", "audio_path": None, "words": []}))
+        doc = make_alignment([("caf\xe9\u2014\U0001f600\"\\", 2)],
+                             utt_id="\u00fctt\n1")
+        doc["audio_path"] = "a/\u00e9.wav"
+        doc["words"][0]["syllables"][0]["nucleus"]["tag"] = "\u0259\t"
+        self.assert_written_as_json(parse_alignment(doc))
+
+    @given(parsed_alignments())
+    @settings(max_examples=200, deadline=None)
+    def test_any_parsed_alignment(self, al):
+        self.assert_written_as_json(al)
 
 
 class TestLabelUtterance:

@@ -63,6 +63,17 @@ class TestConfig:
         ModelConfig(d_model=6, n_heads=2, n_layers=1,
                     require_divisible_heads=True)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TrainConfig(learning_rate=True),
+        lambda: TrainConfig(validation_fraction=False),
+        lambda: ModelConfig(d_model=4, n_heads=2, n_layers=1, dropout=False),
+        lambda: ModelConfig(d_model=4, n_heads=2, n_layers=1, dropout=None),
+    ], ids=["learning_rate-true", "validation_fraction-false",
+            "dropout-false", "dropout-null"])
+    def test_bool_where_a_number_is_meant(self, make):
+        with pytest.raises(ConfigError, match="must be a number"):
+            make()
+
     def test_no_instances_is_a_data_error(self):
         with pytest.raises(DegenerateData):
             make_batch([], tiny_config())
