@@ -15,21 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import WordInstance
-from .errors import ConfigError, DegenerateData, ShapeError
+from .errors import ConfigError, DegenerateData, LabelError, ShapeError
 from .lexicon import StressLevel
 
 # stress level -> ordinal rank
 _LEVEL_TO_RANK = {StressLevel.NON_STRESS: 0, StressLevel.SECONDARY: 1,
                   StressLevel.PRIMARY: 2}
+# the same, indexed by the level's value
+_RANK_OF_LEVEL = np.array([_LEVEL_TO_RANK[lv] for lv in StressLevel])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) below, with
+    exp(-|z|) standing for both exponentials, so neither overflows. (It is
+    taken as min(z, -z), which keeps a NaN's sign bit, as exp(z) does.)"""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -52,35 +53,68 @@ class OrdinalModel:
         return rank_probs[:, [_LEVEL_TO_RANK[lv] for lv in StressLevel]]
 
 
+class _RankGroups:
+    """The rows of a rank vector grouped by rank, in the order 2, 1, 0, each
+    group in row order. Each row has an upper cut point (theta_r, or +inf
+    at rank 2) and a lower one (theta_{r-1}, or -inf at rank 0). Laid end to
+    end, the upper cut CDFs of all rows and then the lower ones are
+    [1 ... 1 | F(t1 - z) rank 1 | F(t0 - z) rank 0 |
+     F(t1 - z) rank 2 | F(t0 - z) rank 1 | 0 ... 0],
+    so the finite ones are one slice, computed from the rows in ``rows``
+    against the cut t1 where ``upper_t1`` holds, else t0."""
+
+    def __init__(self, ranks: np.ndarray):
+        i0, i1, i2 = (np.flatnonzero(ranks == r) for r in range(3))
+        self.sizes = (len(i0), len(i1), len(i2))
+        self.rows = np.concatenate([i1, i0, i2, i1])
+        self.upper_t1 = np.repeat([True, False, True, False],
+                                  [len(i1), len(i0), len(i2), len(i1)])
+        # where each row sits in the grouped order
+        self.position = np.empty(len(ranks), dtype=np.int64)
+        self.position[np.concatenate([i2, i1, i0])] = np.arange(len(ranks))
+
+
 def _ordinal_nll_grad(beta: np.ndarray, theta: np.ndarray, X: np.ndarray,
-                      ranks: np.ndarray, lam: float):
+                      ranks: np.ndarray, lam: float,
+                      groups: _RankGroups | None = None):
     """Penalized NLL and gradients for the proportional-odds likelihood.
 
     theta is parameterized as (t0, log gap) so the two cut points stay
-    strictly increasing throughout optimization.
+    strictly increasing throughout optimization. groups, when given, is
+    _RankGroups(ranks), which train_ordinal builds once for all its steps.
+    The per-row terms are taken in grouped order; the gradient is
+    bit-identical to taking them in row order, the NLL is their sum in
+    grouped order.
     """
+    if groups is None:
+        groups = _RankGroups(ranks)
+    n0, n1, n2 = groups.sizes
     n = X.shape[0]
     t0 = theta[0]
     t1 = t0 + np.exp(theta[1])
     z = X @ beta
-    # F(a_r - z) - F(a_{r-1} - z) with a_{-1} = -inf, a_2 = +inf
-    upper = np.where(ranks == 0, t0 - z, np.where(ranks == 1, t1 - z, np.inf))
-    lower = np.where(ranks == 0, -np.inf, np.where(ranks == 1, t0 - z, t1 - z))
-    Fu = _sigmoid(upper)
-    Fl = _sigmoid(lower)
+    # F(a_r - z) - F(a_{r-1} - z) with a_{-1} = -inf, a_2 = +inf:
+    # F(+inf) = 1 and F(-inf) = 0, as _sigmoid gives them
+    F = np.empty(2 * n)
+    F[:n2] = 1.0
+    F[2 * n - n0:] = 0.0
+    F[n2:2 * n - n0] = _sigmoid(np.where(groups.upper_t1, t1, t0) - z[groups.rows])
+    Fu, Fl = F[:n], F[n:]
     lik = np.clip(Fu - Fl, 1e-12, None)
     nll = -np.log(lik).sum() / n + 0.5 * lam * float(beta @ beta)
 
     fu = Fu * (1.0 - Fu)  # logistic pdf at the cut points
     fl = Fl * (1.0 - Fl)
     inv = 1.0 / lik
-    # d nll / dz and d nll / d cut points
-    dz = (fu - fl) * inv / n
+    # d nll / dz, back in row order, and d nll / d cut points
+    dz = ((fu - fl) * inv / n)[groups.position]
     dbeta = X.T @ dz + lam * beta
     du = -fu * inv / n  # d nll / d upper cut
     dl = fl * inv / n   # d nll / d lower cut
-    dt0 = du[ranks == 0].sum() + dl[ranks == 1].sum()
-    dt1 = du[ranks == 1].sum() + dl[ranks == 2].sum()
+    r2, r1 = slice(0, n2), slice(n2, n2 + n1)
+    r0 = slice(n2 + n1, n)
+    dt0 = du[r0].sum() + dl[r1].sum()
+    dt1 = du[r1].sum() + dl[r2].sum()
     dtheta = np.array([dt0 + dt1, dt1 * np.exp(theta[1])])
     return nll, dbeta, dtheta
 
@@ -92,8 +126,12 @@ def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
     Deterministic for a given seed (the seed only sets the start point).
     """
     X = np.asarray(X, dtype=np.float64)
-    ranks = np.array([_LEVEL_TO_RANK[StressLevel(int(y))] for y in labels])
-    if len(set(ranks.tolist())) < 2:
+    levels = np.asarray(labels, dtype=np.int64)
+    if not ((levels >= 0) & (levels < len(StressLevel))).all():
+        raise LabelError("ordinal labels must be stress levels 0, 1 or 2")
+    ranks = _RANK_OF_LEVEL[levels]
+    groups = _RankGroups(ranks)
+    if sum(size > 0 for size in groups.sizes) < 2:
         raise DegenerateData("ordinal fit needs at least 2 distinct classes")
     rng = np.random.default_rng(seed)
     beta = rng.normal(0.0, 0.01, X.shape[1])
@@ -105,7 +143,7 @@ def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
     vt = np.zeros_like(theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, n_iter + 1):
-        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, ranks, lam)
+        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, ranks, lam, groups)
         mb = b1 * mb + (1 - b1) * dbeta
         vb = b2 * vb + (1 - b2) * dbeta ** 2
         mt = b1 * mt + (1 - b1) * dtheta

@@ -6,7 +6,9 @@ flags override file values. Every artifact-producing run writes a
 manifest (command, arguments, config digest, input digests) sufficient to
 reproduce it byte-identically.
 
-Exit codes: 0 success, 2 usage, 3 configuration error, 4 data error.
+Exit codes: 0 success, 2 usage, 3 configuration error, 4 data error (also
+any file system error, such as a missing input or a directory where a
+file is needed).
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ def _cmd_label(args, config) -> int:
                 lab_fh.write(json.dumps({
                     "utterance_id": rec.utterance_id,
                     "word": rec.word,
-                    "stresses": [int(obs.stress) for obs in rec.syllables],
-                    "nuclei": [obs.nucleus_tag for obs in rec.syllables],
+                    "stresses": rec.stresses,
+                    "nuclei": rec.nucleus_tags,
                 }, sort_keys=True) + "\n")
             for exc in exclusions:
                 exc_fh.write(json.dumps({
@@ -561,7 +563,7 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     except StressnetError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory for a file, ...
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

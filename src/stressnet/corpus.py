@@ -45,7 +45,6 @@ from .features import (
     MAX_SYLLABLES,
     N_FEATURES,
     RawSyllableFeatures,
-    SyllableObservation,
     WordRecord,
     normalize_sentence,
 )
@@ -258,14 +257,13 @@ class WordInstance:
 
 def build_instance(record: WordRecord) -> WordInstance:
     """Pack a valid record into arrays: one read by read_feature_table or
-    built by this program, syllables in position order."""
-    sylls = record.syllables
+    built by this program, syllables in position order. The instance
+    shares the record's feature matrix."""
     return WordInstance(
-        record.utterance_id, record.word,
-        np.array([obs.features for obs in sylls], dtype=np.float64),
-        np.array([TAG_TO_INDEX[obs.nucleus_tag] for obs in sylls], dtype=np.int64),
-        np.array([IGNORE_LABEL if obs.stress is None else int(obs.stress)
-                  for obs in sylls], dtype=np.int64))
+        record.utterance_id, record.word, record.features,
+        np.array([TAG_TO_INDEX[tag] for tag in record.nucleus_tags], dtype=np.int64),
+        np.array([IGNORE_LABEL if s is None else s for s in record.stresses],
+                 dtype=np.int64))
 
 
 def instances_from_table(records: list[WordRecord]) -> list[WordInstance]:
@@ -337,17 +335,11 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
             exclusions.append(Exclusion(alignment.utterance_id, word.text, reason))
             fatal = True
             continue
-        obs = []
-        for i, s in enumerate(syl.syllables):
-            feats = (word_features[wi][i] if word_features is not None
-                     else np.zeros(N_FEATURES))
-            obs.append(SyllableObservation(
-                features=np.asarray(feats, dtype=np.float64),
-                nucleus_tag=s.nucleus_tag,
-                position=i,
-                stress=s.stress,
-            ))
-        records.append(WordRecord(alignment.utterance_id, word.text, obs))
+        feats = (np.array(word_features[wi], dtype=np.float64)
+                 if word_features is not None else np.zeros((n, N_FEATURES)))
+        records.append(WordRecord(alignment.utterance_id, word.text, feats,
+                                  syl.nucleus_tags(),
+                                  [int(s) for s in syl.stresses()]))
 
     if fatal and exclusion_scope == "utterance":
         exclusions.extend(
@@ -536,7 +528,7 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
 
         utt_raw: list[RawSyllableFeatures] = []
         utt_words: list[AlignedWord] = []
-        word_meta = []  # (text, [(tag, stress)]), aligned with feature rows
+        word_meta = []  # (text, tags, stresses), aligned with feature rows
         clock = 0.0
         for text in texts:
             entry = lexicon.lookup(text)[0]
@@ -597,17 +589,14 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
                 clock += syl_dur
             clock += WORD_GAP_S
             utt_words.append(AlignedWord(text, tuple(spans)))
-            word_meta.append((text, list(zip(tags, stresses))))
+            word_meta.append((text, tags, stresses))
 
-        normalized = normalize_sentence(utt_raw)
+        normalized = np.array(normalize_sentence(utt_raw))
         alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
         row = 0
-        for text, meta in word_meta:
-            obs = []
-            for i, (tag, stress) in enumerate(meta):
-                obs.append(SyllableObservation(
-                    features=normalized[row], nucleus_tag=tag,
-                    position=i, stress=stress))
-                row += 1
-            records.append(WordRecord(utt_id, text, obs))
+        for text, tags, stresses in word_meta:
+            records.append(WordRecord(utt_id, text,
+                                      normalized[row:row + len(tags)], tags,
+                                      [int(s) for s in stresses]))
+            row += len(tags)
     return alignments, records

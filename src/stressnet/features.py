@@ -24,15 +24,15 @@ this, and it returns each word's syllables in position order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
 from .dsp import IntensityTrack, PitchTrack, SegmentStats, Track, segment_stats
 from .errors import FormatError, InvalidSpan, SpanOutOfRange
-from .lexicon import TAG_TO_INDEX, StressLevel
+from .lexicon import TAG_TO_INDEX
 
 FEATURE_SLOTS = (
     "syl_pitch_mean", "syl_pitch_max", "syl_voiced_dur_s",
@@ -56,22 +56,16 @@ class RawSyllableFeatures:
 
 
 @dataclass
-class SyllableObservation:
-    """One syllable as the model sees it: features, type, position, label."""
-
-    features: np.ndarray
-    nucleus_tag: str
-    position: int
-    stress: StressLevel | None = None
-
-
-@dataclass
 class WordRecord:
-    """One word instance of a feature table: ordered syllable observations."""
+    """One word instance of a feature table, its n syllables in position
+    order: their features as one (n, 12) float64 matrix, their nucleus
+    tags, and their stresses (plain ints 0/1/2, None where unknown)."""
 
     utterance_id: str
     word: str
-    syllables: list[SyllableObservation]
+    features: np.ndarray
+    nucleus_tags: list[str]
+    stresses: list[int | None]
 
 
 def _check_extent(track: Track, start_s: float, end_s: float) -> None:
@@ -141,61 +135,44 @@ def normalize_sentence(raw: Sequence[RawSyllableFeatures]) -> list[np.ndarray]:
 # --- feature table io -------------------------------------------------------
 
 def write_feature_table(records: Sequence[WordRecord], path: str) -> None:
+    """Write the bytes json.dumps(doc, sort_keys=True) and a newline would
+    write for each record's document. The fixed schema is laid out here
+    instead: features as the repr of a float, text as JSON's ASCII string.
+    Features must be finite, as read_feature_table requires."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            doc = {
-                "utterance_id": rec.utterance_id,
-                "word": rec.word,
-                "syllables": [
-                    {
-                        "position": obs.position,
-                        "features": [float(x) for x in obs.features],
-                        "nucleus": obs.nucleus_tag,
-                        "stress": None if obs.stress is None else int(obs.stress),
-                    }
-                    for obs in rec.syllables
-                ],
-            }
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+            sylls = ", ".join(
+                f'{{"features": [{", ".join(map(float.__repr__, row))}], '
+                f'"nucleus": {encode_basestring_ascii(tag)}, "position": {i}, '
+                f'"stress": {"null" if stress is None else stress}}}'
+                for i, (row, tag, stress) in enumerate(zip(
+                    rec.features.tolist(), rec.nucleus_tags, rec.stresses)))
+            fh.write(f'{{"syllables": [{sylls}], '
+                     f'"utterance_id": {encode_basestring_ascii(rec.utterance_id)}, '
+                     f'"word": {encode_basestring_ascii(rec.word)}}}\n')
 
 
-def _field(doc: dict, key: str, *types: type):
-    """doc[key], whose exact type must be one of types (so a bool is no int)."""
-    value = doc.get(key, ...)  # a missing key gives Ellipsis, which fits no type
-    if type(value) not in types:
-        raise FormatError(f"{key!r} is missing or of the wrong type")
+def _wrong_type(key: str) -> FormatError:
+    return FormatError(f"{key!r} is missing or of the wrong type")
+
+
+def _field(doc: dict, key: str, kind: type):
+    """doc[key], whose exact type must be kind (so a bool is no int)."""
+    value = doc.get(key)
+    if type(value) is not kind:
+        raise _wrong_type(key)
     return value
 
 
-def _feature_vector(values: list) -> np.ndarray:
-    try:
-        ok = (len(values) == N_FEATURES and set(map(type, values)) <= {int, float}
-              and all(map(math.isfinite, values)))
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise FormatError(f"'features' must be {N_FEATURES} finite numbers")
-    return np.asarray(values, dtype=np.float64)
-
-
-def _syllable(doc) -> SyllableObservation:
-    if type(doc) is not dict:
-        raise FormatError("a syllable is not a JSON object")
-    stress = _field(doc, "stress", int, type(None))
-    if stress not in (None, 0, 1, 2):
-        raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
-    nucleus = _field(doc, "nucleus", str)
-    if nucleus not in TAG_TO_INDEX:
-        raise FormatError(f"unknown nucleus tag {nucleus!r}")
-    return SyllableObservation(
-        features=_feature_vector(_field(doc, "features", list)),
-        nucleus_tag=nucleus,
-        position=_field(doc, "position", int),
-        stress=None if stress is None else StressLevel(stress),
-    )
+_NUMBER_TYPES = frozenset((int, float))
+_FEATURES_ERROR = f"'features' must be {N_FEATURES} finite numbers"
 
 
 def _record(line: bytes) -> WordRecord:
+    """One line's word. Each syllable's fields are checked in turn, by
+    exact type, and the syllable is put at its position; then the count
+    and the positions are checked, and the features of all syllables are
+    converted and checked for finiteness together."""
     try:
         doc = json.loads(line)
     except (ValueError, RecursionError) as exc:
@@ -203,14 +180,47 @@ def _record(line: bytes) -> WordRecord:
     if type(doc) is not dict:
         raise FormatError("the line is not a JSON object")
     utterance_id, word = _field(doc, "utterance_id", str), _field(doc, "word", str)
-    syllables = sorted(map(_syllable, _field(doc, "syllables", list)),
-                       key=lambda obs: obs.position)
+    syllables = _field(doc, "syllables", list)
     n = len(syllables)
+    rows, tags, stresses = [None] * n, [None] * n, [None] * n
+    positions_ok = True  # each position so far in 0..n-1 and used once
+    for syl in syllables:
+        if type(syl) is not dict:
+            raise FormatError("a syllable is not a JSON object")
+        stress = syl.get("stress", ...)  # missing is not null
+        if stress is not None:
+            if type(stress) is not int:
+                raise _wrong_type("stress")
+            if not 0 <= stress <= 2:
+                raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
+        nucleus = syl.get("nucleus")
+        if type(nucleus) is not str:
+            raise _wrong_type("nucleus")
+        if nucleus not in TAG_TO_INDEX:
+            raise FormatError(f"unknown nucleus tag {nucleus!r}")
+        values = syl.get("features")
+        if type(values) is not list:
+            raise _wrong_type("features")
+        if len(values) != N_FEATURES or not _NUMBER_TYPES.issuperset(map(type, values)):
+            raise FormatError(_FEATURES_ERROR)
+        position = syl.get("position")
+        if type(position) is not int:
+            raise _wrong_type("position")
+        if 0 <= position < n and rows[position] is None:
+            rows[position], tags[position], stresses[position] = values, nucleus, stress
+        else:
+            positions_ok = False
     if not 1 <= n <= MAX_SYLLABLES:
         raise FormatError(f"{n} syllables, not 1 to {MAX_SYLLABLES}")
-    if [obs.position for obs in syllables] != list(range(n)):
+    if not positions_ok:
         raise FormatError(f"syllable positions are not 0..{n - 1}, each once")
-    return WordRecord(utterance_id, word, syllables)
+    try:
+        features = np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise FormatError(_FEATURES_ERROR)
+    if not np.isfinite(features).all():
+        raise FormatError(_FEATURES_ERROR)
+    return WordRecord(utterance_id, word, features, tags, stresses)
 
 
 def read_feature_table(path: str) -> list[WordRecord]:

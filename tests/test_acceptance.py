@@ -24,7 +24,6 @@ from stressnet.dsp import compute_intensity, estimate_pitch
 from stressnet.evaluation import evaluate, pca_type_embeddings
 from stressnet.features import (
     RawSyllableFeatures,
-    SyllableObservation,
     WordRecord,
     normalize_sentence,
 )
@@ -148,14 +147,11 @@ def test_criterion_3_weight_oracle(lexicon):
     for _ in range(10):
         counts = rng.integers(1, 40, 3)
         tag = NUCLEUS_TAGS[int(rng.integers(16))]
-        obs = []
-        labels = np.repeat([0, 1, 2], counts)
-        for i, lab in enumerate(labels[:17]):
-            obs.append(SyllableObservation(np.zeros(12), tag, i,
-                                           StressLevel(int(lab))))
-        instances = [build_instance(WordRecord("u", "w", obs))]
+        labels = np.repeat([0, 1, 2], counts)[:17].tolist()
+        instances = [build_instance(WordRecord(
+            "u", "w", np.zeros((len(labels), 12)), [tag] * len(labels), labels))]
         table = compute_class_weights(instances).table
-        realized = np.bincount([int(o.stress) for o in obs], minlength=3)
+        realized = np.bincount(labels, minlength=3)
         expected = (realized / realized.sum())
         expected = (expected / expected.max()) ** 0.7
         from stressnet.lexicon import TAG_TO_INDEX
@@ -180,8 +176,7 @@ def test_criterion_4_normalization(lexicon):
     _, recs = synth_corpus(lexicon, 50, GenConfig(noise=0.8), seed=13)
     by_utt = {}
     for rec in recs:
-        for obs in rec.syllables:
-            by_utt.setdefault(rec.utterance_id, []).append(obs.features)
+        by_utt.setdefault(rec.utterance_id, []).extend(rec.features)
     worst_mean = max(
         float(np.abs(np.stack(feats).mean(axis=0)).max())
         for feats in by_utt.values())

@@ -7,12 +7,14 @@ from stressnet.baselines import (
     OrdinalModel,
     TreeNodes,
     _grow_tree,
+    _ordinal_nll_grad,
+    _sigmoid,
     flatten,
     scores,
     train_forest,
     train_ordinal,
 )
-from stressnet.corpus import GenConfig, instances_from_table, synth_corpus
+from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
 from stressnet.errors import DegenerateData, ShapeError
 from stressnet.lexicon import StressLevel
 
@@ -375,3 +377,128 @@ class TestGrowerOracle:
             X, y, data.draw(st.integers(0, 6), label="max_depth"),
             data.draw(st.integers(1, k), label="m"), n_trees=2,
             seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+
+# --- the ordinal fit against the per-step oracle -------------------------------
+#
+# train_ordinal groups the rows by rank once and runs the sigmoid only at
+# the finite cut points. The oracle below is the fit it replaced: it builds
+# both cut points of every row at every step, with +-inf at the ends, and
+# runs the sigmoid on all of them. Both must give the same bits.
+
+def oracle_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def oracle_nll_grad(beta, theta, X, ranks, lam):
+    n = X.shape[0]
+    t0 = theta[0]
+    t1 = t0 + np.exp(theta[1])
+    z = X @ beta
+    upper = np.where(ranks == 0, t0 - z, np.where(ranks == 1, t1 - z, np.inf))
+    lower = np.where(ranks == 0, -np.inf, np.where(ranks == 1, t0 - z, t1 - z))
+    Fu = oracle_sigmoid(upper)
+    Fl = oracle_sigmoid(lower)
+    lik = np.clip(Fu - Fl, 1e-12, None)
+    nll = -np.log(lik).sum() / n + 0.5 * lam * float(beta @ beta)
+    fu = Fu * (1.0 - Fu)
+    fl = Fl * (1.0 - Fl)
+    inv = 1.0 / lik
+    dz = (fu - fl) * inv / n
+    dbeta = X.T @ dz + lam * beta
+    du = -fu * inv / n
+    dl = fl * inv / n
+    dt0 = du[ranks == 0].sum() + dl[ranks == 1].sum()
+    dt1 = du[ranks == 1].sum() + dl[ranks == 2].sum()
+    dtheta = np.array([dt0 + dt1, dt1 * np.exp(theta[1])])
+    return nll, dbeta, dtheta
+
+
+ORACLE_RANK = {StressLevel.NON_STRESS: 0, StressLevel.SECONDARY: 1,
+               StressLevel.PRIMARY: 2}
+
+
+def oracle_train_ordinal(X, labels, lam=1e-4, seed=0, n_iter=500, lr=0.5):
+    X = np.asarray(X, dtype=np.float64)
+    ranks = np.array([ORACLE_RANK[StressLevel(int(y))] for y in labels])
+    if len(set(ranks.tolist())) < 2:
+        raise DegenerateData("ordinal fit needs at least 2 distinct classes")
+    rng = np.random.default_rng(seed)
+    beta = rng.normal(0.0, 0.01, X.shape[1])
+    theta = np.array([-0.5, 0.0])
+    mb = np.zeros_like(beta)
+    vb = np.zeros_like(beta)
+    mt = np.zeros_like(theta)
+    vt = np.zeros_like(theta)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, n_iter + 1):
+        _, dbeta, dtheta = oracle_nll_grad(beta, theta, X, ranks, lam)
+        mb = b1 * mb + (1 - b1) * dbeta
+        vb = b2 * vb + (1 - b2) * dbeta ** 2
+        mt = b1 * mt + (1 - b1) * dtheta
+        vt = b2 * vt + (1 - b2) * dtheta ** 2
+        beta -= lr * (mb / (1 - b1 ** t)) / (np.sqrt(vb / (1 - b2 ** t)) + eps)
+        theta -= lr * (mt / (1 - b1 ** t)) / (np.sqrt(vt / (1 - b2 ** t)) + eps)
+    t0, t1 = theta[0], theta[0] + np.exp(theta[1])
+    return OrdinalModel(beta, np.array([t0, t1]))
+
+
+def criterion_8_training_set(lexicon, k, seed=1):
+    """Criterion 8's training syllables: 250 utterances at noise 0.75,
+    70% of them by utterance."""
+    _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
+    train_all, _ = split(instances_from_table(recs), 0.7, seed=seed)
+    return flatten(train_all, k)
+
+
+def assert_fits_as_oracle(X, y, **kwargs):
+    got = train_ordinal(X, y, **kwargs)
+    want = oracle_train_ordinal(X, y, **kwargs)
+    for name in ("coefficients", "thresholds"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestOrdinalOracle:
+    def test_1d_data(self):
+        X, y = ordinal_1d_data(np.random.default_rng(0))
+        assert_fits_as_oracle(X, y, seed=1)
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_criterion_8_seed_1(self, lexicon, k):
+        X, y = criterion_8_training_set(lexicon, k)
+        assert_fits_as_oracle(X, y, seed=1)
+
+    def test_no_secondary_rows(self):
+        X, y = ordinal_1d_data(np.random.default_rng(3))
+        keep = y != int(StressLevel.SECONDARY)
+        assert_fits_as_oracle(X[keep], y[keep], seed=2, n_iter=200)
+
+    @pytest.mark.parametrize("y", [[0, 1], [1, 2], [2, 0]])
+    def test_two_rows(self, y):
+        X = np.array([[0.5, -1.0], [2.0, 0.25]])
+        assert_fits_as_oracle(X, y, lam=1e-2, seed=3)
+
+    def test_gradient_in_grouped_order_is_the_oracles(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(0, 1, (300, 6))
+        ranks = rng.integers(0, 3, 300)
+        beta = rng.normal(0, 0.5, 6)
+        theta = np.array([-0.3, 0.2])
+        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, ranks, 0.01)
+        _, want_beta, want_theta = oracle_nll_grad(beta, theta, X, ranks, 0.01)
+        assert dbeta.tobytes() == want_beta.tobytes()
+        assert dtheta.tobytes() == want_theta.tobytes()
+
+    def test_sigmoid_bits(self):
+        z = np.array([-np.inf, -1e308, -745.2, -40.0, -1.0, -5e-324, -0.0,
+                      0.0, 5e-324, 1e-300, 1.0, 36.7, 40.0, 745.2, 1e308,
+                      np.inf, np.nan])
+        z = np.concatenate([z, np.random.default_rng(7).normal(0, 20, 999)])
+        assert _sigmoid(z).tobytes() == oracle_sigmoid(z).tobytes()

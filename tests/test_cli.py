@@ -268,7 +268,7 @@ class TestPipeline:
         lines = [json.loads(l) for l in open(preds_path)]
         assert len(lines) == len(records)
         for line, rec in zip(lines, records):
-            assert len(line["syllables"]) == len(rec.syllables)
+            assert len(line["syllables"]) == len(rec.stresses)
             for s in line["syllables"]:
                 assert s["stress_pred"] in (0, 1, 2)
                 assert abs(sum(s["probs"]) - 1.0) < 1e-9
@@ -354,8 +354,8 @@ class TestFeaturize:
                    "--out", out) == 0
         (rec,) = read_feature_table(out)
         assert rec.word == "maybe"
-        assert [int(o.stress) for o in rec.syllables] == [1, 0]
-        f0, f1 = rec.syllables[0].features, rec.syllables[1].features
+        assert rec.stresses == [1, 0]
+        f0, f1 = rec.features
         # 220 Hz vs 170 Hz: after sentence normalization the first syllable
         # sits above the mean, the second below
         assert f0[0] > 0 > f1[0]          # syllable pitch mean
@@ -556,6 +556,45 @@ MALFORMED_LINES = {
     "position_gap": lambda doc: doc["syllables"][-1].update(
         position=len(doc["syllables"])),
 }
+
+
+class TestPathErrors:
+    """A path that is a directory where a file is needed, or that runs
+    through a file where a directory is needed, is exit 4 with a one-line
+    error, not a traceback."""
+
+    @staticmethod
+    def assert_exit_4(capsys, *argv):
+        capsys.readouterr()
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "a_file"
+        path.write_text("")
+        return path
+
+    def test_split_features_is_a_directory(self, tmp_path, capsys):
+        self.assert_exit_4(capsys, "split", "--features", str(tmp_path),
+                           "--out", str(tmp_path / "splits"))
+
+    def test_split_out_is_a_file(self, pipeline, a_file, capsys):
+        _, out, _, _ = pipeline
+        self.assert_exit_4(capsys, "split", "--features",
+                           str(out / "features.jsonl"), "--out", str(a_file))
+
+    def test_synth_out_is_a_file(self, a_file, capsys):
+        self.assert_exit_4(capsys, "synth", "--n", "2", "--out", str(a_file))
+
+    def test_predict_out_is_a_directory(self, pipeline, tmp_path, capsys):
+        _, out, _, rf = pipeline
+        self.assert_exit_4(capsys, "predict", "--model", rf, "--input",
+                           str(out / "splits" / "test.jsonl"),
+                           "--out", str(tmp_path))
 
 
 class TestMalformedFeatureTables:

@@ -31,7 +31,7 @@ from stressnet.errors import (
     SplitTooSmall,
     StressnetError,
 )
-from stressnet.features import SyllableObservation, WordRecord
+from stressnet.features import WordRecord
 from stressnet.lexicon import TAG_TO_INDEX, StressLevel
 
 
@@ -250,8 +250,9 @@ class TestLabelUtterance:
         records, exclusions = label_utterance(al, lexicon)
         assert not exclusions
         (rec,) = records
-        assert [int(obs.stress) for obs in rec.syllables] == [2, 0, 1]
-        assert [obs.position for obs in rec.syllables] == [0, 1, 2]
+        assert rec.stresses == [2, 0, 1]
+        assert rec.nucleus_tags == ["ow", "er", "ah"]
+        assert rec.features.shape == (3, 12)
 
     def test_monosyllabic_excluded(self, lexicon):
         al = parse_alignment(make_alignment([("cat", 1), ("maybe", 2)]))
@@ -278,8 +279,8 @@ class TestLabelUtterance:
         al2 = parse_alignment(make_alignment([("separate", 2)]))
         (r3,), _ = label_utterance(al3, lexicon)
         (r2,), _ = label_utterance(al2, lexicon)
-        assert len(r3.syllables) == 3
-        assert len(r2.syllables) == 2
+        assert len(r3.stresses) == 3
+        assert len(r2.stresses) == 2
 
     def test_exclusion_scope_utterance(self, lexicon):
         al = parse_alignment(make_alignment([("zyxxyz", 2), ("maybe", 2)]))
@@ -300,9 +301,8 @@ class TestLabelUtterance:
 class TestBuildInstance:
     def test_padding_invariant(self):
         """An instance holds its n syllables in position order, no padding."""
-        rec = WordRecord("u", "w", [
-            SyllableObservation(np.full(12, 1.0), "iy", 0, StressLevel.PRIMARY),
-            SyllableObservation(np.full(12, 2.0), "ax", 1, None)])
+        rec = WordRecord("u", "w", np.repeat([[1.0], [2.0]], 12, axis=1),
+                         ["iy", "ax"], [int(StressLevel.PRIMARY), None])
         inst = build_instance(rec)
         assert inst.valid_count == 2
         assert inst.features.shape == (2, 12)
@@ -316,11 +316,8 @@ class TestSplit:
         out = []
         for u in range(n_utts):
             for w in range(per_utt):
-                rec = WordRecord(f"utt-{u:03d}", f"w{w}", [
-                    SyllableObservation(np.zeros(12), "iy", i,
-                                        StressLevel.NON_STRESS)
-                    for i in range(2)
-                ])
+                rec = WordRecord(f"utt-{u:03d}", f"w{w}", np.zeros((2, 12)),
+                                 ["iy", "iy"], [int(StressLevel.NON_STRESS)] * 2)
                 out.append(build_instance(rec))
         return out
 
@@ -380,10 +377,8 @@ class TestClassWeights:
         assert w[order[0]] <= w[order[1]] + 1e-12 <= w[order[2]] + 2e-12
 
     def test_unseen_type_defaults_to_one(self):
-        rec = WordRecord("u", "w", [
-            SyllableObservation(np.zeros(12), "iy", 0, StressLevel.PRIMARY),
-            SyllableObservation(np.zeros(12), "iy", 1, StressLevel.NON_STRESS),
-        ])
+        rec = WordRecord("u", "w", np.zeros((2, 12)), ["iy", "iy"],
+                         [int(StressLevel.PRIMARY), int(StressLevel.NON_STRESS)])
         cw = compute_class_weights([build_instance(rec)])
         # "oy" never appears
         assert np.all(cw.table[TAG_TO_INDEX["oy"]] == 1.0)
@@ -402,8 +397,7 @@ class TestSynthCorpus:
         assert a1 == a2
         for x, y in zip(r1, r2):
             assert x.word == y.word
-            for ox, oy in zip(x.syllables, y.syllables):
-                assert np.array_equal(ox.features, oy.features)
+            assert np.array_equal(x.features, y.features)
 
     def test_noiseless_features_are_class_constants(self, lexicon):
         _, recs = synth_corpus(lexicon, 10, GenConfig(noise=0.0), seed=1)
@@ -411,12 +405,13 @@ class TestSynthCorpus:
         # raw features, hence equal normalized features
         by_key = {}
         for rec in recs:
-            for obs in rec.syllables:
-                key = (rec.utterance_id, int(obs.stress), obs.nucleus_tag)
+            for stress, tag, row in zip(rec.stresses, rec.nucleus_tags,
+                                        rec.features):
+                key = (rec.utterance_id, stress, tag)
                 if key in by_key:
-                    assert np.allclose(by_key[key], obs.features, atol=1e-9)
+                    assert np.allclose(by_key[key], row, atol=1e-9)
                 else:
-                    by_key[key] = obs.features
+                    by_key[key] = row
 
     def test_negative_noise_rejected(self, lexicon):
         with pytest.raises(ConfigError):
@@ -424,7 +419,7 @@ class TestSynthCorpus:
 
     def test_multi_syllable_only(self, lexicon):
         _, recs = synth_corpus(lexicon, 8, GenConfig(), seed=2)
-        assert all(len(r.syllables) >= 2 for r in recs)
+        assert all(len(r.stresses) >= 2 for r in recs)
 
     def test_alignment_matches_table(self, lexicon):
         aligns, recs = synth_corpus(lexicon, 5, GenConfig(noise=0.2), seed=9)
@@ -435,16 +430,14 @@ class TestSynthCorpus:
             words = by_utt[al.utterance_id]
             assert [w.word for w in words] == [w.text for w in al.words]
             for rec, aw in zip(words, al.words):
-                assert len(rec.syllables) == len(aw.syllables)
-                for obs, span in zip(rec.syllables, aw.syllables):
-                    assert obs.nucleus_tag == span.nucleus.tag
+                assert rec.nucleus_tags == [s.nucleus.tag for s in aw.syllables]
 
     def test_relative_duration_labeling(self, lexicon):
         _, recs = synth_corpus(
             lexicon, 8, GenConfig(noise=0.0, labeling="relative_duration"),
             seed=5)
         for rec in recs:
-            stresses = [int(o.stress) for o in rec.syllables]
+            stresses = rec.stresses
             assert stresses.count(int(StressLevel.PRIMARY)) == 1
             assert stresses.count(int(StressLevel.NON_STRESS)) == 1
 
@@ -452,15 +445,14 @@ class TestSynthCorpus:
         """Every instance holds exactly its record's syllables, in order."""
         _, recs = synth_corpus(lexicon, 6, GenConfig(noise=0.5), seed=8)
         for rec, inst in zip(recs, instances_from_table(recs)):
-            n = len(rec.syllables)
+            n = len(rec.stresses)
             assert inst.valid_count == n
-            assert inst.features.shape == (n, 12)
+            assert inst.features.shape == rec.features.shape == (n, 12)
             assert inst.type_indices.shape == inst.labels.shape == (n,)
-            for i, obs in enumerate(rec.syllables):
-                assert obs.position == i
-                assert np.array_equal(inst.features[i], obs.features)
-                assert inst.type_indices[i] == TAG_TO_INDEX[obs.nucleus_tag]
-                assert inst.labels[i] == int(obs.stress)
+            assert np.array_equal(inst.features, rec.features)
+            assert inst.type_indices.tolist() == [
+                TAG_TO_INDEX[tag] for tag in rec.nucleus_tags]
+            assert inst.labels.tolist() == rec.stresses
 
     def test_large_noise_approaches_majority_rate(self, lexicon):
         # noise at 3x the class gaps drowns the class structure; a strong

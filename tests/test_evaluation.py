@@ -11,7 +11,7 @@ from stressnet.evaluation import (
     pca_type_embeddings,
     render_report,
 )
-from stressnet.features import SyllableObservation, WordRecord
+from stressnet.features import WordRecord
 from stressnet.lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, StressLevel
 
 S0, S1, S2 = StressLevel.NON_STRESS, StressLevel.PRIMARY, StressLevel.SECONDARY
@@ -19,9 +19,8 @@ S0, S1, S2 = StressLevel.NON_STRESS, StressLevel.PRIMARY, StressLevel.SECONDARY
 
 def instance(labels, tags=None, utt="u", word="w"):
     tags = tags or ["iy"] * len(labels)
-    obs = [SyllableObservation(np.zeros(12), t, i, s)
-           for i, (t, s) in enumerate(zip(tags, labels))]
-    return build_instance(WordRecord(utt, word, obs))
+    return build_instance(WordRecord(utt, word, np.zeros((len(labels), 12)),
+                                     tags, [int(s) for s in labels]))
 
 
 class TestEvaluate:

@@ -1,22 +1,38 @@
 import copy
 import json
+import math
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stressnet.corpus import instances_from_table
+from stressnet.corpus import (
+    IGNORE_LABEL,
+    GenConfig,
+    WordInstance,
+    build_instance,
+    instances_from_table,
+    synth_corpus,
+)
 from stressnet.dsp import IntensityTrack, PitchTrack
-from stressnet.errors import InvalidSpan, SpanOutOfRange, StressnetError
+from stressnet.errors import FormatError, InvalidSpan, SpanOutOfRange, StressnetError
 from stressnet.features import (
     FEATURE_SLOTS,
+    MAX_SYLLABLES,
+    N_FEATURES,
     RawSyllableFeatures,
+    WordRecord,
+    _record,
     extract_features,
     normalize_sentence,
     read_feature_table,
+    write_feature_table,
 )
+from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
+from test_cli import MALFORMED_LINES
 
 HOP = 0.01
 
@@ -231,3 +247,292 @@ class TestFeatureTableFuzz:
             read_instances(lines)
         except StressnetError:
             pass
+
+
+# --- the reader and writer against the per-syllable oracles -------------------
+#
+# read_feature_table checks a line's syllables in one loop and converts all
+# their features with one np.array call; write_feature_table lays out the
+# fixed schema itself. The oracles below are the reader they replaced (one
+# object, one np.asarray and one StressLevel per syllable, stacked as
+# build_instance did) and json.dumps. The reader must accept exactly the
+# lines the oracle accepts and give the same bytes; a line with a single
+# fault gets the same message too.
+
+@dataclass
+class OracleSyllable:
+    features: np.ndarray
+    nucleus_tag: str
+    position: int
+    stress: StressLevel | None = None
+
+
+def oracle_field(doc, key, *types):
+    value = doc.get(key, ...)
+    if type(value) not in types:
+        raise FormatError(f"{key!r} is missing or of the wrong type")
+    return value
+
+
+def oracle_feature_vector(values):
+    try:
+        ok = (len(values) == N_FEATURES and set(map(type, values)) <= {int, float}
+              and all(map(math.isfinite, values)))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise FormatError(f"'features' must be {N_FEATURES} finite numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
+def oracle_syllable(doc):
+    if type(doc) is not dict:
+        raise FormatError("a syllable is not a JSON object")
+    stress = oracle_field(doc, "stress", int, type(None))
+    if stress not in (None, 0, 1, 2):
+        raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
+    nucleus = oracle_field(doc, "nucleus", str)
+    if nucleus not in TAG_TO_INDEX:
+        raise FormatError(f"unknown nucleus tag {nucleus!r}")
+    return OracleSyllable(
+        features=oracle_feature_vector(oracle_field(doc, "features", list)),
+        nucleus_tag=nucleus,
+        position=oracle_field(doc, "position", int),
+        stress=None if stress is None else StressLevel(stress),
+    )
+
+
+def oracle_record(line):
+    """(utterance_id, word, syllables in position order)."""
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not valid JSON ({exc})")
+    if type(doc) is not dict:
+        raise FormatError("the line is not a JSON object")
+    utterance_id = oracle_field(doc, "utterance_id", str)
+    word = oracle_field(doc, "word", str)
+    syllables = sorted(map(oracle_syllable, oracle_field(doc, "syllables", list)),
+                       key=lambda obs: obs.position)
+    n = len(syllables)
+    if not 1 <= n <= MAX_SYLLABLES:
+        raise FormatError(f"{n} syllables, not 1 to {MAX_SYLLABLES}")
+    if [obs.position for obs in syllables] != list(range(n)):
+        raise FormatError(f"syllable positions are not 0..{n - 1}, each once")
+    return utterance_id, word, syllables
+
+
+def oracle_instance(utterance_id, word, syllables):
+    """The arrays build_instance stacked from the oracle's syllables."""
+    return WordInstance(
+        utterance_id, word,
+        np.array([obs.features for obs in syllables], dtype=np.float64),
+        np.array([TAG_TO_INDEX[obs.nucleus_tag] for obs in syllables],
+                 dtype=np.int64),
+        np.array([IGNORE_LABEL if obs.stress is None else int(obs.stress)
+                  for obs in syllables], dtype=np.int64))
+
+
+def assert_reads_as_oracle(line: bytes, same_message: bool = True) -> bool:
+    """Whether the line is accepted; fails unless the reader agrees with
+    the oracle on that, and on the record or the error."""
+    try:
+        want = oracle_record(line)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            _record(line)
+        if same_message:
+            assert str(got.value) == str(exc)
+        return False
+    rec = _record(line)
+    want_inst = oracle_instance(*want)
+    assert (rec.utterance_id, rec.word) == want[:2]
+    assert rec.features.dtype == np.float64
+    assert rec.features.shape == want_inst.features.shape
+    assert rec.features.tobytes() == want_inst.features.tobytes()
+    assert rec.nucleus_tags == [obs.nucleus_tag for obs in want[2]]
+    # plain ints, not StressLevel members
+    assert [(type(s), s) for s in rec.stresses] == [
+        (type(None), None) if obs.stress is None else (int, int(obs.stress))
+        for obs in want[2]]
+    inst = build_instance(rec)
+    for name in ("features", "type_indices", "labels"):
+        got, expected = getattr(inst, name), getattr(want_inst, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+    return True
+
+
+def syllable_doc(i, tag="ah", stress=0, value=0.5):
+    return {"position": i, "features": [value] * 12, "nucleus": tag,
+            "stress": stress}
+
+
+def word_doc(syllables):
+    return {"utterance_id": "u", "word": "w", "syllables": syllables}
+
+
+def with_feature(value):
+    doc = copy.deepcopy(VALID_RECORD)
+    doc["syllables"][1]["features"][4] = value
+    return doc
+
+
+# case: (line document, whether it is accepted)
+EDGE_LINES = {
+    "valid": (VALID_RECORD, True),
+    "bool_feature": (with_feature(True), False),
+    "string_feature": (with_feature("1.5"), False),
+    "int_beyond_float": (with_feature(10 ** 400), False),
+    "negative_int_beyond_float": (with_feature(-10 ** 400), False),
+    "big_int_feature": (with_feature(2 ** 70 + 1), True),
+    "int_features": (word_doc([{**syllable_doc(0),
+                                "features": list(range(12))}]), True),
+    "largest_float": (with_feature(1.7976931348623157e308), True),
+    "subnormal_and_negative_zero": (word_doc([
+        {**syllable_doc(0), "features": [5e-324, -0.0] * 6}]), True),
+    "null_stress": (word_doc([syllable_doc(0, stress=None),
+                              syllable_doc(1)]), True),
+    "bool_stress": (word_doc([syllable_doc(0, stress=True)]), False),
+    "duplicate_position": (word_doc([syllable_doc(0), syllable_doc(0)]), False),
+    "missing_position": (word_doc([syllable_doc(0), syllable_doc(2)]), False),
+    "negative_position": (word_doc([syllable_doc(-1), syllable_doc(0)]), False),
+    "shuffled_positions": (word_doc([
+        syllable_doc(i, tag=NUCLEUS_TAGS[i], stress=i % 3, value=0.1 * i)
+        for i in (2, 0, 3, 1)]), True),
+    "zero_syllables": (word_doc([]), False),
+    "one_syllable": (word_doc([syllable_doc(0)]), True),
+    "seventeen_syllables": (word_doc([syllable_doc(i) for i in range(17)]), True),
+    "eighteen_syllables": (word_doc([syllable_doc(i) for i in range(18)]), False),
+}
+
+# any number, or something that is not one
+feature_values = (st.floats() | st.integers(-2 ** 80, 2 ** 80)
+                  | st.sampled_from([True, False, "1.5", None, 10 ** 400,
+                                     -10 ** 400, -0.0, 5e-324]))
+
+
+@st.composite
+def table_lines(draw):
+    """A word of 0 to 18 syllables, mostly well formed: its syllables in
+    any order, and maybe a position, feature, stress or tag that is off."""
+    n = draw(st.integers(0, MAX_SYLLABLES + 1), label="n")
+    positions = draw(st.permutations(range(n)), label="positions")
+    # one drawn row, rotated by position, so that each syllable differs
+    row = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                        | st.integers(-2 ** 60, 2 ** 60),
+                        min_size=12, max_size=12), label="row")
+    syllables = [
+        {"position": p, "features": row[p % 12:] + row[:p % 12],
+         "nucleus": draw(st.sampled_from(NUCLEUS_TAGS)),
+         "stress": draw(st.sampled_from([None, 0, 1, 2]))}
+        for p in positions]
+    if syllables:
+        syl = draw(st.sampled_from(syllables))
+        fault = draw(st.sampled_from(
+            ["none", "position", "feature", "stress", "nucleus"]))
+        if fault == "position":
+            syl["position"] = draw(st.integers(-1, n) | st.booleans())
+        elif fault == "feature":
+            syl["features"][draw(st.integers(0, 11))] = draw(feature_values)
+        elif fault == "stress":
+            syl["stress"] = draw(st.sampled_from([True, 3, -1, "1", 1.0]))
+        elif fault == "nucleus":
+            syl["nucleus"] = draw(st.sampled_from(["zz", "", None, 1]))
+    return json.dumps(word_doc(syllables)).encode()
+
+
+class TestReaderOracle:
+    @pytest.mark.parametrize("case", sorted(EDGE_LINES))
+    def test_edge_lines(self, case):
+        doc, accepted = EDGE_LINES[case]
+        assert assert_reads_as_oracle(json.dumps(doc).encode()) == accepted
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+    def test_malformed_lines(self, case):
+        bad = MALFORMED_LINES[case]
+        if callable(bad):
+            doc = copy.deepcopy(VALID_RECORD)
+            bad(doc)
+            bad = json.dumps(doc)
+        assert not assert_reads_as_oracle(bad.encode())
+
+    @given(mutated_records())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_records(self, line):
+        assert_reads_as_oracle(line)
+
+    @given(table_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_words(self, line):
+        # one drawn fault may come with the count fault of 0 or 18
+        # syllables; the reader may then name the other one
+        assert_reads_as_oracle(line, same_message=False)
+
+
+def oracle_line(rec) -> str:
+    """The record's table line as json.dumps writes its document."""
+    return json.dumps({
+        "utterance_id": rec.utterance_id,
+        "word": rec.word,
+        "syllables": [
+            {"position": i, "features": [float(x) for x in row],
+             "nucleus": tag, "stress": stress}
+            for i, (row, tag, stress) in enumerate(zip(
+                rec.features, rec.nucleus_tags, rec.stresses))],
+    }, sort_keys=True) + "\n"
+
+
+def oracle_table_bytes(records) -> bytes:
+    return "".join(map(oracle_line, records)).encode()
+
+
+def written_bytes(records) -> bytes:
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
+    os.close(fd)
+    try:
+        write_feature_table(records, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+    finally:
+        os.unlink(path)
+
+
+# floats whose repr takes every form: signed zeros, subnormals, the
+# extremes, integral values and exponents
+float_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, 1.0, -3.0, 2.0 ** 60, 1e16, 1e-5, 0.1])
+
+
+@st.composite
+def drawn_records(draw):
+    n = draw(st.integers(0, 4))
+    return WordRecord(
+        draw(st.text(max_size=8)), draw(st.text(max_size=8)),
+        np.array(draw(st.lists(st.lists(float_values, min_size=12,
+                                         max_size=12),
+                               min_size=n, max_size=n)),
+                 dtype=np.float64).reshape(n, 12),
+        draw(st.lists(st.sampled_from(NUCLEUS_TAGS) | st.text(max_size=3),
+                      min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=n,
+                      max_size=n)))
+
+
+class TestWriterOracle:
+    @pytest.mark.parametrize("noise,labeling", [
+        (0.0, "dictionary"), (0.75, "dictionary"), (0.75, "relative_duration")])
+    def test_synth_tables(self, lexicon, noise, labeling):
+        _, recs = synth_corpus(lexicon, 40, GenConfig(noise, labeling), seed=1)
+        assert written_bytes(recs) == oracle_table_bytes(recs)
+
+    @given(st.lists(drawn_records(), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_records(self, records):
+        assert written_bytes(records) == oracle_table_bytes(records)
+
+    def test_text_escapes(self):
+        text = 'a"b\\c\n\t\x00\x1f\x7f é 雪 \U0001f600'
+        rec = WordRecord(text, text, np.zeros((1, 12)), [text], [None])
+        assert written_bytes([rec]) == oracle_table_bytes([rec])
