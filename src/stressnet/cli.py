@@ -298,6 +298,7 @@ def _cmd_featurize(args, config) -> int:
                                              dsp_cfg, pool, scope)
         records.extend(labeled)
         n_excluded += len(exclusions)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_feature_table(records, args.out)
     _write_manifest(Path(args.out).parent, "featurize", {
         "alignments": args.alignments, "out": args.out,

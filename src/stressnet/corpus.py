@@ -28,6 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .errors import (
 from .features import (
     MAX_SYLLABLES,
     N_FEATURES,
-    RawSyllableFeatures,
     WordRecord,
     normalize_sentence,
 )
@@ -485,6 +485,29 @@ def _relative_duration_labels(durations: np.ndarray) -> list[StressLevel]:
     return labels
 
 
+class _VocabWord(NamedTuple):
+    """A word synth can draw, syllabified once: its nucleus tags and
+    dictionary stresses, as lists and as index arrays."""
+
+    text: str
+    tags: list[str]
+    stresses: list[int]
+    type_index: np.ndarray
+    stress_index: np.ndarray
+
+    @classmethod
+    def of(cls, lexicon: Lexicon, text: str) -> "_VocabWord":
+        syl = syllabify(lexicon.lookup(text)[0])
+        tags, stresses = syl.nucleus_tags(), [int(s) for s in syl.stresses()]
+        return cls(text, tags, stresses,
+                   np.array([TAG_TO_INDEX[t] for t in tags]), np.array(stresses))
+
+
+# For each of a syllable's twelve noise draws, in draw order (see
+# synth_corpus), its index into GenConfig.sigmas().
+_DRAW_SIGMA = (0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 0)
+
+
 def synth_corpus(lexicon: Lexicon, n_utterances: int,
                  cfg: GenConfig = GenConfig(), seed: int = 0,
                  ) -> tuple[list[UtteranceAlignment], list[WordRecord]]:
@@ -494,11 +517,33 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
     syllable's 12 raw features are drawn from distributions conditioned on
     its stress class and nucleus type, then sentence-normalized exactly
     like real audio features. Returns alignments plus the feature table.
+
+    Draw order, which fixes every output bit for a seed: the per-type
+    offsets (three uniform(-1, 1, 16) draws), then per utterance the word
+    count and the word choices. Under dictionary labeling one
+    standard_normal((n_syllables, k)) block follows, a row per syllable;
+    under relative_duration labeling each word draws uniform(0.10, 0.30,
+    n) base durations and then its own (n, k) block. A row holds the
+    syllable's noise draws in _DRAW_SIGMA order: duration, pitch mean,
+    |pitch|, intensity mean, |intensity|, voiced, nucleus duration,
+    nucleus pitch mean, |pitch|, nucleus intensity mean, |intensity|,
+    nucleus voiced. A slot whose sigma is 0 draws nothing (k counts the
+    others), so noise 0 draws no normal at all; at a subnormal noise the
+    duration sigma alone rounds to 0. standard_normal(k) takes
+    the stream as k scalar normal(0, sigma) calls would, and a scaled
+    draw z * sigma is the value normal(0.0, sigma) returns, so the blocks
+    give the values of one scalar draw per slot in that order. Each
+    feature is computed with the operations, in the order, of the scalar
+    formula for one syllable, np.maximum/np.minimum doing the clamps.
+    Alignment times are rounded with Python's round(x, 6), which is
+    correctly rounded where np.round is not.
     """
     if n_utterances < 1:
         raise ConfigError(f"need at least 1 utterance, got {n_utterances}")
     rng = np.random.default_rng(seed)
-    sigma_dur, sigma_pitch, sigma_int = cfg.sigmas()
+    sigma = np.array(cfg.sigmas())[list(_DRAW_SIGMA)]
+    drawn = sigma > 0
+    sigma_drawn = sigma[drawn]
 
     # per-type base offsets, drawn once per nucleus type from the seed
     n_types = len(NUCLEUS_TAGS)
@@ -508,15 +553,23 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
     type_int_off = TYPE_OFFSET_SCALE * max(INTENSITY_CLASS_OFFSET_DB) \
         * rng.uniform(-1, 1, n_types)
 
-    vocab = sorted(
+    vocab = [_VocabWord.of(lexicon, word) for word in sorted(
         word for word in lexicon.words()
         if 2 <= lexicon.lookup(word)[0].vowel_count() <= MAX_SYLLABLES
-    )
+    )]
     if not vocab:
         raise EmptyLexicon("lexicon has no usable multi-syllable words")
 
-    def noisy(x: float, sigma: float) -> float:
-        return float(x + rng.normal(0.0, sigma)) if sigma > 0 else float(x)
+    relative = cfg.labeling == "relative_duration"
+    dur_mult = np.array(DURATION_CLASS_MULT)
+    pitch_class = np.array(PITCH_CLASS_OFFSET_HZ)
+    int_class = np.array(INTENSITY_CLASS_OFFSET_DB)
+
+    def noise(n: int) -> np.ndarray:
+        """The next n syllables' noise, (n, 12) in draw order."""
+        e = np.zeros((n, N_FEATURES))
+        e[:, drawn] = rng.standard_normal((n, len(sigma_drawn))) * sigma_drawn
+        return e
 
     alignments: list[UtteranceAlignment] = []
     records: list[WordRecord] = []
@@ -524,79 +577,62 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
     for u in range(n_utterances):
         utt_id = f"synth-{seed:04d}-{u:06d}"
         n_words = int(rng.integers(lo, hi + 1))
-        texts = [vocab[int(i)] for i in rng.integers(0, len(vocab), n_words)]
+        words = [vocab[int(i)] for i in rng.integers(0, len(vocab), n_words)]
+        ti = np.concatenate([w.type_index for w in words])
+        if relative:
+            base_durs, stresses, blocks = [], [], []
+            for w in words:
+                durs = rng.uniform(0.10, 0.30, len(w.tags))
+                base_durs.append(durs)
+                stresses.append([int(x) for x in _relative_duration_labels(durs)])
+                blocks.append(noise(len(w.tags)))
+            base_dur = np.concatenate(base_durs)
+            e = np.concatenate(blocks)
+            pitch_mean = PITCH_BASE_HZ + type_pitch_off[ti]
+            int_mean = INTENSITY_BASE_DB + type_int_off[ti]
+        else:
+            stresses = [list(w.stresses) for w in words]
+            si = np.concatenate([w.stress_index for w in words])
+            base_dur = DURATION_BASE_S * dur_mult[si] * type_dur_mult[ti]
+            pitch_mean = (PITCH_BASE_HZ + pitch_class[si]) + type_pitch_off[ti]
+            int_mean = (INTENSITY_BASE_DB + int_class[si]) + type_int_off[ti]
+            e = noise(len(si))
 
-        utt_raw: list[RawSyllableFeatures] = []
+        syl_dur = np.maximum(0.02, base_dur + e[:, 0])
+        syl_pitch_mean = pitch_mean + e[:, 1]
+        syl_int_mean = int_mean + e[:, 3]
+        nuc_dur = np.minimum(syl_dur, np.maximum(
+            0.01, NUCLEUS_DURATION_FRACTION * syl_dur + e[:, 6]))
+        nuc_pitch_mean = (syl_pitch_mean + NUCLEUS_PITCH_SHIFT_HZ) + e[:, 7]
+        nuc_int_mean = (syl_int_mean + NUCLEUS_INTENSITY_SHIFT_DB) + e[:, 9]
+        raw = np.stack([
+            syl_pitch_mean, syl_pitch_mean + np.abs(e[:, 2]),
+            np.minimum(syl_dur, np.maximum(
+                0.0, VOICED_FRACTION * syl_dur + e[:, 5])),
+            syl_int_mean, syl_int_mean + np.abs(e[:, 4]), syl_dur,
+            nuc_pitch_mean, nuc_pitch_mean + np.abs(e[:, 8]),
+            np.minimum(nuc_dur, np.maximum(0.0, nuc_dur + e[:, 11])),
+            nuc_int_mean, nuc_int_mean + np.abs(e[:, 10]), nuc_dur,
+        ], axis=1)
+        normalized = normalize_sentence(raw)
+
+        syl_durs, nuc_durs = syl_dur.tolist(), nuc_dur.tolist()
         utt_words: list[AlignedWord] = []
-        word_meta = []  # (text, tags, stresses), aligned with feature rows
         clock = 0.0
-        for text in texts:
-            entry = lexicon.lookup(text)[0]
-            syl = syllabify(entry)
-            tags = syl.nucleus_tags()
-            if cfg.labeling == "relative_duration":
-                base_durs = rng.uniform(0.10, 0.30, len(tags))
-                stresses = _relative_duration_labels(base_durs)
-            else:
-                stresses = syl.stresses()
-                base_durs = np.array([
-                    DURATION_BASE_S
-                    * DURATION_CLASS_MULT[int(s)]
-                    * type_dur_mult[TAG_TO_INDEX[t]]
-                    for s, t in zip(stresses, tags)
-                ])
-
-            spans: list[SyllableSpan] = []
-            for i, (tag, stress) in enumerate(zip(tags, stresses)):
-                ti = TAG_TO_INDEX[tag]
-                s = int(stress)
-                syl_dur = max(0.02, noisy(base_durs[i], sigma_dur))
-                if cfg.labeling == "relative_duration":
-                    pitch_mean = PITCH_BASE_HZ + type_pitch_off[ti]
-                    int_mean = INTENSITY_BASE_DB + type_int_off[ti]
-                else:
-                    pitch_mean = (PITCH_BASE_HZ + PITCH_CLASS_OFFSET_HZ[s]
-                                  + type_pitch_off[ti])
-                    int_mean = (INTENSITY_BASE_DB
-                                + INTENSITY_CLASS_OFFSET_DB[s]
-                                + type_int_off[ti])
-                syl_pitch_mean = noisy(pitch_mean, sigma_pitch)
-                syl_pitch_max = syl_pitch_mean + abs(noisy(0.0, sigma_pitch))
-                syl_int_mean = noisy(int_mean, sigma_int)
-                syl_int_max = syl_int_mean + abs(noisy(0.0, sigma_int))
-                syl_voiced = min(syl_dur, max(
-                    0.0, noisy(VOICED_FRACTION * syl_dur, sigma_dur)))
-                nuc_dur = min(syl_dur, max(
-                    0.01, noisy(NUCLEUS_DURATION_FRACTION * syl_dur, sigma_dur)))
-                nuc_pitch_mean = noisy(
-                    syl_pitch_mean + NUCLEUS_PITCH_SHIFT_HZ, sigma_pitch)
-                nuc_pitch_max = nuc_pitch_mean + abs(noisy(0.0, sigma_pitch))
-                nuc_int_mean = noisy(
-                    syl_int_mean + NUCLEUS_INTENSITY_SHIFT_DB, sigma_int)
-                nuc_int_max = nuc_int_mean + abs(noisy(0.0, sigma_int))
-                nuc_voiced = min(nuc_dur, max(0.0, noisy(nuc_dur, sigma_dur)))
-
-                utt_raw.append(RawSyllableFeatures((
-                    syl_pitch_mean, syl_pitch_max, syl_voiced,
-                    syl_int_mean, syl_int_max, syl_dur,
-                    nuc_pitch_mean, nuc_pitch_max, nuc_voiced,
-                    nuc_int_mean, nuc_int_max, nuc_dur,
-                )))
-                n0 = clock + 0.5 * (syl_dur - nuc_dur)
-                spans.append(SyllableSpan(
-                    round(clock, 6), round(clock + syl_dur, 6),
-                    NucleusSpan(round(n0, 6), round(n0 + nuc_dur, 6), tag)))
-                clock += syl_dur
-            clock += WORD_GAP_S
-            utt_words.append(AlignedWord(text, tuple(spans)))
-            word_meta.append((text, tags, stresses))
-
-        normalized = np.array(normalize_sentence(utt_raw))
-        alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
         row = 0
-        for text, tags, stresses in word_meta:
-            records.append(WordRecord(utt_id, text,
-                                      normalized[row:row + len(tags)], tags,
-                                      [int(s) for s in stresses]))
-            row += len(tags)
+        for w, word_stresses in zip(words, stresses):
+            spans: list[SyllableSpan] = []
+            for i, tag in enumerate(w.tags, start=row):
+                n0 = clock + 0.5 * (syl_durs[i] - nuc_durs[i])
+                spans.append(SyllableSpan(
+                    round(clock, 6), round(clock + syl_durs[i], 6),
+                    NucleusSpan(round(n0, 6), round(n0 + nuc_durs[i], 6), tag)))
+                clock += syl_durs[i]
+            clock += WORD_GAP_S
+            utt_words.append(AlignedWord(w.text, tuple(spans)))
+            records.append(WordRecord(utt_id, w.text,
+                                      normalized[row:row + len(w.tags)],
+                                      list(w.tags), word_stresses))
+            row += len(w.tags)
+        alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
     return alignments, records

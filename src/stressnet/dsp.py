@@ -19,12 +19,19 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, EmptySignal, InvalidSpan, UnsupportedRate
+from .errors import (
+    ConfigError,
+    EmptySignal,
+    FormatError,
+    InvalidSpan,
+    UnsupportedRate,
+)
 
 UNVOICED = float("nan")
 MIN_SAMPLE_RATE = 8000.0
@@ -240,10 +247,18 @@ def segment_stats(track: Track, start_s: float, end_s: float) -> SegmentStats:
 
 
 def read_wav(path: str) -> tuple[np.ndarray, float]:
-    """Load a 16-bit or float PCM WAV as float64 in [-1, 1], mono."""
+    """Load a 16-bit or float PCM WAV as float64 in [-1, 1], mono. A file
+    that SciPy cannot parse as a WAV is a FormatError naming the path."""
     from scipy.io import wavfile
 
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    # what wavfile.read raises on a malformed file: ValueError for a bad
+    # header or chunk, and the others from fields it reads unchecked
+    except (ValueError, UnboundLocalError, ZeroDivisionError,
+            struct.error) as exc:
+        raise FormatError(f"{path}: not a readable WAV file "
+                          f"({type(exc).__name__}: {exc})") from None
     data = np.asarray(data)
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0

@@ -92,7 +92,8 @@ class InsufficientDimensions(StressnetError):
 
 
 class FormatError(StressnetError):
-    """Unknown render or file format tag, or a malformed feature table."""
+    """Unknown render or file format tag, a malformed feature table, or
+    a file that cannot be read as a WAV."""
 
 
 # --- io / cli --------------------------------------------------------------

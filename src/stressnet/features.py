@@ -11,7 +11,11 @@ and the same six over its nucleus span, in this fixed slot order:
 Pitch statistics over a fully unvoiced span are ABSENT (None): an
 unvoiced syllable says nothing about pitch, and after normalization it
 sits exactly at the sentence mean (zero), the neutral input for the
-linear projection.
+linear projection. normalize_sentence takes each slot's mean as np.mean
+does, over the slot's present entries copied into one contiguous array:
+NumPy's own pairwise order over exactly those values, so the bits do not
+depend on where the absent entries sit. A reduction along axis 0, or one
+with zeros in the absent places, sums in another order.
 
 The feature table interface is line-delimited JSON, one object per word
 instance: {"utterance_id", "word", "syllables": [{"position", "features"
@@ -111,24 +115,27 @@ def extract_features(pitch: PitchTrack, intensity: IntensityTrack,
     return RawSyllableFeatures(tuple(six(s0, s1) + six(n0, n1)))
 
 
-def normalize_sentence(raw: Sequence[RawSyllableFeatures]) -> list[np.ndarray]:
+def normalize_sentence(raw: Sequence[RawSyllableFeatures] | np.ndarray,
+                       ) -> np.ndarray:
     """Subtract the per-slot sentence mean; ABSENT entries become 0.
 
-    The mean of each slot is taken over the syllables where it is present;
+    raw is the sentence's syllables, or their values as an (n, 12) float
+    array with NaN where a value is ABSENT. The result is (n, 12). The
+    mean of each slot is taken over the syllables where it is present;
     absent entries are set to that mean, i.e. exactly 0 after subtraction.
     A slot absent everywhere comes out all-zero.
     """
-    if not raw:
+    if not len(raw):
         raise InvalidSpan("empty sentence")
-    n = len(raw)
-    out = [np.zeros(N_FEATURES) for _ in range(n)]
-    for slot in range(N_FEATURES):
-        present = [i for i in range(n) if raw[i].values[slot] is not None]
-        if not present:
-            continue
-        mean = float(np.mean([raw[i].values[slot] for i in present]))
-        for i in present:
-            out[i][slot] = float(raw[i].values[slot]) - mean
+    if not isinstance(raw, np.ndarray):  # None becomes NaN
+        raw = np.array([r.values for r in raw], dtype=np.float64)
+    out = np.zeros(raw.shape)
+    for column, out_column in zip(raw.T, out.T):  # one slot each
+        present = ~np.isnan(column)
+        values = column[present]  # a contiguous copy of the present entries
+        if len(values):
+            # the pairwise sum over the count, as np.mean takes it
+            out_column[present] = values - np.add.reduce(values) / len(values)
     return out
 
 

@@ -1,16 +1,17 @@
-"""Timings of the feature-table reader and writer and of train_ordinal
-against their oracles in test_features.py and test_baselines.py, on
-criterion 8's seed-1 tables: 250 synthetic utterances at noise 0.75 (the
-synth table, about 2.8k words) and their 70% training split (about 1.9k
-words, 6.5k syllables).
+"""Timings of the feature-table reader and writer, of train_ordinal and of
+synth_corpus against their oracles in test_features.py,
+test_baselines.py and test_corpus.py, on criterion 8's seed-1 tables: 250
+synthetic utterances at noise 0.75 (the synth table, about 2.8k words)
+and their 70% training split (about 1.9k words, 6.5k syllables).
 
     python -m pytest tests/bench_table_io.py
 
 The file name does not match test_*.py, so the test suite does not collect
 it. A read is timed with instances_from_table, which every command that
 reads a table runs on it; the oracle reads a syllable at a time. The
-oracle writer is json.dumps per record. Both sides of each pair must give
-the same bytes.
+oracle writer is json.dumps per record. The oracle generator makes one
+scalar draw per noisy slot and normalizes a syllable at a time. Both
+sides of each pair must give the same bytes.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from stressnet.baselines import flatten, train_ordinal
 from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
 from stressnet.features import read_feature_table, write_feature_table
 from test_baselines import oracle_train_ordinal
+from test_corpus import assert_same_corpus, oracle_synth_corpus
 from test_features import oracle_instance, oracle_line, oracle_record
 
 SEED = 1
@@ -57,6 +59,7 @@ def oracle_write(records, path):
 READERS = {"oracle": oracle_read, "new": new_read}
 WRITERS = {"oracle": oracle_write, "new": write_feature_table}
 FITS = {"oracle": oracle_train_ordinal, "new": train_ordinal}
+GENERATORS = {"oracle": oracle_synth_corpus, "new": synth_corpus}
 IMPLS = ["oracle", "new"]
 INSTANCE_ARRAYS = ("features", "type_indices", "labels")
 
@@ -95,3 +98,12 @@ def test_train_ordinal(benchmark, tables, k, impl):
     want = oracle_train_ordinal(X, y, seed=SEED)
     assert got.coefficients.tobytes() == want.coefficients.tobytes()
     assert got.thresholds.tobytes() == want.thresholds.tobytes()
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_synth_corpus(benchmark, lexicon, impl):
+    gen = GenConfig(noise=0.75)
+    benchmark.group = "synth_corpus, 250 utterances, noise 0.75"
+    got = benchmark.pedantic(GENERATORS[impl], (lexicon, 250, gen),
+                             {"seed": SEED}, rounds=5)
+    assert_same_corpus(got, oracle_synth_corpus(lexicon, 250, gen, seed=SEED))

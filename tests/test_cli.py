@@ -14,6 +14,7 @@ from stressnet.corpus import GenConfig
 from stressnet.dsp import DspConfig
 from stressnet.features import read_feature_table
 from stressnet.model import FEATURE_MODES
+from test_dsp import MALFORMED_WAVS
 
 
 def run(*argv):
@@ -362,6 +363,27 @@ class TestFeaturize:
         assert f0[3] > 0 > f1[3]          # syllable intensity mean
         assert f0[5] < f1[5]              # 0.30 s vs 0.35 s duration
         assert np.isclose(f0[0], -f1[0])  # two-syllable normalization
+
+    def test_out_in_missing_directory(self, tmp_path):
+        apath = self.make_audio_and_alignment(tmp_path)
+        out = tmp_path / "new" / "dir" / "features.jsonl"
+        assert run("featurize", "--alignments", str(apath),
+                   "--out", str(out)) == 0
+        (rec,) = read_feature_table(str(out))
+        assert rec.word == "maybe"
+        assert (out.parent / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's WavFileWarning
+    def test_malformed_wav_is_format_error(self, tmp_path, capsys, name):
+        apath = self.make_audio_and_alignment(tmp_path)
+        (tmp_path / "utt.wav").write_bytes(MALFORMED_WAVS[name])
+        code = run("featurize", "--alignments", str(apath),
+                   "--out", str(tmp_path / "features.jsonl"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "FormatError" in err and "utt.wav" in err
+        assert "Traceback" not in err
 
     def test_wav_shorter_than_one_window(self, tmp_path, capsys):
         from scipy.io import wavfile

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -6,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stressnet import corpus as C
 from stressnet.corpus import (
     COUNT_MISMATCH,
     MONOSYLLABIC,
     NOT_IN_LEXICON,
     UTTERANCE_EXCLUDED,
+    AlignedWord,
     GenConfig,
+    NucleusSpan,
+    SyllableSpan,
+    UtteranceAlignment,
     alignment_to_doc,
     build_instance,
     compute_class_weights,
@@ -31,8 +37,9 @@ from stressnet.errors import (
     SplitTooSmall,
     StressnetError,
 )
-from stressnet.features import WordRecord
-from stressnet.lexicon import TAG_TO_INDEX, StressLevel
+from stressnet.features import MAX_SYLLABLES, RawSyllableFeatures, WordRecord
+from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel, syllabify
+from test_features import oracle_normalize_sentence
 
 
 def make_word(text, n_syllables, start=0.0, dur=0.2):
@@ -388,6 +395,280 @@ class TestClassWeights:
         cw = compute_class_weights(instances_from_table(recs))
         assert np.allclose(cw.table.max(axis=1), 1.0)
         assert np.all(cw.table >= 0.0)
+
+
+def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):
+    """synth_corpus one scalar draw at a time: a normal(0, sigma) call
+    per noisy slot (none where sigma is 0), syllabification per drawn
+    word and the oracle's per-syllable normalization."""
+    rng = np.random.default_rng(seed)
+    sigma_dur, sigma_pitch, sigma_int = cfg.sigmas()
+
+    n_types = len(NUCLEUS_TAGS)
+    type_dur_mult = 1.0 + C.TYPE_OFFSET_SCALE * rng.uniform(-1, 1, n_types)
+    type_pitch_off = C.TYPE_OFFSET_SCALE * max(C.PITCH_CLASS_OFFSET_HZ) \
+        * rng.uniform(-1, 1, n_types)
+    type_int_off = C.TYPE_OFFSET_SCALE * max(C.INTENSITY_CLASS_OFFSET_DB) \
+        * rng.uniform(-1, 1, n_types)
+
+    vocab = sorted(
+        word for word in lexicon.words()
+        if 2 <= lexicon.lookup(word)[0].vowel_count() <= MAX_SYLLABLES
+    )
+
+    def noisy(x, sigma):
+        return float(x + rng.normal(0.0, sigma)) if sigma > 0 else float(x)
+
+    alignments, records = [], []
+    lo, hi = C.N_WORDS_RANGE
+    for u in range(n_utterances):
+        utt_id = f"synth-{seed:04d}-{u:06d}"
+        n_words = int(rng.integers(lo, hi + 1))
+        texts = [vocab[int(i)] for i in rng.integers(0, len(vocab), n_words)]
+
+        utt_raw, utt_words, word_meta = [], [], []
+        clock = 0.0
+        for text in texts:
+            syl = syllabify(lexicon.lookup(text)[0])
+            tags = syl.nucleus_tags()
+            if cfg.labeling == "relative_duration":
+                base_durs = rng.uniform(0.10, 0.30, len(tags))
+                stresses = C._relative_duration_labels(base_durs)
+            else:
+                stresses = syl.stresses()
+                base_durs = np.array([
+                    C.DURATION_BASE_S
+                    * C.DURATION_CLASS_MULT[int(s)]
+                    * type_dur_mult[TAG_TO_INDEX[t]]
+                    for s, t in zip(stresses, tags)
+                ])
+
+            spans = []
+            for i, (tag, stress) in enumerate(zip(tags, stresses)):
+                ti = TAG_TO_INDEX[tag]
+                s = int(stress)
+                syl_dur = max(0.02, noisy(base_durs[i], sigma_dur))
+                if cfg.labeling == "relative_duration":
+                    pitch_mean = C.PITCH_BASE_HZ + type_pitch_off[ti]
+                    int_mean = C.INTENSITY_BASE_DB + type_int_off[ti]
+                else:
+                    pitch_mean = (C.PITCH_BASE_HZ + C.PITCH_CLASS_OFFSET_HZ[s]
+                                  + type_pitch_off[ti])
+                    int_mean = (C.INTENSITY_BASE_DB
+                                + C.INTENSITY_CLASS_OFFSET_DB[s]
+                                + type_int_off[ti])
+                syl_pitch_mean = noisy(pitch_mean, sigma_pitch)
+                syl_pitch_max = syl_pitch_mean + abs(noisy(0.0, sigma_pitch))
+                syl_int_mean = noisy(int_mean, sigma_int)
+                syl_int_max = syl_int_mean + abs(noisy(0.0, sigma_int))
+                syl_voiced = min(syl_dur, max(
+                    0.0, noisy(C.VOICED_FRACTION * syl_dur, sigma_dur)))
+                nuc_dur = min(syl_dur, max(0.01, noisy(
+                    C.NUCLEUS_DURATION_FRACTION * syl_dur, sigma_dur)))
+                nuc_pitch_mean = noisy(
+                    syl_pitch_mean + C.NUCLEUS_PITCH_SHIFT_HZ, sigma_pitch)
+                nuc_pitch_max = nuc_pitch_mean + abs(noisy(0.0, sigma_pitch))
+                nuc_int_mean = noisy(
+                    syl_int_mean + C.NUCLEUS_INTENSITY_SHIFT_DB, sigma_int)
+                nuc_int_max = nuc_int_mean + abs(noisy(0.0, sigma_int))
+                nuc_voiced = min(nuc_dur, max(0.0, noisy(nuc_dur, sigma_dur)))
+
+                utt_raw.append(RawSyllableFeatures((
+                    syl_pitch_mean, syl_pitch_max, syl_voiced,
+                    syl_int_mean, syl_int_max, syl_dur,
+                    nuc_pitch_mean, nuc_pitch_max, nuc_voiced,
+                    nuc_int_mean, nuc_int_max, nuc_dur,
+                )))
+                n0 = clock + 0.5 * (syl_dur - nuc_dur)
+                spans.append(SyllableSpan(
+                    round(clock, 6), round(clock + syl_dur, 6),
+                    NucleusSpan(round(n0, 6), round(n0 + nuc_dur, 6), tag)))
+                clock += syl_dur
+            clock += C.WORD_GAP_S
+            utt_words.append(AlignedWord(text, tuple(spans)))
+            word_meta.append((text, tags, stresses))
+
+        normalized = np.array(oracle_normalize_sentence(utt_raw))
+        alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
+        row = 0
+        for text, tags, stresses in word_meta:
+            records.append(WordRecord(utt_id, text,
+                                      normalized[row:row + len(tags)], tags,
+                                      [int(s) for s in stresses]))
+            row += len(tags)
+    return alignments, records
+
+
+# SHA-256 of what `synth --n 30 --seed 5 --noise 0.75` writes, per
+# labeling, as the scalar generator wrote it
+SYNTH_DIGESTS = {
+    "dictionary": {
+        "features.jsonl":
+            "c19e74cd2f73d03d15c340a96cd405b423008d883521815dfc9abbd931db7913",
+        "alignments/synth-0005-000000.json":
+            "88548a4abb8d6022db74e42eb80ea18baf9674d92b3a07d843c590ee3de8bd65",
+        "alignments/synth-0005-000001.json":
+            "e45e94b6a1994693aba317075d20e7a23063aed92fc79c8d40de5c9c14d5b212",
+        "alignments/synth-0005-000002.json":
+            "a8a400bc4ad9caf63dfff1d9dac716850b8122387691b96faec70ed33760a613",
+        "alignments/synth-0005-000003.json":
+            "6da8a962262f547c569735ac11777453eaee1c58bb848860370168b94308487b",
+        "alignments/synth-0005-000004.json":
+            "4dfeabfeaa97a58ff15be0b6da2089f512ca8b6a82f925a542427d0158dd51be",
+        "alignments/synth-0005-000005.json":
+            "26560fbc4e71074103935e7b04d4d52bc0a1e04741b230c221decf6e499b2602",
+        "alignments/synth-0005-000006.json":
+            "80c2d177b49f1131503a282e3f084346514373facefc5f861333e0aca34fc94d",
+        "alignments/synth-0005-000007.json":
+            "a62c02da55aa3893e304a9281f81c8eedecb34e11bb6eb6c62ac0cdbbdd8892d",
+        "alignments/synth-0005-000008.json":
+            "269f219e2d2df12473518dcddb8e0cfc84285b3a34a276b6104cab6505876368",
+        "alignments/synth-0005-000009.json":
+            "67e9624f7aff4aa22b5a9bf2cb69e85a9e06d874a893720786d74205379a8bd9",
+        "alignments/synth-0005-000010.json":
+            "bda65be9fb3dfa94c77e95def310cb68127332a47ed7665052492fb46d9fd275",
+        "alignments/synth-0005-000011.json":
+            "904815b5e5ae57ab0657b0fef170273d3caeb91474506f5e1f779fa9f0972a1b",
+        "alignments/synth-0005-000012.json":
+            "4802ab134cba4c56235029117e1d1c52f0b4d44303de2f5659b4cad19fdf5bff",
+        "alignments/synth-0005-000013.json":
+            "30c28abad2589333734437ff85dc3c011345d9483db3ec4300f3b1daba9a2fd6",
+        "alignments/synth-0005-000014.json":
+            "0aa3ebcfca17de65f58a5d5c06b44827474e43eb2f1395a9eee4351071c64346",
+        "alignments/synth-0005-000015.json":
+            "589bdca1c5572707148fb8555e93f26ad234e9253fec9dd8eadeb6f7c59e5d0a",
+        "alignments/synth-0005-000016.json":
+            "fd21000b64f2a4cb837f70b3882e43edce517a1010bb580925b35bcd7d129a79",
+        "alignments/synth-0005-000017.json":
+            "b7c52c06b3857c360c2eebadf0e55d54a097fd19e3a00b146f14560cf44912b2",
+        "alignments/synth-0005-000018.json":
+            "4a09aebab95a0a32e1b211f0b05a14e2ba217b93fadc884ac4f426e73f828121",
+        "alignments/synth-0005-000019.json":
+            "593ae927543907f34141aaf9fbf6222a149d2950064c5e1a015d0b4794eeb617",
+        "alignments/synth-0005-000020.json":
+            "d7ed007691d1295db518ba9bb86f9911264c1ac0d4a15ffe2df93aa8aa68c6e1",
+        "alignments/synth-0005-000021.json":
+            "47725c23ddee66bafc5b7697ed4d2fb292c83da503a47ed24abbb77a577dad97",
+        "alignments/synth-0005-000022.json":
+            "506b448df5eb81e04d0f6d48384e09d968f3c2c2aeb2e70b64ccd8c9944317bc",
+        "alignments/synth-0005-000023.json":
+            "e10e081c95b38c39c31a7084dd874792301c03866df342df962b5e3727cdf1f3",
+        "alignments/synth-0005-000024.json":
+            "c0ba989329a26cdc8014a362d90b33ab2109cbbeedfda091c0ca9198c54e9ac6",
+        "alignments/synth-0005-000025.json":
+            "a78e3a68c1aa0d39ba07baa63d609959a56c108947fb979c8e39a54c2aec4ed4",
+        "alignments/synth-0005-000026.json":
+            "773b90d880a6015b025cce46b4cd977c001de4fed0bc83f2386fe032769b0a30",
+        "alignments/synth-0005-000027.json":
+            "238bf9b56abcf12fce696f0d9a918333c462a0150405e3230171dcad2af96fc2",
+        "alignments/synth-0005-000028.json":
+            "ddb4bfc0c52ffcf0760e880b28affe765eb7a489942c5b0c126be3312e054410",
+        "alignments/synth-0005-000029.json":
+            "ce5784fd7891a3a667c71eab09a2f8d3a9b05361de10c80ea560a18f37a0d42d",
+    },
+    "relative_duration": {
+        "features.jsonl":
+            "596c2b8b54f524ccf28f45cfd60e514aa4c01ab7a96a73c54446e2977395e445",
+        "alignments/synth-0005-000000.json":
+            "edfb8d29113b139fd7c6d5e74dd00fd7d20673f652dfca5a0d5abe82033664da",
+        "alignments/synth-0005-000001.json":
+            "b613e45aebb913b87a9a2d591bbc633f3b0f79e2b0a3e3e43c0fff786e4575e3",
+        "alignments/synth-0005-000002.json":
+            "f03dd7e007a4c5332c453d8db63a7e466db62b8a6274225fd245bde2f866f12c",
+        "alignments/synth-0005-000003.json":
+            "fc0dabe4bb085cccf3d14103a0f08adcb447b8a822894da88993a0a7c3042638",
+        "alignments/synth-0005-000004.json":
+            "d27ac9724c8e7c2c202ae409728d421e037cd0d93361edae2cb58933c7114bc4",
+        "alignments/synth-0005-000005.json":
+            "2de2eda0af73c142fe04ad2542e760c858533959fedb891ca7c5a115cc3be392",
+        "alignments/synth-0005-000006.json":
+            "20809064472530230116609f8eea51397c3e44b4451fd3a2b1b10674b9172ee9",
+        "alignments/synth-0005-000007.json":
+            "651eaad063176418ea688f74fe156f3e22aadcaa9e05e0c4a0831881206b8e0d",
+        "alignments/synth-0005-000008.json":
+            "017dd891b1c3d16d0592cfe69af57634bb492d83f2d3566079eeec48ec83ae71",
+        "alignments/synth-0005-000009.json":
+            "b987e8396a26f11ce0078c932b4b37fda8310d766c716950fef952741236e62e",
+        "alignments/synth-0005-000010.json":
+            "088187c2d4738fb6074cefd9a176b9ef1cb2edadcaf99512961996e68ff60916",
+        "alignments/synth-0005-000011.json":
+            "b4c17f7f18db1443934425ab80c11882ae936d87bbd71452a7569f0fbdb93146",
+        "alignments/synth-0005-000012.json":
+            "fb1739755d552a119c7b1f6e63cc2ea8fff24ab8855c675d38ffbb3e440132e3",
+        "alignments/synth-0005-000013.json":
+            "ec8d5014333c9d6687f9f31c3cbf6e1f6f223ae88fa13f13634159d90d98c423",
+        "alignments/synth-0005-000014.json":
+            "e1001bc95c65556f4b6569265d8c261e9fe5fe8c59cb6403c018c2ad73d060b5",
+        "alignments/synth-0005-000015.json":
+            "ac1c58c5221b33c3121dc20ba78eff5cba0c06bc4d8defaa900eedaaedf453c7",
+        "alignments/synth-0005-000016.json":
+            "8cf2a9834d69dd0646344c195e72e0cfda2154dc12c25a111ddeed6b93c4087a",
+        "alignments/synth-0005-000017.json":
+            "07b05d87b974ceaa8592689e3429b7b20eacab7848f44930e7ee247b048eb9d0",
+        "alignments/synth-0005-000018.json":
+            "fa2c155cbd38fe7dc9f9ea881985b5ceb304f4f40f2f478dc3456ecdcf0b87ca",
+        "alignments/synth-0005-000019.json":
+            "3f3860db2a2e8dff2cdea6369fb887de03b299591562ae4c964e52ca5437d87b",
+        "alignments/synth-0005-000020.json":
+            "1b5d8786dd9ae1b6afd7851e1e9a1146afcbd39cea00d44287b1e994634f04b7",
+        "alignments/synth-0005-000021.json":
+            "a70f72c39d8c8b56b498a6575239125afa2a005b3114213625a79d3f685571b7",
+        "alignments/synth-0005-000022.json":
+            "bfc86dbc0b93eae4bc766824a3ad1da122c8e7ec07939b11a11961111cff6130",
+        "alignments/synth-0005-000023.json":
+            "67dae9461c1b6d06b5544052abb098dcbc61c07dd0fb5e76d5f8133136844d5d",
+        "alignments/synth-0005-000024.json":
+            "452f0eeec6b64e35d68fa423232bb7cec5cbce33e93a335020583f607282e889",
+        "alignments/synth-0005-000025.json":
+            "e3c8c7adc5ed8a1152bc07da1990208350dacc15eb9f6b072d408fcc82bf6273",
+        "alignments/synth-0005-000026.json":
+            "958f26d703084465fe924bbf3b44fafb83f58b334a1828d743d0962abcff82f9",
+        "alignments/synth-0005-000027.json":
+            "b1b3564d28547c168d73cc3530b8a0e086eabd94496125d09713c17fb92aacc1",
+        "alignments/synth-0005-000028.json":
+            "61927f44fe118b254a06fa4ccb1890be76df51f7425375eb1d8b683fc031e537",
+        "alignments/synth-0005-000029.json":
+            "788a91c05659912ffc5adf2871b924f01bd257135204d8102119cff23a44610a",
+    },
+}
+
+
+def assert_same_corpus(got, want):
+    (got_al, got_recs), (want_al, want_recs) = got, want
+    assert got_al == want_al
+    assert len(got_recs) == len(want_recs)
+    for a, b in zip(got_recs, want_recs):
+        assert (a.utterance_id, a.word) == (b.utterance_id, b.word)
+        assert (a.nucleus_tags, a.stresses) == (b.nucleus_tags, b.stresses)
+        assert a.features.dtype == b.features.dtype
+        assert a.features.tobytes() == b.features.tobytes()
+
+
+class TestSynthOracle:
+    """The generator against its one-draw-at-a-time oracle. A draw made
+    or skipped out of turn shifts the words of every later utterance."""
+
+    @pytest.mark.parametrize("labeling", ["dictionary", "relative_duration"])
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 0.75, 3.0, 1e6, 5e-324])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7])
+    def test_bit_identical(self, lexicon, seed, noise, labeling):
+        gen = GenConfig(noise, labeling)
+        assert_same_corpus(synth_corpus(lexicon, 12, gen, seed=seed),
+                           oracle_synth_corpus(lexicon, 12, gen, seed=seed))
+
+    @pytest.mark.parametrize("labeling", ["dictionary", "relative_duration"])
+    def test_cli_bytes_pinned(self, tmp_path, labeling):
+        from stressnet.cli import run_subcommand
+        out = tmp_path / labeling
+        assert run_subcommand([
+            "synth", "--n", "30", "--seed", "5", "--noise", "0.75",
+            "--labeling", labeling, "--out", str(out)]) == 0
+        written = ["features.jsonl"] + sorted(
+            f"alignments/{p.name}" for p in (out / "alignments").iterdir())
+        assert written == list(SYNTH_DIGESTS[labeling])
+        for name in written:
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == SYNTH_DIGESTS[labeling][name], name
 
 
 class TestSynthCorpus:

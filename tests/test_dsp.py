@@ -1,5 +1,8 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stressnet.dsp import (
     DspConfig,
@@ -7,12 +10,15 @@ from stressnet.dsp import (
     PitchTrack,
     compute_intensity,
     estimate_pitch,
+    read_wav,
     segment_stats,
 )
 from stressnet.errors import (
     ConfigError,
     EmptySignal,
+    FormatError,
     InvalidSpan,
+    StressnetError,
     UnsupportedRate,
 )
 
@@ -361,3 +367,49 @@ class TestBlockPath:
         assert len(track) == 97
         assert np.array_equal(track.times_s,
                               (np.arange(97) * 160 + 320.0) / SR)
+
+
+def wav_bytes(samples, sr=SR):
+    from scipy.io import wavfile
+    buf = io.BytesIO()
+    wavfile.write(buf, sr, samples)
+    return buf.getvalue()
+
+
+# an empty file, and a RIFF/WAVE header followed by no valid chunk
+MALFORMED_WAVS = {"empty": b"", "riff_junk": b"RIFF\x10\x00\x00\x00WAVEjunkjunk"}
+
+
+class TestReadWav:
+    def test_int16_round_trip(self, tmp_path):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes(np.array([0, 16384, -32768], dtype=np.int16)))
+        samples, rate = read_wav(str(path))
+        assert rate == SR
+        assert samples.tolist() == [0.0, 0.5, -1.0]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's WavFileWarning
+    def test_malformed_is_format_error_naming_path(self, tmp_path, name):
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(MALFORMED_WAVS[name])
+        with pytest.raises(FormatError, match=str(path)):
+            read_wav(str(path))
+
+    # a valid header with bytes overwritten or cut short: either samples
+    # come back or a StressnetError does, never another exception
+    @given(edits=st.lists(st.tuples(st.integers(0, 47), st.integers(0, 255)),
+                          max_size=4),
+           length=st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's WavFileWarning
+    def test_damaged_header(self, tmp_path_factory, edits, length):
+        data = bytearray(wav_bytes(np.arange(8, dtype=np.int16)))
+        for at, value in edits:
+            data[at] = value
+        path = tmp_path_factory.mktemp("wav") / "d.wav"
+        path.write_bytes(bytes(data[:length]))
+        try:
+            read_wav(str(path))
+        except StressnetError:
+            pass

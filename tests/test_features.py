@@ -98,6 +98,21 @@ def filled(value):
     return raw(*([value] * 12))
 
 
+def oracle_normalize_sentence(raw):
+    """normalize_sentence as a loop over slots and syllables: the mean of
+    each slot's present values as one list, subtracted one at a time."""
+    n = len(raw)
+    out = [np.zeros(N_FEATURES) for _ in range(n)]
+    for slot in range(N_FEATURES):
+        present = [i for i in range(n) if raw[i].values[slot] is not None]
+        if not present:
+            continue
+        mean = float(np.mean([raw[i].values[slot] for i in present]))
+        for i in present:
+            out[i][slot] = float(raw[i].values[slot]) - mean
+    return out
+
+
 class TestNormalizeSentence:
     def test_mean_subtraction(self):
         out = normalize_sentence([filled(0.1), filled(0.3)])
@@ -167,6 +182,32 @@ class TestNormalizeSentence:
         out = normalize_sentence([raw(*v) for v in rows])
         stacked = np.stack(out)
         assert np.all(np.abs(stacked.mean(axis=0)) < 1e-6)
+
+    # n on both sides of NumPy's pairwise-sum boundaries (blocks of 8,
+    # leaves of 128), and each pitch slot present, absent or a mixture
+    @given(n=st.integers(1, 300) | st.sampled_from([7, 8, 9, 127, 128, 129,
+                                                    255, 256, 257]),
+           pitch_slots=st.lists(st.sampled_from(["present", "absent"])
+                                | st.floats(0.0, 1.0), min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 40.0, 1e6]))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_loop_oracle(self, n, pitch_slots, seed, scale):
+        rng = np.random.default_rng(seed)
+        values = (120.0 + rng.normal(0.0, scale, (n, N_FEATURES))).tolist()
+        for slot, mode in zip((0, 1, 6, 7), pitch_slots):
+            if mode == "present":
+                continue
+            absent = rng.random(n) < (1.0 if mode == "absent" else mode)
+            for row in np.flatnonzero(absent):
+                values[row][slot] = None
+        sentence = [raw(*row) for row in values]
+        want = np.array(oracle_normalize_sentence(sentence))
+        got = normalize_sentence(sentence)
+        assert got.shape == (n, N_FEATURES)
+        assert got.tobytes() == want.tobytes()
+        as_array = np.array(values, dtype=np.float64)  # None becomes NaN
+        assert normalize_sentence(as_array).tobytes() == want.tobytes()
 
 
 # --- feature table fuzzing ----------------------------------------------------
