@@ -65,6 +65,9 @@ _CONFIG_SECTIONS = {"dsp", "gen", "train", "model"}
 # scalar keys: the type each must have, and the values of enumerated ones
 _CONFIG_TYPES = {"seed": int, "dict_path": str, "feature_mode": str,
                  "exclusion_scope": str, "normalization_pool": str}
+# section fields that a top-level key sets: a value in the section would
+# be overwritten, so it is refused
+_CONFIG_SHADOWED = {"train": "seed", "model": "feature_mode"}
 _CONFIG_CHOICES = {
     "feature_mode": FEATURE_MODES,
     "exclusion_scope": ("word", "utterance"),
@@ -93,6 +96,11 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(
                 f"config file {path}: section {key!r} must be a JSON object, "
                 f"got {doc[key]!r:.40}")
+    for section, key in _CONFIG_SHADOWED.items():
+        if key in doc.get(section, {}):
+            raise ConfigError(
+                f"config file {path}: {section}.{key} is not read; set the "
+                f"top-level {key!r} key or its flag instead")
     for key, kind in _CONFIG_TYPES.items():
         # the exact type, so a bool is no seed
         if key in doc and type(doc[key]) is not kind:
@@ -260,29 +268,19 @@ def _featurize_one(f: str, audio_dir: str | None, lex, dsp_cfg: DspConfig,
     except ConfigError as exc:
         raise ConfigError(f"bad dsp config for {audio}: {exc}")
 
-    raw_by_word = []
-    for word in alignment.words:
-        raw_by_word.append([
-            extract_features(pitch, intensity,
-                             (s.start_s, s.end_s),
-                             (s.nucleus.start_s, s.nucleus.end_s))
-            for s in word.syllables
-        ])
-    pooled_idx = [wi for wi, word in enumerate(alignment.words)
-                  if pool == "sentence" or len(word.syllables) >= 2]
-    pooled = [r for wi in pooled_idx for r in raw_by_word[wi]]
-    normalized = normalize_sentence(pooled) if pooled else []
-    word_features = [None] * len(alignment.words)
-    cursor = 0
-    for wi in pooled_idx:
-        k = len(raw_by_word[wi])
-        word_features[wi] = normalized[cursor:cursor + k]
-        cursor += k
-    for wi in range(len(alignment.words)):
-        if word_features[wi] is None:  # excluded from the pool
-            word_features[wi] = [np.zeros(12)] * len(raw_by_word[wi])
-    return label_utterance(alignment, lex, word_features,
-                           exclusion_scope=scope)
+    words = alignment.words
+    spans = np.array([(s.start_s, s.end_s, s.nucleus.start_s, s.nucleus.end_s)
+                      for word in words for s in word.syllables])
+    raw = extract_features(pitch, intensity, spans)
+    # the pool: every syllable, or under multisyllabic_only those of words
+    # of 2 or more syllables; the others stay 0
+    pooled = np.repeat([pool == "sentence" or len(word.syllables) >= 2
+                        for word in words],
+                       [len(word.syllables) for word in words])
+    features = np.zeros(raw.shape)
+    if pooled.any():
+        features[pooled] = normalize_sentence(raw[pooled])
+    return label_utterance(alignment, lex, features, exclusion_scope=scope)
 
 
 def _cmd_featurize(args, config) -> int:

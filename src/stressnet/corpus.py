@@ -299,7 +299,7 @@ def _match_variant(lexicon: Lexicon, text: str, n_syllables: int):
 
 
 def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
-                    word_features: list[list[np.ndarray]] | None = None,
+                    features: np.ndarray | None = None,
                     exclusion_scope: str = "word",
                     ) -> tuple[list[WordRecord], list[Exclusion]]:
     """Attach gold stress labels and nucleus types to an utterance's words.
@@ -310,20 +310,26 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
     exclusions. With exclusion_scope="utterance", a lookup/count failure
     anywhere discards the whole utterance.
 
-    word_features, when given, supplies the normalized 12-vectors per word
-    per syllable (same shape as the alignment). Without it, features are
-    zero, which suits label-only workflows.
+    features, when given, is the utterance's normalized (n_syllables, 12)
+    matrix, its rows in alignment order; each record holds its word's rows.
+    Without it, features are zero, which suits label-only workflows.
     """
     if exclusion_scope not in ("word", "utterance"):
         raise ConfigError(f"unknown exclusion_scope {exclusion_scope!r}")
-    if word_features is not None and len(word_features) != len(alignment.words):
-        raise ShapeError("word_features does not match alignment word count")
+    n_syllables = sum(len(word.syllables) for word in alignment.words)
+    if features is None:
+        features = np.zeros((n_syllables, N_FEATURES))
+    elif len(features) != n_syllables:
+        raise ShapeError(f"{len(features)} feature rows for "
+                         f"{n_syllables} aligned syllables")
 
     records: list[WordRecord] = []
     exclusions: list[Exclusion] = []
     fatal = False
-    for wi, word in enumerate(alignment.words):
+    row = 0
+    for word in alignment.words:
         n = len(word.syllables)
+        row += n
         if n < 2:
             exclusions.append(Exclusion(alignment.utterance_id, word.text, MONOSYLLABIC))
             continue
@@ -335,9 +341,8 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
             exclusions.append(Exclusion(alignment.utterance_id, word.text, reason))
             fatal = True
             continue
-        feats = (np.array(word_features[wi], dtype=np.float64)
-                 if word_features is not None else np.zeros((n, N_FEATURES)))
-        records.append(WordRecord(alignment.utterance_id, word.text, feats,
+        records.append(WordRecord(alignment.utterance_id, word.text,
+                                  features[row - n:row],
                                   syl.nucleus_tags(),
                                   [int(s) for s in syl.stresses()]))
 

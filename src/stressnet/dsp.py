@@ -1,4 +1,4 @@
-"""Pitch and intensity tracks from mono PCM audio, plus span statistics.
+"""Pitch and intensity tracks from PCM audio, and the WAV reader.
 
 Pitch is estimated per frame from the normalized autocorrelation of the
 Hann-windowed frame, de-biased by the window's own autocorrelation so a
@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     EmptySignal,
     FormatError,
-    InvalidSpan,
     UnsupportedRate,
 )
 
@@ -92,14 +91,6 @@ class PitchTrack(Track):
 
 class IntensityTrack(Track):
     """values holds intensity in dB re unit full-scale RMS."""
-
-
-@dataclass(frozen=True)
-class SegmentStats:
-    mean: float | None
-    max: float | None
-    voiced_duration_s: float
-    total_duration_s: float
 
 
 def _validate_signal(samples: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -221,34 +212,11 @@ def compute_intensity(samples, sample_rate: float,
     return IntensityTrack(cfg.hop_s, centers, db)
 
 
-def segment_stats(track: Track, start_s: float, end_s: float) -> SegmentStats:
-    """Mean/max over frames whose centers fall in [start_s, end_s).
-
-    Pitch tracks: only voiced frames count, and voiced_duration_s is the
-    voiced frame count times the hop. Intensity tracks: all in-span frames
-    count and the "voiced" duration is the full frame span. A span holding
-    no usable frames yields mean = max = None and zero voiced duration.
-    """
-    if not start_s < end_s:
-        raise InvalidSpan(f"inverted span [{start_s}, {end_s})")
-    in_span = (track.times_s >= start_s) & (track.times_s < end_s)
-    values = track.values[in_span]
-    is_pitch = isinstance(track, PitchTrack)
-    if is_pitch:
-        values = values[np.isfinite(values)]
-    if values.size == 0:
-        return SegmentStats(None, None, 0.0, end_s - start_s)
-    return SegmentStats(
-        mean=float(values.mean()),
-        max=float(values.max()),
-        voiced_duration_s=float(values.size * track.frame_hop_s),
-        total_duration_s=end_s - start_s,
-    )
-
-
 def read_wav(path: str) -> tuple[np.ndarray, float]:
-    """Load a 16-bit or float PCM WAV as float64 in [-1, 1], mono. A file
-    that SciPy cannot parse as a WAV is a FormatError naming the path."""
+    """Load a 16-, 24- or 32-bit integer or a 32- or 64-bit float PCM WAV
+    as float64 in [-1, 1], its channels averaged to one. A file that SciPy
+    cannot parse as a WAV, or one in another sample format (8-bit PCM, say),
+    is a FormatError naming the path."""
     from scipy.io import wavfile
 
     try:
@@ -267,7 +235,7 @@ def read_wav(path: str) -> tuple[np.ndarray, float]:
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:
-        raise UnsupportedRate(f"unsupported WAV sample format {data.dtype}")
+        raise FormatError(f"{path}: unsupported WAV sample format {data.dtype}")
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return samples, float(rate)

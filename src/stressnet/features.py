@@ -8,14 +8,19 @@ and the same six over its nucleus span, in this fixed slot order:
     6 nuc_pitch_mean   7 nuc_pitch_max   8 nuc_voiced_dur_s
     9 nuc_int_mean    10 nuc_int_max    11 nuc_dur_s
 
-Pitch statistics over a fully unvoiced span are ABSENT (None): an
-unvoiced syllable says nothing about pitch, and after normalization it
-sits exactly at the sentence mean (zero), the neutral input for the
-linear projection. normalize_sentence takes each slot's mean as np.mean
-does, over the slot's present entries copied into one contiguous array:
-NumPy's own pairwise order over exactly those values, so the bits do not
-depend on where the absent entries sit. A reduction along axis 0, or one
-with zeros in the absent places, sums in another order.
+extract_features computes all of them for an utterance at once, as one
+(n_syllables, 12) float64 matrix in alignment order. Pitch statistics over
+a fully unvoiced span are ABSENT, marked NaN: an unvoiced syllable says
+nothing about pitch, and after normalization it sits exactly at the
+sentence mean (zero), the neutral input for the linear projection.
+normalize_sentence takes that matrix, or the rows of it that share a
+normalization pool: every syllable of the utterance, or under the
+multisyllabic_only pool those of words with 2 or more syllables. It takes
+each slot's mean as np.mean does, over the slot's present entries copied
+into one contiguous array: NumPy's own pairwise order over exactly those
+values, so the bits do not depend on where the absent entries sit. A
+reduction along axis 0, or one with zeros in the absent places, sums in
+another order.
 
 The feature table interface is line-delimited JSON, one object per word
 instance: {"utterance_id", "word", "syllables": [{"position", "features"
@@ -34,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import IntensityTrack, PitchTrack, SegmentStats, Track, segment_stats
-from .errors import FormatError, InvalidSpan, SpanOutOfRange
+from .dsp import IntensityTrack, PitchTrack, Track
+from .errors import FormatError, InvalidSpan, SpanOutOfRange, StressnetError
 from .lexicon import TAG_TO_INDEX
 
 FEATURE_SLOTS = (
@@ -46,17 +51,6 @@ FEATURE_SLOTS = (
 )
 N_FEATURES = len(FEATURE_SLOTS)  # 12
 MAX_SYLLABLES = 17
-
-
-@dataclass(frozen=True)
-class RawSyllableFeatures:
-    """The 12 pre-normalization feature values; None marks ABSENT pitch."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != N_FEATURES:
-            raise InvalidSpan(f"expected {N_FEATURES} slots, got {len(self.values)}")
 
 
 @dataclass
@@ -72,63 +66,91 @@ class WordRecord:
     stresses: list[int | None]
 
 
-def _check_extent(track: Track, start_s: float, end_s: float) -> None:
+def _extent(track: Track) -> tuple[float, float] | None:
+    """The time range a track's frames cover, or None if it has none."""
     if len(track) == 0:
-        raise SpanOutOfRange("track has no frames")
+        return None
     half = track.frame_hop_s / 2.0
-    lo = float(track.times_s[0]) - half
-    hi = float(track.times_s[-1]) + half
-    if end_s <= lo or start_s >= hi:
-        raise SpanOutOfRange(
-            f"span [{start_s}, {end_s}) outside track extent [{lo}, {hi})")
+    return float(track.times_s[0]) - half, float(track.times_s[-1]) + half
 
 
-def _nearest_value(track: Track, start_s: float, end_s: float) -> float:
-    mid = 0.5 * (start_s + end_s)
-    idx = int(np.argmin(np.abs(track.times_s - mid)))
-    return float(track.values[idx])
+def _span_error(extents: list, s0: float, s1: float, n0: float,
+                n1: float) -> StressnetError | None:
+    """What is wrong with one syllable's spans, checked in this order: the
+    nucleus outside the syllable, the syllable outside the pitch or the
+    intensity track's extent, then an empty or inverted syllable or
+    nucleus span. None if nothing is."""
+    if not (s0 <= n0 and n1 <= s1):
+        return InvalidSpan(f"nucleus span [{n0},{n1}) outside syllable [{s0},{s1})")
+    for extent in extents:
+        if extent is None:
+            return SpanOutOfRange("track has no frames")
+        lo, hi = extent
+        if s1 <= lo or s0 >= hi:
+            return SpanOutOfRange(
+                f"span [{s0}, {s1}) outside track extent [{lo}, {hi})")
+    for start, end in ((s0, s1), (n0, n1)):
+        if not start < end:
+            return InvalidSpan(f"inverted span [{start}, {end})")
+    return None
 
 
 def extract_features(pitch: PitchTrack, intensity: IntensityTrack,
-                     syllable_span: tuple[float, float],
-                     nucleus_span: tuple[float, float]) -> RawSyllableFeatures:
-    """The 12-slot raw feature vector for one syllable.
+                     spans: np.ndarray) -> np.ndarray:
+    """The (n, 12) raw feature matrix of an utterance's n syllables.
 
-    The nucleus span must lie inside the syllable span. Intensity stats on
-    a span too short to contain a frame center fall back to the nearest
-    frame, so only pitch slots can be ABSENT.
+    spans is (n, 4): syllable start and end, nucleus start and end, in
+    seconds. A span holds the frames whose centers fall in [start, end);
+    the track times must be sorted, as the trackers make them. Pitch
+    statistics count voiced frames only and are NaN (ABSENT) over a span
+    with none. Intensity statistics over a span too short to hold a frame
+    center fall back to the frame nearest its middle, so only pitch slots
+    can be ABSENT. Each mean and max is taken over the span's own slice of
+    the track. The first syllable whose nucleus lies outside it, whose
+    span lies outside either track, or with an empty span, is an error.
     """
-    s0, s1 = syllable_span
-    n0, n1 = nucleus_span
-    if not (s0 <= n0 and n1 <= s1):
-        raise InvalidSpan(f"nucleus span [{n0},{n1}) outside syllable [{s0},{s1})")
-    _check_extent(pitch, s0, s1)
-    _check_extent(intensity, s0, s1)
+    spans = np.asarray(spans, dtype=np.float64).reshape(-1, 4)
+    extents = [_extent(pitch), _extent(intensity)]
+    for row in spans.tolist():
+        error = _span_error(extents, *row)
+        if error is not None:
+            raise error
+    out = np.empty((len(spans), N_FEATURES))
+    hop = pitch.frame_hop_s
+    for first, (start, end) in ((0, spans[:, :2].T), (6, spans[:, 2:].T)):
+        six = out[:, first:first + 6]
+        six[:, 5] = end - start
+        p_lo, p_hi = np.searchsorted(pitch.times_s, (start, end)).tolist()
+        i_lo, i_hi = np.searchsorted(intensity.times_s, (start, end)).tolist()
+        mids = (0.5 * (start + end)).tolist()
+        for row, a, b, c, d, mid in zip(six, p_lo, p_hi, i_lo, i_hi, mids):
+            voiced = pitch.values[a:b]
+            voiced = voiced[np.isfinite(voiced)]
+            if len(voiced):  # the sum and count np.mean takes
+                row[:3] = (np.add.reduce(voiced) / len(voiced),
+                           np.maximum.reduce(voiced), len(voiced) * hop)
+            else:
+                row[:3] = np.nan, np.nan, 0.0
+            if c < d:
+                levels = intensity.values[c:d]
+                row[3:5] = (np.add.reduce(levels) / len(levels),
+                            np.maximum.reduce(levels))
+            else:  # the frame nearest the span's middle, the first on a tie
+                row[3:5] = intensity.values[np.abs(intensity.times_s - mid).argmin()]
+    return out
 
-    def six(span0: float, span1: float) -> list:
-        p: SegmentStats = segment_stats(pitch, span0, span1)
-        i: SegmentStats = segment_stats(intensity, span0, span1)
-        int_mean = i.mean if i.mean is not None else _nearest_value(intensity, span0, span1)
-        int_max = i.max if i.max is not None else int_mean
-        return [p.mean, p.max, p.voiced_duration_s, int_mean, int_max, span1 - span0]
 
-    return RawSyllableFeatures(tuple(six(s0, s1) + six(n0, n1)))
-
-
-def normalize_sentence(raw: Sequence[RawSyllableFeatures] | np.ndarray,
-                       ) -> np.ndarray:
+def normalize_sentence(raw: np.ndarray) -> np.ndarray:
     """Subtract the per-slot sentence mean; ABSENT entries become 0.
 
-    raw is the sentence's syllables, or their values as an (n, 12) float
-    array with NaN where a value is ABSENT. The result is (n, 12). The
-    mean of each slot is taken over the syllables where it is present;
-    absent entries are set to that mean, i.e. exactly 0 after subtraction.
-    A slot absent everywhere comes out all-zero.
+    raw is the sentence's (n, 12) raw feature matrix, NaN where a value
+    is ABSENT, and the result is (n, 12). The mean of each slot is taken
+    over the syllables where it is present; absent entries are set to
+    that mean, i.e. exactly 0 after subtraction. A slot absent everywhere
+    comes out all-zero.
     """
     if not len(raw):
         raise InvalidSpan("empty sentence")
-    if not isinstance(raw, np.ndarray):  # None becomes NaN
-        raw = np.array([r.values for r in raw], dtype=np.float64)
     out = np.zeros(raw.shape)
     for column, out_column in zip(raw.T, out.T):  # one slot each
         present = ~np.isnan(column)

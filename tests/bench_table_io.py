@@ -2,7 +2,10 @@
 synth_corpus against their oracles in test_features.py,
 test_baselines.py and test_corpus.py, on criterion 8's seed-1 tables: 250
 synthetic utterances at noise 0.75 (the synth table, about 2.8k words)
-and their 70% training split (about 1.9k words, 6.5k syllables).
+and their 70% training split (about 1.9k words, 6.5k syllables). Also
+extract_features against its per-syllable oracle in test_features.py, on
+40 seeded synthetic utterances of 16 syllables each (pitch and intensity
+tracks at a 10 ms hop, about a third of the pitch frames unvoiced).
 
     python -m pytest tests/bench_table_io.py
 
@@ -10,18 +13,26 @@ The file name does not match test_*.py, so the test suite does not collect
 it. A read is timed with instances_from_table, which every command that
 reads a table runs on it; the oracle reads a syllable at a time. The
 oracle writer is json.dumps per record. The oracle generator makes one
-scalar draw per noisy slot and normalizes a syllable at a time. Both
-sides of each pair must give the same bytes.
+scalar draw per noisy slot and normalizes a syllable at a time. The
+oracle extractor finds each span's frames with a mask over all frame
+times. Both sides of each pair must give the same bytes.
 """
 
+import numpy as np
 import pytest
 
 from stressnet.baselines import flatten, train_ordinal
 from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
-from stressnet.features import read_feature_table, write_feature_table
+from stressnet.dsp import IntensityTrack, PitchTrack
+from stressnet.features import extract_features, read_feature_table, write_feature_table
 from test_baselines import oracle_train_ordinal
 from test_corpus import assert_same_corpus, oracle_synth_corpus
-from test_features import oracle_instance, oracle_line, oracle_record
+from test_features import (
+    oracle_extract_features,
+    oracle_instance,
+    oracle_line,
+    oracle_record,
+)
 
 SEED = 1
 
@@ -60,6 +71,7 @@ READERS = {"oracle": oracle_read, "new": new_read}
 WRITERS = {"oracle": oracle_write, "new": write_feature_table}
 FITS = {"oracle": oracle_train_ordinal, "new": train_ordinal}
 GENERATORS = {"oracle": oracle_synth_corpus, "new": synth_corpus}
+EXTRACTORS = {"oracle": oracle_extract_features, "new": extract_features}
 IMPLS = ["oracle", "new"]
 INSTANCE_ARRAYS = ("features", "type_indices", "labels")
 
@@ -107,3 +119,33 @@ def test_synth_corpus(benchmark, lexicon, impl):
     got = benchmark.pedantic(GENERATORS[impl], (lexicon, 250, gen),
                              {"seed": SEED}, rounds=5)
     assert_same_corpus(got, oracle_synth_corpus(lexicon, 250, gen, seed=SEED))
+
+
+def synthetic_utterances(n_utterances=40, n_syllables=16, hop=0.01):
+    """(pitch, intensity, spans) per utterance: back-to-back syllables of
+    80 to 300 ms, each nucleus its syllable's middle half."""
+    rng = np.random.default_rng(SEED)
+    utterances = []
+    for _ in range(n_utterances):
+        durations = rng.uniform(0.08, 0.3, n_syllables)
+        ends = np.cumsum(durations)
+        starts = ends - durations
+        times = hop / 2 + hop * np.arange(int(ends[-1] / hop) + 1)
+        f0 = rng.uniform(80.0, 300.0, len(times))
+        f0[rng.random(len(times)) < 0.3] = np.nan
+        utterances.append((
+            PitchTrack(hop, times, f0),
+            IntensityTrack(hop, times, rng.uniform(-60.0, -10.0, len(times))),
+            np.stack([starts, ends, starts + 0.25 * durations,
+                      starts + 0.75 * durations], axis=1)))
+    return utterances
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_extract_features(benchmark, impl):
+    utterances = synthetic_utterances()
+    benchmark.group = "extract_features, 40 utterances of 16 syllables"
+    got = benchmark.pedantic(
+        lambda: [EXTRACTORS[impl](*u) for u in utterances], rounds=5)
+    for matrix, u in zip(got, utterances):
+        assert matrix.tobytes() == oracle_extract_features(*u).tobytes()

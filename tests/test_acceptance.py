@@ -23,7 +23,6 @@ from stressnet.corpus import (
 from stressnet.dsp import compute_intensity, estimate_pitch
 from stressnet.evaluation import evaluate, pca_type_embeddings
 from stressnet.features import (
-    RawSyllableFeatures,
     WordRecord,
     normalize_sentence,
 )
@@ -190,8 +189,8 @@ def test_criterion_4_normalization(lexicon):
         for slot in (0, 1, 6, 7):  # pitch mean/max slots
             row2[slot] += 55.0
         shifted.append(row2)
-    out_a = normalize_sentence([RawSyllableFeatures(tuple(r)) for r in base])
-    out_b = normalize_sentence([RawSyllableFeatures(tuple(r)) for r in shifted])
+    out_a = normalize_sentence(np.array(base))
+    out_b = normalize_sentence(np.array(shifted))
     worst_shift = max(float(np.abs(a - b).max()) for a, b in zip(out_a, out_b))
     shift_ok = worst_shift < 1e-9
 

@@ -1,4 +1,8 @@
+import collections
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -10,9 +14,9 @@ from conftest import json_values
 from stressnet import bundled_dictionary_path
 from stressnet.cli import run_subcommand
 from stressnet import corpus
-from stressnet.corpus import GenConfig
-from stressnet.dsp import DspConfig
-from stressnet.features import read_feature_table
+from stressnet.corpus import GenConfig, load_alignment
+from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
+from stressnet.features import extract_features, normalize_sentence, read_feature_table
 from stressnet.model import FEATURE_MODES
 from test_dsp import MALFORMED_WAVS
 
@@ -456,6 +460,163 @@ class TestFeaturize:
         assert code in (0, 3, 4)
 
 
+# Two utterances for the normalization pool and the exclusion rules.
+# "mixed" holds a monosyllabic word, a word missing from the lexicon and a
+# word aligned with 2 syllables where its only variant has 3; "clean" holds
+# a monosyllabic word and lexicon words of the right count.
+POOL_UTTERANCES = {
+    "mixed": [("cat", 1), ("maybe", 2), ("zyxxyz", 2), ("overcome", 2),
+              ("separate", 3)],
+    "clean": [("cat", 1), ("overcome", 3), ("maybe", 2)],
+}
+# per utterance, the words that exclusion scope "word" keeps
+POOL_KEPT = {"mixed": [1, 4], "clean": [1, 2]}
+POOL_SR = 16000
+POOL_SYLLABLE = 2400  # samples per syllable, 0.15 s
+POOL_GAP = 800        # samples of silence between words, 0.05 s
+
+
+def write_pool_fixture(root: Path) -> Path:
+    """A 16 kHz int16 WAV and an alignment per POOL_UTTERANCES entry;
+    returns the alignment directory. Each syllable is a triangle wave whose
+    period (100 to 150 samples: 107 to 160 Hz) and level change from
+    syllable to syllable, and every fifth syllable is silent, so its pitch
+    is ABSENT. The samples are integer arithmetic: the same bytes anywhere."""
+    from scipy.io import wavfile
+    (root / "alignments").mkdir(parents=True)
+    k = 0
+    for utt, words in POOL_UTTERANCES.items():
+        pieces, word_docs, at = [np.zeros(POOL_GAP, dtype=np.int64)], [], POOL_GAP
+        for text, n in words:
+            syllables = []
+            for _ in range(n):
+                period = 100 + 10 * (k % 6)
+                n_idx = np.arange(POOL_SYLLABLE)
+                tri = np.abs(2 * (n_idx % period) - period) - period // 2
+                level = 0 if k % 5 == 4 else 40 + 15 * (k % 4)
+                pieces.append(tri * level)
+                syllables.append({
+                    "start_s": at / POOL_SR,
+                    "end_s": (at + POOL_SYLLABLE) / POOL_SR,
+                    "nucleus": {"start_s": (at + 600) / POOL_SR,
+                                "end_s": (at + 1800) / POOL_SR}})
+                at += POOL_SYLLABLE
+                k += 1
+            pieces.append(np.zeros(POOL_GAP, dtype=np.int64))
+            at += POOL_GAP
+            word_docs.append({"text": text, "syllables": syllables})
+        wavfile.write(str(root / f"{utt}.wav"), POOL_SR,
+                      np.concatenate(pieces).astype(np.int16))
+        (root / "alignments" / f"{utt}.json").write_text(json.dumps({
+            "schema": 1, "utterance_id": utt, "audio_path": f"../{utt}.wav",
+            "words": word_docs}))
+    return root / "alignments"
+
+
+# SHA-256 of featurize's table for the pool fixture, per pool and scope,
+# as the per-syllable extract_features wrote it
+POOL_TABLE_DIGESTS = {
+    ("sentence", "word"):
+        "7b1c299b47302c41eeedfb59935152194f9a986532a3228d46425070087d24db",
+    ("sentence", "utterance"):
+        "362d850b6fff314360b8b2f0a1ea2f28a0d47eb982e8b85c7365f2a355c8f949",
+    ("multisyllabic_only", "word"):
+        "89ae43de648f791066b3c84b5d2a44dd8ab7ef2bca11bc3b2cdf1993d0d7c8d7",
+    ("multisyllabic_only", "utterance"):
+        "4609fd3427e45a0a1ca1fe7b457e0205bb060785bed7f09f82baf7f117acf98c",
+}
+
+
+@pytest.fixture(scope="module")
+def pool_runs(tmp_path_factory):
+    """The pool fixture's alignment directory, and per (pool, scope) the
+    featurize table and its printed summary."""
+    root = tmp_path_factory.mktemp("pools")
+    alignments = write_pool_fixture(root)
+    runs = {}
+    for pool, scope in POOL_TABLE_DIGESTS:
+        out = root / f"{pool}-{scope}.jsonl"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run("featurize", "--alignments", str(alignments),
+                       "--out", str(out), "--normalization-pool", pool,
+                       "--exclusion-scope", scope) == 0
+        runs[pool, scope] = out, stdout.getvalue()
+    return alignments, runs
+
+
+class TestFeaturizePools:
+    """The normalization pool and the exclusions on real WAVs."""
+
+    @pytest.mark.parametrize("pool,scope", sorted(POOL_TABLE_DIGESTS))
+    def test_table_digest(self, pool_runs, pool, scope):
+        out, _ = pool_runs[1][pool, scope]
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == POOL_TABLE_DIGESTS[pool, scope])
+
+    def test_each_pool_is_normalized_over_its_rows(self, pool_runs):
+        alignments, runs = pool_runs
+        tables = {pool: read_feature_table(str(runs[pool, "word"][0]))
+                  for pool in ("sentence", "multisyllabic_only")}
+        for utt, words in POOL_UTTERANCES.items():
+            al = load_alignment(str(alignments / f"{utt}.json"))
+            samples, rate = read_wav(str(alignments / al.audio_path))
+            raw = extract_features(
+                estimate_pitch(samples, rate), compute_intensity(samples, rate),
+                [(s.start_s, s.end_s, s.nucleus.start_s, s.nucleus.end_s)
+                 for w in al.words for s in w.syllables])
+            assert np.isnan(raw).any()  # a silent syllable's pitch
+            counts = [n for _, n in words]
+            starts = np.cumsum([0] + counts)
+            pools = {"sentence": np.ones(len(raw), dtype=bool),
+                     "multisyllabic_only": np.repeat(np.array(counts) >= 2, counts)}
+            for pool, table in tables.items():
+                want = np.zeros(raw.shape)
+                want[pools[pool]] = normalize_sentence(raw[pools[pool]])
+                records = [r for r in table if r.utterance_id == utt]
+                assert [r.word for r in records] == [
+                    words[wi][0] for wi in POOL_KEPT[utt]]
+                for rec, wi in zip(records, POOL_KEPT[utt]):
+                    assert rec.features.tobytes() == want[
+                        starts[wi]:starts[wi + 1]].tobytes()
+        # the monosyllabic words move every pooled mean
+        for a, b in zip(*tables.values()):
+            assert a.word == b.word
+            assert not np.array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("scope,instances,reasons", [
+        ("word", 4, {corpus.MONOSYLLABIC: 2, corpus.NOT_IN_LEXICON: 1,
+                     corpus.COUNT_MISMATCH: 1}),
+        ("utterance", 2, {corpus.MONOSYLLABIC: 2, corpus.NOT_IN_LEXICON: 1,
+                          corpus.COUNT_MISMATCH: 1,
+                          corpus.UTTERANCE_EXCLUDED: 2}),
+    ])
+    def test_exclusion_counts(self, pool_runs, tmp_path, scope, instances,
+                              reasons):
+        alignments, runs = pool_runs
+        n_excluded = sum(reasons.values())
+        for pool in ("sentence", "multisyllabic_only"):
+            out, summary = runs[pool, scope]
+            assert len(read_feature_table(str(out))) == instances
+            assert f"{instances} word instances ({n_excluded} exclusions)" in summary
+        assert run("label", "--alignments", str(alignments), "--out",
+                   str(tmp_path), "--exclusion-scope", scope) == 0
+        lines = (tmp_path / "exclusions.jsonl").read_text().splitlines()
+        got = collections.Counter(json.loads(line)["reason"] for line in lines)
+        assert got == reasons
+
+    def test_alignment_without_words(self, tmp_path, capsys):
+        alignments = write_pool_fixture(tmp_path)
+        for f in alignments.glob("*.json"):
+            doc = json.loads(f.read_text())
+            f.write_text(json.dumps({**doc, "words": []}))
+        out = tmp_path / "features.jsonl"
+        assert run("featurize", "--alignments", str(alignments),
+                   "--out", str(out)) == 0
+        assert out.read_bytes() == b""
+        assert "0 word instances (0 exclusions)" in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def baseline_ckpts(pipeline):
     """The pipeline's rf checkpoint plus an or one on the 6 syllable features."""
@@ -887,7 +1048,8 @@ REMOVED_GEN_FIELDS = [
 TRAIN_FIELD_VALUES = {
     "use_class_weights": st.sampled_from([True, False, None]),
     "batch_size": st.integers(1, 2**40),
-    "seed": st.integers(0, 2**40),  # the --seed flag or config seed wins
+    # no value works: the top-level seed sets it, so the key is refused
+    "seed": st.integers(0, 2**40),
 }
 
 
@@ -954,6 +1116,26 @@ class TestConfigSections:
         assert code in (0, 3)
         if code == 0:  # the table reader checks every feature is finite
             assert read_feature_table(str(out / "features.jsonl"))
+
+    @pytest.mark.parametrize("key,doc,model", [
+        ("train.seed", {"train": {"seed": 7}}, "attn-medium"),
+        ("model.feature_mode",
+         {"model": {"d_model": 4, "n_heads": 2, "n_layers": 1,
+                    "feature_mode": "syllable_numerical"}}, "attn-custom"),
+    ])
+    def test_field_set_at_top_level_is_refused(self, tiny_corpus, capsys, key,
+                                               doc, model):
+        # either would be overwritten by the top-level key or its default
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tiny_corpus / "refused.ckpt"
+        code = run("--config", str(cfg), "train", "--model", model,
+                   "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(out), "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", sorted(TRAIN_FIELD_VALUES))
     @given(data=st.data())

@@ -34,10 +34,11 @@ from stressnet.errors import (
     AlignmentFormat,
     ConfigError,
     InvalidSpans,
+    ShapeError,
     SplitTooSmall,
     StressnetError,
 )
-from stressnet.features import MAX_SYLLABLES, RawSyllableFeatures, WordRecord
+from stressnet.features import MAX_SYLLABLES, WordRecord
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel, syllabify
 from test_features import oracle_normalize_sentence
 
@@ -298,6 +299,16 @@ class TestLabelUtterance:
         assert reasons["zyxxyz"] == NOT_IN_LEXICON
         assert reasons["maybe"] == UTTERANCE_EXCLUDED
 
+    def test_records_hold_their_rows_of_the_utterance_matrix(self, lexicon):
+        al = parse_alignment(make_alignment([("cat", 1), ("maybe", 2),
+                                             ("overcome", 3)]))
+        features = np.arange(6 * 12, dtype=np.float64).reshape(6, 12)
+        maybe, overcome = label_utterance(al, lexicon, features)[0]
+        assert maybe.features.tobytes() == features[1:3].tobytes()
+        assert overcome.features.tobytes() == features[3:6].tobytes()
+        with pytest.raises(ShapeError):
+            label_utterance(al, lexicon, features[:5])
+
     def test_accounting_invariant(self, lexicon):
         al = parse_alignment(make_alignment(
             [("cat", 1), ("maybe", 2), ("zyxxyz", 3), ("overcome", 3)]))
@@ -473,12 +484,12 @@ def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):
                 nuc_int_max = nuc_int_mean + abs(noisy(0.0, sigma_int))
                 nuc_voiced = min(nuc_dur, max(0.0, noisy(nuc_dur, sigma_dur)))
 
-                utt_raw.append(RawSyllableFeatures((
+                utt_raw.append((
                     syl_pitch_mean, syl_pitch_max, syl_voiced,
                     syl_int_mean, syl_int_max, syl_dur,
                     nuc_pitch_mean, nuc_pitch_max, nuc_voiced,
                     nuc_int_mean, nuc_int_max, nuc_dur,
-                )))
+                ))
                 n0 = clock + 0.5 * (syl_dur - nuc_dur)
                 spans.append(SyllableSpan(
                     round(clock, 6), round(clock + syl_dur, 6),

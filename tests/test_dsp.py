@@ -11,7 +11,6 @@ from stressnet.dsp import (
     compute_intensity,
     estimate_pitch,
     read_wav,
-    segment_stats,
 )
 from stressnet.errors import (
     ConfigError,
@@ -21,6 +20,7 @@ from stressnet.errors import (
     StressnetError,
     UnsupportedRate,
 )
+from stressnet.features import extract_features
 
 SR = 16000
 
@@ -181,57 +181,65 @@ class TestComputeIntensity:
 
 
 class TestSegmentStats:
-    def pitch_track(self, values, hop=0.01):
-        times = hop / 2 + hop * np.arange(len(values))
-        return PitchTrack(hop, times, np.asarray(values, dtype=np.float64))
+    """The statistics of one span, as features.extract_features takes them
+    over the frames whose centres fall in the span: the first six slots
+    are pitch mean, max and voiced duration, intensity mean and max, and
+    the span's duration."""
 
-    def intensity_track(self, values, hop=0.01):
-        times = hop / 2 + hop * np.arange(len(values))
-        return IntensityTrack(hop, times, np.asarray(values, dtype=np.float64))
+    def stats(self, pitch_values, int_values, start, end, hop=0.01):
+        def times(values):
+            return hop / 2 + hop * np.arange(len(values))
+        pitch = PitchTrack(hop, times(pitch_values),
+                           np.asarray(pitch_values, dtype=np.float64))
+        intensity = IntensityTrack(hop, times(int_values),
+                                   np.asarray(int_values, dtype=np.float64))
+        return extract_features(pitch, intensity, [(start, end, start, end)])[0, :6]
 
     def test_pitch_stats_skip_unvoiced(self):
-        track = self.pitch_track([100.0, 110.0, np.nan, 120.0])
-        stats = segment_stats(track, 0.0, 0.04)
-        assert stats.mean == pytest.approx(110.0)
-        assert stats.max == pytest.approx(120.0)
-        assert stats.voiced_duration_s == pytest.approx(0.03)
-        assert stats.total_duration_s == pytest.approx(0.04)
+        v = self.stats([100.0, 110.0, np.nan, 120.0], [-10.0] * 4, 0.0, 0.04)
+        assert v[0] == pytest.approx(110.0)
+        assert v[1] == pytest.approx(120.0)
+        assert v[2] == pytest.approx(0.03)
+        assert v[5] == pytest.approx(0.04)
 
     def test_empty_span_absent(self):
-        track = self.pitch_track([100.0, 110.0])
-        stats = segment_stats(track, 5.0, 6.0)
-        assert stats.mean is None and stats.max is None
-        assert stats.voiced_duration_s == 0.0
+        # frame centres at 5 and 15 ms: [11, 14) ms holds none
+        v = self.stats([100.0, 110.0], [-10.0, -20.0], 0.011, 0.014)
+        assert np.isnan(v[0]) and np.isnan(v[1])
+        assert v[2] == 0.0
 
     def test_intensity_arithmetic(self):
-        track = self.intensity_track([-10.0, -20.0])
-        stats = segment_stats(track, 0.0, 0.02)
-        assert stats.mean == pytest.approx(-15.0)
-        assert stats.max == pytest.approx(-10.0)
-        assert stats.voiced_duration_s == pytest.approx(0.02)
+        v = self.stats([100.0, 100.0], [-10.0, -20.0], 0.0, 0.02)
+        assert v[3] == pytest.approx(-15.0)
+        assert v[4] == pytest.approx(-10.0)
+        assert v[5] == pytest.approx(0.02)
 
     def test_inverted_span(self):
-        track = self.pitch_track([100.0])
         with pytest.raises(InvalidSpan):
-            segment_stats(track, 0.5, 0.1)
+            self.stats([100.0] * 60, [-10.0] * 60, 0.5, 0.1)
+        with pytest.raises(InvalidSpan):  # an inverted nucleus, too
+            extract_features(
+                PitchTrack(0.01, 0.005 + 0.01 * np.arange(60), np.full(60, 100.0)),
+                IntensityTrack(0.01, 0.005 + 0.01 * np.arange(60), np.full(60, -10.0)),
+                [(0.0, 0.5, 0.3, 0.2)])
 
     def test_enlarging_span_never_decreases_max(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(80, 300, 50)
         values[rng.random(50) < 0.3] = np.nan
-        track = self.pitch_track(values)
-        prev = -np.inf
-        for end in np.linspace(0.05, 0.5, 12):
-            stats = segment_stats(track, 0.0, float(end))
-            if stats.max is not None:
-                assert stats.max >= prev
-                prev = stats.max
+        hop = 0.01
+        times = hop / 2 + hop * np.arange(50)
+        ends = np.linspace(0.05, 0.5, 12)
+        spans = np.stack([np.zeros(12), ends, np.zeros(12), ends], axis=1)
+        out = extract_features(PitchTrack(hop, times, values),
+                               IntensityTrack(hop, times, np.zeros(50)), spans)
+        maxima = out[:, 1][~np.isnan(out[:, 1])]
+        assert len(maxima) and np.all(np.diff(maxima) >= 0)
 
     def test_half_open_span_boundary(self):
-        track = self.intensity_track([-10.0, -20.0, -30.0])
         # frame centers at 5, 15, 25 ms; [0, 0.015) holds only the first
-        stats = segment_stats(track, 0.0, 0.015)
-        assert stats.mean == pytest.approx(-10.0)
+        v = self.stats([100.0] * 3, [-10.0, -20.0, -30.0], 0.0, 0.015)
+        assert v[3] == pytest.approx(-10.0)
 
 
 # --- block path against a per-frame reference -----------------------------
@@ -376,8 +384,10 @@ def wav_bytes(samples, sr=SR):
     return buf.getvalue()
 
 
-# an empty file, and a RIFF/WAVE header followed by no valid chunk
-MALFORMED_WAVS = {"empty": b"", "riff_junk": b"RIFF\x10\x00\x00\x00WAVEjunkjunk"}
+# an empty file, a RIFF/WAVE header followed by no valid chunk, and a
+# valid WAV of 8-bit samples, a format the reader refuses
+MALFORMED_WAVS = {"empty": b"", "riff_junk": b"RIFF\x10\x00\x00\x00WAVEjunkjunk",
+                  "pcm8": wav_bytes(np.array([0, 128, 255], dtype=np.uint8))}
 
 
 class TestReadWav:

@@ -23,7 +23,6 @@ from stressnet.features import (
     FEATURE_SLOTS,
     MAX_SYLLABLES,
     N_FEATURES,
-    RawSyllableFeatures,
     WordRecord,
     _record,
     extract_features,
@@ -44,12 +43,17 @@ def tracks(pitch_values, int_values):
             IntensityTrack(HOP, times_i, np.asarray(int_values, dtype=np.float64)))
 
 
+def one(pitch, intensity, syllable_span, nucleus_span):
+    """extract_features on one syllable: its row of 12."""
+    (row,) = extract_features(pitch, intensity, [(*syllable_span, *nucleus_span)])
+    return row
+
+
 class TestExtractFeatures:
     def test_hand_computed_vector(self):
         pitch, intensity = tracks([100.0, 120.0, np.nan, 140.0],
                                   [-10.0, -20.0, -30.0, -40.0])
-        raw = extract_features(pitch, intensity, (0.0, 0.04), (0.01, 0.03))
-        v = raw.values
+        v = one(pitch, intensity, (0.0, 0.04), (0.01, 0.03))
         assert v[0] == pytest.approx(120.0)        # syl pitch mean
         assert v[1] == pytest.approx(140.0)        # syl pitch max
         assert v[2] == pytest.approx(0.03)         # syl voiced duration
@@ -66,84 +70,228 @@ class TestExtractFeatures:
 
     def test_fully_unvoiced_syllable(self):
         pitch, intensity = tracks([np.nan, np.nan], [-10.0, -12.0])
-        raw = extract_features(pitch, intensity, (0.0, 0.02), (0.0, 0.02))
-        assert raw.values[0] is None and raw.values[1] is None
-        assert raw.values[2] == 0.0
-        assert raw.values[3] == pytest.approx(-11.0)
+        v = one(pitch, intensity, (0.0, 0.02), (0.0, 0.02))
+        assert np.isnan(v[0]) and np.isnan(v[1])  # ABSENT
+        assert v[2] == 0.0
+        assert v[3] == pytest.approx(-11.0)
 
     def test_identical_spans_identical_six(self):
         pitch, intensity = tracks([100.0, 110.0], [-5.0, -6.0])
-        raw = extract_features(pitch, intensity, (0.0, 0.02), (0.0, 0.02))
-        assert raw.values[:6] == raw.values[6:]
+        v = one(pitch, intensity, (0.0, 0.02), (0.0, 0.02))
+        assert v[:6].tobytes() == v[6:].tobytes()
 
     def test_nucleus_outside_syllable(self):
         pitch, intensity = tracks([100.0], [-5.0])
         with pytest.raises(InvalidSpan):
-            extract_features(pitch, intensity, (0.0, 0.01), (0.0, 0.02))
+            one(pitch, intensity, (0.0, 0.01), (0.0, 0.02))
 
     def test_span_outside_extent(self):
         pitch, intensity = tracks([100.0], [-5.0])
         with pytest.raises(SpanOutOfRange):
-            extract_features(pitch, intensity, (3.0, 3.1), (3.0, 3.1))
+            one(pitch, intensity, (3.0, 3.1), (3.0, 3.1))
+
+    def test_first_bad_syllable_decides_the_error(self):
+        pitch, intensity = tracks([100.0] * 10, [-5.0] * 10)
+        spans = [(0.0, 0.02, 0.0, 0.02),
+                 (3.0, 3.1, 3.0, 3.1),      # outside both tracks
+                 (0.02, 0.04, 0.0, 0.04)]   # nucleus outside its syllable
+        with pytest.raises(SpanOutOfRange, match="3.0"):
+            extract_features(pitch, intensity, spans)
+        with pytest.raises(InvalidSpan):
+            extract_features(pitch, intensity, spans[::-1])
+
+    def test_syllable_outside_the_shorter_track(self):
+        pitch, intensity = tracks([100.0] * 10, [-5.0] * 2)
+        with pytest.raises(SpanOutOfRange):
+            one(pitch, intensity, (0.05, 0.08), (0.05, 0.08))
+
+    def test_nucleus_extent_is_not_checked(self):
+        # a nucleus before the first frame, inside a syllable that reaches
+        # into the tracks, is no error
+        pitch, intensity = tracks([100.0, 110.0], [-5.0, -6.0])
+        v = one(pitch, intensity, (-0.5, 0.02), (-0.5, -0.4))
+        assert np.isnan(v[6]) and v[9] == -5.0  # the nearest frame
+
+    def test_no_syllables(self):
+        empty = PitchTrack(HOP, np.empty(0), np.empty(0))
+        out = extract_features(empty, IntensityTrack(HOP, np.empty(0), np.empty(0)),
+                               np.empty((0, 4)))
+        assert out.shape == (0, N_FEATURES)
+
+    def test_track_without_frames(self):
+        pitch, _ = tracks([100.0], [])
+        with pytest.raises(SpanOutOfRange, match="no frames"):
+            one(pitch, IntensityTrack(HOP, np.empty(0), np.empty(0)),
+                (0.0, 0.01), (0.0, 0.01))
+
+    @given(case=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_per_syllable_oracle(self, case):
+        pitch, intensity, spans = case.draw(tracks_and_spans())
+        try:
+            want = oracle_extract_features(pitch, intensity, spans)
+        except StressnetError as exc:
+            with pytest.raises(type(exc)) as info:
+                extract_features(pitch, intensity, spans)
+            assert str(info.value) == str(exc)
+            return
+        got = extract_features(pitch, intensity, spans)
+        assert got.shape == (len(spans), N_FEATURES)
+        assert got.tobytes() == want.tobytes()
 
     def test_twelve_named_slots(self):
         assert len(FEATURE_SLOTS) == 12
 
 
-def raw(*values):
-    return RawSyllableFeatures(tuple(values))
+# --- the per-syllable oracle ----------------------------------------------------
+
+def oracle_segment_stats(track, start_s, end_s):
+    """(mean, max, voiced duration) over the frames whose centers fall in
+    [start_s, end_s), found with a mask; None for mean and max where no
+    usable frame is in the span. Pitch counts voiced frames only."""
+    if not start_s < end_s:
+        raise InvalidSpan(f"inverted span [{start_s}, {end_s})")
+    in_span = (track.times_s >= start_s) & (track.times_s < end_s)
+    values = track.values[in_span]
+    if isinstance(track, PitchTrack):
+        values = values[np.isfinite(values)]
+    if values.size == 0:
+        return None, None, 0.0
+    return (float(values.mean()), float(values.max()),
+            float(values.size * track.frame_hop_s))
+
+
+def oracle_check_extent(track, start_s, end_s):
+    if len(track) == 0:
+        raise SpanOutOfRange("track has no frames")
+    half = track.frame_hop_s / 2.0
+    lo = float(track.times_s[0]) - half
+    hi = float(track.times_s[-1]) + half
+    if end_s <= lo or start_s >= hi:
+        raise SpanOutOfRange(
+            f"span [{start_s}, {end_s}) outside track extent [{lo}, {hi})")
+
+
+def oracle_syllable_features(pitch, intensity, s0, s1, n0, n1):
+    """One syllable's 12 values, None where pitch is ABSENT."""
+    if not (s0 <= n0 and n1 <= s1):
+        raise InvalidSpan(f"nucleus span [{n0},{n1}) outside syllable [{s0},{s1})")
+    oracle_check_extent(pitch, s0, s1)
+    oracle_check_extent(intensity, s0, s1)
+
+    def six(span0, span1):
+        p_mean, p_max, voiced = oracle_segment_stats(pitch, span0, span1)
+        i_mean, i_max, _ = oracle_segment_stats(intensity, span0, span1)
+        if i_mean is None:  # the frame nearest the span's middle
+            mid = 0.5 * (span0 + span1)
+            i_mean = float(intensity.values[
+                int(np.argmin(np.abs(intensity.times_s - mid)))])
+        if i_max is None:
+            i_max = i_mean
+        return [p_mean, p_max, voiced, i_mean, i_max, span1 - span0]
+
+    return six(s0, s1) + six(n0, n1)
+
+
+def oracle_extract_features(pitch, intensity, spans):
+    """extract_features a syllable at a time, each span's frames found with
+    a mask over all frame times; ABSENT (None) becomes NaN in the matrix."""
+    rows = [oracle_syllable_features(pitch, intensity, *row)
+            for row in np.asarray(spans, dtype=np.float64).reshape(-1, 4).tolist()]
+    return np.array(rows, dtype=np.float64).reshape(-1, N_FEATURES)
+
+
+@st.composite
+def tracks_and_spans(draw):
+    """Pitch and intensity tracks on one frame grid, of the same or of
+    different lengths, pitch with unvoiced (NaN) runs, and syllable spans
+    over them: on the grid of quarter hops (frame centres, frame edges,
+    the first and the last frame) or anywhere, some shorter than a hop so
+    that no frame centre falls inside, some a little outside the tracks,
+    and nuclei that may equal their syllables."""
+    hop = draw(st.sampled_from([0.01, 0.0125, 0.004]))
+    n_pitch, n_int = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f0 = rng.uniform(60.0, 400.0, n_pitch)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, n_pitch - 1))
+        f0[at:at + draw(st.integers(1, 12))] = np.nan
+    pitch = PitchTrack(hop, hop / 2 + hop * np.arange(n_pitch), f0)
+    intensity = IntensityTrack(hop, hop / 2 + hop * np.arange(n_int),
+                               rng.uniform(-60.0, 0.0, n_int))
+    n = min(n_pitch, n_int)
+    point = (st.integers(-1, 4 * n + 1).map(lambda q: q * hop / 4)
+             | st.floats(0.0, n * hop))
+    spans = []
+    for _ in range(draw(st.integers(0, 8))):
+        s0, s1 = sorted(draw(st.tuples(point, point)))
+        if s0 == s1:
+            s1 = s0 + draw(st.sampled_from([0.2, 0.5, 1.0])) * hop
+        if draw(st.booleans()):
+            n0, n1 = s0, s1
+        else:
+            n0, n1 = sorted(draw(st.tuples(st.floats(s0, s1), st.floats(s0, s1))))
+            if n0 == n1:
+                n0, n1 = s0, s1
+        spans.append((s0, s1, n0, n1))
+    return pitch, intensity, np.array(spans, dtype=np.float64).reshape(-1, 4)
+
+
+def sentence(*rows):
+    """Rows of 12 values as a raw feature matrix; None becomes NaN."""
+    return np.array(rows, dtype=np.float64).reshape(-1, N_FEATURES)
 
 
 def filled(value):
-    return raw(*([value] * 12))
+    return [value] * 12
 
 
 def oracle_normalize_sentence(raw):
     """normalize_sentence as a loop over slots and syllables: the mean of
-    each slot's present values as one list, subtracted one at a time."""
+    each slot's present values as one list, subtracted one at a time. raw
+    is rows of 12 values, None where ABSENT."""
     n = len(raw)
     out = [np.zeros(N_FEATURES) for _ in range(n)]
     for slot in range(N_FEATURES):
-        present = [i for i in range(n) if raw[i].values[slot] is not None]
+        present = [i for i in range(n) if raw[i][slot] is not None]
         if not present:
             continue
-        mean = float(np.mean([raw[i].values[slot] for i in present]))
+        mean = float(np.mean([raw[i][slot] for i in present]))
         for i in present:
-            out[i][slot] = float(raw[i].values[slot]) - mean
+            out[i][slot] = float(raw[i][slot]) - mean
     return out
 
 
 class TestNormalizeSentence:
     def test_mean_subtraction(self):
-        out = normalize_sentence([filled(0.1), filled(0.3)])
+        out = normalize_sentence(sentence(filled(0.1), filled(0.3)))
         assert out[0] == pytest.approx([-0.1] * 12)
         assert out[1] == pytest.approx([0.1] * 12)
 
     def test_single_syllable_all_zero(self):
-        out = normalize_sentence([filled(0.42)])
+        out = normalize_sentence(sentence(filled(0.42)))
         assert np.allclose(out[0], 0.0)
 
     def test_absent_becomes_zero(self):
-        a = raw(100.0, *[0.0] * 11)
-        b = raw(None, *[0.0] * 11)
-        c = raw(140.0, *[0.0] * 11)
-        out = normalize_sentence([a, b, c])
+        a = [100.0, *[0.0] * 11]
+        b = [None, *[0.0] * 11]
+        c = [140.0, *[0.0] * 11]
+        out = normalize_sentence(sentence(a, b, c))
         assert out[0][0] == pytest.approx(-20.0)
         assert out[1][0] == 0.0
         assert out[2][0] == pytest.approx(20.0)
 
     def test_all_absent_slot_is_zero(self):
-        a = raw(None, *[1.0] * 11)
-        b = raw(None, *[3.0] * 11)
-        out = normalize_sentence([a, b])
+        a = [None, *[1.0] * 11]
+        b = [None, *[3.0] * 11]
+        out = normalize_sentence(sentence(a, b))
         assert out[0][0] == 0.0 and out[1][0] == 0.0
         assert out[0][1] == pytest.approx(-1.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        sentence = [raw(*rng.normal(0, 10, 12)) for _ in range(7)]
-        once = normalize_sentence(sentence)
-        twice = normalize_sentence([raw(*v) for v in once])
+        once = normalize_sentence(rng.normal(0, 10, (7, 12)))
+        twice = normalize_sentence(once)
         for a, b in zip(once, twice):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -156,21 +304,21 @@ class TestNormalizeSentence:
             for slot in (0, 1, 6, 7):  # the pitch value slots
                 w[slot] += 37.5
             shifted.append(w)
-        out_a = normalize_sentence([raw(*v) for v in base])
-        out_b = normalize_sentence([raw(*v) for v in shifted])
+        out_a = normalize_sentence(sentence(*base))
+        out_b = normalize_sentence(sentence(*shifted))
         for a, b in zip(out_a, out_b):
             assert np.allclose(a, b, atol=1e-9)
 
     def test_output_finite_no_absent(self):
         rng = np.random.default_rng(5)
-        sentence = []
+        rows = []
         for _ in range(10):
             vals = list(rng.normal(0, 5, 12))
             for slot in (0, 1, 6, 7):
                 if rng.random() < 0.5:
                     vals[slot] = None
-            sentence.append(raw(*vals))
-        out = normalize_sentence(sentence)
+            rows.append(vals)
+        out = normalize_sentence(sentence(*rows))
         for v in out:
             assert np.isfinite(v).all()
 
@@ -179,7 +327,7 @@ class TestNormalizeSentence:
         min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_per_slot_mean_is_zero(self, rows):
-        out = normalize_sentence([raw(*v) for v in rows])
+        out = normalize_sentence(sentence(*rows))
         stacked = np.stack(out)
         assert np.all(np.abs(stacked.mean(axis=0)) < 1e-6)
 
@@ -201,13 +349,10 @@ class TestNormalizeSentence:
             absent = rng.random(n) < (1.0 if mode == "absent" else mode)
             for row in np.flatnonzero(absent):
                 values[row][slot] = None
-        sentence = [raw(*row) for row in values]
-        want = np.array(oracle_normalize_sentence(sentence))
-        got = normalize_sentence(sentence)
+        want = np.array(oracle_normalize_sentence(values))
+        got = normalize_sentence(sentence(*values))
         assert got.shape == (n, N_FEATURES)
         assert got.tobytes() == want.tobytes()
-        as_array = np.array(values, dtype=np.float64)  # None becomes NaN
-        assert normalize_sentence(as_array).tobytes() == want.tobytes()
 
 
 # --- feature table fuzzing ----------------------------------------------------
