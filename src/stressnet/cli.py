@@ -1,10 +1,15 @@
 """Command-line entry point: reproducible pipelines over all modules.
 
 Subcommands: lexicon, featurize, synth, label, split, train, predict,
-eval, pca. A JSON run-config file (--config) supplies defaults; explicit
-flags override file values. Every artifact-producing run writes a
-manifest (command, arguments, config digest, input digests) sufficient to
-reproduce it byte-identically.
+eval, pca. Each setting is resolved once, before the subcommand runs:
+its flag, else the JSON run-config file's (--config) value, else the
+default. synth, label and split write a manifest.json into their output
+directory; featurize, train and eval into the directory of --out;
+lexicon, predict and pca write none. A manifest holds the command, its
+arguments after resolution, every settings object it built (all
+fields, defaults too) and the SHA-256 of each input file: enough to
+rerun it byte-identically. It is one per directory, so of rf and or
+checkpoints trained side by side only the later manifest is kept.
 
 Exit codes: 0 success, 2 usage, 3 configuration error, 4 data error (also
 any file system error, such as a missing input or a directory where a
@@ -19,12 +24,15 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, bundled_dictionary_path, checkpoint
 from .corpus import (
+    EXCLUSION_SCOPES,
+    LABELINGS,
     GenConfig,
     WordInstance,
     instances_from_table,
@@ -56,23 +64,30 @@ from .model import (
     train as train_model,
 )
 
-_CONFIG_KEYS = {
-    "dict_path", "feature_mode", "exclusion_scope", "normalization_pool",
-    "dsp", "gen", "train", "model", "seed",
+
+# a top-level run-config key: its flag, its exact type (so a bool is no
+# seed), its allowed values (None: any) and its default
+_Key = namedtuple("_Key", "flag type choices default")
+_TOP_LEVEL = {
+    "seed": _Key("--seed", int, None, 0),
+    # no default here: $STRESSNET_DICT, else the bundled sample
+    "dict_path": _Key("--dict", str, None, None),
+    "feature_mode": _Key("--feature-mode", str, FEATURE_MODES, ALL_FEATURES),
+    "exclusion_scope": _Key("--exclusion-scope", str, EXCLUSION_SCOPES, "word"),
+    "normalization_pool": _Key("--normalization-pool", str,
+                               ("sentence", "multisyllabic_only"), "sentence"),
 }
 # keys whose values are settings objects of their own
 _CONFIG_SECTIONS = {"dsp", "gen", "train", "model"}
-# scalar keys: the type each must have, and the values of enumerated ones
-_CONFIG_TYPES = {"seed": int, "dict_path": str, "feature_mode": str,
-                 "exclusion_scope": str, "normalization_pool": str}
+_CONFIG_KEYS = _CONFIG_SECTIONS | set(_TOP_LEVEL)
 # section fields that a top-level key sets: a value in the section would
 # be overwritten, so it is refused
 _CONFIG_SHADOWED = {"train": "seed", "model": "feature_mode"}
-_CONFIG_CHOICES = {
-    "feature_mode": FEATURE_MODES,
-    "exclusion_scope": ("word", "utterance"),
-    "normalization_pool": ("sentence", "multisyllabic_only"),
-}
+_ATTENTION_MODELS = (*PRESETS, "attn-custom")
+# train flags that only some models read: given for another, one is refused
+_MODEL_FLAGS = dict.fromkeys(("epochs", "batch_size", "learning_rate", "val_fraction",
+                              "dropout", "history"), _ATTENTION_MODELS)
+_MODEL_FLAGS.update(n_trees=("rf",), max_depth=("rf",))
 
 
 def _load_config(path: str | None) -> dict:
@@ -101,14 +116,14 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(
                 f"config file {path}: {section}.{key} is not read; set the "
                 f"top-level {key!r} key or its flag instead")
-    for key, kind in _CONFIG_TYPES.items():
-        # the exact type, so a bool is no seed
-        if key in doc and type(doc[key]) is not kind:
+    for key, spec in _TOP_LEVEL.items():
+        if key not in doc:
+            continue
+        if type(doc[key]) is not spec.type:
             raise ConfigError(
-                f"config file {path}: {key!r} must be of type {kind.__name__}, "
-                f"got {doc[key]!r:.40}")
-    for key, choices in _CONFIG_CHOICES.items():
-        if key in doc and doc[key] not in choices:
+                f"config file {path}: {key!r} must be of type "
+                f"{spec.type.__name__}, got {doc[key]!r:.40}")
+        if spec.choices is not None and doc[key] not in spec.choices:
             raise ConfigError(
                 f"config file {path}: unknown {key} {doc[key]!r:.40}")
     if "dict_path" in doc and not os.path.isfile(doc["dict_path"]):
@@ -117,34 +132,34 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _resolve(args, config: dict) -> None:
+    """Settle args before the subcommand runs: each top-level key that it
+    takes and no flag gave becomes the config file's value, else the
+    default; and the parent directory of each output path is created."""
+    for key in _TOP_LEVEL.keys() & vars(args).keys():
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, _TOP_LEVEL[key].default))
+    if "dict_path" in vars(args) and args.dict_path is None:
+        args.dict_path = os.environ.get("STRESSNET_DICT", bundled_dictionary_path())
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    for key in ("out", "history"):
+        if getattr(args, key, None):
+            Path(getattr(args, key)).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _settings(cls, section: str, doc: dict, **flags):
-    """(settings, merged document): cls built from doc, one section of the
-    config file, with the flags that were given (not None) laid over it.
-    An unknown key, a missing field or a bad value is a ConfigError
-    naming the section."""
+    """cls built from doc, one section of the config file, with the flags
+    that were given (not None) laid over it. An unknown key, a missing
+    field or a bad value is a ConfigError naming the section."""
     doc = {**doc, **{k: v for k, v in flags.items() if v is not None}}
     unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"bad {section} config: unknown keys {unknown}")
     try:
-        return cls(**doc), doc
+        return cls(**doc)
     except (TypeError, ConfigError) as exc:  # TypeError: a missing field
         raise ConfigError(f"bad {section} config: {exc}")
-
-
-def _seed(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _dict_path(args, config: dict) -> str:
-    if getattr(args, "dict", None):
-        return args.dict
-    if "dict_path" in config:
-        return config["dict_path"]
-    return os.environ.get("STRESSNET_DICT", bundled_dictionary_path())
 
 
 def _sha256(path: str) -> str:
@@ -155,23 +170,28 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, settings: dict,
-                    inputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "settings": settings,
-        "inputs": {p: _sha256(p) for p in sorted(inputs) if os.path.exists(p)},
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_manifest(out_dir: Path, args, inputs: list[str], **settings) -> None:
+    """Write out_dir/manifest.json, as the module docstring describes."""
+    _write_json(out_dir / "manifest.json", {
+        "command": args.command,
+        "arguments": {k: v for k, v in vars(args).items()
+                      if k not in ("command", "config", "func")},
+        "settings": {name: dataclasses.asdict(value)
+                     for name, value in settings.items()},
+        "inputs": {p: _sha256(p) for p in sorted(inputs)},
+    })
 
 
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_lexicon(args, config) -> int:
-    lex = load_dictionary(_dict_path(args, config))
+    lex = load_dictionary(args.dict_path)
     variants = lex.lookup(args.word)
     if not variants:
         print(f"{args.word!r} not found in dictionary")
@@ -191,20 +211,16 @@ def _cmd_lexicon(args, config) -> int:
 
 
 def _cmd_synth(args, config) -> int:
-    lex = load_dictionary(_dict_path(args, config))
-    gen, gen_doc = _settings(GenConfig, "gen", config.get("gen", {}),
-                             noise=args.noise, labeling=args.labeling)
-    seed = _seed(args, config)
-    alignments, records = synth_corpus(lex, args.n, gen, seed=seed)
+    lex = load_dictionary(args.dict_path)
+    gen = _settings(GenConfig, "gen", config.get("gen", {}),
+                    noise=args.noise, labeling=args.labeling)
+    alignments, records = synth_corpus(lex, args.n, gen, seed=args.seed)
     out = Path(args.out)
     (out / "alignments").mkdir(parents=True, exist_ok=True)
     for al in alignments:
         save_alignment(al, str(out / "alignments" / f"{al.utterance_id}.json"))
     write_feature_table(records, str(out / "features.jsonl"))
-    _write_manifest(out, "synth", {
-        "n": args.n, "seed": seed, "gen": gen_doc,
-        "dict": _dict_path(args, config),
-    }, [_dict_path(args, config)])
+    _write_manifest(out, args, [args.dict_path], gen=gen)
     print(f"synth: {len(alignments)} utterances, {len(records)} word instances "
           f"-> {out}")
     return 0
@@ -218,8 +234,7 @@ def _alignment_files(path: str) -> list[str]:
 
 
 def _cmd_label(args, config) -> int:
-    lex = load_dictionary(_dict_path(args, config))
-    scope = args.exclusion_scope or config.get("exclusion_scope", "word")
+    lex = load_dictionary(args.dict_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = _alignment_files(args.alignments)
@@ -229,7 +244,7 @@ def _cmd_label(args, config) -> int:
         for f in files:
             alignment = load_alignment(f)
             records, exclusions = label_utterance(
-                alignment, lex, exclusion_scope=scope)
+                alignment, lex, exclusion_scope=args.exclusion_scope)
             for rec in records:
                 lab_fh.write(json.dumps({
                     "utterance_id": rec.utterance_id,
@@ -244,22 +259,18 @@ def _cmd_label(args, config) -> int:
                     "reason": exc.reason,
                 }, sort_keys=True) + "\n")
             n_words += len(records)
-    _write_manifest(out, "label", {
-        "alignments": args.alignments, "exclusion_scope": scope,
-        "dict": _dict_path(args, config),
-    }, files + [_dict_path(args, config)])
+    _write_manifest(out, args, files + [args.dict_path])
     print(f"label: {n_words} labeled word instances -> {out}")
     return 0
 
 
-def _featurize_one(f: str, audio_dir: str | None, lex, dsp_cfg: DspConfig,
-                   pool: str, scope: str):
+def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
     alignment = load_alignment(f)
     if alignment.audio_path is None:
         raise ConfigError(f"{f}: alignment has no audio_path")
     audio = alignment.audio_path
     if not os.path.isabs(audio):
-        base = audio_dir or str(Path(f).parent)
+        base = args.audio_dir or str(Path(f).parent)
         audio = str(Path(base) / audio)
     samples, rate = read_wav(audio)
     try:
@@ -274,35 +285,29 @@ def _featurize_one(f: str, audio_dir: str | None, lex, dsp_cfg: DspConfig,
     raw = extract_features(pitch, intensity, spans)
     # the pool: every syllable, or under multisyllabic_only those of words
     # of 2 or more syllables; the others stay 0
-    pooled = np.repeat([pool == "sentence" or len(word.syllables) >= 2
-                        for word in words],
-                       [len(word.syllables) for word in words])
+    sizes = [len(word.syllables) for word in words]
+    pooled = np.repeat([args.normalization_pool == "sentence" or n >= 2
+                        for n in sizes], sizes)
     features = np.zeros(raw.shape)
     if pooled.any():
         features[pooled] = normalize_sentence(raw[pooled])
-    return label_utterance(alignment, lex, features, exclusion_scope=scope)
+    return label_utterance(alignment, lex, features,
+                           exclusion_scope=args.exclusion_scope)
 
 
 def _cmd_featurize(args, config) -> int:
-    lex = load_dictionary(_dict_path(args, config))
-    scope = args.exclusion_scope or config.get("exclusion_scope", "word")
-    pool = args.normalization_pool or config.get("normalization_pool", "sentence")
-    dsp_cfg, _ = _settings(DspConfig, "dsp", config.get("dsp", {}))
+    lex = load_dictionary(args.dict_path)
+    dsp_cfg = _settings(DspConfig, "dsp", config.get("dsp", {}))
     files = _alignment_files(args.alignments)
     records = []
     n_excluded = 0
     for f in files:
-        labeled, exclusions = _featurize_one(f, args.audio_dir, lex,
-                                             dsp_cfg, pool, scope)
+        labeled, exclusions = _featurize_one(f, args, lex, dsp_cfg)
         records.extend(labeled)
         n_excluded += len(exclusions)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_feature_table(records, args.out)
-    _write_manifest(Path(args.out).parent, "featurize", {
-        "alignments": args.alignments, "out": args.out,
-        "normalization_pool": pool, "exclusion_scope": scope,
-        "dsp": config.get("dsp", {}),
-    }, files)
+    _write_manifest(Path(args.out).parent, args, files + [args.dict_path],
+                    dsp=dsp_cfg)
     print(f"featurize: {len(records)} word instances "
           f"({n_excluded} exclusions) -> {args.out}")
     return 0
@@ -310,53 +315,58 @@ def _cmd_featurize(args, config) -> int:
 
 def _cmd_split(args, config) -> int:
     records = read_feature_table(args.features)
-    seed = _seed(args, config)
-    train_set, test_set = split_utterances(records, args.train_fraction, seed)
+    train_set, test_set = split_utterances(records, args.train_fraction,
+                                           args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_feature_table(train_set, str(out / "train.jsonl"))
     write_feature_table(test_set, str(out / "test.jsonl"))
-    _write_manifest(out, "split", {
-        "features": args.features, "train_fraction": args.train_fraction,
-        "seed": seed,
-    }, [args.features])
+    _write_manifest(out, args, [args.features])
     print(f"split: {len(train_set)} train / {len(test_set)} test instances -> {out}")
     return 0
 
 
 def _cmd_train(args, config) -> int:
+    for dest, models in _MODEL_FLAGS.items():
+        if getattr(args, dest) is not None and args.model not in models:
+            raise ConfigError(f"--{dest.replace('_', '-')} is not read by "
+                              f"--model {args.model}")
     instances = instances_from_table(read_feature_table(args.train))
     require_gold(instances)
-    feature_mode = args.feature_mode or config.get("feature_mode", ALL_FEATURES)
-    seed = _seed(args, config)
-
+    settings = {}
     if args.model in ("or", "rf"):
-        if feature_mode == ALL_FEATURES:
+        if args.feature_mode == ALL_FEATURES:
             raise ConfigError(
                 "baselines take numerical features only; "
                 "use syllable_numerical or syllable_nucleus_numerical")
-        X, y = baselines.flatten(instances, feature_dim(feature_mode))
+        X, y = baselines.flatten(instances, feature_dim(args.feature_mode))
         if args.model == "or":
-            model = baselines.train_ordinal(X, y, seed=seed)
-            checkpoint.save_ordinal(args.out, model, feature_mode)
+            model = baselines.train_ordinal(X, y, seed=args.seed)
+            checkpoint.save_ordinal(args.out, model, args.feature_mode)
         else:
-            model = baselines.train_forest(
-                X, y, n_trees=args.n_trees, max_depth=args.max_depth, seed=seed)
-            checkpoint.save_forest(args.out, model, feature_mode)
+            given = {k: getattr(args, k) for k in ("n_trees", "max_depth")
+                     if getattr(args, k) is not None}
+            model = baselines.train_forest(X, y, seed=args.seed, **given)
+            checkpoint.save_forest(args.out, model, args.feature_mode)
         print(f"train[{args.model}]: {len(y)} syllables -> {args.out}")
     else:
-        train_cfg, _ = _settings(
+        train_cfg = _settings(
             TrainConfig, "train", config.get("train", {}), epochs=args.epochs,
             batch_size=args.batch_size, learning_rate=args.learning_rate,
-            validation_fraction=args.val_fraction, seed=seed)
-        model_doc = (dataclasses.asdict(PRESETS[args.model](feature_mode))
-                     if args.model in PRESETS else config.get("model", {}))
-        model_cfg, _ = _settings(ModelConfig, "model", model_doc,
-                                 feature_mode=feature_mode, dropout=args.dropout)
+            validation_fraction=args.val_fraction, seed=args.seed)
+        model_doc = config.get("model", {})
+        preset = PRESETS.get(args.model, {})
+        fixed = sorted(preset.keys() & model_doc.keys())
+        if fixed:
+            raise ConfigError(f"model.{fixed[0]} is fixed by the {args.model} "
+                              "preset; use --model attn-custom to set it")
+        model_cfg = _settings(ModelConfig, "model", {**model_doc, **preset},
+                              feature_mode=args.feature_mode, dropout=args.dropout)
+        settings = {"train": train_cfg, "model": model_cfg}
 
         vf = train_cfg.validation_fraction
         if vf > 0:
-            tr, val = split_utterances(instances, 1.0 - vf, seed)
+            tr, val = split_utterances(instances, 1.0 - vf, args.seed)
             if not tr:
                 raise ConfigError(
                     f"validation_fraction {vf} leaves no training utterance")
@@ -367,17 +377,12 @@ def _cmd_train(args, config) -> int:
         params, weights, history = train_model(tr, val, model_cfg, train_cfg)
         checkpoint.save_model(args.out, params, model_cfg, weights)
         if args.history:
-            with open(args.history, "w", encoding="utf-8") as fh:
-                json.dump(history, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            _write_json(args.history, history)
         print(f"train[{args.model}]: {len(tr)} train / {len(val)} val instances, "
               f"{len(history)} epochs, best val acc "
               f"{max((h['val_acc'] for h in history), default=float('nan')):.4f} "
               f"-> {args.out}")
-    _write_manifest(Path(args.out).parent, "train", {
-        "model": args.model, "train": args.train, "seed": seed,
-        "feature_mode": feature_mode,
-    }, [args.train])
+    _write_manifest(Path(args.out).parent, args, [args.train], **settings)
     return 0
 
 
@@ -420,14 +425,11 @@ def _cmd_eval(args, config) -> int:
     table = weights.table if weights is not None else None
     report = evaluate(preds, instances, table)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     with open(str(out) + ".json", "w", encoding="utf-8") as fh:
         fh.write(render_report(report, "json"))
     with open(str(out) + ".txt", "w", encoding="utf-8") as fh:
         fh.write(render_report(report, "text"))
-    _write_manifest(out.parent, "eval", {
-        "model": args.model, "data": args.data,
-    }, [args.model, args.data])
+    _write_manifest(out.parent, args, [args.model, args.data])
     wa = ("" if report.weighted_accuracy is None
           else f", weighted {report.weighted_accuracy:.4f}")
     print(f"eval: accuracy {report.accuracy:.4f}{wa} "
@@ -441,19 +443,22 @@ def _cmd_pca(args, config) -> int:
         raise ConfigError("pca needs an attention checkpoint with type embeddings")
     params, _ = payload
     proj = pca_type_embeddings(params)
-    doc = {
-        "points": {tag: [float(
-            x) for x in vec] for tag, vec in sorted(proj.points.items())},
-        "explained_variance": [float(v) for v in proj.explained_variance],
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(args.out, {
+        "points": {tag: vec.tolist() for tag, vec in proj.points.items()},
+        "explained_variance": proj.explained_variance.tolist(),
+    })
     print(f"pca: {len(proj.points)} type-embedding points -> {args.out}")
     return 0
 
 
 # --- parser ----------------------------------------------------------------------
+
+def _add_key_flags(p: argparse.ArgumentParser, *keys: str) -> None:
+    """Give p the flags of these top-level keys, each stored under its key."""
+    for key in keys:
+        spec = _TOP_LEVEL[key]
+        p.add_argument(spec.flag, dest=key, type=spec.type, choices=spec.choices)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -472,59 +477,50 @@ def build_parser() -> argparse.ArgumentParser:
     lex_sub = p.add_subparsers(dest="lexicon_command", required=True)
     q = lex_sub.add_parser("lookup", help="print syllabification and stresses")
     q.add_argument("word")
-    q.add_argument("--dict", help="dictionary path (default: $STRESSNET_DICT "
-                                  "or the bundled sample)")
+    _add_key_flags(q, "dict_path")
     q.set_defaults(func=_cmd_lexicon)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--n", type=int, required=True, help="number of utterances")
-    p.add_argument("--seed", type=int)
     p.add_argument("--noise", type=float)
-    p.add_argument("--labeling", choices=["dictionary", "relative_duration"])
+    p.add_argument("--labeling", choices=LABELINGS)
     p.add_argument("--out", required=True)
-    p.add_argument("--dict")
+    _add_key_flags(p, "seed", "dict_path")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("label", help="attach gold labels to alignments")
     p.add_argument("--alignments", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dict")
-    p.add_argument("--exclusion-scope", dest="exclusion_scope",
-                   choices=["word", "utterance"])
+    _add_key_flags(p, "dict_path", "exclusion_scope")
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("featurize", help="alignments + audio -> feature table")
     p.add_argument("--alignments", required=True)
     p.add_argument("--audio-dir", dest="audio_dir")
     p.add_argument("--out", required=True)
-    p.add_argument("--dict")
-    p.add_argument("--exclusion-scope", dest="exclusion_scope",
-                   choices=["word", "utterance"])
-    p.add_argument("--normalization-pool", dest="normalization_pool",
-                   choices=["sentence", "multisyllabic_only"])
+    _add_key_flags(p, "dict_path", "exclusion_scope", "normalization_pool")
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("split", help="utterance-level train/test split")
     p.add_argument("--features", required=True)
     p.add_argument("--train-fraction", type=float, default=0.7)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
+    _add_key_flags(p, "seed")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="fit a model")
     p.add_argument("--model", required=True,
-                   choices=["or", "rf", "attn-medium", "attn-large", "attn-custom"])
+                   choices=["or", "rf", *_ATTENTION_MODELS])
     p.add_argument("--train", required=True, help="training feature table")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--feature-mode", dest="feature_mode", choices=FEATURE_MODES)
-    p.add_argument("--seed", type=int)
+    _add_key_flags(p, "feature_mode", "seed")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--val-fraction", dest="val_fraction", type=float)
     p.add_argument("--dropout", type=float)
-    p.add_argument("--n-trees", dest="n_trees", type=int, default=100)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=12)
+    p.add_argument("--n-trees", dest="n_trees", type=int)
+    p.add_argument("--max-depth", dest="max_depth", type=int)
     p.add_argument("--history", help="write per-epoch history JSON here")
     p.set_defaults(func=_cmd_train)
 
@@ -554,7 +550,8 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _load_config(getattr(args, "config", None))
+        config = _load_config(args.config)
+        _resolve(args, config)
         return args.func(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -67,6 +67,7 @@ TOO_LONG = "TOO_LONG"
 NOT_IN_LEXICON = "NOT_IN_LEXICON"
 COUNT_MISMATCH = "COUNT_MISMATCH"
 UTTERANCE_EXCLUDED = "UTTERANCE_EXCLUDED"
+EXCLUSION_SCOPES = ("word", "utterance")
 
 
 # --- alignment schema -------------------------------------------------------
@@ -314,7 +315,7 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
     matrix, its rows in alignment order; each record holds its word's rows.
     Without it, features are zero, which suits label-only workflows.
     """
-    if exclusion_scope not in ("word", "utterance"):
+    if exclusion_scope not in EXCLUSION_SCOPES:
         raise ConfigError(f"unknown exclusion_scope {exclusion_scope!r}")
     n_syllables = sum(len(word.syllables) for word in alignment.words)
     if features is None:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +238,7 @@ class TestPipeline:
         assert len(files) == 60
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "synth"
-        assert manifest["settings"]["seed"] == 7
+        assert manifest["arguments"]["seed"] == 7
 
     def test_split_partition(self, pipeline):
         _, out, _, _ = pipeline
@@ -780,6 +781,40 @@ class TestPathErrors:
                            "--out", str(tmp_path))
 
 
+class TestOutputsInMissingDirectories:
+    """An output path whose directory does not exist yet gets it made,
+    before the work is done."""
+
+    def test_train_out(self, tiny_corpus, tmp_path):
+        out = tmp_path / "new" / "dir" / "or.ckpt"
+        assert run("train", "--model", "or", "--feature-mode",
+                   "syllable_numerical", "--train",
+                   str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(out)) == 0
+        assert out.is_file() and (out.parent / "manifest.json").is_file()
+
+    def test_train_history(self, tiny_corpus, tmp_path):
+        history = tmp_path / "new" / "history.json"
+        assert run("train", "--model", "attn-medium", "--epochs", "1",
+                   "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(tmp_path / "m.ckpt"),
+                   "--history", str(history)) == 0
+        assert len(json.loads(history.read_text())) == 1
+
+    def test_predict_out(self, pipeline, tmp_path):
+        _, out, _, rf = pipeline
+        preds = tmp_path / "new" / "preds.jsonl"
+        assert run("predict", "--model", rf, "--input",
+                   str(out / "splits" / "test.jsonl"), "--out", str(preds)) == 0
+        assert preds.read_text()
+
+    def test_pca_out(self, pipeline, tmp_path):
+        _, _, attn, _ = pipeline
+        pca = tmp_path / "new" / "pca.json"
+        assert run("pca", "--model", attn, "--out", str(pca)) == 0
+        assert len(json.loads(pca.read_text())["points"]) == 16
+
+
 class TestMalformedFeatureTables:
     """Every malformed feature-table line is a FormatError, exit 4, with no
     traceback; read_feature_table names the file and line."""
@@ -1122,6 +1157,12 @@ class TestConfigSections:
         ("model.feature_mode",
          {"model": {"d_model": 4, "n_heads": 2, "n_layers": 1,
                     "feature_mode": "syllable_numerical"}}, "attn-custom"),
+        # a preset fixes the sizes
+        ("model.d_model", {"model": {"d_model": 64, "n_heads": 8,
+                                     "n_layers": 2}}, "attn-medium"),
+        ("model.n_heads", {"model": {"n_heads": 8, "dropout": 0.5}},
+         "attn-large"),
+        ("model.n_layers", {"model": {"n_layers": 2}}, "attn-medium"),
     ])
     def test_field_set_at_top_level_is_refused(self, tiny_corpus, capsys, key,
                                                doc, model):
@@ -1135,6 +1176,43 @@ class TestConfigSections:
         err = capsys.readouterr().err
         assert code == 3
         assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_model_section_applies_under_a_preset(self, tiny_corpus, tmp_path):
+        def train(*flags):
+            out = tmp_path / f"{len(list(tmp_path.iterdir()))}.ckpt"
+            assert run("train", "--model", "attn-medium", "--train",
+                       str(tiny_corpus / "corpus" / "features.jsonl"),
+                       "--out", str(out), "--epochs", "1", *flags) == 0
+            return out.read_bytes()
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"dropout": 0.3}}))
+        by_file = train("--config", str(cfg))
+        assert by_file == train("--dropout", "0.3")
+        assert by_file != train()
+        # the flag wins over the file
+        assert train("--config", str(cfg), "--dropout", "0.1") == train()
+
+    @pytest.mark.parametrize("model,flag,value", [
+        *[("rf", f, v) for f, v in [
+            ("--epochs", "9"), ("--batch-size", "8"), ("--learning-rate", "5"),
+            ("--val-fraction", "0.5"), ("--dropout", "0.3"),
+            ("--history", "{r}/h.json")]],
+        ("or", "--epochs", "9"), ("or", "--n-trees", "3"),
+        ("or", "--max-depth", "2"),
+        ("attn-medium", "--n-trees", "3"), ("attn-medium", "--max-depth", "2"),
+    ])
+    def test_flag_the_model_does_not_read(self, tiny_corpus, capsys, model,
+                                          flag, value):
+        out = tiny_corpus / "unread.ckpt"
+        code = run("train", "--model", model, "--feature-mode",
+                   "syllable_numerical", "--train",
+                   str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(out), flag, value.format(r=tiny_corpus))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{flag} is not read by --model {model}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("field", sorted(TRAIN_FIELD_VALUES))
@@ -1224,3 +1302,117 @@ class TestSettingsExitCodes:
         err = capsys.readouterr().err
         assert code == 4
         assert "DivergedAtEpoch" in err and "epoch 0" in err
+
+
+# per command, a run that writes its manifest into {d}; {r} is the tiny
+# corpus and {pool} the pool fixture's alignments
+MANIFEST_BASE = {
+    "synth": ["synth", "--n", "2", "--seed", "3", "--out", "{d}"],
+    "split": ["split", "--features", "{r}/corpus/features.jsonl", "--out", "{d}"],
+    "label": ["label", "--alignments", "{r}/corpus/alignments", "--out", "{d}"],
+    "featurize": ["featurize", "--alignments", "{pool}", "--out",
+                  "{d}/features.jsonl"],
+    "attn": ["train", "--model", "attn-medium", "--train",
+             "{r}/corpus/features.jsonl", "--out", "{d}/m.ckpt", "--epochs", "1"],
+    "rf": ["train", "--model", "rf", "--feature-mode", "syllable_numerical",
+           "--n-trees", "2", "--train", "{r}/corpus/features.jsonl",
+           "--out", "{d}/m.ckpt"],
+}
+# per command, changes of one setting each: flags added to its base run,
+# or a run-config document
+MANIFEST_VARIANTS = {
+    "synth": [["--noise", "0.5"], ["--seed", "4"],
+              {"gen": {"labeling": "relative_duration"}}],
+    "split": [["--train-fraction", "0.5"], ["--seed", "2"], {"seed": 2}],
+    "label": [["--exclusion-scope", "utterance"],
+              {"exclusion_scope": "utterance"}],
+    "featurize": [["--normalization-pool", "multisyllabic_only"],
+                  ["--exclusion-scope", "utterance"],
+                  {"dsp": {"voicing_threshold": 0.5}}],
+    "attn": [["--epochs", "2"], ["--batch-size", "8"],
+             ["--learning-rate", "0.01"], ["--val-fraction", "0.3"],
+             ["--dropout", "0"], ["--seed", "1"],
+             ["--feature-mode", "syllable_numerical"],
+             ["--history", "{d}/history.json"],
+             {"train": {"use_class_weights": False}},
+             {"model": {"ffn_hidden": 8}}, {"feature_mode": "syllable_numerical"}],
+    "rf": [["--n-trees", "3"], ["--max-depth", "2"], ["--seed", "1"]],
+}
+
+# per top-level key: the command of the property test that reads it, its
+# flag, the values it may take and its default (dict_path's is resolved at
+# run time); "copy" stands for a copy of the bundled dictionary
+TOP_LEVEL_KEYS = {
+    "seed": ("train", "--seed", st.integers(0, 2**31), 0),
+    "feature_mode": ("train", "--feature-mode", st.sampled_from(FEATURE_MODES),
+                     "all_features"),
+    "dict_path": ("featurize", "--dict",
+                  st.sampled_from([bundled_dictionary_path(), "copy"]), None),
+    "exclusion_scope": ("featurize", "--exclusion-scope",
+                        st.sampled_from(["word", "utterance"]), "word"),
+    "normalization_pool": ("featurize", "--normalization-pool",
+                           st.sampled_from(["sentence", "multisyllabic_only"]),
+                           "sentence"),
+}
+
+
+class TestManifests:
+    """A manifest records every setting a run used, so it tells runs with
+    different settings apart and reruns of one run give the same bytes."""
+
+    @pytest.mark.parametrize("command,variant", [
+        pytest.param(command, variant, id=f"{command}-{i}")
+        for command, variants in MANIFEST_VARIANTS.items()
+        for i, variant in enumerate(variants)])
+    def test_each_setting_changes_the_manifest(self, tiny_corpus, pool_runs,
+                                               tmp_path, command, variant):
+        out = tmp_path / "out"
+
+        def manifest(extra=(), doc=None):
+            argv = [a.format(r=tiny_corpus, pool=pool_runs[0], d=out)
+                    for a in (*MANIFEST_BASE[command], *extra)]
+            if doc is not None:
+                (tmp_path / "cfg.json").write_text(json.dumps(doc))
+                argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+            assert run(*argv) == 0
+            return (out / "manifest.json").read_bytes()
+
+        base = manifest()
+        varied = (manifest(doc=variant) if isinstance(variant, dict)
+                  else manifest(variant))
+        assert varied != base
+        assert manifest() == base
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_flag_then_file_then_default(self, tiny_corpus, data):
+        copy = tiny_corpus / "dict_copy.txt"
+        copy.write_bytes(Path(bundled_dictionary_path()).read_bytes())
+        argv = {
+            "train": ["train", "--model", "attn-medium", "--epochs", "0",
+                      "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                      "--out", str(tiny_corpus / "prop-train" / "m.ckpt")],
+            "featurize": ["featurize", "--alignments", str(tiny_corpus / "empty"),
+                          "--out", str(tiny_corpus / "prop-featurize" / "f.jsonl")],
+        }
+        doc, want = {}, {}
+        for key, (command, flag, values, default) in TOP_LEVEL_KEYS.items():
+            values = values.map(lambda v: str(copy) if v == "copy" else v)
+            given_flag = data.draw(st.none() | values, label=f"{key} flag")
+            in_file = data.draw(st.none() | values, label=f"{key} in file")
+            if given_flag is not None:
+                argv[command] += [flag, str(given_flag)]
+            if in_file is not None:
+                doc[key] = in_file
+            if default is None:
+                default = os.environ.get("STRESSNET_DICT", bundled_dictionary_path())
+            want[key] = next(v for v in (given_flag, in_file, default)
+                             if v is not None)
+        cfg = tiny_corpus / "prop.json"
+        cfg.write_text(json.dumps(doc))
+        got = {}
+        for command, command_argv in argv.items():
+            assert run("--config", str(cfg), *command_argv) == 0
+            manifest = tiny_corpus / f"prop-{command}" / "manifest.json"
+            got.update(json.loads(manifest.read_text())["arguments"])
+        assert {key: got[key] for key in want} == want
