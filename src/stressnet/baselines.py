@@ -187,7 +187,8 @@ class ForestModel:
         votes = np.zeros((n, 3))
         for tree in self.trees:
             node = np.zeros(n, dtype=np.int64)
-            for _ in range(self.max_depth + 1):
+            # ends at a leaf: every tree's child ids exceed their parent's
+            while True:
                 f = tree.feature[node]
                 inner = f >= 0
                 if not inner.any():

@@ -226,9 +226,11 @@ def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
                        left=left[lo:hi], right=right[lo:hi],
                        counts=counts[lo:hi])
              for lo, hi in zip(offsets[:-1], offsets[1:])]
-    model = ForestModel(trees, int(meta["n_trees"]), int(meta["max_depth"]),
-                        int(meta["features_per_split"]))
-    return model, meta["feature_mode"]
+    fit = [meta[key] for key in ("n_trees", "max_depth", "features_per_split")]
+    if not all(type(v) is int and v >= 0 for v in fit):
+        raise ValueError(f"n_trees, max_depth and features_per_split must be "
+                         f"non-negative integers, got {fit}")
+    return ForestModel(trees, *fit), meta["feature_mode"]
 
 
 _BUILDERS = {

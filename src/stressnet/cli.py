@@ -372,14 +372,14 @@ def _cmd_train(args, config) -> int:
                     f"validation_fraction {vf} leaves no training utterance")
         else:
             tr, val = instances, []
-        if not val:
-            val = tr
-        params, weights, history = train_model(tr, val, model_cfg, train_cfg)
+        params, weights, history = train_model(tr, val or tr, model_cfg, train_cfg)
         checkpoint.save_model(args.out, params, model_cfg, weights)
         if args.history:
             _write_json(args.history, history)
-        print(f"train[{args.model}]: {len(tr)} train / {len(val)} val instances, "
-              f"{len(history)} epochs, best val acc "
+        split = (f"{len(tr)} train / {len(val)} val instances" if val else
+                 f"{len(tr)} train instances (no validation utterance drawn: "
+                 "val acc is on the training words)")
+        print(f"train[{args.model}]: {split}, {len(history)} epochs, best val acc "
               f"{max((h['val_acc'] for h in history), default=float('nan')):.4f} "
               f"-> {args.out}")
     _write_manifest(Path(args.out).parent, args, [args.train], **settings)

@@ -12,7 +12,22 @@ handful of array operations: one batched FFT pair for pitch, one mean for
 intensity. The autocorrelation FFT length is the next power of two at
 or above win + lag_max + 1, the shortest at which no lag that is read
 (0 .. lag_max + 1) picks up circular wrap-around; at 16 kHz with the
-default 40 ms window that is 1024 points.
+default 40 ms window that is 1024 points. The trackers take one channel:
+a 1-D signal.
+
+read_wav walks the RIFF chunks of a file read once, checking each chunk's
+size against the file before it is used, and decodes the data chunk with
+one np.frombuffer. It reads PCM in 2-, 3- or 4-byte containers (3-byte
+samples left-justified into int32, as SciPy returns them) and IEEE float
+of 32 or 64 bits, with any number of channels, averaged to one. It
+refuses, as a FormatError naming the path: RIFX and RF64 files; any
+other format tag or container width; PCM of 8 bits or fewer, or of more
+bits than its container; float of other bits than its container; a
+chunk that runs past the end of the file (a data chunk cut short
+included) or a chunk header cut short; a second fmt or data chunk; a
+data chunk before the fmt chunk or not a whole number of frames; a byte
+rate other than sample rate times frame size; and a frame size that is
+not a whole number of bytes per channel.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from .errors import (
     ConfigError,
     EmptySignal,
     FormatError,
+    ShapeError,
     UnsupportedRate,
 )
 
@@ -44,6 +60,19 @@ _BLOCK_FRAMES = 64
 # Longest window or hop, in samples, taken as given. A longer one frames
 # any signal alike (no frame, or only the first); the cap keeps it finite.
 _MAX_SPAN = 2 ** 62
+# fmt chunk format tags, and the last 12 bytes that every
+# WAVE_FORMAT_EXTENSIBLE sub-format GUID {XXXXXXXX-0000-0010-8000-00AA00389B71}
+# shares, as laid out in the file
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bytes per sample) -> (sample dtype, integer full scale)
+_SAMPLE_TYPES = {
+    (_PCM, 2): ("<i2", 2.0 ** 15),
+    (_PCM, 3): ("<i4", 2.0 ** 31),
+    (_PCM, 4): ("<i4", 2.0 ** 31),
+    (_IEEE_FLOAT, 4): ("<f4", None),
+    (_IEEE_FLOAT, 8): ("<f8", None),
+}
 
 
 @dataclass(frozen=True)
@@ -95,9 +124,8 @@ class IntensityTrack(Track):
 
 def _validate_signal(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 2:
-        # stereo: downmix by channel average
-        samples = samples.mean(axis=1)
+    if samples.ndim != 1:
+        raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
     if samples.size == 0:
         raise EmptySignal("empty sample buffer")
     if sample_rate < MIN_SAMPLE_RATE:
@@ -213,29 +241,83 @@ def compute_intensity(samples, sample_rate: float,
 
 
 def read_wav(path: str) -> tuple[np.ndarray, float]:
-    """Load a 16-, 24- or 32-bit integer or a 32- or 64-bit float PCM WAV
-    as float64 in [-1, 1], its channels averaged to one. A file that SciPy
-    cannot parse as a WAV, or one in another sample format (8-bit PCM, say),
-    is a FormatError naming the path."""
-    from scipy.io import wavfile
+    """(samples, rate) of a RIFF/WAVE file: float64 samples, integers
+    scaled to [-1, 1), with the channels averaged to one.
 
-    try:
-        rate, data = wavfile.read(path)
-    # what wavfile.read raises on a malformed file: ValueError for a bad
-    # header or chunk, and the others from fields it reads unchecked
-    except (ValueError, UnboundLocalError, ZeroDivisionError,
-            struct.error) as exc:
-        raise FormatError(f"{path}: not a readable WAV file "
-                          f"({type(exc).__name__}: {exc})") from None
-    data = np.asarray(data)
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
+    Reads PCM in 2-, 3- or 4-byte containers (3-byte samples are
+    left-justified into int32 first) and IEEE float of 32 or 64 bits,
+    tagged plainly or as WAVE_FORMAT_EXTENSIBLE. Any other file is a
+    FormatError naming the path: see the module docstring.
+    """
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a RIFF/WAVE file")
+    # bytes past the RIFF size are not chunks (an appended tag, say)
+    end = min(len(buf), 8 + int.from_bytes(buf[4:8], "little"))
+    chunks = {}  # chunk id -> (offset, size), for "fmt " and "data"
+    pos = 12
+    while pos < end:
+        if pos + 8 > len(buf):
+            raise FormatError(f"{path}: chunk header cut short at byte {pos}")
+        cid = buf[pos:pos + 4]
+        size = int.from_bytes(buf[pos + 4:pos + 8], "little")
+        if pos + 8 + size > len(buf):
+            raise FormatError(
+                f"{path}: {cid!r} chunk of {size} bytes at byte {pos} runs "
+                f"past the end of the file ({len(buf)} bytes)")
+        if cid in (b"fmt ", b"data"):
+            if cid in chunks:
+                raise FormatError(f"{path}: more than one {cid!r} chunk")
+            chunks[cid] = pos + 8, size
+        pos += 8 + size + size % 2  # an odd-sized chunk has a pad byte
+    fmt, data = chunks.get(b"fmt "), chunks.get(b"data")
+    if fmt is None or data is None or data[0] < fmt[0]:
+        raise FormatError(f"{path}: no fmt chunk followed by a data chunk")
+
+    at, size = fmt
+    if size < 16:
+        raise FormatError(f"{path}: fmt chunk of {size} bytes, under 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from(
+        "<HHIIHH", buf, at)
+    if tag == _EXTENSIBLE:
+        # cbSize, then valid bits, channel mask and the sub-format GUID,
+        # whose first 4 bytes are the format tag
+        if size < 40 or struct.unpack_from("<H", buf, at + 16)[0] < 22:
+            raise FormatError(
+                f"{path}: WAVE_FORMAT_EXTENSIBLE without its 22-byte extension")
+        guid = buf[at + 24:at + 40]
+        if guid[4:] != _GUID_TAIL:
+            raise FormatError(f"{path}: unknown sub-format GUID {guid.hex()}")
+        tag = int.from_bytes(guid[:4], "little")
+    if channels < 1 or block_align % channels:
+        raise FormatError(
+            f"{path}: {channels} channels in {block_align}-byte frames")
+    width = block_align // channels
+    sample_type = _SAMPLE_TYPES.get((tag, width))
+    if sample_type is None or not (
+            8 < bits <= 8 * width if tag == _PCM else bits == 8 * width):
+        raise FormatError(f"{path}: unsupported sample format: tag {tag:#06x}, "
+                          f"{bits} bits in {width} bytes")
+    if byte_rate != rate * block_align:
+        raise FormatError(f"{path}: byte rate {byte_rate} is not sample rate "
+                          f"{rate} times frame size {block_align}")
+
+    at, size = data
+    if size % block_align:
+        raise FormatError(f"{path}: data chunk of {size} bytes is not a whole "
+                          f"number of {block_align}-byte frames")
+    dtype, scale = sample_type
+    if width == 3:
+        # each 24-bit sample on top of a zero low byte: a left-justified int32
+        wide = np.zeros((size // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(buf, np.uint8, size, at).reshape(-1, 3)
+        ints = wide.view(dtype)[:, 0]
     else:
-        raise FormatError(f"{path}: unsupported WAV sample format {data.dtype}")
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+        ints = np.frombuffer(buf, dtype, size // width, at)
+    samples = ints.astype(np.float64)
+    if scale is not None:
+        samples /= scale
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
     return samples, float(rate)

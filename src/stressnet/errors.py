@@ -55,7 +55,8 @@ class SplitTooSmall(StressnetError):
 # --- model -----------------------------------------------------------------
 
 class ShapeError(StressnetError):
-    """Array shape inconsistent with the model configuration."""
+    """Array shape inconsistent with the model configuration, or a signal
+    that is not 1-D."""
 
 
 class LabelError(StressnetError):

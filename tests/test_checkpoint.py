@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -188,6 +189,13 @@ class TestBaselineCheckpoints:
         assert kind == "forest"
         assert back.n_trees == model.n_trees
         assert np.array_equal(back.vote_shares(X), model.vote_shares(X))
+
+    def test_forest_scores_from_leaves_whatever_its_max_depth(self):
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(0, 1, (120, 12)), rng.integers(0, 3, 120)
+        model = train_forest(X, y, n_trees=3, max_depth=6, seed=3)
+        shallow = dataclasses.replace(model, max_depth=0)
+        assert np.array_equal(shallow.vote_shares(X), model.vote_shares(X))
 
 
 # --- container fuzzing --------------------------------------------------------

@@ -5,12 +5,15 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stressnet
 from conftest import json_values
 from stressnet import bundled_dictionary_path
 from stressnet.cli import run_subcommand
@@ -209,6 +212,25 @@ class TestMalformedCheckpoints:
         assert code == 4
         assert "CheckpointError" in err and "Traceback" not in err
 
+    # Infinity made int() raise OverflowError; -5 made every row score
+    # from its root node's votes
+    @pytest.mark.parametrize("value", [float("inf"), -5, 2.0, True, "3", None],
+                             ids=["inf", "negative", "float", "bool", "str",
+                                  "null"])
+    @pytest.mark.parametrize("key", ["n_trees", "max_depth",
+                                     "features_per_split"])
+    def test_forest_meta_count(self, pipeline, tmp_path, capsys, key, value):
+        _, out, _, rf = pipeline
+        bad = tmp_path / "rf.ckpt"
+        bad.write_bytes(Path(rf).read_bytes())
+        edit_checkpoint_header(bad, lambda h: h["meta"].update({key: value}))
+        code = run("eval", "--model", str(bad), "--data",
+                   str(out / "splits" / "test.jsonl"),
+                   "--out", str(tmp_path / "report"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "CheckpointError" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -378,8 +400,24 @@ class TestFeaturize:
         assert rec.word == "maybe"
         assert (out.parent / "manifest.json").is_file()
 
+    def test_featurize_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter: this one has SciPy loaded to write the WAV
+        apath = self.make_audio_and_alignment(tmp_path)
+        script = ("import sys\n"
+                  "from stressnet.cli import run_subcommand\n"
+                  "code = run_subcommand(sys.argv[1:])\n"
+                  "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        src = str(Path(stressnet.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "featurize", "--alignments",
+             str(apath), "--out", str(tmp_path / "features.jsonl")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.stdout.splitlines()[-1] == "0 []", done.stderr
+        assert len(read_feature_table(str(tmp_path / "features.jsonl"))) == 1
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
-    @pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's WavFileWarning
     def test_malformed_wav_is_format_error(self, tmp_path, capsys, name):
         apath = self.make_audio_and_alignment(tmp_path)
         (tmp_path / "utt.wav").write_bytes(MALFORMED_WAVS[name])
@@ -1263,6 +1301,23 @@ class TestSettingsExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "validation_fraction" in err and "no training utterance" in err
+
+    # the default fraction, 0.1, draws none of four utterances
+    @pytest.mark.parametrize("flags,said", [
+        ([], "train instances (no validation utterance drawn: val acc is "
+             "on the training words)"),
+        (["--val-fraction", "0"], "no validation utterance drawn"),
+        (["--val-fraction", "0.5"], " val instances,"),
+    ], ids=["default", "zero", "half"])
+    def test_summary_says_whether_validation_was_drawn(
+            self, tiny_corpus, capsys, flags, said):
+        code = run("train", "--model", "attn-medium", "--epochs", "1", *flags,
+                   "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(tiny_corpus / "m.ckpt"))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert said in out
+        assert ("no validation" in out) == (flags != ["--val-fraction", "0.5"])
 
     def test_empty_table_is_a_data_error(self, tiny_corpus, capsys):
         empty = tiny_corpus / "empty.jsonl"

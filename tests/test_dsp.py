@@ -1,4 +1,6 @@
 import io
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from stressnet.errors import (
     EmptySignal,
     FormatError,
     InvalidSpan,
-    StressnetError,
+    ShapeError,
     UnsupportedRate,
 )
 from stressnet.features import extract_features
@@ -129,6 +131,13 @@ class TestEstimatePitch:
     def test_empty_signal(self):
         with pytest.raises(EmptySignal):
             estimate_pitch(np.array([]), SR)
+
+    # channels are averaged by read_wav; the trackers take one
+    @pytest.mark.parametrize("shape", [(), (8000, 2), (1, 8000), (2, 400, 2)])
+    def test_signal_must_be_1d(self, shape):
+        for track in (estimate_pitch, compute_intensity):
+            with pytest.raises(ShapeError, match="1-D"):
+                track(np.zeros(shape), SR)
 
     def test_nan_sample_leaves_only_its_frames_unvoiced(self):
         x = sine(200.0)
@@ -384,10 +393,128 @@ def wav_bytes(samples, sr=SR):
     return buf.getvalue()
 
 
-# an empty file, a RIFF/WAVE header followed by no valid chunk, and a
-# valid WAV of 8-bit samples, a format the reader refuses
-MALFORMED_WAVS = {"empty": b"", "riff_junk": b"RIFF\x10\x00\x00\x00WAVEjunkjunk",
-                  "pcm8": wav_bytes(np.array([0, 128, 255], dtype=np.uint8))}
+def scipy_read_wav(path):
+    """read_wav as it was on scipy.io.wavfile, kept as the oracle: float64
+    samples (integers scaled by full scale), channels averaged."""
+    from scipy.io import wavfile
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)
+        rate, data = wavfile.read(path)
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        samples = data.astype(np.float64) / 2147483648.0
+    elif data.dtype in (np.float32, np.float64):
+        samples = data.astype(np.float64)
+    else:
+        raise FormatError(f"{path}: unsupported WAV sample format {data.dtype}")
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return samples, float(rate)
+
+
+PCM, IEEE_FLOAT, ADPCM, EXTENSIBLE = 0x0001, 0x0003, 0x0002, 0xFFFE
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def chunk(cid, payload, size=None):
+    """One RIFF chunk: id, declared size (the payload's unless given),
+    payload and the pad byte of an odd-sized payload."""
+    size = len(payload) if size is None else size
+    return cid + struct.pack("<I", size) + payload + b"\0" * (len(payload) % 2)
+
+
+def fmt_chunk(tag, channels, width, bits=None, rate=SR, byte_rate=None,
+              extensible=False):
+    """A fmt chunk for `width`-byte samples: 16 bytes, or 40 with the
+    WAVE_FORMAT_EXTENSIBLE extension carrying `tag` in its GUID."""
+    bits = 8 * width if bits is None else bits
+    block = channels * width
+    byte_rate = rate * block if byte_rate is None else byte_rate
+    head = struct.pack("<HHIIHH", EXTENSIBLE if extensible else tag, channels,
+                       rate, byte_rate, block, bits)
+    if extensible:
+        head += struct.pack("<HHII", 22, bits, 0, tag) + GUID_TAIL
+    return chunk(b"fmt ", head)
+
+
+def riff(*chunks, form=b"RIFF", size=None):
+    body = b"WAVE" + b"".join(chunks)
+    return form + struct.pack("<I", len(body) if size is None else size) + body
+
+
+def sample_bytes(tag, width, n):
+    """n random samples: any bit pattern for integers, normal floats."""
+    rng = np.random.default_rng(0)
+    if tag == IEEE_FLOAT:
+        return rng.standard_normal(n).astype(f"<f{width}").tobytes()
+    return rng.bytes(n * width)
+
+
+# formats read: (format tag, bytes per sample)
+READ_FORMATS = {"int16": (PCM, 2), "int24": (PCM, 3), "int32": (PCM, 4),
+                "float32": (IEEE_FLOAT, 4), "float64": (IEEE_FLOAT, 8)}
+_PCM16 = fmt_chunk(PCM, 1, 2)
+# Files read_wav refuses, each as a FormatError naming the path. The
+# reader built on SciPy refused these too: SciPy failed on them, or gave a
+# sample type that it did not take (pcm8, pcm_width_5, float16). SciPy
+# reads every file in SCIPY_READS.
+MALFORMED_WAVS = {
+    "empty": b"",
+    "riff_junk": b"RIFF\x10\x00\x00\x00WAVEjunkjunk",
+    "pcm8": wav_bytes(np.array([0, 128, 255], dtype=np.uint8)),
+    "not_riff": b"RIFF\x04\x00\x00\x00WAV_",
+    "no_data": riff(_PCM16),
+    "no_fmt": riff(chunk(b"data", bytes(4))),
+    "data_before_fmt": riff(chunk(b"data", bytes(4)), _PCM16),
+    "fmt_short": riff(chunk(b"fmt ", bytes(14)), chunk(b"data", bytes(4))),
+    "adpcm": riff(fmt_chunk(ADPCM, 1, 2), chunk(b"data", bytes(4))),
+    "no_channels": riff(fmt_chunk(PCM, 0, 2), chunk(b"data", bytes(4))),
+    "pcm_width_5": riff(fmt_chunk(PCM, 1, 5, bits=40), chunk(b"data", bytes(10))),
+    "pcm_width_9": riff(fmt_chunk(PCM, 1, 9, bits=64), chunk(b"data", bytes(9))),
+    "float16": riff(fmt_chunk(IEEE_FLOAT, 1, 2), chunk(b"data", bytes(4))),
+    "extensible_unknown_guid": riff(
+        fmt_chunk(PCM, 1, 2, extensible=True)[:-4] + b"\xff" * 4,
+        chunk(b"data", bytes(4))),
+    "extensible_without_extension": riff(
+        chunk(b"fmt ", struct.pack("<HHIIHHH", EXTENSIBLE, 1, SR, 2 * SR, 2,
+                                   16, 0)), chunk(b"data", bytes(4))),
+    "extensible_fmt_under_40": riff(
+        chunk(b"fmt ", fmt_chunk(PCM, 1, 2, extensible=True)[8:34]),
+        chunk(b"data", bytes(4))),
+    "chunk_size_past_eof": riff(_PCM16, chunk(b"data", bytes(4), size=2 ** 32 - 1)),
+}
+SCIPY_READS = {
+    # big-endian samples, which the reader built on SciPy refused as well
+    "rifx": b"RIFX" + struct.pack(">I", 40) + b"WAVEfmt " + struct.pack(
+        ">IHHIIHH", 16, PCM, 1, SR, 2 * SR, 2, 16) + b"data" + struct.pack(
+        ">I", 4) + bytes(4),
+    # sizes in the ds64 chunk: RIFF 76, data 4, 2 samples, no table
+    "rf64": b"RF64\xff\xff\xff\xffWAVE" + chunk(
+        b"ds64", struct.pack("<QQQI", 76, 4, 2, 0)) + _PCM16 + chunk(
+        b"data", bytes(4), size=2 ** 32 - 1),
+    "data_cut_short": riff(_PCM16, chunk(b"data", bytes(8)))[:-4],
+    "trailing_chunk_cut_short": riff(_PCM16, chunk(b"data", bytes(4)),
+                                     chunk(b"LIST", bytes(8)))[:-4],
+    "chunk_header_cut_short": riff(_PCM16, chunk(b"data", bytes(4)), b"LI"),
+    "second_data": riff(_PCM16, chunk(b"data", bytes(4)), chunk(b"data", bytes(2))),
+    "second_fmt": riff(_PCM16, _PCM16, chunk(b"data", bytes(4))),
+    "partial_frame": riff(_PCM16, chunk(b"data", bytes(5))),
+    "frame_not_whole_bytes_per_channel": riff(
+        chunk(b"fmt ", struct.pack("<HHIIHH", PCM, 2, SR, 5 * SR, 5, 16)),
+        chunk(b"data", bytes(20))),
+    "pcm_bits_past_container": riff(fmt_chunk(PCM, 1, 2, bits=24),
+                                    chunk(b"data", bytes(4))),
+    "pcm_bits_zero": riff(fmt_chunk(PCM, 1, 2, bits=0), chunk(b"data", bytes(4))),
+    "float_bits_not_width": riff(fmt_chunk(IEEE_FLOAT, 1, 8, bits=32),
+                                 chunk(b"data", bytes(8))),
+    "float_byte_rate": riff(fmt_chunk(IEEE_FLOAT, 1, 4, byte_rate=1),
+                            chunk(b"data", bytes(8))),
+}
+MALFORMED_WAVS.update(SCIPY_READS)
+WAV_DAMAGES = ["form", "riff_size", "tag", "width", "channels", "bits",
+               "byte_rate", "partial_frame", "chunk_id", "chunk_size", "edit",
+               "cut"]
 
 
 class TestReadWav:
@@ -398,28 +525,125 @@ class TestReadWav:
         assert rate == SR
         assert samples.tolist() == [0.0, 0.5, -1.0]
 
+    def test_24_bit_is_left_justified(self, tmp_path):
+        path = tmp_path / "a.wav"
+        # little-endian 24-bit 0x400000 (half scale) and 0x800000 (-1)
+        path.write_bytes(riff(fmt_chunk(PCM, 1, 3),
+                              chunk(b"data", b"\0\0\x40\0\0\x80\x01\0\0")))
+        samples, _ = read_wav(str(path))
+        assert samples.tolist() == [0.5, -1.0, 2.0 ** -23]
+
+    @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "ext"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 160])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", sorted(READ_FORMATS))
+    def test_same_bytes_as_scipy(self, tmp_path, fmt, channels, n, extensible):
+        tag, width = READ_FORMATS[fmt]
+        # an odd-sized chunk with its pad byte and a fact chunk, both skipped
+        data = riff(chunk(b"LIST", b"INFOx"),
+                    fmt_chunk(tag, channels, width, rate=22050,
+                              extensible=extensible),
+                    chunk(b"fact", struct.pack("<I", n)),
+                    chunk(b"data", sample_bytes(tag, width, n * channels)))
+        path = tmp_path / "a.wav"
+        path.write_bytes(data)
+        samples, rate = read_wav(str(path))
+        want, want_rate = scipy_read_wav(str(path))
+        assert samples.dtype == np.float64 and samples.shape == (n,)
+        assert samples.tobytes() == want.tobytes()
+        assert rate == want_rate == 22050.0
+
+    @pytest.mark.parametrize("dtype", ["<i2", "<i4", "<f4", "<f8"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_same_bytes_as_scipy_on_files_it_wrote(self, tmp_path, dtype,
+                                                   channels):
+        rng = np.random.default_rng(1)
+        data = (rng.standard_normal((8, channels)) if dtype[1] == "f"
+                else rng.integers(-2 ** 15, 2 ** 15, (8, channels))).astype(dtype)
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes(data[:, 0] if channels == 1 else data))
+        samples, rate = read_wav(str(path))
+        want, want_rate = scipy_read_wav(str(path))
+        assert samples.tobytes() == want.tobytes() and rate == want_rate
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
-    @pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's WavFileWarning
     def test_malformed_is_format_error_naming_path(self, tmp_path, name):
         path = tmp_path / f"{name}.wav"
         path.write_bytes(MALFORMED_WAVS[name])
         with pytest.raises(FormatError, match=str(path)):
             read_wav(str(path))
 
-    # a valid header with bytes overwritten or cut short: either samples
-    # come back or a StressnetError does, never another exception
-    @given(edits=st.lists(st.tuples(st.integers(0, 47), st.integers(0, 255)),
-                          max_size=4),
-           length=st.integers(0, 60))
-    @settings(max_examples=200, deadline=None)
-    @pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's WavFileWarning
-    def test_damaged_header(self, tmp_path_factory, edits, length):
-        data = bytearray(wav_bytes(np.arange(8, dtype=np.int16)))
-        for at, value in edits:
-            data[at] = value
-        path = tmp_path_factory.mktemp("wav") / "d.wav"
-        path.write_bytes(bytes(data[:length]))
-        try:
+    # each narrowing against SciPy: it reads the file, read_wav does not
+    @pytest.mark.parametrize("name", sorted(SCIPY_READS))
+    def test_narrowing_against_scipy(self, tmp_path, name):
+        from scipy.io import wavfile
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(SCIPY_READS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)
+            wavfile.read(str(path))
+        with pytest.raises(FormatError, match=str(path)):
             read_wav(str(path))
-        except StressnetError:
-            pass
+
+    # A valid file with up to three damages drawn: header fields, chunk
+    # ids and sizes, a partial frame, byte edits and a cut; around its fmt
+    # and data chunks, skipped chunks of odd and even size. A quarter of
+    # the files start from an 8-sample int16 WAV as SciPy writes it.
+    # read_wav raises nothing but FormatError, and what it reads, SciPy
+    # reads to the same bytes.
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_file(self, tmp_path_factory, data):
+        draw = data.draw
+        damage = draw(st.sets(st.sampled_from(WAV_DAMAGES), max_size=3))
+        u32 = st.integers(0, 64) | st.integers(0, 2 ** 32 - 1)
+        if draw(st.integers(0, 3)) == 0:
+            raw = bytearray(wav_bytes(np.arange(8, dtype=np.int16)))
+        else:
+            tag = draw(st.sampled_from([PCM, IEEE_FLOAT]))
+            if "tag" in damage:
+                tag = draw(st.sampled_from([ADPCM, EXTENSIBLE, 0]))
+            width = draw(st.sampled_from([2, 3, 4] if tag == PCM else [4, 8]))
+            if "width" in damage:
+                width = draw(st.integers(1, 9))
+            channels = 0 if "channels" in damage else draw(st.integers(1, 3))
+            fmt = fmt_chunk(
+                tag, channels, width, rate=draw(st.sampled_from([SR, 8000])),
+                bits=draw(st.integers(0, 72)) if "bits" in damage else None,
+                byte_rate=draw(u32) if "byte_rate" in damage else None,
+                extensible=draw(st.booleans()))
+            n = channels * width * draw(st.integers(0, 4))
+            if "partial_frame" in damage:
+                n += draw(st.integers(1, max(1, channels * width - 1)))
+            chunks = [fmt, chunk(b"data", draw(st.binary(min_size=n,
+                                                         max_size=n)))]
+            ids = [b"LIST", b"JUNK", b"fact"]
+            if "chunk_id" in damage:
+                ids += [b"fmt ", b"data", draw(st.binary(min_size=4, max_size=4))]
+            for _ in range(draw(st.integers(0, 2))):
+                chunks.insert(draw(st.integers(0, len(chunks))),
+                              chunk(draw(st.sampled_from(ids)),
+                                    draw(st.binary(max_size=5))))
+            if "chunk_size" in damage:
+                at = draw(st.integers(0, len(chunks) - 1))
+                chunks[at] = (chunks[at][:4] + struct.pack("<I", draw(u32))
+                              + chunks[at][8:])
+            raw = bytearray(riff(
+                *chunks,
+                form=draw(st.sampled_from([b"RIFX", b"RF64", b"RIFF", b"WAVE"]))
+                if "form" in damage else b"RIFF",
+                size=draw(u32) if "riff_size" in damage else None))
+        if "edit" in damage:
+            for _ in range(draw(st.integers(1, 4))):
+                raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+        if "cut" in damage:
+            raw = raw[:draw(st.integers(0, len(raw) - 1))]
+        path = tmp_path_factory.mktemp("wav") / "d.wav"
+        path.write_bytes(bytes(raw))
+        try:
+            samples, rate = read_wav(str(path))
+        except FormatError:
+            return
+        want, want_rate = scipy_read_wav(str(path))
+        assert samples.ndim == 1 and samples.dtype == np.float64
+        assert samples.tobytes() == want.tobytes() and rate == want_rate
