@@ -176,9 +176,12 @@ class TreeNodes:
 @dataclass
 class ForestModel:
     trees: list[TreeNodes]
-    n_trees: int
     max_depth: int
     features_per_split: int
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
 
     def vote_shares(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -332,7 +335,7 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
         rng = np.random.default_rng(s)
         boot = rng.integers(0, n, n)
         trees.append(_grow_tree(X[boot], y[boot], max_depth, m, rng))
-    return ForestModel(trees, n_trees, max_depth, m)
+    return ForestModel(trees, max_depth, m)
 
 
 # --- shared scoring -----------------------------------------------------------

@@ -34,7 +34,6 @@ import os
 import numpy as np
 
 from .baselines import ForestModel, OrdinalModel, TreeNodes
-from .corpus import ClassWeights
 from .errors import CheckpointError, ConfigError
 from .features import FEATURE_SLOTS
 from .lexicon import NUCLEUS_TAGS
@@ -139,18 +138,18 @@ def load_container(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
 # --- attention model ----------------------------------------------------------
 
 def save_model(path: str, params: Params, config: ModelConfig,
-               class_weights: ClassWeights | None = None) -> None:
+               class_weights: np.ndarray | None = None) -> None:
     meta = _base_meta(config.feature_mode)
     meta["model_config"] = config.to_dict()
     meta["has_class_weights"] = class_weights is not None
     arrays = dict(params)
     if class_weights is not None:
-        arrays = dict(arrays, class_weights=class_weights.table)
+        arrays = dict(arrays, class_weights=class_weights)
     save_container(path, FORMAT_ATTENTION, meta, arrays)
 
 
 def _model_from(meta: dict, arrays: dict[str, np.ndarray],
-                ) -> tuple[Params, ModelConfig, ClassWeights | None]:
+                ) -> tuple[Params, ModelConfig, np.ndarray | None]:
     config = ModelConfig(**meta["model_config"])
     layout = param_layout(config)
     expected = dict(layout)
@@ -160,8 +159,9 @@ def _model_from(meta: dict, arrays: dict[str, np.ndarray],
         raise ValueError("array names or shapes do not fit the model config")
     if any(a.dtype != np.dtype("<f8") for a in arrays.values()):
         raise ValueError("attention checkpoint arrays must be <f8")
-    weights = (ClassWeights(arrays["class_weights"])
-               if meta.get("has_class_weights") else None)
+    weights = arrays.get("class_weights")
+    if weights is not None and not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("class_weights must be finite and non-negative")
     flat = np.concatenate([arrays[name].ravel() for name, _ in layout])
     return Params(layout, flat), config, weights
 
@@ -177,8 +177,17 @@ def save_ordinal(path: str, model: OrdinalModel, feature_mode: str) -> None:
 
 def _ordinal_from(meta: dict, arrays: dict[str, np.ndarray],
                   ) -> tuple[OrdinalModel, str]:
-    return (OrdinalModel(arrays["coefficients"], arrays["thresholds"]),
-            meta["feature_mode"])
+    k = feature_dim(meta["feature_mode"])
+    coefficients, thresholds = arrays["coefficients"], arrays["thresholds"]
+    if coefficients.dtype != np.dtype("<f8") or coefficients.shape != (k,):
+        raise ValueError(f"coefficients must be <f8 of shape ({k},)")
+    if thresholds.dtype != np.dtype("<f8") or thresholds.shape != (2,):
+        raise ValueError("thresholds must be <f8 of shape (2,)")
+    if not (np.isfinite(coefficients).all() and np.isfinite(thresholds).all()):
+        raise ValueError("coefficients and thresholds must be finite")
+    if not thresholds[0] < thresholds[1]:
+        raise ValueError("thresholds must be strictly increasing")
+    return OrdinalModel(coefficients, thresholds), meta["feature_mode"]
 
 
 def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
@@ -230,7 +239,10 @@ def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
     if not all(type(v) is int and v >= 0 for v in fit):
         raise ValueError(f"n_trees, max_depth and features_per_split must be "
                          f"non-negative integers, got {fit}")
-    return ForestModel(trees, *fit), meta["feature_mode"]
+    if fit[0] != len(trees):
+        raise ValueError(f"n_trees is {fit[0]}, but the arrays hold "
+                         f"{len(trees)} trees")
+    return ForestModel(trees, *fit[1:]), meta["feature_mode"]
 
 
 _BUILDERS = {
@@ -251,8 +263,8 @@ def _build(path: str, fmt: str, meta: dict, arrays: dict[str, np.ndarray]):
 
 
 def load_any(path: str):
-    """(kind, model payload, feature_mode, class weights or None); the file
-    is read once."""
+    """(kind, model payload, feature_mode, the (16, 3) class-weight table
+    or None); the file is read once."""
     fmt, meta, arrays = load_container(path)
     model = _build(path, fmt, meta, arrays)
     if fmt == FORMAT_ATTENTION:

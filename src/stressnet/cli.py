@@ -52,7 +52,7 @@ from .features import (
     read_feature_table,
     write_feature_table,
 )
-from .lexicon import StressLevel, load_dictionary, syllabify
+from .lexicon import load_dictionary, syllabify
 from .model import (
     ALL_FEATURES,
     FEATURE_MODES,
@@ -387,43 +387,42 @@ def _cmd_train(args, config) -> int:
 
 
 def _predict_all(path: str, instances: list[WordInstance]):
-    """Per instance, the argmax stress levels and the (valid_count, 3)
-    class scores of its syllables, for any checkpoint kind; each kind
-    scores the whole file in one batched call."""
+    """The (n_syllables, 3) class scores of the instances' syllables, in
+    word order, and the checkpoint's class-weight table or None, for any
+    checkpoint kind; each kind scores the whole file in one batched call."""
     kind, payload, feature_mode, weights = checkpoint.load_any(path)
     if kind == "attention":
         params, cfg = payload
-        probs = predict_instances(params, cfg, instances)
-    else:
-        X, _ = baselines.flatten(instances, feature_dim(feature_mode))
-        ends = np.cumsum([inst.valid_count for inst in instances], dtype=np.int64)
-        # the last piece, past the final word's end, is always empty
-        probs = np.split(baselines.scores(payload, X), ends)[:-1]
-    preds = [[StressLevel(int(c)) for c in p.argmax(axis=1)] for p in probs]
-    return preds, probs, weights
+        return predict_instances(params, cfg, instances), weights
+    X, _ = baselines.flatten(instances, feature_dim(feature_mode))
+    return baselines.scores(payload, X), weights
 
 
 def _cmd_predict(args, config) -> int:
     instances = instances_from_table(read_feature_table(args.input))
-    preds, probs, _ = _predict_all(args.model, instances)
+    probs, _ = _predict_all(args.model, instances)
+    preds = probs.argmax(axis=1)
+    start = 0
     with open(args.out, "w", encoding="utf-8") as fh:
-        for inst, p, pr in zip(instances, preds, probs):
+        for inst in instances:
+            stop = start + inst.valid_count
             fh.write(json.dumps({
                 "utterance_id": inst.utterance_id,
                 "word": inst.word,
                 "syllables": [{"position": i, "stress_pred": int(level),
                                "probs": row.tolist()}
-                              for i, (level, row) in enumerate(zip(p, pr))],
+                              for i, (level, row) in enumerate(
+                                  zip(preds[start:stop], probs[start:stop]))],
             }, sort_keys=True) + "\n")
+            start = stop
     print(f"predict: {len(instances)} word instances -> {args.out}")
     return 0
 
 
 def _cmd_eval(args, config) -> int:
     instances = instances_from_table(read_feature_table(args.data))
-    preds, _, weights = _predict_all(args.model, instances)
-    table = weights.table if weights is not None else None
-    report = evaluate(preds, instances, table)
+    probs, weights = _predict_all(args.model, instances)
+    report = evaluate(probs.argmax(axis=1), instances, weights)
     out = Path(args.out)
     with open(str(out) + ".json", "w", encoding="utf-8") as fh:
         fh.write(render_report(report, "json"))

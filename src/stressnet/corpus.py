@@ -381,13 +381,6 @@ def split(words: list, train_fraction: float = 0.7,
 
 # --- class weights ----------------------------------------------------------
 
-@dataclass
-class ClassWeights:
-    """Per (nucleus type, stress level) loss weights, max-normalized per type."""
-
-    table: np.ndarray  # (16, 3) float64
-
-
 def weights_from_proportions(p: np.ndarray) -> np.ndarray:
     """(p / max p) ** 0.7 along the last axis; max p must be positive."""
     p = np.asarray(p, dtype=np.float64)
@@ -395,26 +388,30 @@ def weights_from_proportions(p: np.ndarray) -> np.ndarray:
     return (p / top) ** WEIGHT_EXPONENT
 
 
-def compute_class_weights(train: list[WordInstance]) -> ClassWeights:
-    """Stress-level weights per nucleus type from training proportions.
+def compute_class_weights(train: list[WordInstance]) -> np.ndarray:
+    """The (16, 3) loss weights per (nucleus type, stress level): each
+    type's training proportions, max-normalized per type.
 
-    Types that never occur in the training set get weight 1 for every
-    class so the loss stays defined on rare types.
+    Syllables without a gold label are not counted. Types that never
+    occur get weight 1 for every class so the loss stays defined on rare
+    types.
     """
     if not train:
         raise DegenerateData("empty training set")
-    counts = np.zeros((len(NUCLEUS_TAGS), 3))
-    for inst in train:
-        np.add.at(counts, (inst.type_indices, inst.labels), 1.0)
-    table = np.ones((len(NUCLEUS_TAGS), 3))
-    for t in range(len(NUCLEUS_TAGS)):
-        total = counts[t].sum()
-        if total == 0:
-            log.info("nucleus type %r unseen in training; weights default to 1",
-                     NUCLEUS_TAGS[t])
-            continue
-        table[t] = weights_from_proportions(counts[t] / total)
-    return ClassWeights(table)
+    types = np.concatenate([inst.type_indices for inst in train])
+    labels = np.concatenate([inst.labels for inst in train])
+    gold = labels != IGNORE_LABEL
+    n_types = len(NUCLEUS_TAGS)
+    counts = np.bincount(types[gold] * 3 + labels[gold],
+                         minlength=n_types * 3).reshape(n_types, 3)
+    totals = counts.sum(axis=1)
+    for t in np.flatnonzero(totals == 0):
+        log.info("nucleus type %r unseen in training; weights default to 1",
+                 NUCLEUS_TAGS[t])
+    seen = totals > 0
+    table = np.ones((n_types, 3))
+    table[seen] = weights_from_proportions(counts[seen] / totals[seen, None])
+    return table
 
 
 # --- synthetic corpus -------------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import WordInstance, require_gold
-from .errors import AlignmentError, FormatError, InsufficientDimensions
-from .lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, StressLevel
+from .errors import AlignmentError, FormatError, InsufficientDimensions, LabelError
+from .lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX
 
 _CLASS_NAMES = ("Non stress", "Primary stress", "Secondary stress")
 
@@ -29,47 +29,45 @@ class EvalReport:
     n_words: int
 
 
-def evaluate(predictions: list[list[StressLevel]],
-             instances: list[WordInstance],
+def evaluate(predicted: np.ndarray, instances: list[WordInstance],
              weight_table: np.ndarray | None = None) -> EvalReport:
     """Score per-syllable predictions against gold labels.
 
-    predictions[i][j] is the predicted level for the j-th syllable of
-    instances[i], and every syllable needs a gold label (LabelError
-    otherwise). weighted_accuracy is weight-normalized correct mass,
-    sum(w_i * correct_i) / sum(w_i) with w_i looked up by the syllable's
-    nucleus type and real label; it is None without a weight table.
+    predicted holds one stress level per syllable, in the row order of
+    predict_instances and baselines.flatten; every syllable needs a gold
+    label (LabelError otherwise), and a length other than the syllable
+    count, or no syllable at all, is an AlignmentError. weighted_accuracy
+    is weight-normalized correct mass, sum(w_i * correct_i) / sum(w_i)
+    with w_i looked up by the syllable's nucleus type and real label; it
+    is None without a weight table.
     """
-    if len(predictions) != len(instances):
-        raise AlignmentError(
-            f"{len(predictions)} prediction lists for {len(instances)} instances")
     require_gold(instances)
-    confusion = np.zeros((3, 3), dtype=np.int64)
-    per_type = {tag: np.zeros((3, 3), dtype=np.int64) for tag in NUCLEUS_TAGS}
-    weight_sum = 0.0
-    weighted_correct = 0.0
-    for preds, inst in zip(predictions, instances):
-        if len(preds) != inst.valid_count:
-            raise AlignmentError(
-                f"{inst.word!r}: {len(preds)} predictions for "
-                f"{inst.valid_count} syllables")
-        for i, pred in enumerate(preds):
-            real = int(inst.labels[i])
-            t = int(inst.type_indices[i])
-            confusion[real, int(pred)] += 1
-            per_type[NUCLEUS_TAGS[t]][real, int(pred)] += 1
-            if weight_table is not None:
-                w = float(weight_table[t, real])
-                weight_sum += w
-                weighted_correct += w * (int(pred) == real)
-    n_syllables = int(confusion.sum())
+    predicted = np.asarray(predicted)
+    n_syllables = sum(inst.valid_count for inst in instances)
+    if predicted.shape != (n_syllables,):
+        raise AlignmentError(f"predictions of shape {predicted.shape} for "
+                             f"{n_syllables} syllables")
     if n_syllables == 0:
         raise AlignmentError("no syllables to score")
+    if ((predicted < 0) | (predicted > 2)).any():
+        raise LabelError("predictions must be stress levels 0, 1 or 2")
+    types = np.concatenate([inst.type_indices for inst in instances])
+    real = np.concatenate([inst.labels for inst in instances])
+    # cell (type, real, predicted) of the per-type confusions
+    n_types = len(NUCLEUS_TAGS)
+    cells = np.bincount((types * 3 + real) * 3 + predicted,
+                        minlength=n_types * 9).reshape(n_types, 3, 3)
+    confusion = cells.sum(axis=0)
     accuracy = float(np.trace(confusion)) / n_syllables
     weighted = None
-    if weight_table is not None and weight_sum > 0:
-        weighted = weighted_correct / weight_sum
-    per_type = {tag: m for tag, m in per_type.items() if m.sum() > 0}
+    if weight_table is not None:
+        w = weight_table[types, real]
+        # cumsum adds left to right, so the sums round as a loop's would
+        weight_sum = float(np.cumsum(w)[-1])
+        if weight_sum > 0:
+            weighted = float(np.cumsum(w * (predicted == real))[-1]) / weight_sum
+    per_type = {tag: cells[t] for t, tag in enumerate(NUCLEUS_TAGS)
+                if cells[t].sum() > 0}
     return EvalReport(accuracy, weighted, confusion, per_type,
                       n_syllables, len(instances))
 

@@ -69,6 +69,11 @@ class ModelConfig:
         _require_reals(self, ("dropout",))
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
             raise ConfigError("d_model, n_heads and n_layers must be >= 1")
+        if self.ffn_hidden < 0:
+            raise ConfigError(f"ffn_hidden must be >= 0, got {self.ffn_hidden}")
+        if not 1 <= self.max_positions <= MAX_SYLLABLES:
+            raise ConfigError(f"max_positions must be in 1..{MAX_SYLLABLES}, "
+                              f"got {self.max_positions}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} not in [0, 1)")
         if self.feature_mode not in FEATURE_MODES:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import IGNORE_LABEL, ClassWeights, WordInstance, compute_class_weights
+from ..corpus import IGNORE_LABEL, WordInstance, compute_class_weights
 from ..errors import DegenerateData, DivergedAtEpoch, NumericalInstability
 from ..lexicon import PAD_TYPE_INDEX
 from .config import ModelConfig, TrainConfig
@@ -107,23 +107,18 @@ def evaluate_batch(params: Params, batch: Batch, config: ModelConfig,
 
 def train(train_set: list[WordInstance], val_set: list[WordInstance],
           model_config: ModelConfig, train_config: TrainConfig,
-          class_weights: ClassWeights | None = None,
-          ) -> tuple[Params, ClassWeights | None, list[dict]]:
+          ) -> tuple[Params, np.ndarray | None, list[dict]]:
     """Mini-batch Adam on the weighted cross-entropy.
 
     Returns the parameters with the best validation accuracy (the final
-    ones if no epoch improves on the start), the class-weight table in
-    effect (None when weighting is off), and the per-epoch history.
-    Fully deterministic for a given seed.
+    ones if no epoch improves on the start), the (16, 3) class-weight
+    table of the training set (None when weighting is off), and the
+    per-epoch history. Fully deterministic for a given seed.
     """
     if not train_set or not val_set:
         raise DegenerateData("train and validation sets must be non-empty")
-    use_weights = train_config.resolve_use_weights(model_config)
-    if use_weights and class_weights is None:
-        class_weights = compute_class_weights(train_set)
-    if not use_weights:
-        class_weights = None
-    table = class_weights.table if class_weights is not None else None
+    table = (compute_class_weights(train_set)
+             if train_config.resolve_use_weights(model_config) else None)
 
     train_batch = make_batch(train_set, model_config, table)
     val_batch = make_batch(val_set, model_config, table)
@@ -175,28 +170,28 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
         if val_acc > best_acc:
             best_acc = val_acc
             best_flat = params.flat.copy()
-    return Params(param_layout(model_config), best_flat), class_weights, history
+    return Params(param_layout(model_config), best_flat), table, history
 
 
 def predict_instances(params: Params, config: ModelConfig,
-                      instances: list[WordInstance]) -> list[np.ndarray]:
-    """Per instance, the (valid_count, 3) class probabilities of its
-    syllables, in input order.
+                      instances: list[WordInstance]) -> np.ndarray:
+    """The (n_syllables, 3) class probabilities of every syllable: the
+    words in input order, each word's syllables in position order, as
+    baselines.flatten lays out its rows.
 
     Scores SCORE_CHUNK words per forward pass, each chunk trimmed to its
     longest word. Padded slots yield nothing.
     """
-    out = []
+    out = [np.zeros((0, config.n_classes))]
     for start in range(0, len(instances), SCORE_CHUNK):
-        chunk = instances[start:start + SCORE_CHUNK]
-        batch = make_batch(chunk, config)
+        batch = make_batch(instances[start:start + SCORE_CHUNK], config)
         _, probs, _ = forward(params, batch.features, batch.types,
                               batch.mask, config)
-        out.extend(row[:inst.valid_count] for row, inst in zip(probs, chunk))
-    return out
+        out.append(probs[batch.mask])
+    return np.concatenate(out)
 
 
 def predict_instance(params: Params, config: ModelConfig,
                      instance: WordInstance) -> np.ndarray:
-    """predict_instances for one word."""
-    return predict_instances(params, config, [instance])[0]
+    """The (valid_count, 3) class probabilities of one word's syllables."""
+    return predict_instances(params, config, [instance])

@@ -183,7 +183,7 @@ class TestPredictBaseline:
             counts[0, cls] = 1
             return TreeNodes(np.array([-1]), np.array([0.0]),
                              np.array([-1]), np.array([-1]), counts)
-        model = ForestModel([stump(2), stump(1)], 2, 1, 1)
+        model = ForestModel([stump(2), stump(1)], 1, 1)
         (row,) = scores(model, np.zeros((1, 3)))
         assert row.argmax() == StressLevel.PRIMARY  # classes 1 and 2 tie -> lower
         assert row[1] == row[2] == 0.5

@@ -19,7 +19,6 @@ from stressnet.checkpoint import (
     save_model,
     save_ordinal,
 )
-from stressnet.corpus import ClassWeights
 from stressnet.errors import CheckpointError, StressnetError
 from stressnet.model import SYLLABLE_NUCLEUS_NUMERICAL, init_params, medium_config
 
@@ -87,7 +86,7 @@ class TestModelCheckpoint:
     def test_round_trip_with_weights(self, tmp_path):
         cfg = medium_config()
         params = init_params(cfg, np.random.default_rng(0))
-        weights = ClassWeights(np.random.default_rng(1).uniform(0, 1, (16, 3)))
+        weights = np.random.default_rng(1).uniform(0, 1, (16, 3))
         path = str(tmp_path / "m.ckpt")
         save_model(path, params, cfg, weights)
         kind, (params2, cfg2), mode, weights2 = load_any(path)
@@ -96,7 +95,7 @@ class TestModelCheckpoint:
         assert set(params2) == set(params)
         for key in params:
             assert np.array_equal(params[key], params2[key])
-        assert np.array_equal(weights.table, weights2.table)
+        assert np.array_equal(weights, weights2)
 
     def test_load_any_kinds(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -125,8 +124,7 @@ class TestModelCheckpoint:
         save_forest(paths[1], train_forest(X, y, n_trees=2, seed=1),
                     SYLLABLE_NUCLEUS_NUMERICAL)
         cfg = medium_config()
-        save_model(paths[2], init_params(cfg, rng), cfg,
-                   ClassWeights(np.ones((16, 3))))
+        save_model(paths[2], init_params(cfg, rng), cfg, np.ones((16, 3)))
         calls = []
 
         def counting(path):
@@ -159,11 +157,10 @@ class TestModelCheckpoint:
                    cfg, None)
         with pytest.raises(CheckpointError, match="<f8"):
             load_any(path)
-        save_model(path, params, cfg,
-                   ClassWeights(np.ones((16, 3), dtype=np.int64)))
+        save_model(path, params, cfg, np.ones((16, 3), dtype=np.int64))
         with pytest.raises(CheckpointError, match="<f8"):
             load_any(path)
-        save_model(path, params, cfg, ClassWeights(np.ones((16, 3))))
+        save_model(path, params, cfg, np.ones((16, 3)))
         assert load_any(path)[0] == "attention"
 
 

@@ -126,6 +126,28 @@ FOREST_EDITS = {
 }
 
 
+# edits of an or checkpoint's (meta, arrays) trained on 6 features
+ORDINAL_EDITS = {
+    "thresholds_cut_to_one": lambda m, a: a.update(
+        thresholds=a["thresholds"][:1]),
+    "thresholds_reversed": lambda m, a: a.update(
+        thresholds=a["thresholds"][::-1].copy()),
+    "thresholds_equal": lambda m, a: a.update(
+        thresholds=a["thresholds"][[0, 0]]),
+    "threshold_infinite": lambda m, a: a["thresholds"].__setitem__(
+        1, float("inf")),
+    "coefficient_nan": lambda m, a: a["coefficients"].__setitem__(
+        0, float("nan")),
+    "coefficients_too_short": lambda m, a: a.update(
+        coefficients=a["coefficients"][:-1]),
+    "thresholds_integer": lambda m, a: a.update(
+        thresholds=np.array([-1, 1])),
+    "feature_mode_unknown": lambda m, a: m.update(feature_mode="bogus"),
+    "feature_mode_wider": lambda m, a: m.update(
+        feature_mode="syllable_nucleus_numerical"),
+}
+
+
 class TestMalformedCheckpoints:
     """A checkpoint that does not parse or fit is a data error, exit 4."""
 
@@ -230,6 +252,69 @@ class TestMalformedCheckpoints:
         err = capsys.readouterr().err
         assert code == 4
         assert "CheckpointError" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("case", sorted(ORDINAL_EDITS))
+    def test_ordinal_arrays_and_meta(self, pipeline, baseline_ckpts, tmp_path,
+                                     capsys, case, command):
+        # cut thresholds crashed with an IndexError; reversed ones gave
+        # negative probabilities; an unknown feature mode was exit 3
+        from stressnet.checkpoint import load_container, save_container
+
+        _, out, _, _ = pipeline
+        fmt, meta, arrays = load_container(baseline_ckpts["or"])
+        ORDINAL_EDITS[case](meta, arrays)
+        bad = tmp_path / "or.ckpt"
+        save_container(str(bad), fmt, meta, arrays)
+        flag = "--data" if command == "eval" else "--input"
+        code = run(command, "--model", str(bad), flag,
+                   str(out / "splits" / "test.jsonl"),
+                   "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "CheckpointError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_class_weight_not_finite_or_negative(self, pipeline, tmp_path,
+                                                 capsys, value):
+        # an infinite weight made eval write a NaN weighted accuracy
+        from stressnet.checkpoint import load_container, save_container
+
+        _, out, attn, _ = pipeline
+        fmt, meta, arrays = load_container(attn)
+        arrays["class_weights"][3, 1] = value
+        bad = tmp_path / "attn.ckpt"
+        save_container(str(bad), fmt, meta, arrays)
+        code = run("eval", "--model", str(bad), "--data",
+                   str(out / "splits" / "test.jsonl"),
+                   "--out", str(tmp_path / "report"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "class_weights" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_trees", [0, 5, 13])
+    def test_forest_tree_count_must_match_its_trees(self, pipeline, tmp_path,
+                                                    capsys, n_trees):
+        _, out, _, rf = pipeline
+        bad = tmp_path / "rf.ckpt"
+        bad.write_bytes(Path(rf).read_bytes())
+        edit_checkpoint_header(bad, lambda h: h["meta"].update(n_trees=n_trees))
+        code = run("eval", "--model", str(bad), "--data",
+                   str(out / "splits" / "test.jsonl"),
+                   "--out", str(tmp_path / "report"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "n_trees" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_positions", -1), ("max_positions", 0), ("max_positions", 18),
+        ("max_positions", 10**9), ("ffn_hidden", -3)])
+    def test_model_config_count_out_of_range(self, ckpt, tmp_path, capsys,
+                                             field, value):
+        edit_checkpoint_header(
+            ckpt, lambda h: h["meta"]["model_config"].update({field: value}))
+        self.check_data_error(ckpt, tmp_path, capsys)
 
 
 @pytest.fixture(scope="module")
@@ -959,6 +1044,25 @@ class TestTrainConfigErrors:
                    "--out", str(tmp_path / "m.ckpt"))
         assert code == 3
         assert "model config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        {"max_positions": -1}, {"max_positions": 0}, {"max_positions": 18},
+        {"max_positions": 10**9}, {"ffn_hidden": -3}],
+        ids=["max_positions-negative", "max_positions-zero",
+             "max_positions-past-17", "max_positions-huge", "ffn_hidden"])
+    def test_model_count_out_of_range(self, pipeline, tmp_path, capsys, model):
+        # -1 crashed in a reshape, 10**9 asked for 37 GiB, and a negative
+        # ffn_hidden trained as 4 * d_model
+        _, out, _, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        code = run("--config", str(cfg), "train", "--model", "attn-medium",
+                   "--train", str(out / "splits" / "train.jsonl"),
+                   "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert next(iter(model)) in err and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("doc,model", [
         ({"train": {"epochs": 2.5}}, "attn-medium"),

@@ -371,7 +371,48 @@ class TestSplit:
             split(inst, 0.7, seed=0)
 
 
+def oracle_class_weights(train):
+    """compute_class_weights with one np.add.at per word and one
+    normalization per type: the implementation the bincount one replaced."""
+    counts = np.zeros((len(NUCLEUS_TAGS), 3))
+    for inst in train:
+        np.add.at(counts, (inst.type_indices, inst.labels), 1.0)
+    table = np.ones((len(NUCLEUS_TAGS), 3))
+    for t in range(len(NUCLEUS_TAGS)):
+        total = counts[t].sum()
+        if total > 0:
+            table[t] = weights_from_proportions(counts[t] / total)
+    return table
+
+
 class TestClassWeights:
+    def test_bincount_matches_per_word_counting(self, lexicon):
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            # a few tags only, so that some types go unseen
+            tags = rng.choice(len(NUCLEUS_TAGS), int(rng.integers(1, 17)),
+                              replace=False)
+            words = []
+            for _ in range(int(rng.integers(1, 40))):
+                n = int(rng.integers(1, MAX_SYLLABLES + 1))
+                words.append(build_instance(WordRecord(
+                    "u", "w", np.zeros((n, 12)),
+                    [NUCLEUS_TAGS[t] for t in rng.choice(tags, n)],
+                    rng.integers(0, 3, n).tolist())))
+            assert (compute_class_weights(words).tobytes()
+                    == oracle_class_weights(words).tobytes()), trial
+        _, recs = synth_corpus(lexicon, 30, GenConfig(noise=0.3), seed=4)
+        words = instances_from_table(recs)
+        assert (compute_class_weights(words).tobytes()
+                == oracle_class_weights(words).tobytes())
+
+    def test_syllables_without_gold_label_not_counted(self):
+        rec = WordRecord("u", "w", np.zeros((3, 12)), ["iy", "iy", "ax"],
+                         [int(StressLevel.PRIMARY), None, None])
+        table = compute_class_weights([build_instance(rec)])
+        assert np.array_equal(table[TAG_TO_INDEX["iy"]], [0.0, 1.0, 0.0])
+        assert np.all(table[TAG_TO_INDEX["ax"]] == 1.0)
+
     def test_frozen_oracle_values(self):
         w = weights_from_proportions(np.array([0.6, 0.3, 0.1]))
         assert w == pytest.approx(
@@ -397,15 +438,15 @@ class TestClassWeights:
     def test_unseen_type_defaults_to_one(self):
         rec = WordRecord("u", "w", np.zeros((2, 12)), ["iy", "iy"],
                          [int(StressLevel.PRIMARY), int(StressLevel.NON_STRESS)])
-        cw = compute_class_weights([build_instance(rec)])
+        table = compute_class_weights([build_instance(rec)])
         # "oy" never appears
-        assert np.all(cw.table[TAG_TO_INDEX["oy"]] == 1.0)
+        assert np.all(table[TAG_TO_INDEX["oy"]] == 1.0)
 
     def test_table_from_corpus_max_normalized(self, lexicon):
         _, recs = synth_corpus(lexicon, 30, GenConfig(noise=0.3), seed=4)
-        cw = compute_class_weights(instances_from_table(recs))
-        assert np.allclose(cw.table.max(axis=1), 1.0)
-        assert np.all(cw.table >= 0.0)
+        table = compute_class_weights(instances_from_table(recs))
+        assert np.allclose(table.max(axis=1), 1.0)
+        assert np.all(table >= 0.0)
 
 
 def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):

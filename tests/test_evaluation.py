@@ -2,9 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stressnet.corpus import build_instance
-from stressnet.errors import AlignmentError, FormatError, InsufficientDimensions
+from stressnet.corpus import build_instance, require_gold
+from stressnet.errors import (
+    AlignmentError,
+    FormatError,
+    InsufficientDimensions,
+    LabelError,
+)
 from stressnet.evaluation import (
     EvalReport,
     evaluate,
@@ -23,11 +29,53 @@ def instance(labels, tags=None, utt="u", word="w"):
                                      tags, [int(s) for s in labels]))
 
 
+def flat(preds):
+    """Per-word prediction lists as evaluate's one array, in word order."""
+    return np.array([int(p) for word in preds for p in word], dtype=np.int64)
+
+
+def oracle_evaluate(predictions, instances, weight_table=None):
+    """evaluate as a loop over every syllable, one prediction list per
+    word: the implementation the bincount one replaced."""
+    if len(predictions) != len(instances):
+        raise AlignmentError(
+            f"{len(predictions)} prediction lists for {len(instances)} instances")
+    require_gold(instances)
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    per_type = {tag: np.zeros((3, 3), dtype=np.int64) for tag in NUCLEUS_TAGS}
+    weight_sum = 0.0
+    weighted_correct = 0.0
+    for preds, inst in zip(predictions, instances):
+        if len(preds) != inst.valid_count:
+            raise AlignmentError(
+                f"{inst.word!r}: {len(preds)} predictions for "
+                f"{inst.valid_count} syllables")
+        for i, pred in enumerate(preds):
+            real = int(inst.labels[i])
+            t = int(inst.type_indices[i])
+            confusion[real, int(pred)] += 1
+            per_type[NUCLEUS_TAGS[t]][real, int(pred)] += 1
+            if weight_table is not None:
+                w = float(weight_table[t, real])
+                weight_sum += w
+                weighted_correct += w * (int(pred) == real)
+    n_syllables = int(confusion.sum())
+    if n_syllables == 0:
+        raise AlignmentError("no syllables to score")
+    accuracy = float(np.trace(confusion)) / n_syllables
+    weighted = None
+    if weight_table is not None and weight_sum > 0:
+        weighted = weighted_correct / weight_sum
+    per_type = {tag: m for tag, m in per_type.items() if m.sum() > 0}
+    return EvalReport(accuracy, weighted, confusion, per_type,
+                      n_syllables, len(instances))
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         insts = [instance([S0, S1]), instance([S2, S0])]
         preds = [[S0, S1], [S2, S0]]
-        report = evaluate(preds, insts)
+        report = evaluate(flat(preds), insts)
         assert report.accuracy == 1.0
         assert np.all(report.confusion == np.diag(np.diag(report.confusion)))
         assert report.n_syllables == 4
@@ -36,7 +84,7 @@ class TestEvaluate:
     def test_hand_counted_confusion(self):
         insts = [instance([S0, S1])]
         preds = [[S1, S1]]
-        report = evaluate(preds, insts)
+        report = evaluate(flat(preds), insts)
         assert report.accuracy == 0.5
         assert report.confusion[int(S0), int(S1)] == 1
         assert report.confusion[int(S1), int(S1)] == 1
@@ -45,7 +93,7 @@ class TestEvaluate:
         insts = [instance([S0, S1, S2]), instance([S1, S0])]
         preds = [[S0, S2, S2], [S1, S1]]
         table = np.ones((16, 3))
-        report = evaluate(preds, insts, table)
+        report = evaluate(flat(preds), insts, table)
         assert report.weighted_accuracy == pytest.approx(report.accuracy,
                                                          abs=1e-12)
 
@@ -56,7 +104,7 @@ class TestEvaluate:
         from stressnet.lexicon import TAG_TO_INDEX
         table[TAG_TO_INDEX["iy"], int(S0)] = 0.5
         table[TAG_TO_INDEX["ax"], int(S1)] = 0.25
-        report = evaluate(preds, insts, table)
+        report = evaluate(flat(preds), insts, table)
         # correct mass 0.5, total mass 0.75
         assert report.weighted_accuracy == pytest.approx(0.5 / 0.75)
 
@@ -69,7 +117,7 @@ class TestEvaluate:
             tags = [NUCLEUS_TAGS[int(t)] for t in rng.integers(0, 16, n)]
             insts.append(instance(labels, tags))
             preds.append([StressLevel(int(x)) for x in rng.integers(0, 3, n)])
-        report = evaluate(preds, insts)
+        report = evaluate(flat(preds), insts)
         assert report.accuracy == np.trace(report.confusion) / report.n_syllables
 
     def test_per_type_sums_to_overall(self):
@@ -81,16 +129,83 @@ class TestEvaluate:
             tags = [NUCLEUS_TAGS[int(t)] for t in rng.integers(0, 16, n)]
             insts.append(instance(labels, tags))
             preds.append([StressLevel(int(x)) for x in rng.integers(0, 3, n)])
-        report = evaluate(preds, insts)
+        report = evaluate(flat(preds), insts)
         total = sum(report.per_type_confusion.values())
         assert np.array_equal(total, report.confusion)
 
     def test_misaligned_predictions(self):
         insts = [instance([S0, S1])]
         with pytest.raises(AlignmentError):
-            evaluate([[S0]], insts)
+            evaluate(flat([[S0]]), insts)
         with pytest.raises(AlignmentError):
-            evaluate([], insts)
+            evaluate(flat([]), insts)
+        with pytest.raises(AlignmentError):
+            evaluate(flat([[S0, S1, S1]]), insts)
+        with pytest.raises(AlignmentError):
+            evaluate(np.zeros((2, 1), dtype=np.int64), insts)
+        with pytest.raises(AlignmentError, match="no syllables"):
+            evaluate(flat([]), [])
+
+    @pytest.mark.parametrize("predicted", [[0, 3], [-1, 0]],
+                             ids=["three", "negative"])
+    def test_prediction_not_a_stress_level(self, predicted):
+        with pytest.raises(LabelError):
+            evaluate(np.array(predicted), [instance([S0, S1])])
+
+    def test_syllable_without_gold_label(self):
+        inst = build_instance(WordRecord("u", "w", np.zeros((2, 12)),
+                                         ["iy", "iy"], [0, None]))
+        with pytest.raises(LabelError):
+            evaluate(flat([[S0, S0]]), [inst])
+
+
+# words of 1..17 syllables with any tags and gold labels, and a prediction
+# per syllable
+words = st.integers(1, 17).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 15), min_size=n, max_size=n),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+# weight tables with zero entries and weights spanning many magnitudes
+weight_tables = st.none() | st.lists(
+    st.just(0.0) | st.floats(1e-6, 1e3), min_size=48, max_size=48).map(
+        lambda ws: np.array(ws).reshape(16, 3))
+
+
+class TestEvaluateOracle:
+    """The bincount evaluate gives the per-syllable loop's report, bit for
+    bit, on any words, tags, labels, predictions and weight table."""
+
+    @given(st.lists(words, min_size=1, max_size=25), weight_tables)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_syllable_loop(self, drawn, table):
+        insts = [build_instance(WordRecord(
+                     "u", f"w{i}", np.zeros((len(tags), 12)),
+                     [NUCLEUS_TAGS[t] for t in tags], labels))
+                 for i, (tags, labels, _) in enumerate(drawn)]
+        preds = [pred for _, _, pred in drawn]
+        got = evaluate(flat(preds), insts, table)
+        want = oracle_evaluate(preds, insts, table)
+        assert type(got.accuracy) is float and got.accuracy == want.accuracy
+        if want.weighted_accuracy is None:
+            assert got.weighted_accuracy is None
+        else:
+            assert type(got.weighted_accuracy) is float
+            assert np.float64(got.weighted_accuracy).tobytes() == \
+                np.float64(want.weighted_accuracy).tobytes()
+        assert got.confusion.dtype == want.confusion.dtype
+        assert np.array_equal(got.confusion, want.confusion)
+        assert list(got.per_type_confusion) == list(want.per_type_confusion)
+        for tag, m in want.per_type_confusion.items():
+            assert got.per_type_confusion[tag].dtype == m.dtype
+            assert np.array_equal(got.per_type_confusion[tag], m)
+        assert (got.n_syllables, got.n_words) == (want.n_syllables, want.n_words)
+        for fmt in ("json", "text"):
+            assert render_report(got, fmt) == render_report(want, fmt)
+
+    def test_all_zero_weights_give_none(self):
+        insts = [instance([S0, S1, S2])]
+        assert evaluate(flat([[S0, S1, S1]]), insts,
+                        np.zeros((16, 3))).weighted_accuracy is None
 
 
 class TestPca:
@@ -160,7 +275,7 @@ class TestRenderReport:
     def report(self):
         insts = [instance([S0, S1, S2], tags=["iy", "ax", "er"])]
         preds = [[S0, S1, S1]]
-        return evaluate(preds, insts, np.ones((16, 3)))
+        return evaluate(flat(preds), insts, np.ones((16, 3)))
 
     def test_json_round_trip(self):
         report = self.report()

@@ -663,18 +663,24 @@ class TestTrimmedBatches:
         # several chunks, the last one short
         monkeypatch.setattr(training_mod, "SCORE_CHUNK", 7)
         scored = predict_instances(params, cfg, test_set)
-        assert len(scored) == len(test_set)
-        for inst, p in zip(test_set, scored):
+        # one row per syllable: the words in order, each in position order
+        assert scored.shape == (sum(i.valid_count for i in test_set), 3)
+        start = 0
+        for inst in test_set:
             one = make_batch([inst], cfg)
             feats, types, mask, _, _ = pad_to_full_width(
                 one.features, one.types, one.mask, one.labels, one.weights)
             assert mask.shape == (1, 17)
             _, probs, _ = forward(params, feats, types, mask, cfg)
-            assert p.shape == (inst.valid_count, 3)
+            p = scored[start:start + inst.valid_count]
             assert np.abs(p - probs[0, :inst.valid_count]).max() < 1e-12
+            start += inst.valid_count
+        offset = sum(i.valid_count for i in test_set[:3])
         one = predict_instance(params, cfg, test_set[3])
-        assert np.array_equal(one.argmax(axis=1), scored[3].argmax(axis=1))
-        assert predict_instances(params, cfg, []) == []
+        assert one.shape == (test_set[3].valid_count, 3)
+        assert np.array_equal(one.argmax(axis=1),
+                              scored[offset:offset + len(one)].argmax(axis=1))
+        assert predict_instances(params, cfg, []).shape == (0, 3)
 
 
 # --- encoder primitives against NumPy-reduction oracles -------------------------
