@@ -8,8 +8,19 @@ directory; featurize, train and eval into the directory of --out;
 lexicon, predict and pca write none. A manifest holds the command, its
 arguments after resolution, every settings object it built (all
 fields, defaults too) and the SHA-256 of each input file: enough to
-rerun it byte-identically. It is one per directory, so of rf and or
+rerun it byte-identically. Paths are recorded as given, except that the
+bundled dictionary is "<bundled>", so the manifest does not depend on
+where the package is installed. It is one per directory, so of rf and or
 checkpoints trained side by side only the later manifest is kept.
+
+split parses and checks every line of --features, then copies each kept
+word's line as it was, surrounding whitespace stripped, with a newline.
+So a table this program wrote splits into the bytes write_feature_table
+would write for each part, and a valid table from elsewhere keeps its
+own key order, spacing and number spelling. predict writes, per word,
+the bytes json.dumps(doc, sort_keys=True) writes for {"syllables":
+[{"position", "probs", "stress_pred"}], "utterance_id", "word"}, and a
+newline.
 
 Exit codes: 0 success, 2 usage, 3 configuration error, 4 data error (also
 any file system error, such as a missing input or a directory where a
@@ -25,6 +36,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +62,9 @@ from .features import (
     extract_features,
     normalize_sentence,
     read_feature_table,
+    read_table_lines,
     write_feature_table,
+    write_table_lines,
 )
 from .lexicon import load_dictionary, syllabify
 from .model import (
@@ -177,14 +191,24 @@ def _write_json(path, doc) -> None:
 
 
 def _write_manifest(out_dir: Path, args, inputs: list[str], **settings) -> None:
-    """Write out_dir/manifest.json, as the module docstring describes."""
+    """Write out_dir/manifest.json, as the module docstring describes. The
+    bundled dictionary is named "<bundled>", wherever the package is
+    installed, as an argument and as an input."""
+    bundled = os.path.realpath(bundled_dictionary_path())
+
+    def shown(path: str) -> str:
+        return "<bundled>" if os.path.realpath(path) == bundled else path
+
+    arguments = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config", "func")}
+    if "dict_path" in arguments:
+        arguments["dict_path"] = shown(arguments["dict_path"])
     _write_json(out_dir / "manifest.json", {
         "command": args.command,
-        "arguments": {k: v for k, v in vars(args).items()
-                      if k not in ("command", "config", "func")},
+        "arguments": arguments,
         "settings": {name: dataclasses.asdict(value)
                      for name, value in settings.items()},
-        "inputs": {p: _sha256(p) for p in sorted(inputs)},
+        "inputs": {shown(p): _sha256(p) for p in inputs},
     })
 
 
@@ -314,13 +338,12 @@ def _cmd_featurize(args, config) -> int:
 
 
 def _cmd_split(args, config) -> int:
-    records = read_feature_table(args.features)
-    train_set, test_set = split_utterances(records, args.train_fraction,
-                                           args.seed)
+    data, lines = read_table_lines(args.features)
+    train_set, test_set = split_utterances(lines, args.train_fraction, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_feature_table(train_set, str(out / "train.jsonl"))
-    write_feature_table(test_set, str(out / "test.jsonl"))
+    write_table_lines(data, train_set, str(out / "train.jsonl"))
+    write_table_lines(data, test_set, str(out / "test.jsonl"))
     _write_manifest(out, args, [args.features])
     print(f"split: {len(train_set)} train / {len(test_set)} test instances -> {out}")
     return 0
@@ -398,23 +421,36 @@ def _predict_all(path: str, instances: list[WordInstance]):
     return baselines.scores(payload, X), weights
 
 
+def _write_predictions(path: str, instances: list[WordInstance],
+                       probs: np.ndarray) -> None:
+    """Write one line per word, the bytes json.dumps(doc, sort_keys=True)
+    and a newline would write for its document {"utterance_id", "word",
+    "syllables": [{"position", "stress_pred", "probs"}]}, the syllables'
+    rows of probs taken from a running offset. The fixed schema is laid
+    out here instead: a probability as json.dumps writes a float (its
+    repr, or NaN, Infinity, -Infinity), text as JSON's ASCII string."""
+    rows = [", ".join(map(float.__repr__, row)) for row in probs.tolist()]
+    if not np.isfinite(probs).all():
+        rows = [row.replace("nan", "NaN").replace("inf", "Infinity") for row in rows]
+    levels = probs.argmax(axis=1).tolist()
+    start = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for inst in instances:
+            stop = start + inst.valid_count
+            sylls = ", ".join(
+                f'{{"position": {i}, "probs": [{row}], "stress_pred": {level}}}'
+                for i, (level, row) in enumerate(
+                    zip(levels[start:stop], rows[start:stop])))
+            fh.write(f'{{"syllables": [{sylls}], '
+                     f'"utterance_id": {encode_basestring_ascii(inst.utterance_id)}, '
+                     f'"word": {encode_basestring_ascii(inst.word)}}}\n')
+            start = stop
+
+
 def _cmd_predict(args, config) -> int:
     instances = instances_from_table(read_feature_table(args.input))
     probs, _ = _predict_all(args.model, instances)
-    preds = probs.argmax(axis=1)
-    start = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            stop = start + inst.valid_count
-            fh.write(json.dumps({
-                "utterance_id": inst.utterance_id,
-                "word": inst.word,
-                "syllables": [{"position": i, "stress_pred": int(level),
-                               "probs": row.tolist()}
-                              for i, (level, row) in enumerate(
-                                  zip(preds[start:stop], probs[start:stop]))],
-            }, sort_keys=True) + "\n")
-            start = stop
+    _write_predictions(args.out, instances, probs)
     print(f"predict: {len(instances)} word instances -> {args.out}")
     return 0
 

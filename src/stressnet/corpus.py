@@ -359,8 +359,9 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
 
 def split(words: list, train_fraction: float = 0.7,
           seed: int = 0) -> tuple[list, list]:
-    """Seeded train/test split at utterance granularity of word records or
-    instances; only their utterance_id is read, and input order is kept.
+    """Seeded train/test split at utterance granularity of word records,
+    instances or feature-table lines; only their utterance_id is read, and
+    input order is kept.
 
     Utterance ids are sorted before shuffling so membership depends only on
     the id set and the seed, not on input order.

@@ -26,16 +26,21 @@ The feature table interface is line-delimited JSON, one object per word
 instance: {"utterance_id", "word", "syllables": [{"position", "features"
 (12 floats, slot order above), "nucleus" (tag), "stress" (0/1/2 or
 null)}]}. A word has 1 to MAX_SYLLABLES syllables whose positions are
-0..n-1, each used once; read_feature_table is the one place that checks
-this, and it returns each word's syllables in position order.
+0..n-1, each used once; one parse loop checks this, and
+read_feature_table returns each word's syllables in position order.
+read_table_lines runs the same loop for a table that is only to be cut
+into parts (split): it keeps the table's bytes and where each valid
+word's line lies in them, and write_table_lines copies those lines out,
+so no number is formatted again.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,15 +257,54 @@ def _record(line: bytes) -> WordRecord:
     return WordRecord(utterance_id, word, features, tags, stresses)
 
 
+def _table_words(path: str,
+                 lines: Iterable[bytes]) -> Iterator[tuple[WordRecord, int, int]]:
+    """The one parse loop over a feature table's lines: each word's record
+    and the (start, stop) byte offsets of its line in the table, with the
+    line's surrounding whitespace left out. Blank lines are skipped; a
+    malformed line or an invalid word is a FormatError at path:line."""
+    start = 0
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text:
+            try:
+                rec = _record(line)
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            first = start + len(line) - len(line.lstrip())
+            yield rec, first, first + len(text)
+        start += len(line)
+
+
 def read_feature_table(path: str) -> list[WordRecord]:
     """Parse a feature table; a malformed line or an invalid word is a
     FormatError at path:line."""
-    records = []
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                if line.strip():
-                    records.append(_record(line))
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return records
+        return [rec for rec, _, _ in _table_words(path, fh)]
+
+
+class TableLine(NamedTuple):
+    """Where a feature-table word's line lies in the table's bytes, and its
+    utterance id (so corpus.split can split lines as it splits records)."""
+
+    utterance_id: str
+    start: int
+    stop: int
+
+
+def read_table_lines(path: str) -> tuple[bytes, list[TableLine]]:
+    """A feature table's bytes and the line of each of its words, in input
+    order. Every line is checked as read_feature_table checks it, with the
+    same FormatError, so write_table_lines copies only valid words."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data, [TableLine(rec.utterance_id, first, stop)
+                  for rec, first, stop in _table_words(path, io.BytesIO(data))]
+
+
+def write_table_lines(data: bytes, lines: Sequence[TableLine], path: str) -> None:
+    """Write each line's bytes from data, ended by a newline, in the order
+    given. A line that write_feature_table wrote comes out byte for byte
+    as it was; any other keeps its own spelling of the same record."""
+    with open(path, "wb") as fh:
+        fh.writelines(data[line.start:line.stop] + b"\n" for line in lines)

@@ -9,8 +9,6 @@ from .config import (
     ModelConfig,
     TrainConfig,
     feature_dim,
-    large_config,
-    medium_config,
 )
 from .network import (
     Params,
@@ -36,9 +34,9 @@ from .training import (
 __all__ = [
     "ALL_FEATURES", "FEATURE_MODES", "PRESETS",
     "SYLLABLE_NUCLEUS_NUMERICAL", "SYLLABLE_NUMERICAL",
-    "ModelConfig", "TrainConfig", "feature_dim", "large_config",
-    "medium_config", "Params", "backward", "embed", "forward", "param_layout",
-    "init_params", "loss_and_grads", "loss_from_logits", "position_weights",
+    "ModelConfig", "TrainConfig", "feature_dim", "Params", "backward", "embed",
+    "forward", "param_layout", "init_params", "loss_and_grads",
+    "loss_from_logits", "position_weights",
     "Adam", "Batch", "evaluate_batch", "make_batch", "predict_instance",
     "predict_instances", "train",
 ]

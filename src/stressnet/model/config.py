@@ -111,14 +111,6 @@ PRESETS = {"attn-medium": {"d_model": 5, "n_heads": 6, "n_layers": 3},
            "attn-large": {"d_model": 10, "n_heads": 12, "n_layers": 6}}
 
 
-def medium_config(feature_mode: str = ALL_FEATURES, **kw) -> ModelConfig:
-    return ModelConfig(**PRESETS["attn-medium"], feature_mode=feature_mode, **kw)
-
-
-def large_config(feature_mode: str = ALL_FEATURES, **kw) -> ModelConfig:
-    return ModelConfig(**PRESETS["attn-large"], feature_mode=feature_mode, **kw)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings (adaptive-moment gradient descent).

@@ -9,6 +9,12 @@ tracks at a 10 ms hop, about a third of the pitch frames unvoiced).
 
     python -m pytest tests/bench_table_io.py
 
+split is timed from the synth table to both parts on disk: the oracle
+reads the records, splits them and writes each part with
+write_feature_table, as split once did; the new path copies the valid
+lines it parsed. predict's writer is timed on the test part (about 820
+words) with seeded probabilities; its oracle is json.dumps per word.
+
 The file name does not match test_*.py, so the test suite does not collect
 it. A read is timed with instances_from_table, which every command that
 reads a table runs on it; the oracle reads a syllable at a time. The
@@ -22,10 +28,18 @@ import numpy as np
 import pytest
 
 from stressnet.baselines import flatten, train_ordinal
+from stressnet.cli import _write_predictions
 from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
 from stressnet.dsp import IntensityTrack, PitchTrack
-from stressnet.features import extract_features, read_feature_table, write_feature_table
+from stressnet.features import (
+    extract_features,
+    read_feature_table,
+    read_table_lines,
+    write_feature_table,
+    write_table_lines,
+)
 from test_baselines import oracle_train_ordinal
+from test_cli import oracle_predictions, oracle_split
 from test_corpus import assert_same_corpus, oracle_synth_corpus
 from test_features import (
     oracle_extract_features,
@@ -39,12 +53,12 @@ SEED = 1
 
 @pytest.fixture(scope="module")
 def tables(lexicon, tmp_path_factory):
-    """(records, path) of the synth table and of its training split."""
+    """(records, path) of the synth table and of its two split parts."""
     _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
-    train, _ = split(recs, 0.7, seed=SEED)
+    train, test = split(recs, 0.7, seed=SEED)
     root = tmp_path_factory.mktemp("tables")
     out = {}
-    for name, part in (("synth", recs), ("train", train)):
+    for name, part in (("synth", recs), ("train", train), ("test", test)):
         path = str(root / f"{name}.jsonl")
         write_feature_table(part, path)
         out[name] = (part, path)
@@ -67,7 +81,22 @@ def oracle_write(records, path):
             fh.write(oracle_line(rec))
 
 
+def new_split(path, out):
+    data, lines = read_table_lines(path)
+    train, test = split(lines, 0.7, seed=SEED)
+    write_table_lines(data, train, str(out / "train.jsonl"))
+    write_table_lines(data, test, str(out / "test.jsonl"))
+
+
+def oracle_write_predictions(path, instances, probs):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(oracle_predictions(instances, probs))
+
+
 READERS = {"oracle": oracle_read, "new": new_read}
+SPLITTERS = {"oracle": lambda path, out: oracle_split(path, out, 0.7, SEED),
+             "new": new_split}
+PREDICTION_WRITERS = {"oracle": oracle_write_predictions, "new": _write_predictions}
 WRITERS = {"oracle": oracle_write, "new": write_feature_table}
 FITS = {"oracle": oracle_train_ordinal, "new": train_ordinal}
 GENERATORS = {"oracle": oracle_synth_corpus, "new": synth_corpus}
@@ -99,6 +128,32 @@ def test_write(benchmark, tables, tmp_path, table, impl):
     oracle_write(records, oracle_path)
     with open(path, "rb") as got, open(oracle_path, "rb") as want:
         assert got.read() == want.read()
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_split(benchmark, tables, tmp_path, impl):
+    _, path = tables["synth"]
+    got, want = tmp_path / "got", tmp_path / "want"
+    got.mkdir()
+    want.mkdir()
+    benchmark.group = "split, synth table -> train.jsonl + test.jsonl"
+    benchmark.pedantic(SPLITTERS[impl], (path, got), rounds=5)
+    SPLITTERS["oracle"](path, want)
+    for name in ("train.jsonl", "test.jsonl"):
+        assert (got / name).read_bytes() == (want / name).read_bytes()
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_predict_write(benchmark, tables, tmp_path, impl):
+    instances = new_read(tables["test"][1])
+    n = sum(inst.valid_count for inst in instances)
+    probs = np.random.default_rng(SEED).dirichlet(np.ones(3), n)
+    got, want = str(tmp_path / "got.jsonl"), str(tmp_path / "want.jsonl")
+    benchmark.group = f"predict output, {len(instances)} words"
+    benchmark.pedantic(PREDICTION_WRITERS[impl], (got, instances, probs), rounds=5)
+    oracle_write_predictions(want, instances, probs)
+    with open(got, "rb") as a, open(want, "rb") as b:
+        assert a.read() == b.read()
 
 
 @pytest.mark.parametrize("impl", IMPLS)

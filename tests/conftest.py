@@ -33,3 +33,10 @@ json_values = st.recursive(
     lambda kids: (st.lists(kids, max_size=3)
                   | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
     max_leaves=6)
+
+
+# floats whose repr takes every form: signed zeros, subnormals, the
+# extremes, integral values and exponents
+float_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, 1.0, -3.0, 2.0 ** 60, 1e16, 1e-5, 0.1])

@@ -33,14 +33,14 @@ from stressnet.lexicon import (
     syllabify,
 )
 from stressnet.model import (
+    PRESETS,
+    ModelConfig,
     TrainConfig,
     evaluate_batch,
     forward,
     init_params,
-    large_config,
     loss_and_grads,
     make_batch,
-    medium_config,
     train,
 )
 from stressnet.model.network import loss_from_logits
@@ -99,10 +99,10 @@ def _fd_worst(cfg, seed, n_samples, eps=1e-4):
 
 def test_criterion_1_gradient_correctness():
     t0 = time.monotonic()
-    worst_m, n_m = _fd_worst(medium_config(dropout=0.0), seed=101,
-                             n_samples=100)
-    worst_l, n_l = _fd_worst(large_config(dropout=0.0), seed=202,
-                             n_samples=100)
+    worst_m, n_m = _fd_worst(ModelConfig(**PRESETS["attn-medium"], dropout=0.0),
+                             seed=101, n_samples=100)
+    worst_l, n_l = _fd_worst(ModelConfig(**PRESETS["attn-large"], dropout=0.0),
+                             seed=202, n_samples=100)
     elapsed = time.monotonic() - t0
     worst = max(worst_m, worst_l)
     ok = worst < 1e-3 and (n_m + n_l) >= 200 and elapsed < 60.0
@@ -112,7 +112,7 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_mask_invariance():
-    cfg = medium_config(dropout=0.0)
+    cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
     params = init_params(cfg, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -263,7 +263,7 @@ def test_criterion_7_separable_oracle_learning(lexicon):
     train_all, test_set = split(instances, 0.7, seed=3)
     n_val = max(1, len(train_all) // 10)
     train_set, val_set = train_all[n_val:], train_all[:n_val]
-    cfg = medium_config(dropout=0.0)
+    cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
     params, table, _ = train(
         train_set, val_set, cfg,
         TrainConfig(epochs=30, seed=5, learning_rate=3e-3))
@@ -307,7 +307,7 @@ def test_criterion_8_moderate_noise_ordering(lexicon):
         train_all, test_set = split(instances, 0.7, seed=seed)
         n_val = max(1, len(train_all) // 10)
         train_set, val_set = train_all[n_val:], train_all[:n_val]
-        cfg = medium_config(dropout=0.0)
+        cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
         params, table, _ = train(
             train_set, val_set, cfg,
             TrainConfig(epochs=30, seed=seed, learning_rate=3e-3))
@@ -373,7 +373,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 
 def test_criterion_11_pca_contract():
     rng = np.random.default_rng(33)
-    params = init_params(medium_config(), rng)
+    params = init_params(ModelConfig(**PRESETS["attn-medium"]), rng)
     params["E_type"][:PAD_TYPE_INDEX] = rng.normal(0, 0.5, (16, 5))
     proj = pca_type_embeddings(params)
     gram = proj.components.T @ proj.components

@@ -20,7 +20,7 @@ from stressnet.checkpoint import (
     save_ordinal,
 )
 from stressnet.errors import CheckpointError, StressnetError
-from stressnet.model import SYLLABLE_NUCLEUS_NUMERICAL, init_params, medium_config
+from stressnet.model import PRESETS, SYLLABLE_NUCLEUS_NUMERICAL, ModelConfig, init_params
 
 
 class TestContainer:
@@ -84,7 +84,7 @@ class TestContainer:
 
 class TestModelCheckpoint:
     def test_round_trip_with_weights(self, tmp_path):
-        cfg = medium_config()
+        cfg = ModelConfig(**PRESETS["attn-medium"])
         params = init_params(cfg, np.random.default_rng(0))
         weights = np.random.default_rng(1).uniform(0, 1, (16, 3))
         path = str(tmp_path / "m.ckpt")
@@ -107,7 +107,7 @@ class TestModelCheckpoint:
                      SYLLABLE_NUCLEUS_NUMERICAL)
         save_forest(f_path, train_forest(X, y, n_trees=4, seed=1),
                     SYLLABLE_NUCLEUS_NUMERICAL)
-        cfg = medium_config()
+        cfg = ModelConfig(**PRESETS["attn-medium"])
         save_model(m_path, init_params(cfg, rng), cfg, None)
         assert load_any(o_path)[0] == "ordinal"
         assert load_any(f_path)[0] == "forest"
@@ -123,7 +123,7 @@ class TestModelCheckpoint:
                      SYLLABLE_NUCLEUS_NUMERICAL)
         save_forest(paths[1], train_forest(X, y, n_trees=2, seed=1),
                     SYLLABLE_NUCLEUS_NUMERICAL)
-        cfg = medium_config()
+        cfg = ModelConfig(**PRESETS["attn-medium"])
         save_model(paths[2], init_params(cfg, rng), cfg, np.ones((16, 3)))
         calls = []
 
@@ -137,7 +137,7 @@ class TestModelCheckpoint:
         assert calls == paths
 
     def test_parameters_must_fit_model_config(self, tmp_path):
-        cfg = medium_config()
+        cfg = ModelConfig(**PRESETS["attn-medium"])
         params = init_params(cfg, np.random.default_rng(7))
         path = str(tmp_path / "m.ckpt")
         save_model(path, dict(params, **{"head.b": np.zeros(4)}), cfg, None)
@@ -149,7 +149,7 @@ class TestModelCheckpoint:
             load_any(path)
 
     def test_arrays_must_be_float64(self, tmp_path):
-        cfg = medium_config()
+        cfg = ModelConfig(**PRESETS["attn-medium"])
         params = init_params(cfg, np.random.default_rng(8))
         path = str(tmp_path / "m.ckpt")
         # shapes fit; only the declared dtype is "<i8"

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +16,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stressnet
-from conftest import json_values
+from conftest import float_values, json_values
 from stressnet import bundled_dictionary_path
-from stressnet.cli import run_subcommand
+from stressnet.cli import _write_predictions, run_subcommand
 from stressnet import corpus
-from stressnet.corpus import GenConfig, load_alignment
+from stressnet.corpus import GenConfig, WordInstance, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
-from stressnet.features import extract_features, normalize_sentence, read_feature_table
+from stressnet.features import (
+    WordRecord,
+    extract_features,
+    normalize_sentence,
+    read_feature_table,
+    write_feature_table,
+)
+from stressnet.lexicon import NUCLEUS_TAGS
 from stressnet.model import FEATURE_MODES
 from test_dsp import MALFORMED_WAVS
 
@@ -154,9 +163,9 @@ class TestMalformedCheckpoints:
     @pytest.fixture
     def ckpt(self, tmp_path):
         from stressnet.checkpoint import save_model
-        from stressnet.model import init_params, medium_config
+        from stressnet.model import PRESETS, ModelConfig, init_params
 
-        cfg = medium_config()
+        cfg = ModelConfig(**PRESETS["attn-medium"])
         path = tmp_path / "m.ckpt"
         save_model(str(path), init_params(cfg, np.random.default_rng(0)),
                    cfg, None)
@@ -1567,6 +1576,8 @@ class TestManifests:
                 default = os.environ.get("STRESSNET_DICT", bundled_dictionary_path())
             want[key] = next(v for v in (given_flag, in_file, default)
                              if v is not None)
+        if want["dict_path"] == bundled_dictionary_path():
+            want["dict_path"] = "<bundled>"  # wherever the package is installed
         cfg = tiny_corpus / "prop.json"
         cfg.write_text(json.dumps(doc))
         got = {}
@@ -1575,3 +1586,234 @@ class TestManifests:
             manifest = tiny_corpus / f"prop-{command}" / "manifest.json"
             got.update(json.loads(manifest.read_text())["arguments"])
         assert {key: got[key] for key in want} == want
+
+    def test_bundled_dictionary_is_named_so(self, tiny_corpus):
+        out = tiny_corpus / "named"
+        assert run("synth", "--n", "2", "--dict", bundled_dictionary_path(),
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        digest = hashlib.sha256(Path(bundled_dictionary_path()).read_bytes())
+        assert manifest["arguments"]["dict_path"] == "<bundled>"
+        assert manifest["inputs"] == {"<bundled>": digest.hexdigest()}
+
+    def test_two_installed_copies_write_the_same_manifests(self, tmp_path):
+        # each run uses its own copy of the package and relative paths
+        stages = [
+            ["synth", "--n", "6", "--seed", "2", "--out", "corpus"],
+            ["split", "--features", "corpus/features.jsonl", "--seed", "2",
+             "--out", "corpus/split"],
+            ["train", "--model", "or", "--feature-mode", "syllable_numerical",
+             "--train", "corpus/split/train.jsonl", "--out", "or/m.ckpt"],
+            ["eval", "--model", "or/m.ckpt", "--data", "corpus/split/test.jsonl",
+             "--out", "report/or"],
+        ]
+        script = ("import json, sys, stressnet\n"
+                  "from stressnet.cli import run_subcommand\n"
+                  "print(stressnet.__file__)\n"
+                  "sys.exit(max(run_subcommand(a) for a in json.loads(sys.argv[1])))")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONPATH", "STRESSNET_DICT")}
+        manifests = []
+        for name in ("a", "b"):
+            package = tmp_path / name / "site" / "stressnet"
+            shutil.copytree(Path(stressnet.__file__).parent, package,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            work = tmp_path / name / "work"
+            work.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(stages)], cwd=work,
+                env=dict(env, PYTHONPATH=str(package.parent)),
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[0] == str(package / "__init__.py")
+            manifests.append({str(p.relative_to(work)): p.read_bytes()
+                              for p in sorted(work.rglob("manifest.json"))})
+        assert sorted(manifests[0]) == ["corpus/manifest.json",
+                                        "corpus/split/manifest.json",
+                                        "or/manifest.json", "report/manifest.json"]
+        assert manifests[0] == manifests[1]
+        assert b'"<bundled>"' in manifests[0]["corpus/manifest.json"]
+
+
+def split_files(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in ("train.jsonl", "test.jsonl")}
+
+
+def oracle_split(table: Path, out: Path, fraction: float, seed: int) -> None:
+    """split as it was: read the table, split the records, write both
+    parts with write_feature_table."""
+    train_set, test_set = corpus.split(read_feature_table(str(table)), fraction, seed)
+    out.mkdir(parents=True, exist_ok=True)
+    write_feature_table(train_set, str(out / "train.jsonl"))
+    write_feature_table(test_set, str(out / "test.jsonl"))
+
+
+@st.composite
+def canonical_tables(draw):
+    """Valid records, a few words to each of 2 to 5 utterances."""
+    n_utterances = draw(st.integers(2, 5))
+    ids = [draw(st.text(max_size=4)) + f"#{i}" for i in range(n_utterances)]
+    owners = ids + draw(st.lists(st.sampled_from(ids), max_size=6))
+    records = []
+    for utterance_id in draw(st.permutations(owners)):
+        n = draw(st.integers(1, 4))
+        records.append(WordRecord(
+            utterance_id, draw(st.text(max_size=6)),
+            np.array(draw(st.lists(st.lists(float_values, min_size=12, max_size=12),
+                                   min_size=n, max_size=n))),
+            draw(st.lists(st.sampled_from(NUCLEUS_TAGS), min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=n, max_size=n))))
+    return records
+
+
+# a valid table that this program did not write: key order, spacing,
+# integer features, CRLF line ends and blank lines of its own
+NON_CANONICAL_TABLE = (
+    b'{"word":"a","utterance_id":"u1","syllables":[{"stress":1,"position":0,'
+    b'"nucleus":"aa","features":[1,2,3,4,5,6,7,8,9,10,11,12]}]}\r\n'
+    b'\r\n'
+    b'   {  "utterance_id" : "u2" , "word" : "b\\u00e9" , "syllables" : [ '
+    b'{"position": 1, "features": [0, 0.5, -1, 1e3, 2E-3, 0.0, -0.0, 7, 8, 9, 10, 11],'
+    b' "nucleus": "iy", "stress": null}, {"nucleus": "ah", "stress": 0, "position": 0,'
+    b' "features": [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1.25]}]}  \t\r\n'
+    b'\n'
+    b'{"syllables": [{"features": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, '
+    b'11.0, 12.0], "nucleus": "ow", "position": 0, "stress": 2}], '
+    b'"utterance_id": "u3", "word": "c"}\n'
+    b'\t{"utterance_id":"u1","word":"d","syllables":[{"position":0,"stress":0,'
+    b'"nucleus":"er","features":[3,3,3,3,3,3,3,3,3,3,3,3]}]}'
+)
+
+
+def same_record(a, b) -> bool:
+    return ((a.utterance_id, a.word, a.nucleus_tags, a.stresses)
+            == (b.utterance_id, b.word, b.nucleus_tags, b.stresses)
+            and a.features.tobytes() == b.features.tobytes())
+
+
+class TestSplitCopiesLines:
+    """split parses each line once and copies the lines it keeps; on a
+    table this program wrote, it writes what reading the table and writing
+    both parts with write_feature_table wrote."""
+
+    @given(records=canonical_tables(), fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+           seed=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_tables_as_the_oracle(self, records, fraction, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_feature_table(records, str(root / "table.jsonl"))
+            oracle_split(root / "table.jsonl", root / "want", fraction, seed)
+            assert run("split", "--features", str(root / "table.jsonl"),
+                       "--train-fraction", str(fraction), "--seed", str(seed),
+                       "--out", str(root / "got")) == 0
+            assert split_files(root / "got") == split_files(root / "want")
+
+    def test_pinned_digests(self, tmp_path):
+        # digests of the parts that read-then-write_feature_table wrote
+        assert run("synth", "--n", "30", "--seed", "5", "--noise", "0.75",
+                   "--out", str(tmp_path / "c")) == 0
+        assert run("split", "--features", str(tmp_path / "c" / "features.jsonl"),
+                   "--seed", "5", "--out", str(tmp_path / "s")) == 0
+        got = {name: hashlib.sha256(data).hexdigest()
+               for name, data in split_files(tmp_path / "s").items()}
+        assert got == {
+            "train.jsonl": "65fa165d3e472c8a415e73c3f75377e2c7576807ef39bf3cea7ea20583665189",
+            "test.jsonl": "f073be968eaf2fe88a461823ec8e4c01bdc1cbf5199cc6c41972d6c7e12cfda5",
+        }
+
+    def test_non_canonical_lines_keep_their_spelling(self, tmp_path):
+        table = tmp_path / "table.jsonl"
+        table.write_bytes(NON_CANONICAL_TABLE)
+        assert run("split", "--features", str(table), "--seed", "0",
+                   "--train-fraction", "0.5", "--out", str(tmp_path / "s")) == 0
+        want = {line.strip(): rec for line, rec in zip(
+            filter(bytes.strip, NON_CANONICAL_TABLE.split(b"\n")),
+            read_feature_table(str(table)))}
+        got_lines = []
+        for name, data in split_files(tmp_path / "s").items():
+            assert data.endswith(b"\n")
+            lines = data[:-1].split(b"\n")
+            records = read_feature_table(str(tmp_path / "s" / name))
+            assert len(lines) == len(records)
+            for line, rec in zip(lines, records):
+                assert same_record(rec, want[line])  # parses as its input line
+            got_lines += lines
+        assert sorted(got_lines) == sorted(want)  # each line once, as it was
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+    def test_malformed_line_writes_no_part(self, pipeline, tmp_path, capsys, case):
+        _, out, _, _ = pipeline
+        good = (out / "features.jsonl").read_text().splitlines()
+        bad = MALFORMED_LINES[case]
+        if callable(bad):
+            doc = json.loads(good[0])
+            bad(doc)
+            bad = json.dumps(doc)
+        table = tmp_path / "bad.jsonl"
+        table.write_text("\n".join([*good[:40], bad, *good[40:]]) + "\n")
+        capsys.readouterr()
+        assert run("split", "--features", str(table), "--out",
+                   str(tmp_path / "s")) == 4
+        err = capsys.readouterr().err
+        assert "FormatError" in err and f"{table}:41: " in err
+        assert not (tmp_path / "s").exists()
+
+
+# printable and control characters, quotes, backslashes and lone surrogates
+json_text = st.text(st.characters() | st.sampled_from(
+    '"\\/\x00\x1f\x7f\n\té雪\U0001f600\ud800\udfff'), max_size=8)
+probabilities = st.floats() | st.sampled_from([0.0, 1.0, 5e-324, 1e-05])
+
+
+def oracle_predictions(instances, probs) -> str:
+    """predict's output as it was made: json.dumps(doc, sort_keys=True)
+    per word."""
+    preds, lines, start = probs.argmax(axis=1), [], 0
+    for inst in instances:
+        stop = start + inst.valid_count
+        lines.append(json.dumps({
+            "utterance_id": inst.utterance_id,
+            "word": inst.word,
+            "syllables": [{"position": i, "stress_pred": int(level),
+                           "probs": row.tolist()}
+                          for i, (level, row) in enumerate(
+                              zip(preds[start:stop], probs[start:stop]))],
+        }, sort_keys=True) + "\n")
+        start = stop
+    return "".join(lines)
+
+
+class TestPredictionWriter:
+    """predict lays out each line as json.dumps(doc, sort_keys=True) does."""
+
+    @given(words=st.lists(st.tuples(json_text, json_text, st.integers(1, 4)),
+                          max_size=4),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_as_json_dumps_writes(self, words, data):
+        n = sum(size for _, _, size in words)
+        probs = np.array(data.draw(st.lists(st.lists(probabilities, min_size=3,
+                                                     max_size=3),
+                                            min_size=n, max_size=n)),
+                         dtype=np.float64).reshape(n, 3)
+        instances = [WordInstance(uid, word, np.zeros((size, 12)),
+                                  np.zeros(size, dtype=np.int64),
+                                  np.zeros(size, dtype=np.int64))
+                     for uid, word, size in words]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "preds.jsonl")
+            _write_predictions(path, instances, probs)
+            with open(path, "rb") as fh:
+                assert fh.read() == oracle_predictions(instances, probs).encode()
+
+    def test_non_finite_probabilities(self, tmp_path):
+        inst = WordInstance("u", "w", np.zeros((2, 12)), np.zeros(2, dtype=np.int64),
+                            np.zeros(2, dtype=np.int64))
+        path = tmp_path / "preds.jsonl"
+        _write_predictions(str(path), [inst], np.array([[np.nan, np.inf, -np.inf],
+                                                        [1e-05, 5e-324, 1.0]]))
+        assert path.read_text() == (
+            '{"syllables": [{"position": 0, "probs": [NaN, Infinity, -Infinity], '
+            '"stress_pred": 0}, {"position": 1, "probs": [1e-05, 5e-324, 1.0], '
+            '"stress_pred": 2}], "utterance_id": "u", "word": "w"}\n')

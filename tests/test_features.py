@@ -31,6 +31,7 @@ from stressnet.features import (
     write_feature_table,
 )
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
+from conftest import float_values
 from test_cli import MALFORMED_LINES
 
 HOP = 0.01
@@ -682,13 +683,6 @@ def written_bytes(records) -> bytes:
             return fh.read()
     finally:
         os.unlink(path)
-
-
-# floats whose repr takes every form: signed zeros, subnormals, the
-# extremes, integral values and exponents
-float_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-     1.7976931348623157e308, 1.0, -3.0, 2.0 ** 60, 1e16, 1e-5, 0.1])
 
 
 @st.composite

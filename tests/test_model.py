@@ -19,6 +19,7 @@ from stressnet.lexicon import PAD_TYPE_INDEX, StressLevel
 from stressnet.model import (
     ALL_FEATURES,
     FEATURE_MODES,
+    PRESETS,
     SYLLABLE_NUMERICAL,
     Adam,
     ModelConfig,
@@ -27,11 +28,9 @@ from stressnet.model import (
     embed,
     forward,
     init_params,
-    large_config,
     loss_and_grads,
     loss_from_logits,
     make_batch,
-    medium_config,
     param_layout,
     predict_instance,
     predict_instances,
@@ -48,13 +47,13 @@ def tiny_config(**kw):
 
 class TestConfig:
     def test_presets(self):
-        m = medium_config()
-        l = large_config()
+        m = ModelConfig(**PRESETS["attn-medium"])
+        l = ModelConfig(**PRESETS["attn-large"])
         assert (m.d_model, m.n_heads, m.n_layers) == (5, 6, 3)
         assert (l.d_model, l.n_heads, l.n_layers) == (10, 12, 6)
 
     def test_medium_head_projection(self):
-        assert medium_config().head_dim == 1
+        assert ModelConfig(**PRESETS["attn-medium"]).head_dim == 1
 
     def test_strict_divisibility_mode(self):
         with pytest.raises(ConfigError):
@@ -82,12 +81,13 @@ class TestConfig:
 
     def test_class_weight_resolution(self):
         tc = TrainConfig()
-        assert tc.resolve_use_weights(medium_config()) is True
+        medium = PRESETS["attn-medium"]
+        assert tc.resolve_use_weights(ModelConfig(**medium)) is True
         assert tc.resolve_use_weights(
-            medium_config(SYLLABLE_NUMERICAL)) is False
+            ModelConfig(**medium, feature_mode=SYLLABLE_NUMERICAL)) is False
         forced = TrainConfig(use_class_weights=True)
         assert forced.resolve_use_weights(
-            medium_config(SYLLABLE_NUMERICAL)) is True
+            ModelConfig(**medium, feature_mode=SYLLABLE_NUMERICAL)) is True
 
 
 class TestEmbed:
@@ -141,7 +141,7 @@ class TestEmbed:
 
 class TestForward:
     def test_probabilities_sum_to_one(self):
-        cfg = medium_config(dropout=0.0)
+        cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
         params = init_params(cfg, np.random.default_rng(3))
         batch = random_instance_batch(np.random.default_rng(4), 5, 12)
         feats, types, mask, _, _ = batch
@@ -150,7 +150,7 @@ class TestForward:
         assert np.all(np.abs(sums[mask] - 1.0) < 1e-9)
 
     def test_padded_perturbation_changes_nothing(self):
-        cfg = medium_config(dropout=0.0)
+        cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
         params = init_params(cfg, np.random.default_rng(5))
         feats, types, mask, _, _ = random_instance_batch(
             np.random.default_rng(6), 8, 12)
@@ -164,7 +164,7 @@ class TestForward:
         assert np.abs(logits1[mask] - logits2[mask]).max() <= 1e-9
 
     def test_single_valid_attention_one_hot(self):
-        cfg = medium_config(dropout=0.0)
+        cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
         params = init_params(cfg, np.random.default_rng(8))
         feats = np.zeros((1, 17, 12))
         types = np.full((1, 17), PAD_TYPE_INDEX)
@@ -177,7 +177,7 @@ class TestForward:
             assert np.all(A[0, :, 0, 1:] == 0.0)
 
     def test_attention_rows_sum_to_one_masked_keys_zero(self):
-        cfg = medium_config(dropout=0.0)
+        cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
         params = init_params(cfg, np.random.default_rng(9))
         feats, types, mask, _, _ = random_instance_batch(
             np.random.default_rng(10), 4, 12)
@@ -428,10 +428,11 @@ def assert_views_of_flat(params):
 
 
 class TestParamStorage:
-    @pytest.mark.parametrize("make_cfg", [medium_config, large_config])
+    @pytest.mark.parametrize("preset", ["attn-medium", "attn-large"],
+                             ids=["medium_config", "large_config"])
     @pytest.mark.parametrize("mode", FEATURE_MODES)
-    def test_init_matches_per_array_oracle(self, make_cfg, mode):
-        cfg = make_cfg(mode)
+    def test_init_matches_per_array_oracle(self, preset, mode):
+        cfg = ModelConfig(**PRESETS[preset], feature_mode=mode)
         params = init_params(cfg, np.random.default_rng(17))
         expected = oracle_init_params(cfg, np.random.default_rng(17))
         assert list(params) == list(expected)
@@ -442,7 +443,7 @@ class TestParamStorage:
         assert_views_of_flat(params)
 
     def test_adam_matches_per_array_oracle(self):
-        cfg = medium_config()
+        cfg = ModelConfig(**PRESETS["attn-medium"])
         rng = np.random.default_rng(18)
         params = init_params(cfg, np.random.default_rng(19))
         ref = {k: a.copy() for k, a in params.items()}
@@ -521,7 +522,7 @@ class TestTraining:
 
     def test_learns_separable_data(self, small_corpus):
         train_set, test_set = small_corpus
-        cfg = medium_config(dropout=0.0)
+        cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
         tc = TrainConfig(epochs=12, seed=3, learning_rate=3e-3)
         params, weights, history = train(train_set, test_set, cfg, tc)
         assert max(h["val_acc"] for h in history) > 0.95
@@ -604,9 +605,10 @@ class TestTrimmedBatches:
             embed(np.zeros((1, 18, 12)), np.zeros((1, 18), dtype=int),
                   np.ones((1, 18), dtype=bool), params, cfg)
 
-    @pytest.mark.parametrize("make_cfg", [medium_config, large_config])
-    def test_logits_loss_and_gradients_match_full_width(self, make_cfg):
-        cfg = make_cfg(dropout=0.1)
+    @pytest.mark.parametrize("preset", ["attn-medium", "attn-large"],
+                             ids=["medium_config", "large_config"])
+    def test_logits_loss_and_gradients_match_full_width(self, preset):
+        cfg = ModelConfig(**PRESETS[preset], dropout=0.1)
         params = init_params(cfg, np.random.default_rng(42))
         trimmed = random_instance_batch(np.random.default_rng(43), 9, 12,
                                         max_positions=7)
@@ -658,7 +660,7 @@ class TestTrimmedBatches:
         import stressnet.model.training as training_mod
 
         _, test_set = small_corpus
-        cfg = medium_config(dropout=0.0)
+        cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
         params = init_params(cfg, np.random.default_rng(45))
         # several chunks, the last one short
         monkeypatch.setattr(training_mod, "SCORE_CHUNK", 7)
@@ -785,11 +787,12 @@ class TestEncoderPrimitives:
         for key in grads:
             assert_same_bits(grads[key], grads_ref[key])
 
-    @pytest.mark.parametrize("make_cfg", [medium_config, large_config])
+    @pytest.mark.parametrize("preset", ["attn-medium", "attn-large"],
+                             ids=["medium_config", "large_config"])
     def test_training_is_bitwise_that_of_the_oracles(self, small_corpus,
-                                                     monkeypatch, make_cfg):
+                                                     monkeypatch, preset):
         train_set, test_set = small_corpus
-        cfg = make_cfg(dropout=0.1)
+        cfg = ModelConfig(**PRESETS[preset], dropout=0.1)
         tc = TrainConfig(epochs=2, seed=8, learning_rate=3e-3)
         params, _, history = train(train_set, test_set, cfg, tc)
         for name, oracle in [
