@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import WordInstance
 from .errors import ConfigError, DegenerateData, LabelError, ShapeError
 from .lexicon import StressLevel
 
@@ -339,15 +338,6 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
 
 
 # --- shared scoring -----------------------------------------------------------
-
-def flatten(instances: list[WordInstance], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One row per syllable, in word order: features[:k] as (n, k)
-    and the gold labels as (n,). No instances give (0, k) and (0,)."""
-    if not instances:
-        return np.zeros((0, k)), np.zeros(0, dtype=np.int64)
-    return (np.concatenate([inst.features[:, :k] for inst in instances]),
-            np.concatenate([inst.labels for inst in instances]))
-
 
 def scores(model, X: np.ndarray) -> np.ndarray:
     """(n, 3) class scores in StressLevel order for n syllable rows: ordinal

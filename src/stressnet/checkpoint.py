@@ -27,6 +27,7 @@ format flattens all trees into contiguous node arrays indexed by
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -140,7 +141,7 @@ def load_container(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
 def save_model(path: str, params: Params, config: ModelConfig,
                class_weights: np.ndarray | None = None) -> None:
     meta = _base_meta(config.feature_mode)
-    meta["model_config"] = config.to_dict()
+    meta["model_config"] = dataclasses.asdict(config)
     meta["has_class_weights"] = class_weights is not None
     arrays = dict(params)
     if class_weights is not None:

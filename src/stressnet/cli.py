@@ -46,7 +46,7 @@ from .corpus import (
     EXCLUSION_SCOPES,
     LABELINGS,
     GenConfig,
-    WordInstance,
+    Instances,
     instances_from_table,
     label_utterance,
     load_alignment,
@@ -56,7 +56,7 @@ from .corpus import (
     synth_corpus,
 )
 from .dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
-from .errors import ConfigError, StressnetError
+from .errors import ConfigError, DegenerateData, StressnetError
 from .evaluation import evaluate, pca_type_embeddings, render_report
 from .features import (
     extract_features,
@@ -354,7 +354,10 @@ def _cmd_train(args, config) -> int:
         if getattr(args, dest) is not None and args.model not in models:
             raise ConfigError(f"--{dest.replace('_', '-')} is not read by "
                               f"--model {args.model}")
-    instances = instances_from_table(read_feature_table(args.train))
+    records = read_feature_table(args.train)
+    if not records:
+        raise DegenerateData("empty training set")
+    instances = instances_from_table(records)
     require_gold(instances)
     settings = {}
     if args.model in ("or", "rf"):
@@ -362,7 +365,8 @@ def _cmd_train(args, config) -> int:
             raise ConfigError(
                 "baselines take numerical features only; "
                 "use syllable_numerical or syllable_nucleus_numerical")
-        X, y = baselines.flatten(instances, feature_dim(args.feature_mode))
+        X = instances.features[:, :feature_dim(args.feature_mode)]
+        y = instances.labels
         if args.model == "or":
             model = baselines.train_ordinal(X, y, seed=args.seed)
             checkpoint.save_ordinal(args.out, model, args.feature_mode)
@@ -388,13 +392,16 @@ def _cmd_train(args, config) -> int:
         settings = {"train": train_cfg, "model": model_cfg}
 
         vf = train_cfg.validation_fraction
-        if vf > 0:
-            tr, val = split_utterances(instances, 1.0 - vf, args.seed)
-            if not tr:
+        tr, val = instances, None
+        # a split needs two utterances; with one, none is drawn
+        if vf > 0 and len({r.utterance_id for r in records}) > 1:
+            tr_records, val_records = split_utterances(records, 1.0 - vf, args.seed)
+            if not tr_records:
                 raise ConfigError(
                     f"validation_fraction {vf} leaves no training utterance")
-        else:
-            tr, val = instances, []
+            if val_records:
+                tr = instances_from_table(tr_records)
+                val = instances_from_table(val_records)
         params, weights, history = train_model(tr, val or tr, model_cfg, train_cfg)
         checkpoint.save_model(args.out, params, model_cfg, weights)
         if args.history:
@@ -409,42 +416,42 @@ def _cmd_train(args, config) -> int:
     return 0
 
 
-def _predict_all(path: str, instances: list[WordInstance]):
+def _predict_all(path: str, instances: Instances):
     """The (n_syllables, 3) class scores of the instances' syllables, in
-    word order, and the checkpoint's class-weight table or None, for any
+    row order, and the checkpoint's class-weight table or None, for any
     checkpoint kind; each kind scores the whole file in one batched call."""
     kind, payload, feature_mode, weights = checkpoint.load_any(path)
     if kind == "attention":
         params, cfg = payload
         return predict_instances(params, cfg, instances), weights
-    X, _ = baselines.flatten(instances, feature_dim(feature_mode))
+    X = instances.features[:, :feature_dim(feature_mode)]
     return baselines.scores(payload, X), weights
 
 
-def _write_predictions(path: str, instances: list[WordInstance],
+def _write_predictions(path: str, instances: Instances,
                        probs: np.ndarray) -> None:
     """Write one line per word, the bytes json.dumps(doc, sort_keys=True)
     and a newline would write for its document {"utterance_id", "word",
-    "syllables": [{"position", "stress_pred", "probs"}]}, the syllables'
-    rows of probs taken from a running offset. The fixed schema is laid
-    out here instead: a probability as json.dumps writes a float (its
-    repr, or NaN, Infinity, -Infinity), text as JSON's ASCII string."""
+    "syllables": [{"position", "stress_pred", "probs"}]}, word i's
+    syllables being rows offsets[i]:offsets[i + 1] of probs. The fixed
+    schema is laid out here instead: a probability as json.dumps writes a
+    float (its repr, or NaN, Infinity, -Infinity), text as JSON's ASCII
+    string."""
     rows = [", ".join(map(float.__repr__, row)) for row in probs.tolist()]
     if not np.isfinite(probs).all():
         rows = [row.replace("nan", "NaN").replace("inf", "Infinity") for row in rows]
     levels = probs.argmax(axis=1).tolist()
-    start = 0
+    offsets = instances.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            stop = start + inst.valid_count
+        for uid, word, start, stop in zip(instances.utterance_ids, instances.words,
+                                          offsets, offsets[1:]):
             sylls = ", ".join(
                 f'{{"position": {i}, "probs": [{row}], "stress_pred": {level}}}'
                 for i, (level, row) in enumerate(
                     zip(levels[start:stop], rows[start:stop])))
             fh.write(f'{{"syllables": [{sylls}], '
-                     f'"utterance_id": {encode_basestring_ascii(inst.utterance_id)}, '
-                     f'"word": {encode_basestring_ascii(inst.word)}}}\n')
-            start = stop
+                     f'"utterance_id": {encode_basestring_ascii(uid)}, '
+                     f'"word": {encode_basestring_ascii(word)}}}\n')
 
 
 def _cmd_predict(args, config) -> int:

@@ -170,32 +170,6 @@ def load_alignment(path: str) -> UtteranceAlignment:
     return parse_alignment(doc, source=path)
 
 
-def alignment_to_doc(al: UtteranceAlignment) -> dict:
-    return {
-        "schema": 1,
-        "utterance_id": al.utterance_id,
-        "audio_path": al.audio_path,
-        "words": [
-            {
-                "text": w.text,
-                "syllables": [
-                    {
-                        "start_s": s.start_s,
-                        "end_s": s.end_s,
-                        "nucleus": {
-                            "start_s": s.nucleus.start_s,
-                            "end_s": s.nucleus.end_s,
-                            "tag": s.nucleus.tag,
-                        },
-                    }
-                    for s in w.syllables
-                ],
-            }
-            for w in al.words
-        ],
-    }
-
-
 def _json_text(text: str | None) -> str:
     return "null" if text is None else encode_basestring_ascii(text)
 
@@ -209,10 +183,11 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def save_alignment(al: UtteranceAlignment, path: str) -> None:
-    """Write the bytes json.dump(alignment_to_doc(al), fh, sort_keys=True,
-    indent=1) and a newline would write. An indent makes json use its
-    pure-Python encoder, so the fixed schema is laid out here instead:
-    times as the repr of a float, text as JSON's ASCII string."""
+    """Write the bytes json.dump(doc, fh, sort_keys=True, indent=1) and a
+    newline would write, doc being the alignment as the schema above. An
+    indent makes json use its pure-Python encoder, so the fixed schema is
+    laid out here instead: times as the repr of a float, text as JSON's
+    ASCII string."""
     words = []
     for w in al.words:
         sylls = [
@@ -235,48 +210,64 @@ def save_alignment(al: UtteranceAlignment, path: str) -> None:
                  f' "words": {_json_list(words, " ")}\n}}\n')
 
 
-# --- word instances ---------------------------------------------------------
+# --- instances --------------------------------------------------------------
 
 @dataclass
-class WordInstance:
-    """One word as arrays over its n syllables, in position order.
+class Instances:
+    """The words of a feature table as flat arrays, one row per syllable:
+    the words in table order, each word's syllables in position order.
+    Word i owns rows offsets[i]:offsets[i + 1].
 
     There are no padded slots: training.make_batch pads a batch to its
     longest word.
     """
 
-    utterance_id: str
-    word: str
-    features: np.ndarray      # (n, 12) float64
-    type_indices: np.ndarray  # (n,) int64
-    labels: np.ndarray        # (n,) int64, IGNORE_LABEL where unknown
+    utterance_ids: list[str]  # one per word
+    words: list[str]          # one per word
+    offsets: np.ndarray       # (n_words + 1,) int64
+    features: np.ndarray      # (n_syllables, 12) float64
+    types: np.ndarray         # (n_syllables,) int64
+    labels: np.ndarray        # (n_syllables,) int64, IGNORE_LABEL where unknown
 
-    @property
-    def valid_count(self) -> int:
-        return len(self.labels)
+    def __len__(self) -> int:
+        return len(self.words)
 
-
-def build_instance(record: WordRecord) -> WordInstance:
-    """Pack a valid record into arrays: one read by read_feature_table or
-    built by this program, syllables in position order. The instance
-    shares the record's feature matrix."""
-    return WordInstance(
-        record.utterance_id, record.word, record.features,
-        np.array([TAG_TO_INDEX[tag] for tag in record.nucleus_tags], dtype=np.int64),
-        np.array([IGNORE_LABEL if s is None else s for s in record.stresses],
-                 dtype=np.int64))
-
-
-def instances_from_table(records: list[WordRecord]) -> list[WordInstance]:
-    return [build_instance(r) for r in records]
+    def __getitem__(self, words: slice) -> "Instances":
+        """The contiguous run of words the slice picks."""
+        if not isinstance(words, slice) or words.step not in (None, 1):
+            raise TypeError("Instances take only a contiguous word slice")
+        start, stop, _ = words.indices(len(self))
+        stop = max(start, stop)
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return Instances(self.utterance_ids[start:stop], self.words[start:stop],
+                         self.offsets[start:stop + 1] - lo, self.features[lo:hi],
+                         self.types[lo:hi], self.labels[lo:hi])
 
 
-def require_gold(instances: list[WordInstance]) -> None:
+def instances_from_table(records: list[WordRecord]) -> Instances:
+    """Pack valid records, ones read by read_feature_table or built by this
+    program, into one table: each record's feature rows, its tags as
+    type indices and its stresses as labels."""
+    offsets = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum([len(r.stresses) for r in records], out=offsets[1:])
+    features = (np.concatenate([r.features for r in records]) if records
+                else np.zeros((0, N_FEATURES)))
+    return Instances(
+        [r.utterance_id for r in records], [r.word for r in records], offsets,
+        features,
+        np.array([TAG_TO_INDEX[tag] for r in records for tag in r.nucleus_tags],
+                 dtype=np.int64),
+        np.array([IGNORE_LABEL if s is None else s
+                  for r in records for s in r.stresses], dtype=np.int64))
+
+
+def require_gold(instances: Instances) -> None:
     """LabelError naming the first word with a syllable of unknown stress."""
-    for inst in instances:
-        if (inst.labels == IGNORE_LABEL).any():
-            raise LabelError(f"{inst.utterance_id}: {inst.word!r} has a "
-                             "syllable without a gold stress label")
+    unknown = np.flatnonzero(instances.labels == IGNORE_LABEL)
+    if len(unknown):
+        i = int(np.searchsorted(instances.offsets, unknown[0], side="right")) - 1
+        raise LabelError(f"{instances.utterance_ids[i]}: {instances.words[i]!r} "
+                         "has a syllable without a gold stress label")
 
 
 # --- labeling ---------------------------------------------------------------
@@ -359,9 +350,9 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
 
 def split(words: list, train_fraction: float = 0.7,
           seed: int = 0) -> tuple[list, list]:
-    """Seeded train/test split at utterance granularity of word records,
-    instances or feature-table lines; only their utterance_id is read, and
-    input order is kept.
+    """Seeded train/test split at utterance granularity of word records or
+    feature-table lines; only their utterance_id is read, and input order
+    is kept.
 
     Utterance ids are sorted before shuffling so membership depends only on
     the id set and the seed, not on input order.
@@ -389,7 +380,7 @@ def weights_from_proportions(p: np.ndarray) -> np.ndarray:
     return (p / top) ** WEIGHT_EXPONENT
 
 
-def compute_class_weights(train: list[WordInstance]) -> np.ndarray:
+def compute_class_weights(train: Instances) -> np.ndarray:
     """The (16, 3) loss weights per (nucleus type, stress level): each
     type's training proportions, max-normalized per type.
 
@@ -397,13 +388,11 @@ def compute_class_weights(train: list[WordInstance]) -> np.ndarray:
     occur get weight 1 for every class so the loss stays defined on rare
     types.
     """
-    if not train:
+    if not len(train):
         raise DegenerateData("empty training set")
-    types = np.concatenate([inst.type_indices for inst in train])
-    labels = np.concatenate([inst.labels for inst in train])
-    gold = labels != IGNORE_LABEL
+    gold = train.labels != IGNORE_LABEL
     n_types = len(NUCLEUS_TAGS)
-    counts = np.bincount(types[gold] * 3 + labels[gold],
+    counts = np.bincount(train.types[gold] * 3 + train.labels[gold],
                          minlength=n_types * 3).reshape(n_types, 3)
     totals = counts.sum(axis=1)
     for t in np.flatnonzero(totals == 0):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import WordInstance, require_gold
+from .corpus import Instances, require_gold
 from .errors import AlignmentError, FormatError, InsufficientDimensions, LabelError
 from .lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX
 
@@ -29,13 +29,13 @@ class EvalReport:
     n_words: int
 
 
-def evaluate(predicted: np.ndarray, instances: list[WordInstance],
+def evaluate(predicted: np.ndarray, instances: Instances,
              weight_table: np.ndarray | None = None) -> EvalReport:
     """Score per-syllable predictions against gold labels.
 
     predicted holds one stress level per syllable, in the row order of
-    predict_instances and baselines.flatten; every syllable needs a gold
-    label (LabelError otherwise), and a length other than the syllable
+    the instances' arrays, which every scorer keeps; every syllable needs
+    a gold label (LabelError otherwise), and a length other than the syllable
     count, or no syllable at all, is an AlignmentError. weighted_accuracy
     is weight-normalized correct mass, sum(w_i * correct_i) / sum(w_i)
     with w_i looked up by the syllable's nucleus type and real label; it
@@ -43,7 +43,7 @@ def evaluate(predicted: np.ndarray, instances: list[WordInstance],
     """
     require_gold(instances)
     predicted = np.asarray(predicted)
-    n_syllables = sum(inst.valid_count for inst in instances)
+    n_syllables = len(instances.labels)
     if predicted.shape != (n_syllables,):
         raise AlignmentError(f"predictions of shape {predicted.shape} for "
                              f"{n_syllables} syllables")
@@ -51,8 +51,7 @@ def evaluate(predicted: np.ndarray, instances: list[WordInstance],
         raise AlignmentError("no syllables to score")
     if ((predicted < 0) | (predicted > 2)).any():
         raise LabelError("predictions must be stress levels 0, 1 or 2")
-    types = np.concatenate([inst.type_indices for inst in instances])
-    real = np.concatenate([inst.labels for inst in instances])
+    types, real = instances.types, instances.labels
     # cell (type, real, predicted) of the per-type confusions
     n_types = len(NUCLEUS_TAGS)
     cells = np.bincount((types * 3 + real) * 3 + predicted,

@@ -19,7 +19,6 @@ from .network import (
     loss_and_grads,
     loss_from_logits,
     param_layout,
-    position_weights,
 )
 from .training import (
     Adam,
@@ -36,7 +35,7 @@ __all__ = [
     "SYLLABLE_NUCLEUS_NUMERICAL", "SYLLABLE_NUMERICAL",
     "ModelConfig", "TrainConfig", "feature_dim", "Params", "backward", "embed",
     "forward", "param_layout", "init_params", "loss_and_grads",
-    "loss_from_logits", "position_weights",
+    "loss_from_logits",
     "Adam", "Batch", "evaluate_batch", "make_batch", "predict_instance",
     "predict_instances", "train",
 ]

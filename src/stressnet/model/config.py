@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..features import MAX_SYLLABLES
@@ -101,9 +101,6 @@ class ModelConfig:
     @property
     def uses_type_embedding(self) -> bool:
         return self.feature_mode == ALL_FEATURES
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # the sizes each named preset fixes

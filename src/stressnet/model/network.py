@@ -293,18 +293,6 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
 
 # --- loss --------------------------------------------------------------------
 
-def position_weights(weight_table: np.ndarray | None, types: np.ndarray,
-                     labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-slot loss weights from a (16, 3) table; 1.0 when table is None."""
-    w = np.zeros(mask.shape)
-    if weight_table is None:
-        w[mask] = 1.0
-        return w
-    valid = np.where(mask)
-    w[valid] = weight_table[types[valid], labels[valid]]
-    return w
-
-
 def loss_from_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
                      weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Weighted mean cross-entropy over valid slots and its dlogits.

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import IGNORE_LABEL, WordInstance, compute_class_weights
+from ..corpus import IGNORE_LABEL, Instances, compute_class_weights
 from ..errors import DegenerateData, DivergedAtEpoch, NumericalInstability
 from ..lexicon import PAD_TYPE_INDEX
 from .config import ModelConfig, TrainConfig
@@ -17,7 +17,6 @@ from .network import (
     loss_and_grads,
     loss_from_logits,
     param_layout,
-    position_weights,
 )
 
 ADAM_BETA1 = 0.9
@@ -35,7 +34,7 @@ def _used_slots(mask: np.ndarray) -> int:
 
 @dataclass
 class Batch:
-    """Stacked word instances, cut to P = the batch's longest word."""
+    """Words stacked one per row, cut to P = the batch's longest word."""
 
     features: np.ndarray  # (N, P, K)
     types: np.ndarray     # (N, P)
@@ -54,24 +53,27 @@ class Batch:
                      self.labels[idx, :P], self.weights[idx, :P])
 
 
-def make_batch(instances: list[WordInstance], config: ModelConfig,
+def make_batch(instances: Instances, config: ModelConfig,
                weight_table: np.ndarray | None = None) -> Batch:
-    """Stack instances into arrays padded to the longest word, features
+    """Stack the words into arrays padded to the longest word, features
     sliced to the config's K. A padded slot has zero features, the PAD
-    type, the IGNORE label and mask False."""
-    if not instances:
+    type, the IGNORE label, weight 0 and mask False. A valid slot weighs
+    weight_table[type, label], or 1.0 without a table."""
+    if not len(instances):
         raise DegenerateData("no instances")
     K = config.feature_dim
-    counts = np.array([inst.valid_count for inst in instances])
+    counts = np.diff(instances.offsets)
     mask = np.arange(counts.max()) < counts[:, None]
     # boolean-mask assignment fills row by row, each word's slots in order
     features = np.zeros(mask.shape + (K,))
-    features[mask] = np.concatenate([inst.features[:, :K] for inst in instances])
+    features[mask] = instances.features[:, :K]
     types = np.full(mask.shape, PAD_TYPE_INDEX, dtype=np.int64)
-    types[mask] = np.concatenate([inst.type_indices for inst in instances])
+    types[mask] = instances.types
     labels = np.full(mask.shape, IGNORE_LABEL, dtype=np.int64)
-    labels[mask] = np.concatenate([inst.labels for inst in instances])
-    weights = position_weights(weight_table, types, labels, mask)
+    labels[mask] = instances.labels
+    weights = np.zeros(mask.shape)
+    weights[mask] = (1.0 if weight_table is None
+                     else weight_table[instances.types, instances.labels])
     return Batch(features, types, mask, labels, weights)
 
 
@@ -105,7 +107,7 @@ def evaluate_batch(params: Params, batch: Batch, config: ModelConfig,
     return loss, float(correct.sum() / batch.mask.sum())
 
 
-def train(train_set: list[WordInstance], val_set: list[WordInstance],
+def train(train_set: Instances, val_set: Instances,
           model_config: ModelConfig, train_config: TrainConfig,
           ) -> tuple[Params, np.ndarray | None, list[dict]]:
     """Mini-batch Adam on the weighted cross-entropy.
@@ -115,7 +117,7 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
     table of the training set (None when weighting is off), and the
     per-epoch history. Fully deterministic for a given seed.
     """
-    if not train_set or not val_set:
+    if not len(train_set) or not len(val_set):
         raise DegenerateData("train and validation sets must be non-empty")
     table = (compute_class_weights(train_set)
              if train_config.resolve_use_weights(model_config) else None)
@@ -174,10 +176,9 @@ def train(train_set: list[WordInstance], val_set: list[WordInstance],
 
 
 def predict_instances(params: Params, config: ModelConfig,
-                      instances: list[WordInstance]) -> np.ndarray:
-    """The (n_syllables, 3) class probabilities of every syllable: the
-    words in input order, each word's syllables in position order, as
-    baselines.flatten lays out its rows.
+                      instances: Instances) -> np.ndarray:
+    """The (n_syllables, 3) class probabilities of every syllable, in the
+    row order of the instances' own arrays.
 
     Scores SCORE_CHUNK words per forward pass, each chunk trimmed to its
     longest word. Padded slots yield nothing.
@@ -192,6 +193,6 @@ def predict_instances(params: Params, config: ModelConfig,
 
 
 def predict_instance(params: Params, config: ModelConfig,
-                     instance: WordInstance) -> np.ndarray:
-    """The (valid_count, 3) class probabilities of one word's syllables."""
-    return predict_instances(params, config, [instance])
+                     instance: Instances) -> np.ndarray:
+    """The (n, 3) class probabilities of a one-word table's n syllables."""
+    return predict_instances(params, config, instance)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from stressnet import baselines
-from stressnet.baselines import flatten, train_forest
+from stressnet.baselines import train_forest
 from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
 from test_baselines import TREE_ARRAYS, oracle_grow_tree
 
@@ -27,8 +27,9 @@ SEED = 1
 @pytest.fixture(scope="module")
 def training_set(lexicon):
     _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
-    train_all, _ = split(instances_from_table(recs), 0.7, seed=SEED)
-    return flatten(train_all, 12)
+    train_all, _ = split(recs, 0.7, seed=SEED)
+    instances = instances_from_table(train_all)
+    return instances.features, instances.labels
 
 
 @pytest.fixture(params=["oracle", "new"])

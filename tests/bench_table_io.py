@@ -14,6 +14,9 @@ reads the records, splits them and writes each part with
 write_feature_table, as split once did; the new path copies the valid
 lines it parsed. predict's writer is timed on the test part (about 820
 words) with seeded probabilities; its oracle is json.dumps per word.
+instances_from_table, and make_batch with the class-weight table, are
+timed on the training part against the per-word path in conftest.py,
+which builds each word's arrays and concatenates them per consumer.
 
 The file name does not match test_*.py, so the test suite does not collect
 it. A read is timed with instances_from_table, which every command that
@@ -27,9 +30,16 @@ times. Both sides of each pair must give the same bytes.
 import numpy as np
 import pytest
 
-from stressnet.baselines import flatten, train_ordinal
+from conftest import oracle_instances, oracle_make_batch
+from stressnet.baselines import train_ordinal
 from stressnet.cli import _write_predictions
-from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
+from stressnet.corpus import (
+    GenConfig,
+    compute_class_weights,
+    instances_from_table,
+    split,
+    synth_corpus,
+)
 from stressnet.dsp import IntensityTrack, PitchTrack
 from stressnet.features import (
     extract_features,
@@ -38,6 +48,7 @@ from stressnet.features import (
     write_feature_table,
     write_table_lines,
 )
+from stressnet.model import PRESETS, ModelConfig, make_batch
 from test_baselines import oracle_train_ordinal
 from test_cli import oracle_predictions, oracle_split
 from test_corpus import assert_same_corpus, oracle_synth_corpus
@@ -101,8 +112,17 @@ WRITERS = {"oracle": oracle_write, "new": write_feature_table}
 FITS = {"oracle": oracle_train_ordinal, "new": train_ordinal}
 GENERATORS = {"oracle": oracle_synth_corpus, "new": synth_corpus}
 EXTRACTORS = {"oracle": oracle_extract_features, "new": extract_features}
+PACKERS = {"oracle": oracle_instances, "new": instances_from_table}
+BATCHERS = {"oracle": oracle_make_batch, "new": make_batch}
 IMPLS = ["oracle", "new"]
-INSTANCE_ARRAYS = ("features", "type_indices", "labels")
+BATCH_ARRAYS = ("features", "types", "mask", "labels", "weights")
+
+
+def packed(words):
+    """Per-word arrays as one table's (features, types, labels)."""
+    return (np.concatenate([w.features for w in words]),
+            np.concatenate([w.type_indices for w in words]),
+            np.concatenate([w.labels for w in words]))
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -113,9 +133,41 @@ def test_read(benchmark, tables, table, impl):
     got = benchmark.pedantic(READERS[impl], (path,), rounds=5)
     want = READERS["oracle"](path)
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for name in INSTANCE_ARRAYS:
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    if impl == "new":
+        got = (got.features, got.types, got.labels)
+    else:
+        got = packed(got)
+    for a, b in zip(got, packed(want)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_instances(benchmark, tables, impl):
+    records, _ = tables["train"]
+    benchmark.group = f"instances_from_table, {len(records)} words"
+    got = benchmark.pedantic(PACKERS[impl], (records,), rounds=30)
+    want = instances_from_table(records)
+    if impl == "oracle":
+        assert len(got) == len(want)
+        got = packed(got)
+    else:
+        got = (got.features, got.types, got.labels)
+    for a, b in zip(got, (want.features, want.types, want.labels)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_make_batch(benchmark, tables, impl):
+    records, _ = tables["train"]
+    instances = instances_from_table(records)
+    words = {"oracle": oracle_instances(records), "new": instances}[impl]
+    config = ModelConfig(**PRESETS["attn-medium"])
+    table = compute_class_weights(instances)
+    benchmark.group = f"make_batch with class weights, {len(records)} words"
+    got = benchmark.pedantic(BATCHERS[impl], (words, config, table), rounds=30)
+    want = oracle_make_batch(oracle_instances(records), config, table)
+    for name in BATCH_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -145,13 +197,15 @@ def test_split(benchmark, tables, tmp_path, impl):
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_predict_write(benchmark, tables, tmp_path, impl):
-    instances = new_read(tables["test"][1])
-    n = sum(inst.valid_count for inst in instances)
+    records = read_feature_table(tables["test"][1])
+    words = oracle_instances(records)
+    instances = {"oracle": words, "new": instances_from_table(records)}[impl]
+    n = sum(len(w.labels) for w in words)
     probs = np.random.default_rng(SEED).dirichlet(np.ones(3), n)
     got, want = str(tmp_path / "got.jsonl"), str(tmp_path / "want.jsonl")
     benchmark.group = f"predict output, {len(instances)} words"
     benchmark.pedantic(PREDICTION_WRITERS[impl], (got, instances, probs), rounds=5)
-    oracle_write_predictions(want, instances, probs)
+    oracle_write_predictions(want, words, probs)
     with open(got, "rb") as a, open(want, "rb") as b:
         assert a.read() == b.read()
 
@@ -159,7 +213,8 @@ def test_predict_write(benchmark, tables, tmp_path, impl):
 @pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("k", [6, 12])
 def test_train_ordinal(benchmark, tables, k, impl):
-    X, y = flatten(new_read(tables["train"][1]), k)
+    instances = new_read(tables["train"][1])
+    X, y = instances.features[:, :k], instances.labels
     benchmark.group = f"train_ordinal K={k}, n={len(y)}"
     got = benchmark.pedantic(FITS[impl], (X, y), {"seed": SEED}, rounds=3)
     want = oracle_train_ordinal(X, y, seed=SEED)

@@ -1,9 +1,13 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from stressnet import bundled_dictionary_path
-from stressnet.lexicon import PAD_TYPE_INDEX, load_dictionary
+from stressnet.corpus import IGNORE_LABEL
+from stressnet.lexicon import PAD_TYPE_INDEX, TAG_TO_INDEX, load_dictionary
+from stressnet.model import Batch
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +29,55 @@ def random_instance_batch(rng, n, k, min_valid=2, max_positions=17):
         feats[b, valid:] = 0.0
     weights = np.where(mask, rng.uniform(0.2, 1.0, (n, max_positions)), 0.0)
     return feats, types, mask, labels, weights
+
+
+# --- the per-word path that corpus.Instances replaced -------------------------
+
+class OracleWord(NamedTuple):
+    """One word as arrays over its n syllables, in position order."""
+
+    utterance_id: str
+    word: str
+    features: np.ndarray      # (n, 12) float64, the record's own matrix
+    type_indices: np.ndarray  # (n,) int64
+    labels: np.ndarray        # (n,) int64, IGNORE_LABEL where unknown
+
+
+def oracle_instances(records):
+    """Each record's index arrays, built one word at a time."""
+    return [OracleWord(
+        r.utterance_id, r.word, r.features,
+        np.array([TAG_TO_INDEX[tag] for tag in r.nucleus_tags], dtype=np.int64),
+        np.array([IGNORE_LABEL if s is None else s for s in r.stresses],
+                 dtype=np.int64)) for r in records]
+
+
+def oracle_flatten(words, k):
+    """One row per syllable, in word order: features[:k] as (n, k) and the
+    gold labels as (n,). No words give (0, k) and (0,)."""
+    if not words:
+        return np.zeros((0, k)), np.zeros(0, dtype=np.int64)
+    return (np.concatenate([w.features[:, :k] for w in words]),
+            np.concatenate([w.labels for w in words]))
+
+
+def oracle_make_batch(words, config, weight_table=None):
+    """make_batch over per-word arrays: each array concatenated word by
+    word into the mask, and the slot weights looked up where it holds."""
+    K = config.feature_dim
+    counts = np.array([len(w.labels) for w in words])
+    mask = np.arange(counts.max()) < counts[:, None]
+    features = np.zeros(mask.shape + (K,))
+    features[mask] = np.concatenate([w.features[:, :K] for w in words])
+    types = np.full(mask.shape, PAD_TYPE_INDEX, dtype=np.int64)
+    types[mask] = np.concatenate([w.type_indices for w in words])
+    labels = np.full(mask.shape, IGNORE_LABEL, dtype=np.int64)
+    labels[mask] = np.concatenate([w.labels for w in words])
+    weights = np.zeros(mask.shape)
+    valid = np.where(mask)
+    weights[valid] = (1.0 if weight_table is None
+                      else weight_table[types[valid], labels[valid]])
+    return Batch(features, types, mask, labels, weights)
 
 
 # any JSON document, for fuzzing the readers of JSON input

@@ -13,7 +13,6 @@ from conftest import random_instance_batch
 from stressnet.cli import run_subcommand
 from stressnet.corpus import (
     GenConfig,
-    build_instance,
     compute_class_weights,
     instances_from_table,
     split,
@@ -44,7 +43,7 @@ from stressnet.model import (
     train,
 )
 from stressnet.model.network import loss_from_logits
-from stressnet.baselines import flatten, scores, train_forest, train_ordinal
+from stressnet.baselines import scores, train_forest, train_ordinal
 
 
 def report(criterion, ok, detail):
@@ -147,8 +146,8 @@ def test_criterion_3_weight_oracle(lexicon):
         counts = rng.integers(1, 40, 3)
         tag = NUCLEUS_TAGS[int(rng.integers(16))]
         labels = np.repeat([0, 1, 2], counts)[:17].tolist()
-        instances = [build_instance(WordRecord(
-            "u", "w", np.zeros((len(labels), 12)), [tag] * len(labels), labels))]
+        instances = instances_from_table([WordRecord(
+            "u", "w", np.zeros((len(labels), 12)), [tag] * len(labels), labels)])
         table = compute_class_weights(instances)
         realized = np.bincount(labels, minlength=3)
         expected = (realized / realized.sum())
@@ -257,10 +256,9 @@ def test_criterion_6_dsp_accuracy():
 def test_criterion_7_separable_oracle_learning(lexicon):
     t0 = time.monotonic()
     _, recs = synth_corpus(lexicon, 320, GenConfig(noise=0.0), seed=11)
-    instances = instances_from_table(recs)
-    n_separable = len(instances)
+    n_separable = len(instances_from_table(recs))
     assert n_separable >= 2000
-    train_all, test_set = split(instances, 0.7, seed=3)
+    train_all, test_set = map(instances_from_table, split(recs, 0.7, seed=3))
     n_val = max(1, len(train_all) // 10)
     train_set, val_set = train_all[n_val:], train_all[:n_val]
     cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
@@ -276,16 +274,15 @@ def test_criterion_7_separable_oracle_learning(lexicon):
     _, recs = synth_corpus(
         lexicon, 250, GenConfig(noise=0.0, labeling="relative_duration"),
         seed=21)
-    instances = instances_from_table(recs)
-    train_all, test_set = split(instances, 0.7, seed=21)
+    train_all, test_set = map(instances_from_table, split(recs, 0.7, seed=21))
     n_val = max(1, len(train_all) // 10)
     train_set, val_set = train_all[n_val:], train_all[:n_val]
     params, table, _ = train(
         train_set, val_set, cfg,
         TrainConfig(epochs=30, seed=21, learning_rate=3e-3))
     _, attn_acc = evaluate_batch(params, make_batch(test_set, cfg, table), cfg)
-    Xtr, ytr = flatten(train_all, 12)
-    Xte, yte = flatten(test_set, 12)
+    Xtr, ytr = train_all.features, train_all.labels
+    Xte, yte = test_set.features, test_set.labels
     rf_acc = float((scores(train_forest(Xtr, ytr, n_trees=50, seed=21),
                            Xte).argmax(axis=1) == yte).mean())
     or_acc = float((scores(train_ordinal(Xtr, ytr, seed=21),
@@ -303,8 +300,8 @@ def test_criterion_8_moderate_noise_ordering(lexicon):
     results = []
     for seed in (1, 2, 3):
         _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
-        instances = instances_from_table(recs)
-        train_all, test_set = split(instances, 0.7, seed=seed)
+        train_all, test_set = map(instances_from_table,
+                                  split(recs, 0.7, seed=seed))
         n_val = max(1, len(train_all) // 10)
         train_set, val_set = train_all[n_val:], train_all[:n_val]
         cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
@@ -312,8 +309,8 @@ def test_criterion_8_moderate_noise_ordering(lexicon):
             train_set, val_set, cfg,
             TrainConfig(epochs=30, seed=seed, learning_rate=3e-3))
         _, attn = evaluate_batch(params, make_batch(test_set, cfg, table), cfg)
-        Xtr, ytr = flatten(train_all, 12)
-        Xte, yte = flatten(test_set, 12)
+        Xtr, ytr = train_all.features, train_all.labels
+        Xte, yte = test_set.features, test_set.labels
         rf = float((scores(train_forest(Xtr, ytr, n_trees=50, seed=seed),
                            Xte).argmax(axis=1) == yte).mean())
         om = float((scores(train_ordinal(Xtr, ytr, seed=seed),
@@ -329,8 +326,8 @@ def test_criterion_9_evaluation_self_consistency(lexicon):
     rng = np.random.default_rng(30)
     _, recs = synth_corpus(lexicon, 25, GenConfig(noise=1.0), seed=16)
     instances = instances_from_table(recs)
-    preds = np.concatenate([rng.integers(0, 3, inst.valid_count)
-                            for inst in instances])
+    preds = np.concatenate([rng.integers(0, 3, n)
+                            for n in np.diff(instances.offsets)])
     report_plain = evaluate(preds, instances)
     trace_ok = (report_plain.accuracy
                 == np.trace(report_plain.confusion) / report_plain.n_syllables)

@@ -9,7 +9,6 @@ from stressnet.baselines import (
     _grow_tree,
     _ordinal_nll_grad,
     _sigmoid,
-    flatten,
     scores,
     train_forest,
     train_ordinal,
@@ -28,9 +27,15 @@ def ordinal_1d_data(rng, n=600):
     return X, y
 
 
+def syllable_rows(records, k):
+    """The records' syllables as (n, k) features and (n,) labels."""
+    instances = instances_from_table(records)
+    return instances.features[:, :k], instances.labels
+
+
 def corpus_syllables(lexicon, noise=0.0, n_utts=60, seed=2, k=12):
     _, recs = synth_corpus(lexicon, n_utts, GenConfig(noise=noise), seed=seed)
-    return flatten(instances_from_table(recs), k)
+    return syllable_rows(recs, k)
 
 
 class TestOrdinal:
@@ -208,25 +213,6 @@ class TestPredictBaseline:
             assert np.abs(batched_or[i] - ordinal.class_probs(X[i])[0]).max() < 1e-12
         assert scores(forest, np.zeros((0, 12))).shape == (0, 3)
         assert scores(ordinal, np.zeros((0, 12))).shape == (0, 3)
-
-
-class TestFlatten:
-    def test_one_row_per_valid_syllable_in_word_order(self, lexicon):
-        _, recs = synth_corpus(lexicon, 3, GenConfig(noise=0.5), seed=4)
-        instances = instances_from_table(recs)
-        X, y = flatten(instances, 6)
-        assert X.shape == (sum(inst.valid_count for inst in instances), 6)
-        row = 0
-        for inst in instances:
-            for i in range(inst.valid_count):
-                assert np.array_equal(X[row], inst.features[i, :6])
-                assert y[row] == inst.labels[i]
-                row += 1
-
-    def test_no_instances_give_zero_rows(self):
-        X, y = flatten([], 12)
-        assert X.shape == (0, 12)
-        assert y.shape == (0,)
 
 
 # --- the tree grower against the per-node oracle ------------------------------
@@ -452,8 +438,8 @@ def criterion_8_training_set(lexicon, k, seed=1):
     """Criterion 8's training syllables: 250 utterances at noise 0.75,
     70% of them by utterance."""
     _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
-    train_all, _ = split(instances_from_table(recs), 0.7, seed=seed)
-    return flatten(train_all, k)
+    train_all, _ = split(recs, 0.7, seed=seed)
+    return syllable_rows(train_all, k)
 
 
 def assert_fits_as_oracle(X, y, **kwargs):

@@ -13,16 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stressnet
-from conftest import float_values, json_values
+from conftest import float_values, json_values, oracle_instances
 from stressnet import bundled_dictionary_path
 from stressnet.cli import _write_predictions, run_subcommand
 from stressnet import corpus
-from stressnet.corpus import GenConfig, WordInstance, load_alignment
+from stressnet.corpus import GenConfig, instances_from_table, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
 from stressnet.features import (
+    MAX_SYLLABLES,
     WordRecord,
     extract_features,
     normalize_sentence,
@@ -764,14 +765,13 @@ def baseline_ckpts(pipeline):
 def per_word_reference(ckpt, table):
     """predict's output lines, scoring one word per call as a reference."""
     from stressnet.checkpoint import load_any
-    from stressnet.corpus import instances_from_table
     from stressnet.model import feature_dim
 
     kind, model, feature_mode, _ = load_any(ckpt)
     score = model.vote_shares if kind == "forest" else model.class_probs
     lines = []
-    for inst in instances_from_table(read_feature_table(table)):
-        probs = score(inst.features[:inst.valid_count, :feature_dim(feature_mode)])
+    for inst in oracle_instances(read_feature_table(table)):
+        probs = score(inst.features[:, :feature_dim(feature_mode)])
         lines.append(json.dumps({
             "utterance_id": inst.utterance_id,
             "word": inst.word,
@@ -1121,7 +1121,7 @@ class TestTrainConfigErrors:
                    "--out", str(ckpt), "--epochs", "1") == 0
         kind, (_, config), _, _ = load_any(str(ckpt))
         assert kind == "attention"
-        assert model.items() <= config.to_dict().items()
+        assert model.items() <= dataclasses.asdict(config).items()
 
 
 @pytest.fixture(scope="module")
@@ -1432,14 +1432,31 @@ class TestSettingsExitCodes:
         assert said in out
         assert ("no validation" in out) == (flags != ["--val-fraction", "0.5"])
 
-    def test_empty_table_is_a_data_error(self, tiny_corpus, capsys):
+    @pytest.mark.parametrize("model", ["or", "rf", "attn-medium"])
+    def test_empty_table_is_a_data_error(self, tiny_corpus, capsys, model):
         empty = tiny_corpus / "empty.jsonl"
         empty.write_text("")
-        code = run("train", "--model", "attn-medium", "--val-fraction", "0",
+        code = run("train", "--model", model,
                    "--train", str(empty), "--out", str(tiny_corpus / "m.ckpt"))
         err = capsys.readouterr().err
         assert code == 4
-        assert "DegenerateData" in err
+        assert "DegenerateData" in err and "empty training set" in err
+        assert "Traceback" not in err
+
+    def test_one_utterance_table_validates_on_its_training_words(
+            self, tiny_corpus, capsys):
+        table = tiny_corpus / "corpus" / "features.jsonl"
+        lines = table.read_text().splitlines()
+        first = json.loads(lines[0])["utterance_id"]
+        one = tiny_corpus / "one.jsonl"
+        one.write_text("".join(line + "\n" for line in lines
+                               if json.loads(line)["utterance_id"] == first))
+        code = run("train", "--model", "attn-medium", "--epochs", "1",
+                   "--train", str(one), "--out", str(tiny_corpus / "m.ckpt"))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ("train instances (no validation utterance drawn: val acc is "
+                "on the training words)") in out
 
     @pytest.mark.parametrize("section,argv", [
         ("dsp", ["featurize", "--alignments", "{r}/empty",
@@ -1522,6 +1539,85 @@ TOP_LEVEL_KEYS = {
                            st.sampled_from(["sentence", "multisyllabic_only"]),
                            "sentence"),
 }
+
+
+@st.composite
+def edge_tables(draw):
+    """A valid feature table of 0 to 3 utterances of 0 to 4 words, each of
+    1 to 17 syllables with any tags, whose stresses are of one class or
+    several, and maybe null."""
+    classes = sorted(draw(st.sets(st.sampled_from([0, 1, 2]), min_size=1),
+                          label="classes"))
+    if draw(st.booleans(), label="nulls"):
+        classes.append(None)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    records = []
+    for u in range(draw(st.integers(0, 3), label="utterances")):
+        for w in range(draw(st.integers(0, 4), label="words")):
+            n = draw(st.integers(1, MAX_SYLLABLES), label="syllables")
+            records.append(WordRecord(
+                f"u{u}", f"w{w}", rng.normal(size=(n, 12)),
+                draw(st.lists(st.sampled_from(NUCLEUS_TAGS), min_size=n, max_size=n)),
+                draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))))
+    return records
+
+
+# per model kind, the train flags that keep a fuzz run quick
+EDGE_RUNS = {"rf": ["--n-trees", "1", "--feature-mode", "syllable_numerical"],
+             "or": ["--feature-mode", "syllable_nucleus_numerical"],
+             "attn-medium": ["--epochs", "1"]}
+ONE_UTTERANCE = [
+    WordRecord("u0", "w0", np.zeros((2, 12)), ["iy", "ah"], [1, 0]),
+    WordRecord("u0", "w1", np.ones((3, 12)), ["ah", "iy", "er"], [0, 1, 2])]
+
+
+def run_quietly(*argv) -> tuple[int, str]:
+    """The exit code and what went to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+class TestEdgeTables:
+    """train, eval and predict on any valid table, however small or
+    one-sided, either work or stop with a config or data error."""
+
+    @given(records=edge_tables(), model=st.sampled_from(sorted(EDGE_RUNS)))
+    @example(records=[], model="or")
+    @example(records=[], model="rf")
+    @example(records=[], model="attn-medium")
+    @example(records=ONE_UTTERANCE, model="attn-medium")
+    @settings(max_examples=25, deadline=None)
+    def test_train_eval_predict(self, records, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            table, ckpt = os.path.join(tmp, "t.jsonl"), os.path.join(tmp, "m.ckpt")
+            write_feature_table(records, table)
+            code, err = run_quietly("train", "--model", model, *EDGE_RUNS[model],
+                                    "--train", table, "--out", ckpt)
+            assert code in (0, 3, 4) and "Traceback" not in err, err
+            if not records:
+                assert code == 4, err
+            elif model == "attn-medium" and None not in {
+                    s for r in records for s in r.stresses}:
+                # any labeled table trains, one utterance or several
+                assert code == 0, err
+            if code != 0:
+                return
+            code, err = run_quietly("eval", "--model", ckpt, "--data", table,
+                                    "--out", os.path.join(tmp, "report"))
+            assert code in (0, 3, 4) and "Traceback" not in err, err
+            if code == 0:
+                with open(os.path.join(tmp, "report.json")) as fh:
+                    assert json.load(fh)["n_syllables"] == sum(
+                        len(r.stresses) for r in records)
+            preds = os.path.join(tmp, "preds.jsonl")
+            code, err = run_quietly("predict", "--model", ckpt, "--input", table,
+                                    "--out", preds)
+            assert code in (0, 3, 4) and "Traceback" not in err, err
+            if code == 0:
+                with open(preds) as fh:
+                    assert len(fh.readlines()) == len(records)
 
 
 class TestManifests:
@@ -1771,7 +1867,7 @@ def oracle_predictions(instances, probs) -> str:
     per word."""
     preds, lines, start = probs.argmax(axis=1), [], 0
     for inst in instances:
-        stop = start + inst.valid_count
+        stop = start + len(inst.labels)
         lines.append(json.dumps({
             "utterance_id": inst.utterance_id,
             "word": inst.word,
@@ -1797,22 +1893,21 @@ class TestPredictionWriter:
                                                      max_size=3),
                                             min_size=n, max_size=n)),
                          dtype=np.float64).reshape(n, 3)
-        instances = [WordInstance(uid, word, np.zeros((size, 12)),
-                                  np.zeros(size, dtype=np.int64),
-                                  np.zeros(size, dtype=np.int64))
-                     for uid, word, size in words]
+        records = [WordRecord(uid, word, np.zeros((size, 12)), ["ah"] * size,
+                              [0] * size) for uid, word, size in words]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "preds.jsonl")
-            _write_predictions(path, instances, probs)
+            _write_predictions(path, instances_from_table(records), probs)
             with open(path, "rb") as fh:
-                assert fh.read() == oracle_predictions(instances, probs).encode()
+                assert fh.read() == oracle_predictions(
+                    oracle_instances(records), probs).encode()
 
     def test_non_finite_probabilities(self, tmp_path):
-        inst = WordInstance("u", "w", np.zeros((2, 12)), np.zeros(2, dtype=np.int64),
-                            np.zeros(2, dtype=np.int64))
+        inst = instances_from_table(
+            [WordRecord("u", "w", np.zeros((2, 12)), ["ah", "ah"], [0, 0])])
         path = tmp_path / "preds.jsonl"
-        _write_predictions(str(path), [inst], np.array([[np.nan, np.inf, -np.inf],
-                                                        [1e-05, 5e-324, 1.0]]))
+        _write_predictions(str(path), inst, np.array([[np.nan, np.inf, -np.inf],
+                                                      [1e-05, 5e-324, 1.0]]))
         assert path.read_text() == (
             '{"syllables": [{"position": 0, "probs": [NaN, Infinity, -Infinity], '
             '"stress_pred": 0}, {"position": 1, "probs": [1e-05, 5e-324, 1.0], '

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from stressnet import corpus as C
 from stressnet.corpus import (
     COUNT_MISMATCH,
+    IGNORE_LABEL,
     MONOSYLLABIC,
     NOT_IN_LEXICON,
     UTTERANCE_EXCLUDED,
@@ -18,8 +19,6 @@ from stressnet.corpus import (
     NucleusSpan,
     SyllableSpan,
     UtteranceAlignment,
-    alignment_to_doc,
-    build_instance,
     compute_class_weights,
     instances_from_table,
     label_utterance,
@@ -40,6 +39,8 @@ from stressnet.errors import (
 )
 from stressnet.features import MAX_SYLLABLES, WordRecord
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel, syllabify
+from stressnet.model import FEATURE_MODES, ModelConfig, make_batch
+from conftest import float_values, oracle_flatten, oracle_instances, oracle_make_batch
 from test_features import oracle_normalize_sentence
 
 
@@ -211,6 +212,32 @@ def parsed_alignments(draw):
         assume(False)
 
 
+def alignment_to_doc(al: UtteranceAlignment) -> dict:
+    return {
+        "schema": 1,
+        "utterance_id": al.utterance_id,
+        "audio_path": al.audio_path,
+        "words": [
+            {
+                "text": w.text,
+                "syllables": [
+                    {
+                        "start_s": s.start_s,
+                        "end_s": s.end_s,
+                        "nucleus": {
+                            "start_s": s.nucleus.start_s,
+                            "end_s": s.nucleus.end_s,
+                            "tag": s.nucleus.tag,
+                        },
+                    }
+                    for s in w.syllables
+                ],
+            }
+            for w in al.words
+        ],
+    }
+
+
 class TestSaveAlignment:
     """save_alignment writes json.dump(alignment_to_doc(al),
     sort_keys=True, indent=1) and a newline, byte for byte."""
@@ -316,37 +343,117 @@ class TestLabelUtterance:
         assert len(instances) + len(exclusions) == len(al.words)
 
 
-class TestBuildInstance:
+@st.composite
+def packable_records(draw):
+    """A valid word record of 1 to 17 syllables: any tags, gold or null
+    stresses, and one drawn feature row rotated by position."""
+    n = draw(st.integers(1, MAX_SYLLABLES), label="n")
+    row = draw(st.lists(float_values, min_size=12, max_size=12), label="row")
+    return WordRecord(
+        draw(st.sampled_from(["u0", "u1", "u2"])), draw(st.text(max_size=3)),
+        np.array([row[p % 12:] + row[:p % 12] for p in range(n)]),
+        draw(st.lists(st.sampled_from(NUCLEUS_TAGS), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=n, max_size=n)))
+
+
+def assert_same_array(got, want, name):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), name
+
+
+class TestInstancesFromTable:
     def test_padding_invariant(self):
-        """An instance holds its n syllables in position order, no padding."""
+        """A word owns its n syllables' rows in position order, no padding;
+        a tag becomes its index and an unknown stress IGNORE_LABEL."""
         rec = WordRecord("u", "w", np.repeat([[1.0], [2.0]], 12, axis=1),
                          ["iy", "ax"], [int(StressLevel.PRIMARY), None])
-        inst = build_instance(rec)
-        assert inst.valid_count == 2
+        inst = instances_from_table([rec])
+        assert len(inst) == 1
+        assert inst.offsets.tolist() == [0, 2]
         assert inst.features.shape == (2, 12)
         assert inst.features[:, 0].tolist() == [1.0, 2.0]
-        assert inst.type_indices.tolist() == [TAG_TO_INDEX["iy"], TAG_TO_INDEX["ax"]]
-        assert inst.labels.tolist() == [int(StressLevel.PRIMARY), -1]
+        assert inst.types.tolist() == [TAG_TO_INDEX["iy"], TAG_TO_INDEX["ax"]]
+        assert inst.labels.tolist() == [int(StressLevel.PRIMARY), IGNORE_LABEL]
+
+    def test_one_row_per_syllable_in_word_order(self, lexicon):
+        _, recs = synth_corpus(lexicon, 3, GenConfig(noise=0.5), seed=4)
+        instances = instances_from_table(recs)
+        X, y = instances.features[:, :6], instances.labels
+        assert X.shape == (sum(len(rec.stresses) for rec in recs), 6)
+        row = 0
+        for rec in recs:
+            for i, stress in enumerate(rec.stresses):
+                assert np.array_equal(X[row], rec.features[i, :6])
+                assert y[row] == stress
+                row += 1
+
+    def test_empty_table_gives_zero_rows(self):
+        instances = instances_from_table([])
+        assert len(instances) == 0
+        assert instances.offsets.tolist() == [0]
+        assert instances.features.shape == (0, 12)
+        assert instances.features[:, :6].shape == (0, 6)
+        assert instances.types.shape == instances.labels.shape == (0,)
+
+    def test_word_slices(self, lexicon):
+        _, recs = synth_corpus(lexicon, 2, GenConfig(noise=0.5), seed=6)
+        instances = instances_from_table(recs)
+        for start, stop in ((0, 3), (2, 5), (4, 4), (3, 1), (5, 10 ** 6)):
+            part = instances[start:stop]
+            want = instances_from_table(recs[start:stop])
+            assert (part.utterance_ids, part.words) == (want.utterance_ids, want.words)
+            for name in ("offsets", "features", "types", "labels"):
+                assert_same_array(getattr(part, name), getattr(want, name), name)
+        for key in (0, slice(0, 4, 2), [0, 1]):
+            with pytest.raises(TypeError):
+                instances[key]
+
+    @given(records=st.lists(packable_records(), max_size=40),
+           mode=st.sampled_from(FEATURE_MODES), weighted=st.booleans(),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arrays_match_the_per_word_oracle(self, records, mode, weighted,
+                                              data):
+        got = instances_from_table(records)
+        words = oracle_instances(records)
+        assert got.utterance_ids == [w.utterance_id for w in words]
+        assert got.words == [w.word for w in words]
+        assert_same_array(got.offsets, np.cumsum(
+            [0] + [len(w.labels) for w in words], dtype=np.int64), "offsets")
+        features, labels = oracle_flatten(words, 12)
+        assert_same_array(got.features, features, "features")
+        assert_same_array(got.labels, labels, "labels")
+        assert_same_array(got.types, np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [w.type_indices for w in words]),
+            "types")
+        if not records:
+            return
+        config = ModelConfig(d_model=4, n_heads=2, n_layers=1, feature_mode=mode)
+        table = (np.random.default_rng(len(records)).uniform(0.1, 1.0, (16, 3))
+                 if weighted else None)
+        batch = make_batch(got, config, table)
+        want = oracle_make_batch(words, config, table)
+        idx = np.array(data.draw(st.lists(
+            st.integers(0, len(records) - 1), min_size=1, max_size=8)))
+        for b, w in ((batch, want), (batch.take(idx), want.take(idx))):
+            for name in ("features", "types", "mask", "labels", "weights"):
+                assert_same_array(getattr(b, name), getattr(w, name), name)
 
 
 class TestSplit:
-    def make_instances(self, n_utts, per_utt=3):
-        out = []
-        for u in range(n_utts):
-            for w in range(per_utt):
-                rec = WordRecord(f"utt-{u:03d}", f"w{w}", np.zeros((2, 12)),
-                                 ["iy", "iy"], [int(StressLevel.NON_STRESS)] * 2)
-                out.append(build_instance(rec))
-        return out
+    def make_records(self, n_utts, per_utt=3):
+        return [WordRecord(f"utt-{u:03d}", f"w{w}", np.zeros((2, 12)),
+                           ["iy", "iy"], [int(StressLevel.NON_STRESS)] * 2)
+                for u in range(n_utts) for w in range(per_utt)]
 
     def test_seventy_thirty(self):
-        inst = self.make_instances(10)
+        inst = self.make_records(10)
         train, test = split(inst, 0.7, seed=5)
         assert len({i.utterance_id for i in train}) == 7
         assert len({i.utterance_id for i in test}) == 3
 
     def test_partition(self):
-        inst = self.make_instances(9)
+        inst = self.make_records(9)
         train, test = split(inst, 0.7, seed=1)
         train_ids = {id(i) for i in train}
         test_ids = {id(i) for i in test}
@@ -354,19 +461,19 @@ class TestSplit:
         assert len(train) + len(test) == len(inst)
 
     def test_deterministic_and_order_insensitive(self):
-        inst = self.make_instances(12)
+        inst = self.make_records(12)
         t1, _ = split(inst, 0.7, seed=9)
         t2, _ = split(list(reversed(inst)), 0.7, seed=9)
         assert {i.utterance_id for i in t1} == {i.utterance_id for i in t2}
 
     def test_all_train(self):
-        inst = self.make_instances(4)
+        inst = self.make_records(4)
         train, test = split(inst, 1.0, seed=0)
         assert len(test) == 0
         assert len(train) == len(inst)
 
     def test_too_small(self):
-        inst = self.make_instances(1)
+        inst = self.make_records(1)
         with pytest.raises(SplitTooSmall):
             split(inst, 0.7, seed=0)
 
@@ -392,24 +499,23 @@ class TestClassWeights:
             # a few tags only, so that some types go unseen
             tags = rng.choice(len(NUCLEUS_TAGS), int(rng.integers(1, 17)),
                               replace=False)
-            words = []
+            recs = []
             for _ in range(int(rng.integers(1, 40))):
                 n = int(rng.integers(1, MAX_SYLLABLES + 1))
-                words.append(build_instance(WordRecord(
+                recs.append(WordRecord(
                     "u", "w", np.zeros((n, 12)),
                     [NUCLEUS_TAGS[t] for t in rng.choice(tags, n)],
-                    rng.integers(0, 3, n).tolist())))
-            assert (compute_class_weights(words).tobytes()
-                    == oracle_class_weights(words).tobytes()), trial
+                    rng.integers(0, 3, n).tolist()))
+            assert (compute_class_weights(instances_from_table(recs)).tobytes()
+                    == oracle_class_weights(oracle_instances(recs)).tobytes()), trial
         _, recs = synth_corpus(lexicon, 30, GenConfig(noise=0.3), seed=4)
-        words = instances_from_table(recs)
-        assert (compute_class_weights(words).tobytes()
-                == oracle_class_weights(words).tobytes())
+        assert (compute_class_weights(instances_from_table(recs)).tobytes()
+                == oracle_class_weights(oracle_instances(recs)).tobytes())
 
     def test_syllables_without_gold_label_not_counted(self):
         rec = WordRecord("u", "w", np.zeros((3, 12)), ["iy", "iy", "ax"],
                          [int(StressLevel.PRIMARY), None, None])
-        table = compute_class_weights([build_instance(rec)])
+        table = compute_class_weights(instances_from_table([rec]))
         assert np.array_equal(table[TAG_TO_INDEX["iy"]], [0.0, 1.0, 0.0])
         assert np.all(table[TAG_TO_INDEX["ax"]] == 1.0)
 
@@ -438,7 +544,7 @@ class TestClassWeights:
     def test_unseen_type_defaults_to_one(self):
         rec = WordRecord("u", "w", np.zeros((2, 12)), ["iy", "iy"],
                          [int(StressLevel.PRIMARY), int(StressLevel.NON_STRESS)])
-        table = compute_class_weights([build_instance(rec)])
+        table = compute_class_weights(instances_from_table([rec]))
         # "oy" never appears
         assert np.all(table[TAG_TO_INDEX["oy"]] == 1.0)
 
@@ -777,24 +883,31 @@ class TestSynthCorpus:
     def test_padding_invariant_property(self, lexicon):
         """Every instance holds exactly its record's syllables, in order."""
         _, recs = synth_corpus(lexicon, 6, GenConfig(noise=0.5), seed=8)
-        for rec, inst in zip(recs, instances_from_table(recs)):
+        instances = instances_from_table(recs)
+        assert len(instances) == len(recs)
+        for i, rec in enumerate(recs):
             n = len(rec.stresses)
-            assert inst.valid_count == n
-            assert inst.features.shape == rec.features.shape == (n, 12)
-            assert inst.type_indices.shape == inst.labels.shape == (n,)
-            assert np.array_equal(inst.features, rec.features)
-            assert inst.type_indices.tolist() == [
-                TAG_TO_INDEX[tag] for tag in rec.nucleus_tags]
-            assert inst.labels.tolist() == rec.stresses
+            start, stop = instances.offsets[i:i + 2]
+            assert stop - start == n
+            features = instances.features[start:stop]
+            types = instances.types[start:stop]
+            labels = instances.labels[start:stop]
+            assert features.shape == rec.features.shape == (n, 12)
+            assert types.shape == labels.shape == (n,)
+            assert np.array_equal(features, rec.features)
+            assert types.tolist() == [TAG_TO_INDEX[tag] for tag in rec.nucleus_tags]
+            assert labels.tolist() == rec.stresses
 
     def test_large_noise_approaches_majority_rate(self, lexicon):
         # noise at 3x the class gaps drowns the class structure; a strong
         # per-syllable classifier ends up near the majority-class rate
-        from stressnet.baselines import flatten, scores, train_forest
+        from stressnet.baselines import scores, train_forest
         _, recs = synth_corpus(lexicon, 200, GenConfig(noise=3.0), seed=17)
-        train_set, test_set = split(instances_from_table(recs), 0.7, seed=17)
-        Xtr, ytr = flatten(train_set, 12)
-        Xte, yte = flatten(test_set, 12)
+        train_recs, test_recs = split(recs, 0.7, seed=17)
+        train_set = instances_from_table(train_recs)
+        test_set = instances_from_table(test_recs)
+        Xtr, ytr = train_set.features, train_set.labels
+        Xte, yte = test_set.features, test_set.labels
         majority = np.bincount(ytr, minlength=3).argmax()
         majority_rate = float((yte == majority).mean())
         acc = float((scores(train_forest(Xtr, ytr, n_trees=40, seed=17),

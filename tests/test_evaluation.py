@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stressnet.corpus import build_instance, require_gold
+from conftest import oracle_instances
+from stressnet.corpus import IGNORE_LABEL, instances_from_table
 from stressnet.errors import (
     AlignmentError,
     FormatError,
@@ -23,10 +24,10 @@ from stressnet.lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, StressLevel
 S0, S1, S2 = StressLevel.NON_STRESS, StressLevel.PRIMARY, StressLevel.SECONDARY
 
 
-def instance(labels, tags=None, utt="u", word="w"):
+def record(labels, tags=None, utt="u", word="w"):
     tags = tags or ["iy"] * len(labels)
-    return build_instance(WordRecord(utt, word, np.zeros((len(labels), 12)),
-                                     tags, [int(s) for s in labels]))
+    return WordRecord(utt, word, np.zeros((len(labels), 12)),
+                      tags, [int(s) for s in labels])
 
 
 def flat(preds):
@@ -35,21 +36,25 @@ def flat(preds):
 
 
 def oracle_evaluate(predictions, instances, weight_table=None):
-    """evaluate as a loop over every syllable, one prediction list per
-    word: the implementation the bincount one replaced."""
+    """evaluate as a loop over every syllable of the per-word instances,
+    one prediction list per word: the implementation the bincount one
+    replaced."""
     if len(predictions) != len(instances):
         raise AlignmentError(
             f"{len(predictions)} prediction lists for {len(instances)} instances")
-    require_gold(instances)
+    for inst in instances:
+        if (inst.labels == IGNORE_LABEL).any():
+            raise LabelError(f"{inst.utterance_id}: {inst.word!r} has a "
+                             "syllable without a gold stress label")
     confusion = np.zeros((3, 3), dtype=np.int64)
     per_type = {tag: np.zeros((3, 3), dtype=np.int64) for tag in NUCLEUS_TAGS}
     weight_sum = 0.0
     weighted_correct = 0.0
     for preds, inst in zip(predictions, instances):
-        if len(preds) != inst.valid_count:
+        if len(preds) != len(inst.labels):
             raise AlignmentError(
                 f"{inst.word!r}: {len(preds)} predictions for "
-                f"{inst.valid_count} syllables")
+                f"{len(inst.labels)} syllables")
         for i, pred in enumerate(preds):
             real = int(inst.labels[i])
             t = int(inst.type_indices[i])
@@ -73,38 +78,38 @@ def oracle_evaluate(predictions, instances, weight_table=None):
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        insts = [instance([S0, S1]), instance([S2, S0])]
+        insts = [record([S0, S1]), record([S2, S0])]
         preds = [[S0, S1], [S2, S0]]
-        report = evaluate(flat(preds), insts)
+        report = evaluate(flat(preds), instances_from_table(insts))
         assert report.accuracy == 1.0
         assert np.all(report.confusion == np.diag(np.diag(report.confusion)))
         assert report.n_syllables == 4
         assert report.n_words == 2
 
     def test_hand_counted_confusion(self):
-        insts = [instance([S0, S1])]
+        insts = [record([S0, S1])]
         preds = [[S1, S1]]
-        report = evaluate(flat(preds), insts)
+        report = evaluate(flat(preds), instances_from_table(insts))
         assert report.accuracy == 0.5
         assert report.confusion[int(S0), int(S1)] == 1
         assert report.confusion[int(S1), int(S1)] == 1
 
     def test_uniform_weights_equal_plain_accuracy(self):
-        insts = [instance([S0, S1, S2]), instance([S1, S0])]
+        insts = [record([S0, S1, S2]), record([S1, S0])]
         preds = [[S0, S2, S2], [S1, S1]]
         table = np.ones((16, 3))
-        report = evaluate(flat(preds), insts, table)
+        report = evaluate(flat(preds), instances_from_table(insts), table)
         assert report.weighted_accuracy == pytest.approx(report.accuracy,
                                                          abs=1e-12)
 
     def test_weighted_accuracy_formula(self):
-        insts = [instance([S0, S1], tags=["iy", "ax"])]
+        insts = [record([S0, S1], tags=["iy", "ax"])]
         preds = [[S0, S0]]
         table = np.ones((16, 3))
         from stressnet.lexicon import TAG_TO_INDEX
         table[TAG_TO_INDEX["iy"], int(S0)] = 0.5
         table[TAG_TO_INDEX["ax"], int(S1)] = 0.25
-        report = evaluate(flat(preds), insts, table)
+        report = evaluate(flat(preds), instances_from_table(insts), table)
         # correct mass 0.5, total mass 0.75
         assert report.weighted_accuracy == pytest.approx(0.5 / 0.75)
 
@@ -115,9 +120,9 @@ class TestEvaluate:
             n = int(rng.integers(2, 6))
             labels = [StressLevel(int(x)) for x in rng.integers(0, 3, n)]
             tags = [NUCLEUS_TAGS[int(t)] for t in rng.integers(0, 16, n)]
-            insts.append(instance(labels, tags))
+            insts.append(record(labels, tags))
             preds.append([StressLevel(int(x)) for x in rng.integers(0, 3, n)])
-        report = evaluate(flat(preds), insts)
+        report = evaluate(flat(preds), instances_from_table(insts))
         assert report.accuracy == np.trace(report.confusion) / report.n_syllables
 
     def test_per_type_sums_to_overall(self):
@@ -127,36 +132,36 @@ class TestEvaluate:
             n = int(rng.integers(2, 7))
             labels = [StressLevel(int(x)) for x in rng.integers(0, 3, n)]
             tags = [NUCLEUS_TAGS[int(t)] for t in rng.integers(0, 16, n)]
-            insts.append(instance(labels, tags))
+            insts.append(record(labels, tags))
             preds.append([StressLevel(int(x)) for x in rng.integers(0, 3, n)])
-        report = evaluate(flat(preds), insts)
+        report = evaluate(flat(preds), instances_from_table(insts))
         total = sum(report.per_type_confusion.values())
         assert np.array_equal(total, report.confusion)
 
     def test_misaligned_predictions(self):
-        insts = [instance([S0, S1])]
+        insts = [record([S0, S1])]
         with pytest.raises(AlignmentError):
-            evaluate(flat([[S0]]), insts)
+            evaluate(flat([[S0]]), instances_from_table(insts))
         with pytest.raises(AlignmentError):
-            evaluate(flat([]), insts)
+            evaluate(flat([]), instances_from_table(insts))
         with pytest.raises(AlignmentError):
-            evaluate(flat([[S0, S1, S1]]), insts)
+            evaluate(flat([[S0, S1, S1]]), instances_from_table(insts))
         with pytest.raises(AlignmentError):
-            evaluate(np.zeros((2, 1), dtype=np.int64), insts)
+            evaluate(np.zeros((2, 1), dtype=np.int64), instances_from_table(insts))
         with pytest.raises(AlignmentError, match="no syllables"):
-            evaluate(flat([]), [])
+            evaluate(flat([]), instances_from_table([]))
 
     @pytest.mark.parametrize("predicted", [[0, 3], [-1, 0]],
                              ids=["three", "negative"])
     def test_prediction_not_a_stress_level(self, predicted):
         with pytest.raises(LabelError):
-            evaluate(np.array(predicted), [instance([S0, S1])])
+            evaluate(np.array(predicted), instances_from_table([record([S0, S1])]))
 
     def test_syllable_without_gold_label(self):
-        inst = build_instance(WordRecord("u", "w", np.zeros((2, 12)),
-                                         ["iy", "iy"], [0, None]))
+        inst = instances_from_table([WordRecord("u", "w", np.zeros((2, 12)),
+                                                ["iy", "iy"], [0, None])])
         with pytest.raises(LabelError):
-            evaluate(flat([[S0, S0]]), [inst])
+            evaluate(flat([[S0, S0]]), inst)
 
 
 # words of 1..17 syllables with any tags and gold labels, and a prediction
@@ -178,13 +183,12 @@ class TestEvaluateOracle:
     @given(st.lists(words, min_size=1, max_size=25), weight_tables)
     @settings(max_examples=120, deadline=None)
     def test_matches_per_syllable_loop(self, drawn, table):
-        insts = [build_instance(WordRecord(
-                     "u", f"w{i}", np.zeros((len(tags), 12)),
-                     [NUCLEUS_TAGS[t] for t in tags], labels))
-                 for i, (tags, labels, _) in enumerate(drawn)]
+        recs = [WordRecord("u", f"w{i}", np.zeros((len(tags), 12)),
+                           [NUCLEUS_TAGS[t] for t in tags], labels)
+                for i, (tags, labels, _) in enumerate(drawn)]
         preds = [pred for _, _, pred in drawn]
-        got = evaluate(flat(preds), insts, table)
-        want = oracle_evaluate(preds, insts, table)
+        got = evaluate(flat(preds), instances_from_table(recs), table)
+        want = oracle_evaluate(preds, oracle_instances(recs), table)
         assert type(got.accuracy) is float and got.accuracy == want.accuracy
         if want.weighted_accuracy is None:
             assert got.weighted_accuracy is None
@@ -203,8 +207,8 @@ class TestEvaluateOracle:
             assert render_report(got, fmt) == render_report(want, fmt)
 
     def test_all_zero_weights_give_none(self):
-        insts = [instance([S0, S1, S2])]
-        assert evaluate(flat([[S0, S1, S1]]), insts,
+        insts = [record([S0, S1, S2])]
+        assert evaluate(flat([[S0, S1, S1]]), instances_from_table(insts),
                         np.zeros((16, 3))).weighted_accuracy is None
 
 
@@ -273,9 +277,9 @@ class TestPca:
 
 class TestRenderReport:
     def report(self):
-        insts = [instance([S0, S1, S2], tags=["iy", "ax", "er"])]
+        insts = [record([S0, S1, S2], tags=["iy", "ax", "er"])]
         preds = [[S0, S1, S1]]
-        return evaluate(flat(preds), insts, np.ones((16, 3)))
+        return evaluate(flat(preds), instances_from_table(insts), np.ones((16, 3)))
 
     def test_json_round_trip(self):
         report = self.report()

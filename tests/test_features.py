@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 from stressnet.corpus import (
     IGNORE_LABEL,
     GenConfig,
-    WordInstance,
-    build_instance,
     instances_from_table,
     synth_corpus,
 )
@@ -31,7 +29,7 @@ from stressnet.features import (
     write_feature_table,
 )
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
-from conftest import float_values
+from conftest import OracleWord, float_values
 from test_cli import MALFORMED_LINES
 
 HOP = 0.01
@@ -414,8 +412,9 @@ class TestFeatureTableFuzz:
     StressnetError."""
 
     def test_valid_record_reads(self):
-        (inst,) = read_instances([json.dumps(VALID_RECORD).encode()])
-        assert inst.valid_count == 3
+        inst = read_instances([json.dumps(VALID_RECORD).encode()])
+        assert len(inst) == 1
+        assert inst.offsets.tolist() == [0, 3]
         assert [int(x) for x in inst.labels[:3]] == [2, 0, 1]
 
     @given(st.lists(st.text(max_size=40).map(str.encode)
@@ -441,8 +440,8 @@ class TestFeatureTableFuzz:
 # read_feature_table checks a line's syllables in one loop and converts all
 # their features with one np.array call; write_feature_table lays out the
 # fixed schema itself. The oracles below are the reader they replaced (one
-# object, one np.asarray and one StressLevel per syllable, stacked as
-# build_instance did) and json.dumps. The reader must accept exactly the
+# object, one np.asarray and one StressLevel per syllable, stacked per
+# word) and json.dumps. The reader must accept exactly the
 # lines the oracle accepts and give the same bytes; a line with a single
 # fault gets the same message too.
 
@@ -510,8 +509,8 @@ def oracle_record(line):
 
 
 def oracle_instance(utterance_id, word, syllables):
-    """The arrays build_instance stacked from the oracle's syllables."""
-    return WordInstance(
+    """One word's arrays, stacked from the oracle's syllables."""
+    return OracleWord(
         utterance_id, word,
         np.array([obs.features for obs in syllables], dtype=np.float64),
         np.array([TAG_TO_INDEX[obs.nucleus_tag] for obs in syllables],
@@ -542,9 +541,11 @@ def assert_reads_as_oracle(line: bytes, same_message: bool = True) -> bool:
     assert [(type(s), s) for s in rec.stresses] == [
         (type(None), None) if obs.stress is None else (int, int(obs.stress))
         for obs in want[2]]
-    inst = build_instance(rec)
-    for name in ("features", "type_indices", "labels"):
-        got, expected = getattr(inst, name), getattr(want_inst, name)
+    inst = instances_from_table([rec])
+    for name, got, expected in (
+            ("features", inst.features, want_inst.features),
+            ("types", inst.types, want_inst.type_indices),
+            ("labels", inst.labels, want_inst.labels)):
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
         assert got.tobytes() == expected.tobytes(), name
     return True

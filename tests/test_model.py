@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -75,9 +76,10 @@ class TestConfig:
 
     def test_no_instances_is_a_data_error(self):
         with pytest.raises(DegenerateData):
-            make_batch([], tiny_config())
+            make_batch(instances_from_table([]), tiny_config())
         with pytest.raises(DegenerateData):
-            train([], [], tiny_config(), TrainConfig(epochs=1))
+            train(instances_from_table([]), instances_from_table([]),
+                  tiny_config(), TrainConfig(epochs=1))
 
     def test_class_weight_resolution(self):
         tc = TrainConfig()
@@ -363,9 +365,8 @@ class TestGradients:
 @pytest.fixture(scope="module")
 def small_corpus(lexicon):
     _, recs = synth_corpus(lexicon, 60, GenConfig(noise=0.0), seed=31)
-    instances = instances_from_table(recs)
-    train_set, test_set = split(instances, 0.7, seed=1)
-    return train_set, test_set
+    train_recs, test_recs = split(recs, 0.7, seed=1)
+    return instances_from_table(train_recs), instances_from_table(test_recs)
 
 
 # --- parameter storage ---------------------------------------------------------
@@ -481,7 +482,7 @@ class TestParamStorage:
     def test_mismatched_header_rejected_before_allocation(self, tmp_path):
         # no arrays, so the header agrees with the file's byte count; the
         # model it declares would need about 189 MB of parameters
-        config = ModelConfig(d_model=700, n_heads=1, n_layers=4).to_dict()
+        config = dataclasses.asdict(ModelConfig(d_model=700, n_heads=1, n_layers=4))
         path = tmp_path / "big.ckpt"
         path.write_bytes(json.dumps({
             "format": FORMAT_ATTENTION, "version": 1, "arrays": [],
@@ -557,10 +558,10 @@ class TestPredict:
         train_set, _ = small_corpus
         cfg = tiny_config()
         params = init_params(cfg, np.random.default_rng(23))
-        inst = train_set[0]
+        inst = train_set[0:1]
         probs = predict_instance(params, cfg, inst)
-        assert probs.shape == (inst.valid_count, 3)
-        assert probs.sum(axis=1) == pytest.approx(np.ones(inst.valid_count))
+        assert probs.shape == (len(inst.labels), 3)
+        assert probs.sum(axis=1) == pytest.approx(np.ones(len(inst.labels)))
 
     def test_argmax_and_tie_rule(self):
         probs = np.array([0.2, 0.5, 0.3])
@@ -574,7 +575,7 @@ class TestPredict:
         params = init_params(cfg, np.random.default_rng(24))
         params["head.W"][:] = 0.0
         params["head.b"][:] = 0.0
-        probs = predict_instance(params, cfg, train_set[0])
+        probs = predict_instance(params, cfg, train_set[0:1])
         assert np.all(probs.argmax(axis=1) == StressLevel.NON_STRESS)
 
 
@@ -632,21 +633,21 @@ class TestTrimmedBatches:
     def test_make_batch_and_take_trim_to_longest_word(self, small_corpus):
         train_set, _ = small_corpus
         batch = make_batch(train_set, tiny_config())
-        longest = max(inst.valid_count for inst in train_set)
+        counts = np.diff(train_set.offsets)
+        longest = counts.max()
         assert longest < 17
         assert batch.mask.shape == (len(train_set), longest)
         assert batch.features.shape == (len(train_set), longest, 12)
-        for row, inst in enumerate(train_set):
-            n = inst.valid_count
-            assert np.array_equal(batch.features[row, :n], inst.features)
-            assert np.array_equal(batch.types[row, :n], inst.type_indices)
-            assert np.array_equal(batch.labels[row, :n], inst.labels)
+        for row, (lo, n) in enumerate(zip(train_set.offsets, counts)):
+            rows = slice(lo, lo + n)
+            assert np.array_equal(batch.features[row, :n], train_set.features[rows])
+            assert np.array_equal(batch.types[row, :n], train_set.types[rows])
+            assert np.array_equal(batch.labels[row, :n], train_set.labels[rows])
             assert batch.mask[row, :n].all() and not batch.mask[row, n:].any()
             assert np.all(batch.features[row, n:] == 0.0)
             assert np.all(batch.types[row, n:] == PAD_TYPE_INDEX)
             assert np.all(batch.labels[row, n:] == -1)
-        idx = np.array([i for i, inst in enumerate(train_set)
-                        if inst.valid_count <= 2][:5])
+        idx = np.flatnonzero(counts <= 2)[:5]
         sub = batch.take(idx)
         assert sub.mask.shape == (len(idx), 2)
         for arr, full in zip((sub.features, sub.types, sub.mask, sub.labels,
@@ -666,23 +667,24 @@ class TestTrimmedBatches:
         monkeypatch.setattr(training_mod, "SCORE_CHUNK", 7)
         scored = predict_instances(params, cfg, test_set)
         # one row per syllable: the words in order, each in position order
-        assert scored.shape == (sum(i.valid_count for i in test_set), 3)
+        assert scored.shape == (len(test_set.labels), 3)
         start = 0
-        for inst in test_set:
-            one = make_batch([inst], cfg)
+        for i in range(len(test_set)):
+            one = make_batch(test_set[i:i + 1], cfg)
+            n = int(one.mask.sum())
             feats, types, mask, _, _ = pad_to_full_width(
                 one.features, one.types, one.mask, one.labels, one.weights)
             assert mask.shape == (1, 17)
             _, probs, _ = forward(params, feats, types, mask, cfg)
-            p = scored[start:start + inst.valid_count]
-            assert np.abs(p - probs[0, :inst.valid_count]).max() < 1e-12
-            start += inst.valid_count
-        offset = sum(i.valid_count for i in test_set[:3])
-        one = predict_instance(params, cfg, test_set[3])
-        assert one.shape == (test_set[3].valid_count, 3)
+            p = scored[start:start + n]
+            assert np.abs(p - probs[0, :n]).max() < 1e-12
+            start += n
+        offset = test_set.offsets[3]
+        one = predict_instance(params, cfg, test_set[3:4])
+        assert one.shape == (test_set.offsets[4] - offset, 3)
         assert np.array_equal(one.argmax(axis=1),
                               scored[offset:offset + len(one)].argmax(axis=1))
-        assert predict_instances(params, cfg, []).shape == (0, 3)
+        assert predict_instances(params, cfg, instances_from_table([])).shape == (0, 3)
 
 
 # --- encoder primitives against NumPy-reduction oracles -------------------------
