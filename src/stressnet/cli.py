@@ -56,7 +56,12 @@ from .corpus import (
     synth_corpus,
 )
 from .dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
-from .errors import ConfigError, DegenerateData, StressnetError
+from .errors import (
+    ConfigError,
+    DegenerateData,
+    NumericalInstability,
+    StressnetError,
+)
 from .evaluation import evaluate, pca_type_embeddings, render_report
 from .features import (
     extract_features,
@@ -297,24 +302,28 @@ def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
         base = args.audio_dir or str(Path(f).parent)
         audio = str(Path(base) / audio)
     samples, rate = read_wav(audio)
-    try:
-        pitch = estimate_pitch(samples, rate, dsp_cfg)
-        intensity = compute_intensity(samples, rate, dsp_cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"bad dsp config for {audio}: {exc}")
-
     words = alignment.words
     spans = np.array([(s.start_s, s.end_s, s.nucleus.start_s, s.nucleus.end_s)
                       for word in words for s in word.syllables])
-    raw = extract_features(pitch, intensity, spans)
     # the pool: every syllable, or under multisyllabic_only those of words
     # of 2 or more syllables; the others stay 0
     sizes = [len(word.syllables) for word in words]
     pooled = np.repeat([args.normalization_pool == "sentence" or n >= 2
                         for n in sizes], sizes)
-    features = np.zeros(raw.shape)
-    if pooled.any():
-        features[pooled] = normalize_sentence(raw[pooled])
+    # A finite sample can still overflow once squared; such an utterance
+    # is refused below, without NumPy warnings on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            pitch = estimate_pitch(samples, rate, dsp_cfg)
+            intensity = compute_intensity(samples, rate, dsp_cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"bad dsp config for {audio}: {exc}")
+        raw = extract_features(pitch, intensity, spans)
+        features = np.zeros(raw.shape)
+        if pooled.any():
+            features[pooled] = normalize_sentence(raw[pooled])
+    if not np.isfinite(features).all():
+        raise NumericalInstability(f"{audio}: non-finite feature values")
     return label_utterance(alignment, lex, features,
                            exclusion_scope=args.exclusion_scope)
 

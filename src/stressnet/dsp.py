@@ -15,6 +15,20 @@ or above win + lag_max + 1, the shortest at which no lag that is read
 default 40 ms window that is 1024 points. The trackers take one channel:
 a 1-D signal.
 
+A pitch call allocates one workspace of block-sized arrays, and every
+block writes into it with out=: a zero-padded frame buffer, the complex
+spectrum, its magnitudes, and the autocorrelation. The power spectrum
+goes back into the complex array (imaginary part 0) for the inverse FFT,
+because NumPy's irfft takes a complex128 spectrum faster than a float64
+one, to the same bits. Each block keeps only per-frame values (energy,
+r(0), the best band value, the peak's lag and its two neighbours);
+parabolic interpolation and the voicing test then run once over all
+frames. Every output bit is what the per-frame loop in the tests gives.
+There are no threads: splitting a call's frames over two threads gained
+on an idle host and lost once its second core was busy, and running
+utterances on a thread pool raised peak memory by per-thread malloc
+arenas.
+
 read_wav walks the RIFF chunks of a file read once, checking each chunk's
 size against the file before it is used, and decodes the data chunk with
 one np.frombuffer. It reads PCM in 2-, 3- or 4-byte containers (3-byte
@@ -26,8 +40,9 @@ bits than its container; float of other bits than its container; a
 chunk that runs past the end of the file (a data chunk cut short
 included) or a chunk header cut short; a second fmt or data chunk; a
 data chunk before the fmt chunk or not a whole number of frames; a byte
-rate other than sample rate times frame size; and a frame size that is
-not a whole number of bytes per channel.
+rate other than sample rate times frame size; a frame size that is not
+a whole number of bytes per channel; and a float sample that is NaN or
+infinite.
 """
 
 from __future__ import annotations
@@ -52,10 +67,12 @@ UNVOICED = float("nan")
 MIN_SAMPLE_RATE = 8000.0
 INTENSITY_FLOOR_DB = -120.0
 _RMS_FLOOR = 1e-6
-# Frames per vectorised step of the trackers. On 206 s of 16 kHz audio
-# (2-core Xeon VM) blocks of 16 to 64 frames ran fastest; 256 ran about
-# 35% slower, and a pitch call's peak allocation grows with the block
-# (2.5 MB at 64 frames, 10 MB at 256).
+# Frames per vectorised step of the trackers. estimate_pitch on 207 s of
+# 16 kHz audio (28 WAVs, 2-core Xeon VM, sum over the WAVs of each one's
+# fastest of 11 runs) took 271, 250, 241, 234 and 313 ms at 16, 32, 64,
+# 128 and 256 frames, and one call on 10 s of audio peaked at 0.74, 1.20,
+# 2.14, 3.99 and 7.68 MB: 128 is 3% faster than 64 for nearly twice the
+# memory.
 _BLOCK_FRAMES = 64
 # Longest window or hop, in samples, taken as given. A longer one frames
 # any signal alike (no frame, or only the first); the cap keeps it finite.
@@ -192,38 +209,71 @@ def estimate_pitch(samples, sample_rate: float,
     wspec = np.abs(np.fft.rfft(window, nfft)) ** 2
     r_win = np.fft.irfft(wspec)[:lag_max + 2]
     r_win /= r_win[0]
+    # the lags read from here on: the band and one lag either side of it
+    lags = slice(lag_min - 1, lag_max + 2)
+    r_win = r_win[lags]
+
+    # the workspace every block writes into; the frame buffer's columns
+    # from win on stay zero, so rfft of a row pads the frame to nfft
+    rows = min(_BLOCK_FRAMES, len(frames))
+    padded = np.zeros((rows, nfft))
+    spec = np.empty((rows, nfft // 2 + 1), dtype=np.complex128)
+    mag = np.empty(spec.shape)
+    acf = np.empty((rows, nfft))
+    # the flat offsets in acf of each row's lags lag_min - 1 .. lag_min + 1;
+    # adding a row's peak index in the band gives its peak lag -1, 0, +1
+    near = (np.arange(rows) * nfft + lag_min - 1)[:, None] + np.arange(3)
+    # per frame: the mean, then energy, r(0), the best band value, the
+    # first peak's index in the band and the normalized autocorrelation at
+    # the peak's lag -1, 0, +1
+    means = frames.mean(axis=1)
+    energy, r0, best = np.empty((3, len(frames)))
+    peak_at = np.empty(len(frames), dtype=np.intp)
+    around = np.empty((len(frames), 3))
 
     for lo, block in _blocks(frames):
-        centred = block - block.mean(axis=1, keepdims=True)
+        hi = lo + len(block)
+        x = padded[:len(block)]
+        head = x[:, :win]
+        np.subtract(block, means[lo:hi, None], out=head)
         # row energies, summed as np.dot sums them (one BLAS ddot per row)
-        energy = (centred[:, None, :] @ centred[:, :, None])[:, 0, 0]
-        spec = np.abs(np.fft.rfft(centred * window, nfft, axis=1)) ** 2
-        r = np.fft.irfft(spec, axis=1)[:, :lag_max + 2]
+        energy[lo:hi] = (head[:, None, :] @ head[:, :, None])[:, 0, 0]
+        np.multiply(head, window, out=head)
+        X = np.fft.rfft(x, axis=1, out=spec[:len(block)])
+        p = np.abs(X, out=mag[:len(block)])
+        # irfft takes a complex128 spectrum faster than a float64 one
+        np.multiply(p, p, out=X.real)
+        X.imag = 0.0
+        r = np.fft.irfft(X, nfft, axis=1, out=acf[:len(block)])
+        r0[lo:hi] = r[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             # silent rows give NaN here; the voiced test below drops them
-            norm = (r / r[:, :1]) / r_win
+            norm = r[:, lags]
+            np.divide(norm, r[:, :1], out=norm)
+            np.divide(norm, r_win, out=norm)
+        band = norm[:, 1:-1]
+        band.max(axis=1, out=best[lo:hi])
+        # Multiples of the true lag peak at the same height, so a bare
+        # argmax can land an octave (or more) low. Among local maxima
+        # within a small margin of the best, take the shortest lag; the
+        # band's ends need only beat their one neighbour.
+        peak = band >= best[lo:hi, None] - 0.02
+        peak[:, 1:] &= band[:, 1:] >= band[:, :-1]
+        peak[:, :-1] &= band[:, :-1] >= band[:, 1:]
+        at = peak.argmax(axis=1, out=peak_at[lo:hi])
+        acf.take(near[:len(block)] + at[:, None], out=around[lo:hi])
 
-            band = norm[:, lag_min:lag_max + 1]
-            best = band.max(axis=1)
-            # Multiples of the true lag peak at the same height, so a bare
-            # argmax can land an octave (or more) low. Among local maxima
-            # within a small margin of the best, take the shortest lag.
-            edge = np.full((len(band), 1), -np.inf)
-            left = np.concatenate([edge, band[:, :-1]], axis=1)
-            right = np.concatenate([band[:, 1:], edge], axis=1)
-            peak = ((band >= left) & (band >= right)
-                    & (band >= best[:, None] - 0.02))
-            lag = lag_min + peak.argmax(axis=1)
-            # parabolic interpolation over (lag-1, lag, lag+1)
-            rows = np.arange(len(norm))
-            y0, y1, y2 = (norm[rows, lag + k] for k in (-1, 0, 1))
-            denom = y0 - 2.0 * y1 + y2
-            delta = np.where(denom == 0.0, 0.0, 0.5 * (y0 - y2) / denom)
-            f0_hz = sample_rate / (lag + np.clip(delta, -0.5, 0.5))
-            voiced = ((energy >= (_RMS_FLOOR ** 2) * win) & (r[:, 0] > 0.0)
-                      & (best >= cfg.voicing_threshold)
-                      & (f0_hz >= cfg.f_min) & (f0_hz <= cfg.f_max))
-        f0[lo:lo + len(block)][voiced] = f0_hz[voiced]
+    lag = lag_min + peak_at
+    y0, y1, y2 = around.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # parabolic interpolation over (lag-1, lag, lag+1)
+        denom = y0 - 2.0 * y1 + y2
+        delta = np.where(denom == 0.0, 0.0, 0.5 * (y0 - y2) / denom)
+        f0_hz = sample_rate / (lag + np.clip(delta, -0.5, 0.5))
+        voiced = ((energy >= (_RMS_FLOOR ** 2) * win) & (r0 > 0.0)
+                  & (best >= cfg.voicing_threshold)
+                  & (f0_hz >= cfg.f_min) & (f0_hz <= cfg.f_max))
+    f0[voiced] = f0_hz[voiced]
     return PitchTrack(cfg.hop_s, centers, f0)
 
 
@@ -315,6 +365,10 @@ def read_wav(path: str) -> tuple[np.ndarray, float]:
         ints = wide.view(dtype)[:, 0]
     else:
         ints = np.frombuffer(buf, dtype, size // width, at)
+    if scale is None and not np.isfinite(ints).all():
+        bad = int(np.flatnonzero(~np.isfinite(ints))[0])
+        raise FormatError(f"{path}: non-finite float sample {ints[bad]} at "
+                          f"sample {bad}")
     samples = ints.astype(np.float64)
     if scale is not None:
         samples /= scale

@@ -64,7 +64,8 @@ class LabelError(StressnetError):
 
 
 class NumericalInstability(StressnetError):
-    """A non-finite value appeared in a forward/backward pass."""
+    """A non-finite value appeared in a forward/backward pass or in an
+    utterance's features."""
 
 
 class DivergedAtEpoch(StressnetError):

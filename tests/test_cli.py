@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,34 @@ class TestFeaturize:
         assert code == 4
         assert "FormatError" in err and "utt.wav" in err
         assert "Traceback" not in err
+
+    # a float WAV with one bad sample: NaN or inf is unreadable, and 1e200
+    # overflows once squared, so its features are not finite
+    @pytest.mark.parametrize("dtype, value, error", [
+        (np.float32, np.inf, "FormatError"),
+        (np.float64, np.nan, "FormatError"),
+        (np.float64, 1e200, "NumericalInstability"),
+    ])
+    def test_non_finite_is_a_named_data_error(self, tmp_path, capsys, dtype,
+                                              value, error):
+        from scipy.io import wavfile
+        apath = self.make_audio_and_alignment(tmp_path)
+        sr, pcm = wavfile.read(str(tmp_path / "utt.wav"))
+        samples = (pcm / 32768.0).astype(dtype)
+        samples[4000] = value
+        wavfile.write(str(tmp_path / "utt.wav"), sr, samples)
+        out = tmp_path / "features.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("featurize", "--alignments", str(apath),
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert error in err and "utt.wav" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_wav_shorter_than_one_window(self, tmp_path, capsys):
         from scipy.io import wavfile

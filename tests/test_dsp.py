@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,7 +281,7 @@ def reference_pitch(samples, sr, nfft, cfg=DspConfig()):
         r = (r / r[0]) / r_win
         band = r[lag_min:lag_max + 1]
         best = float(band.max())
-        if best < cfg.voicing_threshold:
+        if not best >= cfg.voicing_threshold:  # a NaN frame's best is NaN
             continue
         interior = np.zeros(band.shape, dtype=bool)
         interior[1:-1] = (band[1:-1] >= band[:-2]) & (band[1:-1] >= band[2:])
@@ -384,6 +385,62 @@ class TestBlockPath:
         assert len(track) == 97
         assert np.array_equal(track.times_s,
                               (np.arange(97) * 160 + 320.0) / SR)
+
+
+# (f_min, f_max) pairs: the default, a low and a high voice, and a narrow band
+PITCH_BANDS = [(75.0, 600.0), (50.0, 300.0), (150.0, 1000.0), (100.0, 130.0)]
+
+
+class TestPitchWorkspace:
+    """estimate_pitch on its per-call workspace against the per-frame
+    oracle, and what the workspace costs in memory."""
+
+    @given(sr=st.sampled_from(RATES), n_frames=st.integers(0, 200),
+           window_s=st.floats(0.03, 0.055), band=st.sampled_from(PITCH_BANDS),
+           tone_hz=st.floats(60.0, 900.0),
+           tone=st.sampled_from([0.0, 1e-6, 0.5]),
+           noise=st.sampled_from([0.0, 1e-6, 1e-3, 0.3]),
+           nan_at=st.none() | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_the_per_frame_oracle(self, sr, n_frames, window_s,
+                                             band, tone_hz, tone, noise,
+                                             nan_at, seed):
+        cfg = DspConfig(window_s=window_s, f_min=band[0], f_max=band[1])
+        win, hop = int(round(window_s * sr)), int(round(cfg.hop_s * sr))
+        n = win - 1 if n_frames == 0 else win + (n_frames - 1) * hop
+        t = np.arange(n) / sr
+        x = (tone * np.sin(2 * np.pi * tone_hz * t)
+             + noise * np.random.default_rng(seed).standard_normal(n))
+        if nan_at is not None:
+            x[int(nan_at * (n - 1))] = np.nan
+        got = estimate_pitch(x, sr, cfg).values
+        nfft, _ = fft_lengths(sr, cfg)
+        assert len(got) == n_frames
+        assert np.array_equal(got, reference_pitch(x, sr, nfft, cfg),
+                              equal_nan=True)
+
+    def test_no_state_carries_between_calls(self):
+        x = block_signals(SR, 129)["glide"]
+        first = estimate_pitch(x, SR).values
+        y = block_signals(44100, 65, DspConfig(window_s=0.055))["glide"]
+        estimate_pitch(y, 44100, DspConfig(window_s=0.055))
+        assert first.tobytes() == estimate_pitch(x, SR).values.tobytes()
+
+    def test_peak_allocation_of_one_call(self):
+        x = np.random.default_rng(0).standard_normal(10 * SR)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            estimate_pitch(x, SR)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # about 2.1 MB: four (64, 1024) workspace arrays and per-frame values
+        assert peak <= 2.4e6
 
 
 def wav_bytes(samples, sr=SR):
@@ -510,6 +567,10 @@ SCIPY_READS = {
                                  chunk(b"data", bytes(8))),
     "float_byte_rate": riff(fmt_chunk(IEEE_FLOAT, 1, 4, byte_rate=1),
                             chunk(b"data", bytes(8))),
+    "float_nan_sample": riff(fmt_chunk(IEEE_FLOAT, 1, 4), chunk(
+        b"data", np.array([0.5, np.nan], "<f4").tobytes())),
+    "float_inf_sample": riff(fmt_chunk(IEEE_FLOAT, 2, 8), chunk(
+        b"data", np.array([0.5, 0.25, -np.inf, 0.0], "<f8").tobytes())),
 }
 MALFORMED_WAVS.update(SCIPY_READS)
 WAV_DAMAGES = ["form", "riff_size", "tag", "width", "channels", "bits",
