@@ -74,19 +74,16 @@ class _RankGroups:
 
 
 def _ordinal_nll_grad(beta: np.ndarray, theta: np.ndarray, X: np.ndarray,
-                      ranks: np.ndarray, lam: float,
-                      groups: _RankGroups | None = None):
+                      lam: float, groups: _RankGroups):
     """Penalized NLL and gradients for the proportional-odds likelihood.
 
     theta is parameterized as (t0, log gap) so the two cut points stay
-    strictly increasing throughout optimization. groups, when given, is
-    _RankGroups(ranks), which train_ordinal builds once for all its steps.
+    strictly increasing throughout optimization. groups is _RankGroups of
+    the rows' ranks, which train_ordinal builds once for all its steps.
     The per-row terms are taken in grouped order; the gradient is
     bit-identical to taking them in row order, the NLL is their sum in
     grouped order.
     """
-    if groups is None:
-        groups = _RankGroups(ranks)
     n0, n1, n2 = groups.sizes
     n = X.shape[0]
     t0 = theta[0]
@@ -128,8 +125,7 @@ def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
     levels = np.asarray(labels, dtype=np.int64)
     if not ((levels >= 0) & (levels < len(StressLevel))).all():
         raise LabelError("ordinal labels must be stress levels 0, 1 or 2")
-    ranks = _RANK_OF_LEVEL[levels]
-    groups = _RankGroups(ranks)
+    groups = _RankGroups(_RANK_OF_LEVEL[levels])
     if sum(size > 0 for size in groups.sizes) < 2:
         raise DegenerateData("ordinal fit needs at least 2 distinct classes")
     rng = np.random.default_rng(seed)
@@ -142,7 +138,7 @@ def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
     vt = np.zeros_like(theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, n_iter + 1):
-        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, ranks, lam, groups)
+        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, lam, groups)
         mb = b1 * mb + (1 - b1) * dbeta
         vb = b2 * vb + (1 - b2) * dbeta ** 2
         mt = b1 * mt + (1 - b1) * dtheta
@@ -336,15 +332,3 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
         trees.append(_grow_tree(X[boot], y[boot], max_depth, m, rng))
     return ForestModel(trees, max_depth, m)
 
-
-# --- shared scoring -----------------------------------------------------------
-
-def scores(model, X: np.ndarray) -> np.ndarray:
-    """(n, 3) class scores in StressLevel order for n syllable rows: ordinal
-    probabilities or forest vote shares. Their argmax breaks ties toward
-    the lowest class."""
-    if isinstance(model, OrdinalModel):
-        return model.class_probs(X)
-    if isinstance(model, ForestModel):
-        return model.vote_shares(X)
-    raise ShapeError(f"unknown baseline model type {type(model)!r}")

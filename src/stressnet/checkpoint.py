@@ -64,7 +64,7 @@ def save_container(path: str, format_tag: str, meta: dict,
         if np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype("<f8")
             dtype = "<f8"
-        elif np.issubdtype(arr.dtype, np.integer) or arr.dtype == bool:
+        elif np.issubdtype(arr.dtype, np.integer):
             arr = arr.astype("<i8")
             dtype = "<i8"
         else:
@@ -150,7 +150,7 @@ def save_model(path: str, params: Params, config: ModelConfig,
 
 
 def _model_from(meta: dict, arrays: dict[str, np.ndarray],
-                ) -> tuple[Params, ModelConfig, np.ndarray | None]:
+                ) -> tuple[tuple[Params, ModelConfig], str, np.ndarray | None]:
     config = ModelConfig(**meta["model_config"])
     layout = param_layout(config)
     expected = dict(layout)
@@ -164,7 +164,7 @@ def _model_from(meta: dict, arrays: dict[str, np.ndarray],
     if weights is not None and not (np.isfinite(weights) & (weights >= 0)).all():
         raise ValueError("class_weights must be finite and non-negative")
     flat = np.concatenate([arrays[name].ravel() for name, _ in layout])
-    return Params(layout, flat), config, weights
+    return (Params(layout, flat), config), config.feature_mode, weights
 
 
 # --- baselines ----------------------------------------------------------------
@@ -177,7 +177,7 @@ def save_ordinal(path: str, model: OrdinalModel, feature_mode: str) -> None:
 
 
 def _ordinal_from(meta: dict, arrays: dict[str, np.ndarray],
-                  ) -> tuple[OrdinalModel, str]:
+                  ) -> tuple[OrdinalModel, str, None]:
     k = feature_dim(meta["feature_mode"])
     coefficients, thresholds = arrays["coefficients"], arrays["thresholds"]
     if coefficients.dtype != np.dtype("<f8") or coefficients.shape != (k,):
@@ -188,7 +188,7 @@ def _ordinal_from(meta: dict, arrays: dict[str, np.ndarray],
         raise ValueError("coefficients and thresholds must be finite")
     if not thresholds[0] < thresholds[1]:
         raise ValueError("thresholds must be strictly increasing")
-    return OrdinalModel(coefficients, thresholds), meta["feature_mode"]
+    return OrdinalModel(coefficients, thresholds), meta["feature_mode"], None
 
 
 def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
@@ -209,7 +209,7 @@ def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
 
 
 def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
-                 ) -> tuple[ForestModel, str]:
+                 ) -> tuple[ForestModel, str, None]:
     feature, threshold = arrays["nodes_feature"], arrays["nodes_threshold"]
     left, right = arrays["nodes_left"], arrays["nodes_right"]
     counts, offsets = arrays["nodes_counts"], arrays["tree_offsets"]
@@ -243,7 +243,7 @@ def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
     if fit[0] != len(trees):
         raise ValueError(f"n_trees is {fit[0]}, but the arrays hold "
                          f"{len(trees)} trees")
-    return ForestModel(trees, *fit[1:]), meta["feature_mode"]
+    return ForestModel(trees, *fit[1:]), meta["feature_mode"], None
 
 
 _BUILDERS = {
@@ -253,24 +253,15 @@ _BUILDERS = {
 }
 
 
-def _build(path: str, fmt: str, meta: dict, arrays: dict[str, np.ndarray]):
-    """Build the model of a parsed container; a meta or array set that
-    does not fit its format is a CheckpointError."""
+def load_any(path: str):
+    """(model, feature_mode, the (16, 3) class-weight table or None) of a
+    checkpoint of any format, the file read once. The model is an
+    OrdinalModel, a ForestModel or an attention (Params, ModelConfig)
+    pair; a meta or array set that does not fit its format is a
+    CheckpointError."""
+    fmt, meta, arrays = load_container(path)
     try:
         return _BUILDERS[fmt](meta, arrays)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(
             f"{path}: malformed {fmt} checkpoint ({type(exc).__name__}: {exc})")
-
-
-def load_any(path: str):
-    """(kind, model payload, feature_mode, the (16, 3) class-weight table
-    or None); the file is read once."""
-    fmt, meta, arrays = load_container(path)
-    model = _build(path, fmt, meta, arrays)
-    if fmt == FORMAT_ATTENTION:
-        params, config, weights = model
-        return "attention", (params, config), config.feature_mode, weights
-    if fmt == FORMAT_ORDINAL:
-        return ("ordinal", *model, None)
-    return ("forest", *model, None)

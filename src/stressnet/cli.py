@@ -62,7 +62,7 @@ from .errors import (
     NumericalInstability,
     StressnetError,
 )
-from .evaluation import evaluate, pca_type_embeddings, render_report
+from .evaluation import evaluate, pca_type_embeddings, render_report, report_to_dict
 from .features import (
     extract_features,
     normalize_sentence,
@@ -411,7 +411,10 @@ def _cmd_train(args, config) -> int:
             if val_records:
                 tr = instances_from_table(tr_records)
                 val = instances_from_table(val_records)
-        params, weights, history = train_model(tr, val or tr, model_cfg, train_cfg)
+        # an overflow is judged by finiteness: DivergedAtEpoch
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, weights, history = train_model(tr, val or tr, model_cfg,
+                                                   train_cfg)
         checkpoint.save_model(args.out, params, model_cfg, weights)
         if args.history:
             _write_json(args.history, history)
@@ -427,14 +430,18 @@ def _cmd_train(args, config) -> int:
 
 def _predict_all(path: str, instances: Instances):
     """The (n_syllables, 3) class scores of the instances' syllables, in
-    row order, and the checkpoint's class-weight table or None, for any
-    checkpoint kind; each kind scores the whole file in one batched call."""
-    kind, payload, feature_mode, weights = checkpoint.load_any(path)
-    if kind == "attention":
-        params, cfg = payload
-        return predict_instances(params, cfg, instances), weights
+    row order, and the checkpoint's class-weight table or None; each kind
+    scores the whole table in one batched call. Their argmax breaks ties
+    toward the lowest class."""
+    model, feature_mode, weights = checkpoint.load_any(path)
     X = instances.features[:, :feature_dim(feature_mode)]
-    return baselines.scores(payload, X), weights
+    if isinstance(model, baselines.OrdinalModel):
+        return model.class_probs(X), weights
+    if isinstance(model, baselines.ForestModel):
+        return model.vote_shares(X), weights
+    # an overflow is judged by finiteness: forward's NumericalInstability
+    with np.errstate(over="ignore", invalid="ignore"):
+        return predict_instances(*model, instances), weights
 
 
 def _write_predictions(path: str, instances: Instances,
@@ -476,10 +483,9 @@ def _cmd_eval(args, config) -> int:
     probs, weights = _predict_all(args.model, instances)
     report = evaluate(probs.argmax(axis=1), instances, weights)
     out = Path(args.out)
-    with open(str(out) + ".json", "w", encoding="utf-8") as fh:
-        fh.write(render_report(report, "json"))
+    _write_json(str(out) + ".json", report_to_dict(report))
     with open(str(out) + ".txt", "w", encoding="utf-8") as fh:
-        fh.write(render_report(report, "text"))
+        fh.write(render_report(report))
     _write_manifest(out.parent, args, [args.model, args.data])
     wa = ("" if report.weighted_accuracy is None
           else f", weighted {report.weighted_accuracy:.4f}")
@@ -489,11 +495,12 @@ def _cmd_eval(args, config) -> int:
 
 
 def _cmd_pca(args, config) -> int:
-    kind, payload, _, _ = checkpoint.load_any(args.model)
-    if kind != "attention":
+    model, _, _ = checkpoint.load_any(args.model)
+    if isinstance(model, (baselines.OrdinalModel, baselines.ForestModel)):
         raise ConfigError("pca needs an attention checkpoint with type embeddings")
-    params, _ = payload
-    proj = pca_type_embeddings(params)
+    # an overflow is judged by finiteness: NumericalInstability
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = pca_type_embeddings(model[0])
     _write_json(args.out, {
         "points": {tag: vec.tolist() for tag, vec in proj.points.items()},
         "explained_variance": proj.explained_variance.tolist(),

@@ -41,8 +41,9 @@ chunk that runs past the end of the file (a data chunk cut short
 included) or a chunk header cut short; a second fmt or data chunk; a
 data chunk before the fmt chunk or not a whole number of frames; a byte
 rate other than sample rate times frame size; a frame size that is not
-a whole number of bytes per channel; and a float sample that is NaN or
-infinite.
+a whole number of bytes per channel; and a frame that is not finite
+(a float sample that is NaN or infinite, or channels whose average
+overflows).
 """
 
 from __future__ import annotations
@@ -365,13 +366,14 @@ def read_wav(path: str) -> tuple[np.ndarray, float]:
         ints = wide.view(dtype)[:, 0]
     else:
         ints = np.frombuffer(buf, dtype, size // width, at)
-    if scale is None and not np.isfinite(ints).all():
-        bad = int(np.flatnonzero(~np.isfinite(ints))[0])
-        raise FormatError(f"{path}: non-finite float sample {ints[bad]} at "
-                          f"sample {bad}")
     samples = ints.astype(np.float64)
     if scale is not None:
         samples /= scale
     if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = samples.reshape(-1, channels).mean(axis=1)
+    # a NaN or infinite float sample, or finite ones averaging past 1.8e308
+    if not np.isfinite(samples).all():
+        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
+        raise FormatError(f"{path}: frame {bad} is not finite")
     return samples, float(rate)

@@ -3,17 +3,23 @@ nucleus-type embeddings.
 
 Confusion matrices are 3x3 counts with rows = real label and columns =
 predicted label, both in the order NonStress, Primary, Secondary.
+An EvalReport renders as report_to_dict, the document eval writes as
+JSON, or as render_report's text tables.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Instances, require_gold
-from .errors import AlignmentError, FormatError, InsufficientDimensions, LabelError
+from .errors import (
+    AlignmentError,
+    InsufficientDimensions,
+    LabelError,
+    NumericalInstability,
+)
 from .lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX
 
 _CLASS_NAMES = ("Non stress", "Primary stress", "Secondary stress")
@@ -86,7 +92,8 @@ def pca_type_embeddings(params: dict, n_components: int = 3,
 
     Rows are centered (not scaled); the PAD row is excluded. The sign of
     each component is fixed so its largest-magnitude loading is positive,
-    making the output deterministic.
+    making the output deterministic. A covariance that is not finite is a
+    NumericalInstability.
     """
     if "E_type" not in params:
         raise InsufficientDimensions(
@@ -98,6 +105,8 @@ def pca_type_embeddings(params: dict, n_components: int = 3,
             f"embedding width {D} < {n_components} components")
     centered = E - E.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (E.shape[0] - 1)
+    if not np.isfinite(cov).all():
+        raise NumericalInstability("type embeddings give a non-finite covariance")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_components]
     variance = np.clip(eigvals[order], 0.0, None)
@@ -138,12 +147,8 @@ def _matrix_lines(m: np.ndarray, indent: str = "  ") -> list[str]:
     return lines
 
 
-def render_report(report: EvalReport, format: str = "text") -> str:
-    """Human-readable tables or a machine-readable JSON document."""
-    if format == "json":
-        return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
-    if format != "text":
-        raise FormatError(f"unknown report format {format!r}")
+def render_report(report: EvalReport) -> str:
+    """The report as human-readable tables."""
     lines = [
         f"syllables scored : {report.n_syllables}",
         f"word instances   : {report.n_words}",

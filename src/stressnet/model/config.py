@@ -78,6 +78,11 @@ class ModelConfig:
             raise ConfigError(f"dropout {self.dropout} not in [0, 1)")
         if self.feature_mode not in FEATURE_MODES:
             raise ConfigError(f"unknown feature mode {self.feature_mode!r}")
+        # exactly a bool: "no" would pass a truth test
+        if type(self.require_divisible_heads) is not bool:
+            raise ConfigError(
+                "require_divisible_heads must be true or false, got "
+                f"{self.require_divisible_heads!r:.40}")
         if self.require_divisible_heads and self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by heads={self.n_heads}")

@@ -43,7 +43,7 @@ from stressnet.model import (
     train,
 )
 from stressnet.model.network import loss_from_logits
-from stressnet.baselines import scores, train_forest, train_ordinal
+from stressnet.baselines import train_forest, train_ordinal
 
 
 def report(criterion, ok, detail):
@@ -283,10 +283,10 @@ def test_criterion_7_separable_oracle_learning(lexicon):
     _, attn_acc = evaluate_batch(params, make_batch(test_set, cfg, table), cfg)
     Xtr, ytr = train_all.features, train_all.labels
     Xte, yte = test_set.features, test_set.labels
-    rf_acc = float((scores(train_forest(Xtr, ytr, n_trees=50, seed=21),
-                           Xte).argmax(axis=1) == yte).mean())
-    or_acc = float((scores(train_ordinal(Xtr, ytr, seed=21),
-                           Xte).argmax(axis=1) == yte).mean())
+    rf_acc = float((train_forest(Xtr, ytr, n_trees=50, seed=21)
+                    .vote_shares(Xte).argmax(axis=1) == yte).mean())
+    or_acc = float((train_ordinal(Xtr, ytr, seed=21)
+                    .class_probs(Xte).argmax(axis=1) == yte).mean())
     gap = attn_acc - max(rf_acc, or_acc)
     ctx_ok = gap >= 0.10
     ok = sep_ok and ctx_ok
@@ -311,10 +311,10 @@ def test_criterion_8_moderate_noise_ordering(lexicon):
         _, attn = evaluate_batch(params, make_batch(test_set, cfg, table), cfg)
         Xtr, ytr = train_all.features, train_all.labels
         Xte, yte = test_set.features, test_set.labels
-        rf = float((scores(train_forest(Xtr, ytr, n_trees=50, seed=seed),
-                           Xte).argmax(axis=1) == yte).mean())
-        om = float((scores(train_ordinal(Xtr, ytr, seed=seed),
-                           Xte).argmax(axis=1) == yte).mean())
+        rf = float((train_forest(Xtr, ytr, n_trees=50, seed=seed)
+                    .vote_shares(Xte).argmax(axis=1) == yte).mean())
+        om = float((train_ordinal(Xtr, ytr, seed=seed)
+                    .class_probs(Xte).argmax(axis=1) == yte).mean())
         results.append((seed, attn, rf, om))
     ok = all(attn >= rf >= om for _, attn, rf, om in results)
     detail = "; ".join(f"seed {s}: attn {a:.3f} >= rf {r:.3f} >= or {o:.3f}"

@@ -6,10 +6,10 @@ from stressnet.baselines import (
     ForestModel,
     OrdinalModel,
     TreeNodes,
+    _RankGroups,
     _grow_tree,
     _ordinal_nll_grad,
     _sigmoid,
-    scores,
     train_forest,
     train_ordinal,
 )
@@ -43,7 +43,7 @@ class TestOrdinal:
         rng = np.random.default_rng(0)
         X, y = ordinal_1d_data(rng)
         model = train_ordinal(X[:400], y[:400], seed=1)
-        assert (scores(model, X[400:]).argmax(axis=1) == y[400:]).mean() == 1.0
+        assert (model.class_probs(X[400:]).argmax(axis=1) == y[400:]).mean() == 1.0
 
     def test_heavy_regularization_collapses_to_majority(self):
         rng = np.random.default_rng(1)
@@ -52,7 +52,7 @@ class TestOrdinal:
         y[:300] = int(StressLevel.NON_STRESS)
         model = train_ordinal(X, y, lam=1e6, seed=0)
         assert np.abs(model.coefficients).max() < 1e-2
-        preds = scores(model, X).argmax(axis=1)
+        preds = model.class_probs(X).argmax(axis=1)
         majority = np.bincount(y, minlength=3).argmax()
         assert (preds == majority).mean() > 0.99
 
@@ -76,28 +76,28 @@ class TestOrdinal:
         assert model.thresholds[0] < model.thresholds[1]
 
     def test_gradient_matches_finite_differences(self):
-        from stressnet.baselines import _ordinal_nll_grad
         rng = np.random.default_rng(4)
         X = rng.normal(0, 1, (40, 5))
         ranks = rng.integers(0, 3, 40)
         beta = rng.normal(0, 0.5, 5)
         theta = np.array([-0.3, 0.2])
         lam = 0.01
-        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, ranks, lam)
+        groups = _RankGroups(ranks)
+        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, lam, groups)
         eps = 1e-6
         for i in range(5):
             b = beta.copy()
             b[i] += eps
-            lp = _ordinal_nll_grad(b, theta, X, ranks, lam)[0]
+            lp = _ordinal_nll_grad(b, theta, X, lam, groups)[0]
             b[i] -= 2 * eps
-            lm = _ordinal_nll_grad(b, theta, X, ranks, lam)[0]
+            lm = _ordinal_nll_grad(b, theta, X, lam, groups)[0]
             assert dbeta[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4)
         for i in range(2):
             t = theta.copy()
             t[i] += eps
-            lp = _ordinal_nll_grad(beta, t, X, ranks, lam)[0]
+            lp = _ordinal_nll_grad(beta, t, X, lam, groups)[0]
             t[i] -= 2 * eps
-            lm = _ordinal_nll_grad(beta, t, X, ranks, lam)[0]
+            lm = _ordinal_nll_grad(beta, t, X, lam, groups)[0]
             assert dtheta[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4)
 
     def test_monotone_in_positive_coefficient_direction(self):
@@ -109,7 +109,7 @@ class TestOrdinal:
         rank_of = {int(StressLevel.NON_STRESS): 0,
                    int(StressLevel.SECONDARY): 1,
                    int(StressLevel.PRIMARY): 2}
-        ranks = [rank_of[int(p)] for p in scores(model, grid).argmax(axis=1)]
+        ranks = [rank_of[int(p)] for p in model.class_probs(grid).argmax(axis=1)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
     def test_zero_coefficients_constant_predictions(self):
@@ -123,7 +123,7 @@ class TestForest:
     def test_noiseless_corpus_training_accuracy(self, lexicon):
         X, y = corpus_syllables(lexicon, noise=0.0)
         model = train_forest(X, y, n_trees=20, seed=1)
-        assert (scores(model, X).argmax(axis=1) == y).mean() == 1.0
+        assert (model.vote_shares(X).argmax(axis=1) == y).mean() == 1.0
 
     def test_single_tree_full_depth_is_a_decision_tree(self):
         rng = np.random.default_rng(6)
@@ -150,12 +150,12 @@ class TestForest:
         n = len(y)
         X_train, y_train = X[:n // 2], y[:n // 2]
         X_test = X[n // 2:]
-        before = scores(train_forest(X_train, y_train, n_trees=15,
-                                     seed=5), X_test).argmax(axis=1)
+        before = train_forest(X_train, y_train, n_trees=15,
+                              seed=5).vote_shares(X_test).argmax(axis=1)
         Xt = X.copy()
         Xt[:, 3] = np.exp(0.25 * Xt[:, 3])  # strictly monotone on one feature
-        after = scores(train_forest(Xt[:n // 2], y_train, n_trees=15,
-                                    seed=5), Xt[n // 2:]).argmax(axis=1)
+        after = train_forest(Xt[:n // 2], y_train, n_trees=15,
+                             seed=5).vote_shares(Xt[n // 2:]).argmax(axis=1)
         assert np.array_equal(before, after)
 
     def test_leaf_counts_nonzero(self, lexicon):
@@ -176,7 +176,7 @@ class TestPredictBaseline:
         X = np.vstack([rng.normal(-3, 0.1, (50, 2)), rng.normal(3, 0.1, (50, 2))])
         y = np.array([0] * 50 + [1] * 50)
         model = train_forest(X, y, n_trees=9, seed=8)
-        (row,) = scores(model, np.array([[3.0, 3.0]]))
+        (row,) = model.vote_shares(np.array([[3.0, 3.0]]))
         assert row.argmax() == StressLevel.PRIMARY
         assert row[1] == 1.0
 
@@ -189,30 +189,26 @@ class TestPredictBaseline:
             return TreeNodes(np.array([-1]), np.array([0.0]),
                              np.array([-1]), np.array([-1]), counts)
         model = ForestModel([stump(2), stump(1)], 1, 1)
-        (row,) = scores(model, np.zeros((1, 3)))
+        (row,) = model.vote_shares(np.zeros((1, 3)))
         assert row.argmax() == StressLevel.PRIMARY  # classes 1 and 2 tie -> lower
         assert row[1] == row[2] == 0.5
 
     def test_shape_error(self):
         model = OrdinalModel(np.zeros(4), np.array([-1.0, 1.0]))
         with pytest.raises(ShapeError):
-            scores(model, np.zeros((1, 7)))
-
-    def test_unknown_model_type_is_shape_error(self):
-        with pytest.raises(ShapeError):
-            scores(object(), np.zeros((2, 3)))
+            model.class_probs(np.zeros((1, 7)))
 
     def test_scores_all_rows_at_once_as_row_by_row(self, lexicon):
         X, y = corpus_syllables(lexicon, noise=1.0, n_utts=10)
         forest = train_forest(X, y, n_trees=5, seed=3)
         ordinal = train_ordinal(X, y, seed=3)
-        batched_rf, batched_or = scores(forest, X), scores(ordinal, X)
+        batched_rf, batched_or = forest.vote_shares(X), ordinal.class_probs(X)
         assert batched_rf.shape == batched_or.shape == (len(y), 3)
         for i in range(len(y)):
             assert np.array_equal(batched_rf[i], forest.vote_shares(X[i])[0])
             assert np.abs(batched_or[i] - ordinal.class_probs(X[i])[0]).max() < 1e-12
-        assert scores(forest, np.zeros((0, 12))).shape == (0, 3)
-        assert scores(ordinal, np.zeros((0, 12))).shape == (0, 3)
+        assert forest.vote_shares(np.zeros((0, 12))).shape == (0, 3)
+        assert ordinal.class_probs(np.zeros((0, 12))).shape == (0, 3)
 
 
 # --- the tree grower against the per-node oracle ------------------------------
@@ -477,7 +473,8 @@ class TestOrdinalOracle:
         ranks = rng.integers(0, 3, 300)
         beta = rng.normal(0, 0.5, 6)
         theta = np.array([-0.3, 0.2])
-        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, ranks, 0.01)
+        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, 0.01,
+                                             _RankGroups(ranks))
         _, want_beta, want_theta = oracle_nll_grad(beta, theta, X, ranks, 0.01)
         assert dbeta.tobytes() == want_beta.tobytes()
         assert dtheta.tobytes() == want_theta.tobytes()

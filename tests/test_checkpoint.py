@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import json_values
-from stressnet.baselines import train_forest, train_ordinal
+from stressnet.baselines import ForestModel, OrdinalModel, train_forest, train_ordinal
 from stressnet.checkpoint import (
     FORMAT_ATTENTION,
     load_any,
@@ -89,8 +89,8 @@ class TestModelCheckpoint:
         weights = np.random.default_rng(1).uniform(0, 1, (16, 3))
         path = str(tmp_path / "m.ckpt")
         save_model(path, params, cfg, weights)
-        kind, (params2, cfg2), mode, weights2 = load_any(path)
-        assert kind == "attention" and mode == cfg.feature_mode
+        (params2, cfg2), mode, weights2 = load_any(path)
+        assert mode == cfg.feature_mode
         assert cfg2 == cfg
         assert set(params2) == set(params)
         for key in params:
@@ -109,9 +109,9 @@ class TestModelCheckpoint:
                     SYLLABLE_NUCLEUS_NUMERICAL)
         cfg = ModelConfig(**PRESETS["attn-medium"])
         save_model(m_path, init_params(cfg, rng), cfg, None)
-        assert load_any(o_path)[0] == "ordinal"
-        assert load_any(f_path)[0] == "forest"
-        assert load_any(m_path)[0] == "attention"
+        assert isinstance(load_any(o_path)[0], OrdinalModel)
+        assert isinstance(load_any(f_path)[0], ForestModel)
+        assert isinstance(load_any(m_path)[0][1], ModelConfig)
 
     def test_load_any_parses_each_file_once(self, tmp_path, monkeypatch):
         import stressnet.checkpoint as checkpoint_mod
@@ -161,7 +161,7 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="<f8"):
             load_any(path)
         save_model(path, params, cfg, np.ones((16, 3)))
-        assert load_any(path)[0] == "attention"
+        assert isinstance(load_any(path)[0][1], ModelConfig)
 
 
 class TestBaselineCheckpoints:
@@ -171,8 +171,8 @@ class TestBaselineCheckpoints:
                               rng.integers(0, 3, 80), seed=2)
         path = str(tmp_path / "o.ckpt")
         save_ordinal(path, model, "syllable_numerical")
-        kind, back, mode, _ = load_any(path)
-        assert kind == "ordinal" and mode == "syllable_numerical"
+        back, mode, _ = load_any(path)
+        assert isinstance(back, OrdinalModel) and mode == "syllable_numerical"
         assert np.array_equal(back.coefficients, model.coefficients)
         assert np.array_equal(back.thresholds, model.thresholds)
 
@@ -182,8 +182,8 @@ class TestBaselineCheckpoints:
         model = train_forest(X, y, n_trees=7, max_depth=6, seed=3)
         path = str(tmp_path / "f.ckpt")
         save_forest(path, model, SYLLABLE_NUCLEUS_NUMERICAL)
-        kind, back, _, _ = load_any(path)
-        assert kind == "forest"
+        back, _, _ = load_any(path)
+        assert isinstance(back, ForestModel)
         assert back.n_trees == model.n_trees
         assert np.array_equal(back.vote_shares(X), model.vote_shares(X))
 

@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -20,7 +22,7 @@ import stressnet
 from conftest import float_values, json_values, oracle_instances
 from stressnet import bundled_dictionary_path
 from stressnet.cli import _write_predictions, run_subcommand
-from stressnet import corpus
+from stressnet import checkpoint, corpus
 from stressnet.corpus import GenConfig, instances_from_table, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
 from stressnet.features import (
@@ -325,6 +327,14 @@ class TestMalformedCheckpoints:
                                              field, value):
         edit_checkpoint_header(
             ckpt, lambda h: h["meta"]["model_config"].update({field: value}))
+        self.check_data_error(ckpt, tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_divisible_heads_switch_not_a_bool(self, ckpt, tmp_path, capsys,
+                                               value):
+        # "no" was loaded as given, and read as true by the head check
+        edit_checkpoint_header(ckpt, lambda h: h["meta"]["model_config"].update(
+            require_divisible_heads=value))
         self.check_data_error(ckpt, tmp_path, capsys)
 
 
@@ -793,11 +803,13 @@ def baseline_ckpts(pipeline):
 
 def per_word_reference(ckpt, table):
     """predict's output lines, scoring one word per call as a reference."""
+    from stressnet.baselines import ForestModel
     from stressnet.checkpoint import load_any
     from stressnet.model import feature_dim
 
-    kind, model, feature_mode, _ = load_any(ckpt)
-    score = model.vote_shares if kind == "forest" else model.class_probs
+    model, feature_mode, _ = load_any(ckpt)
+    score = (model.vote_shares if isinstance(model, ForestModel)
+             else model.class_probs)
     lines = []
     for inst in oracle_instances(read_feature_table(table)):
         probs = score(inst.features[:, :feature_dim(feature_mode)])
@@ -1138,6 +1150,7 @@ class TestTrainConfigErrors:
 
     def test_custom_model_trains(self, pipeline, tmp_path):
         from stressnet.checkpoint import load_any
+        from stressnet.model import ModelConfig
 
         _, out, _, _ = pipeline
         model = {"d_model": 4, "n_heads": 2, "n_layers": 1, "ffn_hidden": 8,
@@ -1148,8 +1161,8 @@ class TestTrainConfigErrors:
         assert run("--config", str(cfg), "train", "--model", "attn-custom",
                    "--train", str(out / "splits" / "train.jsonl"),
                    "--out", str(ckpt), "--epochs", "1") == 0
-        kind, (_, config), _, _ = load_any(str(ckpt))
-        assert kind == "attention"
+        (_, config), _, _ = load_any(str(ckpt))
+        assert isinstance(config, ModelConfig)
         assert model.items() <= dataclasses.asdict(config).items()
 
 
@@ -1318,6 +1331,25 @@ class TestConfigSections:
         err = capsys.readouterr().err
         assert code == 3
         assert "use_class_weights" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("d_model", [5, 6])
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_divisible_heads_switch_must_be_a_bool(self, tiny_corpus, capsys,
+                                                   d_model, value):
+        # with d_model 6 the run passed and recorded "no"; with 5, "no"
+        # turned the head check on
+        cfg = tiny_corpus / "cfg.json"
+        cfg.write_text(json.dumps({"model": {
+            "d_model": d_model, "n_heads": 3, "n_layers": 1,
+            "require_divisible_heads": value}}))
+        out = tiny_corpus / "heads.ckpt"
+        code = run("--config", str(cfg), "train", "--model", "attn-custom",
+                   "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+                   "--out", str(out), "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "require_divisible_heads" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", sorted(GEN_FIELD_VALUES))
     @given(data=st.data())
@@ -1647,6 +1679,101 @@ class TestEdgeTables:
             if code == 0:
                 with open(preds) as fh:
                     assert len(fh.readlines()) == len(records)
+
+
+@pytest.fixture(scope="module")
+def fuzz_ckpts(tiny_corpus):
+    """One checkpoint of each kind, trained on the tiny corpus."""
+    table = str(tiny_corpus / "corpus" / "features.jsonl")
+    ckpts = {}
+    for model in ("or", "rf", "attn-medium"):
+        ckpts[model] = str(tiny_corpus / f"fuzz-{model}.ckpt")
+        assert run("train", "--model", model, *EDGE_RUNS[model], "--train",
+                   table, "--out", ckpts[model]) == 0
+    return ckpts
+
+
+CHECKPOINT_FORMATS = [checkpoint.FORMAT_ATTENTION, checkpoint.FORMAT_ORDINAL,
+                      checkpoint.FORMAT_FOREST]
+EXTREME_FLOATS = [1e300, -1e300, float("nan"), float("inf"), float("-inf")]
+# one change to a checkpoint: its format tag moved on by 1 or 2 in
+# CHECKPOINT_FORMATS, to another kind's; meta key i (mod their count)
+# set to any JSON value; value j of <f8 array i (each mod its count) set
+# to an extreme; or the array bytes cut or extended by n
+CHECKPOINT_MUTATIONS = (
+    st.tuples(st.just("format"), st.integers(1, 2))
+    | st.tuples(st.just("meta"), st.integers(0, 99), json_values)
+    | st.tuples(st.just("float"), st.integers(0, 99), st.integers(0, 999),
+                st.sampled_from(EXTREME_FLOATS))
+    | st.tuples(st.just("length"), st.integers(-16, 16).filter(bool)))
+
+
+def mutate_checkpoint(blob: bytes, mutation) -> bytes:
+    header_line, arrays = blob.split(b"\n", 1)
+    header = json.loads(header_line)
+    kind, *args = mutation
+    if kind == "format":
+        at = CHECKPOINT_FORMATS.index(header["format"]) + args[0]
+        header["format"] = CHECKPOINT_FORMATS[at % len(CHECKPOINT_FORMATS)]
+    elif kind == "meta":
+        keys = sorted(header["meta"])
+        header["meta"][keys[args[0] % len(keys)]] = args[1]
+    elif kind == "float":
+        # each array's values follow the arrays before it; both dtypes
+        # take 8 bytes a value
+        sizes = [math.prod(e["shape"]) for e in header["arrays"]]
+        starts = np.cumsum([0] + sizes).tolist()
+        floats = [(start, size) for e, start, size
+                  in zip(header["arrays"], starts, sizes)
+                  if e["dtype"] == "<f8" and size]
+        start, size = floats[args[0] % len(floats)]
+        at = 8 * (start + args[1] % size)
+        arrays = arrays[:at] + struct.pack("<d", args[2]) + arrays[at + 8:]
+    else:
+        arrays = arrays[:args[0]] if args[0] < 0 else arrays + bytes(args[0])
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + arrays
+
+
+class TestCheckpointFuzz:
+    """eval, predict and pca of a checkpoint one mutation away from a
+    trained one work, or exit 3 or 4, with no traceback and no warning."""
+
+    # an attention checkpoint's <f8 arrays in name order: C, E_pos, E_type...
+    # C of 1e300 overflowed in forward with warnings, and eval exited 0
+    @example(kind="attn-medium", mutation=("float", 0, 0, 1e300),
+             command="eval")
+    # an E_type row of 1e300 overflowed the covariance with a warning;
+    # a NaN made eigh raise LinAlgError, a traceback
+    @example(kind="attn-medium", mutation=("float", 2, 0, 1e300),
+             command="pca")
+    @example(kind="attn-medium", mutation=("float", 2, 7, float("nan")),
+             command="pca")
+    @given(kind=st.sampled_from(["or", "rf", "attn-medium"]),
+           mutation=CHECKPOINT_MUTATIONS,
+           command=st.sampled_from(["eval", "predict", "pca"]))
+    @settings(max_examples=50, deadline=None)
+    def test_mutated_checkpoint(self, tiny_corpus, fuzz_ckpts, kind, mutation,
+                                command):
+        table = str(tiny_corpus / "corpus" / "features.jsonl")
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt, out = os.path.join(tmp, "m.ckpt"), os.path.join(tmp, "out")
+            Path(ckpt).write_bytes(
+                mutate_checkpoint(Path(fuzz_ckpts[kind]).read_bytes(), mutation))
+            table_flags = {"eval": ["--data", table],
+                           "predict": ["--input", table], "pca": []}[command]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, err = run_quietly(command, "--model", ckpt,
+                                        *table_flags, "--out", out)
+            assert code in (0, 3, 4) and "Traceback" not in err, err
+            assert not caught, [str(w.message) for w in caught]
+            records = read_feature_table(table)
+            if code == 0 and command == "predict":
+                assert len(Path(out).read_text().splitlines()) == len(records)
+            if code == 0 and command == "eval":
+                report = json.loads(Path(out + ".json").read_text())
+                assert report["n_syllables"] == sum(
+                    len(r.stresses) for r in records)
 
 
 class TestManifests:

@@ -901,7 +901,7 @@ class TestSynthCorpus:
     def test_large_noise_approaches_majority_rate(self, lexicon):
         # noise at 3x the class gaps drowns the class structure; a strong
         # per-syllable classifier ends up near the majority-class rate
-        from stressnet.baselines import scores, train_forest
+        from stressnet.baselines import train_forest
         _, recs = synth_corpus(lexicon, 200, GenConfig(noise=3.0), seed=17)
         train_recs, test_recs = split(recs, 0.7, seed=17)
         train_set = instances_from_table(train_recs)
@@ -910,6 +910,6 @@ class TestSynthCorpus:
         Xte, yte = test_set.features, test_set.labels
         majority = np.bincount(ytr, minlength=3).argmax()
         majority_rate = float((yte == majority).mean())
-        acc = float((scores(train_forest(Xtr, ytr, n_trees=40, seed=17),
-                            Xte).argmax(axis=1) == yte).mean())
+        acc = float((train_forest(Xtr, ytr, n_trees=40, seed=17)
+                     .vote_shares(Xte).argmax(axis=1) == yte).mean())
         assert abs(acc - majority_rate) < 0.05

@@ -571,6 +571,9 @@ SCIPY_READS = {
         b"data", np.array([0.5, np.nan], "<f4").tobytes())),
     "float_inf_sample": riff(fmt_chunk(IEEE_FLOAT, 2, 8), chunk(
         b"data", np.array([0.5, 0.25, -np.inf, 0.0], "<f8").tobytes())),
+    # finite samples whose channel average overflows
+    "float_channel_mean_overflow": riff(fmt_chunk(IEEE_FLOAT, 2, 8), chunk(
+        b"data", np.array([0.5, 0.25, 1.5e308, 1.5e308], "<f8").tobytes())),
 }
 MALFORMED_WAVS.update(SCIPY_READS)
 WAV_DAMAGES = ["form", "riff_size", "tag", "width", "channels", "bits",

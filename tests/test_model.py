@@ -475,7 +475,7 @@ class TestParamStorage:
         assert_views_of_flat(trained)
         path = str(tmp_path / "m.ckpt")
         save_model(path, trained, cfg, cw)
-        _, (loaded, _), _, _ = load_any(path)
+        (loaded, _), _, _ = load_any(path)
         assert_views_of_flat(loaded)
         assert np.array_equal(loaded.flat, trained.flat)
 
