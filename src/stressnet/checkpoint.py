@@ -152,6 +152,9 @@ def save_model(path: str, params: Params, config: ModelConfig,
 def _model_from(meta: dict, arrays: dict[str, np.ndarray],
                 ) -> tuple[tuple[Params, ModelConfig], str, np.ndarray | None]:
     config = ModelConfig(**meta["model_config"])
+    if meta["feature_mode"] != config.feature_mode:
+        raise ValueError(f"feature_mode {meta['feature_mode']!r:.40} is not "
+                         f"the model_config's {config.feature_mode!r}")
     layout = param_layout(config)
     expected = dict(layout)
     if meta.get("has_class_weights"):
@@ -257,10 +260,16 @@ def load_any(path: str):
     """(model, feature_mode, the (16, 3) class-weight table or None) of a
     checkpoint of any format, the file read once. The model is an
     OrdinalModel, a ForestModel or an attention (Params, ModelConfig)
-    pair; a meta or array set that does not fit its format is a
+    pair; a meta or array set that does not fit its format, or tags and
+    feature slots recorded in another order than this program's, is a
     CheckpointError."""
     fmt, meta, arrays = load_container(path)
     try:
+        for key, order in (("nucleus_tags", NUCLEUS_TAGS),
+                           ("feature_slots", FEATURE_SLOTS)):
+            if meta[key] != list(order):
+                raise ValueError(f"{key} {meta[key]!r:.60} is not this "
+                                 "program's order")
         return _BUILDERS[fmt](meta, arrays)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(

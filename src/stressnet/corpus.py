@@ -33,11 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AlignmentFormat,
     ConfigError,
     DegenerateData,
     EmptyLexicon,
-    InvalidSpans,
+    FormatError,
     LabelError,
     ShapeError,
     SplitTooSmall,
@@ -101,9 +100,9 @@ class UtteranceAlignment:
 
 def _require(doc: dict, key: str, ctx: str):
     if not isinstance(doc, dict):
-        raise AlignmentFormat(f"{ctx}: not a JSON object")
+        raise FormatError(f"{ctx}: not a JSON object")
     if key not in doc:
-        raise AlignmentFormat(f"{ctx}: missing field {key!r}")
+        raise FormatError(f"{ctx}: missing field {key!r}")
     return doc[key]
 
 
@@ -113,25 +112,27 @@ def _span(doc: dict, ctx: str) -> tuple[float, float]:
     try:
         start, end = float(start), float(end)
     except (TypeError, ValueError, OverflowError):
-        raise AlignmentFormat(f"{ctx}: start_s/end_s must be numbers")
+        raise FormatError(f"{ctx}: start_s/end_s must be numbers")
     if not (math.isfinite(start) and math.isfinite(end)) or start >= end:
-        raise InvalidSpans(f"{ctx}: bad span [{start}, {end})")
+        raise FormatError(f"{ctx}: bad span [{start}, {end})")
     return start, end
 
 
 def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
     """Validate a parsed alignment document against the schema."""
     if not isinstance(doc, dict):
-        raise AlignmentFormat(f"{source}: top level must be an object")
+        raise FormatError(f"{source}: top level must be an object")
     if _require(doc, "schema", source) != 1:
-        raise AlignmentFormat(f"{source}: unsupported schema {doc.get('schema')!r}")
+        raise FormatError(f"{source}: unsupported schema {doc.get('schema')!r}")
     utt_id = str(_require(doc, "utterance_id", source))
     audio_path = doc.get("audio_path")
     if not isinstance(audio_path, (str, type(None))):
-        raise AlignmentFormat(f"{source}: 'audio_path' must be a string or null")
+        raise FormatError(f"{source}: 'audio_path' must be a string or null")
+    if audio_path is not None and "\0" in audio_path:  # no file has that name
+        raise FormatError(f"{source}: 'audio_path' holds a NUL byte")
     words_doc = _require(doc, "words", source)
     if not isinstance(words_doc, list):
-        raise AlignmentFormat(f"{source}: 'words' must be a list")
+        raise FormatError(f"{source}: 'words' must be a list")
 
     words: list[AlignedWord] = []
     for wi, wdoc in enumerate(words_doc):
@@ -139,23 +140,22 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
         text = str(_require(wdoc, "text", ctx))
         sylls_doc = _require(wdoc, "syllables", ctx)
         if not isinstance(sylls_doc, list) or not sylls_doc:
-            raise AlignmentFormat(f"{ctx}: 'syllables' must be a non-empty list")
+            raise FormatError(f"{ctx}: 'syllables' must be a non-empty list")
         sylls: list[SyllableSpan] = []
         prev_end = -math.inf
         for si, sdoc in enumerate(sylls_doc):
             sctx = f"{ctx}.syllable[{si}]"
             s0, s1 = _span(sdoc, sctx)
             if s0 < prev_end:
-                raise InvalidSpans(f"{sctx}: overlaps previous syllable")
+                raise FormatError(f"{sctx}: overlaps previous syllable")
             prev_end = s1
             ndoc = _require(sdoc, "nucleus", sctx)
             n0, n1 = _span(ndoc, f"{sctx}.nucleus")
             if n0 < s0 or n1 > s1:
-                raise InvalidSpans(f"{sctx}: nucleus span outside syllable span")
+                raise FormatError(f"{sctx}: nucleus span outside syllable span")
             tag = ndoc.get("tag")
             if not isinstance(tag, (str, type(None))):
-                raise AlignmentFormat(
-                    f"{sctx}.nucleus: 'tag' must be a string or null")
+                raise FormatError(f"{sctx}.nucleus: 'tag' must be a string or null")
             sylls.append(SyllableSpan(s0, s1, NucleusSpan(n0, n1, tag)))
         words.append(AlignedWord(text, tuple(sylls)))
     return UtteranceAlignment(utt_id, audio_path, tuple(words))
@@ -166,7 +166,7 @@ def load_alignment(path: str) -> UtteranceAlignment:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
-        raise AlignmentFormat(f"{path}: not valid UTF-8 JSON ({exc})")
+        raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})")
     return parse_alignment(doc, source=path)
 
 
@@ -219,7 +219,8 @@ class Instances:
     Word i owns rows offsets[i]:offsets[i + 1].
 
     There are no padded slots: training.make_batch pads a batch to its
-    longest word.
+    longest word. instances[words] holds the words that a slice, a 1-D
+    index array or a boolean mask picks, in that order.
     """
 
     utterance_ids: list[str]  # one per word
@@ -232,16 +233,18 @@ class Instances:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __getitem__(self, words: slice) -> "Instances":
-        """The contiguous run of words the slice picks."""
-        if not isinstance(words, slice) or words.step not in (None, 1):
-            raise TypeError("Instances take only a contiguous word slice")
-        start, stop, _ = words.indices(len(self))
-        stop = max(start, stop)
-        lo, hi = self.offsets[start], self.offsets[stop]
-        return Instances(self.utterance_ids[start:stop], self.words[start:stop],
-                         self.offsets[start:stop + 1] - lo, self.features[lo:hi],
-                         self.types[lo:hi], self.labels[lo:hi])
+    def __getitem__(self, words) -> "Instances":
+        # an int picks one word, and a word is not a table
+        if not isinstance(words, slice) and np.ndim(words) != 1:
+            raise TypeError("Instances take a slice, index array or mask of words")
+        idx = np.arange(len(self))[words]
+        starts, ends = self.offsets[idx], self.offsets[idx + 1]
+        offsets = np.concatenate([[0], np.cumsum(ends - starts)])
+        rows = np.repeat(starts - offsets[:-1], ends - starts) + np.arange(offsets[-1])
+        picked = idx.tolist()
+        return Instances([self.utterance_ids[i] for i in picked],
+                         [self.words[i] for i in picked], offsets,
+                         self.features[rows], self.types[rows], self.labels[rows])
 
 
 def instances_from_table(records: list[WordRecord]) -> Instances:

@@ -40,14 +40,6 @@ class SpanOutOfRange(StressnetError):
 
 # --- corpus ----------------------------------------------------------------
 
-class AlignmentFormat(StressnetError):
-    """An alignment document violates the documented schema."""
-
-
-class InvalidSpans(StressnetError):
-    """Alignment spans overlap, are out of order, or nest incorrectly."""
-
-
 class SplitTooSmall(StressnetError):
     """Fewer than two utterances; a train/test split is meaningless."""
 
@@ -94,8 +86,9 @@ class InsufficientDimensions(StressnetError):
 
 
 class FormatError(StressnetError):
-    """Unknown render or file format tag, a malformed feature table, or
-    a file that cannot be read as a WAV."""
+    """A feature table, an alignment or a WAV that breaks its format: the
+    message names the file and, where there is one, the line, word or
+    syllable."""
 
 
 # --- io / cli --------------------------------------------------------------

@@ -27,30 +27,15 @@ ADAM_EPS = 1e-8
 SCORE_CHUNK = 512
 
 
-def _used_slots(mask: np.ndarray) -> int:
-    """One past the last slot any row of the mask uses (at least 1)."""
-    return int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
-
-
 @dataclass
 class Batch:
-    """Words stacked one per row, cut to P = the batch's longest word."""
+    """Words one per row, padded to P = the longest; make_batch builds it."""
 
     features: np.ndarray  # (N, P, K)
     types: np.ndarray     # (N, P)
     mask: np.ndarray      # (N, P)
     labels: np.ndarray    # (N, P)
     weights: np.ndarray   # (N, P)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    def take(self, idx: np.ndarray) -> "Batch":
-        """The rows idx, trimmed to the longest word among them."""
-        mask = self.mask[idx]
-        P = _used_slots(mask)
-        return Batch(self.features[idx, :P], self.types[idx, :P], mask[:, :P],
-                     self.labels[idx, :P], self.weights[idx, :P])
 
 
 def make_batch(instances: Instances, config: ModelConfig,
@@ -110,7 +95,8 @@ def evaluate_batch(params: Params, batch: Batch, config: ModelConfig,
 def train(train_set: Instances, val_set: Instances,
           model_config: ModelConfig, train_config: TrainConfig,
           ) -> tuple[Params, np.ndarray | None, list[dict]]:
-    """Mini-batch Adam on the weighted cross-entropy.
+    """Mini-batch Adam on the weighted cross-entropy, each minibatch
+    make_batch of the next batch_size words of the epoch's shuffle.
 
     Returns the parameters with the best validation accuracy (the final
     ones if no epoch improves on the start), the (16, 3) class-weight
@@ -122,7 +108,6 @@ def train(train_set: Instances, val_set: Instances,
     table = (compute_class_weights(train_set)
              if train_config.resolve_use_weights(model_config) else None)
 
-    train_batch = make_batch(train_set, model_config, table)
     val_batch = make_batch(val_set, model_config, table)
 
     seed_seq = np.random.SeedSequence(train_config.seed)
@@ -134,7 +119,7 @@ def train(train_set: Instances, val_set: Instances,
     history: list[dict] = []
     best_acc = -1.0
     best_flat = params.flat.copy()
-    n = len(train_batch)
+    n = len(train_set)
     bs = train_config.batch_size
     for epoch in range(train_config.epochs):
         order = shuffle_rng.permutation(n)
@@ -142,7 +127,7 @@ def train(train_set: Instances, val_set: Instances,
         epoch_correct = 0
         epoch_valid = 0
         for start in range(0, n, bs):
-            mb = train_batch.take(order[start:start + bs])
+            mb = make_batch(train_set[order[start:start + bs]], model_config, table)
             try:
                 loss, grads, probs = loss_and_grads(
                     params, mb.features, mb.types, mb.mask, mb.labels,

@@ -26,6 +26,7 @@ from stressnet import checkpoint, corpus
 from stressnet.corpus import GenConfig, instances_from_table, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
 from stressnet.features import (
+    FEATURE_SLOTS,
     MAX_SYLLABLES,
     WordRecord,
     extract_features,
@@ -1708,6 +1709,24 @@ CHECKPOINT_MUTATIONS = (
     | st.tuples(st.just("length"), st.integers(-16, 16).filter(bool)))
 
 
+# per case: a checkpoint kind, a meta mutation that records another type,
+# slot or feature-mode order than the checkpoint's own (meta keys count
+# in sorted order: or has feature_mode, feature_slots, nucleus_tags;
+# attn-medium adds has_class_weights and model_config, and its
+# model_config trains all_features), and the key its refusal names
+ORDER_MISMATCHES = {
+    "or_tags_reversed": ("or", ("meta", 2, list(NUCLEUS_TAGS)[::-1]),
+                         "nucleus_tags"),
+    "or_slots_null": ("or", ("meta", 1, None), "feature_slots"),
+    "attn_tags_number": ("attn-medium", ("meta", 4, 7), "nucleus_tags"),
+    "attn_slots_rotated": ("attn-medium", ("meta", 1, list(
+        FEATURE_SLOTS[6:] + FEATURE_SLOTS[:6])), "feature_slots"),
+    "attn_mode_not_the_configs": ("attn-medium",
+                                  ("meta", 0, "syllable_numerical"),
+                                  "feature_mode"),
+}
+
+
 def mutate_checkpoint(blob: bytes, mutation) -> bytes:
     header_line, arrays = blob.split(b"\n", 1)
     header = json.loads(header_line)
@@ -1748,6 +1767,19 @@ class TestCheckpointFuzz:
              command="pca")
     @example(kind="attn-medium", mutation=("float", 2, 7, float("nan")),
              command="pca")
+    # another type, slot or feature-mode order: each scored, exit 0
+    @example(kind="or", mutation=ORDER_MISMATCHES["or_tags_reversed"][1],
+             command="eval")
+    @example(kind="or", mutation=ORDER_MISMATCHES["or_slots_null"][1],
+             command="predict")
+    @example(kind="attn-medium",
+             mutation=ORDER_MISMATCHES["attn_tags_number"][1], command="eval")
+    @example(kind="attn-medium",
+             mutation=ORDER_MISMATCHES["attn_slots_rotated"][1],
+             command="predict")
+    @example(kind="attn-medium",
+             mutation=ORDER_MISMATCHES["attn_mode_not_the_configs"][1],
+             command="eval")
     @given(kind=st.sampled_from(["or", "rf", "attn-medium"]),
            mutation=CHECKPOINT_MUTATIONS,
            command=st.sampled_from(["eval", "predict", "pca"]))
@@ -1774,6 +1806,132 @@ class TestCheckpointFuzz:
                 report = json.loads(Path(out + ".json").read_text())
                 assert report["n_syllables"] == sum(
                     len(r.stresses) for r in records)
+
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("case", sorted(ORDER_MISMATCHES))
+    def test_other_order_is_refused(self, tiny_corpus, fuzz_ckpts, tmp_path,
+                                    case, command):
+        """A checkpoint's type order, slot order and feature mode must be
+        the ones this program scores with: a data error naming the key."""
+        kind, mutation, key = ORDER_MISMATCHES[case]
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(
+            mutate_checkpoint(Path(fuzz_ckpts[kind]).read_bytes(), mutation))
+        table = str(tiny_corpus / "corpus" / "features.jsonl")
+        flag = {"eval": "--data", "predict": "--input"}[command]
+        code, err = run_quietly(command, "--model", str(ckpt), flag, table,
+                                "--out", str(tmp_path / "out"))
+        assert code == 4 and "CheckpointError" in err and key in err, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_alignment(tmp_path_factory):
+    """A valid two-word alignment document whose audio_path names a 0.5 s
+    WAV, the WAV written once."""
+    from scipy.io import wavfile
+    root = tmp_path_factory.mktemp("alignment-fuzz")
+    sr = 16000
+    t = np.arange(sr // 2) / sr
+    wav = root / "utt.wav"
+    wavfile.write(str(wav), sr, (0.5 * np.sin(2 * np.pi * 180.0 * t)
+                                 * 32767).astype(np.int16))
+    spans = {"maybe": [(0.02, 0.12), (0.12, 0.22)],
+             "overcome": [(0.25, 0.32), (0.32, 0.40), (0.40, 0.48)]}
+    return {"schema": 1, "utterance_id": "utt", "audio_path": str(wav),
+            "words": [{"text": text, "syllables": [
+                {"start_s": a, "end_s": b, "nucleus": {
+                    "start_s": a + 0.01, "end_s": b - 0.01, "tag": None}}
+                for a, b in pairs]} for text, pairs in spans.items()]}
+
+
+def json_paths(doc, at=()):
+    """The path of every value inside a JSON document, depth first, a
+    container's path before those of its items."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield at + (key,)
+        yield from json_paths(value, at + (key,))
+
+
+# one change to an alignment document: the key at path i (mod the number
+# of keys) dropped; the value at path i set to any JSON value; a NUL
+# byte put at place j of string value i; or the file's bytes cut to n
+ALIGNMENT_MUTATIONS = (
+    st.tuples(st.just("drop"), st.integers(0, 99))
+    | st.tuples(st.just("set"), st.integers(0, 99), json_values)
+    | st.tuples(st.just("nul"), st.integers(0, 99), st.integers(0, 9))
+    | st.tuples(st.just("cut"), st.integers(0, 999)))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate_alignment(doc, mutation) -> bytes:
+    doc = json.loads(json.dumps(doc))
+    kind, *args = mutation
+    paths = list(json_paths(doc))
+    if kind == "cut":
+        blob = json.dumps(doc).encode()
+        return blob[:args[0] % len(blob)]
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(_at(doc, p[:-1]), dict)]
+    elif kind == "nul":
+        paths = [p for p in paths if isinstance(_at(doc, p), str)]
+    path = paths[args[0] % len(paths)]
+    container = _at(doc, path[:-1])
+    if kind == "drop":
+        del container[path[-1]]
+    elif kind == "set":
+        container[path[-1]] = args[1]
+    else:
+        text = container[path[-1]]
+        j = args[1] % (len(text) + 1)
+        container[path[-1]] = text[:j] + "\0" + text[j:]
+    return json.dumps(doc).encode()
+
+
+class TestAlignmentFuzz:
+    """label and featurize of an alignment one mutation away from a valid
+    one work, or exit 3 or 4, with no traceback and no warning."""
+
+    # the audio_path (path 2) with a NUL byte: open() raised ValueError,
+    # a traceback from featurize
+    @example(mutation=("set", 2, "x\0.wav"), command="featurize")
+    @given(mutation=ALIGNMENT_MUTATIONS,
+           command=st.sampled_from(["label", "featurize"]))
+    @settings(max_examples=50, deadline=None)
+    def test_mutated_alignment(self, fuzz_alignment, mutation, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "utt.json"), os.path.join(tmp, "out")
+            Path(path).write_bytes(mutate_alignment(fuzz_alignment, mutation))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, err = run_quietly(command, "--alignments", path,
+                                        "--out", out)
+            assert code in (0, 3, 4) and "Traceback" not in err, err
+            assert not caught, [str(w.message) for w in caught]
+            if code == 0 and command == "featurize":
+                read_feature_table(out)
+            if code == 0 and command == "label":
+                for name in ("labels.jsonl", "exclusions.jsonl"):
+                    for line in Path(out, name).read_text().splitlines():
+                        json.loads(line)
+
+    @pytest.mark.parametrize("command", ["label", "featurize"])
+    def test_nul_audio_path_is_a_format_error(self, fuzz_alignment, tmp_path,
+                                              command):
+        path = tmp_path / "utt.json"
+        path.write_bytes(mutate_alignment(fuzz_alignment,
+                                          ("set", 2, "x\0.wav")))
+        code, err = run_quietly(command, "--alignments", str(path),
+                                "--out", str(tmp_path / "out"))
+        assert code == 4 and "FormatError" in err and str(path) in err, err
+        assert "NUL" in err
 
 
 class TestManifests:

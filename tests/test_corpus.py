@@ -30,9 +30,8 @@ from stressnet.corpus import (
     weights_from_proportions,
 )
 from stressnet.errors import (
-    AlignmentFormat,
     ConfigError,
-    InvalidSpans,
+    FormatError,
     ShapeError,
     SplitTooSmall,
     StressnetError,
@@ -80,13 +79,13 @@ class TestAlignmentSchema:
     def test_nucleus_outside_syllable(self):
         doc = make_alignment([("cat", 1)])
         doc["words"][0]["syllables"][0]["nucleus"]["end_s"] = 9.9
-        with pytest.raises(InvalidSpans):
+        with pytest.raises(FormatError, match="nucleus span outside syllable span"):
             parse_alignment(doc)
 
     def test_overlapping_syllables(self):
         doc = make_alignment([("maybe", 2)])
         doc["words"][0]["syllables"][1]["start_s"] = 0.1
-        with pytest.raises(InvalidSpans):
+        with pytest.raises(FormatError, match="overlaps previous syllable"):
             parse_alignment(doc)
 
     def test_empty_word_list_valid(self):
@@ -95,19 +94,19 @@ class TestAlignmentSchema:
         assert al.words == ()
 
     def test_missing_field(self):
-        with pytest.raises(AlignmentFormat):
+        with pytest.raises(FormatError):
             parse_alignment({"schema": 1, "utterance_id": "u"})
 
     def test_wrong_schema_version(self):
         doc = make_alignment([])
         doc["schema"] = 2
-        with pytest.raises(AlignmentFormat):
+        with pytest.raises(FormatError):
             parse_alignment(doc)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(AlignmentFormat):
+        with pytest.raises(FormatError):
             load_alignment(str(path))
 
     @pytest.mark.parametrize("edit", [
@@ -123,13 +122,13 @@ class TestAlignmentSchema:
     def test_wrong_json_type(self, edit):
         doc = make_alignment([("maybe", 2)])
         edit(doc)
-        with pytest.raises(AlignmentFormat):
+        with pytest.raises(FormatError):
             parse_alignment(doc)
 
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"schema": 1, "utterance_id": "caf\xe9"}'.encode("latin-1"))
-        with pytest.raises(AlignmentFormat):
+        with pytest.raises(FormatError):
             load_alignment(str(path))
 
 
@@ -192,7 +191,8 @@ class TestAlignmentFuzz:
 @st.composite
 def parsed_alignments(draw):
     """An alignment that parse_alignment accepts: any text, times from
-    tiny to huge, audio path and nucleus tags present or null."""
+    tiny to huge, audio path (without a NUL byte) and nucleus tags present
+    or null."""
     text = st.text(max_size=6)
     words = []
     t = draw(st.floats(-1e6, 1e6))
@@ -205,10 +205,13 @@ def parsed_alignments(draw):
                 "start_s": start, "end_s": t, "tag": draw(st.none() | text)}})
         words.append({"text": draw(text), "syllables": sylls})
     doc = {"schema": 1, "utterance_id": draw(text),
-           "audio_path": draw(st.none() | text), "words": words}
+           "audio_path": draw(st.none() | st.text(
+               st.characters(exclude_characters="\0"), max_size=6)),
+           "words": words}
     try:
         return parse_alignment(doc)
-    except InvalidSpans:  # a step too small to move a large time
+    except FormatError as exc:  # a step too small to move a large time
+        assert "bad span" in str(exc)
         assume(False)
 
 
@@ -361,6 +364,12 @@ def assert_same_array(got, want, name):
     assert got.tobytes() == want.tobytes(), name
 
 
+def assert_same_table(got, want):
+    assert (got.utterance_ids, got.words) == (want.utterance_ids, want.words)
+    for name in ("offsets", "features", "types", "labels"):
+        assert_same_array(getattr(got, name), getattr(want, name), name)
+
+
 class TestInstancesFromTable:
     def test_padding_invariant(self):
         """A word owns its n syllables' rows in position order, no padding;
@@ -399,12 +408,40 @@ class TestInstancesFromTable:
         _, recs = synth_corpus(lexicon, 2, GenConfig(noise=0.5), seed=6)
         instances = instances_from_table(recs)
         for start, stop in ((0, 3), (2, 5), (4, 4), (3, 1), (5, 10 ** 6)):
-            part = instances[start:stop]
-            want = instances_from_table(recs[start:stop])
-            assert (part.utterance_ids, part.words) == (want.utterance_ids, want.words)
-            for name in ("offsets", "features", "types", "labels"):
-                assert_same_array(getattr(part, name), getattr(want, name), name)
-        for key in (0, slice(0, 4, 2), [0, 1]):
+            assert_same_table(instances[start:stop],
+                              instances_from_table(recs[start:stop]))
+        assert_same_table(instances[0:4:2], instances_from_table(recs[0:4:2]))
+        assert_same_table(instances[[0, 1]], instances_from_table(recs[:2]))
+        with pytest.raises(TypeError):
+            instances[0]
+
+    @given(records=st.lists(packable_records(), max_size=12), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_word_picks_match_the_picked_records(self, records, data):
+        """A slice of any step, an index array (repeats and negative
+        indices too) or a boolean mask picks the words it names, in its
+        order, packed as instances_from_table packs those records."""
+        instances = instances_from_table(records)
+        n = len(records)
+        ends = st.none() | st.integers(-n - 2, n + 2)
+        kind = data.draw(st.sampled_from(["slice", "index", "mask"]), label="kind")
+        if kind == "slice":
+            key = slice(data.draw(ends), data.draw(ends),
+                        data.draw(st.none() | st.integers(-4, 4).filter(bool)))
+            picked = records[key]
+        elif kind == "index":
+            key = np.array(data.draw(st.lists(
+                st.integers(-n, n - 1), max_size=8) if n else st.just([])),
+                dtype=np.int64)
+            picked = [records[i] for i in key]
+        else:
+            key = np.array(data.draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            picked = [r for r, keep in zip(records, key) if keep]
+        assert_same_table(instances[key], instances_from_table(picked))
+        # one word is not a table, nor is a 2-D pick
+        for key in (0, -1, np.int64(0), np.zeros((1, 1), dtype=np.int64),
+                    np.ones((1, n), dtype=bool)):
             with pytest.raises(TypeError):
                 instances[key]
 
@@ -435,7 +472,9 @@ class TestInstancesFromTable:
         want = oracle_make_batch(words, config, table)
         idx = np.array(data.draw(st.lists(
             st.integers(0, len(records) - 1), min_size=1, max_size=8)))
-        for b, w in ((batch, want), (batch.take(idx), want.take(idx))):
+        for b, w in ((batch, want),
+                     (make_batch(got[idx], config, table),
+                      oracle_make_batch([words[i] for i in idx], config, table))):
             for name in ("features", "types", "mask", "labels", "weights"):
                 assert_same_array(getattr(b, name), getattr(w, name), name)
 

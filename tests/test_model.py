@@ -630,7 +630,7 @@ class TestTrimmedBatches:
             assert np.abs(grads_t[key] - grads_f[key]).max() < 1e-12, key
         assert np.all(grads_t["E_pos"][P:] == 0.0)
 
-    def test_make_batch_and_take_trim_to_longest_word(self, small_corpus):
+    def test_make_batch_trims_to_longest_word(self, small_corpus):
         train_set, _ = small_corpus
         batch = make_batch(train_set, tiny_config())
         counts = np.diff(train_set.offsets)
@@ -647,8 +647,9 @@ class TestTrimmedBatches:
             assert np.all(batch.features[row, n:] == 0.0)
             assert np.all(batch.types[row, n:] == PAD_TYPE_INDEX)
             assert np.all(batch.labels[row, n:] == -1)
+        # a batch of some of the words is cut to the longest of them
         idx = np.flatnonzero(counts <= 2)[:5]
-        sub = batch.take(idx)
+        sub = make_batch(train_set[idx], tiny_config())
         assert sub.mask.shape == (len(idx), 2)
         for arr, full in zip((sub.features, sub.types, sub.mask, sub.labels,
                               sub.weights),
