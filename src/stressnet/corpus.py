@@ -14,7 +14,9 @@ Alignment documents are JSON, one utterance per file:
           ...
         ]}]}
 
-Times are seconds as decimals. Syllable spans must be ordered and
+"schema" is the integer 1, "utterance_id" and "text" are strings, and
+times are seconds as JSON numbers (not booleans, not strings); any other
+type is a FormatError. Syllable spans must be ordered and
 non-overlapping within a word, and each nucleus span must sit inside its
 syllable span. The nucleus "tag", a string or null, is informational;
 gold labels and types always come from the lexicon.
@@ -109,9 +111,13 @@ def _require(doc: dict, key: str, ctx: str):
 def _span(doc: dict, ctx: str) -> tuple[float, float]:
     start = _require(doc, "start_s", ctx)
     end = _require(doc, "end_s", ctx)
+    # a JSON number; bool is an int subclass and a string would float()
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool)
+               for t in (start, end)):
+        raise FormatError(f"{ctx}: start_s/end_s must be numbers")
     try:
         start, end = float(start), float(end)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an integer beyond float range
         raise FormatError(f"{ctx}: start_s/end_s must be numbers")
     if not (math.isfinite(start) and math.isfinite(end)) or start >= end:
         raise FormatError(f"{ctx}: bad span [{start}, {end})")
@@ -122,9 +128,12 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
     """Validate a parsed alignment document against the schema."""
     if not isinstance(doc, dict):
         raise FormatError(f"{source}: top level must be an object")
-    if _require(doc, "schema", source) != 1:
-        raise FormatError(f"{source}: unsupported schema {doc.get('schema')!r}")
-    utt_id = str(_require(doc, "utterance_id", source))
+    schema = _require(doc, "schema", source)
+    if type(schema) is not int or schema != 1:  # not true, not 1.0
+        raise FormatError(f"{source}: unsupported schema {schema!r}")
+    utt_id = _require(doc, "utterance_id", source)
+    if not isinstance(utt_id, str):
+        raise FormatError(f"{source}: 'utterance_id' must be a string")
     audio_path = doc.get("audio_path")
     if not isinstance(audio_path, (str, type(None))):
         raise FormatError(f"{source}: 'audio_path' must be a string or null")
@@ -137,7 +146,9 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
     words: list[AlignedWord] = []
     for wi, wdoc in enumerate(words_doc):
         ctx = f"{source}: word[{wi}]"
-        text = str(_require(wdoc, "text", ctx))
+        text = _require(wdoc, "text", ctx)
+        if not isinstance(text, str):
+            raise FormatError(f"{ctx}: 'text' must be a string")
         sylls_doc = _require(wdoc, "syllables", ctx)
         if not isinstance(sylls_doc, list) or not sylls_doc:
             raise FormatError(f"{ctx}: 'syllables' must be a non-empty list")

@@ -366,7 +366,9 @@ def read_wav(path: str) -> tuple[np.ndarray, float]:
         ints = wide.view(dtype)[:, 0]
     else:
         ints = np.frombuffer(buf, dtype, size // width, at)
-    samples = ints.astype(np.float64)
+    # a signaling NaN sets "invalid" in the cast; it is refused below
+    with np.errstate(invalid="ignore"):
+        samples = ints.astype(np.float64)
     if scale is not None:
         samples /= scale
     if channels > 1:

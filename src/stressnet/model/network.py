@@ -22,6 +22,21 @@ in NumPy's own order, so every result is bit-identical to NumPy's and
 reruns keep byte-identical checkpoints and reports. A new last-axis
 reduction in the encoder must use them too.
 
+The (B, H, P, P) attention maps are the largest arrays; at a 512-word
+scoring chunk with P = 17 one map is 7.1 MB for attn-medium. So forward
+writes each layer's scores with np.matmul(..., out=) and _softmax turns
+them into weights in place; without a cache no map outlives its layer,
+and every layer writes one shared buffer. Bias adds, dropout, residual
+adds and (when scoring) the ReLU write into the array they follow; the
+logits are copied before their softmax, since the loss reads them.
+_softmax_backward makes one map-sized array, and backward writes every
+gradient entry, so train passes it one gradient Params for all steps
+(the E_pos rows from P on and all of E_type are zeroed first). None of
+this changes a bit: each in-place step is the IEEE operation it
+replaced, on the same operands in the same order (out= only names where
+the result goes), and every BLAS product gets arrays of the same shape
+and contiguity as before. The same holds for _sum_last's partial sums.
+
 All parameters, and likewise all gradients, live in one float64 vector,
 params.flat; a Params maps each name to its C-order view. param_layout
 lists names and shapes in storage order, which is also init_params' draw
@@ -109,7 +124,9 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     each later full block of 8 into them, combines them as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then adds the tail left to
     right. It splits an axis longer than 128 in halves first; such an axis
-    (only a custom model's D can be one) is left to NumPy itself.
+    (only a custom model's D can be one) is left to NumPy itself. Each
+    partial sum is built only when the combine needs it, so no copy of 8
+    lanes of a is ever held.
     """
     n = a.shape[-1]
     if n > 128:
@@ -120,11 +137,16 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
             s += a[..., j]
         return s[..., None]
     full = n - n % 8
-    r = a[..., :8]
-    for i in range(8, full, 8):
-        r = r + a[..., i:i + 8]
-    s = ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) \
-        + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+
+    def r(j):
+        if full == 8:
+            return a[..., j]
+        rj = a[..., j] + a[..., j + 8]
+        for i in range(j + 16, full, 8):
+            rj += a[..., i]
+        return rj
+
+    s = ((r(0) + r(1)) + (r(2) + r(3))) + ((r(4) + r(5)) + (r(6) + r(7)))
     for j in range(full, n):
         s += a[..., j]
     s += 0.0
@@ -168,15 +190,27 @@ def _layer_norm_backward(dy: np.ndarray, cache, grads: Params, pre: str):
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis; a -inf entry gets exact zero weight."""
-    e = x - _max_last(x)
-    np.exp(e, out=e)
-    e /= _sum_last(e)
-    return e
+    """Softmax over the last axis, written over x and returned; a -inf
+    entry gets exact zero weight."""
+    np.subtract(x, _max_last(x), out=x)
+    np.exp(x, out=x)
+    x /= _sum_last(x)
+    return x
 
 
 def _softmax_backward(dA: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return A * (dA - _sum_last(dA * A))
+    """A * (dA - sum(dA * A)) in one new array; dA and A are only read."""
+    g = dA * A
+    np.subtract(dA, _sum_last(g), out=g)
+    np.multiply(A, g, out=g)
+    return g
+
+
+def _linear(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ W + b, the bias added into the product."""
+    y = x @ W
+    y += b
+    return y
 
 
 def _dropout_mask(rng: np.random.Generator, shape, p: float,
@@ -237,40 +271,43 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
 
     x = embed(features, types, mask, params, config)
     cache: dict = {"embed_in": features, "layers": []} if need_cache else None
+    # without a cache no layer's map outlives the layer: all share one
+    scores_out = None if need_cache else np.empty((B, H, P, P))
 
     for l in range(config.n_layers):
         pre = f"layers.{l}."
         a_in, ln1_cache = _layer_norm(
             x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"])
-        q = a_in @ params[pre + "attn.Wq"] + params[pre + "attn.bq"]
-        k = a_in @ params[pre + "attn.Wk"] + params[pre + "attn.bk"]
-        v = a_in @ params[pre + "attn.Wv"] + params[pre + "attn.bv"]
+        q = _linear(a_in, params[pre + "attn.Wq"], params[pre + "attn.bq"])
+        k = _linear(a_in, params[pre + "attn.Wk"], params[pre + "attn.bk"])
+        v = _linear(a_in, params[pre + "attn.Wv"], params[pre + "attn.bv"])
         qh = q.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
         kh = k.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
         vh = v.reshape(B, P, H, dh).transpose(0, 2, 1, 3)
-        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=scores_out)
         scores *= scale
         scores += key_bias
         A = _softmax(scores)
         ctxh = A @ vh
         ctx = ctxh.transpose(0, 2, 1, 3).reshape(B, P, H * dh)
-        o = ctx @ params[pre + "attn.Wo"] + params[pre + "attn.bo"]
+        o = _linear(ctx, params[pre + "attn.Wo"], params[pre + "attn.bo"])
         drop1 = _dropout_mask(rng, o.shape, config.dropout,
                               config.max_positions) if use_dropout else None
         if drop1 is not None:
-            o = o * drop1
-        x_mid = x + o
+            o *= drop1
+        x += o
 
         f_in, ln2_cache = _layer_norm(
-            x_mid, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
-        u = f_in @ params[pre + "ffn.W1"] + params[pre + "ffn.b1"]
-        r = np.maximum(u, 0.0)
-        f = r @ params[pre + "ffn.W2"] + params[pre + "ffn.b2"]
+            x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
+        u = _linear(f_in, params[pre + "ffn.W1"], params[pre + "ffn.b1"])
+        # backward reads u's signs, so only scoring rectifies u itself
+        r = np.maximum(u, 0.0, out=None if need_cache else u)
+        f = _linear(r, params[pre + "ffn.W2"], params[pre + "ffn.b2"])
         drop2 = _dropout_mask(rng, f.shape, config.dropout,
                               config.max_positions) if use_dropout else None
         if drop2 is not None:
-            f = f * drop2
-        x_out = x_mid + f
+            f *= drop2
+        x += f
 
         if need_cache:
             cache["layers"].append({
@@ -278,13 +315,12 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
                 "vh": vh, "ctx": ctx, "drop1": drop1,
                 "ln2": ln2_cache, "f_in": f_in, "u": u, "r": r, "drop2": drop2,
             })
-        x = x_out
 
     xf, lnf_cache = _layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
-    logits = xf @ params["head.W"] + params["head.b"]
+    logits = _linear(xf, params["head.W"], params["head.b"])
     if not np.isfinite(logits[mask]).all():
         raise NumericalInstability("non-finite logits in forward pass")
-    probs = _softmax(logits)
+    probs = _softmax(logits.copy())  # the loss reads the logits
     if need_cache:
         cache.update({"lnf": lnf_cache, "xf": xf, "types": types, "mask": mask,
                       "probs": probs})
@@ -323,14 +359,15 @@ def loss_from_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
 # --- backward ----------------------------------------------------------------
 
 def backward(params: Params, cache: dict, dlogits: np.ndarray,
-             config: ModelConfig) -> Params:
+             config: ModelConfig, grads: Params | None = None) -> Params:
     """Exact reverse-mode gradients of the scalar loss w.r.t. every
-    parameter, written into one zeroed Params. The PAD row of the type
-    embedding is forced to zero."""
+    parameter, written over every entry of grads (a new Params when None)
+    and returned. The PAD row of the type embedding is forced to zero."""
     B, P, _ = dlogits.shape
     H, dh = config.n_heads, config.head_dim
     scale = 1.0 / np.sqrt(dh)
-    grads = Params(param_layout(config))
+    if grads is None:
+        grads = Params(param_layout(config))
     mask = cache["mask"]
 
     xf = cache["xf"]
@@ -387,10 +424,12 @@ def backward(params: Params, cache: dict, dlogits: np.ndarray,
     dV = dx * mask[..., None]
     feats = cache["embed_in"]
     grads["C"][:] = np.einsum("bpk,bpd->kd", feats * mask[..., None], dV)
-    # rows past P stay exact zeros: no slot of this batch used them
+    # rows past P are exact zeros: no slot of this batch used them
     grads["E_pos"][:P] = dV.sum(axis=0)
+    grads["E_pos"][P:] = 0.0
     if config.uses_type_embedding:
         dE = grads["E_type"]
+        dE[:] = 0.0  # np.add.at adds into it
         np.add.at(dE, cache["types"].reshape(-1), dV.reshape(-1, config.d_model))
         dE[PAD_TYPE_INDEX] = 0.0
     return grads
@@ -400,11 +439,13 @@ def loss_and_grads(params: Params, features: np.ndarray, types: np.ndarray,
                    mask: np.ndarray, labels: np.ndarray, weights: np.ndarray,
                    config: ModelConfig, *, train: bool = False,
                    rng: np.random.Generator | None = None,
+                   grads: Params | None = None,
                    ) -> tuple[float, Params, np.ndarray]:
-    """One forward/backward pass; returns (loss, gradients, probabilities)."""
+    """One forward/backward pass; returns (loss, gradients, probabilities).
+    The gradients overwrite grads when one is given (see backward)."""
     logits, probs, cache = forward(
         params, features, types, mask, config,
         train=train, rng=rng, need_cache=True)
     total, dlogits = loss_from_logits(logits, labels, mask, weights)
-    grads = backward(params, cache, dlogits, config)
+    grads = backward(params, cache, dlogits, config, grads)
     return total, grads, probs

@@ -23,7 +23,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# words per forward call when scoring; memory grows as chunk x P^2 x heads
+# words per forward call when scoring; memory grows as chunk x P^2 x heads.
+# A scoring forward peaks at about 2 (chunk, H, P, P) attention maps
+# (tracemalloc at P = 17: 2.04 maps = 14.5 MB for attn-medium, 2.02 =
+# 28.8 MB for attn-large), its one shared map and the residual stream.
 SCORE_CHUNK = 512
 
 
@@ -115,6 +118,7 @@ def train(train_set: Instances, val_set: Instances,
         np.random.default_rng(s) for s in seed_seq.spawn(3))
     params = init_params(model_config, init_rng)
     opt = Adam(params, train_config.learning_rate)
+    grads = Params(param_layout(model_config))  # every step overwrites it
 
     history: list[dict] = []
     best_acc = -1.0
@@ -131,7 +135,8 @@ def train(train_set: Instances, val_set: Instances,
             try:
                 loss, grads, probs = loss_and_grads(
                     params, mb.features, mb.types, mb.mask, mb.labels,
-                    mb.weights, model_config, train=True, rng=drop_rng)
+                    mb.weights, model_config, train=True, rng=drop_rng,
+                    grads=grads)
             except NumericalInstability as exc:
                 raise DivergedAtEpoch(epoch, f"epoch {epoch}: {exc}")
             if not np.isfinite(loss):

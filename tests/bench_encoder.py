@@ -1,18 +1,24 @@
 """Timings of the encoder's softmax and layer-norm primitives against the
-NumPy-reduction oracles in test_model.py.
+NumPy-reduction oracles in test_model.py, and of two whole encoder calls.
 
     python -m pytest tests/bench_encoder.py
 
 The file name does not match test_*.py, so the test suite does not collect
 it. Two shapes, with attn-medium's H = 6 heads and D = 5 features:
 "train" is attn-train's typical minibatch (B = 64 words trimmed to P = 7
-slots), "score" one scoring chunk (B = 512 words, P = 17 slots).
+slots), "score" one scoring chunk (B = 512 words, P = 17 slots). The whole
+calls are loss_and_grads at "train", as train makes it (dropout on, one
+reused gradient Params), and the scoring forward at "score". Each records
+its tracemalloc peak in extra_info, in MB and in (B, H, P, P) maps.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stressnet.model import network
+from stressnet.lexicon import PAD_TYPE_INDEX
+from stressnet.model import PRESETS, ModelConfig, Params, network
 from test_model import (
     oracle_layer_norm,
     oracle_layer_norm_backward,
@@ -55,6 +61,7 @@ def _calls(a, impl):
                 a["dy"], ln_cache, grads, "g."),
         }
     return {
+        # _softmax writes over its argument: the sum is a fresh copy per call
         "softmax": lambda: network._softmax(a["scores"] + a["key_bias"]),
         "softmax_backward": lambda: network._softmax_backward(a["dA"], A),
         "layer_norm": lambda: network._layer_norm(a["x"], a["gamma"], a["beta"]),
@@ -70,3 +77,42 @@ def _calls(a, impl):
 def test_primitive(benchmark, shape, primitive, impl):
     benchmark.group = f"{primitive} {shape} B,P={SHAPES[shape]}"
     benchmark(_calls(_inputs(shape), impl)[primitive])
+
+
+def _whole_call(shape):
+    """The zero-argument whole-encoder call at this shape."""
+    B, P = SHAPES[shape]
+    cfg = ModelConfig(**PRESETS["attn-medium"])
+    rng = np.random.default_rng(0)
+    params = network.init_params(cfg, rng)
+    mask = np.arange(P)[None, :] < rng.integers(1, P + 1, (B, 1))
+    mask[0] = True
+    feats = rng.normal(0.0, 1.0, (B, P, cfg.feature_dim)) * mask[..., None]
+    types = np.where(mask, rng.integers(0, PAD_TYPE_INDEX, (B, P)),
+                     PAD_TYPE_INDEX)
+    if shape == "score":
+        return lambda: network.forward(params, feats, types, mask, cfg)
+    labels = np.where(mask, rng.integers(0, 3, (B, P)), -1)
+    weights = mask.astype(np.float64)
+    grads = Params(network.param_layout(cfg))
+    return lambda: network.loss_and_grads(
+        params, feats, types, mask, labels, weights, cfg, train=True,
+        rng=rng, grads=grads)
+
+
+@pytest.mark.parametrize("shape,call", [("train", "loss_and_grads"),
+                                        ("score", "forward")])
+def test_whole_call(benchmark, shape, call):
+    B, P = SHAPES[shape]
+    fn = _whole_call(shape)
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.group = f"{call} {shape} B,P={SHAPES[shape]}"
+    benchmark.extra_info["peak_mb"] = peak / 1e6
+    benchmark.extra_info["peak_maps"] = peak / (B * H * P * P * 8)
+    benchmark(fn)

@@ -1902,6 +1902,14 @@ class TestAlignmentFuzz:
     # the audio_path (path 2) with a NUL byte: open() raised ValueError,
     # a traceback from featurize
     @example(mutation=("set", 2, "x\0.wav"), command="featurize")
+    # fields coerced to another type and accepted with exit 0: schema
+    # (path 0) true, utterance_id (1) null, the first word's text (5) true,
+    # its first syllable's start_s (8) a string and end_s (9) true
+    @example(mutation=("set", 0, True), command="label")
+    @example(mutation=("set", 1, None), command="label")
+    @example(mutation=("set", 5, True), command="label")
+    @example(mutation=("set", 8, "0.1"), command="featurize")
+    @example(mutation=("set", 9, True), command="featurize")
     @given(mutation=ALIGNMENT_MUTATIONS,
            command=st.sampled_from(["label", "featurize"]))
     @settings(max_examples=50, deadline=None)
@@ -1932,6 +1940,25 @@ class TestAlignmentFuzz:
                                 "--out", str(tmp_path / "out"))
         assert code == 4 and "FormatError" in err and str(path) in err, err
         assert "NUL" in err
+
+
+    @pytest.mark.parametrize("command", ["label", "featurize"])
+    @pytest.mark.parametrize("mutation,where", [
+        (("set", 0, True), ""),
+        (("set", 1, None), ""),
+        (("set", 5, True), ": word[0]: 'text'"),
+        (("set", 8, "0.1"), ": word[0].syllable[0]: start_s/end_s"),
+        (("set", 9, True), ": word[0].syllable[0]: start_s/end_s"),
+    ], ids=["schema_true", "utterance_id_null", "text_true", "start_string",
+            "end_true"])
+    def test_wrong_json_type_is_a_format_error(self, fuzz_alignment, tmp_path,
+                                               mutation, where, command):
+        path = tmp_path / "utt.json"
+        path.write_bytes(mutate_alignment(fuzz_alignment, mutation))
+        code, err = run_quietly(command, "--alignments", str(path),
+                                "--out", str(tmp_path / "out"))
+        assert code == 4 and "FormatError" in err, err
+        assert f"{path}{where}" in err, err
 
 
 class TestManifests:

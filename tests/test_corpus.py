@@ -125,6 +125,36 @@ class TestAlignmentSchema:
         with pytest.raises(FormatError):
             parse_alignment(doc)
 
+    @pytest.mark.parametrize("edit,where", [
+        (lambda doc: doc.update(schema=True), "unsupported schema True"),
+        (lambda doc: doc.update(schema=1.0), "unsupported schema 1.0"),
+        (lambda doc: doc.update(utterance_id=None), "'utterance_id' must be"),
+        (lambda doc: doc.update(utterance_id=7), "'utterance_id' must be"),
+        (lambda doc: doc["words"][1].update(text=True), r"word\[1\]: 'text'"),
+        (lambda doc: doc["words"][0].update(text=["a"]), r"word\[0\]: 'text'"),
+        (lambda doc: doc["words"][0]["syllables"][1].update(start_s="0.1"),
+         r"word\[0\]\.syllable\[1\]: start_s/end_s"),
+        (lambda doc: doc["words"][0]["syllables"][0].update(end_s=True),
+         r"word\[0\]\.syllable\[0\]: start_s/end_s"),
+        (lambda doc: doc["words"][1]["syllables"][0]["nucleus"].update(
+            start_s=False), r"word\[1\]\.syllable\[0\]\.nucleus: start_s"),
+    ], ids=["schema_true", "schema_float", "utterance_id_null",
+            "utterance_id_number", "text_true", "text_list", "start_string",
+            "end_true", "nucleus_start_false"])
+    def test_field_types_are_not_converted(self, edit, where):
+        doc = make_alignment([("maybe", 2), ("overcome", 3)])
+        edit(doc)
+        with pytest.raises(FormatError, match=where):
+            parse_alignment(doc)
+
+    def test_integer_times_are_numbers(self):
+        doc = make_alignment([("cat", 1)])
+        doc["words"][0]["syllables"][0].update(start_s=0, end_s=2)
+        doc["words"][0]["syllables"][0]["nucleus"].update(start_s=0, end_s=1)
+        (syl,) = parse_alignment(doc).words[0].syllables
+        assert (syl.start_s, syl.end_s, syl.nucleus.end_s) == (0.0, 2.0, 1.0)
+        assert all(type(t) is float for t in (syl.start_s, syl.nucleus.start_s))
+
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"schema": 1, "utterance_id": "caf\xe9"}'.encode("latin-1"))

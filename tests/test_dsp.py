@@ -569,6 +569,9 @@ SCIPY_READS = {
                             chunk(b"data", bytes(8))),
     "float_nan_sample": riff(fmt_chunk(IEEE_FLOAT, 1, 4), chunk(
         b"data", np.array([0.5, np.nan], "<f4").tobytes())),
+    # a signaling NaN: the cast to float64 raised "invalid value" before
+    "float_signaling_nan_sample": riff(fmt_chunk(IEEE_FLOAT, 1, 4), chunk(
+        b"data", b"\x00\x00\x81\x7f")),
     "float_inf_sample": riff(fmt_chunk(IEEE_FLOAT, 2, 8), chunk(
         b"data", np.array([0.5, 0.25, -np.inf, 0.0], "<f8").tobytes())),
     # finite samples whose channel average overflows

@@ -362,6 +362,66 @@ class TestGradients:
         assert np.all(grads["E_type"][PAD_TYPE_INDEX] == 0.0)
 
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_reused_gradients_equal_fresh_ones(self, dropout):
+        """train passes every step the same gradient Params. The second,
+        shorter batch leaves E_pos rows from its P on and the E_type rows of
+        its absent types unwritten, so backward must clear what the first
+        step left there."""
+        cfg = tiny_config(dropout=dropout)
+        assert cfg.uses_type_embedding
+        params = init_params(cfg, np.random.default_rng(23))
+        rng = np.random.default_rng(24)
+        long = list(random_instance_batch(rng, 6, 12, max_positions=7))
+        feats, types, mask, labels, weights = long
+        mask[:2] = True
+        labels[:2] = rng.integers(0, 3, (2, 7))
+        weights[:2] = 0.5
+        types[:2] = np.arange(14).reshape(2, 7)
+        types[2, :2] = 14, 15
+        mask[5, 3:], types[5, 3:], labels[5, 3:] = False, PAD_TYPE_INDEX, -1
+        feats[5, 3:], weights[5, 3:] = 0.0, 0.0
+        assert np.array_equal(np.unique(types[mask]), np.arange(PAD_TYPE_INDEX))
+        short = list(random_instance_batch(rng, 4, 12, max_positions=3))
+        short[1] = np.where(short[2], short[1] % 2, PAD_TYPE_INDEX)
+
+        def step(batch, grads=None):
+            return loss_and_grads(params, *batch, cfg, train=True,
+                                  rng=np.random.default_rng(25), grads=grads)
+
+        reused = Params(param_layout(cfg))
+        for batch in (long, short):
+            want_loss, want, want_probs = step(batch)
+            loss, got, probs = step(batch, reused)
+            assert got is reused
+            assert loss == want_loss
+            assert got.flat.tobytes() == want.flat.tobytes()
+            assert probs.tobytes() == want_probs.tobytes()
+            if batch is long:  # rows the short batch must clear
+                assert np.all(reused["E_pos"][3:7] != 0.0)
+                assert np.all(reused["E_type"][2:PAD_TYPE_INDEX] != 0.0)
+
+
+class TestScoringMemory:
+    """A scoring forward keeps no attention map past its layer, so every
+    layer writes one shared (B, H, P, P) buffer."""
+
+    @pytest.mark.parametrize("preset", ["attn-medium", "attn-large"])
+    def test_peak_under_three_attention_maps(self, preset):
+        cfg = ModelConfig(**PRESETS[preset])
+        rng = np.random.default_rng(50)
+        params = init_params(cfg, rng)
+        feats, types, mask, _, _ = random_instance_batch(rng, 512, 12)
+        one_map = mask.size * cfg.n_heads * mask.shape[1] * 8
+        tracemalloc.start()
+        try:
+            forward(params, feats, types, mask, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * one_map, f"{peak / one_map:.2f} maps"
+
+
 @pytest.fixture(scope="module")
 def small_corpus(lexicon):
     _, recs = synth_corpus(lexicon, 60, GenConfig(noise=0.0), seed=31)
