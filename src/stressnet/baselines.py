@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, LabelError, ShapeError
+from .errors import (
+    ConfigError,
+    DegenerateData,
+    LabelError,
+    NumericalInstability,
+    ShapeError,
+)
 from .lexicon import StressLevel
 
 # stress level -> ordinal rank
@@ -145,8 +151,10 @@ def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
         vt = b2 * vt + (1 - b2) * dtheta ** 2
         beta -= lr * (mb / (1 - b1 ** t)) / (np.sqrt(vb / (1 - b2 ** t)) + eps)
         theta -= lr * (mt / (1 - b1 ** t)) / (np.sqrt(vt / (1 - b2 ** t)) + eps)
-    t0, t1 = theta[0], theta[0] + np.exp(theta[1])
-    return OrdinalModel(beta, np.array([t0, t1]))
+    thresholds = np.array([theta[0], theta[0] + np.exp(theta[1])])
+    if not (np.isfinite(beta).all() and np.isfinite(thresholds).all()):
+        raise NumericalInstability("the ordinal fit is not finite")
+    return OrdinalModel(beta, thresholds)
 
 
 # --- random forest -----------------------------------------------------------
@@ -249,12 +257,15 @@ def _split_node(X: np.ndarray, y: np.ndarray, lists: np.ndarray,
     k = at[best]
     in_left = np.zeros(X.shape[0], dtype=bool)
     in_left[rows[best, :k + 1]] = True
-    goes_left = in_left[lists]
+    # each child's lists, row by row, picked from the flat lists at once
+    ids = lists.ravel()
+    goes_left = in_left[ids]
     left_total = cl[:, best, k].astype(np.int64)
     K = lists.shape[0]
     return (int(cand[best]), float(xs[best, k]),
-            (lists[goes_left].reshape(K, k + 1), left_total),
-            (lists[~goes_left].reshape(K, n - k - 1), total - left_total))
+            (np.compress(goes_left, ids).reshape(K, k + 1), left_total),
+            (np.compress(~goes_left, ids).reshape(K, n - k - 1),
+             total - left_total))
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, m_features: int,

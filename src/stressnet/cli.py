@@ -47,13 +47,13 @@ from .corpus import (
     LABELINGS,
     GenConfig,
     Instances,
-    instances_from_table,
     label_utterance,
     load_alignment,
     require_gold,
     save_alignment,
     split as split_utterances,
     synth_corpus,
+    train_utterances,
 )
 from .dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
 from .errors import (
@@ -363,10 +363,9 @@ def _cmd_train(args, config) -> int:
         if getattr(args, dest) is not None and args.model not in models:
             raise ConfigError(f"--{dest.replace('_', '-')} is not read by "
                               f"--model {args.model}")
-    records = read_feature_table(args.train)
-    if not records:
+    instances = read_feature_table(args.train)
+    if not len(instances):
         raise DegenerateData("empty training set")
-    instances = instances_from_table(records)
     require_gold(instances)
     settings = {}
     if args.model in ("or", "rf"):
@@ -377,7 +376,9 @@ def _cmd_train(args, config) -> int:
         X = instances.features[:, :feature_dim(args.feature_mode)]
         y = instances.labels
         if args.model == "or":
-            model = baselines.train_ordinal(X, y, seed=args.seed)
+            # a finite feature can overflow x @ beta: judged by finiteness
+            with np.errstate(over="ignore", invalid="ignore"):
+                model = baselines.train_ordinal(X, y, seed=args.seed)
             checkpoint.save_ordinal(args.out, model, args.feature_mode)
         else:
             given = {k: getattr(args, k) for k in ("n_trees", "max_depth")
@@ -403,14 +404,13 @@ def _cmd_train(args, config) -> int:
         vf = train_cfg.validation_fraction
         tr, val = instances, None
         # a split needs two utterances; with one, none is drawn
-        if vf > 0 and len({r.utterance_id for r in records}) > 1:
-            tr_records, val_records = split_utterances(records, 1.0 - vf, args.seed)
-            if not tr_records:
+        if vf > 0 and len(set(instances.utterance_ids)) > 1:
+            in_train = train_utterances(instances.utterance_ids, 1.0 - vf, args.seed)
+            if not in_train.any():
                 raise ConfigError(
                     f"validation_fraction {vf} leaves no training utterance")
-            if val_records:
-                tr = instances_from_table(tr_records)
-                val = instances_from_table(val_records)
+            if not in_train.all():
+                tr, val = instances[in_train], instances[~in_train]
         # an overflow is judged by finiteness: DivergedAtEpoch
         with np.errstate(over="ignore", invalid="ignore"):
             params, weights, history = train_model(tr, val or tr, model_cfg,
@@ -436,7 +436,12 @@ def _predict_all(path: str, instances: Instances):
     model, feature_mode, weights = checkpoint.load_any(path)
     X = instances.features[:, :feature_dim(feature_mode)]
     if isinstance(model, baselines.OrdinalModel):
-        return model.class_probs(X), weights
+        # a finite feature can overflow x @ beta: judged by finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = model.class_probs(X)
+        if not np.isfinite(probs).all():
+            raise NumericalInstability("non-finite ordinal class probabilities")
+        return probs, weights
     if isinstance(model, baselines.ForestModel):
         return model.vote_shares(X), weights
     # an overflow is judged by finiteness: forward's NumericalInstability
@@ -471,7 +476,7 @@ def _write_predictions(path: str, instances: Instances,
 
 
 def _cmd_predict(args, config) -> int:
-    instances = instances_from_table(read_feature_table(args.input))
+    instances = read_feature_table(args.input)
     probs, _ = _predict_all(args.model, instances)
     _write_predictions(args.out, instances, probs)
     print(f"predict: {len(instances)} word instances -> {args.out}")
@@ -479,7 +484,7 @@ def _cmd_predict(args, config) -> int:
 
 
 def _cmd_eval(args, config) -> int:
-    instances = instances_from_table(read_feature_table(args.data))
+    instances = read_feature_table(args.data)
     probs, weights = _predict_all(args.model, instances)
     report = evaluate(probs.argmax(axis=1), instances, weights)
     out = Path(args.out)

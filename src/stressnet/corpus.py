@@ -43,9 +43,11 @@ from .errors import (
     ShapeError,
     SplitTooSmall,
 )
-from .features import (
+from .features import (  # Instances and IGNORE_LABEL are re-exported
+    IGNORE_LABEL,
     MAX_SYLLABLES,
     N_FEATURES,
+    Instances,
     WordRecord,
     normalize_sentence,
 )
@@ -59,7 +61,6 @@ from .lexicon import (
 
 log = logging.getLogger(__name__)
 
-IGNORE_LABEL = -1
 WEIGHT_EXPONENT = 0.7
 
 # exclusion reason codes
@@ -223,45 +224,11 @@ def save_alignment(al: UtteranceAlignment, path: str) -> None:
 
 # --- instances --------------------------------------------------------------
 
-@dataclass
-class Instances:
-    """The words of a feature table as flat arrays, one row per syllable:
-    the words in table order, each word's syllables in position order.
-    Word i owns rows offsets[i]:offsets[i + 1].
-
-    There are no padded slots: training.make_batch pads a batch to its
-    longest word. instances[words] holds the words that a slice, a 1-D
-    index array or a boolean mask picks, in that order.
-    """
-
-    utterance_ids: list[str]  # one per word
-    words: list[str]          # one per word
-    offsets: np.ndarray       # (n_words + 1,) int64
-    features: np.ndarray      # (n_syllables, 12) float64
-    types: np.ndarray         # (n_syllables,) int64
-    labels: np.ndarray        # (n_syllables,) int64, IGNORE_LABEL where unknown
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __getitem__(self, words) -> "Instances":
-        # an int picks one word, and a word is not a table
-        if not isinstance(words, slice) and np.ndim(words) != 1:
-            raise TypeError("Instances take a slice, index array or mask of words")
-        idx = np.arange(len(self))[words]
-        starts, ends = self.offsets[idx], self.offsets[idx + 1]
-        offsets = np.concatenate([[0], np.cumsum(ends - starts)])
-        rows = np.repeat(starts - offsets[:-1], ends - starts) + np.arange(offsets[-1])
-        picked = idx.tolist()
-        return Instances([self.utterance_ids[i] for i in picked],
-                         [self.words[i] for i in picked], offsets,
-                         self.features[rows], self.types[rows], self.labels[rows])
-
-
 def instances_from_table(records: list[WordRecord]) -> Instances:
-    """Pack valid records, ones read by read_feature_table or built by this
-    program, into one table: each record's feature rows, its tags as
-    type indices and its stresses as labels."""
+    """Pack valid records, ones built by this program, into one table:
+    each record's feature rows, its tags as type indices and its stresses
+    as labels, the table read_feature_table reads from their written
+    lines."""
     offsets = np.zeros(len(records) + 1, dtype=np.int64)
     np.cumsum([len(r.stresses) for r in records], out=offsets[1:])
     features = (np.concatenate([r.features for r in records]) if records
@@ -362,27 +329,34 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
 
 # --- split ------------------------------------------------------------------
 
-def split(words: list, train_fraction: float = 0.7,
-          seed: int = 0) -> tuple[list, list]:
-    """Seeded train/test split at utterance granularity of word records or
-    feature-table lines; only their utterance_id is read, and input order
-    is kept.
+def train_utterances(utterance_ids: list[str], train_fraction: float = 0.7,
+                     seed: int = 0) -> np.ndarray:
+    """The seeded train/test split at utterance granularity, as a boolean
+    mask over the given words' utterance ids: True for a training word.
 
     Utterance ids are sorted before shuffling so membership depends only on
     the id set and the seed, not on input order.
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise ConfigError(f"train_fraction {train_fraction} not in [0, 1]")
-    utt_ids = sorted({w.utterance_id for w in words})
+    utt_ids = sorted(set(utterance_ids))
     if len(utt_ids) < 2:
         raise SplitTooSmall(f"need at least 2 utterances, got {len(utt_ids)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(utt_ids))
     n_train = int(round(train_fraction * len(utt_ids)))
     train_ids = {utt_ids[i] for i in order[:n_train]}
-    train = [w for w in words if w.utterance_id in train_ids]
-    test = [w for w in words if w.utterance_id not in train_ids]
-    return train, test
+    return np.array([u in train_ids for u in utterance_ids], dtype=bool)
+
+
+def split(words: list, train_fraction: float = 0.7,
+          seed: int = 0) -> tuple[list, list]:
+    """The train_utterances split of word records or feature-table lines;
+    only their utterance_id is read, and input order is kept."""
+    in_train = train_utterances([w.utterance_id for w in words],
+                                train_fraction, seed).tolist()
+    return ([w for w, t in zip(words, in_train) if t],
+            [w for w, t in zip(words, in_train) if not t])
 
 
 # --- class weights ----------------------------------------------------------

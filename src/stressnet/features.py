@@ -26,12 +26,19 @@ The feature table interface is line-delimited JSON, one object per word
 instance: {"utterance_id", "word", "syllables": [{"position", "features"
 (12 floats, slot order above), "nucleus" (tag), "stress" (0/1/2 or
 null)}]}. A word has 1 to MAX_SYLLABLES syllables whose positions are
-0..n-1, each used once; one parse loop checks this, and
-read_feature_table returns each word's syllables in position order.
+0..n-1, each used once. One parse loop checks this and appends each
+word's syllables, in position order, to the lists of a chunk of 64
+words; read_feature_table lays the chunks end to end as one flat
+Instances table, and makes no per-word object. The loop converts a
+chunk's features to float64 and checks them at once: converting the
+whole table at the end would keep every parsed number alive until then
+(more than three times the read's peak memory on a 2.7k-word table), and
+a conversion per word costs a NumPy call each. The first faulty line in
+file order is the one reported, whichever chunk holds it.
 read_table_lines runs the same loop for a table that is only to be cut
 into parts (split): it keeps the table's bytes and where each valid
-word's line lies in them, and write_table_lines copies those lines out,
-so no number is formatted again.
+word's line lies in them, but no features, and write_table_lines copies
+those lines out, so no number is formatted again.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -56,6 +64,7 @@ FEATURE_SLOTS = (
 )
 N_FEATURES = len(FEATURE_SLOTS)  # 12
 MAX_SYLLABLES = 17
+IGNORE_LABEL = -1
 
 
 @dataclass
@@ -69,6 +78,41 @@ class WordRecord:
     features: np.ndarray
     nucleus_tags: list[str]
     stresses: list[int | None]
+
+
+@dataclass
+class Instances:
+    """The words of a feature table as flat arrays, one row per syllable:
+    the words in table order, each word's syllables in position order.
+    Word i owns rows offsets[i]:offsets[i + 1].
+
+    There are no padded slots: training.make_batch pads a batch to its
+    longest word. instances[words] holds the words that a slice, a 1-D
+    index array or a boolean mask picks, in that order.
+    """
+
+    utterance_ids: list[str]  # one per word
+    words: list[str]          # one per word
+    offsets: np.ndarray       # (n_words + 1,) int64
+    features: np.ndarray      # (n_syllables, 12) float64
+    types: np.ndarray         # (n_syllables,) int64
+    labels: np.ndarray        # (n_syllables,) int64, IGNORE_LABEL where unknown
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, words) -> "Instances":
+        # an int picks one word, and a word is not a table
+        if not isinstance(words, slice) and np.ndim(words) != 1:
+            raise TypeError("Instances take a slice, index array or mask of words")
+        idx = np.arange(len(self))[words]
+        starts, ends = self.offsets[idx], self.offsets[idx + 1]
+        offsets = np.concatenate([[0], np.cumsum(ends - starts)])
+        rows = np.repeat(starts - offsets[:-1], ends - starts) + np.arange(offsets[-1])
+        picked = idx.tolist()
+        return Instances([self.utterance_ids[i] for i in picked],
+                         [self.words[i] for i in picked], offsets,
+                         self.features[rows], self.types[rows], self.labels[rows])
 
 
 def _extent(track: Track) -> tuple[float, float] | None:
@@ -200,13 +244,17 @@ def _field(doc: dict, key: str, kind: type):
 
 _NUMBER_TYPES = frozenset((int, float))
 _FEATURES_ERROR = f"'features' must be {N_FEATURES} finite numbers"
+# words whose features are converted to float64 and checked together
+_CHUNK_WORDS = 64
 
 
-def _record(line: bytes) -> WordRecord:
-    """One line's word. Each syllable's fields are checked in turn, by
-    exact type, and the syllable is put at its position; then the count
-    and the positions are checked, and the features of all syllables are
-    converted and checked for finiteness together."""
+def _word(line: bytes) -> tuple[str, str, list, list, list]:
+    """One line's word as (utterance_id, word, rows, types, labels), its n
+    syllables in position order: each feature row as the line's list of
+    12 numbers (converted later, by _floats), each nucleus tag as its type
+    index and each stress as its label (IGNORE_LABEL for null). Each
+    syllable's fields are checked in turn, by exact type, and the syllable
+    is put at its position; then the count and the positions are checked."""
     try:
         doc = json.loads(line)
     except (ValueError, RecursionError) as exc:
@@ -216,21 +264,23 @@ def _record(line: bytes) -> WordRecord:
     utterance_id, word = _field(doc, "utterance_id", str), _field(doc, "word", str)
     syllables = _field(doc, "syllables", list)
     n = len(syllables)
-    rows, tags, stresses = [None] * n, [None] * n, [None] * n
+    rows, types, labels = [None] * n, [None] * n, [None] * n
     positions_ok = True  # each position so far in 0..n-1 and used once
     for syl in syllables:
         if type(syl) is not dict:
             raise FormatError("a syllable is not a JSON object")
         stress = syl.get("stress", ...)  # missing is not null
-        if stress is not None:
-            if type(stress) is not int:
-                raise _wrong_type("stress")
-            if not 0 <= stress <= 2:
-                raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
+        if stress is None:
+            stress = IGNORE_LABEL
+        elif type(stress) is not int:
+            raise _wrong_type("stress")
+        elif not 0 <= stress <= 2:
+            raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
         nucleus = syl.get("nucleus")
         if type(nucleus) is not str:
             raise _wrong_type("nucleus")
-        if nucleus not in TAG_TO_INDEX:
+        index = TAG_TO_INDEX.get(nucleus)
+        if index is None:
             raise FormatError(f"unknown nucleus tag {nucleus!r}")
         values = syl.get("features")
         if type(values) is not list:
@@ -241,46 +291,105 @@ def _record(line: bytes) -> WordRecord:
         if type(position) is not int:
             raise _wrong_type("position")
         if 0 <= position < n and rows[position] is None:
-            rows[position], tags[position], stresses[position] = values, nucleus, stress
+            rows[position], types[position], labels[position] = values, index, stress
         else:
             positions_ok = False
     if not 1 <= n <= MAX_SYLLABLES:
         raise FormatError(f"{n} syllables, not 1 to {MAX_SYLLABLES}")
     if not positions_ok:
         raise FormatError(f"syllable positions are not 0..{n - 1}, each once")
+    return utterance_id, word, rows, types, labels
+
+
+def _floats(rows: list) -> np.ndarray | None:
+    """The feature rows as one float64 array, or None if a value is beyond
+    the float range or not finite."""
     try:
-        features = np.array(rows, dtype=np.float64)
+        block = np.array(rows, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
-        raise FormatError(_FEATURES_ERROR)
-    if not np.isfinite(features).all():
-        raise FormatError(_FEATURES_ERROR)
-    return WordRecord(utterance_id, word, features, tags, stresses)
+        return None
+    return block if np.isfinite(block).all() else None
 
 
-def _table_words(path: str,
-                 lines: Iterable[bytes]) -> Iterator[tuple[WordRecord, int, int]]:
-    """The one parse loop over a feature table's lines: each word's record
-    and the (start, stop) byte offsets of its line in the table, with the
-    line's surrounding whitespace left out. Blank lines are skipped; a
-    malformed line or an invalid word is a FormatError at path:line."""
-    start = 0
+def _convert(path: str, rows: list, counts: list[int],
+             linenos: list[int]) -> np.ndarray:
+    """The rows of consecutive words converted by _floats; a value that
+    fails makes a FormatError at the line of the first word, in file
+    order, that holds one. counts and linenos hold each word's syllable
+    count and line number."""
+    block = _floats(rows)
+    if block is None:
+        stop = 0
+        for n, lineno in zip(counts, linenos):
+            start, stop = stop, stop + n
+            if _floats(rows[start:stop]) is None:
+                raise FormatError(f"{path}:{lineno}: {_FEATURES_ERROR}")
+    return block
+
+
+class _Chunk(NamedTuple):
+    """Up to _CHUNK_WORDS consecutive words of a table: per word its
+    utterance id, text, syllable count and line number; per syllable its
+    feature row, type index and label."""
+
+    utterance_ids: list[str]
+    words: list[str]
+    counts: list[int]
+    linenos: list[int]
+    features: np.ndarray
+    types: list[int]
+    labels: list[int]
+
+
+def _chunks(path: str, lines: Iterable[bytes]) -> Iterator[_Chunk]:
+    """The one parse loop over a feature table's lines. Blank lines are
+    skipped; a malformed line or an invalid word is a FormatError at
+    path:line, the first such line in file order deciding: a chunk's
+    features are converted and checked when it is full, and before a
+    later line's fault is raised."""
+    ids, words, counts, linenos, rows, types, labels = ([] for _ in range(7))
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if text:
-            try:
-                rec = _record(line)
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            first = start + len(line) - len(line.lstrip())
-            yield rec, first, first + len(text)
-        start += len(line)
+        if not line.strip():
+            continue
+        try:
+            utterance_id, word, word_rows, word_types, word_labels = _word(line)
+        except FormatError as exc:
+            _convert(path, rows, counts, linenos)  # an earlier line's fault first
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        ids.append(utterance_id)
+        words.append(word)
+        counts.append(len(word_rows))
+        linenos.append(lineno)
+        rows += word_rows
+        types += word_types
+        labels += word_labels
+        if len(words) == _CHUNK_WORDS:
+            yield _Chunk(ids, words, counts, linenos,
+                         _convert(path, rows, counts, linenos), types, labels)
+            ids, words, counts, linenos, rows, types, labels = ([] for _ in range(7))
+    if words:
+        yield _Chunk(ids, words, counts, linenos,
+                     _convert(path, rows, counts, linenos), types, labels)
 
 
-def read_feature_table(path: str) -> list[WordRecord]:
-    """Parse a feature table; a malformed line or an invalid word is a
-    FormatError at path:line."""
+def read_feature_table(path: str) -> Instances:
+    """A feature table's words as one flat Instances table, in input order;
+    a malformed line or an invalid word is a FormatError at path:line."""
     with open(path, "rb") as fh:
-        return [rec for rec, _, _ in _table_words(path, fh)]
+        chunks = list(_chunks(path, fh))
+
+    def joined(name: str) -> list:  # the chunks' lists, end to end
+        return list(chain.from_iterable(getattr(c, name) for c in chunks))
+
+    counts = joined("counts")
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return Instances(
+        joined("utterance_ids"), joined("words"), offsets,
+        np.concatenate([c.features for c in chunks]) if chunks
+        else np.zeros((0, N_FEATURES)),
+        np.array(joined("types"), dtype=np.int64),
+        np.array(joined("labels"), dtype=np.int64))
 
 
 class TableLine(NamedTuple):
@@ -294,12 +403,24 @@ class TableLine(NamedTuple):
 
 def read_table_lines(path: str) -> tuple[bytes, list[TableLine]]:
     """A feature table's bytes and the line of each of its words, in input
-    order. Every line is checked as read_feature_table checks it, with the
-    same FormatError, so write_table_lines copies only valid words."""
+    order, surrounding whitespace left out. Every line is checked as
+    read_feature_table checks it, with the same FormatError, so
+    write_table_lines copies only valid words."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return data, [TableLine(rec.utterance_id, first, stop)
-                  for rec, first, stop in _table_words(path, io.BytesIO(data))]
+    spans = []  # each line's (start, stop), surrounding whitespace left out
+
+    def lines():
+        start = 0
+        for line in io.BytesIO(data):
+            first = start + len(line) - len(line.lstrip())
+            spans.append((first, first + len(line.strip())))
+            start += len(line)
+            yield line
+
+    return data, [TableLine(utterance_id, *spans[lineno - 1])
+                  for chunk in _chunks(path, lines())
+                  for utterance_id, lineno in zip(chunk.utterance_ids, chunk.linenos)]
 
 
 def write_table_lines(data: bytes, lines: Sequence[TableLine], path: str) -> None:

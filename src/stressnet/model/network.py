@@ -296,6 +296,8 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
         if drop1 is not None:
             o *= drop1
         x += o
+        if not need_cache:  # free the attention block's arrays before the FFN's
+            del a_in, ln1_cache, q, k, v, qh, kh, vh, ctxh, ctx, o
 
         f_in, ln2_cache = _layer_norm(
             x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
@@ -315,6 +317,8 @@ def forward(params: Params, features: np.ndarray, types: np.ndarray,
                 "vh": vh, "ctx": ctx, "drop1": drop1,
                 "ln2": ln2_cache, "f_in": f_in, "u": u, "r": r, "drop2": drop2,
             })
+        else:  # and the FFN's before the next layer allocates its own
+            del f_in, ln2_cache, u, r, f
 
     xf, lnf_cache = _layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
     logits = _linear(xf, params["head.W"], params["head.b"])

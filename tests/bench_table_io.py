@@ -19,8 +19,9 @@ timed on the training part against the per-word path in conftest.py,
 which builds each word's arrays and concatenates them per consumer.
 
 The file name does not match test_*.py, so the test suite does not collect
-it. A read is timed with instances_from_table, which every command that
-reads a table runs on it; the oracle reads a syllable at a time. The
+it. A read is timed as read_feature_table alone, which returns the flat
+table every command that reads one takes; the oracle reads a syllable at a
+time and stacks each word's arrays. The
 oracle writer is json.dumps per record. The oracle generator makes one
 scalar draw per noisy slot and normalizes a syllable at a time. The
 oracle extractor finds each span's frames with a mask over all frame
@@ -82,10 +83,6 @@ def oracle_read(path):
                 if line.strip()]
 
 
-def new_read(path):
-    return instances_from_table(read_feature_table(path))
-
-
 def oracle_write(records, path):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -104,7 +101,7 @@ def oracle_write_predictions(path, instances, probs):
         fh.write(oracle_predictions(instances, probs))
 
 
-READERS = {"oracle": oracle_read, "new": new_read}
+READERS = {"oracle": oracle_read, "new": read_feature_table}
 SPLITTERS = {"oracle": lambda path, out: oracle_split(path, out, 0.7, SEED),
              "new": new_split}
 PREDICTION_WRITERS = {"oracle": oracle_write_predictions, "new": _write_predictions}
@@ -129,7 +126,7 @@ def packed(words):
 @pytest.mark.parametrize("table", ["synth", "train"])
 def test_read(benchmark, tables, table, impl):
     _, path = tables[table]
-    benchmark.group = f"read + instances_from_table, {table} table"
+    benchmark.group = f"read_feature_table, {table} table"
     got = benchmark.pedantic(READERS[impl], (path,), rounds=5)
     want = READERS["oracle"](path)
     assert len(got) == len(want)
@@ -197,7 +194,7 @@ def test_split(benchmark, tables, tmp_path, impl):
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_predict_write(benchmark, tables, tmp_path, impl):
-    records = read_feature_table(tables["test"][1])
+    records, _ = tables["test"]
     words = oracle_instances(records)
     instances = {"oracle": words, "new": instances_from_table(records)}[impl]
     n = sum(len(w.labels) for w in words)
@@ -213,7 +210,7 @@ def test_predict_write(benchmark, tables, tmp_path, impl):
 @pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("k", [6, 12])
 def test_train_ordinal(benchmark, tables, k, impl):
-    instances = new_read(tables["train"][1])
+    instances = read_feature_table(tables["train"][1])
     X, y = instances.features[:, :k], instances.labels
     benchmark.group = f"train_ordinal K={k}, n={len(y)}"
     got = benchmark.pedantic(FITS[impl], (X, y), {"seed": SEED}, rounds=3)

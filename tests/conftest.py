@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from stressnet import bundled_dictionary_path
 from stressnet.corpus import IGNORE_LABEL
-from stressnet.lexicon import PAD_TYPE_INDEX, TAG_TO_INDEX, load_dictionary
+from stressnet.features import WordRecord
+from stressnet.lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, TAG_TO_INDEX, load_dictionary
 from stressnet.model import Batch
 
 
@@ -50,6 +51,19 @@ def oracle_instances(records):
         np.array([TAG_TO_INDEX[tag] for tag in r.nucleus_tags], dtype=np.int64),
         np.array([IGNORE_LABEL if s is None else s for s in r.stresses],
                  dtype=np.int64)) for r in records]
+
+
+def table_records(instances):
+    """The words of a read table as the records write_feature_table takes:
+    tags from type indices, None stresses from IGNORE_LABEL."""
+    offsets = instances.offsets.tolist()
+    return [WordRecord(
+        uid, word, instances.features[start:stop],
+        [NUCLEUS_TAGS[t] for t in instances.types[start:stop].tolist()],
+        [None if s == IGNORE_LABEL else s
+         for s in instances.labels[start:stop].tolist()])
+        for uid, word, start, stop in zip(instances.utterance_ids, instances.words,
+                                          offsets, offsets[1:])]
 
 
 def oracle_flatten(words, k):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stressnet import baselines
 from stressnet.baselines import (
     ForestModel,
     OrdinalModel,
@@ -14,7 +15,7 @@ from stressnet.baselines import (
     train_ordinal,
 )
 from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
-from stressnet.errors import DegenerateData, ShapeError
+from stressnet.errors import DegenerateData, NumericalInstability, ShapeError
 from stressnet.lexicon import StressLevel
 
 
@@ -111,6 +112,16 @@ class TestOrdinal:
                    int(StressLevel.PRIMARY): 2}
         ranks = [rank_of[int(p)] for p in model.class_probs(grid).argmax(axis=1)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+
+    def test_non_finite_fit_is_refused(self, monkeypatch):
+        # train runs the fit with overflow warnings off; an overflow that
+        # reaches the coefficients must still stop it
+        rng = np.random.default_rng(6)
+        X, y = ordinal_1d_data(rng, n=30)
+        monkeypatch.setattr(baselines, "_ordinal_nll_grad", lambda *args: (
+            np.nan, np.full(X.shape[1], np.nan), np.zeros(2)))
+        with pytest.raises(NumericalInstability):
+            train_ordinal(X, y)
 
     def test_zero_coefficients_constant_predictions(self):
         model = OrdinalModel(np.zeros(4), np.array([-1.0, 1.0]))

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stressnet
-from conftest import float_values, json_values, oracle_instances
+from conftest import float_values, json_values, oracle_instances, table_records
 from stressnet import bundled_dictionary_path
 from stressnet.cli import _write_predictions, run_subcommand
 from stressnet import checkpoint, corpus
@@ -375,8 +376,7 @@ class TestPipeline:
         test = read_feature_table(str(out / "splits" / "test.jsonl"))
         all_records = read_feature_table(str(out / "features.jsonl"))
         assert len(train) + len(test) == len(all_records)
-        assert not ({r.utterance_id for r in train}
-                    & {r.utterance_id for r in test})
+        assert not set(train.utterance_ids) & set(test.utterance_ids)
 
     def test_eval_reports(self, pipeline, capsys):
         root, out, attn, rf = pipeline
@@ -402,8 +402,8 @@ class TestPipeline:
         records = read_feature_table(test_path)
         lines = [json.loads(l) for l in open(preds_path)]
         assert len(lines) == len(records)
-        for line, rec in zip(lines, records):
-            assert len(line["syllables"]) == len(rec.stresses)
+        for line, n in zip(lines, np.diff(records.offsets).tolist()):
+            assert len(line["syllables"]) == n
             for s in line["syllables"]:
                 assert s["stress_pred"] in (0, 1, 2)
                 assert abs(sum(s["probs"]) - 1.0) < 1e-9
@@ -487,7 +487,7 @@ class TestFeaturize:
         out = str(tmp_path / "features.jsonl")
         assert run("featurize", "--alignments", str(apath),
                    "--out", out) == 0
-        (rec,) = read_feature_table(out)
+        (rec,) = table_records(read_feature_table(out))
         assert rec.word == "maybe"
         assert rec.stresses == [1, 0]
         f0, f1 = rec.features
@@ -503,7 +503,7 @@ class TestFeaturize:
         out = tmp_path / "new" / "dir" / "features.jsonl"
         assert run("featurize", "--alignments", str(apath),
                    "--out", str(out)) == 0
-        (rec,) = read_feature_table(str(out))
+        (rec,) = table_records(read_feature_table(str(out)))
         assert rec.word == "maybe"
         assert (out.parent / "manifest.json").is_file()
 
@@ -730,8 +730,9 @@ class TestFeaturizePools:
 
     def test_each_pool_is_normalized_over_its_rows(self, pool_runs):
         alignments, runs = pool_runs
-        tables = {pool: read_feature_table(str(runs[pool, "word"][0]))
-                  for pool in ("sentence", "multisyllabic_only")}
+        tables = {
+            pool: table_records(read_feature_table(str(runs[pool, "word"][0])))
+            for pool in ("sentence", "multisyllabic_only")}
         for utt, words in POOL_UTTERANCES.items():
             al = load_alignment(str(alignments / f"{utt}.json"))
             samples, rate = read_wav(str(alignments / al.audio_path))
@@ -812,7 +813,7 @@ def per_word_reference(ckpt, table):
     score = (model.vote_shares if isinstance(model, ForestModel)
              else model.class_probs)
     lines = []
-    for inst in oracle_instances(read_feature_table(table)):
+    for inst in oracle_instances(table_records(read_feature_table(table))):
         probs = score(inst.features[:, :feature_dim(feature_mode)])
         lines.append(json.dumps({
             "utterance_id": inst.utterance_id,
@@ -1804,8 +1805,7 @@ class TestCheckpointFuzz:
                 assert len(Path(out).read_text().splitlines()) == len(records)
             if code == 0 and command == "eval":
                 report = json.loads(Path(out + ".json").read_text())
-                assert report["n_syllables"] == sum(
-                    len(r.stresses) for r in records)
+                assert report["n_syllables"] == len(records.labels)
 
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
@@ -1961,6 +1961,120 @@ class TestAlignmentFuzz:
         assert f"{path}{where}" in err, err
 
 
+# one change to a feature table: one of ALIGNMENT_MUTATIONS to the
+# document of line i (mod the number of lines); any line put in before
+# line i; feature slot j of every syllable of line i set to a large or
+# tiny finite number; or the table's bytes cut to n
+TABLE_MUTATIONS = (
+    st.tuples(st.just("line"), st.integers(0, 99), ALIGNMENT_MUTATIONS)
+    | st.tuples(st.just("insert"), st.integers(0, 99),
+                st.binary(max_size=40) | json_values.map(
+                    lambda doc: json.dumps(doc).encode()))
+    | st.tuples(st.just("feature"), st.integers(0, 99), st.integers(0, 11),
+                st.sampled_from([1e308, -1.7976931348623157e308, 1e154, -1e200,
+                                 5e-324, 2 ** 70]))
+    | st.tuples(st.just("cut"), st.integers(0, 99999)))
+
+
+def mutate_table(data: bytes, mutation) -> bytes:
+    kind, *args = mutation
+    if kind == "cut":
+        return data[:args[0] % (len(data) + 1)]
+    lines = data.splitlines(keepends=True)
+    i = args[0] % len(lines)
+    if kind == "insert":
+        lines.insert(i, args[1] + b"\n")
+    elif kind == "feature":
+        doc = json.loads(lines[i])
+        for syl in doc["syllables"]:
+            syl["features"][args[1]] = args[2]
+        lines[i] = json.dumps(doc).encode() + b"\n"
+    else:
+        lines[i] = mutate_alignment(json.loads(lines[i]), args[1]) + b"\n"
+    return b"".join(lines)
+
+
+# per table command: its arguments up to the flag that names the table
+TABLE_COMMANDS = {
+    "split": ["split", "--features"],
+    "train-rf": ["train", "--model", "rf", *EDGE_RUNS["rf"], "--train"],
+    "train-or": ["train", "--model", "or", *EDGE_RUNS["or"], "--train"],
+    "eval": ["eval", "--data"],
+    "predict": ["predict", "--input"],
+}
+
+
+class TestTableFuzz:
+    """split, train (rf, or), eval and predict of a feature table one
+    mutation away from a valid one work, or exit 3 or 4, with no traceback
+    and no warning; what an exit-0 run writes reads back."""
+
+    # a feature of 1e308 overflowed the ordinal model's x @ beta with a
+    # warning, and eval exited 0
+    @example(mutation=("feature", 0, 3, 1e308), command="eval", kind="or")
+    # and in train_ordinal, with warnings too, though the fit came out finite
+    @example(mutation=("feature", 0, 0, -1.7976931348623157e308),
+             command="train-or", kind="or")
+    @given(mutation=TABLE_MUTATIONS, command=st.sampled_from(sorted(TABLE_COMMANDS)),
+           kind=st.sampled_from(["or", "rf", "attn-medium"]))
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_table(self, tiny_corpus, fuzz_ckpts, mutation, command, kind):
+        data = (tiny_corpus / "corpus" / "features.jsonl").read_bytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            table, out = os.path.join(tmp, "t.jsonl"), os.path.join(tmp, "out")
+            Path(table).write_bytes(mutate_table(data, mutation))
+            argv = TABLE_COMMANDS[command] + [table, "--out", out]
+            if command in ("eval", "predict"):
+                argv[1:1] = ["--model", fuzz_ckpts[kind]]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, err = run_quietly(*argv)
+            assert code in (0, 3, 4) and "Traceback" not in err, err
+            assert not caught, [str(w.message) for w in caught]
+            if code != 0:
+                return
+            words = read_feature_table(table)
+            if command == "split":
+                parts = [read_feature_table(os.path.join(out, name))
+                         for name in ("train.jsonl", "test.jsonl")]
+                assert sum(map(len, parts)) == len(words)
+            elif command.startswith("train"):
+                checkpoint.load_any(out)
+            elif command == "eval":
+                report = json.loads(Path(out + ".json").read_text())
+                assert report["n_syllables"] == len(words.labels)
+            else:
+                lines = Path(out).read_text().splitlines()
+                assert len(lines) == len(words)
+                for line in lines:
+                    json.loads(line)
+
+    @pytest.mark.parametrize("command,flag", [("eval", "--data"),
+                                              ("predict", "--input")])
+    def test_ordinal_scores_of_inf_minus_inf(self, tmp_path, command, flag):
+        """Finite features whose x @ beta adds an overflow to +inf and one
+        to -inf score NaN: a data error, exit 4, with no warning. (Which
+        pairs of slots give NaN depends on the BLAS kernel's order of
+        summation, so every pair is tried.)"""
+        from stressnet.baselines import OrdinalModel
+        ckpt, table = str(tmp_path / "or.ckpt"), str(tmp_path / "t.jsonl")
+        beta = 3.0 * (-1.0) ** np.arange(12)
+        checkpoint.save_ordinal(ckpt, OrdinalModel(beta, np.array([-1.0, 1.0])),
+                                "syllable_nucleus_numerical")
+        records = []
+        for i, j in itertools.permutations(range(12), 2):
+            features = np.zeros((1, 12))
+            features[0, [i, j]] = 1e308 * np.sign(beta[i]), -1e308 * np.sign(beta[j])
+            records.append(WordRecord("u", f"w{i}-{j}", features, ["ah"], [0]))
+        write_feature_table(records, table)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_quietly(command, "--model", ckpt, flag, table,
+                                    "--out", str(tmp_path / "out"))
+        assert code == 4 and "NumericalInstability" in err, err
+        assert not caught, [str(w.message) for w in caught]
+
+
 class TestManifests:
     """A manifest records every setting a run used, so it tells runs with
     different settings apart and reruns of one run give the same bytes."""
@@ -2079,7 +2193,8 @@ def split_files(out: Path) -> dict[str, bytes]:
 def oracle_split(table: Path, out: Path, fraction: float, seed: int) -> None:
     """split as it was: read the table, split the records, write both
     parts with write_feature_table."""
-    train_set, test_set = corpus.split(read_feature_table(str(table)), fraction, seed)
+    train_set, test_set = corpus.split(table_records(read_feature_table(str(table))),
+                                       fraction, seed)
     out.mkdir(parents=True, exist_ok=True)
     write_feature_table(train_set, str(out / "train.jsonl"))
     write_feature_table(test_set, str(out / "test.jsonl"))
@@ -2166,12 +2281,12 @@ class TestSplitCopiesLines:
                    "--train-fraction", "0.5", "--out", str(tmp_path / "s")) == 0
         want = {line.strip(): rec for line, rec in zip(
             filter(bytes.strip, NON_CANONICAL_TABLE.split(b"\n")),
-            read_feature_table(str(table)))}
+            table_records(read_feature_table(str(table))))}
         got_lines = []
         for name, data in split_files(tmp_path / "s").items():
             assert data.endswith(b"\n")
             lines = data[:-1].split(b"\n")
-            records = read_feature_table(str(tmp_path / "s" / name))
+            records = table_records(read_feature_table(str(tmp_path / "s" / name)))
             assert len(lines) == len(records)
             for line, rec in zip(lines, records):
                 assert same_record(rec, want[line])  # parses as its input line

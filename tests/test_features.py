@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stressnet.corpus import (
     IGNORE_LABEL,
@@ -21,11 +21,12 @@ from stressnet.features import (
     FEATURE_SLOTS,
     MAX_SYLLABLES,
     N_FEATURES,
+    TableLine,
     WordRecord,
-    _record,
     extract_features,
     normalize_sentence,
     read_feature_table,
+    read_table_lines,
     write_feature_table,
 )
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
@@ -402,7 +403,7 @@ def read_instances(lines: list[bytes]):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(b"\n".join(lines))
-        return instances_from_table(read_feature_table(path))
+        return read_feature_table(path)
     finally:
         os.unlink(path)
 
@@ -520,28 +521,34 @@ def oracle_instance(utterance_id, word, syllables):
 
 
 def assert_reads_as_oracle(line: bytes, same_message: bool = True) -> bool:
-    """Whether the line is accepted; fails unless the reader agrees with
-    the oracle on that, and on the record or the error."""
+    """Whether the line is accepted; fails unless the reader, given a table
+    of that one line, agrees with the oracle on that, and on the word or
+    the error."""
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
     try:
-        want = oracle_record(line)
-    except FormatError as exc:
-        with pytest.raises(FormatError) as got:
-            _record(line)
-        if same_message:
-            assert str(got.value) == str(exc)
-        return False
-    rec = _record(line)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(line)
+        try:
+            want = oracle_record(line)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read_feature_table(path)
+            if same_message:
+                assert str(got.value) == f"{path}:1: {exc}"
+            return False
+        inst = read_feature_table(path)
+    finally:
+        os.unlink(path)
     want_inst = oracle_instance(*want)
-    assert (rec.utterance_id, rec.word) == want[:2]
-    assert rec.features.dtype == np.float64
-    assert rec.features.shape == want_inst.features.shape
-    assert rec.features.tobytes() == want_inst.features.tobytes()
-    assert rec.nucleus_tags == [obs.nucleus_tag for obs in want[2]]
-    # plain ints, not StressLevel members
-    assert [(type(s), s) for s in rec.stresses] == [
-        (type(None), None) if obs.stress is None else (int, int(obs.stress))
-        for obs in want[2]]
-    inst = instances_from_table([rec])
+    assert (inst.utterance_ids, inst.words) == ([want[0]], [want[1]])
+    assert inst.offsets.tolist() == [0, len(want[2])]
+    assert inst.features.dtype == np.float64
+    assert inst.features.shape == want_inst.features.shape
+    assert inst.features.tobytes() == want_inst.features.tobytes()
+    assert [NUCLEUS_TAGS[t] for t in inst.types.tolist()] == [
+        obs.nucleus_tag for obs in want[2]]
+    assert inst.labels.tolist() == [
+        IGNORE_LABEL if obs.stress is None else int(obs.stress) for obs in want[2]]
     for name, got, expected in (
             ("features", inst.features, want_inst.features),
             ("types", inst.types, want_inst.type_indices),
@@ -656,6 +663,144 @@ class TestReaderOracle:
         # one drawn fault may come with the count fault of 0 or 18
         # syllables; the reader may then name the other one
         assert_reads_as_oracle(line, same_message=False)
+
+
+# --- whole tables against the line-at-a-time oracle ---------------------------
+#
+# read_feature_table converts and checks the features of 64 words at a
+# time. The oracle reads a line at a time with oracle_record; the first
+# faulty line in file order decides, whichever chunk holds it.
+
+# one fault each: numeric (found when the features are converted) or
+# structural (found while the line is parsed)
+TABLE_FAULTS = {
+    "nan_feature": lambda doc: doc["syllables"][0]["features"].__setitem__(
+        3, float("nan")),
+    "infinite_feature": lambda doc: doc["syllables"][-1]["features"].__setitem__(
+        11, float("-inf")),
+    "int_beyond_float": lambda doc: doc["syllables"][0]["features"].__setitem__(
+        0, 10 ** 400),
+    "stress_out_of_range": lambda doc: doc["syllables"][0].update(stress=3),
+    "unknown_nucleus": lambda doc: doc["syllables"][-1].update(nucleus="zz"),
+    "position_gap": lambda doc: doc["syllables"][0].update(
+        position=len(doc["syllables"])),
+    "no_syllables": lambda doc: doc.update(syllables=[]),
+    "bad_json": None,
+}
+BLANK_LINES = [b"", b" ", b"\t \r", b"\x0c  "]
+
+
+def drawn_table_bytes(n_words, seed, faults, blanks) -> bytes:
+    """n_words seeded valid words of 1 to 4 syllables in any order, some
+    features integers, each line maybe indented. faults holds (word, fault
+    name) pairs, one fault a word; blanks holds (index, blank line) pairs,
+    the blank line going before that word (after the last at n_words)."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(n_words):
+        n = int(rng.integers(1, 5))
+        rows = rng.normal(0.0, 50.0, (n, N_FEATURES)).tolist()
+        for row in rows:
+            row[int(rng.integers(N_FEATURES))] = int(rng.integers(-1000, 1000))
+        doc = {"utterance_id": f"u{rng.integers(4)}", "word": f"w{i}é",
+               "syllables": [
+                   {"position": p, "features": rows[p],
+                    "nucleus": NUCLEUS_TAGS[int(rng.integers(len(NUCLEUS_TAGS)))],
+                    "stress": [None, 0, 1, 2][int(rng.integers(4))]}
+                   for p in rng.permutation(n).tolist()]}
+        line = json.dumps(doc)
+        for word, fault in faults:
+            if word == i:
+                if TABLE_FAULTS[fault] is None:
+                    line = line[:len(line) // 2]
+                else:
+                    TABLE_FAULTS[fault](doc)
+                    line = json.dumps(doc)
+        lines.append(" " * int(rng.integers(3)) + line + " " * int(rng.integers(2)))
+    for index, blank in sorted(blanks, key=lambda b: b[0], reverse=True):
+        lines.insert(index, blank.decode())
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def oracle_read_table(path: str, data: bytes):
+    """(instances_from_table of the oracle's records, each word's line
+    span), or the oracle's first FormatError at path:line."""
+    pieces = data.split(b"\n")
+    lines = [piece + b"\n" for piece in pieces[:-1]] + [pieces[-1]] * bool(pieces[-1])
+    records, spans, start = [], [], 0
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                utterance_id, word, syllables = oracle_record(line)
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            records.append(WordRecord(
+                utterance_id, word,
+                np.array([obs.features for obs in syllables], dtype=np.float64),
+                [obs.nucleus_tag for obs in syllables],
+                [None if obs.stress is None else int(obs.stress)
+                 for obs in syllables]))
+            first = start + len(line) - len(line.lstrip())
+            spans.append((first, first + len(line.strip())))
+        start += len(line)
+    return instances_from_table(records), spans
+
+
+@st.composite
+def drawn_tables(draw):
+    """drawn_table_bytes arguments: up to 140 words (chunk boundaries at
+    64 and 128), up to 3 faulty words and up to 4 blank lines."""
+    n_words = draw(st.integers(0, 140))
+    faults = draw(st.lists(st.tuples(st.integers(0, n_words - 1),
+                                     st.sampled_from(sorted(TABLE_FAULTS))),
+                           max_size=3, unique_by=lambda f: f[0])) if n_words else []
+    blanks = draw(st.lists(st.tuples(st.integers(0, n_words),
+                                     st.sampled_from(BLANK_LINES)), max_size=4))
+    return n_words, draw(st.integers(0, 2 ** 32 - 1)), faults, blanks
+
+
+class TestTableOracle:
+    """read_feature_table equals instances_from_table of the oracle's
+    records bit for bit, or raises the oracle's first error with the same
+    path:line message; read_table_lines gives the same line spans."""
+
+    # faults on either side of the first chunk boundary (word index 63
+    # ends the first chunk of 64), a numeric one before or after a
+    # structural one, and one after blank lines
+    @example(table=(130, 1, [(64, "nan_feature"), (65, "stress_out_of_range")], []))
+    @example(table=(130, 2, [(64, "int_beyond_float"), (65, "bad_json")], []))
+    @example(table=(130, 3, [(63, "infinite_feature"), (64, "no_syllables")], []))
+    @example(table=(130, 4, [(65, "nan_feature"), (64, "position_gap")], []))
+    @example(table=(130, 5, [(65, "int_beyond_float"), (64, "nan_feature")], []))
+    @example(table=(130, 6, [(64, "int_beyond_float")], [(10, b" "), (64, b"")]))
+    @example(table=(130, 7, [(127, "nan_feature"), (128, "unknown_nucleus")], []))
+    @example(table=(64, 8, [], [(64, b"\t \r")]))
+    @example(table=(0, 9, [], [(0, b" ")]))
+    @given(table=drawn_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_tables(self, tmp_path_factory, table):
+        path = str(tmp_path_factory.mktemp("t") / "t.jsonl")
+        data = drawn_table_bytes(*table)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            want, spans = oracle_read_table(path, data)
+        except FormatError as exc:
+            for read in (read_feature_table, read_table_lines):
+                with pytest.raises(FormatError) as got:
+                    read(path)
+                assert str(got.value) == str(exc)
+            return
+        got = read_feature_table(path)
+        assert (got.utterance_ids, got.words) == (want.utterance_ids, want.words)
+        for name in ("offsets", "features", "types", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        got_data, lines = read_table_lines(path)
+        assert got_data == data
+        assert lines == [TableLine(u, first, stop) for u, (first, stop)
+                         in zip(want.utterance_ids, spans)]
 
 
 def oracle_line(rec) -> str:
