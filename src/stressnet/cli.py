@@ -47,6 +47,7 @@ from .corpus import (
     LABELINGS,
     GenConfig,
     Instances,
+    instances_from_table,
     label_utterance,
     load_alignment,
     require_gold,
@@ -71,7 +72,7 @@ from .features import (
     write_feature_table,
     write_table_lines,
 )
-from .lexicon import load_dictionary, syllabify
+from .lexicon import NUCLEUS_TAGS, load_dictionary, syllabify
 from .model import (
     ALL_FEATURES,
     FEATURE_MODES,
@@ -112,7 +113,7 @@ _MODEL_FLAGS.update(n_trees=("rf",), max_depth=("rf",))
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,14 +244,14 @@ def _cmd_synth(args, config) -> int:
     lex = load_dictionary(args.dict_path)
     gen = _settings(GenConfig, "gen", config.get("gen", {}),
                     noise=args.noise, labeling=args.labeling)
-    alignments, records = synth_corpus(lex, args.n, gen, seed=args.seed)
+    alignments, table = synth_corpus(lex, args.n, gen, seed=args.seed)
     out = Path(args.out)
     (out / "alignments").mkdir(parents=True, exist_ok=True)
     for al in alignments:
         save_alignment(al, str(out / "alignments" / f"{al.utterance_id}.json"))
-    write_feature_table(records, str(out / "features.jsonl"))
+    write_feature_table(table, str(out / "features.jsonl"))
     _write_manifest(out, args, [args.dict_path], gen=gen)
-    print(f"synth: {len(alignments)} utterances, {len(records)} word instances "
+    print(f"synth: {len(alignments)} utterances, {len(table)} word instances "
           f"-> {out}")
     return 0
 
@@ -272,14 +273,15 @@ def _cmd_label(args, config) -> int:
             open(out / "exclusions.jsonl", "w", encoding="utf-8") as exc_fh:
         for f in files:
             alignment = load_alignment(f)
-            records, exclusions = label_utterance(
+            table, exclusions = label_utterance(
                 alignment, lex, exclusion_scope=args.exclusion_scope)
-            for rec in records:
+            offsets = table.offsets.tolist()
+            for word, start, stop in zip(table.words, offsets, offsets[1:]):
                 lab_fh.write(json.dumps({
-                    "utterance_id": rec.utterance_id,
-                    "word": rec.word,
-                    "stresses": rec.stresses,
-                    "nuclei": rec.nucleus_tags,
+                    "utterance_id": alignment.utterance_id,
+                    "word": word,
+                    "stresses": table.labels[start:stop].tolist(),
+                    "nuclei": [NUCLEUS_TAGS[t] for t in table.types[start:stop]],
                 }, sort_keys=True) + "\n")
             for exc in exclusions:
                 exc_fh.write(json.dumps({
@@ -287,7 +289,7 @@ def _cmd_label(args, config) -> int:
                     "word": exc.word,
                     "reason": exc.reason,
                 }, sort_keys=True) + "\n")
-            n_words += len(records)
+            n_words += len(table)
     _write_manifest(out, args, files + [args.dict_path])
     print(f"label: {n_words} labeled word instances -> {out}")
     return 0
@@ -332,16 +334,17 @@ def _cmd_featurize(args, config) -> int:
     lex = load_dictionary(args.dict_path)
     dsp_cfg = _settings(DspConfig, "dsp", config.get("dsp", {}))
     files = _alignment_files(args.alignments)
-    records = []
+    tables = []
     n_excluded = 0
     for f in files:
         labeled, exclusions = _featurize_one(f, args, lex, dsp_cfg)
-        records.extend(labeled)
+        tables.append(labeled)
         n_excluded += len(exclusions)
-    write_feature_table(records, args.out)
+    table = instances_from_table(tables)
+    write_feature_table(table, args.out)
     _write_manifest(Path(args.out).parent, args, files + [args.dict_path],
                     dsp=dsp_cfg)
-    print(f"featurize: {len(records)} word instances "
+    print(f"featurize: {len(table)} word instances "
           f"({n_excluded} exclusions) -> {args.out}")
     return 0
 

@@ -43,12 +43,12 @@ from .errors import (
     ShapeError,
     SplitTooSmall,
 )
-from .features import (  # Instances and IGNORE_LABEL are re-exported
+from .features import (  # re-exported: IGNORE_LABEL, Instances, instances_from_table
     IGNORE_LABEL,
     MAX_SYLLABLES,
     N_FEATURES,
     Instances,
-    WordRecord,
+    instances_from_table,
     normalize_sentence,
 )
 from .lexicon import (
@@ -224,24 +224,6 @@ def save_alignment(al: UtteranceAlignment, path: str) -> None:
 
 # --- instances --------------------------------------------------------------
 
-def instances_from_table(records: list[WordRecord]) -> Instances:
-    """Pack valid records, ones built by this program, into one table:
-    each record's feature rows, its tags as type indices and its stresses
-    as labels, the table read_feature_table reads from their written
-    lines."""
-    offsets = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum([len(r.stresses) for r in records], out=offsets[1:])
-    features = (np.concatenate([r.features for r in records]) if records
-                else np.zeros((0, N_FEATURES)))
-    return Instances(
-        [r.utterance_id for r in records], [r.word for r in records], offsets,
-        features,
-        np.array([TAG_TO_INDEX[tag] for r in records for tag in r.nucleus_tags],
-                 dtype=np.int64),
-        np.array([IGNORE_LABEL if s is None else s
-                  for r in records for s in r.stresses], dtype=np.int64))
-
-
 def require_gold(instances: Instances) -> None:
     """LabelError naming the first word with a syllable of unknown stress."""
     unknown = np.flatnonzero(instances.labels == IGNORE_LABEL)
@@ -274,57 +256,60 @@ def _match_variant(lexicon: Lexicon, text: str, n_syllables: int):
 def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
                     features: np.ndarray | None = None,
                     exclusion_scope: str = "word",
-                    ) -> tuple[list[WordRecord], list[Exclusion]]:
+                    ) -> tuple[Instances, list[Exclusion]]:
     """Attach gold stress labels and nucleus types to an utterance's words.
 
     For each word, pronunciation variants are tried in dictionary order and
     the first whose syllable count matches the alignment wins. Monosyllabic
     words are dropped; lookup failures and count mismatches are reported as
     exclusions. With exclusion_scope="utterance", a lookup/count failure
-    anywhere discards the whole utterance.
+    anywhere discards the whole utterance. Returns the kept words as a
+    table, in alignment order, and the exclusions.
 
     features, when given, is the utterance's normalized (n_syllables, 12)
-    matrix, its rows in alignment order; each record holds its word's rows.
-    Without it, features are zero, which suits label-only workflows.
+    matrix, its rows in alignment order; the table holds the kept words'
+    rows. Without it, features are zero, which suits label-only workflows.
     """
     if exclusion_scope not in EXCLUSION_SCOPES:
         raise ConfigError(f"unknown exclusion_scope {exclusion_scope!r}")
-    n_syllables = sum(len(word.syllables) for word in alignment.words)
-    if features is None:
-        features = np.zeros((n_syllables, N_FEATURES))
-    elif len(features) != n_syllables:
+    sizes = [len(word.syllables) for word in alignment.words]
+    if features is not None and len(features) != sum(sizes):
         raise ShapeError(f"{len(features)} feature rows for "
-                         f"{n_syllables} aligned syllables")
+                         f"{sum(sizes)} aligned syllables")
 
-    records: list[WordRecord] = []
+    utt_id = alignment.utterance_id
+    kept = [False] * len(sizes)  # per aligned word
+    words, counts, types, labels = [], [], [], []
     exclusions: list[Exclusion] = []
     fatal = False
-    row = 0
-    for word in alignment.words:
-        n = len(word.syllables)
-        row += n
+    for i, (word, n) in enumerate(zip(alignment.words, sizes)):
         if n < 2:
-            exclusions.append(Exclusion(alignment.utterance_id, word.text, MONOSYLLABIC))
+            exclusions.append(Exclusion(utt_id, word.text, MONOSYLLABIC))
             continue
         if n > MAX_SYLLABLES:
-            exclusions.append(Exclusion(alignment.utterance_id, word.text, TOO_LONG))
+            exclusions.append(Exclusion(utt_id, word.text, TOO_LONG))
             continue
         syl, reason = _match_variant(lexicon, word.text, n)
         if syl is None:
-            exclusions.append(Exclusion(alignment.utterance_id, word.text, reason))
+            exclusions.append(Exclusion(utt_id, word.text, reason))
             fatal = True
             continue
-        records.append(WordRecord(alignment.utterance_id, word.text,
-                                  features[row - n:row],
-                                  syl.nucleus_tags(),
-                                  [int(s) for s in syl.stresses()]))
+        kept[i] = True
+        words.append(word.text)
+        counts.append(n)
+        types += [TAG_TO_INDEX[tag] for tag in syl.nucleus_tags()]
+        labels += map(int, syl.stresses())
 
     if fatal and exclusion_scope == "utterance":
-        exclusions.extend(
-            Exclusion(rec.utterance_id, rec.word, UTTERANCE_EXCLUDED)
-            for rec in records)
-        records = []
-    return records, exclusions
+        exclusions.extend(Exclusion(utt_id, word, UTTERANCE_EXCLUDED) for word in words)
+        return instances_from_table([]), exclusions
+    if features is None:
+        features = np.zeros((len(types), N_FEATURES))
+    else:  # the kept words' rows
+        features = features[np.repeat(np.array(kept, dtype=bool), sizes)]
+    return Instances.from_counts(
+        [utt_id] * len(words), words, counts, features,
+        np.array(types, dtype=np.int64), np.array(labels, dtype=np.int64)), exclusions
 
 
 # --- split ------------------------------------------------------------------
@@ -351,8 +336,9 @@ def train_utterances(utterance_ids: list[str], train_fraction: float = 0.7,
 
 def split(words: list, train_fraction: float = 0.7,
           seed: int = 0) -> tuple[list, list]:
-    """The train_utterances split of word records or feature-table lines;
-    only their utterance_id is read, and input order is kept."""
+    """The train_utterances split of feature-table lines; only their
+    utterance_id is read, and input order is kept. A table is split by
+    indexing it with the train_utterances mask of its utterance_ids."""
     in_train = train_utterances([w.utterance_id for w in words],
                                 train_fraction, seed).tolist()
     return ([w for w, t in zip(words, in_train) if t],
@@ -467,21 +453,21 @@ def _relative_duration_labels(durations: np.ndarray) -> list[StressLevel]:
 
 
 class _VocabWord(NamedTuple):
-    """A word synth can draw, syllabified once: its nucleus tags and
-    dictionary stresses, as lists and as index arrays."""
+    """A word synth can draw, syllabified once: its nucleus tags, and its
+    type indices and dictionary stresses as int64 arrays."""
 
     text: str
     tags: list[str]
-    stresses: list[int]
     type_index: np.ndarray
     stress_index: np.ndarray
 
     @classmethod
     def of(cls, lexicon: Lexicon, text: str) -> "_VocabWord":
         syl = syllabify(lexicon.lookup(text)[0])
-        tags, stresses = syl.nucleus_tags(), [int(s) for s in syl.stresses()]
-        return cls(text, tags, stresses,
-                   np.array([TAG_TO_INDEX[t] for t in tags]), np.array(stresses))
+        tags = syl.nucleus_tags()
+        return cls(text, tags,
+                   np.array([TAG_TO_INDEX[t] for t in tags], dtype=np.int64),
+                   np.array(syl.stresses(), dtype=np.int64))
 
 
 # For each of a syllable's twelve noise draws, in draw order (see
@@ -491,13 +477,14 @@ _DRAW_SIGMA = (0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 0)
 
 def synth_corpus(lexicon: Lexicon, n_utterances: int,
                  cfg: GenConfig = GenConfig(), seed: int = 0,
-                 ) -> tuple[list[UtteranceAlignment], list[WordRecord]]:
+                 ) -> tuple[list[UtteranceAlignment], Instances]:
     """Build a deterministic synthetic corpus from class-conditioned draws.
 
     Multi-syllable dictionary words are sampled into utterances; each
     syllable's 12 raw features are drawn from distributions conditioned on
     its stress class and nucleus type, then sentence-normalized exactly
-    like real audio features. Returns alignments plus the feature table.
+    like real audio features. Returns alignments plus the feature table,
+    each utterance's table joined by instances_from_table.
 
     Draw order, which fixes every output bit for a seed: the per-type
     offsets (three uniform(-1, 1, 16) draws), then per utterance the word
@@ -553,7 +540,7 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
         return e
 
     alignments: list[UtteranceAlignment] = []
-    records: list[WordRecord] = []
+    tables: list[Instances] = []
     lo, hi = N_WORDS_RANGE
     for u in range(n_utterances):
         utt_id = f"synth-{seed:04d}-{u:06d}"
@@ -565,14 +552,14 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
             for w in words:
                 durs = rng.uniform(0.10, 0.30, len(w.tags))
                 base_durs.append(durs)
-                stresses.append([int(x) for x in _relative_duration_labels(durs)])
+                stresses += _relative_duration_labels(durs)
                 blocks.append(noise(len(w.tags)))
             base_dur = np.concatenate(base_durs)
             e = np.concatenate(blocks)
+            si = np.array(stresses, dtype=np.int64)
             pitch_mean = PITCH_BASE_HZ + type_pitch_off[ti]
             int_mean = INTENSITY_BASE_DB + type_int_off[ti]
         else:
-            stresses = [list(w.stresses) for w in words]
             si = np.concatenate([w.stress_index for w in words])
             base_dur = DURATION_BASE_S * dur_mult[si] * type_dur_mult[ti]
             pitch_mean = (PITCH_BASE_HZ + pitch_class[si]) + type_pitch_off[ti]
@@ -601,7 +588,7 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
         utt_words: list[AlignedWord] = []
         clock = 0.0
         row = 0
-        for w, word_stresses in zip(words, stresses):
+        for w in words:
             spans: list[SyllableSpan] = []
             for i, tag in enumerate(w.tags, start=row):
                 n0 = clock + 0.5 * (syl_durs[i] - nuc_durs[i])
@@ -611,9 +598,9 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
                 clock += syl_durs[i]
             clock += WORD_GAP_S
             utt_words.append(AlignedWord(w.text, tuple(spans)))
-            records.append(WordRecord(utt_id, w.text,
-                                      normalized[row:row + len(w.tags)],
-                                      list(w.tags), word_stresses))
             row += len(w.tags)
         alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
-    return alignments, records
+        tables.append(Instances.from_counts(
+            [utt_id] * n_words, [w.text for w in words], [len(w.tags) for w in words],
+            normalized, ti, si))
+    return alignments, instances_from_table(tables)

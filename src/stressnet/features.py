@@ -26,15 +26,18 @@ The feature table interface is line-delimited JSON, one object per word
 instance: {"utterance_id", "word", "syllables": [{"position", "features"
 (12 floats, slot order above), "nucleus" (tag), "stress" (0/1/2 or
 null)}]}. A word has 1 to MAX_SYLLABLES syllables whose positions are
-0..n-1, each used once. One parse loop checks this and appends each
-word's syllables, in position order, to the lists of a chunk of 64
-words; read_feature_table lays the chunks end to end as one flat
-Instances table, and makes no per-word object. The loop converts a
-chunk's features to float64 and checks them at once: converting the
-whole table at the end would keep every parsed number alive until then
-(more than three times the read's peak memory on a 2.7k-word table), and
-a conversion per word costs a NumPy call each. The first faulty line in
-file order is the one reported, whichever chunk holds it.
+0..n-1, each used once. In memory a table is one flat Instances,
+whoever builds it (this reader, synth, label or featurize), and
+write_feature_table writes it from the flat arrays: a type as its tag,
+IGNORE_LABEL as null. One parse loop checks each line and makes each
+chunk of 64 words, their syllables in position order, into a table;
+read_feature_table joins the chunks with instances_from_table, and makes
+no per-word object. The loop converts a chunk's features to float64 and
+checks them at once: converting the whole table at the end would keep
+every parsed number alive until then (more than three times the read's
+peak memory on a 2.7k-word table), and a conversion per word costs a
+NumPy call each. The first faulty line in file order is the one
+reported, whichever chunk holds it.
 read_table_lines runs the same loop for a table that is only to be cut
 into parts (split): it keeps the table's bytes and where each valid
 word's line lies in them, but no features, and write_table_lines copies
@@ -46,7 +49,6 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,7 +56,7 @@ import numpy as np
 
 from .dsp import IntensityTrack, PitchTrack, Track
 from .errors import FormatError, InvalidSpan, SpanOutOfRange, StressnetError
-from .lexicon import TAG_TO_INDEX
+from .lexicon import NUCLEUS_TAGS, TAG_TO_INDEX
 
 FEATURE_SLOTS = (
     "syl_pitch_mean", "syl_pitch_max", "syl_voiced_dur_s",
@@ -65,19 +67,6 @@ FEATURE_SLOTS = (
 N_FEATURES = len(FEATURE_SLOTS)  # 12
 MAX_SYLLABLES = 17
 IGNORE_LABEL = -1
-
-
-@dataclass
-class WordRecord:
-    """One word instance of a feature table, its n syllables in position
-    order: their features as one (n, 12) float64 matrix, their nucleus
-    tags, and their stresses (plain ints 0/1/2, None where unknown)."""
-
-    utterance_id: str
-    word: str
-    features: np.ndarray
-    nucleus_tags: list[str]
-    stresses: list[int | None]
 
 
 @dataclass
@@ -98,6 +87,15 @@ class Instances:
     types: np.ndarray         # (n_syllables,) int64
     labels: np.ndarray        # (n_syllables,) int64, IGNORE_LABEL where unknown
 
+    @classmethod
+    def from_counts(cls, utterance_ids: list[str], words: list[str], counts,
+                    features: np.ndarray, types: np.ndarray,
+                    labels: np.ndarray) -> "Instances":
+        """The table whose word i has counts[i] syllables."""
+        offsets = np.zeros(len(words) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(utterance_ids, words, offsets, features, types, labels)
+
     def __len__(self) -> int:
         return len(self.words)
 
@@ -113,6 +111,22 @@ class Instances:
         return Instances([self.utterance_ids[i] for i in picked],
                          [self.words[i] for i in picked], offsets,
                          self.features[rows], self.types[rows], self.labels[rows])
+
+
+_NO_WORDS = Instances([], [], np.zeros(1, dtype=np.int64), np.zeros((0, N_FEATURES)),
+                      np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def instances_from_table(tables: Sequence[Instances]) -> Instances:
+    """The tables laid end to end as one table, their words in order."""
+    tables = list(tables) or [_NO_WORDS]
+    return Instances.from_counts(
+        [uid for t in tables for uid in t.utterance_ids],
+        [word for t in tables for word in t.words],
+        np.concatenate([np.diff(t.offsets) for t in tables]),
+        np.concatenate([t.features for t in tables]),
+        np.concatenate([t.types for t in tables]),
+        np.concatenate([t.labels for t in tables]))
 
 
 def _extent(track: Track) -> tuple[float, float] | None:
@@ -212,22 +226,29 @@ def normalize_sentence(raw: np.ndarray) -> np.ndarray:
 
 # --- feature table io -------------------------------------------------------
 
-def write_feature_table(records: Sequence[WordRecord], path: str) -> None:
+def write_feature_table(table: Instances, path: str) -> None:
     """Write the bytes json.dumps(doc, sort_keys=True) and a newline would
-    write for each record's document. The fixed schema is laid out here
+    write for each word's document, its nucleus tags NUCLEUS_TAGS[type]
+    and an IGNORE_LABEL stress null. The fixed schema is laid out here
     instead: features as the repr of a float, text as JSON's ASCII string.
     Features must be finite, as read_feature_table requires."""
+    tag_json = [encode_basestring_ascii(tag) for tag in NUCLEUS_TAGS]
+    tags = [tag_json[t] for t in table.types.tolist()]
+    stresses = ["null" if s == IGNORE_LABEL else str(s)
+                for s in table.labels.tolist()]
+    offsets = table.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
+        for uid, word, start, stop in zip(table.utterance_ids, table.words,
+                                          offsets, offsets[1:]):
             sylls = ", ".join(
                 f'{{"features": [{", ".join(map(float.__repr__, row))}], '
-                f'"nucleus": {encode_basestring_ascii(tag)}, "position": {i}, '
-                f'"stress": {"null" if stress is None else stress}}}'
+                f'"nucleus": {tag}, "position": {i}, "stress": {stress}}}'
                 for i, (row, tag, stress) in enumerate(zip(
-                    rec.features.tolist(), rec.nucleus_tags, rec.stresses)))
+                    table.features[start:stop].tolist(), tags[start:stop],
+                    stresses[start:stop])))
             fh.write(f'{{"syllables": [{sylls}], '
-                     f'"utterance_id": {encode_basestring_ascii(rec.utterance_id)}, '
-                     f'"word": {encode_basestring_ascii(rec.word)}}}\n')
+                     f'"utterance_id": {encode_basestring_ascii(uid)}, '
+                     f'"word": {encode_basestring_ascii(word)}}}\n')
 
 
 def _wrong_type(key: str) -> FormatError:
@@ -327,27 +348,21 @@ def _convert(path: str, rows: list, counts: list[int],
     return block
 
 
-class _Chunk(NamedTuple):
-    """Up to _CHUNK_WORDS consecutive words of a table: per word its
-    utterance id, text, syllable count and line number; per syllable its
-    feature row, type index and label."""
-
-    utterance_ids: list[str]
-    words: list[str]
-    counts: list[int]
-    linenos: list[int]
-    features: np.ndarray
-    types: list[int]
-    labels: list[int]
-
-
-def _chunks(path: str, lines: Iterable[bytes]) -> Iterator[_Chunk]:
-    """The one parse loop over a feature table's lines. Blank lines are
-    skipped; a malformed line or an invalid word is a FormatError at
-    path:line, the first such line in file order deciding: a chunk's
-    features are converted and checked when it is full, and before a
-    later line's fault is raised."""
+def _chunks(path: str, lines: Iterable[bytes]) -> Iterator[tuple[Instances, list]]:
+    """The one parse loop over a feature table's lines: up to _CHUNK_WORDS
+    consecutive words at a time, as a table and each word's line number.
+    Blank lines are skipped; a malformed line or an invalid word is a
+    FormatError at path:line, the first such line in file order deciding:
+    a chunk's features are converted and checked when it is full, and
+    before a later line's fault is raised."""
     ids, words, counts, linenos, rows, types, labels = ([] for _ in range(7))
+
+    def chunk() -> tuple[Instances, list]:
+        features = _convert(path, rows, counts, linenos)
+        return Instances.from_counts(ids, words, counts, features,
+                                     np.array(types, dtype=np.int64),
+                                     np.array(labels, dtype=np.int64)), linenos
+
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -364,37 +379,23 @@ def _chunks(path: str, lines: Iterable[bytes]) -> Iterator[_Chunk]:
         types += word_types
         labels += word_labels
         if len(words) == _CHUNK_WORDS:
-            yield _Chunk(ids, words, counts, linenos,
-                         _convert(path, rows, counts, linenos), types, labels)
+            yield chunk()
             ids, words, counts, linenos, rows, types, labels = ([] for _ in range(7))
     if words:
-        yield _Chunk(ids, words, counts, linenos,
-                     _convert(path, rows, counts, linenos), types, labels)
+        yield chunk()
 
 
 def read_feature_table(path: str) -> Instances:
     """A feature table's words as one flat Instances table, in input order;
     a malformed line or an invalid word is a FormatError at path:line."""
     with open(path, "rb") as fh:
-        chunks = list(_chunks(path, fh))
-
-    def joined(name: str) -> list:  # the chunks' lists, end to end
-        return list(chain.from_iterable(getattr(c, name) for c in chunks))
-
-    counts = joined("counts")
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return Instances(
-        joined("utterance_ids"), joined("words"), offsets,
-        np.concatenate([c.features for c in chunks]) if chunks
-        else np.zeros((0, N_FEATURES)),
-        np.array(joined("types"), dtype=np.int64),
-        np.array(joined("labels"), dtype=np.int64))
+        return instances_from_table([table for table, _ in _chunks(path, fh)])
 
 
 class TableLine(NamedTuple):
     """Where a feature-table word's line lies in the table's bytes, and its
-    utterance id (so corpus.split can split lines as it splits records)."""
+    utterance id (so corpus.split can split lines by utterance, as
+    train_utterances splits a table's words)."""
 
     utterance_id: str
     start: int
@@ -419,8 +420,8 @@ def read_table_lines(path: str) -> tuple[bytes, list[TableLine]]:
             yield line
 
     return data, [TableLine(utterance_id, *spans[lineno - 1])
-                  for chunk in _chunks(path, lines())
-                  for utterance_id, lineno in zip(chunk.utterance_ids, chunk.linenos)]
+                  for table, linenos in _chunks(path, lines())
+                  for utterance_id, lineno in zip(table.utterance_ids, linenos)]
 
 
 def write_table_lines(data: bytes, lines: Sequence[TableLine], path: str) -> None:

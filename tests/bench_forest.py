@@ -18,7 +18,8 @@ import pytest
 
 from stressnet import baselines
 from stressnet.baselines import train_forest
-from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
+from conftest import split_table
+from stressnet.corpus import GenConfig, synth_corpus
 from test_baselines import TREE_ARRAYS, oracle_grow_tree
 
 SEED = 1
@@ -26,9 +27,8 @@ SEED = 1
 
 @pytest.fixture(scope="module")
 def training_set(lexicon):
-    _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
-    train_all, _ = split(recs, 0.7, seed=SEED)
-    instances = instances_from_table(train_all)
+    _, table = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
+    instances, _ = split_table(table, 0.7, seed=SEED)
     return instances.features, instances.labels
 
 

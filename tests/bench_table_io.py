@@ -14,33 +14,33 @@ reads the records, splits them and writes each part with
 write_feature_table, as split once did; the new path copies the valid
 lines it parsed. predict's writer is timed on the test part (about 820
 words) with seeded probabilities; its oracle is json.dumps per word.
-instances_from_table, and make_batch with the class-weight table, are
-timed on the training part against the per-word path in conftest.py,
-which builds each word's arrays and concatenates them per consumer.
+make_batch with the class-weight table is timed on the training part
+against the per-word path in conftest.py, which builds each word's
+arrays and concatenates them.
 
 The file name does not match test_*.py, so the test suite does not collect
 it. A read is timed as read_feature_table alone, which returns the flat
 table every command that reads one takes; the oracle reads a syllable at a
-time and stacks each word's arrays. The
-oracle writer is json.dumps per record. The oracle generator makes one
-scalar draw per noisy slot and normalizes a syllable at a time. The
-oracle extractor finds each span's frames with a mask over all frame
-times. Both sides of each pair must give the same bytes.
+time and stacks each word's arrays. A write is timed as write_feature_table
+of the flat table; the oracle writer is json.dumps per word. The oracle
+generator makes one scalar draw per noisy slot and normalizes a syllable
+at a time. The oracle extractor finds each span's frames with a mask over
+all frame times. Both sides of each pair must give the same bytes.
 """
 
 import numpy as np
 import pytest
 
-from conftest import oracle_instances, oracle_make_batch
+from conftest import (
+    oracle_instances,
+    oracle_make_batch,
+    pack_records,
+    split_table,
+    table_records,
+)
 from stressnet.baselines import train_ordinal
 from stressnet.cli import _write_predictions
-from stressnet.corpus import (
-    GenConfig,
-    compute_class_weights,
-    instances_from_table,
-    split,
-    synth_corpus,
-)
+from stressnet.corpus import GenConfig, compute_class_weights, split, synth_corpus
 from stressnet.dsp import IntensityTrack, PitchTrack
 from stressnet.features import (
     extract_features,
@@ -65,12 +65,12 @@ SEED = 1
 
 @pytest.fixture(scope="module")
 def tables(lexicon, tmp_path_factory):
-    """(records, path) of the synth table and of its two split parts."""
-    _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
-    train, test = split(recs, 0.7, seed=SEED)
+    """(table, path) of the synth table and of its two split parts."""
+    _, synth = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
+    train, test = split_table(synth, 0.7, seed=SEED)
     root = tmp_path_factory.mktemp("tables")
     out = {}
-    for name, part in (("synth", recs), ("train", train), ("test", test)):
+    for name, part in (("synth", synth), ("train", train), ("test", test)):
         path = str(root / f"{name}.jsonl")
         write_feature_table(part, path)
         out[name] = (part, path)
@@ -83,9 +83,9 @@ def oracle_read(path):
                 if line.strip()]
 
 
-def oracle_write(records, path):
+def oracle_write(table, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
+        for rec in table_records(table):
             fh.write(oracle_line(rec))
 
 
@@ -109,7 +109,6 @@ WRITERS = {"oracle": oracle_write, "new": write_feature_table}
 FITS = {"oracle": oracle_train_ordinal, "new": train_ordinal}
 GENERATORS = {"oracle": oracle_synth_corpus, "new": synth_corpus}
 EXTRACTORS = {"oracle": oracle_extract_features, "new": extract_features}
-PACKERS = {"oracle": oracle_instances, "new": instances_from_table}
 BATCHERS = {"oracle": oracle_make_batch, "new": make_batch}
 IMPLS = ["oracle", "new"]
 BATCH_ARRAYS = ("features", "types", "mask", "labels", "weights")
@@ -139,30 +138,15 @@ def test_read(benchmark, tables, table, impl):
 
 
 @pytest.mark.parametrize("impl", IMPLS)
-def test_instances(benchmark, tables, impl):
-    records, _ = tables["train"]
-    benchmark.group = f"instances_from_table, {len(records)} words"
-    got = benchmark.pedantic(PACKERS[impl], (records,), rounds=30)
-    want = instances_from_table(records)
-    if impl == "oracle":
-        assert len(got) == len(want)
-        got = packed(got)
-    else:
-        got = (got.features, got.types, got.labels)
-    for a, b in zip(got, (want.features, want.types, want.labels)):
-        assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("impl", IMPLS)
 def test_make_batch(benchmark, tables, impl):
-    records, _ = tables["train"]
-    instances = instances_from_table(records)
-    words = {"oracle": oracle_instances(records), "new": instances}[impl]
+    instances, _ = tables["train"]
+    records = oracle_instances(table_records(instances))
+    words = {"oracle": records, "new": instances}[impl]
     config = ModelConfig(**PRESETS["attn-medium"])
     table = compute_class_weights(instances)
     benchmark.group = f"make_batch with class weights, {len(records)} words"
     got = benchmark.pedantic(BATCHERS[impl], (words, config, table), rounds=30)
-    want = oracle_make_batch(oracle_instances(records), config, table)
+    want = oracle_make_batch(records, config, table)
     for name in BATCH_ARRAYS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -170,11 +154,11 @@ def test_make_batch(benchmark, tables, impl):
 @pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("table", ["synth", "train"])
 def test_write(benchmark, tables, tmp_path, table, impl):
-    records, _ = tables[table]
+    instances, _ = tables[table]
     path, oracle_path = str(tmp_path / "got.jsonl"), str(tmp_path / "want.jsonl")
     benchmark.group = f"write_feature_table, {table} table"
-    benchmark.pedantic(WRITERS[impl], (records, path), rounds=5)
-    oracle_write(records, oracle_path)
+    benchmark.pedantic(WRITERS[impl], (instances, path), rounds=5)
+    oracle_write(instances, oracle_path)
     with open(path, "rb") as got, open(oracle_path, "rb") as want:
         assert got.read() == want.read()
 
@@ -194,9 +178,9 @@ def test_split(benchmark, tables, tmp_path, impl):
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_predict_write(benchmark, tables, tmp_path, impl):
-    records, _ = tables["test"]
-    words = oracle_instances(records)
-    instances = {"oracle": words, "new": instances_from_table(records)}[impl]
+    table, _ = tables["test"]
+    words = oracle_instances(table_records(table))
+    instances = {"oracle": words, "new": table}[impl]
     n = sum(len(w.labels) for w in words)
     probs = np.random.default_rng(SEED).dirichlet(np.ones(3), n)
     got, want = str(tmp_path / "got.jsonl"), str(tmp_path / "want.jsonl")
@@ -223,9 +207,12 @@ def test_train_ordinal(benchmark, tables, k, impl):
 def test_synth_corpus(benchmark, lexicon, impl):
     gen = GenConfig(noise=0.75)
     benchmark.group = "synth_corpus, 250 utterances, noise 0.75"
-    got = benchmark.pedantic(GENERATORS[impl], (lexicon, 250, gen),
-                             {"seed": SEED}, rounds=5)
-    assert_same_corpus(got, oracle_synth_corpus(lexicon, 250, gen, seed=SEED))
+    alignments, table = benchmark.pedantic(GENERATORS[impl], (lexicon, 250, gen),
+                                           {"seed": SEED}, rounds=5)
+    if impl == "oracle":  # its records, as the table they pack into
+        table = pack_records(table)
+    assert_same_corpus((alignments, table),
+                       oracle_synth_corpus(lexicon, 250, gen, seed=SEED))
 
 
 def synthetic_utterances(n_utterances=40, n_syllables=16, hop=0.01):

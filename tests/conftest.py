@@ -5,8 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from stressnet import bundled_dictionary_path
-from stressnet.corpus import IGNORE_LABEL
-from stressnet.features import WordRecord
+from stressnet.corpus import IGNORE_LABEL, train_utterances
+from stressnet.features import N_FEATURES, Instances
 from stressnet.lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, TAG_TO_INDEX, load_dictionary
 from stressnet.model import Batch
 
@@ -34,6 +34,36 @@ def random_instance_batch(rng, n, k, min_valid=2, max_positions=17):
 
 # --- the per-word path that corpus.Instances replaced -------------------------
 
+class Record(NamedTuple):
+    """One word as the per-word records that the program once wrote and
+    packed: its n syllables in position order, their features as one
+    (n, 12) float64 matrix, their nucleus tags, and their stresses (plain
+    ints 0/1/2, None where unknown)."""
+
+    utterance_id: str
+    word: str
+    features: np.ndarray
+    nucleus_tags: list[str]
+    stresses: list
+
+
+def pack_records(records) -> Instances:
+    """Pack valid records, ones built by this program, into one table:
+    each record's feature rows, its tags as type indices and its stresses
+    as labels, the table read_feature_table reads from their written
+    lines."""
+    offsets = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum([len(r.stresses) for r in records], out=offsets[1:])
+    features = (np.concatenate([r.features for r in records]) if records
+                else np.zeros((0, N_FEATURES)))
+    return Instances(
+        [r.utterance_id for r in records], [r.word for r in records], offsets,
+        features,
+        np.array([TAG_TO_INDEX[tag] for r in records for tag in r.nucleus_tags],
+                 dtype=np.int64),
+        np.array([IGNORE_LABEL if s is None else s
+                  for r in records for s in r.stresses], dtype=np.int64))
+
 class OracleWord(NamedTuple):
     """One word as arrays over its n syllables, in position order."""
 
@@ -54,16 +84,33 @@ def oracle_instances(records):
 
 
 def table_records(instances):
-    """The words of a read table as the records write_feature_table takes:
-    tags from type indices, None stresses from IGNORE_LABEL."""
+    """The words of a table as records: tags from type indices, None
+    stresses from IGNORE_LABEL."""
     offsets = instances.offsets.tolist()
-    return [WordRecord(
+    return [Record(
         uid, word, instances.features[start:stop],
         [NUCLEUS_TAGS[t] for t in instances.types[start:stop].tolist()],
         [None if s == IGNORE_LABEL else s
          for s in instances.labels[start:stop].tolist()])
         for uid, word, start, stop in zip(instances.utterance_ids, instances.words,
                                           offsets, offsets[1:])]
+
+
+def split_table(table, train_fraction, seed):
+    """The train_utterances split of a table's words: (train, test)."""
+    in_train = train_utterances(table.utterance_ids, train_fraction, seed)
+    return table[in_train], table[~in_train]
+
+
+def assert_same_array(got, want, name):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_table(got, want):
+    assert (got.utterance_ids, got.words) == (want.utterance_ids, want.words)
+    for name in ("offsets", "features", "types", "labels"):
+        assert_same_array(getattr(got, name), getattr(want, name), name)
 
 
 def oracle_flatten(words, k):

@@ -9,22 +9,23 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_instance_batch
+from conftest import (
+    Record,
+    pack_records,
+    random_instance_batch,
+    split_table,
+    table_records,
+)
 from stressnet.cli import run_subcommand
 from stressnet.corpus import (
     GenConfig,
     compute_class_weights,
-    instances_from_table,
-    split,
     synth_corpus,
     weights_from_proportions,
 )
 from stressnet.dsp import compute_intensity, estimate_pitch
 from stressnet.evaluation import evaluate, pca_type_embeddings
-from stressnet.features import (
-    WordRecord,
-    normalize_sentence,
-)
+from stressnet.features import normalize_sentence
 from stressnet.lexicon import (
     NUCLEUS_TAGS,
     PAD_TYPE_INDEX,
@@ -146,7 +147,7 @@ def test_criterion_3_weight_oracle(lexicon):
         counts = rng.integers(1, 40, 3)
         tag = NUCLEUS_TAGS[int(rng.integers(16))]
         labels = np.repeat([0, 1, 2], counts)[:17].tolist()
-        instances = instances_from_table([WordRecord(
+        instances = pack_records([Record(
             "u", "w", np.zeros((len(labels), 12)), [tag] * len(labels), labels)])
         table = compute_class_weights(instances)
         realized = np.bincount(labels, minlength=3)
@@ -160,8 +161,8 @@ def test_criterion_3_weight_oracle(lexicon):
     uniform = weights_from_proportions(np.full(3, 1.0 / 3.0))
     uniform_ok = np.allclose(uniform, 1.0, atol=1e-12)
 
-    _, recs = synth_corpus(lexicon, 40, GenConfig(noise=0.5), seed=12)
-    table = compute_class_weights(instances_from_table(recs))
+    _, instances = synth_corpus(lexicon, 40, GenConfig(noise=0.5), seed=12)
+    table = compute_class_weights(instances)
     max_ok = bool(np.allclose(table.max(axis=1), 1.0, atol=0.0))
 
     ok = formula_ok and count_ok and uniform_ok and max_ok
@@ -171,9 +172,9 @@ def test_criterion_3_weight_oracle(lexicon):
 
 
 def test_criterion_4_normalization(lexicon):
-    _, recs = synth_corpus(lexicon, 50, GenConfig(noise=0.8), seed=13)
+    _, table = synth_corpus(lexicon, 50, GenConfig(noise=0.8), seed=13)
     by_utt = {}
-    for rec in recs:
+    for rec in table_records(table):
         by_utt.setdefault(rec.utterance_id, []).extend(rec.features)
     worst_mean = max(
         float(np.abs(np.stack(feats).mean(axis=0)).max())
@@ -255,10 +256,10 @@ def test_criterion_6_dsp_accuracy():
 
 def test_criterion_7_separable_oracle_learning(lexicon):
     t0 = time.monotonic()
-    _, recs = synth_corpus(lexicon, 320, GenConfig(noise=0.0), seed=11)
-    n_separable = len(instances_from_table(recs))
+    _, table = synth_corpus(lexicon, 320, GenConfig(noise=0.0), seed=11)
+    n_separable = len(table)
     assert n_separable >= 2000
-    train_all, test_set = map(instances_from_table, split(recs, 0.7, seed=3))
+    train_all, test_set = split_table(table, 0.7, seed=3)
     n_val = max(1, len(train_all) // 10)
     train_set, val_set = train_all[n_val:], train_all[:n_val]
     cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
@@ -271,10 +272,10 @@ def test_criterion_7_separable_oracle_learning(lexicon):
 
     # context-dependent variant: the label is the syllable's duration rank
     # within its word, invisible to any single-syllable classifier
-    _, recs = synth_corpus(
+    _, table = synth_corpus(
         lexicon, 250, GenConfig(noise=0.0, labeling="relative_duration"),
         seed=21)
-    train_all, test_set = map(instances_from_table, split(recs, 0.7, seed=21))
+    train_all, test_set = split_table(table, 0.7, seed=21)
     n_val = max(1, len(train_all) // 10)
     train_set, val_set = train_all[n_val:], train_all[:n_val]
     params, table, _ = train(
@@ -299,9 +300,8 @@ def test_criterion_7_separable_oracle_learning(lexicon):
 def test_criterion_8_moderate_noise_ordering(lexicon):
     results = []
     for seed in (1, 2, 3):
-        _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
-        train_all, test_set = map(instances_from_table,
-                                  split(recs, 0.7, seed=seed))
+        _, table = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
+        train_all, test_set = split_table(table, 0.7, seed=seed)
         n_val = max(1, len(train_all) // 10)
         train_set, val_set = train_all[n_val:], train_all[:n_val]
         cfg = ModelConfig(**PRESETS["attn-medium"], dropout=0.0)
@@ -324,8 +324,7 @@ def test_criterion_8_moderate_noise_ordering(lexicon):
 
 def test_criterion_9_evaluation_self_consistency(lexicon):
     rng = np.random.default_rng(30)
-    _, recs = synth_corpus(lexicon, 25, GenConfig(noise=1.0), seed=16)
-    instances = instances_from_table(recs)
+    _, instances = synth_corpus(lexicon, 25, GenConfig(noise=1.0), seed=16)
     preds = np.concatenate([rng.integers(0, 3, n)
                             for n in np.diff(instances.offsets)])
     report_plain = evaluate(preds, instances)

@@ -14,7 +14,8 @@ from stressnet.baselines import (
     train_forest,
     train_ordinal,
 )
-from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
+from conftest import split_table
+from stressnet.corpus import GenConfig, synth_corpus
 from stressnet.errors import DegenerateData, NumericalInstability, ShapeError
 from stressnet.lexicon import StressLevel
 
@@ -28,15 +29,14 @@ def ordinal_1d_data(rng, n=600):
     return X, y
 
 
-def syllable_rows(records, k):
-    """The records' syllables as (n, k) features and (n,) labels."""
-    instances = instances_from_table(records)
+def syllable_rows(instances, k):
+    """The table's syllables as (n, k) features and (n,) labels."""
     return instances.features[:, :k], instances.labels
 
 
 def corpus_syllables(lexicon, noise=0.0, n_utts=60, seed=2, k=12):
-    _, recs = synth_corpus(lexicon, n_utts, GenConfig(noise=noise), seed=seed)
-    return syllable_rows(recs, k)
+    _, table = synth_corpus(lexicon, n_utts, GenConfig(noise=noise), seed=seed)
+    return syllable_rows(table, k)
 
 
 class TestOrdinal:
@@ -444,8 +444,8 @@ def oracle_train_ordinal(X, labels, lam=1e-4, seed=0, n_iter=500, lr=0.5):
 def criterion_8_training_set(lexicon, k, seed=1):
     """Criterion 8's training syllables: 250 utterances at noise 0.75,
     70% of them by utterance."""
-    _, recs = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
-    train_all, _ = split(recs, 0.7, seed=seed)
+    _, table = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
+    train_all, _ = split_table(table, 0.7, seed=seed)
     return syllable_rows(train_all, k)
 
 

@@ -20,16 +20,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stressnet
-from conftest import float_values, json_values, oracle_instances, table_records
+from conftest import (
+    Record,
+    float_values,
+    json_values,
+    oracle_instances,
+    pack_records,
+    table_records,
+)
 from stressnet import bundled_dictionary_path
 from stressnet.cli import _write_predictions, run_subcommand
 from stressnet import checkpoint, corpus
-from stressnet.corpus import GenConfig, instances_from_table, load_alignment
+from stressnet.corpus import GenConfig, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
 from stressnet.features import (
     FEATURE_SLOTS,
     MAX_SYLLABLES,
-    WordRecord,
     extract_features,
     normalize_sentence,
     read_feature_table,
@@ -64,6 +70,13 @@ class TestErrorsAndExitCodes:
                    "synth", "--n", "1", "--out", str(tmp_path / "o"))
         assert code == 3
         assert "absent.json" in capsys.readouterr().err
+
+    def test_config_file_is_a_directory(self, tmp_path, capsys):
+        code = run("--config", str(tmp_path), "synth", "--n", "1",
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"config error: config file not found: {tmp_path}\n"
 
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1618,7 +1631,7 @@ def edge_tables(draw):
     for u in range(draw(st.integers(0, 3), label="utterances")):
         for w in range(draw(st.integers(0, 4), label="words")):
             n = draw(st.integers(1, MAX_SYLLABLES), label="syllables")
-            records.append(WordRecord(
+            records.append(Record(
                 f"u{u}", f"w{w}", rng.normal(size=(n, 12)),
                 draw(st.lists(st.sampled_from(NUCLEUS_TAGS), min_size=n, max_size=n)),
                 draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))))
@@ -1630,8 +1643,8 @@ EDGE_RUNS = {"rf": ["--n-trees", "1", "--feature-mode", "syllable_numerical"],
              "or": ["--feature-mode", "syllable_nucleus_numerical"],
              "attn-medium": ["--epochs", "1"]}
 ONE_UTTERANCE = [
-    WordRecord("u0", "w0", np.zeros((2, 12)), ["iy", "ah"], [1, 0]),
-    WordRecord("u0", "w1", np.ones((3, 12)), ["ah", "iy", "er"], [0, 1, 2])]
+    Record("u0", "w0", np.zeros((2, 12)), ["iy", "ah"], [1, 0]),
+    Record("u0", "w1", np.ones((3, 12)), ["ah", "iy", "er"], [0, 1, 2])]
 
 
 def run_quietly(*argv) -> tuple[int, str]:
@@ -1655,7 +1668,7 @@ class TestEdgeTables:
     def test_train_eval_predict(self, records, model):
         with tempfile.TemporaryDirectory() as tmp:
             table, ckpt = os.path.join(tmp, "t.jsonl"), os.path.join(tmp, "m.ckpt")
-            write_feature_table(records, table)
+            write_feature_table(pack_records(records), table)
             code, err = run_quietly("train", "--model", model, *EDGE_RUNS[model],
                                     "--train", table, "--out", ckpt)
             assert code in (0, 3, 4) and "Traceback" not in err, err
@@ -1999,15 +2012,17 @@ TABLE_COMMANDS = {
     "split": ["split", "--features"],
     "train-rf": ["train", "--model", "rf", *EDGE_RUNS["rf"], "--train"],
     "train-or": ["train", "--model", "or", *EDGE_RUNS["or"], "--train"],
+    "train-attn": ["train", "--model", "attn-medium", *EDGE_RUNS["attn-medium"],
+                   "--train"],
     "eval": ["eval", "--data"],
     "predict": ["predict", "--input"],
 }
 
 
 class TestTableFuzz:
-    """split, train (rf, or), eval and predict of a feature table one
-    mutation away from a valid one work, or exit 3 or 4, with no traceback
-    and no warning; what an exit-0 run writes reads back."""
+    """split, train (rf, or, attn-medium), eval and predict of a feature
+    table one mutation away from a valid one work, or exit 3 or 4, with no
+    traceback and no warning; what an exit-0 run writes reads back."""
 
     # a feature of 1e308 overflowed the ordinal model's x @ beta with a
     # warning, and eval exited 0
@@ -2015,6 +2030,12 @@ class TestTableFuzz:
     # and in train_ordinal, with warnings too, though the fit came out finite
     @example(mutation=("feature", 0, 0, -1.7976931348623157e308),
              command="train-or", kind="or")
+    # an encoder trained on features near the float range, or subnormal
+    @example(mutation=("feature", 0, 3, 1e308), command="train-attn", kind="or")
+    @example(mutation=("feature", 1, 0, -1e308), command="train-attn", kind="or")
+    @example(mutation=("feature", 2, 7, 1e154), command="train-attn", kind="or")
+    @example(mutation=("feature", 3, 5, 1e300), command="train-attn", kind="or")
+    @example(mutation=("feature", 0, 11, 1e-310), command="train-attn", kind="or")
     @given(mutation=TABLE_MUTATIONS, command=st.sampled_from(sorted(TABLE_COMMANDS)),
            kind=st.sampled_from(["or", "rf", "attn-medium"]))
     @settings(max_examples=60, deadline=None)
@@ -2065,14 +2086,103 @@ class TestTableFuzz:
         for i, j in itertools.permutations(range(12), 2):
             features = np.zeros((1, 12))
             features[0, [i, j]] = 1e308 * np.sign(beta[i]), -1e308 * np.sign(beta[j])
-            records.append(WordRecord("u", f"w{i}-{j}", features, ["ah"], [0]))
-        write_feature_table(records, table)
+            records.append(Record("u", f"w{i}-{j}", features, ["ah"], [0]))
+        write_feature_table(pack_records(records), table)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, err = run_quietly(command, "--model", ckpt, flag, table,
                                     "--out", str(tmp_path / "out"))
         assert code == 4 and "NumericalInstability" in err, err
         assert not caught, [str(w.message) for w in caught]
+
+
+# per case, a command with one wrong path: a directory {d} where a file
+# is meant, a regular file {f} where a directory is meant (itself or as
+# the parent of an output), or a missing input {m}. The other paths work:
+# {r} is the tiny corpus, {a} the pool fixture's alignments (with WAVs),
+# {ck} an attention checkpoint and {o} a fresh output path.
+PATH_CASES = {
+    "config-dir": ["--config", "{d}", "lexicon", "lookup", "overcome"],
+    "config-missing": ["--config", "{m}", "lexicon", "lookup", "overcome"],
+    "lexicon-dict-dir": ["lexicon", "lookup", "overcome", "--dict", "{d}"],
+    "lexicon-dict-missing": ["lexicon", "lookup", "overcome", "--dict", "{m}"],
+    "synth-dict-dir": ["synth", "--n", "2", "--dict", "{d}", "--out", "{o}"],
+    "synth-dict-missing": ["synth", "--n", "2", "--dict", "{m}", "--out", "{o}"],
+    "synth-out-file": ["synth", "--n", "2", "--out", "{f}"],
+    "synth-out-under-file": ["synth", "--n", "2", "--out", "{f}/c"],
+    "label-dict-dir": ["label", "--alignments", "{r}/corpus/alignments",
+                       "--dict", "{d}", "--out", "{o}"],
+    "label-alignments-missing": ["label", "--alignments", "{m}", "--out", "{o}"],
+    "label-out-file": ["label", "--alignments", "{r}/corpus/alignments",
+                       "--out", "{f}"],
+    "label-out-under-file": ["label", "--alignments", "{r}/corpus/alignments",
+                             "--out", "{f}/l"],
+    "featurize-dict-dir": ["featurize", "--alignments", "{a}", "--dict", "{d}",
+                           "--out", "{o}"],
+    "featurize-alignments-missing": ["featurize", "--alignments", "{m}",
+                                     "--out", "{o}"],
+    "featurize-audio-dir-file": ["featurize", "--alignments", "{a}",
+                                 "--audio-dir", "{f}", "--out", "{o}"],
+    "featurize-audio-dir-missing": ["featurize", "--alignments", "{a}",
+                                    "--audio-dir", "{m}", "--out", "{o}"],
+    "featurize-out-dir": ["featurize", "--alignments", "{a}", "--out", "{d}"],
+    "featurize-out-under-file": ["featurize", "--alignments", "{a}",
+                                 "--out", "{f}/t.jsonl"],
+    "split-features-dir": ["split", "--features", "{d}", "--out", "{o}"],
+    "split-features-missing": ["split", "--features", "{m}", "--out", "{o}"],
+    "split-out-file": ["split", "--features", "{r}/corpus/features.jsonl",
+                       "--out", "{f}"],
+    "split-out-under-file": ["split", "--features", "{r}/corpus/features.jsonl",
+                             "--out", "{f}/s"],
+    **{f"train-{model}-{case}": ["train", "--model", model, *EDGE_RUNS[model],
+                                 "--train", train, "--out", out]
+       for model in ("or", "attn-medium")
+       for case, train, out in (
+           ("train-dir", "{d}", "{o}"), ("train-missing", "{m}", "{o}"),
+           ("out-dir", "{r}/corpus/features.jsonl", "{d}"),
+           ("out-under-file", "{r}/corpus/features.jsonl", "{f}/m.ckpt"))},
+    **{f"train-history-{case}": [
+        "train", "--model", "attn-medium", "--epochs", "1", "--train",
+        "{r}/corpus/features.jsonl", "--out", "{o}", "--history", history]
+       for case, history in (("dir", "{d}"), ("under-file", "{f}/h.json"))},
+    **{f"{command}-{case}": [command, "--model", model, flag, data, "--out", out]
+       for command, flag in (("predict", "--input"), ("eval", "--data"))
+       for case, model, data, out in (
+           ("model-dir", "{d}", "{r}/corpus/features.jsonl", "{o}"),
+           ("model-missing", "{m}", "{r}/corpus/features.jsonl", "{o}"),
+           ("data-dir", "{ck}", "{d}", "{o}"),
+           ("data-missing", "{ck}", "{m}", "{o}"),
+           ("out-under-file", "{ck}", "{r}/corpus/features.jsonl", "{f}/p"))},
+    "predict-out-dir": ["predict", "--model", "{ck}", "--input",
+                        "{r}/corpus/features.jsonl", "--out", "{d}"],
+    "pca-model-dir": ["pca", "--model", "{d}", "--out", "{o}"],
+    "pca-model-missing": ["pca", "--model", "{m}", "--out", "{o}"],
+    "pca-out-dir": ["pca", "--model", "{ck}", "--out", "{d}"],
+    "pca-out-under-file": ["pca", "--model", "{ck}", "--out", "{f}/p.json"],
+}
+
+
+class TestPathFuzz:
+    """Every subcommand given a directory for a file, a file for a
+    directory or a missing input exits 3 or 4 with a message naming the
+    path, and no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(PATH_CASES))
+    def test_wrong_path(self, tiny_corpus, fuzz_ckpts, pool_runs, tmp_path,
+                        case):
+        places = {"d": tmp_path / "a_dir", "f": tmp_path / "a_file",
+                  "m": tmp_path / "missing"}
+        places["d"].mkdir()
+        places["f"].write_text("x")
+        argv = [arg.format(d=places["d"], f=places["f"], m=places["m"],
+                           r=tiny_corpus, a=pool_runs[0], o=tmp_path / "out",
+                           ck=fuzz_ckpts["attn-medium"])
+                for arg in PATH_CASES[case]]
+        bad = next(str(places[key]) for key in "dfm"
+                   if any(f"{{{key}}}" in arg for arg in PATH_CASES[case]))
+        code, err = run_quietly(*argv)
+        assert code in (3, 4) and "Traceback" not in err, err
+        assert bad in err, err
 
 
 class TestManifests:
@@ -2196,8 +2306,8 @@ def oracle_split(table: Path, out: Path, fraction: float, seed: int) -> None:
     train_set, test_set = corpus.split(table_records(read_feature_table(str(table))),
                                        fraction, seed)
     out.mkdir(parents=True, exist_ok=True)
-    write_feature_table(train_set, str(out / "train.jsonl"))
-    write_feature_table(test_set, str(out / "test.jsonl"))
+    write_feature_table(pack_records(train_set), str(out / "train.jsonl"))
+    write_feature_table(pack_records(test_set), str(out / "test.jsonl"))
 
 
 @st.composite
@@ -2209,7 +2319,7 @@ def canonical_tables(draw):
     records = []
     for utterance_id in draw(st.permutations(owners)):
         n = draw(st.integers(1, 4))
-        records.append(WordRecord(
+        records.append(Record(
             utterance_id, draw(st.text(max_size=6)),
             np.array(draw(st.lists(st.lists(float_values, min_size=12, max_size=12),
                                    min_size=n, max_size=n))),
@@ -2254,7 +2364,7 @@ class TestSplitCopiesLines:
     def test_canonical_tables_as_the_oracle(self, records, fraction, seed):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            write_feature_table(records, str(root / "table.jsonl"))
+            write_feature_table(pack_records(records), str(root / "table.jsonl"))
             oracle_split(root / "table.jsonl", root / "want", fraction, seed)
             assert run("split", "--features", str(root / "table.jsonl"),
                        "--train-fraction", str(fraction), "--seed", str(seed),
@@ -2349,18 +2459,18 @@ class TestPredictionWriter:
                                                      max_size=3),
                                             min_size=n, max_size=n)),
                          dtype=np.float64).reshape(n, 3)
-        records = [WordRecord(uid, word, np.zeros((size, 12)), ["ah"] * size,
-                              [0] * size) for uid, word, size in words]
+        records = [Record(uid, word, np.zeros((size, 12)), ["ah"] * size,
+                          [0] * size) for uid, word, size in words]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "preds.jsonl")
-            _write_predictions(path, instances_from_table(records), probs)
+            _write_predictions(path, pack_records(records), probs)
             with open(path, "rb") as fh:
                 assert fh.read() == oracle_predictions(
                     oracle_instances(records), probs).encode()
 
     def test_non_finite_probabilities(self, tmp_path):
-        inst = instances_from_table(
-            [WordRecord("u", "w", np.zeros((2, 12)), ["ah", "ah"], [0, 0])])
+        inst = pack_records(
+            [Record("u", "w", np.zeros((2, 12)), ["ah", "ah"], [0, 0])])
         path = tmp_path / "preds.jsonl"
         _write_predictions(str(path), inst, np.array([[np.nan, np.inf, -np.inf],
                                                       [1e-05, 5e-324, 1.0]]))

@@ -36,10 +36,21 @@ from stressnet.errors import (
     SplitTooSmall,
     StressnetError,
 )
-from stressnet.features import MAX_SYLLABLES, WordRecord
+from stressnet.features import MAX_SYLLABLES
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel, syllabify
 from stressnet.model import FEATURE_MODES, ModelConfig, make_batch
-from conftest import float_values, oracle_flatten, oracle_instances, oracle_make_batch
+from conftest import (
+    Record,
+    assert_same_array,
+    assert_same_table,
+    float_values,
+    oracle_flatten,
+    oracle_instances,
+    oracle_make_batch,
+    pack_records,
+    split_table,
+    table_records,
+)
 from test_features import oracle_normalize_sentence
 
 
@@ -317,7 +328,7 @@ class TestLabelUtterance:
         al = parse_alignment(make_alignment([("overcome", 3)]))
         records, exclusions = label_utterance(al, lexicon)
         assert not exclusions
-        (rec,) = records
+        (rec,) = table_records(records)
         assert rec.stresses == [2, 0, 1]
         assert rec.nucleus_tags == ["ow", "er", "ah"]
         assert rec.features.shape == (3, 12)
@@ -345,8 +356,8 @@ class TestLabelUtterance:
         # SEPARATE has a 3-syllable and a 2-syllable variant
         al3 = parse_alignment(make_alignment([("separate", 3)]))
         al2 = parse_alignment(make_alignment([("separate", 2)]))
-        (r3,), _ = label_utterance(al3, lexicon)
-        (r2,), _ = label_utterance(al2, lexicon)
+        (r3,) = table_records(label_utterance(al3, lexicon)[0])
+        (r2,) = table_records(label_utterance(al2, lexicon)[0])
         assert len(r3.stresses) == 3
         assert len(r2.stresses) == 2
 
@@ -363,7 +374,7 @@ class TestLabelUtterance:
         al = parse_alignment(make_alignment([("cat", 1), ("maybe", 2),
                                              ("overcome", 3)]))
         features = np.arange(6 * 12, dtype=np.float64).reshape(6, 12)
-        maybe, overcome = label_utterance(al, lexicon, features)[0]
+        maybe, overcome = table_records(label_utterance(al, lexicon, features)[0])
         assert maybe.features.tobytes() == features[1:3].tobytes()
         assert overcome.features.tobytes() == features[3:6].tobytes()
         with pytest.raises(ShapeError):
@@ -382,31 +393,20 @@ def packable_records(draw):
     stresses, and one drawn feature row rotated by position."""
     n = draw(st.integers(1, MAX_SYLLABLES), label="n")
     row = draw(st.lists(float_values, min_size=12, max_size=12), label="row")
-    return WordRecord(
+    return Record(
         draw(st.sampled_from(["u0", "u1", "u2"])), draw(st.text(max_size=3)),
         np.array([row[p % 12:] + row[:p % 12] for p in range(n)]),
         draw(st.lists(st.sampled_from(NUCLEUS_TAGS), min_size=n, max_size=n)),
         draw(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=n, max_size=n)))
 
 
-def assert_same_array(got, want, name):
-    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-    assert got.tobytes() == want.tobytes(), name
-
-
-def assert_same_table(got, want):
-    assert (got.utterance_ids, got.words) == (want.utterance_ids, want.words)
-    for name in ("offsets", "features", "types", "labels"):
-        assert_same_array(getattr(got, name), getattr(want, name), name)
-
-
 class TestInstancesFromTable:
     def test_padding_invariant(self):
         """A word owns its n syllables' rows in position order, no padding;
         a tag becomes its index and an unknown stress IGNORE_LABEL."""
-        rec = WordRecord("u", "w", np.repeat([[1.0], [2.0]], 12, axis=1),
-                         ["iy", "ax"], [int(StressLevel.PRIMARY), None])
-        inst = instances_from_table([rec])
+        rec = Record("u", "w", np.repeat([[1.0], [2.0]], 12, axis=1),
+                     ["iy", "ax"], [int(StressLevel.PRIMARY), None])
+        inst = pack_records([rec])
         assert len(inst) == 1
         assert inst.offsets.tolist() == [0, 2]
         assert inst.features.shape == (2, 12)
@@ -415,8 +415,8 @@ class TestInstancesFromTable:
         assert inst.labels.tolist() == [int(StressLevel.PRIMARY), IGNORE_LABEL]
 
     def test_one_row_per_syllable_in_word_order(self, lexicon):
-        _, recs = synth_corpus(lexicon, 3, GenConfig(noise=0.5), seed=4)
-        instances = instances_from_table(recs)
+        _, instances = synth_corpus(lexicon, 3, GenConfig(noise=0.5), seed=4)
+        recs = oracle_synth_corpus(lexicon, 3, GenConfig(noise=0.5), seed=4)[1]
         X, y = instances.features[:, :6], instances.labels
         assert X.shape == (sum(len(rec.stresses) for rec in recs), 6)
         row = 0
@@ -435,13 +435,12 @@ class TestInstancesFromTable:
         assert instances.types.shape == instances.labels.shape == (0,)
 
     def test_word_slices(self, lexicon):
-        _, recs = synth_corpus(lexicon, 2, GenConfig(noise=0.5), seed=6)
-        instances = instances_from_table(recs)
+        _, instances = synth_corpus(lexicon, 2, GenConfig(noise=0.5), seed=6)
+        recs = table_records(instances)
         for start, stop in ((0, 3), (2, 5), (4, 4), (3, 1), (5, 10 ** 6)):
-            assert_same_table(instances[start:stop],
-                              instances_from_table(recs[start:stop]))
-        assert_same_table(instances[0:4:2], instances_from_table(recs[0:4:2]))
-        assert_same_table(instances[[0, 1]], instances_from_table(recs[:2]))
+            assert_same_table(instances[start:stop], pack_records(recs[start:stop]))
+        assert_same_table(instances[0:4:2], pack_records(recs[0:4:2]))
+        assert_same_table(instances[[0, 1]], pack_records(recs[:2]))
         with pytest.raises(TypeError):
             instances[0]
 
@@ -450,8 +449,10 @@ class TestInstancesFromTable:
     def test_word_picks_match_the_picked_records(self, records, data):
         """A slice of any step, an index array (repeats and negative
         indices too) or a boolean mask picks the words it names, in its
-        order, packed as instances_from_table packs those records."""
-        instances = instances_from_table(records)
+        order, packed as pack_records packs those records; and
+        instances_from_table joins the two sides of any cut back into the
+        table."""
+        instances = pack_records(records)
         n = len(records)
         ends = st.none() | st.integers(-n - 2, n + 2)
         kind = data.draw(st.sampled_from(["slice", "index", "mask"]), label="kind")
@@ -468,7 +469,10 @@ class TestInstancesFromTable:
             key = np.array(data.draw(st.lists(
                 st.booleans(), min_size=n, max_size=n)), dtype=bool)
             picked = [r for r, keep in zip(records, key) if keep]
-        assert_same_table(instances[key], instances_from_table(picked))
+        assert_same_table(instances[key], pack_records(picked))
+        cut = data.draw(st.integers(0, n), label="cut")
+        assert_same_table(instances_from_table([instances[:cut], instances[cut:]]),
+                          instances)
         # one word is not a table, nor is a 2-D pick
         for key in (0, -1, np.int64(0), np.zeros((1, 1), dtype=np.int64),
                     np.ones((1, n), dtype=bool)):
@@ -481,7 +485,7 @@ class TestInstancesFromTable:
     @settings(max_examples=60, deadline=None)
     def test_arrays_match_the_per_word_oracle(self, records, mode, weighted,
                                               data):
-        got = instances_from_table(records)
+        got = pack_records(records)
         words = oracle_instances(records)
         assert got.utterance_ids == [w.utterance_id for w in words]
         assert got.words == [w.word for w in words]
@@ -511,8 +515,8 @@ class TestInstancesFromTable:
 
 class TestSplit:
     def make_records(self, n_utts, per_utt=3):
-        return [WordRecord(f"utt-{u:03d}", f"w{w}", np.zeros((2, 12)),
-                           ["iy", "iy"], [int(StressLevel.NON_STRESS)] * 2)
+        return [Record(f"utt-{u:03d}", f"w{w}", np.zeros((2, 12)),
+                       ["iy", "iy"], [int(StressLevel.NON_STRESS)] * 2)
                 for u in range(n_utts) for w in range(per_utt)]
 
     def test_seventy_thirty(self):
@@ -571,20 +575,21 @@ class TestClassWeights:
             recs = []
             for _ in range(int(rng.integers(1, 40))):
                 n = int(rng.integers(1, MAX_SYLLABLES + 1))
-                recs.append(WordRecord(
+                recs.append(Record(
                     "u", "w", np.zeros((n, 12)),
                     [NUCLEUS_TAGS[t] for t in rng.choice(tags, n)],
                     rng.integers(0, 3, n).tolist()))
-            assert (compute_class_weights(instances_from_table(recs)).tobytes()
+            assert (compute_class_weights(pack_records(recs)).tobytes()
                     == oracle_class_weights(oracle_instances(recs)).tobytes()), trial
-        _, recs = synth_corpus(lexicon, 30, GenConfig(noise=0.3), seed=4)
-        assert (compute_class_weights(instances_from_table(recs)).tobytes()
+        _, table = synth_corpus(lexicon, 30, GenConfig(noise=0.3), seed=4)
+        recs = table_records(table)
+        assert (compute_class_weights(table).tobytes()
                 == oracle_class_weights(oracle_instances(recs)).tobytes())
 
     def test_syllables_without_gold_label_not_counted(self):
-        rec = WordRecord("u", "w", np.zeros((3, 12)), ["iy", "iy", "ax"],
-                         [int(StressLevel.PRIMARY), None, None])
-        table = compute_class_weights(instances_from_table([rec]))
+        rec = Record("u", "w", np.zeros((3, 12)), ["iy", "iy", "ax"],
+                     [int(StressLevel.PRIMARY), None, None])
+        table = compute_class_weights(pack_records([rec]))
         assert np.array_equal(table[TAG_TO_INDEX["iy"]], [0.0, 1.0, 0.0])
         assert np.all(table[TAG_TO_INDEX["ax"]] == 1.0)
 
@@ -611,15 +616,15 @@ class TestClassWeights:
         assert w[order[0]] <= w[order[1]] + 1e-12 <= w[order[2]] + 2e-12
 
     def test_unseen_type_defaults_to_one(self):
-        rec = WordRecord("u", "w", np.zeros((2, 12)), ["iy", "iy"],
-                         [int(StressLevel.PRIMARY), int(StressLevel.NON_STRESS)])
-        table = compute_class_weights(instances_from_table([rec]))
+        rec = Record("u", "w", np.zeros((2, 12)), ["iy", "iy"],
+                     [int(StressLevel.PRIMARY), int(StressLevel.NON_STRESS)])
+        table = compute_class_weights(pack_records([rec]))
         # "oy" never appears
         assert np.all(table[TAG_TO_INDEX["oy"]] == 1.0)
 
     def test_table_from_corpus_max_normalized(self, lexicon):
-        _, recs = synth_corpus(lexicon, 30, GenConfig(noise=0.3), seed=4)
-        table = compute_class_weights(instances_from_table(recs))
+        _, instances = synth_corpus(lexicon, 30, GenConfig(noise=0.3), seed=4)
+        table = compute_class_weights(instances)
         assert np.allclose(table.max(axis=1), 1.0)
         assert np.all(table >= 0.0)
 
@@ -719,9 +724,9 @@ def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):
         alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
         row = 0
         for text, tags, stresses in word_meta:
-            records.append(WordRecord(utt_id, text,
-                                      normalized[row:row + len(tags)], tags,
-                                      [int(s) for s in stresses]))
+            records.append(Record(utt_id, text,
+                                  normalized[row:row + len(tags)], tags,
+                                  [int(s) for s in stresses]))
             row += len(tags)
     return alignments, records
 
@@ -861,7 +866,11 @@ SYNTH_DIGESTS = {
 
 
 def assert_same_corpus(got, want):
-    (got_al, got_recs), (want_al, want_recs) = got, want
+    """got is synth_corpus's (alignments, table), want the oracle's
+    (alignments, records)."""
+    (got_al, got_table), (want_al, want_recs) = got, want
+    assert_same_table(got_table, pack_records(want_recs))
+    got_recs = table_records(got_table)
     assert got_al == want_al
     assert len(got_recs) == len(want_recs)
     for a, b in zip(got_recs, want_recs):
@@ -903,12 +912,12 @@ class TestSynthCorpus:
         a1, r1 = synth_corpus(lexicon, 6, GenConfig(noise=0.4), seed=3)
         a2, r2 = synth_corpus(lexicon, 6, GenConfig(noise=0.4), seed=3)
         assert a1 == a2
-        for x, y in zip(r1, r2):
+        for x, y in zip(table_records(r1), table_records(r2)):
             assert x.word == y.word
             assert np.array_equal(x.features, y.features)
 
     def test_noiseless_features_are_class_constants(self, lexicon):
-        _, recs = synth_corpus(lexicon, 10, GenConfig(noise=0.0), seed=1)
+        recs = table_records(synth_corpus(lexicon, 10, GenConfig(noise=0.0), seed=1)[1])
         # within one utterance, syllables with equal (class, type) get equal
         # raw features, hence equal normalized features
         by_key = {}
@@ -926,11 +935,12 @@ class TestSynthCorpus:
             synth_corpus(lexicon, 2, GenConfig(noise=-1.0), seed=0)
 
     def test_multi_syllable_only(self, lexicon):
-        _, recs = synth_corpus(lexicon, 8, GenConfig(), seed=2)
+        recs = table_records(synth_corpus(lexicon, 8, GenConfig(), seed=2)[1])
         assert all(len(r.stresses) >= 2 for r in recs)
 
     def test_alignment_matches_table(self, lexicon):
-        aligns, recs = synth_corpus(lexicon, 5, GenConfig(noise=0.2), seed=9)
+        aligns, table = synth_corpus(lexicon, 5, GenConfig(noise=0.2), seed=9)
+        recs = table_records(table)
         by_utt = {}
         for rec in recs:
             by_utt.setdefault(rec.utterance_id, []).append(rec)
@@ -941,18 +951,19 @@ class TestSynthCorpus:
                 assert rec.nucleus_tags == [s.nucleus.tag for s in aw.syllables]
 
     def test_relative_duration_labeling(self, lexicon):
-        _, recs = synth_corpus(
+        _, table = synth_corpus(
             lexicon, 8, GenConfig(noise=0.0, labeling="relative_duration"),
             seed=5)
-        for rec in recs:
+        for rec in table_records(table):
             stresses = rec.stresses
             assert stresses.count(int(StressLevel.PRIMARY)) == 1
             assert stresses.count(int(StressLevel.NON_STRESS)) == 1
 
     def test_padding_invariant_property(self, lexicon):
-        """Every instance holds exactly its record's syllables, in order."""
-        _, recs = synth_corpus(lexicon, 6, GenConfig(noise=0.5), seed=8)
-        instances = instances_from_table(recs)
+        """Every instance holds exactly its oracle record's syllables, in
+        order."""
+        _, instances = synth_corpus(lexicon, 6, GenConfig(noise=0.5), seed=8)
+        _, recs = oracle_synth_corpus(lexicon, 6, GenConfig(noise=0.5), seed=8)
         assert len(instances) == len(recs)
         for i, rec in enumerate(recs):
             n = len(rec.stresses)
@@ -971,10 +982,8 @@ class TestSynthCorpus:
         # noise at 3x the class gaps drowns the class structure; a strong
         # per-syllable classifier ends up near the majority-class rate
         from stressnet.baselines import train_forest
-        _, recs = synth_corpus(lexicon, 200, GenConfig(noise=3.0), seed=17)
-        train_recs, test_recs = split(recs, 0.7, seed=17)
-        train_set = instances_from_table(train_recs)
-        test_set = instances_from_table(test_recs)
+        _, table = synth_corpus(lexicon, 200, GenConfig(noise=3.0), seed=17)
+        train_set, test_set = split_table(table, 0.7, seed=17)
         Xtr, ytr = train_set.features, train_set.labels
         Xte, yte = test_set.features, test_set.labels
         majority = np.bincount(ytr, minlength=3).argmax()

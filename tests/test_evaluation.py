@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_instances
+from conftest import Record, oracle_instances, pack_records
 from stressnet.cli import _write_json
-from stressnet.corpus import IGNORE_LABEL, instances_from_table
+from stressnet.corpus import IGNORE_LABEL
 from stressnet.errors import (
     AlignmentError,
     InsufficientDimensions,
@@ -19,7 +19,6 @@ from stressnet.evaluation import (
     render_report,
     report_to_dict,
 )
-from stressnet.features import WordRecord
 from stressnet.lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, StressLevel
 
 S0, S1, S2 = StressLevel.NON_STRESS, StressLevel.PRIMARY, StressLevel.SECONDARY
@@ -27,8 +26,8 @@ S0, S1, S2 = StressLevel.NON_STRESS, StressLevel.PRIMARY, StressLevel.SECONDARY
 
 def record(labels, tags=None, utt="u", word="w"):
     tags = tags or ["iy"] * len(labels)
-    return WordRecord(utt, word, np.zeros((len(labels), 12)),
-                      tags, [int(s) for s in labels])
+    return Record(utt, word, np.zeros((len(labels), 12)),
+                  tags, [int(s) for s in labels])
 
 
 def flat(preds):
@@ -81,7 +80,7 @@ class TestEvaluate:
     def test_perfect_predictions(self):
         insts = [record([S0, S1]), record([S2, S0])]
         preds = [[S0, S1], [S2, S0]]
-        report = evaluate(flat(preds), instances_from_table(insts))
+        report = evaluate(flat(preds), pack_records(insts))
         assert report.accuracy == 1.0
         assert np.all(report.confusion == np.diag(np.diag(report.confusion)))
         assert report.n_syllables == 4
@@ -90,7 +89,7 @@ class TestEvaluate:
     def test_hand_counted_confusion(self):
         insts = [record([S0, S1])]
         preds = [[S1, S1]]
-        report = evaluate(flat(preds), instances_from_table(insts))
+        report = evaluate(flat(preds), pack_records(insts))
         assert report.accuracy == 0.5
         assert report.confusion[int(S0), int(S1)] == 1
         assert report.confusion[int(S1), int(S1)] == 1
@@ -99,7 +98,7 @@ class TestEvaluate:
         insts = [record([S0, S1, S2]), record([S1, S0])]
         preds = [[S0, S2, S2], [S1, S1]]
         table = np.ones((16, 3))
-        report = evaluate(flat(preds), instances_from_table(insts), table)
+        report = evaluate(flat(preds), pack_records(insts), table)
         assert report.weighted_accuracy == pytest.approx(report.accuracy,
                                                          abs=1e-12)
 
@@ -110,7 +109,7 @@ class TestEvaluate:
         from stressnet.lexicon import TAG_TO_INDEX
         table[TAG_TO_INDEX["iy"], int(S0)] = 0.5
         table[TAG_TO_INDEX["ax"], int(S1)] = 0.25
-        report = evaluate(flat(preds), instances_from_table(insts), table)
+        report = evaluate(flat(preds), pack_records(insts), table)
         # correct mass 0.5, total mass 0.75
         assert report.weighted_accuracy == pytest.approx(0.5 / 0.75)
 
@@ -123,7 +122,7 @@ class TestEvaluate:
             tags = [NUCLEUS_TAGS[int(t)] for t in rng.integers(0, 16, n)]
             insts.append(record(labels, tags))
             preds.append([StressLevel(int(x)) for x in rng.integers(0, 3, n)])
-        report = evaluate(flat(preds), instances_from_table(insts))
+        report = evaluate(flat(preds), pack_records(insts))
         assert report.accuracy == np.trace(report.confusion) / report.n_syllables
 
     def test_per_type_sums_to_overall(self):
@@ -135,31 +134,31 @@ class TestEvaluate:
             tags = [NUCLEUS_TAGS[int(t)] for t in rng.integers(0, 16, n)]
             insts.append(record(labels, tags))
             preds.append([StressLevel(int(x)) for x in rng.integers(0, 3, n)])
-        report = evaluate(flat(preds), instances_from_table(insts))
+        report = evaluate(flat(preds), pack_records(insts))
         total = sum(report.per_type_confusion.values())
         assert np.array_equal(total, report.confusion)
 
     def test_misaligned_predictions(self):
         insts = [record([S0, S1])]
         with pytest.raises(AlignmentError):
-            evaluate(flat([[S0]]), instances_from_table(insts))
+            evaluate(flat([[S0]]), pack_records(insts))
         with pytest.raises(AlignmentError):
-            evaluate(flat([]), instances_from_table(insts))
+            evaluate(flat([]), pack_records(insts))
         with pytest.raises(AlignmentError):
-            evaluate(flat([[S0, S1, S1]]), instances_from_table(insts))
+            evaluate(flat([[S0, S1, S1]]), pack_records(insts))
         with pytest.raises(AlignmentError):
-            evaluate(np.zeros((2, 1), dtype=np.int64), instances_from_table(insts))
+            evaluate(np.zeros((2, 1), dtype=np.int64), pack_records(insts))
         with pytest.raises(AlignmentError, match="no syllables"):
-            evaluate(flat([]), instances_from_table([]))
+            evaluate(flat([]), pack_records([]))
 
     @pytest.mark.parametrize("predicted", [[0, 3], [-1, 0]],
                              ids=["three", "negative"])
     def test_prediction_not_a_stress_level(self, predicted):
         with pytest.raises(LabelError):
-            evaluate(np.array(predicted), instances_from_table([record([S0, S1])]))
+            evaluate(np.array(predicted), pack_records([record([S0, S1])]))
 
     def test_syllable_without_gold_label(self):
-        inst = instances_from_table([WordRecord("u", "w", np.zeros((2, 12)),
+        inst = pack_records([Record("u", "w", np.zeros((2, 12)),
                                                 ["iy", "iy"], [0, None])])
         with pytest.raises(LabelError):
             evaluate(flat([[S0, S0]]), inst)
@@ -184,11 +183,11 @@ class TestEvaluateOracle:
     @given(st.lists(words, min_size=1, max_size=25), weight_tables)
     @settings(max_examples=120, deadline=None)
     def test_matches_per_syllable_loop(self, drawn, table):
-        recs = [WordRecord("u", f"w{i}", np.zeros((len(tags), 12)),
-                           [NUCLEUS_TAGS[t] for t in tags], labels)
+        recs = [Record("u", f"w{i}", np.zeros((len(tags), 12)),
+                       [NUCLEUS_TAGS[t] for t in tags], labels)
                 for i, (tags, labels, _) in enumerate(drawn)]
         preds = [pred for _, _, pred in drawn]
-        got = evaluate(flat(preds), instances_from_table(recs), table)
+        got = evaluate(flat(preds), pack_records(recs), table)
         want = oracle_evaluate(preds, oracle_instances(recs), table)
         assert type(got.accuracy) is float and got.accuracy == want.accuracy
         if want.weighted_accuracy is None:
@@ -210,7 +209,7 @@ class TestEvaluateOracle:
 
     def test_all_zero_weights_give_none(self):
         insts = [record([S0, S1, S2])]
-        assert evaluate(flat([[S0, S1, S1]]), instances_from_table(insts),
+        assert evaluate(flat([[S0, S1, S1]]), pack_records(insts),
                         np.zeros((16, 3))).weighted_accuracy is None
 
 
@@ -281,7 +280,7 @@ class TestRenderReport:
     def report(self):
         insts = [record([S0, S1, S2], tags=["iy", "ax", "er"])]
         preds = [[S0, S1, S1]]
-        return evaluate(flat(preds), instances_from_table(insts), np.ones((16, 3)))
+        return evaluate(flat(preds), pack_records(insts), np.ones((16, 3)))
 
     def test_json_round_trip(self, tmp_path):
         report = self.report()

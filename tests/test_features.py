@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stressnet.corpus import (
-    IGNORE_LABEL,
-    GenConfig,
-    instances_from_table,
-    synth_corpus,
-)
+from stressnet.corpus import IGNORE_LABEL, GenConfig, Instances, synth_corpus
 from stressnet.dsp import IntensityTrack, PitchTrack
 from stressnet.errors import FormatError, InvalidSpan, SpanOutOfRange, StressnetError
 from stressnet.features import (
@@ -22,7 +17,6 @@ from stressnet.features import (
     MAX_SYLLABLES,
     N_FEATURES,
     TableLine,
-    WordRecord,
     extract_features,
     normalize_sentence,
     read_feature_table,
@@ -30,7 +24,14 @@ from stressnet.features import (
     write_feature_table,
 )
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
-from conftest import OracleWord, float_values
+from conftest import (
+    OracleWord,
+    Record,
+    assert_same_table,
+    float_values,
+    pack_records,
+    table_records,
+)
 from test_cli import MALFORMED_LINES
 
 HOP = 0.01
@@ -723,8 +724,8 @@ def drawn_table_bytes(n_words, seed, faults, blanks) -> bytes:
 
 
 def oracle_read_table(path: str, data: bytes):
-    """(instances_from_table of the oracle's records, each word's line
-    span), or the oracle's first FormatError at path:line."""
+    """(pack_records of the oracle's records, each word's line span), or
+    the oracle's first FormatError at path:line."""
     pieces = data.split(b"\n")
     lines = [piece + b"\n" for piece in pieces[:-1]] + [pieces[-1]] * bool(pieces[-1])
     records, spans, start = [], [], 0
@@ -734,7 +735,7 @@ def oracle_read_table(path: str, data: bytes):
                 utterance_id, word, syllables = oracle_record(line)
             except FormatError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-            records.append(WordRecord(
+            records.append(Record(
                 utterance_id, word,
                 np.array([obs.features for obs in syllables], dtype=np.float64),
                 [obs.nucleus_tag for obs in syllables],
@@ -743,7 +744,7 @@ def oracle_read_table(path: str, data: bytes):
             first = start + len(line) - len(line.lstrip())
             spans.append((first, first + len(line.strip())))
         start += len(line)
-    return instances_from_table(records), spans
+    return pack_records(records), spans
 
 
 @st.composite
@@ -760,8 +761,8 @@ def drawn_tables(draw):
 
 
 class TestTableOracle:
-    """read_feature_table equals instances_from_table of the oracle's
-    records bit for bit, or raises the oracle's first error with the same
+    """read_feature_table equals pack_records of the oracle's records bit
+    for bit, or raises the oracle's first error with the same
     path:line message; read_table_lines gives the same line spans."""
 
     # faults on either side of the first chunk boundary (word index 63
@@ -820,45 +821,67 @@ def oracle_table_bytes(records) -> bytes:
     return "".join(map(oracle_line, records)).encode()
 
 
-def written_bytes(records) -> bytes:
+def written(table) -> tuple[bytes, Instances]:
+    """The bytes write_feature_table writes for the table, and the table
+    read_feature_table reads back from them."""
     fd, path = tempfile.mkstemp(suffix=".jsonl")
     os.close(fd)
     try:
-        write_feature_table(records, path)
+        write_feature_table(table, path)
         with open(path, "rb") as fh:
-            return fh.read()
+            return fh.read(), read_feature_table(path)
     finally:
         os.unlink(path)
 
 
 @st.composite
-def drawn_records(draw):
-    n = draw(st.integers(0, 4))
-    return WordRecord(
-        draw(st.text(max_size=8)), draw(st.text(max_size=8)),
-        np.array(draw(st.lists(st.lists(float_values, min_size=12,
-                                         max_size=12),
-                               min_size=n, max_size=n)),
-                 dtype=np.float64).reshape(n, 12),
-        draw(st.lists(st.sampled_from(NUCLEUS_TAGS) | st.text(max_size=3),
-                      min_size=n, max_size=n)),
-        draw(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=n,
-                      max_size=n)))
+def drawn_instances(draw):
+    """Up to 3 words of 1 to MAX_SYLLABLES syllables: any texts, any tags,
+    null labels too, and features whose repr takes every form."""
+    counts = draw(st.lists(st.integers(1, MAX_SYLLABLES), max_size=3))
+    n = sum(counts)
+
+    def texts():
+        return draw(st.lists(st.text(max_size=8), min_size=len(counts),
+                             max_size=len(counts)))
+
+    def column(values, size):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    return Instances.from_counts(
+        texts(), texts(), counts,
+        np.array(column(float_values, n * N_FEATURES)).reshape(n, N_FEATURES),
+        np.array(column(st.integers(0, len(NUCLEUS_TAGS) - 1), n), dtype=np.int64),
+        np.array(column(st.sampled_from([IGNORE_LABEL, 0, 1, 2]), n), dtype=np.int64))
 
 
 class TestWriterOracle:
+    """write_feature_table writes the bytes of json.dumps per record, and
+    read_feature_table reads the table back bit for bit."""
+
     @pytest.mark.parametrize("noise,labeling", [
         (0.0, "dictionary"), (0.75, "dictionary"), (0.75, "relative_duration")])
     def test_synth_tables(self, lexicon, noise, labeling):
-        _, recs = synth_corpus(lexicon, 40, GenConfig(noise, labeling), seed=1)
-        assert written_bytes(recs) == oracle_table_bytes(recs)
+        _, table = synth_corpus(lexicon, 40, GenConfig(noise, labeling), seed=1)
+        data, back = written(table)
+        assert data == oracle_table_bytes(table_records(table))
+        assert_same_table(back, table)
 
-    @given(st.lists(drawn_records(), max_size=3))
+    # one word with every tag, its labels unknown
+    @example(table=Instances.from_counts(
+        ["u"], ["w"], [len(NUCLEUS_TAGS)], np.zeros((len(NUCLEUS_TAGS), N_FEATURES)),
+        np.arange(len(NUCLEUS_TAGS), dtype=np.int64),
+        np.full(len(NUCLEUS_TAGS), IGNORE_LABEL, dtype=np.int64)))
+    @given(table=drawn_instances())
     @settings(max_examples=100, deadline=None)
-    def test_drawn_records(self, records):
-        assert written_bytes(records) == oracle_table_bytes(records)
+    def test_drawn_instances(self, table):
+        data, back = written(table)
+        assert data == oracle_table_bytes(table_records(table))
+        assert_same_table(back, table)
 
     def test_text_escapes(self):
         text = 'a"b\\c\n\t\x00\x1f\x7f é 雪 \U0001f600'
-        rec = WordRecord(text, text, np.zeros((1, 12)), [text], [None])
-        assert written_bytes([rec]) == oracle_table_bytes([rec])
+        table = pack_records([Record(text, text, np.zeros((1, 12)), ["ah"], [None])])
+        data, back = written(table)
+        assert data == oracle_table_bytes(table_records(table))
+        assert_same_table(back, table)

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_instance_batch
+from conftest import random_instance_batch, split_table
 from stressnet.checkpoint import FORMAT_ATTENTION, load_any, save_model
-from stressnet.corpus import GenConfig, instances_from_table, split, synth_corpus
+from stressnet.corpus import GenConfig, instances_from_table, synth_corpus
 from stressnet.errors import (
     CheckpointError,
     ConfigError,
@@ -443,9 +443,8 @@ class TestScoringMemory:
 
 @pytest.fixture(scope="module")
 def small_corpus(lexicon):
-    _, recs = synth_corpus(lexicon, 60, GenConfig(noise=0.0), seed=31)
-    train_recs, test_recs = split(recs, 0.7, seed=1)
-    return instances_from_table(train_recs), instances_from_table(test_recs)
+    _, table = synth_corpus(lexicon, 60, GenConfig(noise=0.0), seed=31)
+    return split_table(table, 0.7, seed=1)
 
 
 # --- parameter storage ---------------------------------------------------------
