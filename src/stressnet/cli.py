@@ -4,14 +4,15 @@ Subcommands: lexicon, featurize, synth, label, split, train, predict,
 eval, pca. Each setting is resolved once, before the subcommand runs:
 its flag, else the JSON run-config file's (--config) value, else the
 default. synth, label and split write a manifest.json into their output
-directory; featurize, train and eval into the directory of --out;
-lexicon, predict and pca write none. A manifest holds the command, its
-arguments after resolution, every settings object it built (all
-fields, defaults too) and the SHA-256 of each input file: enough to
-rerun it byte-identically. Paths are recorded as given, except that the
-bundled dictionary is "<bundled>", so the manifest does not depend on
-where the package is installed. It is one per directory, so of rf and or
-checkpoints trained side by side only the later manifest is kept.
+directory; featurize, train and eval write one named after --out, with
+.manifest.json appended (rf.ckpt.manifest.json, report.manifest.json),
+so checkpoints trained side by side keep one manifest each; lexicon,
+predict and pca write none. A manifest holds the command, its arguments
+after resolution, every settings object it built (all fields, defaults
+too) and the SHA-256 of each input file: enough to rerun it
+byte-identically. Paths are recorded as given, except that the bundled
+dictionary is "<bundled>", so the manifest does not depend on where the
+package is installed.
 
 split parses and checks every line of --features, then copies each kept
 word's line as it was, surrounding whitespace stripped, with a newline.
@@ -196,8 +197,8 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, args, inputs: list[str], **settings) -> None:
-    """Write out_dir/manifest.json, as the module docstring describes. The
+def _write_manifest(path, args, inputs: list[str], **settings) -> None:
+    """Write the manifest at path, as the module docstring describes. The
     bundled dictionary is named "<bundled>", wherever the package is
     installed, as an argument and as an input."""
     bundled = os.path.realpath(bundled_dictionary_path())
@@ -209,7 +210,7 @@ def _write_manifest(out_dir: Path, args, inputs: list[str], **settings) -> None:
                  if k not in ("command", "config", "func")}
     if "dict_path" in arguments:
         arguments["dict_path"] = shown(arguments["dict_path"])
-    _write_json(out_dir / "manifest.json", {
+    _write_json(path, {
         "command": args.command,
         "arguments": arguments,
         "settings": {name: dataclasses.asdict(value)
@@ -250,7 +251,7 @@ def _cmd_synth(args, config) -> int:
     for al in alignments:
         save_alignment(al, str(out / "alignments" / f"{al.utterance_id}.json"))
     write_feature_table(table, str(out / "features.jsonl"))
-    _write_manifest(out, args, [args.dict_path], gen=gen)
+    _write_manifest(out / "manifest.json", args, [args.dict_path], gen=gen)
     print(f"synth: {len(alignments)} utterances, {len(table)} word instances "
           f"-> {out}")
     return 0
@@ -290,7 +291,7 @@ def _cmd_label(args, config) -> int:
                     "reason": exc.reason,
                 }, sort_keys=True) + "\n")
             n_words += len(table)
-    _write_manifest(out, args, files + [args.dict_path])
+    _write_manifest(out / "manifest.json", args, files + [args.dict_path])
     print(f"label: {n_words} labeled word instances -> {out}")
     return 0
 
@@ -342,7 +343,7 @@ def _cmd_featurize(args, config) -> int:
         n_excluded += len(exclusions)
     table = instances_from_table(tables)
     write_feature_table(table, args.out)
-    _write_manifest(Path(args.out).parent, args, files + [args.dict_path],
+    _write_manifest(args.out + ".manifest.json", args, files + [args.dict_path],
                     dsp=dsp_cfg)
     print(f"featurize: {len(table)} word instances "
           f"({n_excluded} exclusions) -> {args.out}")
@@ -356,7 +357,7 @@ def _cmd_split(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_table_lines(data, train_set, str(out / "train.jsonl"))
     write_table_lines(data, test_set, str(out / "test.jsonl"))
-    _write_manifest(out, args, [args.features])
+    _write_manifest(out / "manifest.json", args, [args.features])
     print(f"split: {len(train_set)} train / {len(test_set)} test instances -> {out}")
     return 0
 
@@ -427,7 +428,7 @@ def _cmd_train(args, config) -> int:
         print(f"train[{args.model}]: {split}, {len(history)} epochs, best val acc "
               f"{max((h['val_acc'] for h in history), default=float('nan')):.4f} "
               f"-> {args.out}")
-    _write_manifest(Path(args.out).parent, args, [args.train], **settings)
+    _write_manifest(args.out + ".manifest.json", args, [args.train], **settings)
     return 0
 
 
@@ -494,7 +495,7 @@ def _cmd_eval(args, config) -> int:
     _write_json(str(out) + ".json", report_to_dict(report))
     with open(str(out) + ".txt", "w", encoding="utf-8") as fh:
         fh.write(render_report(report))
-    _write_manifest(out.parent, args, [args.model, args.data])
+    _write_manifest(str(out) + ".manifest.json", args, [args.model, args.data])
     wa = ("" if report.weighted_accuracy is None
           else f", weighted {report.weighted_accuracy:.4f}")
     print(f"eval: accuracy {report.accuracy:.4f}{wa} "

@@ -3,7 +3,10 @@
 The dictionary file is plain text: one entry per line, ``WORD  PH1 PH2 ...``,
 with ``;;;`` comment lines and ``WORD(n)`` marking alternate pronunciations.
 Vowel phonemes carry a trailing stress digit (0 = none, 1 = primary,
-2 = secondary); consonants carry none.
+2 = secondary); consonants carry none. Entries are keyed by their headword
+as lookup normalizes a query (upper case, only A-Z, 0-9 and ' - . kept),
+so the lower-case cmudict.dict works as the upper-case cmudict-0.7b does;
+PronEntry.word keeps the headword as written.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ def parse_dictionary(source: TextIO | Iterable[str]) -> Lexicon:
             continue
         head, variant, phonemes = parsed
         entry = PronEntry(word=head, phonemes=phonemes, variant_index=variant)
-        entries.setdefault(head, []).append(entry)
+        entries.setdefault(Lexicon._normalize(head), []).append(entry)
         report.n_entries += 1
     if not entries:
         raise EmptyLexicon("dictionary stream produced no entries")

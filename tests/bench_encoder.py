@@ -1,5 +1,5 @@
 """Timings of the encoder's softmax and layer-norm primitives against the
-NumPy-reduction oracles in test_model.py, and of two whole encoder calls.
+NumPy-reduction oracles in oracles.py, and of two whole encoder calls.
 
     python -m pytest tests/bench_encoder.py
 
@@ -19,7 +19,7 @@ import pytest
 
 from stressnet.lexicon import PAD_TYPE_INDEX
 from stressnet.model import PRESETS, ModelConfig, Params, network
-from test_model import (
+from oracles import (
     oracle_layer_norm,
     oracle_layer_norm_backward,
     oracle_masked_softmax,

@@ -1,7 +1,8 @@
 """Timings and tracemalloc peaks of train_forest against the per-node
-oracle grower in test_baselines.py, on criterion 8's seed-1 training set
-(250 synthetic utterances at noise 0.75, 70% of them: about 6.5k
-syllables of 12 features, 4 candidate features per split).
+oracle grower in oracles.py, on criterion 8's seed-1 training set
+(conftest.criterion_8_tables: 250 synthetic utterances at noise 0.75, 70%
+of them, about 6.5k syllables of 12 features; 4 candidate features per
+split).
 
     python -m pytest tests/bench_forest.py -s
 
@@ -13,23 +14,14 @@ must grow the same trees.
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from stressnet import baselines
 from stressnet.baselines import train_forest
-from conftest import split_table
-from stressnet.corpus import GenConfig, synth_corpus
-from test_baselines import TREE_ARRAYS, oracle_grow_tree
+from conftest import TREE_ARRAYS
+from oracles import oracle_grow_tree
 
 SEED = 1
-
-
-@pytest.fixture(scope="module")
-def training_set(lexicon):
-    _, table = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
-    instances, _ = split_table(table, 0.7, seed=SEED)
-    return instances.features, instances.labels
 
 
 @pytest.fixture(params=["oracle", "new"])
@@ -40,16 +32,18 @@ def impl(request, monkeypatch):
 
 
 @pytest.mark.parametrize("n_trees", [4, 50])
-def test_train_forest(benchmark, training_set, impl, n_trees):
-    X, y = training_set
+def test_train_forest(benchmark, criterion_8_tables, impl, n_trees):
+    train = criterion_8_tables["train"]
+    X, y = train.features, train.labels
     benchmark.group = f"train_forest {n_trees} trees, n={len(y)}"
     benchmark.pedantic(train_forest, (X, y),
                        {"n_trees": n_trees, "seed": SEED}, rounds=3)
 
 
 @pytest.mark.parametrize("n_trees", [4, 50])
-def test_tracemalloc_peak(training_set, monkeypatch, n_trees):
-    X, y = training_set
+def test_tracemalloc_peak(criterion_8_tables, monkeypatch, n_trees):
+    train = criterion_8_tables["train"]
+    X, y = train.features, train.labels
     forests, peaks = {}, {}
     for name, grow in [("oracle", oracle_grow_tree),
                        ("new", baselines._grow_tree)]:

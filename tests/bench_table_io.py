@@ -1,11 +1,11 @@
 """Timings of the feature-table reader and writer, of train_ordinal and of
-synth_corpus against their oracles in test_features.py,
-test_baselines.py and test_corpus.py, on criterion 8's seed-1 tables: 250
-synthetic utterances at noise 0.75 (the synth table, about 2.8k words)
-and their 70% training split (about 1.9k words, 6.5k syllables). Also
-extract_features against its per-syllable oracle in test_features.py, on
-40 seeded synthetic utterances of 16 syllables each (pitch and intensity
-tracks at a 10 ms hop, about a third of the pitch frames unvoiced).
+synth_corpus against their oracles in oracles.py, on criterion 8's seed-1
+tables (conftest.criterion_8_tables): 250 synthetic utterances at noise
+0.75 (the synth table, about 2.8k words) and their 70% training split
+(about 1.9k words, 6.5k syllables). Also extract_features against its
+per-syllable oracle, on 40 seeded synthetic utterances of 16 syllables
+each (pitch and intensity tracks at a 10 ms hop, about a third of the
+pitch frames unvoiced).
 
     python -m pytest tests/bench_table_io.py
 
@@ -15,29 +15,26 @@ write_feature_table, as split once did; the new path copies the valid
 lines it parsed. predict's writer is timed on the test part (about 820
 words) with seeded probabilities; its oracle is json.dumps per word.
 make_batch with the class-weight table is timed on the training part
-against the per-word path in conftest.py, which builds each word's
-arrays and concatenates them.
+against the per-word path, which builds each word's arrays and
+concatenates them.
 
 The file name does not match test_*.py, so the test suite does not collect
 it. A read is timed as read_feature_table alone, which returns the flat
 table every command that reads one takes; the oracle reads a syllable at a
-time and stacks each word's arrays. A write is timed as write_feature_table
+time and packs the words it read. A write is timed as write_feature_table
 of the flat table; the oracle writer is json.dumps per word. The oracle
 generator makes one scalar draw per noisy slot and normalizes a syllable
 at a time. The oracle extractor finds each span's frames with a mask over
 all frame times. Both sides of each pair must give the same bytes.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import (
-    oracle_instances,
-    oracle_make_batch,
-    pack_records,
-    split_table,
-    table_records,
-)
+from conftest import (assert_same_corpus, assert_same_table, pack_records,
+                      table_records)
 from stressnet.baselines import train_ordinal
 from stressnet.cli import _write_predictions
 from stressnet.corpus import GenConfig, compute_class_weights, split, synth_corpus
@@ -50,43 +47,23 @@ from stressnet.features import (
     write_table_lines,
 )
 from stressnet.model import PRESETS, ModelConfig, make_batch
-from test_baselines import oracle_train_ordinal
-from test_cli import oracle_predictions, oracle_split
-from test_corpus import assert_same_corpus, oracle_synth_corpus
-from test_features import (
-    oracle_extract_features,
-    oracle_instance,
-    oracle_line,
-    oracle_record,
-)
+from oracles import (oracle_extract_features, oracle_instances, oracle_make_batch,
+                     oracle_predictions, oracle_read_table, oracle_split,
+                     oracle_synth_corpus, oracle_table_bytes, oracle_train_ordinal)
 
 SEED = 1
 
 
 @pytest.fixture(scope="module")
-def tables(lexicon, tmp_path_factory):
+def tables(criterion_8_tables, tmp_path_factory):
     """(table, path) of the synth table and of its two split parts."""
-    _, synth = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=SEED)
-    train, test = split_table(synth, 0.7, seed=SEED)
     root = tmp_path_factory.mktemp("tables")
     out = {}
-    for name, part in (("synth", synth), ("train", train), ("test", test)):
+    for name, part in criterion_8_tables.items():
         path = str(root / f"{name}.jsonl")
         write_feature_table(part, path)
         out[name] = (part, path)
     return out
-
-
-def oracle_read(path):
-    with open(path, "rb") as fh:
-        return [oracle_instance(*oracle_record(line)) for line in fh
-                if line.strip()]
-
-
-def oracle_write(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in table_records(table):
-            fh.write(oracle_line(rec))
 
 
 def new_split(path, out):
@@ -96,16 +73,18 @@ def new_split(path, out):
     write_table_lines(data, test, str(out / "test.jsonl"))
 
 
-def oracle_write_predictions(path, instances, probs):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(oracle_predictions(instances, probs))
-
-
-READERS = {"oracle": oracle_read, "new": read_feature_table}
+READERS = {"oracle": lambda path: oracle_read_table(
+               path, Path(path).read_bytes())[0],
+           "new": read_feature_table}
 SPLITTERS = {"oracle": lambda path, out: oracle_split(path, out, 0.7, SEED),
              "new": new_split}
-PREDICTION_WRITERS = {"oracle": oracle_write_predictions, "new": _write_predictions}
-WRITERS = {"oracle": oracle_write, "new": write_feature_table}
+PREDICTION_WRITERS = {
+    "oracle": lambda path, words, probs: Path(path).write_text(
+        oracle_predictions(words, probs), encoding="utf-8"),
+    "new": _write_predictions}
+WRITERS = {"oracle": lambda table, path: Path(path).write_bytes(
+               oracle_table_bytes(table_records(table))),
+           "new": write_feature_table}
 FITS = {"oracle": oracle_train_ordinal, "new": train_ordinal}
 GENERATORS = {"oracle": oracle_synth_corpus, "new": synth_corpus}
 EXTRACTORS = {"oracle": oracle_extract_features, "new": extract_features}
@@ -114,27 +93,13 @@ IMPLS = ["oracle", "new"]
 BATCH_ARRAYS = ("features", "types", "mask", "labels", "weights")
 
 
-def packed(words):
-    """Per-word arrays as one table's (features, types, labels)."""
-    return (np.concatenate([w.features for w in words]),
-            np.concatenate([w.type_indices for w in words]),
-            np.concatenate([w.labels for w in words]))
-
-
 @pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("table", ["synth", "train"])
 def test_read(benchmark, tables, table, impl):
     _, path = tables[table]
     benchmark.group = f"read_feature_table, {table} table"
     got = benchmark.pedantic(READERS[impl], (path,), rounds=5)
-    want = READERS["oracle"](path)
-    assert len(got) == len(want)
-    if impl == "new":
-        got = (got.features, got.types, got.labels)
-    else:
-        got = packed(got)
-    for a, b in zip(got, packed(want)):
-        assert a.tobytes() == b.tobytes()
+    assert_same_table(got, READERS["oracle"](path))
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -155,12 +120,10 @@ def test_make_batch(benchmark, tables, impl):
 @pytest.mark.parametrize("table", ["synth", "train"])
 def test_write(benchmark, tables, tmp_path, table, impl):
     instances, _ = tables[table]
-    path, oracle_path = str(tmp_path / "got.jsonl"), str(tmp_path / "want.jsonl")
+    path = tmp_path / "got.jsonl"
     benchmark.group = f"write_feature_table, {table} table"
-    benchmark.pedantic(WRITERS[impl], (instances, path), rounds=5)
-    oracle_write(instances, oracle_path)
-    with open(path, "rb") as got, open(oracle_path, "rb") as want:
-        assert got.read() == want.read()
+    benchmark.pedantic(WRITERS[impl], (instances, str(path)), rounds=5)
+    assert path.read_bytes() == oracle_table_bytes(table_records(instances))
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -183,12 +146,11 @@ def test_predict_write(benchmark, tables, tmp_path, impl):
     instances = {"oracle": words, "new": table}[impl]
     n = sum(len(w.labels) for w in words)
     probs = np.random.default_rng(SEED).dirichlet(np.ones(3), n)
-    got, want = str(tmp_path / "got.jsonl"), str(tmp_path / "want.jsonl")
+    got = tmp_path / "got.jsonl"
     benchmark.group = f"predict output, {len(instances)} words"
-    benchmark.pedantic(PREDICTION_WRITERS[impl], (got, instances, probs), rounds=5)
-    oracle_write_predictions(want, words, probs)
-    with open(got, "rb") as a, open(want, "rb") as b:
-        assert a.read() == b.read()
+    benchmark.pedantic(PREDICTION_WRITERS[impl], (str(got), instances, probs),
+                       rounds=5)
+    assert got.read_bytes() == oracle_predictions(words, probs).encode()
 
 
 @pytest.mark.parametrize("impl", IMPLS)

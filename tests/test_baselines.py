@@ -14,10 +14,12 @@ from stressnet.baselines import (
     train_forest,
     train_ordinal,
 )
-from conftest import split_table
+from conftest import TREE_ARRAYS, assert_same_array
 from stressnet.corpus import GenConfig, synth_corpus
 from stressnet.errors import DegenerateData, NumericalInstability, ShapeError
 from stressnet.lexicon import StressLevel
+from oracles import (oracle_grow_tree, oracle_nll_grad, oracle_sigmoid,
+                     oracle_train_ordinal)
 
 
 def ordinal_1d_data(rng, n=600):
@@ -223,86 +225,6 @@ class TestPredictBaseline:
 
 
 # --- the tree grower against the per-node oracle ------------------------------
-#
-# baselines._grow_tree sorts each feature once per tree. The oracle below is
-# the grower it replaced: it sorts the node's rows for every candidate at
-# every node. Both must give the same trees, bit for bit, and leave the
-# generator in the same state.
-
-def oracle_gini_best_split(X, y, feature_ids):
-    n = y.shape[0]
-    total = np.bincount(y, minlength=3).astype(np.float64)
-    best = None
-    best_score = np.inf
-    for f in feature_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        onehot = np.zeros((n, 3))
-        onehot[np.arange(n), ys] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        valid = np.nonzero(xs[:-1] < xs[1:])[0]
-        if valid.size == 0:
-            continue
-        nl = (valid + 1).astype(np.float64)
-        nr = n - nl
-        cl = cum[valid]
-        cr = total[None, :] - cl
-        gini_l = 1.0 - ((cl / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((cr / nr[:, None]) ** 2).sum(axis=1)
-        score = (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmin(score))
-        if score[k] < best_score - 1e-12:
-            best_score = score[k]
-            best = (int(f), float(xs[valid[k]]))
-    if best is None:
-        return None
-    parent_gini = 1.0 - ((total / n) ** 2).sum()
-    if best_score >= parent_gini - 1e-12:
-        return None
-    return best
-
-
-def oracle_grow_tree(X, y, max_depth, m_features, rng):
-    feature, threshold, left, right, counts = [], [], [], [], []
-
-    def new_node(idx):
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(np.bincount(y[idx], minlength=3).astype(np.int64))
-        return node
-
-    def build(idx, depth):
-        node = new_node(idx)
-        c = counts[node]
-        if depth >= max_depth or int((c > 0).sum()) <= 1:
-            return node
-        cand = rng.choice(X.shape[1], size=m_features, replace=False)
-        found = oracle_gini_best_split(X[idx], y[idx], np.sort(cand))
-        if found is None:
-            return node
-        f, thr = found
-        go_left = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
-        return node
-
-    build(np.arange(X.shape[0]), 0)
-    return TreeNodes(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.stack(counts).astype(np.int64),
-    )
-
-
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 
 
 def assert_grows_as_oracle(X, y, max_depth, m_features, n_trees=3, seed=0):
@@ -320,9 +242,7 @@ def assert_grows_as_oracle(X, y, max_depth, m_features, n_trees=3, seed=0):
         want = oracle_grow_tree(X[boot], y[boot], max_depth, m_features,
                                 rng_oracle)
         for name in TREE_ARRAYS:
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
+            assert_same_array(getattr(got, name), getattr(want, name), name)
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
 
@@ -373,89 +293,13 @@ class TestGrowerOracle:
 
 
 # --- the ordinal fit against the per-step oracle -------------------------------
-#
-# train_ordinal groups the rows by rank once and runs the sigmoid only at
-# the finite cut points. The oracle below is the fit it replaced: it builds
-# both cut points of every row at every step, with +-inf at the ends, and
-# runs the sigmoid on all of them. Both must give the same bits.
-
-def oracle_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def oracle_nll_grad(beta, theta, X, ranks, lam):
-    n = X.shape[0]
-    t0 = theta[0]
-    t1 = t0 + np.exp(theta[1])
-    z = X @ beta
-    upper = np.where(ranks == 0, t0 - z, np.where(ranks == 1, t1 - z, np.inf))
-    lower = np.where(ranks == 0, -np.inf, np.where(ranks == 1, t0 - z, t1 - z))
-    Fu = oracle_sigmoid(upper)
-    Fl = oracle_sigmoid(lower)
-    lik = np.clip(Fu - Fl, 1e-12, None)
-    nll = -np.log(lik).sum() / n + 0.5 * lam * float(beta @ beta)
-    fu = Fu * (1.0 - Fu)
-    fl = Fl * (1.0 - Fl)
-    inv = 1.0 / lik
-    dz = (fu - fl) * inv / n
-    dbeta = X.T @ dz + lam * beta
-    du = -fu * inv / n
-    dl = fl * inv / n
-    dt0 = du[ranks == 0].sum() + dl[ranks == 1].sum()
-    dt1 = du[ranks == 1].sum() + dl[ranks == 2].sum()
-    dtheta = np.array([dt0 + dt1, dt1 * np.exp(theta[1])])
-    return nll, dbeta, dtheta
-
-
-ORACLE_RANK = {StressLevel.NON_STRESS: 0, StressLevel.SECONDARY: 1,
-               StressLevel.PRIMARY: 2}
-
-
-def oracle_train_ordinal(X, labels, lam=1e-4, seed=0, n_iter=500, lr=0.5):
-    X = np.asarray(X, dtype=np.float64)
-    ranks = np.array([ORACLE_RANK[StressLevel(int(y))] for y in labels])
-    if len(set(ranks.tolist())) < 2:
-        raise DegenerateData("ordinal fit needs at least 2 distinct classes")
-    rng = np.random.default_rng(seed)
-    beta = rng.normal(0.0, 0.01, X.shape[1])
-    theta = np.array([-0.5, 0.0])
-    mb = np.zeros_like(beta)
-    vb = np.zeros_like(beta)
-    mt = np.zeros_like(theta)
-    vt = np.zeros_like(theta)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for t in range(1, n_iter + 1):
-        _, dbeta, dtheta = oracle_nll_grad(beta, theta, X, ranks, lam)
-        mb = b1 * mb + (1 - b1) * dbeta
-        vb = b2 * vb + (1 - b2) * dbeta ** 2
-        mt = b1 * mt + (1 - b1) * dtheta
-        vt = b2 * vt + (1 - b2) * dtheta ** 2
-        beta -= lr * (mb / (1 - b1 ** t)) / (np.sqrt(vb / (1 - b2 ** t)) + eps)
-        theta -= lr * (mt / (1 - b1 ** t)) / (np.sqrt(vt / (1 - b2 ** t)) + eps)
-    t0, t1 = theta[0], theta[0] + np.exp(theta[1])
-    return OrdinalModel(beta, np.array([t0, t1]))
-
-
-def criterion_8_training_set(lexicon, k, seed=1):
-    """Criterion 8's training syllables: 250 utterances at noise 0.75,
-    70% of them by utterance."""
-    _, table = synth_corpus(lexicon, 250, GenConfig(noise=0.75), seed=seed)
-    train_all, _ = split_table(table, 0.7, seed=seed)
-    return syllable_rows(train_all, k)
 
 
 def assert_fits_as_oracle(X, y, **kwargs):
     got = train_ordinal(X, y, **kwargs)
     want = oracle_train_ordinal(X, y, **kwargs)
     for name in ("coefficients", "thresholds"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
+        assert_same_array(getattr(got, name), getattr(want, name), name)
 
 
 class TestOrdinalOracle:
@@ -464,8 +308,8 @@ class TestOrdinalOracle:
         assert_fits_as_oracle(X, y, seed=1)
 
     @pytest.mark.parametrize("k", [6, 12])
-    def test_criterion_8_seed_1(self, lexicon, k):
-        X, y = criterion_8_training_set(lexicon, k)
+    def test_criterion_8_seed_1(self, criterion_8_tables, k):
+        X, y = syllable_rows(criterion_8_tables["train"], k)
         assert_fits_as_oracle(X, y, seed=1)
 
     def test_no_secondary_rows(self):

@@ -20,14 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stressnet
-from conftest import (
-    Record,
-    float_values,
-    json_values,
-    oracle_instances,
-    pack_records,
-    table_records,
-)
+from conftest import (MALFORMED_LINES, MALFORMED_WAVS, Record, float_values,
+                      json_values, pack_records, table_records)
 from stressnet import bundled_dictionary_path
 from stressnet.cli import _write_predictions, run_subcommand
 from stressnet import checkpoint, corpus
@@ -41,9 +35,10 @@ from stressnet.features import (
     read_feature_table,
     write_feature_table,
 )
-from stressnet.lexicon import NUCLEUS_TAGS
+from stressnet.lexicon import NUCLEUS_TAGS, VOWELS
 from stressnet.model import FEATURE_MODES
-from test_dsp import MALFORMED_WAVS
+from oracles import (oracle_instances, oracle_predictions, oracle_split,
+                     per_word_reference)
 
 
 def run(*argv):
@@ -518,7 +513,7 @@ class TestFeaturize:
                    "--out", str(out)) == 0
         (rec,) = table_records(read_feature_table(str(out)))
         assert rec.word == "maybe"
-        assert (out.parent / "manifest.json").is_file()
+        assert Path(f"{out}.manifest.json").is_file()
 
     def test_featurize_loads_no_scipy(self, tmp_path):
         # a fresh interpreter: this one has SciPy loaded to write the WAV
@@ -816,28 +811,6 @@ def baseline_ckpts(pipeline):
     return {"rf": rf, "or": ordinal}
 
 
-def per_word_reference(ckpt, table):
-    """predict's output lines, scoring one word per call as a reference."""
-    from stressnet.baselines import ForestModel
-    from stressnet.checkpoint import load_any
-    from stressnet.model import feature_dim
-
-    model, feature_mode, _ = load_any(ckpt)
-    score = (model.vote_shares if isinstance(model, ForestModel)
-             else model.class_probs)
-    lines = []
-    for inst in oracle_instances(table_records(read_feature_table(table))):
-        probs = score(inst.features[:, :feature_dim(feature_mode)])
-        lines.append(json.dumps({
-            "utterance_id": inst.utterance_id,
-            "word": inst.word,
-            "syllables": [{"position": i, "stress_pred": int(p.argmax()),
-                           "probs": [float(x) for x in p]}
-                          for i, p in enumerate(probs)],
-        }, sort_keys=True) + "\n")
-    return "".join(lines)
-
-
 class TestBaselineCheckpoints:
     """eval/predict on or and rf checkpoints score every syllable of a file
     in one call and give what scoring word by word gives."""
@@ -880,54 +853,6 @@ class TestBaselineCheckpoints:
         assert run("eval", "--model", baseline_ckpts[kind], "--data",
                    str(empty), "--out", str(tmp_path / "report")) == 4
         assert "AlignmentError" in capsys.readouterr().err
-
-
-def _edit(path, *value):
-    """A mutation that sets the field at path (keys into the record) to
-    value, or deletes it when no value is given."""
-    def mutate(doc):
-        *head, last = path
-        for key in head:
-            doc = doc[key]
-        if value:
-            doc[last] = value[0]
-        else:
-            del doc[last]
-    return mutate
-
-
-SYL = ("syllables", 0)
-MALFORMED_LINES = {
-    "bad_json": '{"utterance_id": "u", "word": ',
-    "non_object": "[1, 2, 3]",
-    "missing_utterance_id": _edit(("utterance_id",)),
-    "utterance_id_not_string": _edit(("utterance_id",), 7),
-    "missing_word": _edit(("word",)),
-    "word_not_string": _edit(("word",), ["a"]),
-    "missing_syllables": _edit(("syllables",)),
-    "syllables_not_list": _edit(("syllables",), {"position": 0}),
-    "syllable_not_object": _edit(SYL, 3),
-    "missing_features": _edit(SYL + ("features",)),
-    "features_not_list": _edit(SYL + ("features",), "1.0"),
-    "eleven_features": lambda doc: doc["syllables"][0]["features"].pop(),
-    "feature_not_number": _edit(SYL + ("features", 4), "x"),
-    "nan_feature": _edit(SYL + ("features", 0), float("nan")),
-    "infinite_feature": _edit(SYL + ("features", 2), float("-inf")),
-    "missing_nucleus": _edit(SYL + ("nucleus",)),
-    "nucleus_not_string": _edit(SYL + ("nucleus",), 1),
-    "unknown_nucleus": _edit(SYL + ("nucleus",), "zz"),
-    "missing_position": _edit(SYL + ("position",)),
-    "position_not_int": _edit(SYL + ("position",), "0"),
-    "missing_stress": _edit(SYL + ("stress",)),
-    "stress_not_int": _edit(SYL + ("stress",), "1"),
-    "stress_out_of_range": _edit(SYL + ("stress",), 3),
-    "no_syllables": _edit(("syllables",), []),
-    "eighteen_syllables": lambda doc: doc.update(syllables=[
-        dict(doc["syllables"][0], position=i) for i in range(18)]),
-    "repeated_position": _edit(("syllables", 1, "position"), 0),
-    "position_gap": lambda doc: doc["syllables"][-1].update(
-        position=len(doc["syllables"])),
-}
 
 
 class TestPathErrors:
@@ -979,7 +904,7 @@ class TestOutputsInMissingDirectories:
                    "syllable_numerical", "--train",
                    str(tiny_corpus / "corpus" / "features.jsonl"),
                    "--out", str(out)) == 0
-        assert out.is_file() and (out.parent / "manifest.json").is_file()
+        assert out.is_file() and Path(f"{out}.manifest.json").is_file()
 
     def test_train_history(self, tiny_corpus, tmp_path):
         history = tmp_path / "new" / "history.json"
@@ -2096,6 +2021,67 @@ class TestTableFuzz:
         assert not caught, [str(w.message) for w in caught]
 
 
+# one dictionary line: a headword of lower-case letters, punctuation,
+# non-ASCII letters, NBSP and NEL (Latin-1, as dictionaries are read),
+# maybe a variant mark, and mostly valid phonemes
+DICT_PHONEMES = sorted(v + d for v in VOWELS for d in "012") + [
+    "B", "CH", "D", "DH", "F", "G", "HH", "K", "L", "M", "N", "NG", "P", "R",
+    "S", "SH", "T", "V", "W", "Z", "AH", "AH3", "K1", "k", "X!"]
+DICT_LINES = st.builds(
+    lambda head, variant, phonemes: f"{head}{variant}  {' '.join(phonemes)}",
+    st.text("abcdefghijklmnopqrstuvwxyz\"#%&(),'.-\xe9\xdf\xa0\x85",
+            min_size=1, max_size=6),
+    st.sampled_from(["", "", "(1)", "(2)"]),
+    st.lists(st.sampled_from(DICT_PHONEMES), max_size=6))
+BUNDLED_LINES = (Path(bundled_dictionary_path()).read_text("latin-1")
+                 .splitlines())
+
+
+class TestDictionaryFuzz:
+    """lexicon lookup and synth --n 2 with a drawn dictionary exit 0, 2, 3
+    or 4, with no traceback and no warning. label with that dictionary
+    keeps every word an exit-0 synth drew, and under dictionary labeling
+    gives the stresses synth's table holds."""
+
+    # headwords stored as written but looked up normalized: synth raised
+    # IndexError on a headword with a character lookup strips, and on
+    # lower-case headwords as cmudict.dict writes them
+    @example(lines=[*BUNDLED_LINES, '"CLOSE-QUOTE  K L OW1 Z K W OW1 T'],
+             pick=-1, labeling="dictionary")
+    @example(lines=[line.lower() for line in BUNDLED_LINES],
+             pick=BUNDLED_LINES.index("OVERCOME  OW2 V ER0 K AH1 M"),
+             labeling="dictionary")
+    @given(lines=st.lists(DICT_LINES, min_size=1, max_size=6),
+           pick=st.integers(0, 5),
+           labeling=st.sampled_from(["dictionary", "relative_duration"]))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_dictionary(self, lines, pick, labeling):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "dict.txt"), os.path.join(tmp, "c")
+            labels = os.path.join(tmp, "labels")
+            Path(path).write_text("".join(f"{l}\n" for l in lines), "latin-1")
+            head = lines[pick % len(lines)].split("  ")[0]
+            runs = [("lexicon", "lookup", head),
+                    ("synth", "--n", "2", "--labeling", labeling, "--out", out)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                codes = [run_quietly(*argv, "--dict", path) for argv in runs]
+            for code, err in codes:
+                assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+            assert not caught, [str(w.message) for w in caught]
+            if codes[1][0] != 0:
+                return
+            assert run_quietly("label", "--alignments", f"{out}/alignments",
+                               "--dict", path, "--out", labels)[0] == 0
+            assert Path(labels, "exclusions.jsonl").read_bytes() == b""
+            table = read_feature_table(os.path.join(out, "features.jsonl"))
+            stresses = [s for line in Path(labels, "labels.jsonl").open()
+                        for s in json.loads(line)["stresses"]]
+            assert len(stresses) == len(table.labels)
+            if labeling == "dictionary":
+                assert stresses == table.labels.tolist()
+
+
 # per case, a command with one wrong path: a directory {d} where a file
 # is meant, a regular file {f} where a directory is meant (itself or as
 # the parent of an output), or a missing input {m}. The other paths work:
@@ -2204,7 +2190,8 @@ class TestManifests:
                 (tmp_path / "cfg.json").write_text(json.dumps(doc))
                 argv = ["--config", str(tmp_path / "cfg.json"), *argv]
             assert run(*argv) == 0
-            return (out / "manifest.json").read_bytes()
+            (path,) = out.glob("*manifest.json")  # the one this run wrote
+            return path.read_bytes()
 
         base = manifest()
         varied = (manifest(doc=variant) if isinstance(variant, dict)
@@ -2244,9 +2231,24 @@ class TestManifests:
         got = {}
         for command, command_argv in argv.items():
             assert run("--config", str(cfg), *command_argv) == 0
-            manifest = tiny_corpus / f"prop-{command}" / "manifest.json"
+            manifest = Path(command_argv[command_argv.index("--out") + 1]
+                            + ".manifest.json")
             got.update(json.loads(manifest.read_text())["arguments"])
         assert {key: got[key] for key in want} == want
+
+    def test_checkpoints_side_by_side_keep_a_manifest_each(self, tiny_corpus,
+                                                           tmp_path):
+        for kind in ("rf", "or"):
+            assert run("train", "--model", kind, "--feature-mode",
+                       "syllable_numerical", "--train",
+                       str(tiny_corpus / "corpus" / "features.jsonl"),
+                       "--out", str(tmp_path / f"{kind}.ckpt")) == 0
+        manifests = {path.name: json.loads(path.read_text())
+                     for path in tmp_path.glob("*manifest.json")}
+        assert sorted(manifests) == ["or.ckpt.manifest.json",
+                                     "rf.ckpt.manifest.json"]
+        assert manifests["rf.ckpt.manifest.json"]["arguments"]["model"] == "rf"
+        assert manifests["or.ckpt.manifest.json"]["arguments"]["model"] == "or"
 
     def test_bundled_dictionary_is_named_so(self, tiny_corpus):
         out = tiny_corpus / "named"
@@ -2288,26 +2290,16 @@ class TestManifests:
             assert done.returncode == 0, done.stderr
             assert done.stdout.splitlines()[0] == str(package / "__init__.py")
             manifests.append({str(p.relative_to(work)): p.read_bytes()
-                              for p in sorted(work.rglob("manifest.json"))})
-        assert sorted(manifests[0]) == ["corpus/manifest.json",
-                                        "corpus/split/manifest.json",
-                                        "or/manifest.json", "report/manifest.json"]
+                              for p in sorted(work.rglob("*manifest.json"))})
+        assert sorted(manifests[0]) == [
+            "corpus/manifest.json", "corpus/split/manifest.json",
+            "or/m.ckpt.manifest.json", "report/or.manifest.json"]
         assert manifests[0] == manifests[1]
         assert b'"<bundled>"' in manifests[0]["corpus/manifest.json"]
 
 
 def split_files(out: Path) -> dict[str, bytes]:
     return {name: (out / name).read_bytes() for name in ("train.jsonl", "test.jsonl")}
-
-
-def oracle_split(table: Path, out: Path, fraction: float, seed: int) -> None:
-    """split as it was: read the table, split the records, write both
-    parts with write_feature_table."""
-    train_set, test_set = corpus.split(table_records(read_feature_table(str(table))),
-                                       fraction, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    write_feature_table(pack_records(train_set), str(out / "train.jsonl"))
-    write_feature_table(pack_records(test_set), str(out / "test.jsonl"))
 
 
 @st.composite
@@ -2426,24 +2418,6 @@ class TestSplitCopiesLines:
 json_text = st.text(st.characters() | st.sampled_from(
     '"\\/\x00\x1f\x7f\n\té雪\U0001f600\ud800\udfff'), max_size=8)
 probabilities = st.floats() | st.sampled_from([0.0, 1.0, 5e-324, 1e-05])
-
-
-def oracle_predictions(instances, probs) -> str:
-    """predict's output as it was made: json.dumps(doc, sort_keys=True)
-    per word."""
-    preds, lines, start = probs.argmax(axis=1), [], 0
-    for inst in instances:
-        stop = start + len(inst.labels)
-        lines.append(json.dumps({
-            "utterance_id": inst.utterance_id,
-            "word": inst.word,
-            "syllables": [{"position": i, "stress_pred": int(level),
-                           "probs": row.tolist()}
-                          for i, (level, row) in enumerate(
-                              zip(preds[start:stop], probs[start:stop]))],
-        }, sort_keys=True) + "\n")
-        start = stop
-    return "".join(lines)
 
 
 class TestPredictionWriter:

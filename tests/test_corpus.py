@@ -7,17 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stressnet import corpus as C
 from stressnet.corpus import (
     COUNT_MISMATCH,
     IGNORE_LABEL,
     MONOSYLLABIC,
     NOT_IN_LEXICON,
     UTTERANCE_EXCLUDED,
-    AlignedWord,
     GenConfig,
-    NucleusSpan,
-    SyllableSpan,
     UtteranceAlignment,
     compute_class_weights,
     instances_from_table,
@@ -37,21 +33,13 @@ from stressnet.errors import (
     StressnetError,
 )
 from stressnet.features import MAX_SYLLABLES
-from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel, syllabify
+from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
 from stressnet.model import FEATURE_MODES, ModelConfig, make_batch
-from conftest import (
-    Record,
-    assert_same_array,
-    assert_same_table,
-    float_values,
-    oracle_flatten,
-    oracle_instances,
-    oracle_make_batch,
-    pack_records,
-    split_table,
-    table_records,
-)
-from test_features import oracle_normalize_sentence
+from conftest import (Record, assert_same_array, assert_same_corpus,
+                      assert_same_table, float_values, pack_records, split_table,
+                      table_records)
+from oracles import (oracle_class_weights, oracle_flatten, oracle_instances,
+                     oracle_make_batch, oracle_synth_corpus)
 
 
 def make_word(text, n_syllables, start=0.0, dur=0.2):
@@ -551,20 +539,6 @@ class TestSplit:
             split(inst, 0.7, seed=0)
 
 
-def oracle_class_weights(train):
-    """compute_class_weights with one np.add.at per word and one
-    normalization per type: the implementation the bincount one replaced."""
-    counts = np.zeros((len(NUCLEUS_TAGS), 3))
-    for inst in train:
-        np.add.at(counts, (inst.type_indices, inst.labels), 1.0)
-    table = np.ones((len(NUCLEUS_TAGS), 3))
-    for t in range(len(NUCLEUS_TAGS)):
-        total = counts[t].sum()
-        if total > 0:
-            table[t] = weights_from_proportions(counts[t] / total)
-    return table
-
-
 class TestClassWeights:
     def test_bincount_matches_per_word_counting(self, lexicon):
         rng = np.random.default_rng(9)
@@ -627,108 +601,6 @@ class TestClassWeights:
         table = compute_class_weights(instances)
         assert np.allclose(table.max(axis=1), 1.0)
         assert np.all(table >= 0.0)
-
-
-def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):
-    """synth_corpus one scalar draw at a time: a normal(0, sigma) call
-    per noisy slot (none where sigma is 0), syllabification per drawn
-    word and the oracle's per-syllable normalization."""
-    rng = np.random.default_rng(seed)
-    sigma_dur, sigma_pitch, sigma_int = cfg.sigmas()
-
-    n_types = len(NUCLEUS_TAGS)
-    type_dur_mult = 1.0 + C.TYPE_OFFSET_SCALE * rng.uniform(-1, 1, n_types)
-    type_pitch_off = C.TYPE_OFFSET_SCALE * max(C.PITCH_CLASS_OFFSET_HZ) \
-        * rng.uniform(-1, 1, n_types)
-    type_int_off = C.TYPE_OFFSET_SCALE * max(C.INTENSITY_CLASS_OFFSET_DB) \
-        * rng.uniform(-1, 1, n_types)
-
-    vocab = sorted(
-        word for word in lexicon.words()
-        if 2 <= lexicon.lookup(word)[0].vowel_count() <= MAX_SYLLABLES
-    )
-
-    def noisy(x, sigma):
-        return float(x + rng.normal(0.0, sigma)) if sigma > 0 else float(x)
-
-    alignments, records = [], []
-    lo, hi = C.N_WORDS_RANGE
-    for u in range(n_utterances):
-        utt_id = f"synth-{seed:04d}-{u:06d}"
-        n_words = int(rng.integers(lo, hi + 1))
-        texts = [vocab[int(i)] for i in rng.integers(0, len(vocab), n_words)]
-
-        utt_raw, utt_words, word_meta = [], [], []
-        clock = 0.0
-        for text in texts:
-            syl = syllabify(lexicon.lookup(text)[0])
-            tags = syl.nucleus_tags()
-            if cfg.labeling == "relative_duration":
-                base_durs = rng.uniform(0.10, 0.30, len(tags))
-                stresses = C._relative_duration_labels(base_durs)
-            else:
-                stresses = syl.stresses()
-                base_durs = np.array([
-                    C.DURATION_BASE_S
-                    * C.DURATION_CLASS_MULT[int(s)]
-                    * type_dur_mult[TAG_TO_INDEX[t]]
-                    for s, t in zip(stresses, tags)
-                ])
-
-            spans = []
-            for i, (tag, stress) in enumerate(zip(tags, stresses)):
-                ti = TAG_TO_INDEX[tag]
-                s = int(stress)
-                syl_dur = max(0.02, noisy(base_durs[i], sigma_dur))
-                if cfg.labeling == "relative_duration":
-                    pitch_mean = C.PITCH_BASE_HZ + type_pitch_off[ti]
-                    int_mean = C.INTENSITY_BASE_DB + type_int_off[ti]
-                else:
-                    pitch_mean = (C.PITCH_BASE_HZ + C.PITCH_CLASS_OFFSET_HZ[s]
-                                  + type_pitch_off[ti])
-                    int_mean = (C.INTENSITY_BASE_DB
-                                + C.INTENSITY_CLASS_OFFSET_DB[s]
-                                + type_int_off[ti])
-                syl_pitch_mean = noisy(pitch_mean, sigma_pitch)
-                syl_pitch_max = syl_pitch_mean + abs(noisy(0.0, sigma_pitch))
-                syl_int_mean = noisy(int_mean, sigma_int)
-                syl_int_max = syl_int_mean + abs(noisy(0.0, sigma_int))
-                syl_voiced = min(syl_dur, max(
-                    0.0, noisy(C.VOICED_FRACTION * syl_dur, sigma_dur)))
-                nuc_dur = min(syl_dur, max(0.01, noisy(
-                    C.NUCLEUS_DURATION_FRACTION * syl_dur, sigma_dur)))
-                nuc_pitch_mean = noisy(
-                    syl_pitch_mean + C.NUCLEUS_PITCH_SHIFT_HZ, sigma_pitch)
-                nuc_pitch_max = nuc_pitch_mean + abs(noisy(0.0, sigma_pitch))
-                nuc_int_mean = noisy(
-                    syl_int_mean + C.NUCLEUS_INTENSITY_SHIFT_DB, sigma_int)
-                nuc_int_max = nuc_int_mean + abs(noisy(0.0, sigma_int))
-                nuc_voiced = min(nuc_dur, max(0.0, noisy(nuc_dur, sigma_dur)))
-
-                utt_raw.append((
-                    syl_pitch_mean, syl_pitch_max, syl_voiced,
-                    syl_int_mean, syl_int_max, syl_dur,
-                    nuc_pitch_mean, nuc_pitch_max, nuc_voiced,
-                    nuc_int_mean, nuc_int_max, nuc_dur,
-                ))
-                n0 = clock + 0.5 * (syl_dur - nuc_dur)
-                spans.append(SyllableSpan(
-                    round(clock, 6), round(clock + syl_dur, 6),
-                    NucleusSpan(round(n0, 6), round(n0 + nuc_dur, 6), tag)))
-                clock += syl_dur
-            clock += C.WORD_GAP_S
-            utt_words.append(AlignedWord(text, tuple(spans)))
-            word_meta.append((text, tags, stresses))
-
-        normalized = np.array(oracle_normalize_sentence(utt_raw))
-        alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
-        row = 0
-        for text, tags, stresses in word_meta:
-            records.append(Record(utt_id, text,
-                                  normalized[row:row + len(tags)], tags,
-                                  [int(s) for s in stresses]))
-            row += len(tags)
-    return alignments, records
 
 
 # SHA-256 of what `synth --n 30 --seed 5 --noise 0.75` writes, per
@@ -863,21 +735,6 @@ SYNTH_DIGESTS = {
             "788a91c05659912ffc5adf2871b924f01bd257135204d8102119cff23a44610a",
     },
 }
-
-
-def assert_same_corpus(got, want):
-    """got is synth_corpus's (alignments, table), want the oracle's
-    (alignments, records)."""
-    (got_al, got_table), (want_al, want_recs) = got, want
-    assert_same_table(got_table, pack_records(want_recs))
-    got_recs = table_records(got_table)
-    assert got_al == want_al
-    assert len(got_recs) == len(want_recs)
-    for a, b in zip(got_recs, want_recs):
-        assert (a.utterance_id, a.word) == (b.utterance_id, b.word)
-        assert (a.nucleus_tags, a.stresses) == (b.nucleus_tags, b.stresses)
-        assert a.features.dtype == b.features.dtype
-        assert a.features.tobytes() == b.features.tobytes()
 
 
 class TestSynthOracle:

@@ -1,4 +1,3 @@
-import io
 import struct
 import tracemalloc
 import warnings
@@ -24,8 +23,9 @@ from stressnet.errors import (
     UnsupportedRate,
 )
 from stressnet.features import extract_features
-
-SR = 16000
+from conftest import (ADPCM, EXTENSIBLE, IEEE_FLOAT, MALFORMED_WAVS, PCM,
+                      SCIPY_READS, SR, chunk, fmt_chunk, riff, wav_bytes)
+from oracles import reference_intensity, reference_pitch, scipy_read_wav
 
 
 def sine(freq, dur=0.5, amp=1.0, sr=SR):
@@ -254,64 +254,6 @@ class TestSegmentStats:
 
 # --- block path against a per-frame reference -----------------------------
 
-def reference_pitch(samples, sr, nfft, cfg=DspConfig()):
-    """The per-frame pitch loop the block path replaced, with the FFT
-    length as a parameter; used only as a test oracle."""
-    samples = np.asarray(samples, dtype=np.float64)
-    win = int(round(cfg.window_s * sr))
-    hop = int(round(cfg.hop_s * sr))
-    starts = np.arange(0, len(samples) - win + 1, hop)
-    lag_min = max(2, int(np.floor(sr / cfg.f_max)))
-    lag_max = min(int(np.ceil(sr / cfg.f_min)), win - 2)
-    window = np.hanning(win)
-    wspec = np.abs(np.fft.rfft(window, nfft)) ** 2
-    r_win = np.fft.irfft(wspec)[:lag_max + 2]
-    r_win /= r_win[0]
-    f0 = np.full(len(starts), np.nan)
-    for i, s in enumerate(starts):
-        frame = samples[s:s + win]
-        frame = frame - frame.mean()
-        energy = float(np.dot(frame, frame))
-        if energy < 1e-12 * win:
-            continue
-        spec = np.abs(np.fft.rfft(frame * window, nfft)) ** 2
-        r = np.fft.irfft(spec)[:lag_max + 2]
-        if r[0] <= 0.0:
-            continue
-        r = (r / r[0]) / r_win
-        band = r[lag_min:lag_max + 1]
-        best = float(band.max())
-        if not best >= cfg.voicing_threshold:  # a NaN frame's best is NaN
-            continue
-        interior = np.zeros(band.shape, dtype=bool)
-        interior[1:-1] = (band[1:-1] >= band[:-2]) & (band[1:-1] >= band[2:])
-        interior[0] = band[0] >= band[1]
-        interior[-1] = band[-1] >= band[-2]
-        candidates = np.nonzero(interior & (band >= best - 0.02))[0]
-        lag = lag_min + int(candidates[0])
-        y0, y1, y2 = r[lag - 1], r[lag], r[lag + 1]
-        denom = y0 - 2.0 * y1 + y2
-        delta = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
-        delta = float(np.clip(delta, -0.5, 0.5))
-        f0_hz = sr / (lag + delta)
-        if cfg.f_min <= f0_hz <= cfg.f_max:
-            f0[i] = f0_hz
-    return f0
-
-
-def reference_intensity(samples, sr, cfg=DspConfig()):
-    """The per-frame intensity loop the block path replaced."""
-    win = int(round(cfg.window_s * sr))
-    hop = int(round(cfg.hop_s * sr))
-    starts = np.arange(0, len(samples) - win + 1, hop)
-    db = np.full(len(starts), -120.0)
-    for i, s in enumerate(starts):
-        frame = samples[s:s + win]
-        rms = float(np.sqrt(np.mean(frame * frame)))
-        if rms >= 1e-6:
-            db[i] = 20.0 * np.log10(rms)
-    return db
-
 
 def fft_lengths(sr, cfg=DspConfig()):
     """(the block path's FFT length, the 2 * win length it replaced)."""
@@ -443,63 +385,6 @@ class TestPitchWorkspace:
         assert peak <= 2.4e6
 
 
-def wav_bytes(samples, sr=SR):
-    from scipy.io import wavfile
-    buf = io.BytesIO()
-    wavfile.write(buf, sr, samples)
-    return buf.getvalue()
-
-
-def scipy_read_wav(path):
-    """read_wav as it was on scipy.io.wavfile, kept as the oracle: float64
-    samples (integers scaled by full scale), channels averaged."""
-    from scipy.io import wavfile
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", wavfile.WavFileWarning)
-        rate, data = wavfile.read(path)
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise FormatError(f"{path}: unsupported WAV sample format {data.dtype}")
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return samples, float(rate)
-
-
-PCM, IEEE_FLOAT, ADPCM, EXTENSIBLE = 0x0001, 0x0003, 0x0002, 0xFFFE
-GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-
-
-def chunk(cid, payload, size=None):
-    """One RIFF chunk: id, declared size (the payload's unless given),
-    payload and the pad byte of an odd-sized payload."""
-    size = len(payload) if size is None else size
-    return cid + struct.pack("<I", size) + payload + b"\0" * (len(payload) % 2)
-
-
-def fmt_chunk(tag, channels, width, bits=None, rate=SR, byte_rate=None,
-              extensible=False):
-    """A fmt chunk for `width`-byte samples: 16 bytes, or 40 with the
-    WAVE_FORMAT_EXTENSIBLE extension carrying `tag` in its GUID."""
-    bits = 8 * width if bits is None else bits
-    block = channels * width
-    byte_rate = rate * block if byte_rate is None else byte_rate
-    head = struct.pack("<HHIIHH", EXTENSIBLE if extensible else tag, channels,
-                       rate, byte_rate, block, bits)
-    if extensible:
-        head += struct.pack("<HHII", 22, bits, 0, tag) + GUID_TAIL
-    return chunk(b"fmt ", head)
-
-
-def riff(*chunks, form=b"RIFF", size=None):
-    body = b"WAVE" + b"".join(chunks)
-    return form + struct.pack("<I", len(body) if size is None else size) + body
-
-
 def sample_bytes(tag, width, n):
     """n random samples: any bit pattern for integers, normal floats."""
     rng = np.random.default_rng(0)
@@ -511,74 +396,6 @@ def sample_bytes(tag, width, n):
 # formats read: (format tag, bytes per sample)
 READ_FORMATS = {"int16": (PCM, 2), "int24": (PCM, 3), "int32": (PCM, 4),
                 "float32": (IEEE_FLOAT, 4), "float64": (IEEE_FLOAT, 8)}
-_PCM16 = fmt_chunk(PCM, 1, 2)
-# Files read_wav refuses, each as a FormatError naming the path. The
-# reader built on SciPy refused these too: SciPy failed on them, or gave a
-# sample type that it did not take (pcm8, pcm_width_5, float16). SciPy
-# reads every file in SCIPY_READS.
-MALFORMED_WAVS = {
-    "empty": b"",
-    "riff_junk": b"RIFF\x10\x00\x00\x00WAVEjunkjunk",
-    "pcm8": wav_bytes(np.array([0, 128, 255], dtype=np.uint8)),
-    "not_riff": b"RIFF\x04\x00\x00\x00WAV_",
-    "no_data": riff(_PCM16),
-    "no_fmt": riff(chunk(b"data", bytes(4))),
-    "data_before_fmt": riff(chunk(b"data", bytes(4)), _PCM16),
-    "fmt_short": riff(chunk(b"fmt ", bytes(14)), chunk(b"data", bytes(4))),
-    "adpcm": riff(fmt_chunk(ADPCM, 1, 2), chunk(b"data", bytes(4))),
-    "no_channels": riff(fmt_chunk(PCM, 0, 2), chunk(b"data", bytes(4))),
-    "pcm_width_5": riff(fmt_chunk(PCM, 1, 5, bits=40), chunk(b"data", bytes(10))),
-    "pcm_width_9": riff(fmt_chunk(PCM, 1, 9, bits=64), chunk(b"data", bytes(9))),
-    "float16": riff(fmt_chunk(IEEE_FLOAT, 1, 2), chunk(b"data", bytes(4))),
-    "extensible_unknown_guid": riff(
-        fmt_chunk(PCM, 1, 2, extensible=True)[:-4] + b"\xff" * 4,
-        chunk(b"data", bytes(4))),
-    "extensible_without_extension": riff(
-        chunk(b"fmt ", struct.pack("<HHIIHHH", EXTENSIBLE, 1, SR, 2 * SR, 2,
-                                   16, 0)), chunk(b"data", bytes(4))),
-    "extensible_fmt_under_40": riff(
-        chunk(b"fmt ", fmt_chunk(PCM, 1, 2, extensible=True)[8:34]),
-        chunk(b"data", bytes(4))),
-    "chunk_size_past_eof": riff(_PCM16, chunk(b"data", bytes(4), size=2 ** 32 - 1)),
-}
-SCIPY_READS = {
-    # big-endian samples, which the reader built on SciPy refused as well
-    "rifx": b"RIFX" + struct.pack(">I", 40) + b"WAVEfmt " + struct.pack(
-        ">IHHIIHH", 16, PCM, 1, SR, 2 * SR, 2, 16) + b"data" + struct.pack(
-        ">I", 4) + bytes(4),
-    # sizes in the ds64 chunk: RIFF 76, data 4, 2 samples, no table
-    "rf64": b"RF64\xff\xff\xff\xffWAVE" + chunk(
-        b"ds64", struct.pack("<QQQI", 76, 4, 2, 0)) + _PCM16 + chunk(
-        b"data", bytes(4), size=2 ** 32 - 1),
-    "data_cut_short": riff(_PCM16, chunk(b"data", bytes(8)))[:-4],
-    "trailing_chunk_cut_short": riff(_PCM16, chunk(b"data", bytes(4)),
-                                     chunk(b"LIST", bytes(8)))[:-4],
-    "chunk_header_cut_short": riff(_PCM16, chunk(b"data", bytes(4)), b"LI"),
-    "second_data": riff(_PCM16, chunk(b"data", bytes(4)), chunk(b"data", bytes(2))),
-    "second_fmt": riff(_PCM16, _PCM16, chunk(b"data", bytes(4))),
-    "partial_frame": riff(_PCM16, chunk(b"data", bytes(5))),
-    "frame_not_whole_bytes_per_channel": riff(
-        chunk(b"fmt ", struct.pack("<HHIIHH", PCM, 2, SR, 5 * SR, 5, 16)),
-        chunk(b"data", bytes(20))),
-    "pcm_bits_past_container": riff(fmt_chunk(PCM, 1, 2, bits=24),
-                                    chunk(b"data", bytes(4))),
-    "pcm_bits_zero": riff(fmt_chunk(PCM, 1, 2, bits=0), chunk(b"data", bytes(4))),
-    "float_bits_not_width": riff(fmt_chunk(IEEE_FLOAT, 1, 8, bits=32),
-                                 chunk(b"data", bytes(8))),
-    "float_byte_rate": riff(fmt_chunk(IEEE_FLOAT, 1, 4, byte_rate=1),
-                            chunk(b"data", bytes(8))),
-    "float_nan_sample": riff(fmt_chunk(IEEE_FLOAT, 1, 4), chunk(
-        b"data", np.array([0.5, np.nan], "<f4").tobytes())),
-    # a signaling NaN: the cast to float64 raised "invalid value" before
-    "float_signaling_nan_sample": riff(fmt_chunk(IEEE_FLOAT, 1, 4), chunk(
-        b"data", b"\x00\x00\x81\x7f")),
-    "float_inf_sample": riff(fmt_chunk(IEEE_FLOAT, 2, 8), chunk(
-        b"data", np.array([0.5, 0.25, -np.inf, 0.0], "<f8").tobytes())),
-    # finite samples whose channel average overflows
-    "float_channel_mean_overflow": riff(fmt_chunk(IEEE_FLOAT, 2, 8), chunk(
-        b"data", np.array([0.5, 0.25, 1.5e308, 1.5e308], "<f8").tobytes())),
-}
-MALFORMED_WAVS.update(SCIPY_READS)
 WAV_DAMAGES = ["form", "riff_size", "tag", "width", "channels", "bits",
                "byte_rate", "partial_frame", "chunk_id", "chunk_size", "edit",
                "cut"]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Record, oracle_instances, pack_records
+from conftest import Record, pack_records
 from stressnet.cli import _write_json
-from stressnet.corpus import IGNORE_LABEL
 from stressnet.errors import (
     AlignmentError,
     InsufficientDimensions,
@@ -20,6 +19,7 @@ from stressnet.evaluation import (
     report_to_dict,
 )
 from stressnet.lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, StressLevel
+from oracles import oracle_evaluate, oracle_instances
 
 S0, S1, S2 = StressLevel.NON_STRESS, StressLevel.PRIMARY, StressLevel.SECONDARY
 
@@ -33,47 +33,6 @@ def record(labels, tags=None, utt="u", word="w"):
 def flat(preds):
     """Per-word prediction lists as evaluate's one array, in word order."""
     return np.array([int(p) for word in preds for p in word], dtype=np.int64)
-
-
-def oracle_evaluate(predictions, instances, weight_table=None):
-    """evaluate as a loop over every syllable of the per-word instances,
-    one prediction list per word: the implementation the bincount one
-    replaced."""
-    if len(predictions) != len(instances):
-        raise AlignmentError(
-            f"{len(predictions)} prediction lists for {len(instances)} instances")
-    for inst in instances:
-        if (inst.labels == IGNORE_LABEL).any():
-            raise LabelError(f"{inst.utterance_id}: {inst.word!r} has a "
-                             "syllable without a gold stress label")
-    confusion = np.zeros((3, 3), dtype=np.int64)
-    per_type = {tag: np.zeros((3, 3), dtype=np.int64) for tag in NUCLEUS_TAGS}
-    weight_sum = 0.0
-    weighted_correct = 0.0
-    for preds, inst in zip(predictions, instances):
-        if len(preds) != len(inst.labels):
-            raise AlignmentError(
-                f"{inst.word!r}: {len(preds)} predictions for "
-                f"{len(inst.labels)} syllables")
-        for i, pred in enumerate(preds):
-            real = int(inst.labels[i])
-            t = int(inst.type_indices[i])
-            confusion[real, int(pred)] += 1
-            per_type[NUCLEUS_TAGS[t]][real, int(pred)] += 1
-            if weight_table is not None:
-                w = float(weight_table[t, real])
-                weight_sum += w
-                weighted_correct += w * (int(pred) == real)
-    n_syllables = int(confusion.sum())
-    if n_syllables == 0:
-        raise AlignmentError("no syllables to score")
-    accuracy = float(np.trace(confusion)) / n_syllables
-    weighted = None
-    if weight_table is not None and weight_sum > 0:
-        weighted = weighted_correct / weight_sum
-    per_type = {tag: m for tag, m in per_type.items() if m.sum() > 0}
-    return EvalReport(accuracy, weighted, confusion, per_type,
-                      n_syllables, len(instances))
 
 
 class TestEvaluate:

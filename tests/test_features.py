@@ -1,9 +1,7 @@
 import copy
 import json
-import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,16 +21,12 @@ from stressnet.features import (
     read_table_lines,
     write_feature_table,
 )
-from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
-from conftest import (
-    OracleWord,
-    Record,
-    assert_same_table,
-    float_values,
-    pack_records,
-    table_records,
-)
-from test_cli import MALFORMED_LINES
+from stressnet.lexicon import NUCLEUS_TAGS
+from conftest import (MALFORMED_LINES, Record, assert_same_array,
+                      assert_same_table, float_values, pack_records, table_records)
+from oracles import (oracle_extract_features, oracle_instance,
+                     oracle_normalize_sentence, oracle_read_table, oracle_record,
+                     oracle_table_bytes)
 
 HOP = 0.01
 
@@ -144,62 +138,7 @@ class TestExtractFeatures:
         assert len(FEATURE_SLOTS) == 12
 
 
-# --- the per-syllable oracle ----------------------------------------------------
-
-def oracle_segment_stats(track, start_s, end_s):
-    """(mean, max, voiced duration) over the frames whose centers fall in
-    [start_s, end_s), found with a mask; None for mean and max where no
-    usable frame is in the span. Pitch counts voiced frames only."""
-    if not start_s < end_s:
-        raise InvalidSpan(f"inverted span [{start_s}, {end_s})")
-    in_span = (track.times_s >= start_s) & (track.times_s < end_s)
-    values = track.values[in_span]
-    if isinstance(track, PitchTrack):
-        values = values[np.isfinite(values)]
-    if values.size == 0:
-        return None, None, 0.0
-    return (float(values.mean()), float(values.max()),
-            float(values.size * track.frame_hop_s))
-
-
-def oracle_check_extent(track, start_s, end_s):
-    if len(track) == 0:
-        raise SpanOutOfRange("track has no frames")
-    half = track.frame_hop_s / 2.0
-    lo = float(track.times_s[0]) - half
-    hi = float(track.times_s[-1]) + half
-    if end_s <= lo or start_s >= hi:
-        raise SpanOutOfRange(
-            f"span [{start_s}, {end_s}) outside track extent [{lo}, {hi})")
-
-
-def oracle_syllable_features(pitch, intensity, s0, s1, n0, n1):
-    """One syllable's 12 values, None where pitch is ABSENT."""
-    if not (s0 <= n0 and n1 <= s1):
-        raise InvalidSpan(f"nucleus span [{n0},{n1}) outside syllable [{s0},{s1})")
-    oracle_check_extent(pitch, s0, s1)
-    oracle_check_extent(intensity, s0, s1)
-
-    def six(span0, span1):
-        p_mean, p_max, voiced = oracle_segment_stats(pitch, span0, span1)
-        i_mean, i_max, _ = oracle_segment_stats(intensity, span0, span1)
-        if i_mean is None:  # the frame nearest the span's middle
-            mid = 0.5 * (span0 + span1)
-            i_mean = float(intensity.values[
-                int(np.argmin(np.abs(intensity.times_s - mid)))])
-        if i_max is None:
-            i_max = i_mean
-        return [p_mean, p_max, voiced, i_mean, i_max, span1 - span0]
-
-    return six(s0, s1) + six(n0, n1)
-
-
-def oracle_extract_features(pitch, intensity, spans):
-    """extract_features a syllable at a time, each span's frames found with
-    a mask over all frame times; ABSENT (None) becomes NaN in the matrix."""
-    rows = [oracle_syllable_features(pitch, intensity, *row)
-            for row in np.asarray(spans, dtype=np.float64).reshape(-1, 4).tolist()]
-    return np.array(rows, dtype=np.float64).reshape(-1, N_FEATURES)
+# --- extract_features against the per-syllable oracle ------------------------
 
 
 @st.composite
@@ -245,22 +184,6 @@ def sentence(*rows):
 
 def filled(value):
     return [value] * 12
-
-
-def oracle_normalize_sentence(raw):
-    """normalize_sentence as a loop over slots and syllables: the mean of
-    each slot's present values as one list, subtracted one at a time. raw
-    is rows of 12 values, None where ABSENT."""
-    n = len(raw)
-    out = [np.zeros(N_FEATURES) for _ in range(n)]
-    for slot in range(N_FEATURES):
-        present = [i for i in range(n) if raw[i][slot] is not None]
-        if not present:
-            continue
-        mean = float(np.mean([raw[i][slot] for i in present]))
-        for i in present:
-            out[i][slot] = float(raw[i][slot]) - mean
-    return out
 
 
 class TestNormalizeSentence:
@@ -439,86 +362,8 @@ class TestFeatureTableFuzz:
 
 # --- the reader and writer against the per-syllable oracles -------------------
 #
-# read_feature_table checks a line's syllables in one loop and converts all
-# their features with one np.array call; write_feature_table lays out the
-# fixed schema itself. The oracles below are the reader they replaced (one
-# object, one np.asarray and one StressLevel per syllable, stacked per
-# word) and json.dumps. The reader must accept exactly the
-# lines the oracle accepts and give the same bytes; a line with a single
-# fault gets the same message too.
-
-@dataclass
-class OracleSyllable:
-    features: np.ndarray
-    nucleus_tag: str
-    position: int
-    stress: StressLevel | None = None
-
-
-def oracle_field(doc, key, *types):
-    value = doc.get(key, ...)
-    if type(value) not in types:
-        raise FormatError(f"{key!r} is missing or of the wrong type")
-    return value
-
-
-def oracle_feature_vector(values):
-    try:
-        ok = (len(values) == N_FEATURES and set(map(type, values)) <= {int, float}
-              and all(map(math.isfinite, values)))
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise FormatError(f"'features' must be {N_FEATURES} finite numbers")
-    return np.asarray(values, dtype=np.float64)
-
-
-def oracle_syllable(doc):
-    if type(doc) is not dict:
-        raise FormatError("a syllable is not a JSON object")
-    stress = oracle_field(doc, "stress", int, type(None))
-    if stress not in (None, 0, 1, 2):
-        raise FormatError(f"stress {stress} is not 0, 1, 2 or null")
-    nucleus = oracle_field(doc, "nucleus", str)
-    if nucleus not in TAG_TO_INDEX:
-        raise FormatError(f"unknown nucleus tag {nucleus!r}")
-    return OracleSyllable(
-        features=oracle_feature_vector(oracle_field(doc, "features", list)),
-        nucleus_tag=nucleus,
-        position=oracle_field(doc, "position", int),
-        stress=None if stress is None else StressLevel(stress),
-    )
-
-
-def oracle_record(line):
-    """(utterance_id, word, syllables in position order)."""
-    try:
-        doc = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"not valid JSON ({exc})")
-    if type(doc) is not dict:
-        raise FormatError("the line is not a JSON object")
-    utterance_id = oracle_field(doc, "utterance_id", str)
-    word = oracle_field(doc, "word", str)
-    syllables = sorted(map(oracle_syllable, oracle_field(doc, "syllables", list)),
-                       key=lambda obs: obs.position)
-    n = len(syllables)
-    if not 1 <= n <= MAX_SYLLABLES:
-        raise FormatError(f"{n} syllables, not 1 to {MAX_SYLLABLES}")
-    if [obs.position for obs in syllables] != list(range(n)):
-        raise FormatError(f"syllable positions are not 0..{n - 1}, each once")
-    return utterance_id, word, syllables
-
-
-def oracle_instance(utterance_id, word, syllables):
-    """One word's arrays, stacked from the oracle's syllables."""
-    return OracleWord(
-        utterance_id, word,
-        np.array([obs.features for obs in syllables], dtype=np.float64),
-        np.array([TAG_TO_INDEX[obs.nucleus_tag] for obs in syllables],
-                 dtype=np.int64),
-        np.array([IGNORE_LABEL if obs.stress is None else int(obs.stress)
-                  for obs in syllables], dtype=np.int64))
+# The reader must accept exactly the lines the oracle accepts and give the
+# same bytes; a line with a single fault gets the same message too.
 
 
 def assert_reads_as_oracle(line: bytes, same_message: bool = True) -> bool:
@@ -543,19 +388,11 @@ def assert_reads_as_oracle(line: bytes, same_message: bool = True) -> bool:
     want_inst = oracle_instance(*want)
     assert (inst.utterance_ids, inst.words) == ([want[0]], [want[1]])
     assert inst.offsets.tolist() == [0, len(want[2])]
-    assert inst.features.dtype == np.float64
-    assert inst.features.shape == want_inst.features.shape
-    assert inst.features.tobytes() == want_inst.features.tobytes()
-    assert [NUCLEUS_TAGS[t] for t in inst.types.tolist()] == [
-        obs.nucleus_tag for obs in want[2]]
-    assert inst.labels.tolist() == [
-        IGNORE_LABEL if obs.stress is None else int(obs.stress) for obs in want[2]]
     for name, got, expected in (
             ("features", inst.features, want_inst.features),
             ("types", inst.types, want_inst.type_indices),
             ("labels", inst.labels, want_inst.labels)):
-        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
-        assert got.tobytes() == expected.tobytes(), name
+        assert_same_array(got, expected, name)
     return True
 
 
@@ -723,30 +560,6 @@ def drawn_table_bytes(n_words, seed, faults, blanks) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def oracle_read_table(path: str, data: bytes):
-    """(pack_records of the oracle's records, each word's line span), or
-    the oracle's first FormatError at path:line."""
-    pieces = data.split(b"\n")
-    lines = [piece + b"\n" for piece in pieces[:-1]] + [pieces[-1]] * bool(pieces[-1])
-    records, spans, start = [], [], 0
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                utterance_id, word, syllables = oracle_record(line)
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            records.append(Record(
-                utterance_id, word,
-                np.array([obs.features for obs in syllables], dtype=np.float64),
-                [obs.nucleus_tag for obs in syllables],
-                [None if obs.stress is None else int(obs.stress)
-                 for obs in syllables]))
-            first = start + len(line) - len(line.lstrip())
-            spans.append((first, first + len(line.strip())))
-        start += len(line)
-    return pack_records(records), spans
-
-
 @st.composite
 def drawn_tables(draw):
     """drawn_table_bytes arguments: up to 140 words (chunk boundaries at
@@ -792,33 +605,11 @@ class TestTableOracle:
                     read(path)
                 assert str(got.value) == str(exc)
             return
-        got = read_feature_table(path)
-        assert (got.utterance_ids, got.words) == (want.utterance_ids, want.words)
-        for name in ("offsets", "features", "types", "labels"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
+        assert_same_table(read_feature_table(path), want)
         got_data, lines = read_table_lines(path)
         assert got_data == data
         assert lines == [TableLine(u, first, stop) for u, (first, stop)
                          in zip(want.utterance_ids, spans)]
-
-
-def oracle_line(rec) -> str:
-    """The record's table line as json.dumps writes its document."""
-    return json.dumps({
-        "utterance_id": rec.utterance_id,
-        "word": rec.word,
-        "syllables": [
-            {"position": i, "features": [float(x) for x in row],
-             "nucleus": tag, "stress": stress}
-            for i, (row, tag, stress) in enumerate(zip(
-                rec.features, rec.nucleus_tags, rec.stresses))],
-    }, sort_keys=True) + "\n"
-
-
-def oracle_table_bytes(records) -> bytes:
-    return "".join(map(oracle_line, records)).encode()
 
 
 def written(table) -> tuple[bytes, Instances]:

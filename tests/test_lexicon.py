@@ -53,6 +53,16 @@ class TestParseDictionary:
         assert lex.lookup("Cat!") == lex.lookup("CAT")
         assert lex.lookup("cat,") == lex.lookup("CAT") != []
 
+    def test_headwords_keyed_as_lookup_normalizes(self):
+        lex = parse('"close-quote  K L OW1 Z K W OW1 T\n'
+                    "read  R IY1 D\nREAD  R EH1 D\n")
+        assert sorted(lex.words()) == ["CLOSE-QUOTE", "READ"]
+        (entry,) = lex.lookup("Close-Quote")
+        assert entry.word == '"close-quote'  # as written
+        # entries that meet under one key keep file order
+        assert [v.phonemes for v in lex.lookup("read")] == [
+            ("R", "IY1", "D"), ("R", "EH1", "D")]
+
 
 class TestSyllabify:
     def test_overcome(self):

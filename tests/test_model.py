@@ -38,7 +38,9 @@ from stressnet.model import (
     train,
 )
 from stressnet.model import network
-from stressnet.model.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from oracles import (oracle_adam_step, oracle_init_params, oracle_layer_norm,
+                     oracle_layer_norm_backward, oracle_masked_softmax,
+                     oracle_softmax_backward)
 
 
 def tiny_config(**kw):
@@ -449,54 +451,6 @@ def small_corpus(lexicon):
 
 # --- parameter storage ---------------------------------------------------------
 
-def oracle_init_params(config, rng):
-    """init_params as one dict of separately allocated arrays, drawn in
-    the documented order: the reference the flat storage must reproduce."""
-    def xavier(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    D, Hd, F = config.d_model, config.n_heads * config.head_dim, config.ffn_dim
-    p = {"E_pos": rng.normal(0.0, 0.02, size=(config.max_positions, D))}
-    if config.uses_type_embedding:
-        p["E_type"] = rng.normal(0.0, 0.02, size=(PAD_TYPE_INDEX + 1, D))
-        p["E_type"][PAD_TYPE_INDEX] = 0.0
-    p["C"] = xavier(config.feature_dim, D)
-    for l in range(config.n_layers):
-        pre = f"layers.{l}."
-        p[pre + "ln1.gamma"] = np.ones(D)
-        p[pre + "ln1.beta"] = np.zeros(D)
-        for name in ("Wq", "Wk", "Wv"):
-            p[pre + "attn." + name] = xavier(D, Hd)
-        p[pre + "attn.bq"] = np.zeros(Hd)
-        p[pre + "attn.bk"] = np.zeros(Hd)
-        p[pre + "attn.bv"] = np.zeros(Hd)
-        p[pre + "attn.Wo"] = xavier(Hd, D)
-        p[pre + "attn.bo"] = np.zeros(D)
-        p[pre + "ln2.gamma"] = np.ones(D)
-        p[pre + "ln2.beta"] = np.zeros(D)
-        p[pre + "ffn.W1"] = xavier(D, F)
-        p[pre + "ffn.b1"] = np.zeros(F)
-        p[pre + "ffn.W2"] = xavier(F, D)
-        p[pre + "ffn.b2"] = np.zeros(D)
-    p["final_ln.gamma"] = np.ones(D)
-    p["final_ln.beta"] = np.zeros(D)
-    p["head.W"] = xavier(D, config.n_classes)
-    p["head.b"] = np.zeros(config.n_classes)
-    return p
-
-
-def oracle_adam_step(params, grads, m, v, t, lr):
-    """One Adam step array by array, in place; the flat Adam must match it."""
-    b1c = 1.0 - ADAM_BETA1 ** t
-    b2c = 1.0 - ADAM_BETA2 ** t
-    for key, g in grads.items():
-        m[key] *= ADAM_BETA1
-        m[key] += (1.0 - ADAM_BETA1) * g
-        v[key] *= ADAM_BETA2
-        v[key] += (1.0 - ADAM_BETA2) * g * g
-        params[key] -= lr * (m[key] / b1c) / (np.sqrt(v[key] / b2c) + ADAM_EPS)
-
 
 def assert_views_of_flat(params):
     assert params.flat.dtype == np.float64 and params.flat.ndim == 1
@@ -767,39 +721,6 @@ class TestTrimmedBatches:
 
 
 # --- encoder primitives against NumPy-reduction oracles -------------------------
-#
-# The encoder's softmax and layer norms reduce the last axis with
-# network._sum_last / _max_last. The oracles below reduce with NumPy's own
-# sum, mean, var and max; the primitives must give the same bits, signs of
-# zeros included.
-
-def oracle_layer_norm(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + network.LN_EPS)
-    xhat = (x - mu) * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
-
-
-def oracle_layer_norm_backward(dy, cache, grads, pre):
-    xhat, inv, gamma = cache
-    grads[pre + "gamma"][:] = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    grads[pre + "beta"][:] = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv * (dxhat - m1 - xhat * m2)
-
-
-def oracle_masked_softmax(scores, key_mask):
-    neg = np.where(key_mask, scores, -np.inf)
-    m = neg.max(axis=-1, keepdims=True)
-    e = np.exp(neg - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def oracle_softmax_backward(dA, A):
-    return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
 
 
 def wide_range(rng, shape):
