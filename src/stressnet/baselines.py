@@ -159,56 +159,67 @@ def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
 
 # --- random forest -----------------------------------------------------------
 
-@dataclass
-class TreeNodes:
-    """Flat array representation of one decision tree.
+# ForestModel's per-node arrays, in field order
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 
-    feature < 0 marks a leaf; 'left' child takes x[feature] <= threshold.
+
+@dataclass
+class ForestModel:
+    """A random forest as one set of node arrays: tree t owns the nodes
+    tree_offsets[t]:tree_offsets[t + 1], its child ids counted from the first.
+
+    feature < 0 marks a leaf; the left child takes x[feature] <= threshold.
     Thresholds are observed training values, so any strictly monotone
     per-feature transformation applied to train and test alike leaves
     every routing decision unchanged.
     """
 
-    feature: np.ndarray    # (n_nodes,) int64
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray       # (n_nodes,) int64
-    right: np.ndarray      # (n_nodes,) int64
-    counts: np.ndarray     # (n_nodes, 3) int64 class counts at the node
-
-
-@dataclass
-class ForestModel:
-    trees: list[TreeNodes]
+    feature: np.ndarray       # (n_nodes,) int64
+    threshold: np.ndarray     # (n_nodes,) float64
+    left: np.ndarray          # (n_nodes,) int64, tree-local
+    right: np.ndarray         # (n_nodes,) int64, tree-local
+    counts: np.ndarray        # (n_nodes, 3) int64 class counts at the node
+    tree_offsets: np.ndarray  # (n_trees + 1,) int64
     max_depth: int
     features_per_split: int
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.tree_offsets) - 1
+
+    @property
+    def trees(self) -> list[ForestModel]:
+        """Each tree as a one-tree ForestModel of slices (no copies). Only
+        perfbench's tracer reads this, to count nodes; it goes with the
+        tracer (ROADMAP item 3)."""
+        ends = self.tree_offsets.tolist()
+        return [ForestModel(*(getattr(self, a)[lo:hi] for a in NODE_ARRAYS),
+                            np.array([0, hi - lo]), self.max_depth,
+                            self.features_per_split)
+                for lo, hi in zip(ends, ends[1:])]
 
     def vote_shares(self, x: np.ndarray) -> np.ndarray:
+        """Each row's share of tree votes per class; a leaf votes for its
+        most frequent class, the lowest on a tie. All trees are walked at
+        once, one pass per depth level over the (row, tree) pairs."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        n = x.shape[0]
-        rows = np.arange(n)
-        votes = np.zeros((n, 3))
-        for tree in self.trees:
-            node = np.zeros(n, dtype=np.int64)
-            # ends at a leaf: every tree's child ids exceed their parent's
-            while True:
-                f = tree.feature[node]
-                inner = f >= 0
-                if not inner.any():
-                    break
-                go_left = np.zeros(n, dtype=bool)
-                go_left[inner] = (x[rows[inner], f[inner]]
-                                  <= tree.threshold[node[inner]])
-                node = np.where(inner,
-                                np.where(go_left, tree.left[node],
-                                         tree.right[node]),
-                                node)
-            leaf_class = tree.counts[node].argmax(axis=1)
-            votes[rows, leaf_class] += 1.0
-        return votes / len(self.trees)
+        n, t = x.shape[0], self.n_trees
+        # pair i is row i // t in tree i % t; node holds global node ids
+        first = np.tile(self.tree_offsets[:-1], n)
+        node = first.copy()
+        pairs = walking = np.arange(n * t)
+        # ends at a leaf: every tree's child ids exceed their parent's
+        while walking.size:
+            at = node[walking]
+            f = self.feature[at]
+            inner = f >= 0
+            walking, at, f = walking[inner], at[inner], f[inner]
+            go_left = x[walking // t, f] <= self.threshold[at]
+            node[walking] = first[walking] + np.where(
+                go_left, self.left[at], self.right[at])
+        leaf_class = self.counts[node].argmax(axis=1)
+        votes = np.bincount(pairs // t * 3 + leaf_class, minlength=3 * n)
+        return votes.reshape(n, 3) / t
 
 
 _CLASSES = np.arange(3)[:, None, None]
@@ -269,8 +280,9 @@ def _split_node(X: np.ndarray, y: np.ndarray, lists: np.ndarray,
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, m_features: int,
-               rng: np.random.Generator) -> TreeNodes:
-    """One Gini tree on the sample (X, y), its nodes numbered in pre-order.
+               rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One Gini tree on the sample (X, y), its nodes numbered in pre-order,
+    as its ForestModel columns: feature, threshold, left, right, counts.
 
     A node that is impure and above max_depth draws m_features candidate
     features and splits as _split_node finds, or stays a leaf.
@@ -282,11 +294,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, m_features: int,
     children. An explicit stack grows the left child first; only pending
     right siblings wait on it, and they hold disjoint samples.
     """
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[np.ndarray] = []
+    feature, threshold, left, right, counts = [], [], [], [], []
     # (sample ids per feature, class counts, depth, the parent's child
     #  list to link into, the parent)
     stack = [(np.argsort(X.T, axis=1, kind="stable"),
@@ -311,13 +319,9 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, m_features: int,
         feature[node], threshold[node], left_child, right_child = found
         stack.append((*right_child, depth + 1, right, node))
         stack.append((*left_child, depth + 1, left, node))
-    return TreeNodes(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.stack(counts).astype(np.int64),
-    )
+    return (np.asarray(feature, dtype=np.int64), np.asarray(threshold),
+            np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+            np.stack(counts).astype(np.int64))
 
 
 def train_forest(X: np.ndarray, labels, n_trees: int = 100,
@@ -329,17 +333,19 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
         raise DegenerateData("empty training set")
     if X.ndim != 2 or y.shape[0] != X.shape[0]:
         raise ShapeError("X must be (n, K) with matching labels")
+    if not ((y >= 0) & (y < len(StressLevel))).all():
+        raise LabelError("forest labels must be stress levels 0, 1 or 2")
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     if max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     m = int(np.ceil(np.sqrt(X.shape[1])))
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
     n = X.shape[0]
-    for s in seeds:
+    trees = []
+    for s in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(s)
         boot = rng.integers(0, n, n)
         trees.append(_grow_tree(X[boot], y[boot], max_depth, m, rng))
-    return ForestModel(trees, max_depth, m)
-
+    columns = list(zip(*trees))
+    offsets = np.cumsum([0, *map(len, columns[0])], dtype=np.int64)
+    return ForestModel(*map(np.concatenate, columns), offsets, max_depth, m)

@@ -20,7 +20,7 @@ meta always carries "feature_mode", "nucleus_tags" (the canonical type
 order indices refer to), and "feature_slots" (the 12-slot order feature
 vectors use). The attention format adds the model configuration and, when
 class weighting was active, a (16, 3) "class_weights" array. The forest
-format flattens all trees into contiguous node arrays indexed by
+format holds ForestModel's node arrays as they are: "nodes_*" and
 "tree_offsets" (n_trees + 1 entries; tree t owns nodes
 [offsets[t], offsets[t+1]) and node ids are tree-local).
 """
@@ -34,7 +34,7 @@ import os
 
 import numpy as np
 
-from .baselines import ForestModel, OrdinalModel, TreeNodes
+from .baselines import NODE_ARRAYS, ForestModel, OrdinalModel
 from .errors import CheckpointError, ConfigError
 from .features import FEATURE_SLOTS
 from .lexicon import NUCLEUS_TAGS
@@ -195,33 +195,27 @@ def _ordinal_from(meta: dict, arrays: dict[str, np.ndarray],
 
 
 def save_forest(path: str, model: ForestModel, feature_mode: str) -> None:
-    offsets = [0]
-    for tree in model.trees:
-        offsets.append(offsets[-1] + len(tree.feature))
     meta = _base_meta(feature_mode)
     meta.update({"n_trees": model.n_trees, "max_depth": model.max_depth,
                  "features_per_split": model.features_per_split})
-    save_container(path, FORMAT_FOREST, meta, {
-        "nodes_feature": np.concatenate([t.feature for t in model.trees]),
-        "nodes_threshold": np.concatenate([t.threshold for t in model.trees]),
-        "nodes_left": np.concatenate([t.left for t in model.trees]),
-        "nodes_right": np.concatenate([t.right for t in model.trees]),
-        "nodes_counts": np.concatenate([t.counts for t in model.trees]),
-        "tree_offsets": np.asarray(offsets, dtype=np.int64),
-    })
+    arrays = {f"nodes_{name}": getattr(model, name) for name in NODE_ARRAYS}
+    save_container(path, FORMAT_FOREST, meta,
+                   {**arrays, "tree_offsets": model.tree_offsets})
 
 
 def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
                  ) -> tuple[ForestModel, str, None]:
-    feature, threshold = arrays["nodes_feature"], arrays["nodes_threshold"]
-    left, right = arrays["nodes_left"], arrays["nodes_right"]
-    counts, offsets = arrays["nodes_counts"], arrays["tree_offsets"]
-    if any(a.dtype.kind != "i" for a in (feature, left, right, offsets)):
-        raise ValueError("node indices and tree_offsets must be integers")
+    nodes = [arrays[f"nodes_{name}"] for name in NODE_ARRAYS]
+    feature, threshold, left, right, counts = nodes
+    offsets = arrays["tree_offsets"]
+    if any(a.dtype.kind != "i" for a in (feature, left, right, counts, offsets)):
+        raise ValueError("node indices, counts and tree_offsets must be integers")
     n = len(feature)
     if not (feature.shape == threshold.shape == left.shape == right.shape
             == (n,) and counts.shape == (n, 3)):
         raise ValueError("node arrays differ in shape")
+    if (counts < 0).any():
+        raise ValueError("class counts must be non-negative")
     if offsets.ndim != 1 or len(offsets) < 2:
         raise ValueError("tree_offsets must list at least one tree")
     sizes = np.diff(offsets)
@@ -235,18 +229,14 @@ def _forest_from(meta: dict, arrays: dict[str, np.ndarray],
             & (local < left) & (left < size) & (local < right) & (right < size))
     if (inner & ~good).any():
         raise ValueError("an inner node reads a feature or child out of range")
-    trees = [TreeNodes(feature=feature[lo:hi], threshold=threshold[lo:hi],
-                       left=left[lo:hi], right=right[lo:hi],
-                       counts=counts[lo:hi])
-             for lo, hi in zip(offsets[:-1], offsets[1:])]
     fit = [meta[key] for key in ("n_trees", "max_depth", "features_per_split")]
     if not all(type(v) is int and v >= 0 for v in fit):
         raise ValueError(f"n_trees, max_depth and features_per_split must be "
                          f"non-negative integers, got {fit}")
-    if fit[0] != len(trees):
+    if fit[0] != len(sizes):
         raise ValueError(f"n_trees is {fit[0]}, but the arrays hold "
-                         f"{len(trees)} trees")
-    return ForestModel(trees, *fit[1:]), meta["feature_mode"], None
+                         f"{len(sizes)} trees")
+    return ForestModel(*nodes, offsets, *fit[1:]), meta["feature_mode"], None
 
 
 _BUILDERS = {

@@ -25,11 +25,13 @@ class StressLevel(IntEnum):  # values are the CMUdict stress digits
     SECONDARY = 2
 
 
-# CMUdict vowel inventory (stress digit stripped).
+# CMUdict's phoneme inventory: vowels (stress digit stripped), consonants.
 VOWELS = frozenset([
     "AA", "AE", "AH", "AO", "AW", "AY", "EH", "ER",
     "EY", "IH", "IY", "OW", "OY", "UH", "UW",
 ])
+CONSONANTS = frozenset("B CH D DH F G HH JH K L M N NG P R S SH T TH V W Y Z ZH"
+                       .split())
 
 # The 16 nucleus tags, in canonical display order. CMUdict has 15 vowels;
 # unstressed AH is split off as schwa ("ax") to make 16.
@@ -44,6 +46,7 @@ PAD_TYPE_INDEX = len(NUCLEUS_TAGS)  # 16
 TAG_TO_INDEX = {tag: i for i, tag in enumerate(NUCLEUS_TAGS)}
 
 _ALTERNATE_RE = re.compile(r"^(.*)\((\d+)\)$")
+_FIELD_SEP_RE = re.compile(r"[ \t]+")
 _STRIP_RE = re.compile(r"[^A-Z0-9'\-\.]")
 
 
@@ -174,26 +177,23 @@ class Lexicon:
 def _parse_line(line: str) -> tuple[str, int, tuple[str, ...]] | None:
     """Split a dictionary line into (headword, variant index, phonemes).
 
-    Returns None for lines that carry no phonemes. Raises ValueError for
-    lines whose phoneme field is malformed (bad stress digits and the like).
+    Fields are split on ASCII spaces and tabs. Returns None for a line with
+    no phonemes; raises ValueError for other whitespace in the headword or
+    a phoneme other than CMUdict's consonants and 0/1/2-stressed vowels.
     """
-    parts = line.split()
+    parts = _FIELD_SEP_RE.split(line)
     if len(parts) < 2:
         return None
     head, phonemes = parts[0], parts[1:]
+    if any(ch.isspace() for ch in head):
+        raise ValueError(f"whitespace in headword {head!r}")
     variant = 0
     m = _ALTERNATE_RE.match(head)
     if m:
         head, variant = m.group(1), int(m.group(2))
     for p in phonemes:
-        base = p[:-1] if p[-1].isdigit() else p
-        if not base.isalpha():
-            raise ValueError(f"malformed phoneme {p!r}")
-        if base in VOWELS:
-            if not (p[-1].isdigit() and p[-1] in "012"):
-                raise ValueError(f"vowel without stress digit: {p!r}")
-        elif p[-1].isdigit():
-            raise ValueError(f"consonant with stress digit: {p!r}")
+        if not (p in CONSONANTS or (p[:-1] in VOWELS and p[-1] in "012")):
+            raise ValueError(f"not a CMUdict phoneme: {p!r}")
     return head, variant, tuple(phonemes)
 
 
@@ -206,7 +206,7 @@ def parse_dictionary(source: TextIO | Iterable[str]) -> Lexicon:
     entries: dict[str, list[PronEntry]] = {}
     report = ParseReport()
     for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\r\n")
         report.n_lines += 1
         if not line:
             continue

@@ -2,24 +2,27 @@
 oracle grower in oracles.py, on criterion 8's seed-1 training set
 (conftest.criterion_8_tables: 250 synthetic utterances at noise 0.75, 70%
 of them, about 6.5k syllables of 12 features; 4 candidate features per
-split).
+split), and timings of vote_shares against the tree-by-tree oracle walk.
 
     python -m pytest tests/bench_forest.py -s
 
 The file name does not match test_*.py, so the test suite does not collect
 it. Each fit is timed with 4 and with 50 trees; -s shows each side's
 tracemalloc peak, taken in a separate fit of the same size, and both sides
-must grow the same trees.
+must grow the same trees. vote_shares is timed on the 50-tree forest, for
+the test split's first 3-syllable word and for the whole test split (about
+2.7k syllables); both walks must give the same bytes.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stressnet import baselines
 from stressnet.baselines import train_forest
 from conftest import TREE_ARRAYS
-from oracles import oracle_grow_tree
+from oracles import oracle_grow_tree, oracle_vote_shares
 
 SEED = 1
 
@@ -54,6 +57,28 @@ def test_tracemalloc_peak(criterion_8_tables, monkeypatch, n_trees):
         tracemalloc.stop()
     print(f"\n{n_trees} trees, tracemalloc peak: oracle "
           f"{peaks['oracle']:.2f} MiB, new {peaks['new']:.2f} MiB")
-    for got, want in zip(forests["new"].trees, forests["oracle"].trees):
-        for name in TREE_ARRAYS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for name in ("tree_offsets", *TREE_ARRAYS):
+        assert (getattr(forests["new"], name).tobytes()
+                == getattr(forests["oracle"], name).tobytes()), name
+
+
+@pytest.fixture(scope="module")
+def forest_50(criterion_8_tables):
+    train = criterion_8_tables["train"]
+    return train_forest(train.features, train.labels, n_trees=50, seed=SEED)
+
+
+@pytest.mark.parametrize("walk", ["oracle", "new"])
+@pytest.mark.parametrize("rows", ["word", "test"])
+def test_vote_shares(benchmark, criterion_8_tables, forest_50, walk, rows):
+    test = criterion_8_tables["test"]
+    if rows == "word":
+        i = int(np.flatnonzero(np.diff(test.offsets) == 3)[0])
+        x = test.features[test.offsets[i]:test.offsets[i + 1]]
+    else:
+        x = test.features
+    score = (forest_50.vote_shares if walk == "new"
+             else lambda x: oracle_vote_shares(forest_50, x))
+    benchmark.group = f"vote_shares 50 trees, {len(x)} rows"
+    got = benchmark(score, x)
+    assert got.tobytes() == oracle_vote_shares(forest_50, x).tobytes()

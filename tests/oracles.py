@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from conftest import Record, pack_records, table_records
 from stressnet import corpus, corpus as C
-from stressnet.baselines import ForestModel, OrdinalModel, TreeNodes
+from stressnet.baselines import ForestModel, OrdinalModel
 from stressnet.checkpoint import load_any
 from stressnet.corpus import (IGNORE_LABEL, AlignedWord, GenConfig, NucleusSpan,
                               SyllableSpan, UtteranceAlignment,
@@ -562,13 +563,40 @@ def oracle_grow_tree(X, y, max_depth, m_features, rng):
         return node
 
     build(np.arange(X.shape[0]), 0)
-    return TreeNodes(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.stack(counts).astype(np.int64),
-    )
+    return (np.asarray(feature, dtype=np.int64),
+            np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.int64),
+            np.asarray(right, dtype=np.int64),
+            np.stack(counts).astype(np.int64))
+
+
+def oracle_vote_shares(model, x):
+    """ForestModel.vote_shares as it was before it walked all trees at
+    once: one tree at a time, one pass per depth level, each tree's votes
+    added in tree order."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    rows = np.arange(n)
+    votes = np.zeros((n, 3))
+    offsets = model.tree_offsets.tolist()
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        feature, threshold = model.feature[lo:hi], model.threshold[lo:hi]
+        left, right = model.left[lo:hi], model.right[lo:hi]
+        node = np.zeros(n, dtype=np.int64)
+        # ends at a leaf: every tree's child ids exceed their parent's
+        while True:
+            f = feature[node]
+            inner = f >= 0
+            if not inner.any():
+                break
+            go_left = np.zeros(n, dtype=bool)
+            go_left[inner] = (x[rows[inner], f[inner]]
+                              <= threshold[node[inner]])
+            node = np.where(inner, np.where(go_left, left[node], right[node]),
+                            node)
+        leaf_class = model.counts[lo:hi][node].argmax(axis=1)
+        votes[rows, leaf_class] += 1.0
+    return votes / model.n_trees
 
 
 def oracle_sigmoid(z):
@@ -803,8 +831,8 @@ def oracle_predictions(instances, probs) -> str:
 def per_word_reference(ckpt, table):
     """predict's output lines, scoring one word per call as a reference."""
     model, feature_mode, _ = load_any(ckpt)
-    score = (model.vote_shares if isinstance(model, ForestModel)
-             else model.class_probs)
+    score = (partial(oracle_vote_shares, model)
+             if isinstance(model, ForestModel) else model.class_probs)
     words = oracle_instances(table_records(read_feature_table(table)))
     return oracle_predictions(words, np.concatenate(
         [score(w.features[:, :feature_dim(feature_mode)]) for w in words]))

@@ -6,7 +6,6 @@ from stressnet import baselines
 from stressnet.baselines import (
     ForestModel,
     OrdinalModel,
-    TreeNodes,
     _RankGroups,
     _grow_tree,
     _ordinal_nll_grad,
@@ -16,10 +15,11 @@ from stressnet.baselines import (
 )
 from conftest import TREE_ARRAYS, assert_same_array
 from stressnet.corpus import GenConfig, synth_corpus
-from stressnet.errors import DegenerateData, NumericalInstability, ShapeError
+from stressnet.errors import (DegenerateData, LabelError, NumericalInstability,
+                              ShapeError)
 from stressnet.lexicon import StressLevel
 from oracles import (oracle_grow_tree, oracle_nll_grad, oracle_sigmoid,
-                     oracle_train_ordinal)
+                     oracle_train_ordinal, oracle_vote_shares)
 
 
 def ordinal_1d_data(rng, n=600):
@@ -143,7 +143,7 @@ class TestForest:
         X = rng.normal(0, 1, (200, 4))
         y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int)
         model = train_forest(X, y, n_trees=1, max_depth=64, seed=2)
-        assert len(model.trees) == 1
+        assert model.n_trees == 1
         # a single unrestricted tree fits its own bootstrap sample exactly;
         # vote shares are one-hot
         shares = model.vote_shares(X)
@@ -153,10 +153,8 @@ class TestForest:
         X, y = corpus_syllables(lexicon, noise=0.5, n_utts=20)
         m1 = train_forest(X, y, n_trees=10, seed=4)
         m2 = train_forest(X, y, n_trees=10, seed=4)
-        for t1, t2 in zip(m1.trees, m2.trees):
-            assert np.array_equal(t1.feature, t2.feature)
-            assert np.array_equal(t1.threshold, t2.threshold)
-            assert np.array_equal(t1.counts, t2.counts)
+        for name in ("tree_offsets", "feature", "threshold", "counts"):
+            assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
     def test_monotone_transform_invariance(self, lexicon):
         X, y = corpus_syllables(lexicon, noise=0.8, n_utts=20)
@@ -174,13 +172,17 @@ class TestForest:
     def test_leaf_counts_nonzero(self, lexicon):
         X, y = corpus_syllables(lexicon, noise=0.3, n_utts=10)
         model = train_forest(X, y, n_trees=5, seed=6)
-        for tree in model.trees:
-            leaves = tree.feature < 0
-            assert np.all(tree.counts[leaves].sum(axis=1) > 0)
+        leaves = model.feature < 0
+        assert np.all(model.counts[leaves].sum(axis=1) > 0)
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateData):
             train_forest(np.zeros((0, 3)), [])
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_labels_outside_stress_levels_rejected(self, bad):
+        with pytest.raises(LabelError):
+            train_forest(np.zeros((30, 3)), [0, 1, bad] * 10)
 
 
 class TestPredictBaseline:
@@ -194,14 +196,11 @@ class TestPredictBaseline:
         assert row[1] == 1.0
 
     def test_tie_vote_lowest_class(self):
-        # hand-built forest with two trees voting for different classes
-        def stump(cls):
-            from stressnet.baselines import TreeNodes
-            counts = np.zeros((1, 3), dtype=np.int64)
-            counts[0, cls] = 1
-            return TreeNodes(np.array([-1]), np.array([0.0]),
-                             np.array([-1]), np.array([-1]), counts)
-        model = ForestModel([stump(2), stump(1)], 1, 1)
+        # hand-built forest of two stumps voting for different classes
+        model = ForestModel(np.array([-1, -1]), np.array([0.0, 0.0]),
+                            np.array([-1, -1]), np.array([-1, -1]),
+                            np.array([[0, 0, 1], [0, 1, 0]]),
+                            np.array([0, 1, 2]), 1, 1)
         (row,) = model.vote_shares(np.zeros((1, 3)))
         assert row.argmax() == StressLevel.PRIMARY  # classes 1 and 2 tie -> lower
         assert row[1] == row[2] == 0.5
@@ -223,6 +222,30 @@ class TestPredictBaseline:
         assert forest.vote_shares(np.zeros((0, 12))).shape == (0, 3)
         assert ordinal.class_probs(np.zeros((0, 12))).shape == (0, 3)
 
+    # small integers and both zeros, so trees split on ties and on -0.0 vs
+    # 0.0; scored rows add NaN, which goes right at every split
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vote_shares_as_tree_by_tree(self, data):
+        values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]
+        n = data.draw(st.integers(1, 30), label="n")
+        k = data.draw(st.integers(1, 4), label="k")
+        X = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=k,
+                                        max_size=k),
+                               min_size=n, max_size=n), label="X")
+        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                      label="y")
+        model = train_forest(
+            X, y, n_trees=data.draw(st.integers(1, 8), label="n_trees"),
+            max_depth=data.draw(st.integers(0, 6), label="max_depth"),
+            seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        rows = data.draw(st.lists(st.lists(st.sampled_from([*values, np.nan]),
+                                           min_size=k, max_size=k),
+                                  max_size=50), label="rows")
+        x = np.array(rows, dtype=np.float64).reshape(len(rows), k)
+        assert_same_array(model.vote_shares(x), oracle_vote_shares(model, x),
+                          "vote shares")
+
 
 # --- the tree grower against the per-node oracle ------------------------------
 
@@ -241,8 +264,8 @@ def assert_grows_as_oracle(X, y, max_depth, m_features, n_trees=3, seed=0):
         got = _grow_tree(X[boot], y[boot], max_depth, m_features, rng)
         want = oracle_grow_tree(X[boot], y[boot], max_depth, m_features,
                                 rng_oracle)
-        for name in TREE_ARRAYS:
-            assert_same_array(getattr(got, name), getattr(want, name), name)
+        for name, got_column, want_column in zip(TREE_ARRAYS, got, want):
+            assert_same_array(got_column, want_column, name)
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
 

@@ -146,6 +146,10 @@ FOREST_EDITS = {
         nodes_left=a["nodes_left"].astype(np.float64)),
     "counts_not_per_class": lambda a: a.update(
         nodes_counts=a["nodes_counts"][:, :2]),
+    # NaN counts made every leaf vote for class 0, and eval exited 0
+    "nan_counts": lambda a: a.update(
+        nodes_counts=np.full(a["nodes_counts"].shape, np.nan)),
+    "negative_count": _set("nodes_counts", (0, 0), -1),
 }
 
 

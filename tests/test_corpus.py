@@ -764,6 +764,54 @@ class TestSynthOracle:
             assert digest == SYNTH_DIGESTS[labeling][name], name
 
 
+# SHA-256 of a 4-tree `train --model rf` checkpoint on the split of the
+# synth run above (dictionary labeling), and of `predict` and `eval` with
+# it on the test part, per feature mode, as the per-tree forest wrote them.
+# The forest path uses no BLAS, so these hold on any machine.
+FOREST_DIGESTS = {
+    "syllable_numerical": {
+        "rf.ckpt":
+            "80228c75a8846991072b7aac60a7aa5c884b2464988e1990566e86832a810fe6",
+        "predictions.jsonl":
+            "3a93af39527111b4b3c66a63c0be9dc6512bb925d56695bad5f3f1e7922b610e",
+        "report.json":
+            "aa7d337f83c93162fe29876bb4bc1da55cbdb205c8266834b4604c544ac52596",
+        "report.txt":
+            "7af59d87bffdd7197e89535e01f9df2d2832a7c1a62438b41d7d948938df88cc",
+    },
+    "syllable_nucleus_numerical": {
+        "rf.ckpt":
+            "f6e4104b350f4955228540b5a880343848aa93fb358df36b9d6869a491057a11",
+        "predictions.jsonl":
+            "3f7fbf0639e649a9429d86bb02415179a0750089d4d9eef334eb04f03b831f69",
+        "report.json":
+            "f3218d6a5f2aaa3b4f8d56ab1e923062e6ea2cb0df5353cbe57fe04e19e7f0bc",
+        "report.txt":
+            "4b585f7469a2c5a527f0e82e1b901690d0e4f68fd1a6459dc0999791261a8339",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FOREST_DIGESTS))
+def test_forest_bytes_pinned(tmp_path, mode):
+    from stressnet.cli import run_subcommand
+    corpus, split = tmp_path / "corpus", tmp_path / "split"
+    assert run_subcommand(["synth", "--n", "30", "--seed", "5", "--noise",
+                           "0.75", "--out", str(corpus)]) == 0
+    assert run_subcommand(["split", "--features", str(corpus / "features.jsonl"),
+                           "--out", str(split)]) == 0
+    ckpt, test = tmp_path / "rf.ckpt", str(split / "test.jsonl")
+    for argv in (["train", "--model", "rf", "--n-trees", "4", "--feature-mode",
+                  mode, "--train", str(split / "train.jsonl"), "--out", str(ckpt)],
+                 ["predict", "--model", str(ckpt), "--input", test,
+                  "--out", str(tmp_path / "predictions.jsonl")],
+                 ["eval", "--model", str(ckpt), "--data", test,
+                  "--out", str(tmp_path / "report")]):
+        assert run_subcommand(argv) == 0
+    for name, want in FOREST_DIGESTS[mode].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
 class TestSynthCorpus:
     def test_deterministic(self, lexicon):
         a1, r1 = synth_corpus(lexicon, 6, GenConfig(noise=0.4), seed=3)

@@ -48,6 +48,22 @@ class TestParseDictionary:
         assert lex.report.n_entries == 1
         assert len(lex.report.skipped) == 2
 
+    def test_fields_split_on_ascii_space_and_tab_only(self):
+        lex = parse("ab\xa0c  AH1 B\nq\x85r  K AE1 T\nCAT\tK AE1 T\n"
+                    "\xa0DOG  D AO1 G\r\n")
+        assert lex.report.skipped == [
+            (1, "whitespace in headword 'ab\\xa0c'"),
+            (2, "whitespace in headword 'q\\x85r'"),
+            (4, "whitespace in headword '\\xa0DOG'")]
+        assert sorted(lex.words()) == ["CAT"]
+        assert lex.lookup("ab\xa0c") == lex.lookup("ab") == []
+
+    def test_consonants_from_cmudict_inventory_only(self):
+        lex = parse("XY  k AE1 T\nXZ  K AE1 \xe9\nCAT  K AE1 T\n")
+        assert lex.report.skipped == [(1, "not a CMUdict phoneme: 'k'"),
+                                      (2, "not a CMUdict phoneme: '\xe9'")]
+        assert sorted(lex.words()) == ["CAT"]
+
     def test_lookup_strips_punctuation_and_case(self):
         lex = parse("CAT  K AE1 T\n")
         assert lex.lookup("Cat!") == lex.lookup("CAT")
