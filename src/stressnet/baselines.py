@@ -10,6 +10,7 @@ that scale and back.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,9 @@ from .errors import (
 )
 from .lexicon import StressLevel
 
-# stress level -> ordinal rank
-_LEVEL_TO_RANK = {StressLevel.NON_STRESS: 0, StressLevel.SECONDARY: 1,
-                  StressLevel.PRIMARY: 2}
-# the same, indexed by the level's value
-_RANK_OF_LEVEL = np.array([_LEVEL_TO_RANK[lv] for lv in StressLevel])
+# stress level -> ordinal rank, indexed by the level's value: the ranks
+# order the levels NonStress (0) < Secondary (1) < Primary (2)
+_RANK_OF_LEVEL = np.array([0, 2, 1])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -35,7 +34,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     exp(-|z|) standing for both exponentials, so neither overflows. (It is
     taken as min(z, -z), which keeps a NaN's sign bit, as exp(z) does.)"""
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -55,7 +55,7 @@ class OrdinalModel:
         c0 = _sigmoid(self.thresholds[0] - z)
         c1 = _sigmoid(self.thresholds[1] - z)
         rank_probs = np.stack([c0, c1 - c0, 1.0 - c1], axis=1)
-        return rank_probs[:, [_LEVEL_TO_RANK[lv] for lv in StressLevel]]
+        return rank_probs[:, _RANK_OF_LEVEL]
 
 
 class _RankGroups:
@@ -79,21 +79,22 @@ class _RankGroups:
         self.position[np.concatenate([i2, i1, i0])] = np.arange(len(ranks))
 
 
-def _ordinal_nll_grad(beta: np.ndarray, theta: np.ndarray, X: np.ndarray,
-                      lam: float, groups: _RankGroups):
-    """Penalized NLL and gradients for the proportional-odds likelihood.
+def _ordinal_grad(w: np.ndarray, X: np.ndarray, lam: float,
+                  groups: _RankGroups) -> np.ndarray:
+    """Gradient of the penalized proportional-odds NLL at w = (beta, t0,
+    log gap), as one (k + 2,) array.
 
-    theta is parameterized as (t0, log gap) so the two cut points stay
-    strictly increasing throughout optimization. groups is _RankGroups of
-    the rows' ranks, which train_ordinal builds once for all its steps.
-    The per-row terms are taken in grouped order; the gradient is
-    bit-identical to taking them in row order, the NLL is their sum in
-    grouped order.
+    The cut points are t0 and t1 = t0 + exp(log gap), so they stay strictly
+    increasing throughout optimization. groups is _RankGroups of the rows'
+    ranks, which train_ordinal builds once for all its steps. The per-row
+    terms are taken in grouped order; the gradient is bit-identical to
+    taking them in row order.
     """
     n0, n1, n2 = groups.sizes
-    n = X.shape[0]
-    t0 = theta[0]
-    t1 = t0 + np.exp(theta[1])
+    n, k = X.shape
+    beta, t0 = w[:k], w[k]
+    gap = np.exp(w[k + 1])
+    t1 = t0 + gap
     z = X @ beta
     # F(a_r - z) - F(a_{r-1} - z) with a_{-1} = -inf, a_2 = +inf:
     # F(+inf) = 1 and F(-inf) = 0, as _sigmoid gives them
@@ -101,24 +102,21 @@ def _ordinal_nll_grad(beta: np.ndarray, theta: np.ndarray, X: np.ndarray,
     F[:n2] = 1.0
     F[2 * n - n0:] = 0.0
     F[n2:2 * n - n0] = _sigmoid(np.where(groups.upper_t1, t1, t0) - z[groups.rows])
-    Fu, Fl = F[:n], F[n:]
-    lik = np.clip(Fu - Fl, 1e-12, None)
-    nll = -np.log(lik).sum() / n + 0.5 * lam * float(beta @ beta)
-
-    fu = Fu * (1.0 - Fu)  # logistic pdf at the cut points
-    fl = Fl * (1.0 - Fl)
+    lik = np.clip(F[:n] - F[n:], 1e-12, None)
+    f = F * (1.0 - F)  # logistic pdf at the cut points
+    fu, fl = f[:n], f[n:]
     inv = 1.0 / lik
-    # d nll / dz, back in row order, and d nll / d cut points
-    dz = ((fu - fl) * inv / n)[groups.position]
-    dbeta = X.T @ dz + lam * beta
-    du = -fu * inv / n  # d nll / d upper cut
-    dl = fl * inv / n   # d nll / d lower cut
-    r2, r1 = slice(0, n2), slice(n2, n2 + n1)
-    r0 = slice(n2 + n1, n)
-    dt0 = du[r0].sum() + dl[r1].sum()
-    dt1 = du[r1].sum() + dl[r2].sum()
-    dtheta = np.array([dt0 + dt1, dt1 * np.exp(theta[1])])
-    return nll, dbeta, dtheta
+    g = np.empty(k + 2)
+    # d nll / d beta, from d nll / dz back in row order
+    g[:k] = X.T @ ((fu - fl) * inv / n)[groups.position] + lam * beta
+    # d nll / d upper cut on ranks 1, 0 and d nll / d lower cut on ranks 2, 1
+    du = -fu[n2:] * inv[n2:] / n
+    dl = fl[:n2 + n1] * inv[:n2 + n1] / n
+    dt0 = du[n1:].sum() + dl[n2:].sum()
+    dt1 = du[:n1].sum() + dl[:n2].sum()
+    g[k] = dt0 + dt1
+    g[k + 1] = dt1 * gap
+    return g
 
 
 def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
@@ -134,24 +132,20 @@ def train_ordinal(X: np.ndarray, labels, lam: float = 1e-4, seed: int = 0,
     groups = _RankGroups(_RANK_OF_LEVEL[levels])
     if sum(size > 0 for size in groups.sizes) < 2:
         raise DegenerateData("ordinal fit needs at least 2 distinct classes")
+    k = X.shape[1]
     rng = np.random.default_rng(seed)
-    beta = rng.normal(0.0, 0.01, X.shape[1])
-    theta = np.array([-0.5, 0.0])
+    w = np.concatenate([rng.normal(0.0, 0.01, k), [-0.5, 0.0]])
     # simple adaptive-moment steps; full batch, so no shuffling involved
-    mb = np.zeros_like(beta)
-    vb = np.zeros_like(beta)
-    mt = np.zeros_like(theta)
-    vt = np.zeros_like(theta)
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, n_iter + 1):
-        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, lam, groups)
-        mb = b1 * mb + (1 - b1) * dbeta
-        vb = b2 * vb + (1 - b2) * dbeta ** 2
-        mt = b1 * mt + (1 - b1) * dtheta
-        vt = b2 * vt + (1 - b2) * dtheta ** 2
-        beta -= lr * (mb / (1 - b1 ** t)) / (np.sqrt(vb / (1 - b2 ** t)) + eps)
-        theta -= lr * (mt / (1 - b1 ** t)) / (np.sqrt(vt / (1 - b2 ** t)) + eps)
-    thresholds = np.array([theta[0], theta[0] + np.exp(theta[1])])
+        g = _ordinal_grad(w, X, lam, groups)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g ** 2
+        w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    beta, t0 = w[:k], w[k]
+    thresholds = np.array([t0, t0 + np.exp(w[k + 1])])
     if not (np.isfinite(beta).all() and np.isfinite(thresholds).all()):
         raise NumericalInstability("the ordinal fit is not finite")
     return OrdinalModel(beta, thresholds)
@@ -335,8 +329,8 @@ def train_forest(X: np.ndarray, labels, n_trees: int = 100,
         raise ShapeError("X must be (n, K) with matching labels")
     if not ((y >= 0) & (y < len(StressLevel))).all():
         raise LabelError("forest labels must be stress levels 0, 1 or 2")
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    if not 1 <= n_trees <= sys.maxsize:
+        raise ConfigError(f"n_trees must be in [1, {sys.maxsize}], got {n_trees}")
     if max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     m = int(np.ceil(np.sqrt(X.shape[1])))

@@ -35,7 +35,7 @@ import os
 import numpy as np
 
 from .baselines import NODE_ARRAYS, ForestModel, OrdinalModel
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, open_output
 from .features import FEATURE_SLOTS
 from .lexicon import NUCLEUS_TAGS
 from .model import ModelConfig, Params, feature_dim, param_layout
@@ -72,7 +72,7 @@ def save_container(path: str, format_tag: str, meta: dict,
         entries.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
         blobs.append(arr.tobytes(order="C"))
     header = {"format": format_tag, "version": 1, "meta": meta, "arrays": entries}
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for blob in blobs:

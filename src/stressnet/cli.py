@@ -63,6 +63,7 @@ from .errors import (
     DegenerateData,
     NumericalInstability,
     StressnetError,
+    open_output,
 )
 from .evaluation import evaluate, pca_type_embeddings, render_report, report_to_dict
 from .features import (
@@ -192,7 +193,7 @@ def _sha256(path: str) -> str:
 
 
 def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -270,8 +271,9 @@ def _cmd_label(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files = _alignment_files(args.alignments)
     n_words = 0
-    with open(out / "labels.jsonl", "w", encoding="utf-8") as lab_fh, \
-            open(out / "exclusions.jsonl", "w", encoding="utf-8") as exc_fh:
+    # written after the labels, so that a failed write names its own file
+    exclusion_lines = []
+    with open_output(out / "labels.jsonl") as lab_fh:
         for f in files:
             alignment = load_alignment(f)
             table, exclusions = label_utterance(
@@ -284,13 +286,14 @@ def _cmd_label(args, config) -> int:
                     "stresses": table.labels[start:stop].tolist(),
                     "nuclei": [NUCLEUS_TAGS[t] for t in table.types[start:stop]],
                 }, sort_keys=True) + "\n")
-            for exc in exclusions:
-                exc_fh.write(json.dumps({
-                    "utterance_id": exc.utterance_id,
-                    "word": exc.word,
-                    "reason": exc.reason,
-                }, sort_keys=True) + "\n")
+            exclusion_lines += (json.dumps({
+                "utterance_id": exc.utterance_id,
+                "word": exc.word,
+                "reason": exc.reason,
+            }, sort_keys=True) + "\n" for exc in exclusions)
             n_words += len(table)
+    with open_output(out / "exclusions.jsonl") as exc_fh:
+        exc_fh.writelines(exclusion_lines)
     _write_manifest(out / "manifest.json", args, files + [args.dict_path])
     print(f"label: {n_words} labeled word instances -> {out}")
     return 0
@@ -467,7 +470,7 @@ def _write_predictions(path: str, instances: Instances,
         rows = [row.replace("nan", "NaN").replace("inf", "Infinity") for row in rows]
     levels = probs.argmax(axis=1).tolist()
     offsets = instances.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for uid, word, start, stop in zip(instances.utterance_ids, instances.words,
                                           offsets, offsets[1:]):
             sylls = ", ".join(
@@ -493,7 +496,7 @@ def _cmd_eval(args, config) -> int:
     report = evaluate(probs.argmax(axis=1), instances, weights)
     out = Path(args.out)
     _write_json(str(out) + ".json", report_to_dict(report))
-    with open(str(out) + ".txt", "w", encoding="utf-8") as fh:
+    with open_output(str(out) + ".txt") as fh:
         fh.write(render_report(report))
     _write_manifest(str(out) + ".manifest.json", args, [args.model, args.data])
     wa = ("" if report.weighted_accuracy is None

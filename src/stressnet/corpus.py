@@ -42,6 +42,7 @@ from .errors import (
     LabelError,
     ShapeError,
     SplitTooSmall,
+    open_output,
 )
 from .features import (  # re-exported: IGNORE_LABEL, Instances, instances_from_table
     IGNORE_LABEL,
@@ -215,7 +216,7 @@ def save_alignment(al: UtteranceAlignment, path: str) -> None:
             for s in w.syllables]
         words.append(f'  {{\n   "syllables": {_json_list(sylls, "   ")},\n'
                      f'   "text": {_json_text(w.text)}\n  }}')
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(f'{{\n "audio_path": {_json_text(al.audio_path)},\n'
                  ' "schema": 1,\n'
                  f' "utterance_id": {_json_text(al.utterance_id)},\n'

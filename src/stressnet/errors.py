@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across stressnet modules."""
+"""Exception hierarchy shared across stressnet modules, and the one way
+to open an output file so that a failed write names its path."""
+
+import os
+from contextlib import contextmanager
 
 
 class StressnetError(Exception):
@@ -102,3 +106,18 @@ class ConfigError(StressnetError):
     malformed or has unknown keys, or a setting of the file or a flag that
     is ill-typed or out of range. Every settings object raises it where
     the check is made."""
+
+
+@contextmanager
+def open_output(path, mode: str = "w"):
+    """Open path for writing, in UTF-8 text mode or in a binary mode ("wb").
+    An OSError that names no file, raised while it is open or as it is
+    closed (a full disk's ENOSPC comes from a write or the final flush),
+    is given path as its filename, so its message ends with the path."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise

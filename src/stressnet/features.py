@@ -55,7 +55,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .dsp import IntensityTrack, PitchTrack, Track
-from .errors import FormatError, InvalidSpan, SpanOutOfRange, StressnetError
+from .errors import (FormatError, InvalidSpan, SpanOutOfRange, StressnetError,
+                     open_output)
 from .lexicon import NUCLEUS_TAGS, TAG_TO_INDEX
 
 FEATURE_SLOTS = (
@@ -237,7 +238,7 @@ def write_feature_table(table: Instances, path: str) -> None:
     stresses = ["null" if s == IGNORE_LABEL else str(s)
                 for s in table.labels.tolist()]
     offsets = table.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for uid, word, start, stop in zip(table.utterance_ids, table.words,
                                           offsets, offsets[1:]):
             sylls = ", ".join(
@@ -428,5 +429,5 @@ def write_table_lines(data: bytes, lines: Sequence[TableLine], path: str) -> Non
     """Write each line's bytes from data, ended by a newline, in the order
     given. A line that write_feature_table wrote comes out byte for byte
     as it was; any other keeps its own spelling of the same record."""
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.writelines(data[line.start:line.stop] + b"\n" for line in lines)

@@ -8,7 +8,7 @@ from stressnet.baselines import (
     OrdinalModel,
     _RankGroups,
     _grow_tree,
-    _ordinal_nll_grad,
+    _ordinal_grad,
     _sigmoid,
     train_forest,
     train_ordinal,
@@ -85,23 +85,27 @@ class TestOrdinal:
         beta = rng.normal(0, 0.5, 5)
         theta = np.array([-0.3, 0.2])
         lam = 0.01
-        groups = _RankGroups(ranks)
-        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, lam, groups)
+        g = _ordinal_grad(np.concatenate([beta, theta]), X, lam,
+                          _RankGroups(ranks))
         eps = 1e-6
+
+        def nll(b, t):
+            return oracle_nll_grad(b, t, X, ranks, lam)[0]
+
         for i in range(5):
             b = beta.copy()
             b[i] += eps
-            lp = _ordinal_nll_grad(b, theta, X, lam, groups)[0]
+            lp = nll(b, theta)
             b[i] -= 2 * eps
-            lm = _ordinal_nll_grad(b, theta, X, lam, groups)[0]
-            assert dbeta[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4)
+            lm = nll(b, theta)
+            assert g[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4)
         for i in range(2):
             t = theta.copy()
             t[i] += eps
-            lp = _ordinal_nll_grad(beta, t, X, lam, groups)[0]
+            lp = nll(beta, t)
             t[i] -= 2 * eps
-            lm = _ordinal_nll_grad(beta, t, X, lam, groups)[0]
-            assert dtheta[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4)
+            lm = nll(beta, t)
+            assert g[5 + i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4)
 
     def test_monotone_in_positive_coefficient_direction(self):
         rng = np.random.default_rng(5)
@@ -120,8 +124,8 @@ class TestOrdinal:
         # reaches the coefficients must still stop it
         rng = np.random.default_rng(6)
         X, y = ordinal_1d_data(rng, n=30)
-        monkeypatch.setattr(baselines, "_ordinal_nll_grad", lambda *args: (
-            np.nan, np.full(X.shape[1], np.nan), np.zeros(2)))
+        monkeypatch.setattr(baselines, "_ordinal_grad",
+                            lambda w, *args: np.full_like(w, np.nan))
         with pytest.raises(NumericalInstability):
             train_ordinal(X, y)
 
@@ -345,17 +349,28 @@ class TestOrdinalOracle:
         X = np.array([[0.5, -1.0], [2.0, 0.25]])
         assert_fits_as_oracle(X, y, lam=1e-2, seed=3)
 
-    def test_gradient_in_grouped_order_is_the_oracles(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(0, 1, (300, 6))
-        ranks = rng.integers(0, 3, 300)
-        beta = rng.normal(0, 0.5, 6)
-        theta = np.array([-0.3, 0.2])
-        _, dbeta, dtheta = _ordinal_nll_grad(beta, theta, X, 0.01,
-                                             _RankGroups(ranks))
-        _, want_beta, want_theta = oracle_nll_grad(beta, theta, X, ranks, 0.01)
-        assert dbeta.tobytes() == want_beta.tobytes()
-        assert dtheta.tobytes() == want_theta.tobytes()
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gradient_in_grouped_order_is_the_oracles(self, data):
+        n = data.draw(st.integers(1, 300), label="n")
+        k = data.draw(st.integers(1, 12), label="k")
+        # any of the three rank groups may be empty
+        used = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1,
+                                  max_size=3, unique=True), label="ranks used")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        ranks = rng.choice(used, n)
+        X = rng.normal(0, 1, (n, k))
+        beta = np.array(data.draw(st.lists(
+            st.floats(-5, 5), min_size=k, max_size=k), label="beta"))
+        theta = np.array([data.draw(st.floats(-10, 10), label="t0"),
+                          data.draw(st.floats(-30, 30), label="log gap")])
+        lam = data.draw(st.floats(0, 1), label="lam")
+        g = _ordinal_grad(np.concatenate([beta, theta]), X, lam,
+                          _RankGroups(ranks))
+        _, want_beta, want_theta = oracle_nll_grad(beta, theta, X, ranks, lam)
+        assert g[:k].tobytes() == want_beta.tobytes()
+        assert g[k:].tobytes() == want_theta.tobytes()
 
     def test_sigmoid_bits(self):
         z = np.array([-np.inf, -1e308, -745.2, -40.0, -1.0, -5e-324, -0.0,

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -898,6 +899,104 @@ class TestPathErrors:
                            "--out", str(tmp_path))
 
 
+ENOSPC = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+class _FullDisk:
+    """An open file whose every write fails as on a full disk, with an
+    OSError that names no file."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    writelines = write
+
+
+@pytest.fixture(scope="module")
+def tiny_or(tiny_corpus):
+    """An ordinal checkpoint trained on the tiny corpus."""
+    path = tiny_corpus / "tiny_or.ckpt"
+    assert run("train", "--model", "or", "--feature-mode", "syllable_numerical",
+               "--train", str(tiny_corpus / "corpus" / "features.jsonl"),
+               "--out", str(path)) == 0
+    return path
+
+
+class TestFailedWrites:
+    """A write that fails for want of space, whichever output it is
+    writing, is exit 4 with that output's path named."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["predict", "pca"])
+    def test_out_on_a_full_device(self, pipeline, command, capsys):
+        # both write exactly --out, and no manifest beside it
+        _, out, attn, rf = pipeline
+        argv = (["predict", "--model", rf, "--input",
+                 str(out / "splits" / "test.jsonl")] if command == "predict"
+                else ["pca", "--model", attn])
+        capsys.readouterr()
+        assert run(*argv, "--out", "/dev/full") == 4
+        assert capsys.readouterr().err == f"{ENOSPC}: '/dev/full'\n"
+
+    @pytest.mark.parametrize("argv,output", [
+        (["synth", "--n", "2", "--out", "{t}/s"], "s/features.jsonl"),
+        (["synth", "--n", "2", "--out", "{t}/s"], "s/manifest.json"),
+        (["split", "--features", "{r}/corpus/features.jsonl", "--out", "{t}/s"],
+         "s/test.jsonl"),
+        (["split", "--features", "{r}/corpus/features.jsonl", "--out", "{t}/s"],
+         "s/manifest.json"),
+        (["label", "--alignments", "{r}/corpus/alignments", "--out", "{t}/l"],
+         "l/labels.jsonl"),
+        (["label", "--alignments", "{r}/corpus/alignments", "--out", "{t}/l"],
+         "l/exclusions.jsonl"),
+        (["featurize", "--alignments", "{a}", "--out", "{t}/f.jsonl"],
+         "f.jsonl"),
+        (["featurize", "--alignments", "{a}", "--out", "{t}/f.jsonl"],
+         "f.jsonl.manifest.json"),
+        (["train", "--model", "or", "--feature-mode", "syllable_numerical",
+          "--train", "{r}/corpus/features.jsonl", "--out", "{t}/or.ckpt"],
+         "or.ckpt"),
+        (["train", "--model", "or", "--feature-mode", "syllable_numerical",
+          "--train", "{r}/corpus/features.jsonl", "--out", "{t}/or.ckpt"],
+         "or.ckpt.manifest.json"),
+        (["train", "--model", "attn-medium", "--epochs", "1", "--train",
+          "{r}/corpus/features.jsonl", "--out", "{t}/m.ckpt",
+          "--history", "{t}/h.json"], "h.json"),
+        (["eval", "--model", "{or}", "--data", "{r}/corpus/features.jsonl",
+          "--out", "{t}/r"], "r.json"),
+        (["eval", "--model", "{or}", "--data", "{r}/corpus/features.jsonl",
+          "--out", "{t}/r"], "r.txt"),
+        (["eval", "--model", "{or}", "--data", "{r}/corpus/features.jsonl",
+          "--out", "{t}/r"], "r.manifest.json"),
+    ])
+    def test_failing_write(self, tiny_corpus, tiny_or, pool_runs, tmp_path,
+                           monkeypatch, capsys, argv, output):
+        target = str(tmp_path / output)
+        real_open = open
+
+        def open_full_at_target(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(fh) if "w" in mode and str(file) == target else fh
+
+        monkeypatch.setattr("builtins.open", open_full_at_target)
+        capsys.readouterr()
+        paths = {"r": tiny_corpus, "t": tmp_path, "or": tiny_or,
+                 "a": pool_runs[0]}
+        code = run(*[a.format(**paths) for a in argv])
+        assert code == 4
+        assert capsys.readouterr().err == f"{ENOSPC}: {target!r}\n"
+
+
 class TestOutputsInMissingDirectories:
     """An output path whose directory does not exist yet gets it made,
     before the work is done."""
@@ -1396,13 +1495,16 @@ class TestSettingsExitCodes:
         ["train", "--model", "rf", "--n-trees", "0", "--feature-mode",
          "syllable_numerical", "--train", "{r}/corpus/features.jsonl",
          "--out", "{r}/rf.ckpt"],
+        ["train", "--model", "rf", "--n-trees", "100000000000000000000",
+         "--feature-mode", "syllable_numerical", "--train",
+         "{r}/corpus/features.jsonl", "--out", "{r}/rf.ckpt"],
         ["train", "--model", "rf", "--max-depth", "-3", "--feature-mode",
          "syllable_numerical", "--train", "{r}/corpus/features.jsonl",
          "--out", "{r}/rf.ckpt"],
         ["synth", "--n", "0", "--out", "{r}/o"],
         ["synth", "--n", "-1", "--out", "{r}/o"],
-    ], ids=["fraction-2", "fraction-nan", "n-trees-0", "max-depth-negative",
-            "n-0", "n-negative"])
+    ], ids=["fraction-2", "fraction-nan", "n-trees-0", "n-trees-1e20",
+            "max-depth-negative", "n-0", "n-negative"])
     def test_out_of_range_flag(self, tiny_corpus, capsys, argv):
         code = run(*[a.format(r=tiny_corpus) for a in argv])
         err = capsys.readouterr().err
