@@ -271,29 +271,31 @@ def _cmd_label(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files = _alignment_files(args.alignments)
     n_words = 0
-    # written after the labels, so that a failed write names its own file
-    exclusion_lines = []
-    with open_output(out / "labels.jsonl") as lab_fh:
-        for f in files:
-            alignment = load_alignment(f)
-            table, exclusions = label_utterance(
-                alignment, lex, exclusion_scope=args.exclusion_scope)
-            offsets = table.offsets.tolist()
-            for word, start, stop in zip(table.words, offsets, offsets[1:]):
-                lab_fh.write(json.dumps({
-                    "utterance_id": alignment.utterance_id,
-                    "word": word,
-                    "stresses": table.labels[start:stop].tolist(),
-                    "nuclei": [NUCLEUS_TAGS[t] for t in table.types[start:stop]],
-                }, sort_keys=True) + "\n")
-            exclusion_lines += (json.dumps({
-                "utterance_id": exc.utterance_id,
-                "word": exc.word,
-                "reason": exc.reason,
-            }, sort_keys=True) + "\n" for exc in exclusions)
-            n_words += len(table)
-    with open_output(out / "exclusions.jsonl") as exc_fh:
-        exc_fh.writelines(exclusion_lines)
+    # every input is read before an output is opened, so that a failed
+    # write names its own file (see open_output)
+    label_lines, exclusion_lines = [], []
+    for f in files:
+        alignment = load_alignment(f)
+        table, exclusions = label_utterance(
+            alignment, lex, exclusion_scope=args.exclusion_scope)
+        offsets = table.offsets.tolist()
+        label_lines += (json.dumps({
+            "utterance_id": alignment.utterance_id,
+            "word": word,
+            "stresses": table.labels[start:stop].tolist(),
+            "nuclei": [NUCLEUS_TAGS[t] for t in table.types[start:stop]],
+        }, sort_keys=True) + "\n"
+            for word, start, stop in zip(table.words, offsets, offsets[1:]))
+        exclusion_lines += (json.dumps({
+            "utterance_id": exc.utterance_id,
+            "word": exc.word,
+            "reason": exc.reason,
+        }, sort_keys=True) + "\n" for exc in exclusions)
+        n_words += len(table)
+    with open_output(out / "labels.jsonl") as fh:
+        fh.writelines(label_lines)
+    with open_output(out / "exclusions.jsonl") as fh:
+        fh.writelines(exclusion_lines)
     _write_manifest(out / "manifest.json", args, files + [args.dict_path])
     print(f"label: {n_words} labeled word instances -> {out}")
     return 0

@@ -113,7 +113,9 @@ def open_output(path, mode: str = "w"):
     """Open path for writing, in UTF-8 text mode or in a binary mode ("wb").
     An OSError that names no file, raised while it is open or as it is
     closed (a full disk's ENOSPC comes from a write or the final flush),
-    is given path as its filename, so its message ends with the path."""
+    is given path as its filename, so its message ends with the path.
+    The caller's block must therefore do no file I/O but this file's:
+    an OSError of another file that names none would be given path."""
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh

@@ -124,8 +124,9 @@ class TestOrdinal:
         # reaches the coefficients must still stop it
         rng = np.random.default_rng(6)
         X, y = ordinal_1d_data(rng, n=30)
-        monkeypatch.setattr(baselines, "_ordinal_grad",
-                            lambda w, *args: np.full_like(w, np.nan))
+        # NaN for the coefficients only; the cut points stay finite
+        monkeypatch.setattr(baselines, "_ordinal_grad", lambda w, *args: (
+            np.concatenate([np.full(len(w) - 2, np.nan), np.zeros(2)])))
         with pytest.raises(NumericalInstability):
             train_ordinal(X, y)
 
