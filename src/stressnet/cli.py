@@ -192,6 +192,15 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _echo(line: str) -> None:
+    """Print line and flush, so that a failed write raises here, naming <stdout>."""
+    try:
+        print(line, flush=True)
+    except OSError as exc:
+        exc.filename = "<stdout>"
+        raise
+
+
 def _write_json(path, doc) -> None:
     with open_output(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -226,18 +235,18 @@ def _cmd_lexicon(args, config) -> int:
     lex = load_dictionary(args.dict_path)
     variants = lex.lookup(args.word)
     if not variants:
-        print(f"{args.word!r} not found in dictionary")
+        _echo(f"{args.word!r} not found in dictionary")
         return 4
     for entry in variants:
         syl = syllabify(entry)
         pieces = [" ".join(s.onset + (s.nucleus_phoneme,) + s.coda)
                   for s in syl.syllables]
-        print(f"{entry.word} (variant {entry.variant_index}): "
+        _echo(f"{entry.word} (variant {entry.variant_index}): "
               + " . ".join(pieces))
-        print("  stresses: " + " ".join(str(int(s)) for s in syl.stresses())
+        _echo("  stresses: " + " ".join(str(int(s)) for s in syl.stresses())
               + "  (" + " ".join(s.name.lower() for s in syl.stresses()) + ")")
-        print("  nuclei:   " + " ".join(syl.nucleus_tags()))
-    print(f"{len(variants)} pronunciation(s), "
+        _echo("  nuclei:   " + " ".join(syl.nucleus_tags()))
+    _echo(f"{len(variants)} pronunciation(s), "
           f"{len(syllabify(variants[0]).syllables)} syllable(s) in variant 0")
     return 0
 
@@ -253,7 +262,7 @@ def _cmd_synth(args, config) -> int:
         save_alignment(al, str(out / "alignments" / f"{al.utterance_id}.json"))
     write_feature_table(table, str(out / "features.jsonl"))
     _write_manifest(out / "manifest.json", args, [args.dict_path], gen=gen)
-    print(f"synth: {len(alignments)} utterances, {len(table)} word instances "
+    _echo(f"synth: {len(alignments)} utterances, {len(table)} word instances "
           f"-> {out}")
     return 0
 
@@ -297,7 +306,7 @@ def _cmd_label(args, config) -> int:
     with open_output(out / "exclusions.jsonl") as fh:
         fh.writelines(exclusion_lines)
     _write_manifest(out / "manifest.json", args, files + [args.dict_path])
-    print(f"label: {n_words} labeled word instances -> {out}")
+    _echo(f"label: {n_words} labeled word instances -> {out}")
     return 0
 
 
@@ -310,14 +319,10 @@ def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
         base = args.audio_dir or str(Path(f).parent)
         audio = str(Path(base) / audio)
     samples, rate = read_wav(audio)
-    words = alignment.words
-    spans = np.array([(s.start_s, s.end_s, s.nucleus.start_s, s.nucleus.end_s)
-                      for word in words for s in word.syllables])
     # the pool: every syllable, or under multisyllabic_only those of words
     # of 2 or more syllables; the others stay 0
-    sizes = [len(word.syllables) for word in words]
-    pooled = np.repeat([args.normalization_pool == "sentence" or n >= 2
-                        for n in sizes], sizes)
+    sizes = np.diff(alignment.offsets)
+    pooled = np.repeat((sizes >= 2) | (args.normalization_pool == "sentence"), sizes)
     # A finite sample can still overflow once squared; such an utterance
     # is refused below, without NumPy warnings on the way.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,7 +331,7 @@ def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
             intensity = compute_intensity(samples, rate, dsp_cfg)
         except ConfigError as exc:
             raise ConfigError(f"bad dsp config for {audio}: {exc}")
-        raw = extract_features(pitch, intensity, spans)
+        raw = extract_features(pitch, intensity, alignment.spans)
         features = np.zeros(raw.shape)
         if pooled.any():
             features[pooled] = normalize_sentence(raw[pooled])
@@ -350,7 +355,7 @@ def _cmd_featurize(args, config) -> int:
     write_feature_table(table, args.out)
     _write_manifest(args.out + ".manifest.json", args, files + [args.dict_path],
                     dsp=dsp_cfg)
-    print(f"featurize: {len(table)} word instances "
+    _echo(f"featurize: {len(table)} word instances "
           f"({n_excluded} exclusions) -> {args.out}")
     return 0
 
@@ -363,7 +368,7 @@ def _cmd_split(args, config) -> int:
     write_table_lines(data, train_set, str(out / "train.jsonl"))
     write_table_lines(data, test_set, str(out / "test.jsonl"))
     _write_manifest(out / "manifest.json", args, [args.features])
-    print(f"split: {len(train_set)} train / {len(test_set)} test instances -> {out}")
+    _echo(f"split: {len(train_set)} train / {len(test_set)} test instances -> {out}")
     return 0
 
 
@@ -394,7 +399,7 @@ def _cmd_train(args, config) -> int:
                      if getattr(args, k) is not None}
             model = baselines.train_forest(X, y, seed=args.seed, **given)
             checkpoint.save_forest(args.out, model, args.feature_mode)
-        print(f"train[{args.model}]: {len(y)} syllables -> {args.out}")
+        _echo(f"train[{args.model}]: {len(y)} syllables -> {args.out}")
     else:
         train_cfg = _settings(
             TrainConfig, "train", config.get("train", {}), epochs=args.epochs,
@@ -430,7 +435,7 @@ def _cmd_train(args, config) -> int:
         split = (f"{len(tr)} train / {len(val)} val instances" if val else
                  f"{len(tr)} train instances (no validation utterance drawn: "
                  "val acc is on the training words)")
-        print(f"train[{args.model}]: {split}, {len(history)} epochs, best val acc "
+        _echo(f"train[{args.model}]: {split}, {len(history)} epochs, best val acc "
               f"{max((h['val_acc'] for h in history), default=float('nan')):.4f} "
               f"-> {args.out}")
     _write_manifest(args.out + ".manifest.json", args, [args.train], **settings)
@@ -488,7 +493,7 @@ def _cmd_predict(args, config) -> int:
     instances = read_feature_table(args.input)
     probs, _ = _predict_all(args.model, instances)
     _write_predictions(args.out, instances, probs)
-    print(f"predict: {len(instances)} word instances -> {args.out}")
+    _echo(f"predict: {len(instances)} word instances -> {args.out}")
     return 0
 
 
@@ -503,7 +508,7 @@ def _cmd_eval(args, config) -> int:
     _write_manifest(str(out) + ".manifest.json", args, [args.model, args.data])
     wa = ("" if report.weighted_accuracy is None
           else f", weighted {report.weighted_accuracy:.4f}")
-    print(f"eval: accuracy {report.accuracy:.4f}{wa} "
+    _echo(f"eval: accuracy {report.accuracy:.4f}{wa} "
           f"on {report.n_syllables} syllables -> {out}.json/.txt")
     return 0
 
@@ -519,7 +524,7 @@ def _cmd_pca(args, config) -> int:
         "points": {tag: vec.tolist() for tag, vec in proj.points.items()},
         "explained_variance": proj.explained_variance.tolist(),
     })
-    print(f"pca: {len(proj.points)} type-embedding points -> {args.out}")
+    _echo(f"pca: {len(proj.points)} type-embedding points -> {args.out}")
     return 0
 
 
@@ -637,8 +642,15 @@ def run_subcommand(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_subcommand())
-
+    code = run_subcommand()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # stdout keeps what it failed to write, to retry at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == 0:  # a failure no subcommand reported: --help's text
+            print(f"error: {exc}: '<stdout>'", file=sys.stderr)
+            code = 4
+    sys.exit(code)
 
 if __name__ == "__main__":
     main()

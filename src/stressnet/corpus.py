@@ -20,6 +20,12 @@ type is a FormatError. Syllable spans must be ordered and
 non-overlapping within a word, and each nucleus span must sit inside its
 syllable span. The nucleus "tag", a string or null, is informational;
 gold labels and types always come from the lexicon.
+
+In memory an alignment is one flat UtteranceAlignment, laid out as
+Instances is: its word texts, offsets (word i owns rows offsets[i]:
+offsets[i + 1]), spans, one (n_syllables, 4) float64 row per syllable of
+syllable start and end, nucleus start and end (extract_features' spans),
+and tags, one nucleus tag per syllable.
 """
 
 from __future__ import annotations
@@ -75,31 +81,14 @@ EXCLUSION_SCOPES = ("word", "utterance")
 
 # --- alignment schema -------------------------------------------------------
 
-@dataclass(frozen=True)
-class NucleusSpan:
-    start_s: float
-    end_s: float
-    tag: str | None = None
-
-
-@dataclass(frozen=True)
-class SyllableSpan:
-    start_s: float
-    end_s: float
-    nucleus: NucleusSpan
-
-
-@dataclass(frozen=True)
-class AlignedWord:
-    text: str
-    syllables: tuple[SyllableSpan, ...]
-
-
-@dataclass(frozen=True)
+@dataclass
 class UtteranceAlignment:
     utterance_id: str
     audio_path: str | None
-    words: tuple[AlignedWord, ...]
+    words: list[str]        # one text per word
+    offsets: np.ndarray     # (n_words + 1,) int64
+    spans: np.ndarray       # (n_syllables, 4) float64
+    tags: list[str | None]  # one nucleus tag per syllable
 
 
 def _require(doc: dict, key: str, ctx: str):
@@ -145,7 +134,7 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
     if not isinstance(words_doc, list):
         raise FormatError(f"{source}: 'words' must be a list")
 
-    words: list[AlignedWord] = []
+    words, offsets, spans, tags = [], [0], [], []
     for wi, wdoc in enumerate(words_doc):
         ctx = f"{source}: word[{wi}]"
         text = _require(wdoc, "text", ctx)
@@ -154,7 +143,6 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
         sylls_doc = _require(wdoc, "syllables", ctx)
         if not isinstance(sylls_doc, list) or not sylls_doc:
             raise FormatError(f"{ctx}: 'syllables' must be a non-empty list")
-        sylls: list[SyllableSpan] = []
         prev_end = -math.inf
         for si, sdoc in enumerate(sylls_doc):
             sctx = f"{ctx}.syllable[{si}]"
@@ -169,9 +157,12 @@ def parse_alignment(doc: dict, source: str = "<doc>") -> UtteranceAlignment:
             tag = ndoc.get("tag")
             if not isinstance(tag, (str, type(None))):
                 raise FormatError(f"{sctx}.nucleus: 'tag' must be a string or null")
-            sylls.append(SyllableSpan(s0, s1, NucleusSpan(n0, n1, tag)))
-        words.append(AlignedWord(text, tuple(sylls)))
-    return UtteranceAlignment(utt_id, audio_path, tuple(words))
+            spans.append((s0, s1, n0, n1))
+            tags.append(tag)
+        words.append(text)
+        offsets.append(len(spans))
+    return UtteranceAlignment(utt_id, audio_path, words, np.array(offsets),
+                              np.array(spans).reshape(-1, 4), tags)
 
 
 def load_alignment(path: str) -> UtteranceAlignment:
@@ -201,21 +192,21 @@ def save_alignment(al: UtteranceAlignment, path: str) -> None:
     indent makes json use its pure-Python encoder, so the fixed schema is
     laid out here instead: times as the repr of a float, text as JSON's
     ASCII string."""
-    words = []
-    for w in al.words:
-        sylls = [
-            "    {\n"
-            f'     "end_s": {float(s.end_s)!r},\n'
-            '     "nucleus": {\n'
-            f'      "end_s": {float(s.nucleus.end_s)!r},\n'
-            f'      "start_s": {float(s.nucleus.start_s)!r},\n'
-            f'      "tag": {_json_text(s.nucleus.tag)}\n'
-            "     },\n"
-            f'     "start_s": {float(s.start_s)!r}\n'
-            "    }"
-            for s in w.syllables]
-        words.append(f'  {{\n   "syllables": {_json_list(sylls, "   ")},\n'
-                     f'   "text": {_json_text(w.text)}\n  }}')
+    sylls = [
+        "    {\n"
+        f'     "end_s": {s1!r},\n'
+        '     "nucleus": {\n'
+        f'      "end_s": {n1!r},\n'
+        f'      "start_s": {n0!r},\n'
+        f'      "tag": {_json_text(tag)}\n'
+        "     },\n"
+        f'     "start_s": {s0!r}\n'
+        "    }"
+        for (s0, s1, n0, n1), tag in zip(al.spans.tolist(), al.tags)]
+    offsets = al.offsets.tolist()
+    words = [f'  {{\n   "syllables": {_json_list(sylls[a:b], "   ")},\n'
+             f'   "text": {_json_text(text)}\n  }}'
+             for text, a, b in zip(al.words, offsets, offsets[1:])]
     with open_output(path) as fh:
         fh.write(f'{{\n "audio_path": {_json_text(al.audio_path)},\n'
                  ' "schema": 1,\n'
@@ -273,7 +264,7 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
     """
     if exclusion_scope not in EXCLUSION_SCOPES:
         raise ConfigError(f"unknown exclusion_scope {exclusion_scope!r}")
-    sizes = [len(word.syllables) for word in alignment.words]
+    sizes = np.diff(alignment.offsets).tolist()
     if features is not None and len(features) != sum(sizes):
         raise ShapeError(f"{len(features)} feature rows for "
                          f"{sum(sizes)} aligned syllables")
@@ -284,19 +275,15 @@ def label_utterance(alignment: UtteranceAlignment, lexicon: Lexicon,
     exclusions: list[Exclusion] = []
     fatal = False
     for i, (word, n) in enumerate(zip(alignment.words, sizes)):
-        if n < 2:
-            exclusions.append(Exclusion(utt_id, word.text, MONOSYLLABIC))
-            continue
-        if n > MAX_SYLLABLES:
-            exclusions.append(Exclusion(utt_id, word.text, TOO_LONG))
-            continue
-        syl, reason = _match_variant(lexicon, word.text, n)
+        syl, reason = ((None, MONOSYLLABIC) if n < 2 else
+                       (None, TOO_LONG) if n > MAX_SYLLABLES else
+                       _match_variant(lexicon, word, n))
         if syl is None:
-            exclusions.append(Exclusion(utt_id, word.text, reason))
-            fatal = True
+            exclusions.append(Exclusion(utt_id, word, reason))
+            fatal |= reason in (NOT_IN_LEXICON, COUNT_MISMATCH)
             continue
         kept[i] = True
-        words.append(word.text)
+        words.append(word)
         counts.append(n)
         types += [TAG_TO_INDEX[tag] for tag in syl.nucleus_tags()]
         labels += map(int, syl.stresses())
@@ -504,8 +491,9 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
     give the values of one scalar draw per slot in that order. Each
     feature is computed with the operations, in the order, of the scalar
     formula for one syllable, np.maximum/np.minimum doing the clamps.
-    Alignment times are rounded with Python's round(x, 6), which is
-    correctly rounded where np.round is not.
+    Alignment times are one running np.cumsum of the syllable durations
+    and word gaps, rounded with Python's round(x, 6), which is correctly
+    rounded where np.round is not.
     """
     if n_utterances < 1:
         raise ConfigError(f"need at least 1 utterance, got {n_utterances}")
@@ -585,23 +573,21 @@ def synth_corpus(lexicon: Lexicon, n_utterances: int,
         ], axis=1)
         normalized = normalize_sentence(raw)
 
-        syl_durs, nuc_durs = syl_dur.tolist(), nuc_dur.tolist()
-        utt_words: list[AlignedWord] = []
-        clock = 0.0
-        row = 0
-        for w in words:
-            spans: list[SyllableSpan] = []
-            for i, tag in enumerate(w.tags, start=row):
-                n0 = clock + 0.5 * (syl_durs[i] - nuc_durs[i])
-                spans.append(SyllableSpan(
-                    round(clock, 6), round(clock + syl_durs[i], 6),
-                    NucleusSpan(round(n0, 6), round(n0 + nuc_durs[i], 6), tag)))
-                clock += syl_durs[i]
-            clock += WORD_GAP_S
-            utt_words.append(AlignedWord(w.text, tuple(spans)))
-            row += len(w.tags)
-        alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
-        tables.append(Instances.from_counts(
-            [utt_id] * n_words, [w.text for w in words], [len(w.tags) for w in words],
-            normalized, ti, si))
+        # the clock before each step: syllable durations, a gap after
+        # each word; syllable i is step at[i]
+        sizes = [len(w.tags) for w in words]
+        offsets = np.cumsum([0] + sizes)
+        at = np.arange(len(si)) + np.repeat(np.arange(n_words), sizes)
+        steps = np.full(len(si) + n_words, WORD_GAP_S)
+        steps[at] = syl_dur
+        clock = np.concatenate(([0.0], np.cumsum(steps)))
+        n0 = clock[at] + 0.5 * (syl_dur - nuc_dur)
+        rows = np.stack([clock[at], clock[at + 1], n0, n0 + nuc_dur], axis=1)
+        spans = [round(t, 6) for t in rows.ravel().tolist()]
+        texts = [w.text for w in words]
+        alignments.append(UtteranceAlignment(
+            utt_id, None, texts, offsets, np.array(spans).reshape(-1, 4),
+            [tag for w in words for tag in w.tags]))
+        tables.append(Instances(
+            [utt_id] * n_words, texts, offsets, normalized, ti, si))
     return alignments, instances_from_table(tables)

@@ -163,11 +163,11 @@ def extract_features(pitch: PitchTrack, intensity: IntensityTrack,
                      spans: np.ndarray) -> np.ndarray:
     """The (n, 12) raw feature matrix of an utterance's n syllables.
 
-    spans is (n, 4): syllable start and end, nucleus start and end, in
-    seconds. A span holds the frames whose centers fall in [start, end);
-    the track times must be sorted, as the trackers make them. Pitch
-    statistics count voiced frames only and are NaN (ABSENT) over a span
-    with none. Intensity statistics over a span too short to hold a frame
+    spans is an alignment's spans, (n, 4): syllable start and end, nucleus
+    start and end, in seconds. A span holds the frames whose centers fall
+    in [start, end); the track times must be sorted, as the trackers make
+    them. Pitch statistics count voiced frames only and are NaN (ABSENT)
+    over a span with none. Intensity statistics over a span too short to hold a frame
     center fall back to the frame nearest its middle, so only pitch slots
     can be ABSENT. Each mean and max is taken over the span's own slice of
     the track. The first syllable whose nucleus lies outside it, whose

@@ -105,13 +105,22 @@ def assert_same_table(got, want):
         assert_same_array(getattr(got, name), getattr(want, name), name)
 
 
+def assert_same_alignment(got, want):
+    assert ((got.utterance_id, got.audio_path, got.words, got.tags)
+            == (want.utterance_id, want.audio_path, want.words, want.tags))
+    for name in ("offsets", "spans"):
+        assert_same_array(getattr(got, name), getattr(want, name), name)
+
+
 def assert_same_corpus(got, want):
     """got is synth_corpus's (alignments, table), want the oracle's
     (alignments, records)."""
     (got_al, got_table), (want_al, want_recs) = got, want
     assert_same_table(got_table, pack_records(want_recs))
     got_recs = table_records(got_table)
-    assert got_al == want_al
+    assert len(got_al) == len(want_al)
+    for a, b in zip(got_al, want_al):
+        assert_same_alignment(a, b)
     assert len(got_recs) == len(want_recs)
     for a, b in zip(got_recs, want_recs):
         assert (a.utterance_id, a.word) == (b.utterance_id, b.word)

@@ -16,8 +16,7 @@ from conftest import Record, pack_records, table_records
 from stressnet import corpus, corpus as C
 from stressnet.baselines import ForestModel, OrdinalModel
 from stressnet.checkpoint import load_any
-from stressnet.corpus import (IGNORE_LABEL, AlignedWord, GenConfig, NucleusSpan,
-                              SyllableSpan, UtteranceAlignment,
+from stressnet.corpus import (IGNORE_LABEL, GenConfig, UtteranceAlignment,
                               weights_from_proportions)
 from stressnet.dsp import DspConfig, PitchTrack
 from stressnet.errors import (AlignmentError, DegenerateData, FormatError,
@@ -403,7 +402,7 @@ def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):
         n_words = int(rng.integers(lo, hi + 1))
         texts = [vocab[int(i)] for i in rng.integers(0, len(vocab), n_words)]
 
-        utt_raw, utt_words, word_meta = [], [], []
+        utt_raw, spans, utt_tags, word_meta = [], [], [], []
         clock = 0.0
         for text in texts:
             syl = syllabify(lexicon.lookup(text)[0])
@@ -420,7 +419,6 @@ def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):
                     for s, t in zip(stresses, tags)
                 ])
 
-            spans = []
             for i, (tag, stress) in enumerate(zip(tags, stresses)):
                 ti = TAG_TO_INDEX[tag]
                 s = int(stress)
@@ -457,16 +455,17 @@ def oracle_synth_corpus(lexicon, n_utterances, cfg=GenConfig(), seed=0):
                     nuc_int_mean, nuc_int_max, nuc_dur,
                 ))
                 n0 = clock + 0.5 * (syl_dur - nuc_dur)
-                spans.append(SyllableSpan(
-                    round(clock, 6), round(clock + syl_dur, 6),
-                    NucleusSpan(round(n0, 6), round(n0 + nuc_dur, 6), tag)))
+                spans.append((round(clock, 6), round(clock + syl_dur, 6),
+                              round(n0, 6), round(n0 + nuc_dur, 6)))
+                utt_tags.append(tag)
                 clock += syl_dur
             clock += C.WORD_GAP_S
-            utt_words.append(AlignedWord(text, tuple(spans)))
             word_meta.append((text, tags, stresses))
 
         normalized = np.array(oracle_normalize_sentence(utt_raw))
-        alignments.append(UtteranceAlignment(utt_id, None, tuple(utt_words)))
+        alignments.append(UtteranceAlignment(
+            utt_id, None, texts, np.cumsum([0] + [len(t) for _, t, _ in word_meta]),
+            np.array(spans), utt_tags))
         row = 0
         for text, tags, stresses in word_meta:
             records.append(Record(utt_id, text,

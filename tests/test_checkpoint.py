@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,13 +53,13 @@ class TestContainer:
         arrays = {"z": np.ones(4), "a": np.zeros((2, 2))}
         save_container(p1, FORMAT_ATTENTION, {"k": [1, 2]}, arrays)
         save_container(p2, FORMAT_ATTENTION, {"k": [1, 2]}, dict(reversed(arrays.items())))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         save_container(path, FORMAT_ATTENTION, {}, {"a": np.zeros(8)})
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-8])
         with pytest.raises(CheckpointError):
             load_container(path)
 

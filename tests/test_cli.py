@@ -413,7 +413,7 @@ class TestPipeline:
         assert run("predict", "--model", attn, "--input", test_path,
                    "--out", preds_path) == 0
         records = read_feature_table(test_path)
-        lines = [json.loads(l) for l in open(preds_path)]
+        lines = [json.loads(l) for l in Path(preds_path).read_text().splitlines()]
         assert len(lines) == len(records)
         for line, n in zip(lines, np.diff(records.offsets).tolist()):
             assert len(line["syllables"]) == n
@@ -436,7 +436,8 @@ class TestPipeline:
         lab_out = root / "labels"
         assert run("label", "--alignments", str(out / "alignments"),
                    "--out", str(lab_out)) == 0
-        lines = [json.loads(l) for l in open(lab_out / "labels.jsonl")]
+        lines = [json.loads(l)
+                 for l in (lab_out / "labels.jsonl").read_text().splitlines()]
         assert lines
         assert all(set(l) == {"utterance_id", "word", "stresses", "nuclei"}
                    for l in lines)
@@ -713,6 +714,22 @@ POOL_TABLE_DIGESTS = {
         "4609fd3427e45a0a1ca1fe7b457e0205bb060785bed7f09f82baf7f117acf98c",
 }
 
+# SHA-256 of label's outputs for the pool fixture, per exclusion scope
+POOL_LABEL_DIGESTS = {
+    "word": {
+        "labels.jsonl":
+            "615d743c19d56a62de2f29b271c2de5fbbcc82a3a213770aa0cb0060ce5a5aee",
+        "exclusions.jsonl":
+            "19756f2cf182f3183a97e74c1cbcb5ff31f2a2f2ae2c2744f360330e471c97b4",
+    },
+    "utterance": {
+        "labels.jsonl":
+            "06efe25b6c8e28127da6c6c6b7d41b00805917ef17b9b9a9cfef2d4b44f2d4c1",
+        "exclusions.jsonl":
+            "00840f33f636e77d25b9940bfb05c24f6cc0c056901c0aaa2aa0a385f7c1f0f4",
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def pool_runs(tmp_path_factory):
@@ -741,6 +758,14 @@ class TestFeaturizePools:
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == POOL_TABLE_DIGESTS[pool, scope])
 
+    @pytest.mark.parametrize("scope", sorted(POOL_LABEL_DIGESTS))
+    def test_label_digests(self, pool_runs, tmp_path, scope):
+        assert run("label", "--alignments", str(pool_runs[0]), "--out",
+                   str(tmp_path), "--exclusion-scope", scope) == 0
+        for name, want in POOL_LABEL_DIGESTS[scope].items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == want, name
+
     def test_each_pool_is_normalized_over_its_rows(self, pool_runs):
         alignments, runs = pool_runs
         tables = {
@@ -751,8 +776,7 @@ class TestFeaturizePools:
             samples, rate = read_wav(str(alignments / al.audio_path))
             raw = extract_features(
                 estimate_pitch(samples, rate), compute_intensity(samples, rate),
-                [(s.start_s, s.end_s, s.nucleus.start_s, s.nucleus.end_s)
-                 for w in al.words for s in w.syllables])
+                al.spans)
             assert np.isnan(raw).any()  # a silent syllable's pitch
             counts = [n for _, n in words]
             starts = np.cumsum([0] + counts)
@@ -995,6 +1019,59 @@ class TestFailedWrites:
         code = run(*[a.format(**paths) for a in argv])
         assert code == 4
         assert capsys.readouterr().err == f"{ENOSPC}: {target!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["lexicon", "lookup", "overcome"],
+        ["lexicon", "lookup", "zzzznotaword"],
+        ["synth", "--n", "2", "--out", "{t}/s"],
+        ["split", "--features", "{r}/corpus/features.jsonl", "--out", "{t}/s"],
+        ["label", "--alignments", "{r}/corpus/alignments", "--out", "{t}/l"],
+        ["featurize", "--alignments", "{a}", "--out", "{t}/f.jsonl"],
+        ["train", "--model", "or", "--feature-mode", "syllable_numerical",
+         "--train", "{r}/corpus/features.jsonl", "--out", "{t}/or.ckpt"],
+        ["train", "--model", "attn-medium", "--epochs", "1", "--train",
+         "{r}/corpus/features.jsonl", "--out", "{t}/m.ckpt"],
+        ["predict", "--model", "{or}", "--input", "{r}/corpus/features.jsonl",
+         "--out", "{t}/p.jsonl"],
+        ["eval", "--model", "{or}", "--data", "{r}/corpus/features.jsonl",
+         "--out", "{t}/r"],
+        ["pca", "--model", "{m}", "--out", "{t}/pca.json"],
+    ], ids=["lexicon", "lexicon-missing", "synth", "split", "label",
+            "featurize", "train-or", "train-attn", "predict", "eval", "pca"])
+    def test_failing_stdout(self, tiny_corpus, tiny_or, pool_runs, pipeline,
+                            tmp_path, monkeypatch, capsys, argv):
+        paths = {"r": tiny_corpus, "t": tmp_path, "or": tiny_or,
+                 "a": pool_runs[0], "m": pipeline[2]}
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _FullDisk(None))
+        code = run(*[a.format(**paths) for a in argv])
+        assert code == 4
+        assert capsys.readouterr().err == f"{ENOSPC}: '<stdout>'\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv,unbuffered", [
+        (["synth", "--n", "2", "--out", "{t}/s"], False),
+        (["synth", "--n", "2", "--out", "{t}/s"], True),
+        (["--help"], False),
+    ], ids=["synth", "synth-unbuffered", "help"])
+    def test_console_stdout_on_a_full_device(self, tmp_path, argv, unbuffered):
+        # main() as the console script runs it: a buffered stdout keeps the
+        # line it could not write, and the flush at exit must not fail on it
+        # again
+        src = str(Path(stressnet.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-c", "from stressnet.cli import main; main()",
+                 *[a.format(t=tmp_path) for a in argv]],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=300)
+        assert (done.returncode, done.stderr) == (4, f"{ENOSPC}: '<stdout>'\n")
 
 
 class TestOutputsInMissingDirectories:
@@ -2181,7 +2258,8 @@ class TestDictionaryFuzz:
                                "--dict", path, "--out", labels)[0] == 0
             assert Path(labels, "exclusions.jsonl").read_bytes() == b""
             table = read_feature_table(os.path.join(out, "features.jsonl"))
-            stresses = [s for line in Path(labels, "labels.jsonl").open()
+            labeled = Path(labels, "labels.jsonl").read_text().splitlines()
+            stresses = [s for line in labeled
                         for s in json.loads(line)["stresses"]]
             assert len(stresses) == len(table.labels)
             if labeling == "dictionary":

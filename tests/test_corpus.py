@@ -35,9 +35,9 @@ from stressnet.errors import (
 from stressnet.features import MAX_SYLLABLES
 from stressnet.lexicon import NUCLEUS_TAGS, TAG_TO_INDEX, StressLevel
 from stressnet.model import FEATURE_MODES, ModelConfig, make_batch
-from conftest import (Record, assert_same_array, assert_same_corpus,
-                      assert_same_table, float_values, pack_records, split_table,
-                      table_records)
+from conftest import (Record, assert_same_alignment, assert_same_array,
+                      assert_same_corpus, assert_same_table, float_values,
+                      pack_records, split_table, table_records)
 from oracles import (oracle_class_weights, oracle_flatten, oracle_instances,
                      oracle_make_batch, oracle_synth_corpus)
 
@@ -73,7 +73,7 @@ class TestAlignmentSchema:
         assert len(al.words) == 2
         path = tmp_path / "a.json"
         save_alignment(al, str(path))
-        assert load_alignment(str(path)) == al
+        assert_same_alignment(load_alignment(str(path)), al)
 
     def test_nucleus_outside_syllable(self):
         doc = make_alignment([("cat", 1)])
@@ -90,7 +90,9 @@ class TestAlignmentSchema:
     def test_empty_word_list_valid(self):
         al = parse_alignment({"schema": 1, "utterance_id": "u",
                               "audio_path": None, "words": []})
-        assert al.words == ()
+        assert al.words == [] and al.tags == []
+        assert_same_array(al.offsets, np.zeros(1, dtype=np.int64), "offsets")
+        assert_same_array(al.spans, np.zeros((0, 4)), "spans")
 
     def test_missing_field(self):
         with pytest.raises(FormatError):
@@ -150,9 +152,8 @@ class TestAlignmentSchema:
         doc = make_alignment([("cat", 1)])
         doc["words"][0]["syllables"][0].update(start_s=0, end_s=2)
         doc["words"][0]["syllables"][0]["nucleus"].update(start_s=0, end_s=1)
-        (syl,) = parse_alignment(doc).words[0].syllables
-        assert (syl.start_s, syl.end_s, syl.nucleus.end_s) == (0.0, 2.0, 1.0)
-        assert all(type(t) is float for t in (syl.start_s, syl.nucleus.start_s))
+        spans = parse_alignment(doc).spans
+        assert_same_array(spans, np.array([[0.0, 2.0, 0.0, 1.0]]), "spans")
 
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -251,21 +252,19 @@ def alignment_to_doc(al: UtteranceAlignment) -> dict:
         "audio_path": al.audio_path,
         "words": [
             {
-                "text": w.text,
+                "text": text,
                 "syllables": [
                     {
-                        "start_s": s.start_s,
-                        "end_s": s.end_s,
-                        "nucleus": {
-                            "start_s": s.nucleus.start_s,
-                            "end_s": s.nucleus.end_s,
-                            "tag": s.nucleus.tag,
-                        },
+                        "start_s": s0,
+                        "end_s": s1,
+                        "nucleus": {"start_s": n0, "end_s": n1, "tag": tag},
                     }
-                    for s in w.syllables
+                    for (s0, s1, n0, n1), tag in zip(
+                        al.spans[start:stop].tolist(), al.tags[start:stop])
                 ],
             }
-            for w in al.words
+            for text, start, stop in zip(al.words, al.offsets.tolist(),
+                                         al.offsets[1:].tolist())
         ],
     }
 
@@ -282,7 +281,7 @@ class TestSaveAlignment:
             save_alignment(al, path)
             with open(path, "rb") as fh:
                 written = fh.read()
-            assert load_alignment(path) == al
+            assert_same_alignment(load_alignment(path), al)
         finally:
             os.unlink(path)
         expected = json.dumps(alignment_to_doc(al), sort_keys=True, indent=1)
@@ -309,6 +308,57 @@ class TestSaveAlignment:
     @settings(max_examples=200, deadline=None)
     def test_any_parsed_alignment(self, al):
         self.assert_written_as_json(al)
+
+
+# a time as a JSON number: an int, or a finite float from subnormal to huge
+json_times = st.integers(-2**70, 2**70) | float_values
+
+
+@st.composite
+def alignment_documents(draw):
+    """A schema-valid alignment document: 0 to 8 words of 1 to 20
+    syllables, times as JSON ints or floats, text and tags of any
+    characters, tags possibly null. Each word's 4n times are distinct
+    as floats and sorted: per syllable, its start, its nucleus's start
+    and end, and its end."""
+    text = st.text(max_size=6)
+    words = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(1, 20))
+        times = sorted(draw(st.lists(json_times, min_size=4 * n, max_size=4 * n,
+                                     unique_by=float)), key=float)
+        words.append({"text": draw(text), "syllables": [
+            {"start_s": s0, "end_s": s1, "nucleus": {
+                "start_s": n0, "end_s": n1, "tag": draw(st.none() | text)}}
+            for s0, n0, n1, s1 in zip(*[iter(times)] * 4)]})
+    return {"schema": 1, "utterance_id": draw(text), "audio_path": None,
+            "words": words}
+
+
+class TestAlignmentRoundTrip:
+    """parse, save and load keep every field of a drawn document: the
+    spans bit for bit, and a second save writes the first save's bytes."""
+
+    @given(alignment_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_parse_save_load(self, doc):
+        al = parse_alignment(doc)
+        sylls = [s for w in doc["words"] for s in w["syllables"]]
+        assert al.words == [w["text"] for w in doc["words"]]
+        assert al.tags == [s["nucleus"]["tag"] for s in sylls]
+        assert_same_array(al.spans, np.array(
+            [[float(s["start_s"]), float(s["end_s"]), float(s["nucleus"]["start_s"]),
+              float(s["nucleus"]["end_s"])] for s in sylls]).reshape(-1, 4), "spans")
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "1.json"), os.path.join(tmp, "2.json")
+            save_alignment(al, first)
+            back = load_alignment(first)
+            save_alignment(back, second)
+            with open(first, "rb") as fh1, open(second, "rb") as fh2:
+                assert fh1.read() == fh2.read()
+        assert (back.words, back.tags) == (al.words, al.tags)
+        assert_same_array(back.offsets, al.offsets, "offsets")
+        assert_same_array(back.spans, al.spans, "spans")
 
 
 class TestLabelUtterance:
@@ -816,7 +866,8 @@ class TestSynthCorpus:
     def test_deterministic(self, lexicon):
         a1, r1 = synth_corpus(lexicon, 6, GenConfig(noise=0.4), seed=3)
         a2, r2 = synth_corpus(lexicon, 6, GenConfig(noise=0.4), seed=3)
-        assert a1 == a2
+        for x, y in zip(a1, a2, strict=True):
+            assert_same_alignment(x, y)
         for x, y in zip(table_records(r1), table_records(r2)):
             assert x.word == y.word
             assert np.array_equal(x.features, y.features)
@@ -851,9 +902,9 @@ class TestSynthCorpus:
             by_utt.setdefault(rec.utterance_id, []).append(rec)
         for al in aligns:
             words = by_utt[al.utterance_id]
-            assert [w.word for w in words] == [w.text for w in al.words]
-            for rec, aw in zip(words, al.words):
-                assert rec.nucleus_tags == [s.nucleus.tag for s in aw.syllables]
+            assert [w.word for w in words] == al.words
+            assert [t for rec in words for t in rec.nucleus_tags] == al.tags
+            assert np.diff(al.offsets).tolist() == [len(w.nucleus_tags) for w in words]
 
     def test_relative_duration_labeling(self, lexicon):
         _, table = synth_corpus(
