@@ -192,10 +192,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _echo(line: str) -> None:
-    """Print line and flush, so that a failed write raises here, naming <stdout>."""
+def _echo(text: str, end: str = "\n") -> None:
+    """Print text and flush, so that a failed write raises here, naming <stdout>."""
     try:
-        print(line, flush=True)
+        print(text, end=end, flush=True)
     except OSError as exc:
         exc.filename = "<stdout>"
         raise
@@ -361,12 +361,12 @@ def _cmd_featurize(args, config) -> int:
 
 
 def _cmd_split(args, config) -> int:
-    data, lines = read_table_lines(args.features)
+    lines = read_table_lines(args.features)
     train_set, test_set = split_utterances(lines, args.train_fraction, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_table_lines(data, train_set, str(out / "train.jsonl"))
-    write_table_lines(data, test_set, str(out / "test.jsonl"))
+    write_table_lines(train_set, str(out / "train.jsonl"))
+    write_table_lines(test_set, str(out / "test.jsonl"))
     _write_manifest(out / "manifest.json", args, [args.features])
     _echo(f"split: {len(train_set)} train / {len(test_set)} test instances -> {out}")
     return 0
@@ -537,8 +537,14 @@ def _add_key_flags(p: argparse.ArgumentParser, *keys: str) -> None:
         p.add_argument(spec.flag, dest=key, type=spec.type, choices=spec.choices)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # through _echo: argparse's own print ignores a failed write
+        _echo(self.format_help(), end="")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stressnet",
         description="Syllable-level stress detection pipelines.")
     parser.add_argument("--config", help="JSON run-config file; flags override it")
@@ -547,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON run-config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
+                                parser_class=lambda **kw: _Parser(
                                     parents=[common], **kw))
 
     p = sub.add_parser("lexicon", help="dictionary lookup")
@@ -624,12 +630,11 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         config = _load_config(args.config)
         _resolve(args, config)
         return args.func(args, config)
+    except SystemExit as exc:  # --help, or a usage error
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -645,11 +650,8 @@ def main() -> None:
     code = run_subcommand()
     try:
         sys.stdout.flush()
-    except OSError as exc:  # stdout keeps what it failed to write, to retry at exit
+    except OSError:  # stdout keeps what _echo failed to write, to retry at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if code == 0:  # a failure no subcommand reported: --help's text
-            print(f"error: {exc}: '<stdout>'", file=sys.stderr)
-            code = 4
     sys.exit(code)
 
 if __name__ == "__main__":

@@ -29,26 +29,27 @@ null)}]}. A word has 1 to MAX_SYLLABLES syllables whose positions are
 0..n-1, each used once. In memory a table is one flat Instances,
 whoever builds it (this reader, synth, label or featurize), and
 write_feature_table writes it from the flat arrays: a type as its tag,
-IGNORE_LABEL as null. One parse loop checks each line and makes each
-chunk of 64 words, their syllables in position order, into a table;
-read_feature_table joins the chunks with instances_from_table, and makes
-no per-word object. The loop converts a chunk's features to float64 and
-checks them at once: converting the whole table at the end would keep
-every parsed number alive until then (more than three times the read's
-peak memory on a 2.7k-word table), and a conversion per word costs a
-NumPy call each. The first faulty line in file order is the one
-reported, whichever chunk holds it.
+IGNORE_LABEL as null. One parse loop, _words, checks each line completely
+where it parses it, its numbers too, so the first faulty line in file
+order is the one reported, with the first fault in it.
+read_feature_table makes each chunk of 64 words, their syllables in
+position order, into a table with one float64 conversion, and joins the
+chunks with instances_from_table; it makes no per-word object. Converting
+the whole table at the end would keep every parsed number alive until
+then (more than three times the read's peak memory on a 2.7k-word table),
+and a conversion per word costs a NumPy call each.
 read_table_lines runs the same loop for a table that is only to be cut
-into parts (split): it keeps the table's bytes and where each valid
-word's line lies in them, but no features, and write_table_lines copies
-those lines out, so no number is formatted again.
+into parts (split): it keeps each valid word's line and utterance id but
+no features, and write_table_lines writes those lines out, so no number
+is formatted again.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -266,17 +267,17 @@ def _field(doc: dict, key: str, kind: type):
 
 _NUMBER_TYPES = frozenset((int, float))
 _FEATURES_ERROR = f"'features' must be {N_FEATURES} finite numbers"
-# words whose features are converted to float64 and checked together
+# words read_feature_table converts to float64 together
 _CHUNK_WORDS = 64
 
 
 def _word(line: bytes) -> tuple[str, str, list, list, list]:
     """One line's word as (utterance_id, word, rows, types, labels), its n
     syllables in position order: each feature row as the line's list of
-    12 numbers (converted later, by _floats), each nucleus tag as its type
-    index and each stress as its label (IGNORE_LABEL for null). Each
-    syllable's fields are checked in turn, by exact type, and the syllable
-    is put at its position; then the count and the positions are checked."""
+    12 finite ints or floats, each nucleus tag as its type index and each
+    stress as its label (IGNORE_LABEL for null). Each syllable's fields
+    are checked in turn, by exact type, and the syllable is put at its
+    position; then the count and the positions are checked."""
     try:
         doc = json.loads(line)
     except (ValueError, RecursionError) as exc:
@@ -307,7 +308,13 @@ def _word(line: bytes) -> tuple[str, str, list, list, list]:
         values = syl.get("features")
         if type(values) is not list:
             raise _wrong_type("features")
-        if len(values) != N_FEATURES or not _NUMBER_TYPES.issuperset(map(type, values)):
+        try:
+            ok = (len(values) == N_FEATURES
+                  and _NUMBER_TYPES.issuperset(map(type, values))
+                  and all(map(math.isfinite, values)))
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        if not ok:
             raise FormatError(_FEATURES_ERROR)
         position = syl.get("position")
         if type(position) is not int:
@@ -323,111 +330,55 @@ def _word(line: bytes) -> tuple[str, str, list, list, list]:
     return utterance_id, word, rows, types, labels
 
 
-def _floats(rows: list) -> np.ndarray | None:
-    """The feature rows as one float64 array, or None if a value is beyond
-    the float range or not finite."""
-    try:
-        block = np.array(rows, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return block if np.isfinite(block).all() else None
-
-
-def _convert(path: str, rows: list, counts: list[int],
-             linenos: list[int]) -> np.ndarray:
-    """The rows of consecutive words converted by _floats; a value that
-    fails makes a FormatError at the line of the first word, in file
-    order, that holds one. counts and linenos hold each word's syllable
-    count and line number."""
-    block = _floats(rows)
-    if block is None:
-        stop = 0
-        for n, lineno in zip(counts, linenos):
-            start, stop = stop, stop + n
-            if _floats(rows[start:stop]) is None:
-                raise FormatError(f"{path}:{lineno}: {_FEATURES_ERROR}")
-    return block
-
-
-def _chunks(path: str, lines: Iterable[bytes]) -> Iterator[tuple[Instances, list]]:
-    """The one parse loop over a feature table's lines: up to _CHUNK_WORDS
-    consecutive words at a time, as a table and each word's line number.
-    Blank lines are skipped; a malformed line or an invalid word is a
-    FormatError at path:line, the first such line in file order deciding:
-    a chunk's features are converted and checked when it is full, and
-    before a later line's fault is raised."""
-    ids, words, counts, linenos, rows, types, labels = ([] for _ in range(7))
-
-    def chunk() -> tuple[Instances, list]:
-        features = _convert(path, rows, counts, linenos)
-        return Instances.from_counts(ids, words, counts, features,
-                                     np.array(types, dtype=np.int64),
-                                     np.array(labels, dtype=np.int64)), linenos
-
+def _words(path: str, lines: Iterable[bytes]) -> Iterator[tuple[bytes, tuple]]:
+    """The one parse loop over a feature table's lines: each non-blank
+    line with its _word. A malformed line or an invalid word is a
+    FormatError at path:line."""
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            utterance_id, word, word_rows, word_types, word_labels = _word(line)
-        except FormatError as exc:
-            _convert(path, rows, counts, linenos)  # an earlier line's fault first
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-        ids.append(utterance_id)
-        words.append(word)
-        counts.append(len(word_rows))
-        linenos.append(lineno)
-        rows += word_rows
-        types += word_types
-        labels += word_labels
-        if len(words) == _CHUNK_WORDS:
-            yield chunk()
-            ids, words, counts, linenos, rows, types, labels = ([] for _ in range(7))
-    if words:
-        yield chunk()
+        if line.strip():
+            try:
+                word = _word(line)
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            yield line, word
 
 
 def read_feature_table(path: str) -> Instances:
     """A feature table's words as one flat Instances table, in input order;
     a malformed line or an invalid word is a FormatError at path:line."""
+    tables = []
     with open(path, "rb") as fh:
-        return instances_from_table([table for table, _ in _chunks(path, fh)])
+        words = (word for _, word in _words(path, fh))
+        while chunk := list(islice(words, _CHUNK_WORDS)):
+            ids, texts, rows, types, labels = zip(*chunk)
+            tables.append(Instances.from_counts(
+                list(ids), list(texts), list(map(len, rows)),
+                np.array(list(chain.from_iterable(rows)), dtype=np.float64),
+                np.array(list(chain.from_iterable(types)), dtype=np.int64),
+                np.array(list(chain.from_iterable(labels)), dtype=np.int64)))
+    return instances_from_table(tables)
 
 
 class TableLine(NamedTuple):
-    """Where a feature-table word's line lies in the table's bytes, and its
-    utterance id (so corpus.split can split lines by utterance, as
+    """A feature-table word's line, surrounding whitespace left out, and
+    its utterance id (so corpus.split can split lines by utterance, as
     train_utterances splits a table's words)."""
 
     utterance_id: str
-    start: int
-    stop: int
+    line: bytes
 
 
-def read_table_lines(path: str) -> tuple[bytes, list[TableLine]]:
-    """A feature table's bytes and the line of each of its words, in input
-    order, surrounding whitespace left out. Every line is checked as
-    read_feature_table checks it, with the same FormatError, so
-    write_table_lines copies only valid words."""
+def read_table_lines(path: str) -> list[TableLine]:
+    """The line of each of a feature table's words, in input order. Every
+    line is checked as read_feature_table checks it, with the same
+    FormatError, so write_table_lines writes only valid words."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    spans = []  # each line's (start, stop), surrounding whitespace left out
-
-    def lines():
-        start = 0
-        for line in io.BytesIO(data):
-            first = start + len(line) - len(line.lstrip())
-            spans.append((first, first + len(line.strip())))
-            start += len(line)
-            yield line
-
-    return data, [TableLine(utterance_id, *spans[lineno - 1])
-                  for table, linenos in _chunks(path, lines())
-                  for utterance_id, lineno in zip(table.utterance_ids, linenos)]
+        return [TableLine(word[0], line.strip()) for line, word in _words(path, fh)]
 
 
-def write_table_lines(data: bytes, lines: Sequence[TableLine], path: str) -> None:
-    """Write each line's bytes from data, ended by a newline, in the order
-    given. A line that write_feature_table wrote comes out byte for byte
-    as it was; any other keeps its own spelling of the same record."""
+def write_table_lines(lines: Sequence[TableLine], path: str) -> None:
+    """Write each line, ended by a newline, in the order given. A line
+    that write_feature_table wrote comes out byte for byte as it was; any
+    other keeps its own spelling of the same record."""
     with open_output(path, "wb") as fh:
-        fh.writelines(data[line.start:line.stop] + b"\n" for line in lines)
+        fh.writelines(line.line + b"\n" for line in lines)

@@ -9,11 +9,13 @@ pitch frames unvoiced).
 
     python -m pytest tests/bench_table_io.py
 
-split is timed from the synth table to both parts on disk: the oracle
-reads the records, splits them and writes each part with
-write_feature_table, as split once did; the new path copies the valid
-lines it parsed. predict's writer is timed on the test part (about 820
-words) with seeded probabilities; its oracle is json.dumps per word.
+read_table_lines is timed on the synth table; its oracle reads the
+records and cuts each word's line out of the file's bytes. split is timed
+from the synth table to both parts on disk: the oracle reads the records,
+splits them and writes each part with write_feature_table, as split once
+did; the new path copies the valid lines it parsed. predict's writer is
+timed on the test part (about 820 words) with seeded probabilities; its
+oracle is json.dumps per word.
 make_batch with the class-weight table is timed on the training part
 against the per-word path, which builds each word's arrays and
 concatenates them.
@@ -40,6 +42,7 @@ from stressnet.cli import _write_predictions
 from stressnet.corpus import GenConfig, compute_class_weights, split, synth_corpus
 from stressnet.dsp import IntensityTrack, PitchTrack
 from stressnet.features import (
+    TableLine,
     extract_features,
     read_feature_table,
     read_table_lines,
@@ -67,15 +70,24 @@ def tables(criterion_8_tables, tmp_path_factory):
 
 
 def new_split(path, out):
-    data, lines = read_table_lines(path)
-    train, test = split(lines, 0.7, seed=SEED)
-    write_table_lines(data, train, str(out / "train.jsonl"))
-    write_table_lines(data, test, str(out / "test.jsonl"))
+    train, test = split(read_table_lines(path), 0.7, seed=SEED)
+    write_table_lines(train, str(out / "train.jsonl"))
+    write_table_lines(test, str(out / "test.jsonl"))
+
+
+def lines_from_spans(path):
+    """read_table_lines' lines as the oracle reader finds them: each word's
+    line span cut out of the file's bytes."""
+    data = Path(path).read_bytes()
+    table, spans = oracle_read_table(path, data)
+    return [TableLine(u, data[first:stop])
+            for u, (first, stop) in zip(table.utterance_ids, spans)]
 
 
 READERS = {"oracle": lambda path: oracle_read_table(
                path, Path(path).read_bytes())[0],
            "new": read_feature_table}
+LINE_READERS = {"oracle": lines_from_spans, "new": read_table_lines}
 SPLITTERS = {"oracle": lambda path, out: oracle_split(path, out, 0.7, SEED),
              "new": new_split}
 PREDICTION_WRITERS = {
@@ -100,6 +112,14 @@ def test_read(benchmark, tables, table, impl):
     benchmark.group = f"read_feature_table, {table} table"
     got = benchmark.pedantic(READERS[impl], (path,), rounds=5)
     assert_same_table(got, READERS["oracle"](path))
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_read_lines(benchmark, tables, impl):
+    _, path = tables["synth"]
+    benchmark.group = "read_table_lines, synth table"
+    got = benchmark.pedantic(LINE_READERS[impl], (path,), rounds=5)
+    assert got == LINE_READERS["oracle"](path)
 
 
 @pytest.mark.parametrize("impl", IMPLS)

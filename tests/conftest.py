@@ -303,3 +303,68 @@ SCIPY_READS = {
         b"data", np.array([0.5, 0.25, 1.5e308, 1.5e308], "<f8").tobytes())),
 }
 MALFORMED_WAVS.update(SCIPY_READS)
+
+WAV_DAMAGES = ["form", "riff_size", "tag", "width", "channels", "bits",
+               "byte_rate", "partial_frame", "chunk_id", "chunk_size", "edit",
+               "cut"]
+
+
+@st.composite
+def damaged_wavs(draw, pcm: bytes | None = None) -> bytes:
+    """A WAV file with up to three damages drawn: header fields, chunk ids
+    and sizes, a partial frame, byte edits and a cut; around its fmt and
+    data chunks, skipped chunks of odd and even size. Given pcm, mono
+    int16 samples, the file holds them in a 16-bit PCM fmt; else a quarter
+    of the files start from an 8-sample int16 WAV as SciPy writes it, and
+    the rest hold drawn bytes in a drawn format."""
+    damage = draw(st.sets(st.sampled_from(WAV_DAMAGES), max_size=3))
+    u32 = st.integers(0, 64) | st.integers(0, 2 ** 32 - 1)
+    given = pcm is not None
+    if not given and draw(st.integers(0, 3)) == 0:
+        raw = bytearray(wav_bytes(np.arange(8, dtype=np.int16)))
+    else:
+        tag = PCM if given else draw(st.sampled_from([PCM, IEEE_FLOAT]))
+        if "tag" in damage:  # the other tag read, or one not read
+            tag = draw(st.sampled_from([IEEE_FLOAT if tag == PCM else PCM,
+                                        ADPCM, EXTENSIBLE, 0]))
+        width = 2 if given else draw(st.sampled_from([2, 3, 4] if tag == PCM
+                                                     else [4, 8]))
+        if "width" in damage:
+            width = draw(st.integers(1, 9))
+        channels = (0 if "channels" in damage
+                    else 1 if given else draw(st.integers(1, 3)))
+        fmt = fmt_chunk(
+            tag, channels, width, rate=draw(st.sampled_from([SR, 8000])),
+            bits=draw(st.integers(0, 72)) if "bits" in damage else None,
+            byte_rate=draw(u32) if "byte_rate" in damage else None,
+            extensible=draw(st.booleans()))
+        if given:
+            data = pcm
+        else:
+            n = channels * width * draw(st.integers(0, 4))
+            data = draw(st.binary(min_size=n, max_size=n))
+        if "partial_frame" in damage:
+            data += draw(st.binary(min_size=1, max_size=max(1, channels * width - 1)))
+        chunks = [fmt, chunk(b"data", data)]
+        ids = [b"LIST", b"JUNK", b"fact"]
+        if "chunk_id" in damage:
+            ids += [b"fmt ", b"data", draw(st.binary(min_size=4, max_size=4))]
+        for _ in range(draw(st.integers(0, 2))):
+            chunks.insert(draw(st.integers(0, len(chunks))),
+                          chunk(draw(st.sampled_from(ids)),
+                                draw(st.binary(max_size=5))))
+        if "chunk_size" in damage:
+            at = draw(st.integers(0, len(chunks) - 1))
+            chunks[at] = (chunks[at][:4] + struct.pack("<I", draw(u32))
+                          + chunks[at][8:])
+        raw = bytearray(riff(
+            *chunks,
+            form=draw(st.sampled_from([b"RIFX", b"RF64", b"RIFF", b"WAVE"]))
+            if "form" in damage else b"RIFF",
+            size=draw(u32) if "riff_size" in damage else None))
+    if "edit" in damage:
+        for _ in range(draw(st.integers(1, 4))):
+            raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    if "cut" in damage:
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    return bytes(raw)

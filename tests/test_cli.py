@@ -21,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stressnet
-from conftest import (MALFORMED_LINES, MALFORMED_WAVS, Record, float_values,
-                      json_values, pack_records, table_records)
+from conftest import (MALFORMED_LINES, MALFORMED_WAVS, Record, damaged_wavs,
+                      float_values, json_values, pack_records, table_records)
 from stressnet import bundled_dictionary_path
 from stressnet.cli import _write_predictions, run_subcommand
 from stressnet import checkpoint, corpus
@@ -1054,7 +1054,10 @@ class TestFailedWrites:
         (["synth", "--n", "2", "--out", "{t}/s"], False),
         (["synth", "--n", "2", "--out", "{t}/s"], True),
         (["--help"], False),
-    ], ids=["synth", "synth-unbuffered", "help"])
+        (["--help"], True),
+        (["split", "--help"], True),
+    ], ids=["synth", "synth-unbuffered", "help", "help-unbuffered",
+            "split-help-unbuffered"])
     def test_console_stdout_on_a_full_device(self, tmp_path, argv, unbuffered):
         # main() as the console script runs it: a buffered stdout keeps the
         # line it could not write, and the flush at exit must not fail on it
@@ -1132,6 +1135,30 @@ class TestMalformedFeatureTables:
         assert code == 4
         assert "FormatError" in err and "Traceback" not in err
         assert f"{table}:2" in err
+
+    # a feature beyond the float range in the first syllable, then a
+    # stress of 5 in the second: the line's first fault is named
+    @pytest.mark.parametrize("argv", [
+        ["split", "--features", "{t}", "--out", "{o}"],
+        ["train", "--model", "rf", "--feature-mode", "syllable_numerical",
+         "--train", "{t}", "--out", "{o}"],
+    ], ids=["split", "train-rf"])
+    def test_first_of_two_faults(self, pipeline, tmp_path, capsys, argv):
+        _, out, _, _ = pipeline
+        good = (out / "splits" / "test.jsonl").read_text().splitlines()[0]
+        zeros = ", ".join(["0.0"] * 11)
+        bad = ('{"syllables": ['
+               f'{{"features": [1e400, {zeros}], "nucleus": "ah", "position": 0, '
+               '"stress": 0}, '
+               f'{{"features": [0.0, {zeros}], "nucleus": "ah", "position": 1, '
+               '"stress": 5}], "utterance_id": "u", "word": "w"}')
+        table = tmp_path / "bad.jsonl"
+        table.write_text(good + "\n" + bad + "\n")
+        capsys.readouterr()
+        code = run(*[a.format(t=table, o=tmp_path / "out") for a in argv])
+        assert (code, capsys.readouterr().err) == (
+            4, f"error (FormatError): {table}:2: 'features' must be 12 finite "
+               "numbers\n")
 
 
 class TestUnlabeledSyllables:
@@ -2125,6 +2152,39 @@ TABLE_COMMANDS = {
     "eval": ["eval", "--data"],
     "predict": ["predict", "--input"],
 }
+
+
+# a rendered 0.25 s tone as mono int16 samples at 16 kHz, and a one-word
+# alignment over it naming it utt.wav
+WAV_FUZZ_PCM = (0.5 * np.sin(2 * np.pi * 180.0 * np.arange(4000) / 16000)
+                * 32767).astype("<i2").tobytes()
+WAV_FUZZ_ALIGNMENT = {
+    "schema": 1, "utterance_id": "utt", "audio_path": "utt.wav",
+    "words": [{"text": "maybe", "syllables": [
+        {"start_s": a, "end_s": b,
+         "nucleus": {"start_s": a + 0.01, "end_s": b - 0.01, "tag": None}}
+        for a, b in [(0.02, 0.12), (0.12, 0.22)]]}]}
+
+
+class TestWavFuzz:
+    """featurize of an alignment whose WAV is damaged works, or exits 3 or
+    4, with no traceback and no warning; an exit-0 table reads back."""
+
+    @given(raw=damaged_wavs(WAV_FUZZ_PCM))
+    @settings(max_examples=100, deadline=None)
+    def test_damaged_wav(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            alignment, out = os.path.join(tmp, "utt.json"), os.path.join(tmp, "out")
+            Path(alignment).write_text(json.dumps(WAV_FUZZ_ALIGNMENT))
+            Path(tmp, "utt.wav").write_bytes(raw)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, err = run_quietly("featurize", "--alignments", alignment,
+                                        "--out", out)
+            assert code in (0, 3, 4) and "Traceback" not in err, err
+            assert not caught, [str(w.message) for w in caught]
+            if code == 0:
+                read_feature_table(out)
 
 
 class TestTableFuzz:

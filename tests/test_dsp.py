@@ -23,8 +23,8 @@ from stressnet.errors import (
     UnsupportedRate,
 )
 from stressnet.features import extract_features
-from conftest import (ADPCM, EXTENSIBLE, IEEE_FLOAT, MALFORMED_WAVS, PCM,
-                      SCIPY_READS, SR, chunk, fmt_chunk, riff, wav_bytes)
+from conftest import (IEEE_FLOAT, MALFORMED_WAVS, PCM, SCIPY_READS, SR, chunk,
+                      damaged_wavs, fmt_chunk, riff, wav_bytes)
 from oracles import reference_intensity, reference_pitch, scipy_read_wav
 
 
@@ -396,9 +396,6 @@ def sample_bytes(tag, width, n):
 # formats read: (format tag, bytes per sample)
 READ_FORMATS = {"int16": (PCM, 2), "int24": (PCM, 3), "int32": (PCM, 4),
                 "float32": (IEEE_FLOAT, 4), "float64": (IEEE_FLOAT, 8)}
-WAV_DAMAGES = ["form", "riff_size", "tag", "width", "channels", "bits",
-               "byte_rate", "partial_frame", "chunk_id", "chunk_size", "edit",
-               "cut"]
 
 
 class TestReadWav:
@@ -469,61 +466,13 @@ class TestReadWav:
         with pytest.raises(FormatError, match=str(path)):
             read_wav(str(path))
 
-    # A valid file with up to three damages drawn: header fields, chunk
-    # ids and sizes, a partial frame, byte edits and a cut; around its fmt
-    # and data chunks, skipped chunks of odd and even size. A quarter of
-    # the files start from an 8-sample int16 WAV as SciPy writes it.
-    # read_wav raises nothing but FormatError, and what it reads, SciPy
-    # reads to the same bytes.
-    @given(data=st.data())
+    # read_wav raises nothing but FormatError on a damaged file, and what
+    # it reads, SciPy reads to the same bytes
+    @given(raw=damaged_wavs())
     @settings(max_examples=400, deadline=None)
-    def test_fuzzed_file(self, tmp_path_factory, data):
-        draw = data.draw
-        damage = draw(st.sets(st.sampled_from(WAV_DAMAGES), max_size=3))
-        u32 = st.integers(0, 64) | st.integers(0, 2 ** 32 - 1)
-        if draw(st.integers(0, 3)) == 0:
-            raw = bytearray(wav_bytes(np.arange(8, dtype=np.int16)))
-        else:
-            tag = draw(st.sampled_from([PCM, IEEE_FLOAT]))
-            if "tag" in damage:
-                tag = draw(st.sampled_from([ADPCM, EXTENSIBLE, 0]))
-            width = draw(st.sampled_from([2, 3, 4] if tag == PCM else [4, 8]))
-            if "width" in damage:
-                width = draw(st.integers(1, 9))
-            channels = 0 if "channels" in damage else draw(st.integers(1, 3))
-            fmt = fmt_chunk(
-                tag, channels, width, rate=draw(st.sampled_from([SR, 8000])),
-                bits=draw(st.integers(0, 72)) if "bits" in damage else None,
-                byte_rate=draw(u32) if "byte_rate" in damage else None,
-                extensible=draw(st.booleans()))
-            n = channels * width * draw(st.integers(0, 4))
-            if "partial_frame" in damage:
-                n += draw(st.integers(1, max(1, channels * width - 1)))
-            chunks = [fmt, chunk(b"data", draw(st.binary(min_size=n,
-                                                         max_size=n)))]
-            ids = [b"LIST", b"JUNK", b"fact"]
-            if "chunk_id" in damage:
-                ids += [b"fmt ", b"data", draw(st.binary(min_size=4, max_size=4))]
-            for _ in range(draw(st.integers(0, 2))):
-                chunks.insert(draw(st.integers(0, len(chunks))),
-                              chunk(draw(st.sampled_from(ids)),
-                                    draw(st.binary(max_size=5))))
-            if "chunk_size" in damage:
-                at = draw(st.integers(0, len(chunks) - 1))
-                chunks[at] = (chunks[at][:4] + struct.pack("<I", draw(u32))
-                              + chunks[at][8:])
-            raw = bytearray(riff(
-                *chunks,
-                form=draw(st.sampled_from([b"RIFX", b"RF64", b"RIFF", b"WAVE"]))
-                if "form" in damage else b"RIFF",
-                size=draw(u32) if "riff_size" in damage else None))
-        if "edit" in damage:
-            for _ in range(draw(st.integers(1, 4))):
-                raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
-        if "cut" in damage:
-            raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    def test_fuzzed_file(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("wav") / "d.wav"
-        path.write_bytes(bytes(raw))
+        path.write_bytes(raw)
         try:
             samples, rate = read_wav(str(path))
         except FormatError:
