@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -47,8 +48,6 @@ from .corpus import (
     EXCLUSION_SCOPES,
     LABELINGS,
     GenConfig,
-    Instances,
-    instances_from_table,
     label_utterance,
     load_alignment,
     require_gold,
@@ -65,9 +64,11 @@ from .errors import (
     StressnetError,
     open_output,
 )
-from .evaluation import evaluate, pca_type_embeddings, render_report, report_to_dict
+from .evaluation import evaluate, pca_type_embeddings, render_report
 from .features import (
+    Instances,
     extract_features,
+    instances_from_table,
     normalize_sentence,
     read_feature_table,
     read_table_lines,
@@ -110,6 +111,10 @@ _ATTENTION_MODELS = (*PRESETS, "attn-custom")
 _MODEL_FLAGS = dict.fromkeys(("epochs", "batch_size", "learning_rate", "val_fraction",
                               "dropout", "history"), _ATTENTION_MODELS)
 _MODEL_FLAGS.update(n_trees=("rf",), max_depth=("rf",))
+# each subcommand's file outputs (synth, label and split write into a
+# directory, eval next to a path prefix)
+_FILE_OUTPUTS = {"train": ("out", "history"), "featurize": ("out",),
+                 "predict": ("out",), "pca": ("out",)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -157,7 +162,9 @@ def _load_config(path: str | None) -> dict:
 def _resolve(args, config: dict) -> None:
     """Settle args before the subcommand runs: each top-level key that it
     takes and no flag gave becomes the config file's value, else the
-    default; and the parent directory of each output path is created."""
+    default; a file output that names a directory (one that exists, or a
+    path ending in a separator) is refused before any input is read; and
+    the parent directory of each output path is made."""
     for key in _TOP_LEVEL.keys() & vars(args).keys():
         if getattr(args, key) is None:
             setattr(args, key, config.get(key, _TOP_LEVEL[key].default))
@@ -165,6 +172,10 @@ def _resolve(args, config: dict) -> None:
         args.dict_path = os.environ.get("STRESSNET_DICT", bundled_dictionary_path())
     if getattr(args, "seed", 0) < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    for key in _FILE_OUTPUTS.get(args.command, ()):
+        path = getattr(args, key)
+        if path and (os.path.isdir(path) or path.endswith(os.sep)):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     for key in ("out", "history"):
         if getattr(args, key, None):
             Path(getattr(args, key)).parent.mkdir(parents=True, exist_ok=True)
@@ -202,8 +213,9 @@ def _echo(text: str, end: str = "\n") -> None:
 
 
 def _write_json(path, doc) -> None:
+    """Write doc as indented JSON with sorted keys, NumPy arrays as lists."""
     with open_output(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -502,7 +514,7 @@ def _cmd_eval(args, config) -> int:
     probs, weights = _predict_all(args.model, instances)
     report = evaluate(probs.argmax(axis=1), instances, weights)
     out = Path(args.out)
-    _write_json(str(out) + ".json", report_to_dict(report))
+    _write_json(str(out) + ".json", dataclasses.asdict(report))
     with open_output(str(out) + ".txt") as fh:
         fh.write(render_report(report))
     _write_manifest(str(out) + ".manifest.json", args, [args.model, args.data])
@@ -520,10 +532,8 @@ def _cmd_pca(args, config) -> int:
     # an overflow is judged by finiteness: NumericalInstability
     with np.errstate(over="ignore", invalid="ignore"):
         proj = pca_type_embeddings(model[0])
-    _write_json(args.out, {
-        "points": {tag: vec.tolist() for tag, vec in proj.points.items()},
-        "explained_variance": proj.explained_variance.tolist(),
-    })
+    _write_json(args.out, {"points": proj.points,
+                           "explained_variance": proj.explained_variance})
     _echo(f"pca: {len(proj.points)} type-embedding points -> {args.out}")
     return 0
 

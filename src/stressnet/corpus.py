@@ -50,7 +50,7 @@ from .errors import (
     SplitTooSmall,
     open_output,
 )
-from .features import (  # re-exported: IGNORE_LABEL, Instances, instances_from_table
+from .features import (
     IGNORE_LABEL,
     MAX_SYLLABLES,
     N_FEATURES,

@@ -13,7 +13,9 @@ intensity. The autocorrelation FFT length is the next power of two at
 or above win + lag_max + 1, the shortest at which no lag that is read
 (0 .. lag_max + 1) picks up circular wrap-around; at 16 kHz with the
 default 40 ms window that is 1024 points. The trackers take one channel:
-a 1-D signal.
+a 1-D signal. Both return a Track on the same frame grid (_frame_grid:
+the hop, and each frame's center time), which features.extract_features
+requires of the two tracks it is given.
 
 A pitch call allocates one workspace of block-sized arrays, and every
 block writes into it with out=: a zero-padded frame buffer, the complex
@@ -25,7 +27,9 @@ r(0), the best band value, the peak's lag and its two neighbours);
 parabolic interpolation and the voicing test then run once over all
 frames. Every output bit is what the per-frame loop in the tests gives.
 There are no threads: splitting a call's frames over two threads gained
-on an idle host and lost once its second core was busy, and running
+on an idle host and lost once its second core was busy (the benchmark's
+audio-featurize pipeline_rel read 6.67-6.88 with two threads against
+6.32-6.58 without, 2-core VM, seeds 4-6, 30 s runs), and running
 utterances on a thread pool raised peak memory by per-thread malloc
 arenas.
 
@@ -122,7 +126,9 @@ class DspConfig:
 
 @dataclass(frozen=True)
 class Track:
-    """Frame-synchronous values at constant hop; times are frame centers."""
+    """Frame-synchronous values at constant hop; times are frame centers.
+    values holds f0 in Hz, NaN where unvoiced (estimate_pitch), or
+    intensity in dB re unit full-scale RMS (compute_intensity)."""
 
     frame_hop_s: float
     times_s: np.ndarray
@@ -130,14 +136,6 @@ class Track:
 
     def __len__(self) -> int:
         return len(self.times_s)
-
-
-class PitchTrack(Track):
-    """values holds f0 in Hz; NaN marks unvoiced frames."""
-
-
-class IntensityTrack(Track):
-    """values holds intensity in dB re unit full-scale RMS."""
 
 
 def _validate_signal(samples: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -177,7 +175,7 @@ def _blocks(frames: np.ndarray):
 
 
 def estimate_pitch(samples, sample_rate: float,
-                   cfg: DspConfig = DspConfig()) -> PitchTrack:
+                   cfg: DspConfig = DspConfig()) -> Track:
     """Autocorrelation pitch track within [f_min, f_max].
 
     Per frame: Hann window, normalized autocorrelation r(tau)/r(0) divided
@@ -199,7 +197,7 @@ def estimate_pitch(samples, sample_rate: float,
     lag_min, lag_max = int(lag_min), int(lag_max)
     f0 = np.full(len(frames), UNVOICED)
     if not len(frames):  # build no window for an empty grid
-        return PitchTrack(cfg.hop_s, centers, f0)
+        return Track(cfg.hop_s, centers, f0)
 
     window = np.hanning(win)
     # Lags 0 .. lag_max + 1 are read. A circular autocorrelation of length
@@ -275,11 +273,11 @@ def estimate_pitch(samples, sample_rate: float,
                   & (best >= cfg.voicing_threshold)
                   & (f0_hz >= cfg.f_min) & (f0_hz <= cfg.f_max))
     f0[voiced] = f0_hz[voiced]
-    return PitchTrack(cfg.hop_s, centers, f0)
+    return Track(cfg.hop_s, centers, f0)
 
 
 def compute_intensity(samples, sample_rate: float,
-                      cfg: DspConfig = DspConfig()) -> IntensityTrack:
+                      cfg: DspConfig = DspConfig()) -> Track:
     """Per-frame RMS in dB = 20*log10(rms/1.0), floored at -120 dB."""
     samples = _validate_signal(samples, sample_rate)
     _, frames, centers = _frame_grid(samples, sample_rate, cfg)
@@ -288,7 +286,7 @@ def compute_intensity(samples, sample_rate: float,
         rms = np.sqrt(np.mean(block * block, axis=1))
         loud = rms >= _RMS_FLOOR
         db[lo:lo + len(block)][loud] = 20.0 * np.log10(rms[loud])
-    return IntensityTrack(cfg.hop_s, centers, db)
+    return Track(cfg.hop_s, centers, db)
 
 
 def read_wav(path: str) -> tuple[np.ndarray, float]:

@@ -3,8 +3,8 @@ nucleus-type embeddings.
 
 Confusion matrices are 3x3 counts with rows = real label and columns =
 predicted label, both in the order NonStress, Primary, Secondary.
-An EvalReport renders as report_to_dict, the document eval writes as
-JSON, or as render_report's text tables.
+eval writes an EvalReport's fields as JSON (arrays as lists), and
+render_report's text tables.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Instances, require_gold
+from .corpus import require_gold
 from .errors import (
     AlignmentError,
     InsufficientDimensions,
     LabelError,
     NumericalInstability,
 )
+from .features import Instances
 from .lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX
 
 _CLASS_NAMES = ("Non stress", "Primary stress", "Secondary stress")
@@ -121,19 +122,6 @@ def pca_type_embeddings(params: dict, n_components: int = 3,
 
 
 # --- rendering ----------------------------------------------------------------
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "weighted_accuracy": report.weighted_accuracy,
-        "confusion": report.confusion.tolist(),
-        "per_type_confusion": {
-            tag: m.tolist() for tag, m in sorted(report.per_type_confusion.items())
-        },
-        "n_syllables": report.n_syllables,
-        "n_words": report.n_words,
-    }
-
 
 def _matrix_lines(m: np.ndarray, indent: str = "  ") -> list[str]:
     width = max(len(name) for name in _CLASS_NAMES)

@@ -9,7 +9,10 @@ and the same six over its nucleus span, in this fixed slot order:
     9 nuc_int_mean    10 nuc_int_max    11 nuc_dur_s
 
 extract_features computes all of them for an utterance at once, as one
-(n_syllables, 12) float64 matrix in alignment order. Pitch statistics over
+(n_syllables, 12) float64 matrix in alignment order. It takes a pitch and
+an intensity track on one frame grid, as dsp's trackers make them from
+one signal, and refuses two grids (ShapeError): each span set's frames
+are found with one search of that grid. Pitch statistics over
 a fully unvoiced span are ABSENT, marked NaN: an unvoiced syllable says
 nothing about pitch, and after normalization it sits exactly at the
 sentence mean (zero), the neutral input for the linear projection.
@@ -55,9 +58,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IntensityTrack, PitchTrack, Track
-from .errors import (FormatError, InvalidSpan, SpanOutOfRange, StressnetError,
-                     open_output)
+from .dsp import Track
+from .errors import (FormatError, InvalidSpan, ShapeError, SpanOutOfRange,
+                     StressnetError, open_output)
 from .lexicon import NUCLEUS_TAGS, TAG_TO_INDEX
 
 FEATURE_SLOTS = (
@@ -131,64 +134,60 @@ def instances_from_table(tables: Sequence[Instances]) -> Instances:
         np.concatenate([t.labels for t in tables]))
 
 
-def _extent(track: Track) -> tuple[float, float] | None:
-    """The time range a track's frames cover, or None if it has none."""
-    if len(track) == 0:
-        return None
-    half = track.frame_hop_s / 2.0
-    return float(track.times_s[0]) - half, float(track.times_s[-1]) + half
-
-
-def _span_error(extents: list, s0: float, s1: float, n0: float,
-                n1: float) -> StressnetError | None:
+def _span_error(extent: tuple[float, float] | None, s0: float, s1: float,
+                n0: float, n1: float) -> StressnetError | None:
     """What is wrong with one syllable's spans, checked in this order: the
-    nucleus outside the syllable, the syllable outside the pitch or the
-    intensity track's extent, then an empty or inverted syllable or
-    nucleus span. None if nothing is."""
+    nucleus outside the syllable, the syllable outside the tracks' extent
+    (the time range their frames cover, None if they have none), then an
+    empty or inverted syllable or nucleus span. None if nothing is."""
     if not (s0 <= n0 and n1 <= s1):
         return InvalidSpan(f"nucleus span [{n0},{n1}) outside syllable [{s0},{s1})")
-    for extent in extents:
-        if extent is None:
-            return SpanOutOfRange("track has no frames")
-        lo, hi = extent
-        if s1 <= lo or s0 >= hi:
-            return SpanOutOfRange(
-                f"span [{s0}, {s1}) outside track extent [{lo}, {hi})")
+    if extent is None:
+        return SpanOutOfRange("track has no frames")
+    lo, hi = extent
+    if s1 <= lo or s0 >= hi:
+        return SpanOutOfRange(
+            f"span [{s0}, {s1}) outside track extent [{lo}, {hi})")
     for start, end in ((s0, s1), (n0, n1)):
         if not start < end:
             return InvalidSpan(f"inverted span [{start}, {end})")
     return None
 
 
-def extract_features(pitch: PitchTrack, intensity: IntensityTrack,
+def extract_features(pitch: Track, intensity: Track,
                      spans: np.ndarray) -> np.ndarray:
     """The (n, 12) raw feature matrix of an utterance's n syllables.
 
-    spans is an alignment's spans, (n, 4): syllable start and end, nucleus
-    start and end, in seconds. A span holds the frames whose centers fall
-    in [start, end); the track times must be sorted, as the trackers make
-    them. Pitch statistics count voiced frames only and are NaN (ABSENT)
-    over a span with none. Intensity statistics over a span too short to hold a frame
-    center fall back to the frame nearest its middle, so only pitch slots
-    can be ABSENT. Each mean and max is taken over the span's own slice of
-    the track. The first syllable whose nucleus lies outside it, whose
-    span lies outside either track, or with an empty span, is an error.
+    pitch and intensity are estimate_pitch's and compute_intensity's
+    tracks of one signal: they must share one frame grid (equal hop and
+    frame times), else ShapeError. spans is an alignment's spans, (n, 4):
+    syllable start and end, nucleus start and end, in seconds. A span
+    holds the frames whose centers fall in [start, end); the frame times
+    must be sorted, as the trackers make them. Pitch statistics count
+    voiced frames only and are NaN (ABSENT) over a span with none.
+    Intensity statistics over a span too short to hold a frame center
+    fall back to the frame nearest its middle, so only pitch slots can be
+    ABSENT. Each mean and max is taken over the span's own slice of the
+    track. The first syllable whose nucleus lies outside it, whose span
+    lies outside the tracks, or with an empty span, is an error.
     """
+    times, hop = pitch.times_s, pitch.frame_hop_s
+    if intensity.frame_hop_s != hop or not np.array_equal(intensity.times_s, times):
+        raise ShapeError("pitch and intensity tracks are not on one frame grid")
     spans = np.asarray(spans, dtype=np.float64).reshape(-1, 4)
-    extents = [_extent(pitch), _extent(intensity)]
+    half = hop / 2.0
+    extent = (float(times[0]) - half, float(times[-1]) + half) if len(times) else None
     for row in spans.tolist():
-        error = _span_error(extents, *row)
+        error = _span_error(extent, *row)
         if error is not None:
             raise error
     out = np.empty((len(spans), N_FEATURES))
-    hop = pitch.frame_hop_s
     for first, (start, end) in ((0, spans[:, :2].T), (6, spans[:, 2:].T)):
         six = out[:, first:first + 6]
         six[:, 5] = end - start
-        p_lo, p_hi = np.searchsorted(pitch.times_s, (start, end)).tolist()
-        i_lo, i_hi = np.searchsorted(intensity.times_s, (start, end)).tolist()
+        lo, hi = np.searchsorted(times, (start, end)).tolist()
         mids = (0.5 * (start + end)).tolist()
-        for row, a, b, c, d, mid in zip(six, p_lo, p_hi, i_lo, i_hi, mids):
+        for row, a, b, mid in zip(six, lo, hi, mids):
             voiced = pitch.values[a:b]
             voiced = voiced[np.isfinite(voiced)]
             if len(voiced):  # the sum and count np.mean takes
@@ -196,12 +195,12 @@ def extract_features(pitch: PitchTrack, intensity: IntensityTrack,
                            np.maximum.reduce(voiced), len(voiced) * hop)
             else:
                 row[:3] = np.nan, np.nan, 0.0
-            if c < d:
-                levels = intensity.values[c:d]
+            if a < b:
+                levels = intensity.values[a:b]
                 row[3:5] = (np.add.reduce(levels) / len(levels),
                             np.maximum.reduce(levels))
             else:  # the frame nearest the span's middle, the first on a tie
-                row[3:5] = intensity.values[np.abs(intensity.times_s - mid).argmin()]
+                row[3:5] = intensity.values[np.abs(times - mid).argmin()]
     return out
 
 

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import IGNORE_LABEL, Instances, compute_class_weights
+from ..corpus import compute_class_weights
 from ..errors import DegenerateData, DivergedAtEpoch, NumericalInstability
+from ..features import IGNORE_LABEL, Instances
 from ..lexicon import PAD_TYPE_INDEX
 from .config import ModelConfig, TrainConfig
 from .network import (

@@ -40,7 +40,7 @@ from conftest import (assert_same_corpus, assert_same_table, pack_records,
 from stressnet.baselines import train_ordinal
 from stressnet.cli import _write_predictions
 from stressnet.corpus import GenConfig, compute_class_weights, split, synth_corpus
-from stressnet.dsp import IntensityTrack, PitchTrack
+from stressnet.dsp import Track
 from stressnet.features import (
     TableLine,
     extract_features,
@@ -210,8 +210,8 @@ def synthetic_utterances(n_utterances=40, n_syllables=16, hop=0.01):
         f0 = rng.uniform(80.0, 300.0, len(times))
         f0[rng.random(len(times)) < 0.3] = np.nan
         utterances.append((
-            PitchTrack(hop, times, f0),
-            IntensityTrack(hop, times, rng.uniform(-60.0, -10.0, len(times))),
+            Track(hop, times, f0),
+            Track(hop, times, rng.uniform(-60.0, -10.0, len(times))),
             np.stack([starts, ends, starts + 0.25 * durations,
                       starts + 0.75 * durations], axis=1)))
     return utterances

@@ -18,7 +18,7 @@ from stressnet.baselines import ForestModel, OrdinalModel
 from stressnet.checkpoint import load_any
 from stressnet.corpus import (IGNORE_LABEL, GenConfig, UtteranceAlignment,
                               weights_from_proportions)
-from stressnet.dsp import DspConfig, PitchTrack
+from stressnet.dsp import DspConfig
 from stressnet.errors import (AlignmentError, DegenerateData, FormatError,
                               InvalidSpan, LabelError, SpanOutOfRange)
 from stressnet.evaluation import EvalReport
@@ -164,15 +164,16 @@ def scipy_read_wav(path):
 
 # --- features: the per-syllable extractor -------------------------------------
 
-def oracle_segment_stats(track, start_s, end_s):
+def oracle_segment_stats(track, start_s, end_s, voiced_only):
     """(mean, max, voiced duration) over the frames whose centers fall in
     [start_s, end_s), found with a mask; None for mean and max where no
-    usable frame is in the span. Pitch counts voiced frames only."""
+    usable frame is in the span. voiced_only (pitch) counts voiced frames
+    only."""
     if not start_s < end_s:
         raise InvalidSpan(f"inverted span [{start_s}, {end_s})")
     in_span = (track.times_s >= start_s) & (track.times_s < end_s)
     values = track.values[in_span]
-    if isinstance(track, PitchTrack):
+    if voiced_only:
         values = values[np.isfinite(values)]
     if values.size == 0:
         return None, None, 0.0
@@ -202,8 +203,8 @@ def oracle_syllable_features(pitch, intensity, s0, s1, n0, n1):
     oracle_check_extent(intensity, s0, s1)
 
     def six(span0, span1):
-        p_mean, p_max, voiced = oracle_segment_stats(pitch, span0, span1)
-        i_mean, i_max, _ = oracle_segment_stats(intensity, span0, span1)
+        p_mean, p_max, voiced = oracle_segment_stats(pitch, span0, span1, True)
+        i_mean, i_max, _ = oracle_segment_stats(intensity, span0, span1, False)
         if i_mean is None:  # the frame nearest the span's middle
             mid = 0.5 * (span0 + span1)
             i_mean = float(intensity.values[

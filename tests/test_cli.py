@@ -922,6 +922,39 @@ class TestPathErrors:
                            str(out / "splits" / "test.jsonl"),
                            "--out", str(tmp_path))
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "or", "--train", "{m}", "--out", "{d}"],
+        ["train", "--model", "attn-medium", "--train", "{m}",
+         "--out", "{m}.ckpt", "--history", "{d}"],
+        ["featurize", "--alignments", "{m}", "--out", "{d}"],
+        ["predict", "--model", "{m}", "--input", "{m}", "--out", "{d}"],
+        ["pca", "--model", "{m}", "--out", "{d}"],
+        ["predict", "--model", "{m}", "--input", "{m}", "--out", "{m}/"],
+    ], ids=["train-out", "train-history", "featurize", "predict", "pca",
+            "predict-new-directory"])
+    def test_file_output_is_a_directory(self, tmp_path, capsys, argv):
+        # refused before any input is read: the missing one goes unnamed
+        argv = [a.format(d=tmp_path, m=tmp_path / "missing") for a in argv]
+        capsys.readouterr()
+        assert run(*argv) == 4
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+            f"{argv[-1]!r}\n")
+
+    def test_history_directory_keeps_the_last_run(self, tiny_corpus, tmp_path):
+        # the checkpoint and its manifest stay those of the last good run
+        ckpt = tmp_path / "a.ckpt"
+        argv = ["train", "--model", "attn-medium", "--epochs", "1", "--train",
+                str(tiny_corpus / "corpus" / "features.jsonl"), "--out", str(ckpt)]
+        assert run(*argv, "--seed", "1") == 0
+        files = [ckpt, Path(f"{ckpt}.manifest.json")]
+        before = [f.read_bytes() for f in files]
+        (tmp_path / "h").mkdir()
+        code, err = run_quietly(*argv, "--seed", "2", "--history",
+                                str(tmp_path / "h"))
+        assert code == 4 and "Is a directory" in err
+        assert [f.read_bytes() for f in files] == before
+
 
 ENOSPC = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 

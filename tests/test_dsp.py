@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stressnet.dsp import (
     DspConfig,
-    IntensityTrack,
-    PitchTrack,
+    Track,
     compute_intensity,
     estimate_pitch,
     read_wav,
@@ -197,12 +196,9 @@ class TestSegmentStats:
     the span's duration."""
 
     def stats(self, pitch_values, int_values, start, end, hop=0.01):
-        def times(values):
-            return hop / 2 + hop * np.arange(len(values))
-        pitch = PitchTrack(hop, times(pitch_values),
-                           np.asarray(pitch_values, dtype=np.float64))
-        intensity = IntensityTrack(hop, times(int_values),
-                                   np.asarray(int_values, dtype=np.float64))
+        times = hop / 2 + hop * np.arange(len(pitch_values))
+        pitch = Track(hop, times, np.asarray(pitch_values, dtype=np.float64))
+        intensity = Track(hop, times, np.asarray(int_values, dtype=np.float64))
         return extract_features(pitch, intensity, [(start, end, start, end)])[0, :6]
 
     def test_pitch_stats_skip_unvoiced(self):
@@ -229,8 +225,8 @@ class TestSegmentStats:
             self.stats([100.0] * 60, [-10.0] * 60, 0.5, 0.1)
         with pytest.raises(InvalidSpan):  # an inverted nucleus, too
             extract_features(
-                PitchTrack(0.01, 0.005 + 0.01 * np.arange(60), np.full(60, 100.0)),
-                IntensityTrack(0.01, 0.005 + 0.01 * np.arange(60), np.full(60, -10.0)),
+                Track(0.01, 0.005 + 0.01 * np.arange(60), np.full(60, 100.0)),
+                Track(0.01, 0.005 + 0.01 * np.arange(60), np.full(60, -10.0)),
                 [(0.0, 0.5, 0.3, 0.2)])
 
     def test_enlarging_span_never_decreases_max(self):
@@ -241,8 +237,8 @@ class TestSegmentStats:
         times = hop / 2 + hop * np.arange(50)
         ends = np.linspace(0.05, 0.5, 12)
         spans = np.stack([np.zeros(12), ends, np.zeros(12), ends], axis=1)
-        out = extract_features(PitchTrack(hop, times, values),
-                               IntensityTrack(hop, times, np.zeros(50)), spans)
+        out = extract_features(Track(hop, times, values),
+                               Track(hop, times, np.zeros(50)), spans)
         maxima = out[:, 1][~np.isnan(out[:, 1])]
         assert len(maxima) and np.all(np.diff(maxima) >= 0)
 

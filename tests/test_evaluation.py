@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from stressnet.evaluation import (
     evaluate,
     pca_type_embeddings,
     render_report,
-    report_to_dict,
 )
 from stressnet.lexicon import NUCLEUS_TAGS, PAD_TYPE_INDEX, StressLevel
 from oracles import oracle_evaluate, oracle_instances
@@ -162,8 +162,10 @@ class TestEvaluateOracle:
             assert got.per_type_confusion[tag].dtype == m.dtype
             assert np.array_equal(got.per_type_confusion[tag], m)
         assert (got.n_syllables, got.n_words) == (want.n_syllables, want.n_words)
-        assert (json.dumps(report_to_dict(got), sort_keys=True)
-                == json.dumps(report_to_dict(want), sort_keys=True))
+        assert (json.dumps(dataclasses.asdict(got), sort_keys=True,
+                           default=np.ndarray.tolist)
+                == json.dumps(dataclasses.asdict(want), sort_keys=True,
+                              default=np.ndarray.tolist))
         assert render_report(got) == render_report(want)
 
     def test_all_zero_weights_give_none(self):
@@ -243,7 +245,7 @@ class TestRenderReport:
 
     def test_json_round_trip(self, tmp_path):
         report = self.report()
-        _write_json(tmp_path / "report.json", report_to_dict(report))
+        _write_json(tmp_path / "report.json", dataclasses.asdict(report))
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["accuracy"] == report.accuracy
         assert doc["weighted_accuracy"] == report.weighted_accuracy

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stressnet.corpus import IGNORE_LABEL, GenConfig, Instances, synth_corpus
-from stressnet.dsp import IntensityTrack, PitchTrack
-from stressnet.errors import FormatError, InvalidSpan, SpanOutOfRange, StressnetError
+from stressnet.dsp import Track
+from stressnet.errors import (FormatError, InvalidSpan, ShapeError, SpanOutOfRange,
+                              StressnetError)
 from stressnet.features import (
     FEATURE_SLOTS,
     MAX_SYLLABLES,
@@ -32,10 +33,10 @@ HOP = 0.01
 
 
 def tracks(pitch_values, int_values):
-    times_p = HOP / 2 + HOP * np.arange(len(pitch_values))
-    times_i = HOP / 2 + HOP * np.arange(len(int_values))
-    return (PitchTrack(HOP, times_p, np.asarray(pitch_values, dtype=np.float64)),
-            IntensityTrack(HOP, times_i, np.asarray(int_values, dtype=np.float64)))
+    """Pitch and intensity tracks on one frame grid, a frame per value."""
+    times = HOP / 2 + HOP * np.arange(len(pitch_values))
+    return (Track(HOP, times, np.asarray(pitch_values, dtype=np.float64)),
+            Track(HOP, times, np.asarray(int_values, dtype=np.float64)))
 
 
 def one(pitch, intensity, syllable_span, nucleus_span):
@@ -95,10 +96,17 @@ class TestExtractFeatures:
         with pytest.raises(InvalidSpan):
             extract_features(pitch, intensity, spans[::-1])
 
-    def test_syllable_outside_the_shorter_track(self):
-        pitch, intensity = tracks([100.0] * 10, [-5.0] * 2)
-        with pytest.raises(SpanOutOfRange):
-            one(pitch, intensity, (0.05, 0.08), (0.05, 0.08))
+    def test_tracks_on_different_grids(self):
+        # two lengths, two hops, or frame times shifted by a quarter hop:
+        # refused before any span is looked at
+        pitch, intensity = tracks([100.0] * 10, [-5.0] * 10)
+        times = intensity.times_s
+        for other in (Track(HOP, times[:2], intensity.values[:2]),
+                      Track(2 * HOP, times, intensity.values),
+                      Track(HOP, times + HOP / 4, intensity.values)):
+            for a, b in ((pitch, other), (other, pitch)):
+                with pytest.raises(ShapeError, match="one frame grid"):
+                    one(a, b, (0.0, 0.02), (0.03, 0.01))
 
     def test_nucleus_extent_is_not_checked(self):
         # a nucleus before the first frame, inside a syllable that reaches
@@ -108,16 +116,13 @@ class TestExtractFeatures:
         assert np.isnan(v[6]) and v[9] == -5.0  # the nearest frame
 
     def test_no_syllables(self):
-        empty = PitchTrack(HOP, np.empty(0), np.empty(0))
-        out = extract_features(empty, IntensityTrack(HOP, np.empty(0), np.empty(0)),
-                               np.empty((0, 4)))
+        out = extract_features(*tracks([], []), np.empty((0, 4)))
         assert out.shape == (0, N_FEATURES)
 
     def test_track_without_frames(self):
-        pitch, _ = tracks([100.0], [])
+        pitch, intensity = tracks([], [])
         with pytest.raises(SpanOutOfRange, match="no frames"):
-            one(pitch, IntensityTrack(HOP, np.empty(0), np.empty(0)),
-                (0.0, 0.01), (0.0, 0.01))
+            one(pitch, intensity, (0.0, 0.01), (0.0, 0.01))
 
     @given(case=st.data())
     @settings(max_examples=200, deadline=None)
@@ -143,23 +148,22 @@ class TestExtractFeatures:
 
 @st.composite
 def tracks_and_spans(draw):
-    """Pitch and intensity tracks on one frame grid, of the same or of
-    different lengths, pitch with unvoiced (NaN) runs, and syllable spans
-    over them: on the grid of quarter hops (frame centres, frame edges,
-    the first and the last frame) or anywhere, some shorter than a hop so
-    that no frame centre falls inside, some a little outside the tracks,
-    and nuclei that may equal their syllables."""
+    """Pitch and intensity tracks on one frame grid, pitch with unvoiced
+    (NaN) runs, and syllable spans over them: on the grid of quarter hops
+    (frame centres, frame edges, the first and the last frame) or
+    anywhere, some shorter than a hop so that no frame centre falls
+    inside, some a little outside the tracks, and nuclei that may equal
+    their syllables."""
     hop = draw(st.sampled_from([0.01, 0.0125, 0.004]))
-    n_pitch, n_int = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    f0 = rng.uniform(60.0, 400.0, n_pitch)
+    f0 = rng.uniform(60.0, 400.0, n)
     for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, n_pitch - 1))
+        at = draw(st.integers(0, n - 1))
         f0[at:at + draw(st.integers(1, 12))] = np.nan
-    pitch = PitchTrack(hop, hop / 2 + hop * np.arange(n_pitch), f0)
-    intensity = IntensityTrack(hop, hop / 2 + hop * np.arange(n_int),
-                               rng.uniform(-60.0, 0.0, n_int))
-    n = min(n_pitch, n_int)
+    times = hop / 2 + hop * np.arange(n)
+    pitch = Track(hop, times, f0)
+    intensity = Track(hop, times, rng.uniform(-60.0, 0.0, n))
     point = (st.integers(-1, 4 * n + 1).map(lambda q: q * hop / 4)
              | st.floats(0.0, n * hop))
     spans = []
