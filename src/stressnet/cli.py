@@ -3,16 +3,13 @@
 Subcommands: lexicon, featurize, synth, label, split, train, predict,
 eval, pca. Each setting is resolved once, before the subcommand runs:
 its flag, else the JSON run-config file's (--config) value, else the
-default. synth, label and split write a manifest.json into their output
-directory; featurize, train and eval write one named after --out, with
-.manifest.json appended (rf.ckpt.manifest.json, report.manifest.json),
-so checkpoints trained side by side keep one manifest each; lexicon,
-predict and pca write none. A manifest holds the command, its arguments
-after resolution, every settings object it built (all fields, defaults
-too) and the SHA-256 of each input file: enough to rerun it
-byte-identically. Paths are recorded as given, except that the bundled
-dictionary is "<bundled>", so the manifest does not depend on where the
-package is installed.
+default. _OUTPUTS declares the files each subcommand writes, its
+manifest last (none for lexicon, predict and pca), and run_subcommand
+writes the manifest, then prints the subcommand's summary line. A
+manifest holds the command, its arguments after resolution, every
+settings object it built (all fields, defaults too) and the SHA-256 of
+each input file: enough to rerun it byte-identically. Paths are recorded
+as given, the bundled dictionary as "<bundled>" wherever it is installed.
 
 split parses and checks every line of --features, then copies each kept
 word's line as it was, surrounding whitespace stripped, with a newline.
@@ -62,6 +59,7 @@ from .errors import (
     DegenerateData,
     NumericalInstability,
     StressnetError,
+    UnknownWord,
     open_output,
 )
 from .evaluation import evaluate, pca_type_embeddings, render_report
@@ -111,10 +109,15 @@ _ATTENTION_MODELS = (*PRESETS, "attn-custom")
 _MODEL_FLAGS = dict.fromkeys(("epochs", "batch_size", "learning_rate", "val_fraction",
                               "dropout", "history"), _ATTENTION_MODELS)
 _MODEL_FLAGS.update(n_trees=("rf",), max_depth=("rf",))
-# each subcommand's file outputs (synth, label and split write into a
-# directory, eval next to a path prefix)
-_FILE_OUTPUTS = {"train": ("out", "history"), "featurize": ("out",),
-                 "predict": ("out",), "pca": ("out",)}
+# the files each subcommand writes, its manifest (or None) last: "out/name"
+# is a file in the --out directory, "out.suffix" --out with .suffix appended
+_OUTPUTS = {"lexicon": (None,), "predict": ("out", None), "pca": ("out", None),
+            "synth": ("out/features.jsonl", "out/manifest.json"),
+            "label": ("out/labels.jsonl", "out/exclusions.jsonl", "out/manifest.json"),
+            "featurize": ("out", "out.manifest.json"),
+            "split": ("out/train.jsonl", "out/test.jsonl", "out/manifest.json"),
+            "train": ("out", "history", "out.manifest.json"),
+            "eval": ("out.json", "out.txt", "out.manifest.json")}
 
 
 def _load_config(path: str | None) -> dict:
@@ -159,12 +162,22 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve(args, config: dict) -> None:
-    """Settle args before the subcommand runs: each top-level key that it
-    takes and no flag gave becomes the config file's value, else the
-    default; a file output that names a directory (one that exists, or a
-    path ending in a separator) is refused before any input is read; and
-    the parent directory of each output path is made."""
+def _output_path(args, spec: str) -> str | None:
+    """The path that spec, an entry of _OUTPUTS, names (None: not asked for)."""
+    key, into, name = spec.partition("/")
+    key, dot, suffix = key.partition(".")
+    value = getattr(args, key)
+    if value is None or not into and value.endswith(os.sep):
+        return value  # a prefix ending in a separator: refused as a directory
+    return str(Path(value) / name) if into else value + dot + suffix
+
+
+def _resolve(args, config: dict) -> list[str | None]:
+    """Settle args before the subcommand runs, and return the paths that
+    _OUTPUTS declares for it. Each top-level key that it takes and no flag
+    gave becomes the config file's value, else the default; a path naming a
+    directory (one that exists, or ending in a separator) is refused before
+    any input is read; and each output argument's parent directory is made."""
     for key in _TOP_LEVEL.keys() & vars(args).keys():
         if getattr(args, key) is None:
             setattr(args, key, config.get(key, _TOP_LEVEL[key].default))
@@ -172,13 +185,14 @@ def _resolve(args, config: dict) -> None:
         args.dict_path = os.environ.get("STRESSNET_DICT", bundled_dictionary_path())
     if getattr(args, "seed", 0) < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    for key in _FILE_OUTPUTS.get(args.command, ()):
-        path = getattr(args, key)
-        if path and (os.path.isdir(path) or path.endswith(os.sep)):
+    paths = [spec and _output_path(args, spec) for spec in _OUTPUTS[args.command]]
+    for path in filter(None, paths):
+        if os.path.isdir(path) or path.endswith(os.sep):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     for key in ("out", "history"):
         if getattr(args, key, None):
             Path(getattr(args, key)).parent.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 def _settings(cls, section: str, doc: dict, **flags):
@@ -220,9 +234,8 @@ def _write_json(path, doc) -> None:
 
 
 def _write_manifest(path, args, inputs: list[str], **settings) -> None:
-    """Write the manifest at path, as the module docstring describes. The
-    bundled dictionary is named "<bundled>", wherever the package is
-    installed, as an argument and as an input."""
+    """Write the manifest at path, as the module docstring describes, the
+    bundled dictionary named "<bundled>" as an argument and as an input."""
     bundled = os.path.realpath(bundled_dictionary_path())
 
     def shown(path: str) -> str:
@@ -243,27 +256,25 @@ def _write_manifest(path, args, inputs: list[str], **settings) -> None:
 
 # --- subcommands ---------------------------------------------------------------
 
-def _cmd_lexicon(args, config) -> int:
-    lex = load_dictionary(args.dict_path)
-    variants = lex.lookup(args.word)
+def _cmd_lexicon(args, config):
+    variants = load_dictionary(args.dict_path).lookup(args.word)
     if not variants:
-        _echo(f"{args.word!r} not found in dictionary")
-        return 4
+        raise UnknownWord(f"{args.word!r} not found in dictionary")
+    lines = []
     for entry in variants:
         syl = syllabify(entry)
         pieces = [" ".join(s.onset + (s.nucleus_phoneme,) + s.coda)
                   for s in syl.syllables]
-        _echo(f"{entry.word} (variant {entry.variant_index}): "
-              + " . ".join(pieces))
-        _echo("  stresses: " + " ".join(str(int(s)) for s in syl.stresses())
-              + "  (" + " ".join(s.name.lower() for s in syl.stresses()) + ")")
-        _echo("  nuclei:   " + " ".join(syl.nucleus_tags()))
-    _echo(f"{len(variants)} pronunciation(s), "
-          f"{len(syllabify(variants[0]).syllables)} syllable(s) in variant 0")
-    return 0
+        lines += [f"{entry.word} (variant {entry.variant_index}): {' . '.join(pieces)}",
+                  "  stresses: " + " ".join(str(int(s)) for s in syl.stresses())
+                  + "  (" + " ".join(s.name.lower() for s in syl.stresses()) + ")",
+                  "  nuclei:   " + " ".join(syl.nucleus_tags())]
+    lines.append(f"{len(variants)} pronunciation(s), "
+                 f"{len(syllabify(variants[0]).syllables)} syllable(s) in variant 0")
+    return "\n".join(lines), [], {}
 
 
-def _cmd_synth(args, config) -> int:
+def _cmd_synth(args, config, features_path):
     lex = load_dictionary(args.dict_path)
     gen = _settings(GenConfig, "gen", config.get("gen", {}),
                     noise=args.noise, labeling=args.labeling)
@@ -272,11 +283,9 @@ def _cmd_synth(args, config) -> int:
     (out / "alignments").mkdir(parents=True, exist_ok=True)
     for al in alignments:
         save_alignment(al, str(out / "alignments" / f"{al.utterance_id}.json"))
-    write_feature_table(table, str(out / "features.jsonl"))
-    _write_manifest(out / "manifest.json", args, [args.dict_path], gen=gen)
-    _echo(f"synth: {len(alignments)} utterances, {len(table)} word instances "
-          f"-> {out}")
-    return 0
+    write_feature_table(table, features_path)
+    return (f"synth: {len(alignments)} utterances, {len(table)} word instances "
+            f"-> {out}"), [args.dict_path], {"gen": gen}
 
 
 def _alignment_files(path: str) -> list[str]:
@@ -286,7 +295,7 @@ def _alignment_files(path: str) -> list[str]:
     return [str(p)]
 
 
-def _cmd_label(args, config) -> int:
+def _cmd_label(args, config, labels_path, exclusions_path):
     lex = load_dictionary(args.dict_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -313,13 +322,12 @@ def _cmd_label(args, config) -> int:
             "reason": exc.reason,
         }, sort_keys=True) + "\n" for exc in exclusions)
         n_words += len(table)
-    with open_output(out / "labels.jsonl") as fh:
+    with open_output(labels_path) as fh:
         fh.writelines(label_lines)
-    with open_output(out / "exclusions.jsonl") as fh:
+    with open_output(exclusions_path) as fh:
         fh.writelines(exclusion_lines)
-    _write_manifest(out / "manifest.json", args, files + [args.dict_path])
-    _echo(f"label: {n_words} labeled word instances -> {out}")
-    return 0
+    return (f"label: {n_words} labeled word instances -> {out}",
+            files + [args.dict_path], {})
 
 
 def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
@@ -353,7 +361,7 @@ def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
                            exclusion_scope=args.exclusion_scope)
 
 
-def _cmd_featurize(args, config) -> int:
+def _cmd_featurize(args, config, out):
     lex = load_dictionary(args.dict_path)
     dsp_cfg = _settings(DspConfig, "dsp", config.get("dsp", {}))
     files = _alignment_files(args.alignments)
@@ -364,27 +372,23 @@ def _cmd_featurize(args, config) -> int:
         tables.append(labeled)
         n_excluded += len(exclusions)
     table = instances_from_table(tables)
-    write_feature_table(table, args.out)
-    _write_manifest(args.out + ".manifest.json", args, files + [args.dict_path],
-                    dsp=dsp_cfg)
-    _echo(f"featurize: {len(table)} word instances "
-          f"({n_excluded} exclusions) -> {args.out}")
-    return 0
+    write_feature_table(table, out)
+    return (f"featurize: {len(table)} word instances ({n_excluded} exclusions) "
+            f"-> {out}"), files + [args.dict_path], {"dsp": dsp_cfg}
 
 
-def _cmd_split(args, config) -> int:
+def _cmd_split(args, config, train_path, test_path):
     lines = read_table_lines(args.features)
     train_set, test_set = split_utterances(lines, args.train_fraction, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_table_lines(train_set, str(out / "train.jsonl"))
-    write_table_lines(test_set, str(out / "test.jsonl"))
-    _write_manifest(out / "manifest.json", args, [args.features])
-    _echo(f"split: {len(train_set)} train / {len(test_set)} test instances -> {out}")
-    return 0
+    write_table_lines(train_set, train_path)
+    write_table_lines(test_set, test_path)
+    return (f"split: {len(train_set)} train / {len(test_set)} test instances "
+            f"-> {out}"), [args.features], {}
 
 
-def _cmd_train(args, config) -> int:
+def _cmd_train(args, config, out, history_path):
     for dest, models in _MODEL_FLAGS.items():
         if getattr(args, dest) is not None and args.model not in models:
             raise ConfigError(f"--{dest.replace('_', '-')} is not read by "
@@ -393,7 +397,6 @@ def _cmd_train(args, config) -> int:
     if not len(instances):
         raise DegenerateData("empty training set")
     require_gold(instances)
-    settings = {}
     if args.model in ("or", "rf"):
         if args.feature_mode == ALL_FEATURES:
             raise ConfigError(
@@ -405,13 +408,13 @@ def _cmd_train(args, config) -> int:
             # a finite feature can overflow x @ beta: judged by finiteness
             with np.errstate(over="ignore", invalid="ignore"):
                 model = baselines.train_ordinal(X, y, seed=args.seed)
-            checkpoint.save_ordinal(args.out, model, args.feature_mode)
+            checkpoint.save_ordinal(out, model, args.feature_mode)
         else:
             given = {k: getattr(args, k) for k in ("n_trees", "max_depth")
                      if getattr(args, k) is not None}
             model = baselines.train_forest(X, y, seed=args.seed, **given)
-            checkpoint.save_forest(args.out, model, args.feature_mode)
-        _echo(f"train[{args.model}]: {len(y)} syllables -> {args.out}")
+            checkpoint.save_forest(out, model, args.feature_mode)
+        return f"train[{args.model}]: {len(y)} syllables -> {out}", [args.train], {}
     else:
         train_cfg = _settings(
             TrainConfig, "train", config.get("train", {}), epochs=args.epochs,
@@ -425,7 +428,6 @@ def _cmd_train(args, config) -> int:
                               "preset; use --model attn-custom to set it")
         model_cfg = _settings(ModelConfig, "model", {**model_doc, **preset},
                               feature_mode=args.feature_mode, dropout=args.dropout)
-        settings = {"train": train_cfg, "model": model_cfg}
 
         vf = train_cfg.validation_fraction
         tr, val = instances, None
@@ -441,17 +443,15 @@ def _cmd_train(args, config) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             params, weights, history = train_model(tr, val or tr, model_cfg,
                                                    train_cfg)
-        checkpoint.save_model(args.out, params, model_cfg, weights)
-        if args.history:
-            _write_json(args.history, history)
+        checkpoint.save_model(out, params, model_cfg, weights)
+        if history_path:
+            _write_json(history_path, history)
         split = (f"{len(tr)} train / {len(val)} val instances" if val else
                  f"{len(tr)} train instances (no validation utterance drawn: "
                  "val acc is on the training words)")
-        _echo(f"train[{args.model}]: {split}, {len(history)} epochs, best val acc "
-              f"{max((h['val_acc'] for h in history), default=float('nan')):.4f} "
-              f"-> {args.out}")
-    _write_manifest(args.out + ".manifest.json", args, [args.train], **settings)
-    return 0
+        return (f"train[{args.model}]: {split}, {len(history)} epochs, best val acc "
+                f"{max((h['val_acc'] for h in history), default=float('nan')):.4f} "
+                f"-> {out}"), [args.train], {"train": train_cfg, "model": model_cfg}
 
 
 def _predict_all(path: str, instances: Instances):
@@ -501,41 +501,37 @@ def _write_predictions(path: str, instances: Instances,
                      f'"word": {encode_basestring_ascii(word)}}}\n')
 
 
-def _cmd_predict(args, config) -> int:
+def _cmd_predict(args, config, out):
     instances = read_feature_table(args.input)
     probs, _ = _predict_all(args.model, instances)
-    _write_predictions(args.out, instances, probs)
-    _echo(f"predict: {len(instances)} word instances -> {args.out}")
-    return 0
+    _write_predictions(out, instances, probs)
+    return f"predict: {len(instances)} word instances -> {out}", [], {}
 
 
-def _cmd_eval(args, config) -> int:
+def _cmd_eval(args, config, json_path, txt_path):
     instances = read_feature_table(args.data)
     probs, weights = _predict_all(args.model, instances)
     report = evaluate(probs.argmax(axis=1), instances, weights)
-    out = Path(args.out)
-    _write_json(str(out) + ".json", dataclasses.asdict(report))
-    with open_output(str(out) + ".txt") as fh:
+    _write_json(json_path, dataclasses.asdict(report))
+    with open_output(txt_path) as fh:
         fh.write(render_report(report))
-    _write_manifest(str(out) + ".manifest.json", args, [args.model, args.data])
     wa = ("" if report.weighted_accuracy is None
           else f", weighted {report.weighted_accuracy:.4f}")
-    _echo(f"eval: accuracy {report.accuracy:.4f}{wa} "
-          f"on {report.n_syllables} syllables -> {out}.json/.txt")
-    return 0
+    return (f"eval: accuracy {report.accuracy:.4f}{wa} on {report.n_syllables} "
+            f"syllables -> {Path(json_path)}/{Path(txt_path).suffix}",
+            [args.model, args.data], {})
 
 
-def _cmd_pca(args, config) -> int:
+def _cmd_pca(args, config, out):
     model, _, _ = checkpoint.load_any(args.model)
     if isinstance(model, (baselines.OrdinalModel, baselines.ForestModel)):
         raise ConfigError("pca needs an attention checkpoint with type embeddings")
     # an overflow is judged by finiteness: NumericalInstability
     with np.errstate(over="ignore", invalid="ignore"):
         proj = pca_type_embeddings(model[0])
-    _write_json(args.out, {"points": proj.points,
-                           "explained_variance": proj.explained_variance})
-    _echo(f"pca: {len(proj.points)} type-embedding points -> {args.out}")
-    return 0
+    _write_json(out, {"points": proj.points,
+                      "explained_variance": proj.explained_variance})
+    return f"pca: {len(proj.points)} type-embedding points -> {out}", [], {}
 
 
 # --- parser ----------------------------------------------------------------------
@@ -641,8 +637,12 @@ def run_subcommand(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
-        _resolve(args, config)
-        return args.func(args, config)
+        *paths, manifest = _resolve(args, config)
+        line, inputs, settings = args.func(args, config, *paths)
+        if manifest:
+            _write_manifest(manifest, args, inputs, **settings)
+        _echo(line)
+        return 0
     except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -24,6 +24,10 @@ class UnknownVowel(StressnetError):
     """A phoneme was passed as a vowel but is not in the vowel inventory."""
 
 
+class UnknownWord(StressnetError):
+    """A word looked up that the dictionary does not hold."""
+
+
 # --- dsp -------------------------------------------------------------------
 
 class EmptySignal(StressnetError):

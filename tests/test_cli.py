@@ -24,7 +24,8 @@ import stressnet
 from conftest import (MALFORMED_LINES, MALFORMED_WAVS, Record, damaged_wavs,
                       float_values, json_values, pack_records, table_records)
 from stressnet import bundled_dictionary_path
-from stressnet.cli import _write_predictions, run_subcommand
+from stressnet.cli import (_OUTPUTS, _resolve, _write_predictions, build_parser,
+                           run_subcommand)
 from stressnet import checkpoint, corpus
 from stressnet.corpus import GenConfig, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
@@ -55,6 +56,12 @@ class TestLexiconCommand:
 
     def test_missing_word(self, capsys):
         assert run("lexicon", "lookup", "zzzznotaword") == 4
+
+    def test_missing_word_is_a_named_error(self, capsys):
+        capsys.readouterr()
+        assert run("lexicon", "lookup", "zzzznotaword") == 4
+        assert capsys.readouterr() == (
+            "", "error (UnknownWord): 'zzzznotaword' not found in dictionary\n")
 
 
 class TestErrorsAndExitCodes:
@@ -922,24 +929,47 @@ class TestPathErrors:
                            str(out / "splits" / "test.jsonl"),
                            "--out", str(tmp_path))
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--model", "or", "--train", "{m}", "--out", "{d}"],
-        ["train", "--model", "attn-medium", "--train", "{m}",
-         "--out", "{m}.ckpt", "--history", "{d}"],
-        ["featurize", "--alignments", "{m}", "--out", "{d}"],
-        ["predict", "--model", "{m}", "--input", "{m}", "--out", "{d}"],
-        ["pca", "--model", "{m}", "--out", "{d}"],
-        ["predict", "--model", "{m}", "--input", "{m}", "--out", "{m}/"],
+    @pytest.mark.parametrize("argv,made", [
+        (["train", "--model", "or", "--train", "{m}", "--out", "{d}"], None),
+        (["train", "--model", "attn-medium", "--train", "{m}",
+          "--out", "{m}.ckpt", "--history", "{d}"], None),
+        (["featurize", "--alignments", "{m}", "--out", "{d}"], None),
+        (["predict", "--model", "{m}", "--input", "{m}", "--out", "{d}"], None),
+        (["pca", "--model", "{m}", "--out", "{d}"], None),
+        (["predict", "--model", "{m}", "--input", "{m}", "--out", "{m}/"], None),
+        *[(["eval", "--model", "{m}", "--data", "{m}", "--out", "{d}/r"],
+           f"{{d}}/r{suffix}") for suffix in (".json", ".txt", ".manifest.json")],
+        (["eval", "--model", "{m}", "--data", "{m}", "--out", "{m}/"], None),
+        *[(["synth", "--n", "2", "--dict", "{m}", "--out", "{d}/s"], f"{{d}}/s/{name}")
+          for name in ("features.jsonl", "manifest.json")],
+        *[(["label", "--alignments", "{m}", "--dict", "{m}", "--out", "{d}/l"],
+           f"{{d}}/l/{name}")
+          for name in ("labels.jsonl", "exclusions.jsonl", "manifest.json")],
+        *[(["split", "--features", "{m}", "--out", "{d}/s"], f"{{d}}/s/{name}")
+          for name in ("train.jsonl", "test.jsonl", "manifest.json")],
+        (["featurize", "--alignments", "{m}", "--out", "{d}/f.jsonl"],
+         "{d}/f.jsonl.manifest.json"),
+        (["train", "--model", "or", "--train", "{m}", "--out", "{d}/m.ckpt"],
+         "{d}/m.ckpt.manifest.json"),
     ], ids=["train-out", "train-history", "featurize", "predict", "pca",
-            "predict-new-directory"])
-    def test_file_output_is_a_directory(self, tmp_path, capsys, argv):
-        # refused before any input is read: the missing one goes unnamed
+            "predict-new-directory", "eval-json", "eval-txt", "eval-manifest",
+            "eval-new-directory", "synth-table", "synth-manifest", "label-labels",
+            "label-exclusions", "label-manifest", "split-train", "split-test",
+            "split-manifest", "featurize-manifest", "train-manifest"])
+    def test_file_output_is_a_directory(self, tmp_path, capsys, argv, made):
+        # refused before any input is read: the missing one goes unnamed;
+        # made: a declared output that is made a directory, else the last
+        # argument names one
         argv = [a.format(d=tmp_path, m=tmp_path / "missing") for a in argv]
+        named = argv[-1]
+        if made:
+            named = made.format(d=tmp_path)
+            Path(named).mkdir(parents=True)
         capsys.readouterr()
         assert run(*argv) == 4
         assert capsys.readouterr().err == (
             f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
-            f"{argv[-1]!r}\n")
+            f"{named!r}\n")
 
     def test_history_directory_keeps_the_last_run(self, tiny_corpus, tmp_path):
         # the checkpoint and its manifest stay those of the last good run
@@ -952,6 +982,22 @@ class TestPathErrors:
         (tmp_path / "h").mkdir()
         code, err = run_quietly(*argv, "--seed", "2", "--history",
                                 str(tmp_path / "h"))
+        assert code == 4 and "Is a directory" in err
+        assert [f.read_bytes() for f in files] == before
+
+    def test_report_directory_keeps_the_last_run(self, tiny_corpus, tiny_or,
+                                                 tmp_path):
+        # a rerun on other data that cannot write r.txt writes no other file
+        table = tiny_corpus / "corpus" / "features.jsonl"
+        part = tmp_path / "part.jsonl"
+        part.write_text("".join(table.read_text().splitlines(True)[:5]))
+        argv = ["eval", "--model", str(tiny_or), "--out", str(tmp_path / "r")]
+        assert run_quietly(*argv, "--data", str(table))[0] == 0
+        files = [tmp_path / "r.json", tmp_path / "r.manifest.json"]
+        before = [f.read_bytes() for f in files]
+        (tmp_path / "r.txt").unlink()
+        (tmp_path / "r.txt").mkdir()
+        code, err = run_quietly(*argv, "--data", str(part))
         assert code == 4 and "Is a directory" in err
         assert [f.read_bytes() for f in files] == before
 
@@ -1035,6 +1081,18 @@ class TestFailedWrites:
           "--out", "{t}/r"], "r.txt"),
         (["eval", "--model", "{or}", "--data", "{r}/corpus/features.jsonl",
           "--out", "{t}/r"], "r.manifest.json"),
+        (["label", "--alignments", "{r}/corpus/alignments", "--out", "{t}/l"],
+         "l/manifest.json"),
+        (["split", "--features", "{r}/corpus/features.jsonl", "--out", "{t}/s"],
+         "s/train.jsonl"),
+        (["train", "--model", "rf", "--feature-mode", "syllable_numerical",
+          "--n-trees", "2", "--train", "{r}/corpus/features.jsonl",
+          "--out", "{t}/rf.ckpt"], "rf.ckpt"),
+        (["train", "--model", "attn-medium", "--epochs", "1", "--train",
+          "{r}/corpus/features.jsonl", "--out", "{t}/m.ckpt"], "m.ckpt"),
+        (["train", "--model", "attn-medium", "--epochs", "1", "--train",
+          "{r}/corpus/features.jsonl", "--out", "{t}/m.ckpt"],
+         "m.ckpt.manifest.json"),
     ])
     def test_failing_write(self, tiny_corpus, tiny_or, pool_runs, tmp_path,
                            monkeypatch, capsys, argv, output):
@@ -1055,7 +1113,6 @@ class TestFailedWrites:
 
     @pytest.mark.parametrize("argv", [
         ["lexicon", "lookup", "overcome"],
-        ["lexicon", "lookup", "zzzznotaword"],
         ["synth", "--n", "2", "--out", "{t}/s"],
         ["split", "--features", "{r}/corpus/features.jsonl", "--out", "{t}/s"],
         ["label", "--alignments", "{r}/corpus/alignments", "--out", "{t}/l"],
@@ -1069,7 +1126,7 @@ class TestFailedWrites:
         ["eval", "--model", "{or}", "--data", "{r}/corpus/features.jsonl",
          "--out", "{t}/r"],
         ["pca", "--model", "{m}", "--out", "{t}/pca.json"],
-    ], ids=["lexicon", "lexicon-missing", "synth", "split", "label",
+    ], ids=["lexicon", "synth", "split", "label",
             "featurize", "train-or", "train-attn", "predict", "eval", "pca"])
     def test_failing_stdout(self, tiny_corpus, tiny_or, pool_runs, pipeline,
                             tmp_path, monkeypatch, capsys, argv):
@@ -1080,6 +1137,24 @@ class TestFailedWrites:
         code = run(*[a.format(**paths) for a in argv])
         assert code == 4
         assert capsys.readouterr().err == f"{ENOSPC}: '<stdout>'\n"
+
+    @pytest.mark.parametrize("model,flags", [
+        ("or", ["--feature-mode", "syllable_numerical"]),
+        ("attn-medium", ["--epochs", "1"])])
+    def test_failing_stdout_after_a_rerun(self, tiny_corpus, tmp_path, monkeypatch,
+                                          capsys, model, flags):
+        # the summary line is printed after the manifest is written, so a
+        # checkpoint never sits under the manifest of an earlier run
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--model", model, *flags, "--train",
+                str(tiny_corpus / "corpus" / "features.jsonl"), "--out", str(ckpt)]
+        assert run_quietly(*argv, "--seed", "1")[0] == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _FullDisk(None))
+        assert run(*argv, "--seed", "2") == 4
+        assert capsys.readouterr().err == f"{ENOSPC}: '<stdout>'\n"
+        manifest = json.loads(Path(f"{ckpt}.manifest.json").read_text())
+        assert manifest["arguments"]["seed"] == 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
@@ -1108,6 +1183,48 @@ class TestFailedWrites:
                 stdout=full, stderr=subprocess.PIPE, text=True, env=env,
                 timeout=300)
         assert (done.returncode, done.stderr) == (4, f"{ENOSPC}: '<stdout>'\n")
+
+
+# one run of each subcommand, every output under {o}
+DECLARED_RUNS = {
+    "lexicon": ["lexicon", "lookup", "overcome"],
+    "synth": ["synth", "--n", "2", "--out", "{o}/s"],
+    "label": ["label", "--alignments", "{r}/corpus/alignments", "--out", "{o}/l"],
+    "featurize": ["featurize", "--alignments", "{a}", "--out", "{o}/f.jsonl"],
+    "split": ["split", "--features", "{r}/corpus/features.jsonl", "--out", "{o}/s"],
+    **{f"train-{model}": ["train", "--model", model, *flags, "--train",
+                          "{r}/corpus/features.jsonl", "--out", "{o}/m.ckpt"]
+       for model, flags in (
+           ("rf", ["--n-trees", "2", "--feature-mode", "syllable_numerical"]),
+           ("or", ["--feature-mode", "syllable_numerical"]),
+           ("attn-medium", ["--epochs", "1", "--history", "{o}/h.json"]))},
+    "eval": ["eval", "--model", "{or}", "--data", "{r}/corpus/features.jsonl",
+             "--out", "{o}/r"],
+    "predict": ["predict", "--model", "{or}", "--input",
+                "{r}/corpus/features.jsonl", "--out", "{o}/p.jsonl"],
+    "pca": ["pca", "--model", "{m}", "--out", "{o}/pca.json"],
+}
+
+
+class TestDeclaredOutputs:
+    """Each subcommand writes exactly the files _OUTPUTS declares for it."""
+
+    def test_every_subcommand_is_run(self):
+        assert {argv[0] for argv in DECLARED_RUNS.values()} == set(_OUTPUTS)
+
+    @pytest.mark.parametrize("case", sorted(DECLARED_RUNS))
+    def test_files_written(self, tiny_corpus, tiny_or, pool_runs, pipeline,
+                           tmp_path, case):
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"o": out, "r": tiny_corpus, "a": pool_runs[0], "or": tiny_or,
+                 "m": pipeline[2]}
+        argv = [a.format(**paths) for a in DECLARED_RUNS[case]]
+        declared = {p for p in _resolve(build_parser().parse_args(argv), {}) if p}
+        assert run_quietly(*argv)[0] == 0
+        written = {str(p) for p in out.rglob("*") if p.is_file()
+                   and p.parent.name != "alignments"}
+        assert written == declared
 
 
 class TestOutputsInMissingDirectories:
