@@ -8,17 +8,18 @@ manifest last (none for lexicon, predict and pca), and run_subcommand
 writes the manifest, then prints the subcommand's summary line. A
 manifest holds the command, its arguments after resolution, every
 settings object it built (all fields, defaults too) and the SHA-256 of
-each input file: enough to rerun it byte-identically. Paths are recorded
-as given, the bundled dictionary as "<bundled>" wherever it is installed.
+each input file (featurize's WAVs too): enough to rerun it
+byte-identically. Paths are recorded as given, the bundled dictionary as
+"<bundled>" wherever it is installed.
 
 split parses and checks every line of --features, then copies each kept
 word's line as it was, surrounding whitespace stripped, with a newline.
 So a table this program wrote splits into the bytes write_feature_table
 would write for each part, and a valid table from elsewhere keeps its
-own key order, spacing and number spelling. predict writes, per word,
-the bytes json.dumps(doc, sort_keys=True) writes for {"syllables":
-[{"position", "probs", "stress_pred"}], "utterance_id", "word"}, and a
-newline.
+own key order, spacing and number spelling. Tables, predict's output
+and labels.jsonl have one writer, features.write_word_lines: per word
+what json.dumps(doc, sort_keys=True) and a newline write, for predict
+{"syllables": [{"position", "probs", "stress_pred"}], "utterance_id", "word"}.
 
 Exit codes: 0 success, 2 usage, 3 configuration error, 4 data error (also
 any file system error, such as a missing input or a directory where a
@@ -35,7 +36,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,7 @@ from .features import (
     read_table_lines,
     write_feature_table,
     write_table_lines,
+    write_word_lines,
 )
 from .lexicon import NUCLEUS_TAGS, load_dictionary, syllabify
 from .model import (
@@ -289,10 +290,20 @@ def _cmd_synth(args, config, features_path):
 
 
 def _alignment_files(path: str) -> list[str]:
+    """[path], or a directory's *.json files but manifest.json and *.manifest.json."""
     p = Path(path)
     if p.is_dir():
-        return sorted(str(f) for f in p.glob("*.json"))
+        return sorted(str(f) for f in p.glob("*.json") if not (
+            f.name == "manifest.json" or f.name.endswith(".manifest.json")))
     return [str(p)]
+
+
+def _write_labels(path: str, table: Instances) -> None:
+    """Write label's labels.jsonl with write_word_lines: per word its
+    "nuclei" tags and gold "stresses"."""
+    tag_json = [json.dumps(tag) for tag in NUCLEUS_TAGS]
+    write_word_lines(table, path, nuclei=[tag_json[t] for t in table.types.tolist()],
+                     stresses=list(map(str, table.labels.tolist())))
 
 
 def _cmd_label(args, config, labels_path, exclusions_path):
@@ -300,37 +311,22 @@ def _cmd_label(args, config, labels_path, exclusions_path):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = _alignment_files(args.alignments)
-    n_words = 0
     # every input is read before an output is opened, so that a failed
     # write names its own file (see open_output)
-    label_lines, exclusion_lines = [], []
-    for f in files:
-        alignment = load_alignment(f)
-        table, exclusions = label_utterance(
-            alignment, lex, exclusion_scope=args.exclusion_scope)
-        offsets = table.offsets.tolist()
-        label_lines += (json.dumps({
-            "utterance_id": alignment.utterance_id,
-            "word": word,
-            "stresses": table.labels[start:stop].tolist(),
-            "nuclei": [NUCLEUS_TAGS[t] for t in table.types[start:stop]],
-        }, sort_keys=True) + "\n"
-            for word, start, stop in zip(table.words, offsets, offsets[1:]))
-        exclusion_lines += (json.dumps({
-            "utterance_id": exc.utterance_id,
-            "word": exc.word,
-            "reason": exc.reason,
-        }, sort_keys=True) + "\n" for exc in exclusions)
-        n_words += len(table)
-    with open_output(labels_path) as fh:
-        fh.writelines(label_lines)
+    runs = [label_utterance(load_alignment(f), lex,
+                            exclusion_scope=args.exclusion_scope) for f in files]
+    table = instances_from_table([labeled for labeled, _ in runs])
+    exclusion_lines = [json.dumps(dataclasses.asdict(exc), sort_keys=True) + "\n"
+                       for _, exclusions in runs for exc in exclusions]
+    _write_labels(labels_path, table)
     with open_output(exclusions_path) as fh:
         fh.writelines(exclusion_lines)
-    return (f"label: {n_words} labeled word instances -> {out}",
+    return (f"label: {len(table)} labeled word instances -> {out}",
             files + [args.dict_path], {})
 
 
 def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
+    """The WAV path alignment file f names, its labeled table and exclusions."""
     alignment = load_alignment(f)
     if alignment.audio_path is None:
         raise ConfigError(f"{f}: alignment has no audio_path")
@@ -357,24 +353,21 @@ def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
             features[pooled] = normalize_sentence(raw[pooled])
     if not np.isfinite(features).all():
         raise NumericalInstability(f"{audio}: non-finite feature values")
-    return label_utterance(alignment, lex, features,
-                           exclusion_scope=args.exclusion_scope)
+    return audio, *label_utterance(alignment, lex, features,
+                                   exclusion_scope=args.exclusion_scope)
 
 
 def _cmd_featurize(args, config, out):
     lex = load_dictionary(args.dict_path)
     dsp_cfg = _settings(DspConfig, "dsp", config.get("dsp", {}))
     files = _alignment_files(args.alignments)
-    tables = []
-    n_excluded = 0
-    for f in files:
-        labeled, exclusions = _featurize_one(f, args, lex, dsp_cfg)
-        tables.append(labeled)
-        n_excluded += len(exclusions)
-    table = instances_from_table(tables)
+    runs = [_featurize_one(f, args, lex, dsp_cfg) for f in files]
+    table = instances_from_table([labeled for _, labeled, _ in runs])
     write_feature_table(table, out)
+    n_excluded = sum(len(exclusions) for _, _, exclusions in runs)
+    wavs = [wav for wav, _, _ in runs]
     return (f"featurize: {len(table)} word instances ({n_excluded} exclusions) "
-            f"-> {out}"), files + [args.dict_path], {"dsp": dsp_cfg}
+            f"-> {out}"), files + wavs + [args.dict_path], {"dsp": dsp_cfg}
 
 
 def _cmd_split(args, config, train_path, test_path):
@@ -477,28 +470,16 @@ def _predict_all(path: str, instances: Instances):
 
 def _write_predictions(path: str, instances: Instances,
                        probs: np.ndarray) -> None:
-    """Write one line per word, the bytes json.dumps(doc, sort_keys=True)
-    and a newline would write for its document {"utterance_id", "word",
-    "syllables": [{"position", "stress_pred", "probs"}]}, word i's
-    syllables being rows offsets[i]:offsets[i + 1] of probs. The fixed
-    schema is laid out here instead: a probability as json.dumps writes a
-    float (its repr, or NaN, Infinity, -Infinity), text as JSON's ASCII
-    string."""
+    """Write predict's output with write_word_lines: a syllable per row
+    of probs, {"position", "probs", "stress_pred"}, a probability spelled
+    as json.dumps spells a float."""
     rows = [", ".join(map(float.__repr__, row)) for row in probs.tolist()]
     if not np.isfinite(probs).all():
         rows = [row.replace("nan", "NaN").replace("inf", "Infinity") for row in rows]
-    levels = probs.argmax(axis=1).tolist()
-    offsets = instances.offsets.tolist()
-    with open_output(path) as fh:
-        for uid, word, start, stop in zip(instances.utterance_ids, instances.words,
-                                          offsets, offsets[1:]):
-            sylls = ", ".join(
-                f'{{"position": {i}, "probs": [{row}], "stress_pred": {level}}}'
-                for i, (level, row) in enumerate(
-                    zip(levels[start:stop], rows[start:stop])))
-            fh.write(f'{{"syllables": [{sylls}], '
-                     f'"utterance_id": {encode_basestring_ascii(uid)}, '
-                     f'"word": {encode_basestring_ascii(word)}}}\n')
+    write_word_lines(instances, path, syllables=[
+        f'{{"position": {i}, "probs": [{row}], "stress_pred": {level}}}'
+        for i, row, level in zip(instances.positions().tolist(), rows,
+                                 probs.argmax(axis=1).tolist())])
 
 
 def _cmd_predict(args, config, out):

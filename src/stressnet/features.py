@@ -31,10 +31,12 @@ instance: {"utterance_id", "word", "syllables": [{"position", "features"
 null)}]}. A word has 1 to MAX_SYLLABLES syllables whose positions are
 0..n-1, each used once. In memory a table is one flat Instances,
 whoever builds it (this reader, synth, label or featurize), and
-write_feature_table writes it from the flat arrays: a type as its tag,
-IGNORE_LABEL as null. One parse loop, _words, checks each line completely
-where it parses it, its numbers too, so the first faulty line in file
-order is the one reported, with the first fault in it.
+write_feature_table writes it from the flat arrays, a type as its tag and
+IGNORE_LABEL as null, through write_word_lines: the one word loop behind
+every per-word JSON line (tables, predict's output, labels.jsonl). One
+parse loop, _words, checks each line completely where it parses it, its
+numbers too, so the first faulty line in file order is the one reported,
+with the first fault in it.
 read_feature_table makes each chunk of 64 words, their syllables in
 position order, into a table with one float64 conversion, and joins the
 chunks with instances_from_table; it makes no per-word object. Converting
@@ -103,6 +105,11 @@ class Instances:
 
     def __len__(self) -> int:
         return len(self.words)
+
+    def positions(self) -> np.ndarray:
+        """Each syllable row's position in its word."""
+        return np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1],
+                                                       np.diff(self.offsets))
 
     def __getitem__(self, words) -> "Instances":
         # an int picks one word, and a word is not a table
@@ -227,29 +234,38 @@ def normalize_sentence(raw: np.ndarray) -> np.ndarray:
 
 # --- feature table io -------------------------------------------------------
 
-def write_feature_table(table: Instances, path: str) -> None:
-    """Write the bytes json.dumps(doc, sort_keys=True) and a newline would
-    write for each word's document, its nucleus tags NUCLEUS_TAGS[type]
-    and an IGNORE_LABEL stress null. The fixed schema is laid out here
-    instead: features as the repr of a float, text as JSON's ASCII string.
-    Features must be finite, as read_feature_table requires."""
-    tag_json = [encode_basestring_ascii(tag) for tag in NUCLEUS_TAGS]
-    tags = [tag_json[t] for t in table.types.tolist()]
-    stresses = ["null" if s == IGNORE_LABEL else str(s)
-                for s in table.labels.tolist()]
+def write_word_lines(table: Instances, path: str, **columns: Sequence[str]) -> None:
+    """Write a line per word of table: the bytes json.dumps(doc,
+    sort_keys=True) and a newline would write for {name: [...] for each
+    column, "utterance_id", "word"}, word i's list being the column's texts
+    of rows offsets[i]:offsets[i + 1]. A text is one row's JSON, spelled as
+    json.dumps spells it (", " and ": " between items, keys sorted, a float
+    as its repr or NaN, Infinity, -Infinity, a string as JSON's ASCII
+    string). Column names must sort before "utterance_id"."""
+    heads = [(f"{encode_basestring_ascii(name)}: [", texts)
+             for name, texts in sorted(columns.items())]
     offsets = table.offsets.tolist()
     with open_output(path) as fh:
         for uid, word, start, stop in zip(table.utterance_ids, table.words,
                                           offsets, offsets[1:]):
-            sylls = ", ".join(
-                f'{{"features": [{", ".join(map(float.__repr__, row))}], '
-                f'"nucleus": {tag}, "position": {i}, "stress": {stress}}}'
-                for i, (row, tag, stress) in enumerate(zip(
-                    table.features[start:stop].tolist(), tags[start:stop],
-                    stresses[start:stop])))
-            fh.write(f'{{"syllables": [{sylls}], '
-                     f'"utterance_id": {encode_basestring_ascii(uid)}, '
-                     f'"word": {encode_basestring_ascii(word)}}}\n')
+            fh.write("{" + "".join([f"{head}{', '.join(texts[start:stop])}], "
+                                    for head, texts in heads])
+                     + f'"utterance_id": {encode_basestring_ascii(uid)}, '
+                       f'"word": {encode_basestring_ascii(word)}}}\n')
+
+
+def write_feature_table(table: Instances, path: str) -> None:
+    """Write the table with write_word_lines, its syllables laid out as
+    the module docstring says: a type as its tag NUCLEUS_TAGS[type], an
+    IGNORE_LABEL stress as null. Features must be finite, as
+    read_feature_table requires."""
+    tag_json = [encode_basestring_ascii(tag) for tag in NUCLEUS_TAGS]
+    write_word_lines(table, path, syllables=[
+        f'{{"features": [{", ".join(map(float.__repr__, row))}], '
+        f'"nucleus": {tag_json[t]}, "position": {i}, '
+        f'"stress": {"null" if s == IGNORE_LABEL else s}}}'
+        for row, t, i, s in zip(table.features.tolist(), table.types.tolist(),
+                                table.positions().tolist(), table.labels.tolist())])
 
 
 def _wrong_type(key: str) -> FormatError:

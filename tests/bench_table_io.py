@@ -14,8 +14,10 @@ records and cuts each word's line out of the file's bytes. split is timed
 from the synth table to both parts on disk: the oracle reads the records,
 splits them and writes each part with write_feature_table, as split once
 did; the new path copies the valid lines it parsed. predict's writer is
-timed on the test part (about 820 words) with seeded probabilities; its
-oracle is json.dumps per word.
+timed on the test part (about 820 words) with seeded probabilities, and
+label's labels.jsonl writer on the same part; the oracle of each is
+json.dumps per word, so the three writers that share write_word_lines
+(the table's, predict's and label's) are timed side by side.
 make_batch with the class-weight table is timed on the training part
 against the per-word path, which builds each word's arrays and
 concatenates them.
@@ -30,6 +32,7 @@ at a time. The oracle extractor finds each span's frames with a mask over
 all frame times. Both sides of each pair must give the same bytes.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ import pytest
 from conftest import (assert_same_corpus, assert_same_table, pack_records,
                       table_records)
 from stressnet.baselines import train_ordinal
-from stressnet.cli import _write_predictions
+from stressnet.cli import _write_labels, _write_predictions
 from stressnet.corpus import GenConfig, compute_class_weights, split, synth_corpus
 from stressnet.dsp import Track
 from stressnet.features import (
@@ -94,6 +97,11 @@ PREDICTION_WRITERS = {
     "oracle": lambda path, words, probs: Path(path).write_text(
         oracle_predictions(words, probs), encoding="utf-8"),
     "new": _write_predictions}
+LABEL_WRITERS = {
+    "oracle": lambda path, words: Path(path).write_text("".join(json.dumps({
+        "utterance_id": w.utterance_id, "word": w.word, "nuclei": w.nucleus_tags,
+        "stresses": w.stresses}, sort_keys=True) + "\n" for w in words)),
+    "new": _write_labels}
 WRITERS = {"oracle": lambda table, path: Path(path).write_bytes(
                oracle_table_bytes(table_records(table))),
            "new": write_feature_table}
@@ -171,6 +179,18 @@ def test_predict_write(benchmark, tables, tmp_path, impl):
     benchmark.pedantic(PREDICTION_WRITERS[impl], (str(got), instances, probs),
                        rounds=5)
     assert got.read_bytes() == oracle_predictions(words, probs).encode()
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_labels_write(benchmark, tables, tmp_path, impl):
+    table, _ = tables["test"]
+    words = table_records(table)
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    benchmark.group = f"labels.jsonl, {len(words)} words"
+    benchmark.pedantic(LABEL_WRITERS[impl],
+                       (str(got), {"oracle": words, "new": table}[impl]), rounds=5)
+    LABEL_WRITERS["oracle"](str(want), words)
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("impl", IMPLS)

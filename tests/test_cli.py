@@ -24,8 +24,8 @@ import stressnet
 from conftest import (MALFORMED_LINES, MALFORMED_WAVS, Record, damaged_wavs,
                       float_values, json_values, pack_records, table_records)
 from stressnet import bundled_dictionary_path
-from stressnet.cli import (_OUTPUTS, _resolve, _write_predictions, build_parser,
-                           run_subcommand)
+from stressnet.cli import (_OUTPUTS, _resolve, _write_labels, _write_predictions,
+                           build_parser, run_subcommand)
 from stressnet import checkpoint, corpus
 from stressnet.corpus import GenConfig, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
@@ -823,6 +823,40 @@ class TestFeaturizePools:
         lines = (tmp_path / "exclusions.jsonl").read_text().splitlines()
         got = collections.Counter(json.loads(line)["reason"] for line in lines)
         assert got == reasons
+
+    def test_manifest_hashes_every_wav(self, tmp_path):
+        from scipy.io import wavfile
+        alignments = write_pool_fixture(tmp_path)
+        out = tmp_path / "features.jsonl"
+        manifest = tmp_path / "features.jsonl.manifest.json"
+        wavs = [str(alignments / f"../{utt}.wav") for utt in POOL_UTTERANCES]
+
+        def inputs():
+            assert run("featurize", "--alignments", str(alignments),
+                       "--out", str(out)) == 0
+            return json.loads(manifest.read_text())["inputs"]
+
+        def digest(path):
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+        assert all(inputs()[wav] == digest(wav) for wav in wavs)
+        first = manifest.read_bytes()
+        rate, samples = wavfile.read(wavs[0])
+        samples[-1] += 1  # a sample of the closing silence
+        wavfile.write(wavs[0], rate, samples)
+        assert inputs()[wavs[0]] == digest(wavs[0])
+        assert manifest.read_bytes() != first
+
+    @pytest.mark.parametrize("command,out", [("label", "{a}"),
+                                             ("featurize", "{a}/f.jsonl")])
+    def test_rerun_into_the_alignments_directory(self, tmp_path, command, out):
+        alignments = write_pool_fixture(tmp_path)
+        argv = (command, "--alignments", str(alignments),
+                "--out", out.format(a=alignments))
+        assert run(*argv) == 0
+        first = {f.name: f.read_bytes() for f in alignments.iterdir()}
+        assert run(*argv) == 0
+        assert {f.name: f.read_bytes() for f in alignments.iterdir()} == first
 
     def test_alignment_without_words(self, tmp_path, capsys):
         alignments = write_pool_fixture(tmp_path)
@@ -2846,3 +2880,27 @@ class TestPredictionWriter:
             '{"syllables": [{"position": 0, "probs": [NaN, Infinity, -Infinity], '
             '"stress_pred": 0}, {"position": 1, "probs": [1e-05, 5e-324, 1.0], '
             '"stress_pred": 2}], "utterance_id": "u", "word": "w"}\n')
+
+
+class TestWordLineWriter:
+    """write_word_lines lays out each line as json.dumps(doc, sort_keys=True)
+    does, here with label's per-syllable columns."""
+
+    @given(words=st.lists(st.tuples(json_text, json_text, st.lists(
+        st.tuples(st.sampled_from(NUCLEUS_TAGS), st.integers(0, 2)),
+        min_size=1, max_size=4)), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_labels_as_json_dumps_writes(self, words):
+        records = [Record(uid, word, np.zeros((len(syls), 12)),
+                          [tag for tag, _ in syls], [s for _, s in syls])
+                   for uid, word, syls in words]
+        want = "".join(json.dumps({
+            "utterance_id": uid, "word": word,
+            "nuclei": [tag for tag, _ in syls],
+            "stresses": [s for _, s in syls]}, sort_keys=True) + "\n"
+            for uid, word, syls in words)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "labels.jsonl")
+            _write_labels(path, pack_records(records))
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode()
