@@ -8,9 +8,10 @@ manifest last (none for lexicon, predict and pca), and run_subcommand
 writes the manifest, then prints the subcommand's summary line. A
 manifest holds the command, its arguments after resolution, every
 settings object it built (all fields, defaults too) and the SHA-256 of
-each input file (featurize's WAVs too): enough to rerun it
-byte-identically. Paths are recorded as given, the bundled dictionary as
-"<bundled>" wherever it is installed.
+each input file (featurize's WAVs too, each hashed from the bytes it
+decoded, so no WAV is read twice): enough to rerun it byte-identically.
+Paths are recorded as given, the bundled dictionary as "<bundled>"
+wherever it is installed.
 
 split parses and checks every line of --features, then copies each kept
 word's line as it was, surrounding whitespace stripped, with a newline.
@@ -20,6 +21,8 @@ own key order, spacing and number spelling. Tables, predict's output
 and labels.jsonl have one writer, features.write_word_lines: per word
 what json.dumps(doc, sort_keys=True) and a newline write, for predict
 {"syllables": [{"position", "probs", "stress_pred"}], "utterance_id", "word"}.
+Each caller hands it functions that spell the texts of a range of rows,
+and it asks for them a chunk of words at a time.
 
 Exit codes: 0 success, 2 usage, 3 configuration error, 4 data error (also
 any file system error, such as a missing input or a directory where a
@@ -234,9 +237,12 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path, args, inputs: list[str], **settings) -> None:
+def _write_manifest(path, args, inputs: list[str | tuple[str, str]],
+                    **settings) -> None:
     """Write the manifest at path, as the module docstring describes, the
-    bundled dictionary named "<bundled>" as an argument and as an input."""
+    bundled dictionary named "<bundled>" as an argument and as an input.
+    An input is a path, whose file is hashed here, or the (path, SHA-256)
+    of a file that the subcommand hashed as it read it."""
     bundled = os.path.realpath(bundled_dictionary_path())
 
     def shown(path: str) -> str:
@@ -251,7 +257,8 @@ def _write_manifest(path, args, inputs: list[str], **settings) -> None:
         "arguments": arguments,
         "settings": {name: dataclasses.asdict(value)
                      for name, value in settings.items()},
-        "inputs": {shown(p): _sha256(p) for p in inputs},
+        "inputs": {shown(p): digest for p, digest in (
+            i if isinstance(i, tuple) else (i, _sha256(i)) for i in inputs)},
     })
 
 
@@ -302,8 +309,10 @@ def _write_labels(path: str, table: Instances) -> None:
     """Write label's labels.jsonl with write_word_lines: per word its
     "nuclei" tags and gold "stresses"."""
     tag_json = [json.dumps(tag) for tag in NUCLEUS_TAGS]
-    write_word_lines(table, path, nuclei=[tag_json[t] for t in table.types.tolist()],
-                     stresses=list(map(str, table.labels.tolist())))
+    types, labels = table.types, table.labels
+    write_word_lines(table, path,
+                     nuclei=lambda rows: [tag_json[t] for t in types[rows].tolist()],
+                     stresses=lambda rows: list(map(str, labels[rows].tolist())))
 
 
 def _cmd_label(args, config, labels_path, exclusions_path):
@@ -326,7 +335,8 @@ def _cmd_label(args, config, labels_path, exclusions_path):
 
 
 def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
-    """The WAV path alignment file f names, its labeled table and exclusions."""
+    """The (path, SHA-256) of the WAV that alignment file f names, read
+    once, and f's labeled table and exclusions."""
     alignment = load_alignment(f)
     if alignment.audio_path is None:
         raise ConfigError(f"{f}: alignment has no audio_path")
@@ -334,7 +344,12 @@ def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
     if not os.path.isabs(audio):
         base = args.audio_dir or str(Path(f).parent)
         audio = str(Path(base) / audio)
-    samples, rate = read_wav(audio)
+    buf = Path(audio).read_bytes()
+    samples, rate = read_wav(audio, buf)
+    wav = audio, hashlib.sha256(buf).hexdigest()
+    # freed before the trackers run: held, it made each featurize pass of
+    # the benchmark's 209 s of audio take about 1,100 more page faults
+    del buf
     # the pool: every syllable, or under multisyllabic_only those of words
     # of 2 or more syllables; the others stay 0
     sizes = np.diff(alignment.offsets)
@@ -353,8 +368,8 @@ def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
             features[pooled] = normalize_sentence(raw[pooled])
     if not np.isfinite(features).all():
         raise NumericalInstability(f"{audio}: non-finite feature values")
-    return audio, *label_utterance(alignment, lex, features,
-                                   exclusion_scope=args.exclusion_scope)
+    return wav, *label_utterance(alignment, lex, features,
+                                 exclusion_scope=args.exclusion_scope)
 
 
 def _cmd_featurize(args, config, out):
@@ -473,13 +488,16 @@ def _write_predictions(path: str, instances: Instances,
     """Write predict's output with write_word_lines: a syllable per row
     of probs, {"position", "probs", "stress_pred"}, a probability spelled
     as json.dumps spells a float."""
-    rows = [", ".join(map(float.__repr__, row)) for row in probs.tolist()]
-    if not np.isfinite(probs).all():
-        rows = [row.replace("nan", "NaN").replace("inf", "Infinity") for row in rows]
-    write_word_lines(instances, path, syllables=[
-        f'{{"position": {i}, "probs": [{row}], "stress_pred": {level}}}'
-        for i, row, level in zip(instances.positions().tolist(), rows,
-                                 probs.argmax(axis=1).tolist())])
+    def syllables(rows: slice) -> list[str]:
+        chunk = probs[rows]
+        texts = [", ".join(map(float.__repr__, row)) for row in chunk.tolist()]
+        if not np.isfinite(chunk).all():
+            texts = [t.replace("nan", "NaN").replace("inf", "Infinity") for t in texts]
+        return [f'{{"position": {i}, "probs": [{text}], "stress_pred": {level}}}'
+                for i, text, level in zip(instances.positions(rows).tolist(), texts,
+                                          chunk.argmax(axis=1).tolist())]
+
+    write_word_lines(instances, path, syllables=syllables)
 
 
 def _cmd_predict(args, config, out):

@@ -33,9 +33,9 @@ audio-featurize pipeline_rel read 6.67-6.88 with two threads against
 utterances on a thread pool raised peak memory by per-thread malloc
 arenas.
 
-read_wav walks the RIFF chunks of a file read once, checking each chunk's
-size against the file before it is used, and decodes the data chunk with
-one np.frombuffer. It reads PCM in 2-, 3- or 4-byte containers (3-byte
+read_wav walks the RIFF chunks of a file read once (or of its bytes, if
+the caller read them), checking each chunk's size against the file
+before it is used, and decodes the data chunk with one np.frombuffer. It reads PCM in 2-, 3- or 4-byte containers (3-byte
 samples left-justified into int32, as SciPy returns them) and IEEE float
 of 32 or 64 bits, with any number of channels, averaged to one. It
 refuses, as a FormatError naming the path: RIFX and RF64 files; any
@@ -289,17 +289,20 @@ def compute_intensity(samples, sample_rate: float,
     return Track(cfg.hop_s, centers, db)
 
 
-def read_wav(path: str) -> tuple[np.ndarray, float]:
+def read_wav(path: str, buf: bytes | None = None) -> tuple[np.ndarray, float]:
     """(samples, rate) of a RIFF/WAVE file: float64 samples, integers
     scaled to [-1, 1), with the channels averaged to one.
 
     Reads PCM in 2-, 3- or 4-byte containers (3-byte samples are
     left-justified into int32 first) and IEEE float of 32 or 64 bits,
     tagged plainly or as WAVE_FORMAT_EXTENSIBLE. Any other file is a
-    FormatError naming the path: see the module docstring.
+    FormatError naming the path: see the module docstring. buf is the
+    file's bytes if the caller has read them (to hash the very bytes that
+    are decoded, say); else the file at path is read.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    if buf is None:
+        with open(path, "rb") as fh:
+            buf = fh.read()
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
     # bytes past the RIFF size are not chunks (an appended tag, say)

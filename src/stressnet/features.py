@@ -37,12 +37,17 @@ every per-word JSON line (tables, predict's output, labels.jsonl). One
 parse loop, _words, checks each line completely where it parses it, its
 numbers too, so the first faulty line in file order is the one reported,
 with the first fault in it.
-read_feature_table makes each chunk of 64 words, their syllables in
-position order, into a table with one float64 conversion, and joins the
-chunks with instances_from_table; it makes no per-word object. Converting
-the whole table at the end would keep every parsed number alive until
-then (more than three times the read's peak memory on a 2.7k-word table),
-and a conversion per word costs a NumPy call each.
+Reader and writer both work a chunk of _CHUNK_WORDS (64) words at a time:
+a read holds one chunk's parsed numbers, a write one chunk's texts.
+read_feature_table makes each chunk's words, their syllables in position
+order, into a table with one float64 conversion, and joins the chunks
+with instances_from_table; it makes no per-word object. Converting the
+whole table at the end would keep every parsed number alive until then
+(more than three times the read's peak memory on a 2.7k-word table), and
+a conversion per word costs a NumPy call each. write_word_lines asks each
+column for the texts of a chunk's rows just before it writes the chunk's
+lines: spelling a 2.7k-word synth table's texts before the first line
+peaked at 7.5 MB under tracemalloc, against 0.28 MB a chunk at a time.
 read_table_lines runs the same loop for a table that is only to be cut
 into parts (split): it keeps each valid word's line and utterance id but
 no features, and write_table_lines writes those lines out, so no number
@@ -56,7 +61,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,10 +111,10 @@ class Instances:
     def __len__(self) -> int:
         return len(self.words)
 
-    def positions(self) -> np.ndarray:
-        """Each syllable row's position in its word."""
-        return np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1],
-                                                       np.diff(self.offsets))
+    def positions(self, rows: slice) -> np.ndarray:
+        """The position in its word of each syllable row of a slice of rows."""
+        index = np.arange(*rows.indices(int(self.offsets[-1])))
+        return index - self.offsets[np.searchsorted(self.offsets, index, "right") - 1]
 
     def __getitem__(self, words) -> "Instances":
         # an int picks one word, and a word is not a table
@@ -234,24 +239,38 @@ def normalize_sentence(raw: np.ndarray) -> np.ndarray:
 
 # --- feature table io -------------------------------------------------------
 
-def write_word_lines(table: Instances, path: str, **columns: Sequence[str]) -> None:
+# words per chunk: read_feature_table converts a chunk's numbers to arrays
+# together, and write_word_lines spells a chunk's texts together
+_CHUNK_WORDS = 64
+
+
+def write_word_lines(table: Instances, path: str,
+                     **columns: Callable[[slice], Sequence[str]]) -> None:
     """Write a line per word of table: the bytes json.dumps(doc,
     sort_keys=True) and a newline would write for {name: [...] for each
     column, "utterance_id", "word"}, word i's list being the column's texts
-    of rows offsets[i]:offsets[i + 1]. A text is one row's JSON, spelled as
-    json.dumps spells it (", " and ": " between items, keys sorted, a float
-    as its repr or NaN, Infinity, -Infinity, a string as JSON's ASCII
-    string). Column names must sort before "utterance_id"."""
-    heads = [(f"{encode_basestring_ascii(name)}: [", texts)
-             for name, texts in sorted(columns.items())]
-    offsets = table.offsets.tolist()
+    of rows offsets[i]:offsets[i + 1]. A column is a function that, given
+    a slice of rows, returns their texts, one per row; it is asked for each
+    chunk of _CHUNK_WORDS words just before the chunk's lines are written,
+    so a write holds one chunk's texts at a time. A text is one row's JSON,
+    spelled as json.dumps spells it (", " and ": " between items, keys
+    sorted, a float as its repr or NaN, Infinity, -Infinity, a string as
+    JSON's ASCII string). Column names must sort before "utterance_id"."""
+    heads = [(f"{encode_basestring_ascii(name)}: [", column)
+             for name, column in sorted(columns.items())]
     with open_output(path) as fh:
-        for uid, word, start, stop in zip(table.utterance_ids, table.words,
-                                          offsets, offsets[1:]):
-            fh.write("{" + "".join([f"{head}{', '.join(texts[start:stop])}], "
-                                    for head, texts in heads])
-                     + f'"utterance_id": {encode_basestring_ascii(uid)}, '
-                       f'"word": {encode_basestring_ascii(word)}}}\n')
+        for first in range(0, len(table), _CHUNK_WORDS):
+            words = slice(first, first + _CHUNK_WORDS)
+            ends = table.offsets[first:first + _CHUNK_WORDS + 1]
+            rows = slice(int(ends[0]), int(ends[-1]))
+            texts = [(head, column(rows)) for head, column in heads]
+            bounds = (ends - ends[0]).tolist()  # the words' rows in the chunk
+            for uid, word, start, stop in zip(table.utterance_ids[words],
+                                              table.words[words], bounds, bounds[1:]):
+                fh.write("{" + "".join([f"{head}{', '.join(chunk[start:stop])}], "
+                                        for head, chunk in texts])
+                         + f'"utterance_id": {encode_basestring_ascii(uid)}, '
+                           f'"word": {encode_basestring_ascii(word)}}}\n')
 
 
 def write_feature_table(table: Instances, path: str) -> None:
@@ -260,12 +279,16 @@ def write_feature_table(table: Instances, path: str) -> None:
     IGNORE_LABEL stress as null. Features must be finite, as
     read_feature_table requires."""
     tag_json = [encode_basestring_ascii(tag) for tag in NUCLEUS_TAGS]
-    write_word_lines(table, path, syllables=[
-        f'{{"features": [{", ".join(map(float.__repr__, row))}], '
-        f'"nucleus": {tag_json[t]}, "position": {i}, '
-        f'"stress": {"null" if s == IGNORE_LABEL else s}}}'
-        for row, t, i, s in zip(table.features.tolist(), table.types.tolist(),
-                                table.positions().tolist(), table.labels.tolist())])
+
+    def syllables(rows: slice) -> list[str]:
+        return [f'{{"features": [{", ".join(map(float.__repr__, row))}], '
+                f'"nucleus": {tag_json[t]}, "position": {i}, '
+                f'"stress": {"null" if s == IGNORE_LABEL else s}}}'
+                for row, t, i, s in zip(
+                    table.features[rows].tolist(), table.types[rows].tolist(),
+                    table.positions(rows).tolist(), table.labels[rows].tolist())]
+
+    write_word_lines(table, path, syllables=syllables)
 
 
 def _wrong_type(key: str) -> FormatError:
@@ -282,8 +305,6 @@ def _field(doc: dict, key: str, kind: type):
 
 _NUMBER_TYPES = frozenset((int, float))
 _FEATURES_ERROR = f"'features' must be {N_FEATURES} finite numbers"
-# words read_feature_table converts to float64 together
-_CHUNK_WORDS = 64
 
 
 def _word(line: bytes) -> tuple[str, str, list, list, list]:

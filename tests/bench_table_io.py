@@ -17,7 +17,10 @@ did; the new path copies the valid lines it parsed. predict's writer is
 timed on the test part (about 820 words) with seeded probabilities, and
 label's labels.jsonl writer on the same part; the oracle of each is
 json.dumps per word, so the three writers that share write_word_lines
-(the table's, predict's and label's) are timed side by side.
+(the table's, predict's and label's) are timed side by side. Each writer
+test also records the side's tracemalloc peak, from one more call made
+with tracing on after the timed rounds, in the benchmark's extra_info, so
+that --benchmark-json reports the memory of a write next to its time.
 make_batch with the class-weight table is timed on the training part
 against the per-word path, which builds each word's arrays and
 concatenates them.
@@ -32,14 +35,13 @@ at a time. The oracle extractor finds each span's frames with a mask over
 all frame times. Both sides of each pair must give the same bytes.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (assert_same_corpus, assert_same_table, pack_records,
-                      table_records)
+                      table_records, traced_peak)
 from stressnet.baselines import train_ordinal
 from stressnet.cli import _write_labels, _write_predictions
 from stressnet.corpus import GenConfig, compute_class_weights, split, synth_corpus
@@ -53,7 +55,8 @@ from stressnet.features import (
     write_table_lines,
 )
 from stressnet.model import PRESETS, ModelConfig, make_batch
-from oracles import (oracle_extract_features, oracle_instances, oracle_make_batch,
+from oracles import (oracle_extract_features, oracle_instances,
+                     oracle_label_lines, oracle_make_batch,
                      oracle_predictions, oracle_read_table, oracle_split,
                      oracle_synth_corpus, oracle_table_bytes, oracle_train_ordinal)
 
@@ -98,9 +101,7 @@ PREDICTION_WRITERS = {
         oracle_predictions(words, probs), encoding="utf-8"),
     "new": _write_predictions}
 LABEL_WRITERS = {
-    "oracle": lambda path, words: Path(path).write_text("".join(json.dumps({
-        "utterance_id": w.utterance_id, "word": w.word, "nuclei": w.nucleus_tags,
-        "stresses": w.stresses}, sort_keys=True) + "\n" for w in words)),
+    "oracle": lambda path, words: Path(path).write_text(oracle_label_lines(words)),
     "new": _write_labels}
 WRITERS = {"oracle": lambda table, path: Path(path).write_bytes(
                oracle_table_bytes(table_records(table))),
@@ -110,6 +111,8 @@ GENERATORS = {"oracle": oracle_synth_corpus, "new": synth_corpus}
 EXTRACTORS = {"oracle": oracle_extract_features, "new": extract_features}
 BATCHERS = {"oracle": oracle_make_batch, "new": make_batch}
 IMPLS = ["oracle", "new"]
+# a writer's tracemalloc peak in bytes, of one untimed call after the rounds
+PEAK = "tracemalloc_peak_bytes"
 BATCH_ARRAYS = ("features", "types", "mask", "labels", "weights")
 
 
@@ -151,6 +154,7 @@ def test_write(benchmark, tables, tmp_path, table, impl):
     path = tmp_path / "got.jsonl"
     benchmark.group = f"write_feature_table, {table} table"
     benchmark.pedantic(WRITERS[impl], (instances, str(path)), rounds=5)
+    benchmark.extra_info[PEAK] = traced_peak(WRITERS[impl], instances, str(path))
     assert path.read_bytes() == oracle_table_bytes(table_records(instances))
 
 
@@ -178,6 +182,8 @@ def test_predict_write(benchmark, tables, tmp_path, impl):
     benchmark.group = f"predict output, {len(instances)} words"
     benchmark.pedantic(PREDICTION_WRITERS[impl], (str(got), instances, probs),
                        rounds=5)
+    benchmark.extra_info[PEAK] = traced_peak(PREDICTION_WRITERS[impl], str(got),
+                                             instances, probs)
     assert got.read_bytes() == oracle_predictions(words, probs).encode()
 
 
@@ -187,8 +193,9 @@ def test_labels_write(benchmark, tables, tmp_path, impl):
     words = table_records(table)
     got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
     benchmark.group = f"labels.jsonl, {len(words)} words"
-    benchmark.pedantic(LABEL_WRITERS[impl],
-                       (str(got), {"oracle": words, "new": table}[impl]), rounds=5)
+    args = (str(got), {"oracle": words, "new": table}[impl])
+    benchmark.pedantic(LABEL_WRITERS[impl], args, rounds=5)
+    benchmark.extra_info[PEAK] = traced_peak(LABEL_WRITERS[impl], *args)
     LABEL_WRITERS["oracle"](str(want), words)
     assert got.read_bytes() == want.read_bytes()
 

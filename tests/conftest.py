@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +128,21 @@ def assert_same_corpus(got, want):
         assert (a.nucleus_tags, a.stresses) == (b.nucleus_tags, b.stresses)
         assert a.features.dtype == b.features.dtype
         assert a.features.tobytes() == b.features.tobytes()
+
+
+def traced_peak(f, *args) -> int:
+    """The tracemalloc peak, in bytes above what was traced before the
+    call, of f(*args)."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")

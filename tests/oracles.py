@@ -810,6 +810,14 @@ def oracle_split(table: Path, out: Path, fraction: float, seed: int) -> None:
     write_feature_table(pack_records(test_set), str(out / "test.jsonl"))
 
 
+def oracle_label_lines(records) -> str:
+    """labels.jsonl as label once wrote it: json.dumps(doc, sort_keys=True)
+    per word of gold records."""
+    return "".join(json.dumps({
+        "utterance_id": r.utterance_id, "word": r.word, "nuclei": r.nucleus_tags,
+        "stresses": r.stresses}, sort_keys=True) + "\n" for r in records)
+
+
 def oracle_predictions(instances, probs) -> str:
     """predict's output as it was made: json.dumps(doc, sort_keys=True)
     per word."""

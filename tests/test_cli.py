@@ -22,7 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import stressnet
 from conftest import (MALFORMED_LINES, MALFORMED_WAVS, Record, damaged_wavs,
-                      float_values, json_values, pack_records, table_records)
+                      float_values, json_values, pack_records, table_records,
+                      traced_peak)
 from stressnet import bundled_dictionary_path
 from stressnet.cli import (_OUTPUTS, _resolve, _write_labels, _write_predictions,
                            build_parser, run_subcommand)
@@ -30,8 +31,10 @@ from stressnet import checkpoint, corpus
 from stressnet.corpus import GenConfig, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
 from stressnet.features import (
+    _CHUNK_WORDS,
     FEATURE_SLOTS,
     MAX_SYLLABLES,
+    Instances,
     extract_features,
     normalize_sentence,
     read_feature_table,
@@ -39,8 +42,8 @@ from stressnet.features import (
 )
 from stressnet.lexicon import NUCLEUS_TAGS, VOWELS
 from stressnet.model import FEATURE_MODES
-from oracles import (oracle_instances, oracle_predictions, oracle_split,
-                     per_word_reference)
+from oracles import (oracle_instances, oracle_label_lines, oracle_predictions,
+                     oracle_split, oracle_table_bytes, per_word_reference)
 
 
 def run(*argv):
@@ -846,6 +849,33 @@ class TestFeaturizePools:
         wavfile.write(wavs[0], rate, samples)
         assert inputs()[wavs[0]] == digest(wavs[0])
         assert manifest.read_bytes() != first
+
+    def test_each_wav_is_read_once(self, tmp_path, monkeypatch):
+        alignments = write_pool_fixture(tmp_path)
+        wavs = [str(alignments / f"../{utt}.wav") for utt in POOL_UTTERANCES]
+        opened, hashed = [], []
+
+        def recording(record, f):
+            def call(path, *args, **kwargs):
+                record.append(os.path.realpath(path))
+                return f(path, *args, **kwargs)
+            return call
+
+        # Path.read_bytes opens through io.open, read_wav through open
+        monkeypatch.setattr(io, "open", recording(opened, io.open))
+        monkeypatch.setattr("builtins.open", recording(opened, open))
+        monkeypatch.setattr(stressnet.cli, "_sha256",
+                            recording(hashed, stressnet.cli._sha256))
+        out = tmp_path / "features.jsonl"
+        assert run("featurize", "--alignments", str(alignments),
+                   "--out", str(out)) == 0
+        monkeypatch.undo()
+        manifest = tmp_path / "features.jsonl.manifest.json"
+        inputs = json.loads(manifest.read_text())["inputs"]
+        for wav in wavs:
+            assert opened.count(os.path.realpath(wav)) == 1
+            assert os.path.realpath(wav) not in hashed
+            assert inputs[wav] == hashlib.sha256(Path(wav).read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("command,out", [("label", "{a}"),
                                              ("featurize", "{a}/f.jsonl")])
@@ -2904,3 +2934,92 @@ class TestWordLineWriter:
             _write_labels(path, pack_records(records))
             with open(path, "rb") as fh:
                 assert fh.read() == want.encode()
+
+
+def chunk_edge_records(n_words, gold):
+    """n_words seeded records of 1 to 4 syllables, but of MAX_SYLLABLES on
+    either side of each of the first two chunk edges of write_word_lines;
+    some stresses unknown unless gold."""
+    rng = np.random.default_rng(n_words)
+    edges = {_CHUNK_WORDS - 1, _CHUNK_WORDS, 2 * _CHUNK_WORDS - 1, 2 * _CHUNK_WORDS}
+    records = []
+    for i in range(n_words):
+        n = MAX_SYLLABLES if i in edges else int(rng.integers(1, 5))
+        stresses = rng.integers(0, 3 if gold else 4, n).tolist()
+        records.append(Record(
+            f"u{i // 7}", f'w"{i}\té', rng.standard_normal((n, 12))
+            * 10.0 ** rng.integers(-8, 8, (n, 1)),
+            [NUCLEUS_TAGS[t] for t in rng.integers(0, len(NUCLEUS_TAGS), n)],
+            [None if s == 3 else s for s in stresses]))
+    return records
+
+
+# no words, one, and a word short of, at, and past one and two chunks
+CHUNK_EDGE_SIZES = [0, 1, _CHUNK_WORDS - 1, _CHUNK_WORDS, _CHUNK_WORDS + 1,
+                    2 * _CHUNK_WORDS, 2 * _CHUNK_WORDS + 1]
+
+
+class TestChunkEdges:
+    """Each writer, asked for its texts a chunk of words at a time, writes
+    the bytes of its per-word json.dumps oracle across the chunk edges."""
+
+    @pytest.mark.parametrize("n_words", CHUNK_EDGE_SIZES)
+    def test_feature_table(self, tmp_path, n_words):
+        records = chunk_edge_records(n_words, gold=False)
+        path = tmp_path / "features.jsonl"
+        write_feature_table(pack_records(records), str(path))
+        assert path.read_bytes() == oracle_table_bytes(records)
+
+    @pytest.mark.parametrize("n_words", CHUNK_EDGE_SIZES)
+    def test_predictions(self, tmp_path, n_words):
+        records = chunk_edge_records(n_words, gold=False)
+        n = sum(len(r.stresses) for r in records)
+        probs = np.random.default_rng(n).dirichlet(np.ones(3), n)
+        if n_words > _CHUNK_WORDS:  # non-finite in the last chunk only
+            probs[-1] = np.nan, np.inf, -np.inf
+        path = tmp_path / "preds.jsonl"
+        _write_predictions(str(path), pack_records(records), probs)
+        assert path.read_bytes() == oracle_predictions(
+            oracle_instances(records), probs).encode()
+
+    @pytest.mark.parametrize("n_words", CHUNK_EDGE_SIZES)
+    def test_labels(self, tmp_path, n_words):
+        records = chunk_edge_records(n_words, gold=True)
+        path = tmp_path / "labels.jsonl"
+        _write_labels(str(path), pack_records(records))
+        assert path.read_bytes() == oracle_label_lines(records).encode()
+
+
+def synthetic_table(n_words, syllables=3):
+    """n_words of the given syllable count, seeded features of full repr."""
+    n = n_words * syllables
+    rng = np.random.default_rng(n_words)
+    return Instances.from_counts(
+        [f"u{i // 10}" for i in range(n_words)], [f"w{i}" for i in range(n_words)],
+        [syllables] * n_words, rng.standard_normal((n, 12)),
+        rng.integers(0, len(NUCLEUS_TAGS), n), rng.integers(0, 3, n))
+
+
+# traced peak, in bytes, of writing 8 * 160 words of 3 syllables: 0.25 MB
+# for the table and 0.11 MB for predictions with the texts spelled a chunk
+# at a time, 3.2 and 1.2 MB with every text spelled before the first line
+WRITE_PEAK_BOUND = 400_000
+
+
+class TestWriterMemory:
+    """A write holds one chunk's texts, so its peak does not grow with
+    the table."""
+
+    @pytest.mark.parametrize("writer", ["table", "predictions"])
+    def test_peak_is_bounded(self, tmp_path, writer):
+        path = str(tmp_path / "out.jsonl")
+        peaks = []
+        for n_words in (160, 8 * 160):
+            table = synthetic_table(n_words)
+            if writer == "table":
+                peaks.append(traced_peak(write_feature_table, table, path))
+            else:
+                probs = np.random.default_rng(0).dirichlet(np.ones(3), len(table.labels))
+                peaks.append(traced_peak(_write_predictions, path, table, probs))
+        assert peaks[1] <= WRITE_PEAK_BOUND, peaks
+        assert peaks[1] < 2 * peaks[0], peaks

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +22,7 @@ from stressnet.errors import (
 )
 from stressnet.features import extract_features
 from conftest import (IEEE_FLOAT, MALFORMED_WAVS, PCM, SCIPY_READS, SR, chunk,
-                      damaged_wavs, fmt_chunk, riff, wav_bytes)
+                      damaged_wavs, fmt_chunk, riff, traced_peak, wav_bytes)
 from oracles import reference_intensity, reference_pitch, scipy_read_wav
 
 
@@ -367,16 +366,7 @@ class TestPitchWorkspace:
 
     def test_peak_allocation_of_one_call(self):
         x = np.random.default_rng(0).standard_normal(10 * SR)
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            estimate_pitch(x, SR)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = traced_peak(estimate_pitch, x, SR)
         # about 2.1 MB: four (64, 1024) workspace arrays and per-frame values
         assert peak <= 2.4e6
 
@@ -442,6 +432,17 @@ class TestReadWav:
         samples, rate = read_wav(str(path))
         want, want_rate = scipy_read_wav(str(path))
         assert samples.tobytes() == want.tobytes() and rate == want_rate
+
+    def test_bytes_the_caller_read(self, tmp_path):
+        """Given the file's bytes, read_wav decodes them and opens nothing:
+        here no file is at the path it names in an error."""
+        path = str(tmp_path / "absent.wav")
+        data = wav_bytes(np.array([0, 16384, -32768], dtype=np.int16))
+        samples, rate = read_wav(path, data)
+        assert samples.tolist() == [0.0, 0.5, -1.0] and rate == SR
+        for raw in MALFORMED_WAVS.values():
+            with pytest.raises(FormatError, match=path):
+                read_wav(path, raw)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
     def test_malformed_is_format_error_naming_path(self, tmp_path, name):
