@@ -219,6 +219,66 @@ class ForestModel:
 _CLASSES = np.arange(3)[:, None, None]
 
 
+def _best_split(X: np.ndarray, y: np.ndarray, lists: np.ndarray,
+                total: np.ndarray, cand: np.ndarray):
+    """_split_node's search: (j, k, threshold, left class counts) of the
+    node's best split, between positions k and k + 1 of candidate cand[j],
+    or None. Every per-position array is local, so all are freed on return.
+
+    The class counts left and right of each position are int32, exact for
+    a node of fewer than 2**31 samples: the left counts are a cumsum, the
+    right ones total minus the left. Dividing an int32 count by a float64
+    size gives the float64 share that a float64 count gave, and the Gini
+    and score terms are then computed in place, left and right stacked in
+    two (2, m, n - 1) float64 buffers, with the same IEEE operations in the
+    same order as the formula they replace:
+    gini = 1 - ((c0 / s)**2 + (c1 / s)**2 + (c2 / s)**2) per side, s being
+    the side's size nl or nr = n - nl, and score = (nl * gini_l + nr *
+    gini_r) / n.
+    """
+    rows = lists[cand]  # (m, n): each candidate's samples in value order
+    m, n = rows.shape
+    xs = X[rows, cand[:, None]]
+    # distinct neighbours; `<` is False next to a NaN, so no split there
+    apart = xs[:, :-1] < xs[:, 1:]
+    # class counts after each position: counts[c, 0] left, counts[c, 1] right
+    counts = np.empty((3, 2, m, n - 1), dtype=np.int32)
+    np.add.accumulate(y[rows[:, :-1]] == _CLASSES, axis=2, dtype=np.int32,
+                      out=counts[:, 0])
+    del rows, xs  # freed before the float buffers are made
+    np.subtract(total[:, None, None], counts[:, 0], out=counts[:, 1],
+                dtype=np.int32)
+    nl = np.arange(1.0, n)
+    sizes = np.array([nl, nl[::-1]])[:, None, :]  # nl[::-1] is n - nl
+    # two blocks, not one of twice the size: glibc gave the larger back to
+    # the OS after each node, and a 4-tree fit in the CLI took 3,336 minor
+    # page faults against 1,527
+    gini = np.empty((2, m, n - 1))
+    share = np.empty((2, m, n - 1))
+    for c in range(3):
+        dst = share if c else gini
+        np.divide(counts[c], sizes, out=dst)
+        dst *= dst
+        if c:
+            gini += share
+    np.subtract(1.0, gini, out=gini)
+    gini *= sizes
+    score = gini[0]
+    score += gini[1]
+    score /= n
+    np.copyto(score, np.inf, where=~apart)
+    at = score.argmin(axis=1)
+    best, best_score = -1, np.inf
+    for j, s in enumerate(score.min(axis=1).tolist()):
+        if s < best_score - 1e-12:
+            best, best_score = j, s
+    if best < 0 or best_score >= 1.0 - ((total / n) ** 2).sum() - 1e-12:
+        return None
+    k = int(at[best])
+    return (best, k, float(X[lists[cand[best], k], cand[best]]),
+            counts[:, 0, best, k].astype(np.int64))
+
+
 def _split_node(X: np.ndarray, y: np.ndarray, lists: np.ndarray,
                 total: np.ndarray, cand: np.ndarray):
     """The node's best split on one of the candidate features, or None.
@@ -233,41 +293,26 @@ def _split_node(X: np.ndarray, y: np.ndarray, lists: np.ndarray,
     impurity by as much. Returns (feature, threshold, left, right), each
     child as its (lists, class counts).
 
-    Keep the Gini arithmetic in this order: the tests require trees equal,
-    bit for bit, to those of a grower that sorts each candidate per node.
+    While _best_split searches, the node's lists, its (3, 2, m, n - 1)
+    int32 class counts (exact below 2**31 samples) and two (2, m, n - 1)
+    float64 buffers are alive. It returns only the split, so those are
+    freed before the children's lists are cut: while this cuts, the node's
+    lists, the children's lists and one (K, n) bool mask are alive. Keep
+    the Gini arithmetic in _best_split as it is: the tests require trees
+    equal, bit for bit, to those of a grower that sorts each candidate per
+    node.
     """
-    rows = lists[cand]  # (m, n): each candidate's samples in value order
-    n = rows.shape[1]
-    xs = X[rows, cand[:, None]]
-    # class counts left of the split after each position: (3, m, n - 1)
-    cl = np.cumsum(y[rows[:, :-1]] == _CLASSES, axis=2, dtype=np.float64)
-    nl = np.arange(1.0, n)
-    nr = n - nl
-    q = cl / nl
-    q *= q
-    gini_l = 1.0 - (q[0] + q[1] + q[2])
-    np.subtract(total[:, None, None], cl, out=q)  # class counts on the right
-    q /= nr
-    q *= q
-    gini_r = 1.0 - (q[0] + q[1] + q[2])
-    score = np.where(xs[:, :-1] < xs[:, 1:],
-                     (nl * gini_l + nr * gini_r) / n, np.inf)
-    at = score.argmin(axis=1)
-    best, best_score = -1, np.inf
-    for j, s in enumerate(score.min(axis=1).tolist()):
-        if s < best_score - 1e-12:
-            best, best_score = j, s
-    if best < 0 or best_score >= 1.0 - ((total / n) ** 2).sum() - 1e-12:
+    found = _best_split(X, y, lists, total, cand)
+    if found is None:
         return None
-    k = at[best]
+    j, k, threshold, left_total = found
     in_left = np.zeros(X.shape[0], dtype=bool)
-    in_left[rows[best, :k + 1]] = True
+    in_left[lists[cand[j], :k + 1]] = True
     # each child's lists, row by row, picked from the flat lists at once
     ids = lists.ravel()
     goes_left = in_left[ids]
-    left_total = cl[:, best, k].astype(np.int64)
-    K = lists.shape[0]
-    return (int(cand[best]), float(xs[best, k]),
+    K, n = lists.shape
+    return (int(cand[j]), threshold,
             (np.compress(goes_left, ids).reshape(K, k + 1), left_total),
             (np.compress(~goes_left, ids).reshape(K, n - k - 1),
              total - left_total))
@@ -287,6 +332,13 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, m_features: int,
     of the node's own rows gives, and a split keeps that order in both
     children. An explicit stack grows the left child first; only pending
     right siblings wait on it, and they hold disjoint samples.
+
+    So the lists alive at a split, the node's and the pending siblings',
+    hold at most the tree's K * n sample ids. Splitting a node of n_node
+    samples adds, first, _best_split's arrays: (3, 2, m, n_node - 1) int32
+    class counts (exact below 2**31 samples) and two (2, m, n_node - 1)
+    float64 buffers; then, with those freed, the children's lists (K *
+    n_node ids) and a K * n_node bool mask.
     """
     feature, threshold, left, right, counts = [], [], [], [], []
     # (sample ids per feature, class counts, depth, the parent's child

@@ -8,8 +8,10 @@ manifest last (none for lexicon, predict and pca), and run_subcommand
 writes the manifest, then prints the subcommand's summary line. A
 manifest holds the command, its arguments after resolution, every
 settings object it built (all fields, defaults too) and the SHA-256 of
-each input file (featurize's WAVs too, each hashed from the bytes it
-decoded, so no WAV is read twice): enough to rerun it byte-identically.
+each input file, taken before the subcommand opens its first output, so
+an output written over an input does not stand in for it (featurize's
+WAVs too, each hashed from the bytes it decoded, so no WAV is read
+twice): enough to rerun it byte-identically.
 Paths are recorded as given, the bundled dictionary as "<bundled>"
 wherever it is installed.
 
@@ -221,6 +223,13 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _hashed(paths: list[str]) -> list[tuple[str, str]]:
+    """The (path, SHA-256) of each input file. A subcommand hashes its
+    inputs before it opens its first output, so an output that overwrites
+    an input cannot put its own digest in the manifest."""
+    return [(path, _sha256(path)) for path in paths]
+
+
 def _echo(text: str, end: str = "\n") -> None:
     """Print text and flush, so that a failed write raises here, naming <stdout>."""
     try:
@@ -237,12 +246,12 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path, args, inputs: list[str | tuple[str, str]],
+def _write_manifest(path, args, inputs: list[tuple[str, str]],
                     **settings) -> None:
     """Write the manifest at path, as the module docstring describes, the
     bundled dictionary named "<bundled>" as an argument and as an input.
-    An input is a path, whose file is hashed here, or the (path, SHA-256)
-    of a file that the subcommand hashed as it read it."""
+    Each input is the (path, SHA-256) of a file that the subcommand hashed
+    before it opened its first output."""
     bundled = os.path.realpath(bundled_dictionary_path())
 
     def shown(path: str) -> str:
@@ -257,8 +266,7 @@ def _write_manifest(path, args, inputs: list[str | tuple[str, str]],
         "arguments": arguments,
         "settings": {name: dataclasses.asdict(value)
                      for name, value in settings.items()},
-        "inputs": {shown(p): digest for p, digest in (
-            i if isinstance(i, tuple) else (i, _sha256(i)) for i in inputs)},
+        "inputs": {shown(p): digest for p, digest in inputs},
     })
 
 
@@ -287,13 +295,14 @@ def _cmd_synth(args, config, features_path):
     gen = _settings(GenConfig, "gen", config.get("gen", {}),
                     noise=args.noise, labeling=args.labeling)
     alignments, table = synth_corpus(lex, args.n, gen, seed=args.seed)
+    inputs = _hashed([args.dict_path])
     out = Path(args.out)
     (out / "alignments").mkdir(parents=True, exist_ok=True)
     for al in alignments:
         save_alignment(al, str(out / "alignments" / f"{al.utterance_id}.json"))
     write_feature_table(table, features_path)
     return (f"synth: {len(alignments)} utterances, {len(table)} word instances "
-            f"-> {out}"), [args.dict_path], {"gen": gen}
+            f"-> {out}"), inputs, {"gen": gen}
 
 
 def _alignment_files(path: str) -> list[str]:
@@ -327,11 +336,11 @@ def _cmd_label(args, config, labels_path, exclusions_path):
     table = instances_from_table([labeled for labeled, _ in runs])
     exclusion_lines = [json.dumps(dataclasses.asdict(exc), sort_keys=True) + "\n"
                        for _, exclusions in runs for exc in exclusions]
+    inputs = _hashed(files + [args.dict_path])
     _write_labels(labels_path, table)
     with open_output(exclusions_path) as fh:
         fh.writelines(exclusion_lines)
-    return (f"label: {len(table)} labeled word instances -> {out}",
-            files + [args.dict_path], {})
+    return f"label: {len(table)} labeled word instances -> {out}", inputs, {}
 
 
 def _featurize_one(f: str, args, lex, dsp_cfg: DspConfig):
@@ -378,22 +387,23 @@ def _cmd_featurize(args, config, out):
     files = _alignment_files(args.alignments)
     runs = [_featurize_one(f, args, lex, dsp_cfg) for f in files]
     table = instances_from_table([labeled for _, labeled, _ in runs])
+    inputs = _hashed(files + [args.dict_path]) + [wav for wav, _, _ in runs]
     write_feature_table(table, out)
     n_excluded = sum(len(exclusions) for _, _, exclusions in runs)
-    wavs = [wav for wav, _, _ in runs]
     return (f"featurize: {len(table)} word instances ({n_excluded} exclusions) "
-            f"-> {out}"), files + wavs + [args.dict_path], {"dsp": dsp_cfg}
+            f"-> {out}"), inputs, {"dsp": dsp_cfg}
 
 
 def _cmd_split(args, config, train_path, test_path):
     lines = read_table_lines(args.features)
     train_set, test_set = split_utterances(lines, args.train_fraction, args.seed)
+    inputs = _hashed([args.features])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table_lines(train_set, train_path)
     write_table_lines(test_set, test_path)
     return (f"split: {len(train_set)} train / {len(test_set)} test instances "
-            f"-> {out}"), [args.features], {}
+            f"-> {out}"), inputs, {}
 
 
 def _cmd_train(args, config, out, history_path):
@@ -402,6 +412,7 @@ def _cmd_train(args, config, out, history_path):
             raise ConfigError(f"--{dest.replace('_', '-')} is not read by "
                               f"--model {args.model}")
     instances = read_feature_table(args.train)
+    inputs = _hashed([args.train])
     if not len(instances):
         raise DegenerateData("empty training set")
     require_gold(instances)
@@ -422,7 +433,7 @@ def _cmd_train(args, config, out, history_path):
                      if getattr(args, k) is not None}
             model = baselines.train_forest(X, y, seed=args.seed, **given)
             checkpoint.save_forest(out, model, args.feature_mode)
-        return f"train[{args.model}]: {len(y)} syllables -> {out}", [args.train], {}
+        return f"train[{args.model}]: {len(y)} syllables -> {out}", inputs, {}
     else:
         train_cfg = _settings(
             TrainConfig, "train", config.get("train", {}), epochs=args.epochs,
@@ -459,7 +470,7 @@ def _cmd_train(args, config, out, history_path):
                  "val acc is on the training words)")
         return (f"train[{args.model}]: {split}, {len(history)} epochs, best val acc "
                 f"{max((h['val_acc'] for h in history), default=float('nan')):.4f} "
-                f"-> {out}"), [args.train], {"train": train_cfg, "model": model_cfg}
+                f"-> {out}"), inputs, {"train": train_cfg, "model": model_cfg}
 
 
 def _predict_all(path: str, instances: Instances):
@@ -511,6 +522,7 @@ def _cmd_eval(args, config, json_path, txt_path):
     instances = read_feature_table(args.data)
     probs, weights = _predict_all(args.model, instances)
     report = evaluate(probs.argmax(axis=1), instances, weights)
+    inputs = _hashed([args.model, args.data])
     _write_json(json_path, dataclasses.asdict(report))
     with open_output(txt_path) as fh:
         fh.write(render_report(report))
@@ -518,7 +530,7 @@ def _cmd_eval(args, config, json_path, txt_path):
           else f", weighted {report.weighted_accuracy:.4f}")
     return (f"eval: accuracy {report.accuracy:.4f}{wa} on {report.n_syllables} "
             f"syllables -> {Path(json_path)}/{Path(txt_path).suffix}",
-            [args.model, args.data], {})
+            inputs, {})
 
 
 def _cmd_pca(args, config, out):

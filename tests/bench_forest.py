@@ -14,14 +14,12 @@ the test split's first 3-syllable word and for the whole test split (about
 2.7k syllables); both walks must give the same bytes.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from stressnet import baselines
 from stressnet.baselines import train_forest
-from conftest import TREE_ARRAYS
+from conftest import TREE_ARRAYS, traced_peak
 from oracles import oracle_grow_tree, oracle_vote_shares
 
 SEED = 1
@@ -51,10 +49,11 @@ def test_tracemalloc_peak(criterion_8_tables, monkeypatch, n_trees):
     for name, grow in [("oracle", oracle_grow_tree),
                        ("new", baselines._grow_tree)]:
         monkeypatch.setattr(baselines, "_grow_tree", grow)
-        tracemalloc.start()
-        forests[name] = train_forest(X, y, n_trees=n_trees, seed=SEED)
-        peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
-        tracemalloc.stop()
+
+        def fit():
+            forests[name] = train_forest(X, y, n_trees=n_trees, seed=SEED)
+
+        peaks[name] = traced_peak(fit) / 2 ** 20
     print(f"\n{n_trees} trees, tracemalloc peak: oracle "
           f"{peaks['oracle']:.2f} MiB, new {peaks['new']:.2f} MiB")
     for name in ("tree_offsets", *TREE_ARRAYS):

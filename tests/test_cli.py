@@ -2708,6 +2708,32 @@ class TestManifests:
         assert manifests["rf.ckpt.manifest.json"]["arguments"]["model"] == "rf"
         assert manifests["or.ckpt.manifest.json"]["arguments"]["model"] == "or"
 
+    @pytest.mark.parametrize("command", ["split", "train", "eval"])
+    def test_an_input_overwritten_by_an_output_keeps_its_digest(
+            self, tiny_corpus, tmp_path, command):
+        table = tmp_path / {"split": "train.jsonl", "train": "t.jsonl",
+                            "eval": "r.json"}[command]
+        shutil.copyfile(tiny_corpus / "corpus" / "features.jsonl", table)
+        read = hashlib.sha256(table.read_bytes()).hexdigest()
+        ckpt = str(tmp_path / "or.ckpt")
+        numerical = ("--feature-mode", "syllable_numerical")
+        argv, manifest = {
+            "split": (("split", "--features", str(table), "--out", str(tmp_path)),
+                      tmp_path / "manifest.json"),
+            "train": (("train", "--model", "or", *numerical, "--train",
+                       str(table), "--out", str(table)),
+                      tmp_path / "t.jsonl.manifest.json"),
+            "eval": (("eval", "--model", ckpt, "--data", str(table),
+                      "--out", str(tmp_path / "r")),
+                     tmp_path / "r.manifest.json"),
+        }[command]
+        if command == "eval":
+            assert run("train", "--model", "or", *numerical, "--train",
+                       str(table), "--out", ckpt) == 0
+        assert run(*argv) == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() != read
+        assert json.loads(manifest.read_text())["inputs"][str(table)] == read
+
     def test_bundled_dictionary_is_named_so(self, tiny_corpus):
         out = tiny_corpus / "named"
         assert run("synth", "--n", "2", "--dict", bundled_dictionary_path(),
