@@ -8,16 +8,20 @@ split), and timings of vote_shares against the tree-by-tree oracle walk.
 
 The file name does not match test_*.py, so the test suite does not collect
 it. Each fit is timed with 4 and with 50 trees; -s shows each side's
-tracemalloc peak, taken in a separate fit of the same size, and both sides
-must grow the same trees. vote_shares is timed on the 50-tree forest, for
-the test split's first 3-syllable word and for the whole test split (about
-2.7k syllables); both walks must give the same bytes.
+tracemalloc peak, taken while the same trees grow one after another in
+this process (a fit's worker processes are not traced), and both sides
+must grow the same trees. The 50-tree fit is also timed with one worker
+against one per CPU (-k workers). vote_shares is timed on the 50-tree
+forest, for the test split's first 3-syllable word and for the whole test
+split (about 2.7k syllables); both walks must give the same bytes.
 """
+
+import os
 
 import numpy as np
 import pytest
 
-from stressnet import baselines
+from stressnet import _workers, baselines
 from stressnet.baselines import train_forest
 from conftest import TREE_ARRAYS, traced_peak
 from oracles import oracle_grow_tree, oracle_vote_shares
@@ -41,24 +45,39 @@ def test_train_forest(benchmark, criterion_8_tables, impl, n_trees):
                        {"n_trees": n_trees, "seed": SEED}, rounds=3)
 
 
+@pytest.mark.parametrize("workers", ["serial", "all CPUs"])
+def test_train_forest_workers(benchmark, criterion_8_tables, monkeypatch,
+                              workers):
+    train = criterion_8_tables["train"]
+    X, y = train.features, train.labels
+    if workers == "serial":
+        monkeypatch.setattr(_workers, "worker_count", lambda n_jobs, cpus: 1)
+    benchmark.group = (f"train_forest 50 trees, n={len(y)}, 1 worker against "
+                       f"{len(os.sched_getaffinity(0))}")
+    benchmark.pedantic(train_forest, (X, y), {"n_trees": 50, "seed": SEED},
+                       rounds=3)
+
+
 @pytest.mark.parametrize("n_trees", [4, 50])
 def test_tracemalloc_peak(criterion_8_tables, monkeypatch, n_trees):
     train = criterion_8_tables["train"]
     X, y = train.features, train.labels
-    forests, peaks = {}, {}
+    m = int(np.ceil(np.sqrt(X.shape[1])))
+    seeds = np.random.SeedSequence(SEED).spawn(n_trees)
+    trees, peaks = {}, {}
     for name, grow in [("oracle", oracle_grow_tree),
                        ("new", baselines._grow_tree)]:
         monkeypatch.setattr(baselines, "_grow_tree", grow)
 
         def fit():
-            forests[name] = train_forest(X, y, n_trees=n_trees, seed=SEED)
+            trees[name] = [baselines._grow_seeded(s, X, y, 12, m) for s in seeds]
 
         peaks[name] = traced_peak(fit) / 2 ** 20
     print(f"\n{n_trees} trees, tracemalloc peak: oracle "
           f"{peaks['oracle']:.2f} MiB, new {peaks['new']:.2f} MiB")
-    for name in ("tree_offsets", *TREE_ARRAYS):
-        assert (getattr(forests["new"], name).tobytes()
-                == getattr(forests["oracle"], name).tobytes()), name
+    for new, oracle in zip(trees["new"], trees["oracle"]):
+        for name, got, want in zip(TREE_ARRAYS, new, oracle):
+            assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 import tracemalloc
 from typing import NamedTuple
@@ -146,6 +147,13 @@ def traced_peak(f, *args) -> int:
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+
+
+# for the tests of work forked to worker processes, which a process that
+# may run on one CPU only runs in itself
+two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda _: {0})(0)) < 2,
+    reason="the process may run on one CPU only")
 
 
 # any JSON document, for fuzzing the readers of JSON input

@@ -1,8 +1,11 @@
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stressnet import baselines
+from stressnet import _workers, baselines
 from stressnet.baselines import (
     ForestModel,
     OrdinalModel,
@@ -13,7 +16,7 @@ from stressnet.baselines import (
     train_forest,
     train_ordinal,
 )
-from conftest import TREE_ARRAYS, assert_same_array, traced_peak
+from conftest import TREE_ARRAYS, assert_same_array, traced_peak, two_cpus
 from stressnet.corpus import GenConfig, synth_corpus
 from stressnet.errors import (DegenerateData, LabelError, NumericalInstability,
                               ShapeError)
@@ -190,11 +193,21 @@ class TestForest:
             train_forest(np.zeros((30, 3)), [0, 1, bad] * 10)
 
 
-# traced peak, in bytes, of the 4-tree fit on TestFitMemory's 6,000 x 12
-# set: 3.03 MB with each node's split search freed before its children's
-# lists are cut, 4.87 MB with (3, m, n - 1) float64 class counts and Gini
-# terms alive through the cut
+# traced peak, in bytes, of growing the 4 trees of train_forest's fit on
+# TestFitMemory's 6,000 x 12 set in this process: 2.98 MB with each node's
+# split search freed before its children's lists are cut (3.03 MB for the
+# whole fit in one process), and 4.87 MB for the whole fit with
+# (3, m, n - 1) float64 class counts and Gini terms alive through the cut
 FIT_PEAK_BOUND = 3_500_000
+
+
+def grow_in_process(X, y, n_trees, seed=0, max_depth=12):
+    """train_forest's trees, grown one after another in this process by
+    the per-tree grower the fit's workers run, which tracemalloc here
+    cannot see."""
+    m = int(np.ceil(np.sqrt(X.shape[1])))
+    return [baselines._grow_seeded(s, X, y, max_depth, m)
+            for s in np.random.SeedSequence(seed).spawn(n_trees)]
 
 
 class TestFitMemory:
@@ -203,8 +216,77 @@ class TestFitMemory:
         X = rng.normal(0.0, 1.0, (6000, 12))
         y = np.digitize(X[:, 0] + X[:, 1] + rng.normal(0.0, 1.0, 6000),
                         [-1.0, 1.0])
-        peak = traced_peak(train_forest, X, y, 4)
+        trees = []
+        peak = traced_peak(lambda: trees.extend(grow_in_process(X, y, 4)))
         assert peak <= FIT_PEAK_BOUND, peak
+        forest = train_forest(X, y, 4)
+        for got, want in zip(zip(*trees),
+                             (getattr(forest, a) for a in TREE_ARRAYS)):
+            assert_same_array(np.concatenate(got), want, "node array")
+
+
+def serial(fit, *args, **kwargs):
+    """fit(*args, **kwargs) with one worker, so in this process."""
+    with mock.patch.object(_workers, "worker_count", lambda n_jobs, cpus: 1):
+        return fit(*args, **kwargs)
+
+
+def assert_same_forest(got, want):
+    for name in ("tree_offsets", *TREE_ARRAYS):
+        assert_same_array(getattr(got, name), getattr(want, name), name)
+    assert (got.max_depth, got.features_per_split) == (
+        want.max_depth, want.features_per_split)
+
+
+@two_cpus
+class TestForestWorkers:
+    """A fit whose trees grow in worker processes gives the serial fit's
+    bytes and its errors."""
+
+    # small integers, both zeros and NaN, so trees split on ties and on
+    # -0.0 vs 0.0, and never next to a NaN
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_data_with_nan(self, data):
+        values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan]
+        n = data.draw(st.integers(1, 40), label="n")
+        k = data.draw(st.integers(1, 4), label="k")
+        X = np.array(data.draw(st.lists(st.sampled_from(values),
+                                        min_size=n * k, max_size=n * k),
+                               label="X")).reshape(n, k)
+        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                      label="y")
+        kwargs = dict(n_trees=data.draw(st.integers(2, 6), label="n_trees"),
+                      max_depth=data.draw(st.integers(0, 6), label="max_depth"),
+                      seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        with mock.patch.object(baselines, "FORK_MIN_ROWS", 0):
+            forked = train_forest(X, y, **kwargs)
+        assert_same_forest(forked, serial(train_forest, X, y, **kwargs))
+
+    def test_criterion_8_seed_1_set(self, criterion_8_tables):
+        train = criterion_8_tables["train"]
+        X, y = train.features, train.labels
+        assert 6 * len(y) >= baselines.FORK_MIN_ROWS  # forked unpatched
+        assert_same_forest(train_forest(X, y, n_trees=6, seed=1),
+                           serial(train_forest, X, y, n_trees=6, seed=1))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X = rng.normal(0.0, 1.0, (2000, 4))
+        y = rng.integers(0, 3, 2000)
+        grow = baselines._grow_seeded
+
+        def failing(seed, *shared):
+            tree = seed.spawn_key[-1]
+            if tree in (2, 3):  # not the first job; the first failure wins
+                raise NumericalInstability(f"tree {tree} is not finite")
+            return grow(seed, *shared)
+
+        monkeypatch.setattr(baselines, "_grow_seeded", failing)
+        for fit in (train_forest, functools.partial(serial, train_forest)):
+            with pytest.raises(NumericalInstability) as caught:
+                fit(X, y, n_trees=5, seed=0)
+            assert str(caught.value) == "tree 2 is not finite"
 
 
 class TestPredictBaseline:
@@ -267,6 +349,47 @@ class TestPredictBaseline:
         x = np.array(rows, dtype=np.float64).reshape(len(rows), k)
         assert_same_array(model.vote_shares(x), oracle_vote_shares(model, x),
                           "vote shares")
+
+
+class TestVoteChunks:
+    """vote_shares walks SCORE_ROWS rows at a time, to the same bits."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunk_size_as_tree_by_tree(self, data):
+        values = [-1.0, -0.0, 0.0, 1.0, 2.0]
+        n = data.draw(st.integers(1, 30), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        X = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * k,
+                                        max_size=n * k), label="X")).reshape(n, k)
+        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                      label="y")
+        model = train_forest(
+            X, y, n_trees=data.draw(st.integers(1, 6), label="n_trees"),
+            max_depth=data.draw(st.integers(0, 5), label="max_depth"),
+            seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        m = data.draw(st.integers(0, 40), label="rows")
+        x = np.array(data.draw(st.lists(st.sampled_from([*values, np.nan]),
+                                        min_size=m * k, max_size=m * k),
+                               label="x")).reshape(m, k)
+        chunk = data.draw(st.integers(1, m + 2), label="chunk")
+        with mock.patch.object(baselines, "SCORE_ROWS", chunk):
+            got = model.vote_shares(x)
+        assert_same_array(got, oracle_vote_shares(model, x), "vote shares")
+
+    def test_peak_is_bounded(self):
+        # words of 3 syllables, and a chunk of 160 words' rows, so the
+        # larger table is scored in 8 chunks (SCORE_ROWS itself is 8,192)
+        rng = np.random.default_rng(4)
+        X = rng.normal(0.0, 1.0, (600, 12))
+        y = rng.integers(0, 3, 600)
+        model = train_forest(X, y, n_trees=20, seed=4)
+        peaks = []
+        with mock.patch.object(baselines, "SCORE_ROWS", 3 * 160):
+            for n_words in (160, 8 * 160):
+                x = rng.normal(0.0, 1.0, (3 * n_words, 12))
+                peaks.append(traced_peak(model.vote_shares, x))
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 # --- the tree grower against the per-node oracle ------------------------------

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from hypothesis import example, given, settings, strategies as st
 import stressnet
 from conftest import (MALFORMED_LINES, MALFORMED_WAVS, Record, damaged_wavs,
                       float_values, json_values, pack_records, table_records,
-                      traced_peak)
-from stressnet import bundled_dictionary_path
-from stressnet.cli import (_OUTPUTS, _resolve, _write_labels, _write_predictions,
-                           build_parser, run_subcommand)
+                      traced_peak, two_cpus)
+from stressnet import _workers, bundled_dictionary_path
+from stressnet.cli import (_OUTPUTS, FORK_MIN_FILES, _resolve, _write_labels,
+                           _write_predictions, build_parser, run_subcommand)
 from stressnet import checkpoint, corpus
 from stressnet.corpus import GenConfig, load_alignment
 from stressnet.dsp import DspConfig, compute_intensity, estimate_pitch, read_wav
@@ -898,6 +899,119 @@ class TestFeaturizePools:
                    "--out", str(out)) == 0
         assert out.read_bytes() == b""
         assert "0 word instances (0 exclusions)" in capsys.readouterr().out
+
+
+def write_job_fixture(root: Path, n: int = 4) -> Path:
+    """n utterances u0, u1, ..., each a copy of a pool utterance with its
+    own WAV, so that featurize runs them as n jobs; returns the alignment
+    directory."""
+    alignments = write_pool_fixture(root)
+    utts = list(POOL_UTTERANCES)
+    docs = {utt: json.loads((alignments / f"{utt}.json").read_text())
+            for utt in utts}
+    for utt in utts:
+        (alignments / f"{utt}.json").unlink()
+    for i in range(n):
+        utt = utts[i % len(utts)]
+        shutil.copy(root / f"{utt}.wav", root / f"u{i}.wav")
+        (alignments / f"u{i}.json").write_text(json.dumps(
+            {**docs[utt], "utterance_id": f"u{i}", "audio_path": f"../u{i}.wav"}))
+    return alignments
+
+
+def run_serially(*argv) -> tuple[int, str]:
+    """run_quietly with one worker, so that every job runs in this process."""
+    with mock.patch.object(_workers, "worker_count", lambda n_jobs, cpus: 1):
+        return run_quietly(*argv)
+
+
+@two_cpus
+class TestFeaturizeWorkers:
+    """featurize of FORK_MIN_FILES files or more runs them in worker
+    processes, with the serial run's bytes, exit code and stderr."""
+
+    def test_same_bytes_as_serial(self, tmp_path):
+        alignments = write_job_fixture(tmp_path)
+        assert len(list(alignments.iterdir())) >= FORK_MIN_FILES
+        out = tmp_path / "features.jsonl"
+        runs = []
+        for featurize in (run_quietly, run_serially):
+            assert featurize("featurize", "--alignments", str(alignments),
+                             "--out", str(out)) == (0, "")
+            runs.append((out.read_bytes(),
+                         Path(f"{out}.manifest.json").read_bytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("pool,scope", sorted(POOL_TABLE_DIGESTS))
+    def test_pool_digests_hold(self, tmp_path, monkeypatch, pool, scope):
+        alignments = write_pool_fixture(tmp_path)
+        monkeypatch.setattr(stressnet.cli, "FORK_MIN_FILES", 0)
+        out = tmp_path / "features.jsonl"
+        assert run_quietly("featurize", "--alignments", str(alignments),
+                           "--out", str(out), "--normalization-pool", pool,
+                           "--exclusion-scope", scope) == (0, "")
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == POOL_TABLE_DIGESTS[pool, scope])
+
+    # each breaks u2, the third of four jobs, in its own way
+    @pytest.mark.parametrize("fault,code,error", [
+        ("missing-wav", 4, "No such file or directory"),
+        ("damaged-wav", 4, "FormatError"),
+        ("dsp-config", 3, "bad dsp config"),
+        ("non-finite-feature", 4, "NumericalInstability"),
+    ])
+    def test_a_failing_job_fails_as_in_serial(self, tmp_path, fault, code,
+                                              error):
+        from scipy.io import wavfile
+        alignments = write_job_fixture(tmp_path)
+        wav = tmp_path / "u2.wav"
+        flags = []
+        if fault == "missing-wav":
+            wav.unlink()
+        elif fault == "damaged-wav":
+            wav.write_bytes(MALFORMED_WAVS["riff_junk"])
+        elif fault == "dsp-config":
+            # a 1.8 ms window spans the pitch lag band at 16 kHz, where the
+            # other files are, but not at 8 kHz
+            rate, pcm = wavfile.read(wav)
+            wavfile.write(wav, rate // 2, pcm[::2])
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"dsp": {"window_s": 0.0018}}))
+            flags = ["--config", str(config)]
+        else:  # overflows once squared
+            rate, pcm = wavfile.read(wav)
+            samples = pcm / 32768.0
+            samples[POOL_GAP + 100] = 1e200
+            wavfile.write(wav, rate, samples)
+        argv = (*flags, "featurize", "--alignments", str(alignments),
+                "--out", str(tmp_path / "features.jsonl"))
+        forked = run_quietly(*argv)
+        assert forked == run_serially(*argv)
+        assert forked[0] == code
+        assert error in forked[1] and "u2.wav" in forked[1], forked
+        assert "Traceback" not in forked[1]
+
+    def test_redirected_stdout_is_written_once(self, tmp_path):
+        # a line the interpreter still buffers when featurize forks: a
+        # worker's exit would flush its copy of it again
+        alignments = write_job_fixture(tmp_path)
+        script = ("from stressnet.cli import main\n"
+                  "print('before')\n"
+                  "main()\n")
+        src = str(Path(stressnet.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "features.jsonl"
+        stdout = tmp_path / "stdout.txt"
+        with open(stdout, "w") as fh:
+            done = subprocess.run(
+                [sys.executable, "-c", script, "featurize", "--alignments",
+                 str(alignments), "--out", str(out)],
+                stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert stdout.read_text().splitlines() == [
+            "before", f"featurize: 8 word instances (8 exclusions) -> {out}"]
 
 
 @pytest.fixture(scope="module")
